@@ -113,9 +113,10 @@ def cmd_hecke_table(args):
     alg = HeckeAlgebra(G, H)
     ok, wit = alg.check_associativity_and_unit()
     data = alg.to_json()
-    data["oracle_agrees"] = True   # asserted during construction
+    data["oracle_agrees"] = alg.oracle_agrees
     data["associative_unital"] = ok
-    data["pass"] = ok and alg.extremal_faithful
+    data["pass"] = (ok and alg.extremal_faithful and alg.oracle_agrees
+                    and alg.integral)
     rows = [("a", "b", "product")] + [
         (str(r["a"]), str(r["b"]), json.dumps(r["product"]))
         for r in data["constants"]]
@@ -132,7 +133,8 @@ def cmd_hecke_module(args):
     ok, wit = mod.check_module_axioms()
     data = mod.to_json()
     data["module_axioms"] = ok
-    data["pass"] = ok
+    data["pass"] = (ok and mod.oracle_agrees and mod.integral
+                    and alg.oracle_agrees and alg.integral)
     rows = [("a", "v", "result")] + [
         (str(r["a"]), str(r["v"]), json.dumps(r["result"]))
         for r in data["action"]]

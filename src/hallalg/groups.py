@@ -1,10 +1,14 @@
 """Explicit finite groups on hashable element tokens.
 
-Multiplication is a callable on tokens; a Cayley table is only cached for
-small orders.  Group axioms are checked on construction: identity and
-inverses always, associativity exhaustively up to a budget and on a seeded
-sample beyond it (wreath/product constructions are associative by
-construction; full tables loaded from JSON are always below the budget).
+Multiplication is a callable on tokens; no Cayley table is stored.  The
+identity is found and verified on construction, and each inverse is the
+power e^(ord e - 1), verified on both sides.  With ``check=True`` (groups
+from outside input, Cayley JSON included) inverses are also proved unique by
+an exhaustive scan and associativity is checked exhaustively up to a budget
+and on a seeded sample beyond it.  The groups the program builds itself
+(permutations, products, wreath products, subgroups) pass ``check=False``:
+they are associative by construction, so their inverses are unique too.
+Axiom failures raise ``UsageError``.
 """
 
 import json
@@ -22,25 +26,43 @@ class FiniteGroup:
         self.name = name
         self._op = op
         self.index = {e: i for i, e in enumerate(self.elements)}
-        assert len(self.index) == len(self.elements), "duplicate elements"
+        if len(self.index) != len(self.elements):
+            raise UsageError(f"{name}: duplicate elements")
         self.order = len(self.elements)
         # identity: the unique e with e*x == x for a probe x, verified on all
         probe = self.elements[0]
         ids = [e for e in self.elements if op(e, probe) == probe]
         ids = [e for e in ids if all(op(e, x) == x and op(x, e) == x
                                      for x in self.elements)]
-        assert len(ids) == 1, "no unique identity"
+        if len(ids) != 1:
+            raise UsageError(f"{name}: no unique identity")
         self.identity = ids[0]
-        self._inv = {}
-        for e in self.elements:
-            cands = [x for x in self.elements if op(e, x) == self.identity]
-            assert len(cands) == 1 and op(cands[0], e) == self.identity, \
-                f"no unique inverse for {e!r}"
-            self._inv[e] = cands[0]
+        self._inv = {e: self._power_inverse(e) for e in self.elements}
         if check:
+            self._check_unique_inverses()
             self._check_associativity()
         self._classes = None
         self._gens = None
+
+    def _power_inverse(self, e):
+        """e^(ord e - 1), found within `order` steps, checked on both
+        sides."""
+        ident, op = self.identity, self._op
+        prev, x = ident, e
+        for _ in range(self.order):
+            if x == ident:
+                break
+            prev, x = x, op(x, e)
+        if x != ident or op(e, prev) != ident or op(prev, e) != ident:
+            raise UsageError(f"{self.name}: no inverse for {e!r}")
+        return prev
+
+    def _check_unique_inverses(self):
+        ident, op = self.identity, self._op
+        for e in self.elements:
+            if sum(1 for x in self.elements if op(e, x) == ident) != 1:
+                raise UsageError(f"{self.name}: inverse of {e!r} is not "
+                                 "unique")
 
     def _check_associativity(self):
         es = self.elements
@@ -52,8 +74,9 @@ class FiniteGroup:
                        for _ in range(20000))
         op = self._op
         for a, b, c in triples:
-            assert op(op(a, b), c) == op(a, op(b, c)), \
-                f"associativity fails at {(a, b, c)!r}"
+            if op(op(a, b), c) != op(a, op(b, c)):
+                raise UsageError(f"{self.name}: associativity fails at "
+                                 f"{(a, b, c)!r}")
 
     def op(self, a, b):
         return self._op(a, b)
@@ -163,9 +186,15 @@ class FiniteGroup:
 
     @classmethod
     def from_cayley(cls, data, name="G"):
+        if not isinstance(data, dict) or not {"order", "table"} <= set(data):
+            raise UsageError('Cayley JSON must be {"order": n, '
+                             '"table": [[...], ...]}')
         n = data["order"]
         table = data["table"]
-        if len(table) != n or any(len(r) != n for r in table):
+        if (not isinstance(n, int) or n < 1 or not isinstance(table, list)
+                or len(table) != n
+                or any(not isinstance(r, list) or len(r) != n
+                       for r in table)):
             raise UsageError("Cayley table shape does not match order")
         if any(x not in range(n) for r in table for x in r):
             raise UsageError("Cayley table entries out of range")
@@ -241,7 +270,8 @@ def cyclic_group(n):
 
 def symmetric_group(n):
     assert n >= 0
-    return FiniteGroup(all_perms(n), perm_mul, name=f"sym:{n}", check=n <= 5)
+    # composition of permutations is associative by construction
+    return FiniteGroup(all_perms(n), perm_mul, name=f"sym:{n}", check=False)
 
 
 def dihedral_group(n):
@@ -333,8 +363,12 @@ def named_group(spec: str) -> FiniteGroup:
         return out
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot read a Cayley table from {path}: "
+                             f"{exc}") from None
         return FiniteGroup.from_cayley(data, name=spec)
     if ":" in spec:
         fam, _, arg = spec.partition(":")

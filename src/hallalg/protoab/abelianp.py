@@ -10,6 +10,7 @@ from functools import cache
 from itertools import product as iproduct
 from math import log
 
+from .. import UsageError
 from ..exactmath.partitions import check_partition, conjugate, partitions_of
 from .base import ProtoAbelianInstance
 
@@ -18,8 +19,11 @@ class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
 
     def __init__(self, p: int, order_bound: int):
-        assert p >= 2 and all(p % k for k in range(2, p)), "p must be prime"
-        assert order_bound <= 64, "bounded to group order <= 64"
+        if not (p >= 2 and all(p % k for k in range(2, p))):
+            raise UsageError(f"ab-p-groups: p = {p} must be prime")
+        if not 1 <= order_bound <= 64:
+            raise UsageError(f"ab-p-groups: order bound {order_bound} is "
+                             "outside 1..64")
         self.p = p
         self.order_bound = order_bound
         self.max_size = int(log(order_bound, p) + 1e-9)

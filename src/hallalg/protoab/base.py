@@ -91,11 +91,6 @@ class ProtoAbelianInstance:
                     count += 1
         return count
 
-    def is_exact(self, i, p) -> bool:
-        """i mono, p epi, im(i) = ker(p), for composable i and p."""
-        assert i[1] == p[0], "not composable"
-        return self.image_sub(i) == self.preimage_sub(p, self.zero_sub(p[1]))
-
     def square_bicartesian(self, i, p, q, j) -> bool:
         """i: A->B, p: A->C, q: B->D, j: C->D; assumes mono/epi placement."""
         assert i[0] == p[0] and i[1] == q[0] and p[1] == j[0] and q[1] == j[1]

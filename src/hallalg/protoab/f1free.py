@@ -11,6 +11,7 @@ decompositions into G-stable subsets.
 from functools import cache
 from itertools import permutations
 
+from .. import UsageError
 from ..groups import FiniteGroup
 from .base import ProtoAbelianInstance
 
@@ -19,7 +20,8 @@ class F1FreeG(ProtoAbelianInstance):
     family = "f1-free"
 
     def __init__(self, G: FiniteGroup, bound: int):
-        assert bound >= 0
+        if bound < 0:
+            raise UsageError(f"f1-free: bound {bound} must be >= 0")
         self.G = G
         self.bound = bound
 

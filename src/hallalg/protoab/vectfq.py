@@ -8,6 +8,7 @@ The sizes involved stay tiny, so everything is enumerated directly.
 from functools import cache
 from itertools import product as iproduct
 
+from .. import UsageError
 from .base import ProtoAbelianInstance
 
 
@@ -19,8 +20,11 @@ class VectFq(ProtoAbelianInstance):
     family = "vect-fq"
 
     def __init__(self, q: int, bound: int):
-        assert _is_prime(q), f"q = {q} must be prime"
-        assert 0 <= bound <= 4, "dimension bound out of supported range"
+        if not _is_prime(q):
+            raise UsageError(f"vect-fq: q = {q} must be prime")
+        if not 0 <= bound <= 4:
+            raise UsageError(f"vect-fq: dimension bound {bound} is outside "
+                             "0..4")
         self.q = q
         self.bound = bound
 

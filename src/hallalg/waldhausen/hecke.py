@@ -1,204 +1,135 @@
 """The Hecke-Waldhausen simplicial groupoid of a subgroup pair H <= G and
 the convolution algebras/modules it induces.
 
-Level n is BH x_BG ... x_BG BH (n+1 factors), produced by iterating the
-generic 2-fiber product; flattened, an object is the tuple of connecting
-elements (phi_1..phi_n) in G^n and a morphism is a tuple (h_0..h_n) in
-H^(n+1) acting by phi_i -> h_i phi_i h_{i-1}^-1.  Faces compose adjacent
-connectors (Cech style); degeneracies insert an identity connector.  The
-action-groupoid presentation on G^n is constructed independently and the
-flattening comparison is checked to be an equivalence.
+The paper defines level n as the iterated 2-fiber product
+BH x_BG ... x_BG BH (n+1 factors), the Cech nerve of BH -> BG.  Level n here
+is its flat model, the action groupoid G^n // H^(n+1): an object is the
+tuple of connecting elements (phi_1..phi_n) in G^n, listed in lexicographic
+order, and a morphism (h_0..h_n) acts by phi_i -> h_i phi_i h_{i-1}^-1.
+Faces compose adjacent connectors and drop the matching h (Cech style);
+degeneracies insert an identity connector and repeat an h.  The iterated
+fiber product itself lives in the tests, as the oracle that the flat levels
+are checked against (equivalence, and commuting faces and degeneracies).
 
 pi0 of level 1 is the double coset set H\\G/H; pull-push along
 X_1 x X_1 <- X_2 -> X_1 gives the Hecke algebra, checked against the direct
-convolution (f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x).
+convolution (f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x).  The module on H\\G/P
+comes from the same span with P in place of the first H.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .. import UsageError
-from ..groupoid import (ActionGroupoid, FnFunctor, Functor,
-                        GroupHomFunctor, PairFunctor, ProductGroupoid,
-                        SpanFn, b_group, external_product, is_equivalence,
-                        is_faithful, pull_push_span, two_fiber_product)
+from .. import BudgetExceededError, UsageError
+from ..groupoid import (ActionGroupoid, FnFunctor, Functor, PairFunctor,
+                        ProductGroupoid, SpanFn, external_product,
+                        is_faithful, pull_push_span)
+from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groups import FiniteGroup
 from .simplicial import TruncatedSimplicialGroupoid
 
 
-def direct_power(H: FiniteGroup, k: int) -> FiniteGroup:
-    """H^k with tuple tokens and coordinatewise generators."""
-    elems = [tuple(t) for t in iproduct(H.elements, repeat=k)]
-
+def tuple_group(factors, name) -> FiniteGroup:
+    """K_0 x ... x K_n with tuple tokens and coordinatewise generators."""
     def op(a, b):
-        return tuple(H.op(x, y) for x, y in zip(a, b))
+        return tuple(K.op(x, y) for K, x, y in zip(factors, a, b))
 
-    P = FiniteGroup(elems, op, name=f"{H.name}^{k}", check=False)
-    e = H.identity
+    P = FiniteGroup(iproduct(*(K.elements for K in factors)), op, name=name,
+                    check=False)
     gens = []
-    for pos in range(k):
-        for g in H.generators():
-            t = [e] * k
+    for pos, K in enumerate(factors):
+        for g in K.generators():
+            t = list(P.identity)
             t[pos] = g
             gens.append(tuple(t))
-    P._gens = tuple(gens) if gens else (P.identity,)
+    P._gens = tuple(gens)
     return P
 
 
 class HeckeWaldhausen:
-    """Levels X_0..X_depth with faces/degeneracies and flat coordinates."""
+    """Levels X_n = G^n // H^(n+1), n = 0..depth, with faces and
+    degeneracies."""
 
-    def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
-                 check_action_model: bool = True):
+    def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3):
         if not G.is_subgroup(H.elements):
             raise UsageError(f"{H.name} is not a subgroup of {G.name}")
-        assert 0 <= depth <= 3
+        if not 0 <= depth <= 3:
+            raise UsageError(f"Hecke-Waldhausen depth {depth} is outside 0..3")
+        # the top level is the largest; refuse before building any level
+        top = G.order ** depth
+        if top > DEFAULT_OBJECT_BUDGET:
+            raise BudgetExceededError(
+                f"Hecke-Waldhausen level X_{depth}({G.name},{H.name}) has "
+                f"{top} objects, over the budget of {DEFAULT_OBJECT_BUDGET}")
         self.G, self.H = G, H
         self.depth = depth
-        self.BG = b_group(G)
-        self.BH = b_group(H)
-        self.incl = GroupHomFunctor(self.BH, self.BG)
-
-        # levels by iterated generic 2-fiber product
-        self.levels = [self.BH]
-        for n in range(1, depth + 1):
-            right = self._right_vertex(n - 1)
-            self.levels.append(two_fiber_product(right, self.incl))
-            self.levels[n].name = f"X{n}({G.name},{H.name})"
-
-        # flat coordinates: objects as tuples of G tokens, length n
-        self._flat = [[()]]
-        self._flat_idx = [{(): 0}]
-        for n in range(1, depth + 1):
-            lvl = self.levels[n]
-            flats = []
-            for (a, _b, phi) in lvl.objects:
-                g = lvl.base.tokens[phi][0]
-                flats.append(self._flat[n - 1][a] + (g,))
-            self._flat.append(flats)
-            self._flat_idx.append({f: i for i, f in enumerate(flats)})
-
+        self._twists = {}
+        self.levels = [self.level([H] * (n + 1), f"X{n}({G.name},{H.name})")
+                       for n in range(depth + 1)]
         self.faces = {}
         self.degeneracies = {}
         for n in range(1, depth + 1):
             for k in range(n + 1):
-                self.faces[(n, k)] = self._face_functor(n, k)
+                self.faces[(n, k)] = self.face(
+                    self.levels[n], self.levels[n - 1], n, k)
         for n in range(0, depth):
             for k in range(n + 1):
-                self.degeneracies[(n, k)] = self._degeneracy_functor(n, k)
+                self.degeneracies[(n, k)] = self.degeneracy(
+                    self.levels[n], self.levels[n + 1], n, k)
 
-        if check_action_model:
-            for n in range(depth + 1):
-                v = is_equivalence(self.flatten_functor(n))
-                assert v.ok, f"action model mismatch at level {n}: {v}"
+    def twist(self, a, phi, b):
+        """a phi b^-1, memoised: every morphism target goes through it."""
+        try:
+            return self._twists[a, phi, b]
+        except KeyError:
+            G = self.G
+            out = self._twists[a, phi, b] = G.op(G.op(a, phi), G.inv(b))
+            return out
 
-    # -- structure maps -------------------------------------------------------
+    def level(self, factors, name) -> ActionGroupoid:
+        """G^n // (K_0 x ... x K_n) for subgroups K_t of G: (k_0..k_n) acts
+        by phi_t -> k_t phi_t k_{t-1}^-1.  With every K_t = H this is X_n."""
+        objs = list(iproduct(self.G.elements, repeat=len(factors) - 1))
+        index = {f: i for i, f in enumerate(objs)}
+        twist = self.twist
 
-    def _right_vertex(self, n) -> Functor:
-        """X_n -> BG remembering the last factor."""
-        lvl = self.levels[n]
-        if n == 0:
-            return self.incl
+        def act(ks, i):
+            return index[tuple(map(twist, ks[1:], objs[i], ks))]
+
+        return ActionGroupoid(tuple_group(factors, f"{name}:group"), objs,
+                              act, name=name, check=False)
+
+    def face(self, src, tgt, n, k) -> Functor:
+        """d_k: X_n -> X_{n-1}; drops k_k and merges the connectors on
+        either side of factor k (drops the outer one at k = 0, n)."""
+        twist, e = self.twist, self.G.identity
+
+        def obj(f):
+            if k == 0:
+                return f[1:]
+            if k == n:
+                return f[:-1]
+            # the merged connector f[k] f[k-1] (= f[k] f[k-1] e^-1)
+            return f[:k - 1] + (twist(f[k], f[k - 1], e),) + f[k + 1:]
+
+        obj_map = [tgt.obj_index(obj(f)) for f in src.objects]
 
         def mor_map(m):
-            return (m[1][0], 0)
-
-        return FnFunctor(lvl, self.BG, lambda i: 0, mor_map,
-                         name=f"right_{n}")
-
-    def left_vertex(self, n) -> Functor:
-        """X_n -> BG remembering the first factor."""
-        lvl = self.levels[n]
-        if n == 0:
-            return self.incl
-
-        def mor_map(m, n=n):
-            tok = m
-            for _ in range(n):
-                tok = tok[0]          # descend to the leftmost BH token
-            return (tok[0], 0)
-
-        return FnFunctor(lvl, self.BG, lambda i: 0, mor_map, name=f"left_{n}")
-
-    def flat_obj(self, n, i):
-        return self._flat[n][i]
-
-    def obj_of_flat(self, n, flat):
-        return self._flat_idx[n][flat]
-
-    def flat_mor(self, n, m):
-        """Morphism token -> (h_0..h_n) tuple of H tokens."""
-        if n == 0:
-            return (m[0],)
-        return self.flat_mor(n - 1, m[0]) + (m[1][0],)
-
-    def mor_of_flat(self, n, hs, src_idx):
-        if n == 0:
-            return (hs[0], 0)
-        a_idx = self.levels[n].objects[src_idx][0]
-        return (self.mor_of_flat(n - 1, hs[:-1], a_idx), (hs[-1], 0), src_idx)
-
-    def _face_flat(self, n, k, flat):
-        if k == 0:
-            return flat[1:]
-        if k == n:
-            return flat[:-1]
-        merged = self.G.op(flat[k], flat[k - 1])
-        return flat[:k - 1] + (merged,) + flat[k + 1:]
-
-    def _face_functor(self, n, k) -> Functor:
-        src, tgt = self.levels[n], self.levels[n - 1]
-        obj_map = [self.obj_of_flat(n - 1, self._face_flat(n, k, f))
-                   for f in self._flat[n]]
-
-        def mor_map(m, n=n, k=k, obj_map=obj_map):
-            hs = self.flat_mor(n, m)
-            src_idx = m[1] if n == 0 else m[2]
-            return self.mor_of_flat(n - 1, hs[:k] + hs[k + 1:],
-                                    obj_map[src_idx])
+            ks, i = m
+            return (ks[:k] + ks[k + 1:], obj_map[i])
 
         return FnFunctor(src, tgt, obj_map, mor_map, name=f"d_{k}^{n}")
 
-    def _degeneracy_functor(self, n, k) -> Functor:
-        src, tgt = self.levels[n], self.levels[n + 1]
+    def degeneracy(self, src, tgt, n, k) -> Functor:
+        """s_k: X_n -> X_{n+1}; an identity connector at k, k_k repeated."""
         e = self.G.identity
-        obj_map = [self.obj_of_flat(n + 1, f[:k] + (e,) + f[k:])
-                   for f in self._flat[n]]
+        obj_map = [tgt.obj_index(f[:k] + (e,) + f[k:]) for f in src.objects]
 
-        def mor_map(m, n=n, k=k, obj_map=obj_map):
-            hs = self.flat_mor(n, m)
-            src_idx = m[1] if n == 0 else m[2]
-            return self.mor_of_flat(n + 1, hs[:k] + (hs[k],) + hs[k:],
-                                    obj_map[src_idx])
+        def mor_map(m):
+            ks, i = m
+            return (ks[:k + 1] + ks[k:], obj_map[i])
 
         return FnFunctor(src, tgt, obj_map, mor_map, name=f"s_{k}^{n}")
-
-    # -- the action-groupoid presentation -------------------------------------
-
-    def action_model(self, n) -> ActionGroupoid:
-        K = direct_power(self.H, n + 1)
-        G = self.G
-        flats = list(self._flat[n])
-        fidx = {f: i for i, f in enumerate(flats)}
-
-        def act(hs, i):
-            f = flats[i]
-            new = tuple(G.op(G.op(hs[t + 1], f[t]), G.inv(hs[t]))
-                        for t in range(n))
-            return fidx[new]
-
-        return ActionGroupoid(K, flats, act, name=f"A{n}", check=False)
-
-    def flatten_functor(self, n) -> Functor:
-        model = self.action_model(n)
-        lvl = self.levels[n]
-
-        def mor_map(m, n=n):
-            hs = self.flat_mor(n, m)
-            src_idx = m[1] if n == 0 else m[2]
-            return (hs, src_idx)
-
-        return FnFunctor(lvl, model, lambda i: i, mor_map, name=f"flat_{n}")
 
     def simplicial(self) -> TruncatedSimplicialGroupoid:
         return TruncatedSimplicialGroupoid(
@@ -206,10 +137,48 @@ class HeckeWaldhausen:
             name=f"Hecke({self.G.name},{self.H.name})")
 
 
-def hecke_waldhausen(G, H, depth: int = 3,
-                     check_action_model=True) -> TruncatedSimplicialGroupoid:
-    return HeckeWaldhausen(G, H, depth,
-                           check_action_model=check_action_model).simplicial()
+def hecke_waldhausen(G, H, depth: int = 3) -> TruncatedSimplicialGroupoid:
+    return HeckeWaldhausen(G, H, depth).simplicial()
+
+
+def _exact(v: Fraction):
+    return int(v) if v.denominator == 1 else v
+
+
+def _json_number(v):
+    return str(v) if isinstance(v, Fraction) else v
+
+
+def _pull_push_table(left: Functor, right: Functor, middle: Functor):
+    """Pull-push of delta_a x delta_b along the span
+    left.tgt x right.tgt <- apex -> middle.tgt, for all component pairs
+    (a, b): the table {(a, b): {c: value}} and whether it is integral."""
+    A, B = left.tgt, right.tgt
+    prod = ProductGroupoid(A, B)
+    chop = PairFunctor(left, right, prod)
+    table, integral = {}, True
+    for a in range(len(A.components())):
+        for b in range(len(B.components())):
+            out = pull_push_span(chop, middle, external_product(
+                prod, SpanFn.delta(A, a), SpanFn.delta(B, b)))
+            integral = integral and out.is_integral()
+            table[(a, b)] = {c: _exact(v) for c, v in out.values.items()}
+    return table, integral
+
+
+def _convolution_table(G, H, left_cosets, right_cosets, reps):
+    """(f*v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on indicators of the given
+    coset sets, evaluated at the representatives `reps`."""
+    out = {}
+    for a, da in enumerate(left_cosets):
+        for b, db in enumerate(right_cosets):
+            vals = {}
+            for c, rep in enumerate(reps):
+                tot = sum(1 for y in da if G.op(G.inv(y), rep) in db)
+                if tot:
+                    vals[c] = _exact(Fraction(tot, H.order))
+            out[(a, b)] = vals
+    return out
 
 
 # -- the Hecke algebra ---------------------------------------------------------
@@ -219,63 +188,37 @@ class HeckeAlgebra:
     """Structure constants of H-biinvariant functions on G under the
     pull-push product, with the convolution oracle alongside."""
 
-    def __init__(self, G, H, check_oracle=True):
-        self.hw = HeckeWaldhausen(G, H, depth=2, check_action_model=False)
+    def __init__(self, G, H):
+        self.hw = HeckeWaldhausen(G, H, depth=2)
         self.G, self.H = G, H
-        x1, x2 = self.hw.levels[1], self.hw.levels[2]
-        self.x1 = x1
-        comps = x1.components()
-        self.basis = []          # representative G tokens, canonical order
-        for c in comps:
-            self.basis.append(self.hw.flat_obj(1, c.rep)[0])
+        x1 = self.x1 = self.hw.levels[1]
+        # representative G tokens, canonical order
+        self.basis = [x1.objects[c.rep][0] for c in x1.components()]
         self.labels = [str(t) for t in self.basis]
 
         d0, d1, d2 = (self.hw.faces[(2, i)] for i in range(3))
-        prod = ProductGroupoid(x1, x1)
-        chop = PairFunctor(d0, d2, prod)
         # the extremal face must be faithful for integrality -- verified
         self.extremal_faithful = is_faithful(d1)
-
-        self.constants = {}
-        for a in range(len(comps)):
-            fa = SpanFn.delta(x1, a)
-            for b in range(len(comps)):
-                fb = SpanFn.delta(x1, b)
-                out = pull_push_span(chop, d1, external_product(prod, fa, fb))
-                assert out.is_integral(), "non-integral Hecke constants"
-                self.constants[(a, b)] = {c: int(v)
-                                          for c, v in out.values.items()}
-
+        self.constants, self.integral = _pull_push_table(d0, d2, d1)
         self.unit_index = self.coset_index(G.identity)
-        if check_oracle:
-            oracle = self.convolution_constants()
-            assert oracle == self.constants, "pull-push vs convolution"
+        self.oracle_agrees = self.convolution_constants() == self.constants
 
     def coset_index(self, g) -> int:
         """Index of the double coset HgH in the basis."""
-        flat_idx = self.hw.obj_of_flat(1, (g,))
-        return self.x1.component_of(flat_idx)
+        return self.x1.component_of(self.x1.obj_index((g,)))
+
+    def cosets(self):
+        """The double cosets as sets of G tokens, in basis order."""
+        out = [set() for _ in self.basis]
+        for g in self.G.elements:
+            out[self.coset_index(g)].add(g)
+        return out
 
     def convolution_constants(self):
         """(f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x) on biinvariant
         indicators."""
-        G, H = self.G, self.H
-        cosets = [set() for _ in self.basis]
-        for g in G.elements:
-            cosets[self.coset_index(g)].add(g)
-        out = {}
-        for a, da in enumerate(cosets):
-            for b, db in enumerate(cosets):
-                vals = {}
-                for c, rep in enumerate(self.basis):
-                    tot = sum(1 for y in da
-                              if G.op(G.inv(y), rep) in db)
-                    if tot:
-                        v = Fraction(tot, H.order)
-                        assert v.denominator == 1
-                        vals[c] = int(v)
-                out[(a, b)] = vals
-        return out
+        cosets = self.cosets()
+        return _convolution_table(self.G, self.H, cosets, cosets, self.basis)
 
     def multiply(self, va: dict, vb: dict) -> dict:
         """Bilinear product of vectors keyed by basis index."""
@@ -307,7 +250,8 @@ class HeckeAlgebra:
             "group": self.G.name, "subgroup": self.H.name,
             "cosets": self.labels,
             "constants": [{"a": a, "b": b,
-                           "product": {str(c): m for c, m in sorted(v.items())}}
+                           "product": {str(c): _json_number(m)
+                                       for c, m in sorted(v.items())}}
                           for (a, b), v in sorted(self.constants.items())],
             "extremal_faithful": self.extremal_faithful,
         }
@@ -318,110 +262,39 @@ class HeckeAlgebra:
 
 class HeckeModule:
     """The convolution action of H(G,H) on functions on H\\G/P, via the
-    relative span BP x_BG X_n."""
+    span X_1 x Y_0 <- Y_1 -> Y_0 with Y_0 = G // (P x H) and
+    Y_1 = G^2 // (P x H x H), faces as in the Hecke-Waldhausen levels."""
 
-    def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup,
-                 check_oracle=True):
+    def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup):
         G, H = algebra.G, algebra.H
         if not G.is_subgroup(P.elements):
             raise UsageError(f"{P.name} is not a subgroup of {G.name}")
         self.alg = algebra
         self.G, self.H, self.P = G, H, P
         hw = algebra.hw
-        BP = b_group(P)
-        inclP = GroupHomFunctor(BP, hw.BG)
-        self.y0 = two_fiber_product(inclP, hw.left_vertex(0))
-        self.y0.name = "Y0"
-        self.y1 = two_fiber_product(inclP, hw.left_vertex(1))
-        self.y1.name = "Y1"
-
-        # coset labels for Y0: components of BP x_BG BH = H\G/P reversed
-        # connectors psi: P -> H transported to h psi p^-1, orbits H g P
-        self.basis = []
-        for c in self.y0.components():
-            g = self.y0.base.tokens[self.y0.objects[c.rep][2]][0]
-            self.basis.append(g)
+        y0 = self.y0 = hw.level([P, H], "Y0")
+        y1 = hw.level([P, H, H], "Y1")
+        # components of G // (P x H) are the double cosets H g P
+        self.basis = [y0.objects[c.rep][0] for c in y0.components()]
         self.labels = [str(g) for g in self.basis]
 
-        x1 = hw.levels[1]
-        prod = ProductGroupoid(x1, self.y0)
-
-        y0_index = {}
-        for i, (a, b, phi) in enumerate(self.y0.objects):
-            y0_index[self.y0.base.tokens[phi][0]] = i
-
-        def chop_obj(i):
-            _a, x1_idx, psi = self.y1.objects[i]
-            g_psi = self.y1.base.tokens[psi][0]
-            return prod.pair_index(x1_idx, y0_index[g_psi])
-
-        def chop_mor(m):
-            p_tok, x1_mor, src = m
-            _a, x1_idx, psi = self.y1.objects[src]
-            g_psi = self.y1.base.tokens[psi][0]
-            h0 = x1_mor[0][0]          # leftmost H component of the X1 token
-            y0_src = y0_index[g_psi]
-            return (x1_mor, (p_tok, (h0, 0), y0_src))
-
-        self.chop = FnFunctor(self.y1, prod, chop_obj, chop_mor, name="chop")
-
-        def nu_obj(i):
-            _a, x1_idx, psi = self.y1.objects[i]
-            g_psi = self.y1.base.tokens[psi][0]
-            g_phi = hw.flat_obj(1, x1_idx)[0]
-            return y0_index[G.op(g_phi, g_psi)]
-
-        # y1 and y0 tokens are (alpha_P, beta_H or beta_X1, src)
-        def nu_mor(m):
-            p_tok, x1_mor, src = m
-            h1 = x1_mor[1][0]          # rightmost H component
-            return (p_tok, (h1, 0), nu_obj(src))
-
-        self.nu = FnFunctor(self.y1, self.y0, nu_obj, nu_mor, name="nu")
-
-        self.prod = prod
-        self.action_table = {}
-        for a in range(len(algebra.basis)):
-            fa = SpanFn.delta(x1, a)
-            for v in range(len(self.basis)):
-                fv = SpanFn.delta(self.y0, v)
-                out = pull_push_span(self.chop, self.nu,
-                                     external_product(prod, fa, fv))
-                assert out.is_integral()
-                self.action_table[(a, v)] = {c: int(x)
-                                             for c, x in out.values.items()}
-        if check_oracle:
-            assert self.action_table == self.convolution_action()
+        d0 = hw.face(y1, algebra.x1, 2, 0)
+        d1 = hw.face(y1, y0, 2, 1)
+        d2 = hw.face(y1, y0, 2, 2)
+        self.action_table, self.integral = _pull_push_table(d0, d2, d1)
+        self.oracle_agrees = self.convolution_action() == self.action_table
 
     def vector_index(self, g) -> int:
         """Index of HgP in the module basis."""
-        for i, (a, b, phi) in enumerate(self.y0.objects):
-            if self.y0.base.tokens[phi][0] == g:
-                return self.y0.component_of(i)
-        raise KeyError(g)
+        return self.y0.component_of(self.y0.obj_index((g,)))
 
     def convolution_action(self):
         """(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on H\\G/P indicators."""
-        G, H = self.G, self.H
-        alg = self.alg
-        heckes = [set() for _ in alg.basis]
-        for g in G.elements:
-            heckes[alg.coset_index(g)].add(g)
         mods = [set() for _ in self.basis]
-        for g in G.elements:
+        for g in self.G.elements:
             mods[self.vector_index(g)].add(g)
-        out = {}
-        for a, da in enumerate(heckes):
-            for v, dv in enumerate(mods):
-                vals = {}
-                for c, rep in enumerate(self.basis):
-                    tot = sum(1 for y in da if G.op(G.inv(y), rep) in dv)
-                    if tot:
-                        q = Fraction(tot, H.order)
-                        assert q.denominator == 1
-                        vals[c] = int(q)
-                out[(a, v)] = vals
-        return out
+        return _convolution_table(self.G, self.H, self.alg.cosets(), mods,
+                                  self.basis)
 
     def act(self, f: dict, v: dict) -> dict:
         out = {}
@@ -454,6 +327,7 @@ class HeckeModule:
             "hecke_cosets": self.alg.labels,
             "module_cosets": self.labels,
             "action": [{"a": a, "v": v,
-                        "result": {str(c): m for c, m in sorted(t.items())}}
+                        "result": {str(c): _json_number(m)
+                                   for c, m in sorted(t.items())}}
                        for (a, v), t in sorted(self.action_table.items())],
         }

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,11 +58,31 @@ def test_segal_check_s_construction(capsys):
     assert json.loads(out)["pass"] is True
 
 
-def test_usage_errors_exit_2(capsys):
+BAD_CAYLEY = {"order": 3, "table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}
+
+# outside input that the instances and groups reject
+BAD_INPUTS = [
+    ["hall-table", "--family", "vect-fq", "--q", "4", "--bound", "2"],
+    ["hall-table", "--family", "vect-fq", "--q", "2", "--bound", "7"],
+    ["hall-table", "--family", "ab-p-groups", "--p", "4", "--bound", "16"],
+    ["hall-table", "--family", "ab-p-groups", "--p", "2", "--bound", "128"],
+    ["hall-table", "--family", "ab-p-groups", "--p", "2", "--bound", "0"],
+    ["hall-table", "--family", "f1-free", "--G", "trivial", "--bound", "-1"],
+]
+
+
+def test_usage_errors_exit_2(capsys, tmp_path):
     code = run(["segal-check", "--construction", "hecke"])
     assert code == 2
     code = run(["hall-table", "--family", "vect-fq", "--bound", "2"])
     assert code == 2
+    for argv in BAD_INPUTS:
+        assert run(argv) == 2, argv
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(BAD_CAYLEY))
+    code = run(["hecke-table", "--G", f"file:{path}", "--H", "trivial"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
     # budget errors
     code = run(["wreath-char-table", "--G", "cyclic:5", "--n", "5"])
     assert code == 2
@@ -68,6 +92,47 @@ def test_usage_errors_exit_2(capsys):
     # nonabelian G for the duality layer
     code = run(["schurweyl", "--G", "sym:3", "--n", "1", "--d", "1"])
     assert code == 2
+
+
+def test_usage_errors_exit_2_without_asserts(tmp_path):
+    # the checks must not be bare asserts, which `python -O` strips
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(BAD_CAYLEY))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (BAD_INPUTS[0], ["hecke-table", "--G", f"file:{path}",
+                                 "--H", "trivial"]):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "hallalg.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: "), proc.stderr
+
+
+def test_hecke_budget_refused_before_enumeration(capsys):
+    # |S5|^3 objects at level 3: refused before any level is built
+    code = run(["segal-check", "--construction", "hecke", "--G", "sym:5",
+                "--H", "sym:4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "X_3(sym:5,sym:4)" in err and "1728000" in err
+
+
+def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
+    from hallalg.waldhausen.hecke import HeckeAlgebra
+    original = HeckeAlgebra.convolution_constants
+
+    def skewed(self):
+        table = original(self)
+        table[(0, 0)] = {0: 99}
+        return table
+
+    monkeypatch.setattr(HeckeAlgebra, "convolution_constants", skewed)
+    code, out = run_capture(capsys, [
+        "hecke-table", "--G", "sym:3", "--H", "sym:2"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["oracle_agrees"] is False and data["pass"] is False
 
 
 def test_unknown_flag_rejected():

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from hallalg import UsageError
-from hallalg.groups import (FiniteGroup, alternating_subgroup, cyclic_group,
-                            cycle_type, dihedral_group, direct_product,
-                            klein_group, named_group, named_subgroup,
-                            perm_inv, perm_mul, perm_sign, symmetric_group,
+from hallalg.groups import (FiniteGroup, all_perms, alternating_subgroup,
+                            cyclic_group, cycle_type, dihedral_group,
+                            direct_product, klein_group, named_group,
+                            named_subgroup, perm_inv, perm_mul, perm_sign,
+                            symmetric_group,
                             symmetric_subgroup, trivial_group, young_subgroup)
 
 
@@ -73,6 +74,41 @@ def test_bad_cayley_rejected():
         FiniteGroup.from_cayley({"order": 2, "table": [[0, 1]]})
     with pytest.raises(UsageError):
         FiniteGroup.from_cayley({"order": 2, "table": [[0, 5], [1, 0]]})
+    bad = [
+        [[0, 1, 2], [1, 0, 0], [2, 0, 0]],    # 1 and 2 both invert 1
+        [[1, 2, 0], [2, 0, 1], [0, 2, 1]],    # no identity
+        [[0, 1, 2], [1, 2, 2], [2, 0, 1]],    # 1 has no inverse
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],    # a loop, not associative
+    ]
+    for table in bad:
+        with pytest.raises(UsageError):
+            FiniteGroup.from_cayley({"order": len(table), "table": table})
+    for data in ([[0]], {"order": 1}, {"order": 0, "table": []},
+                 {"order": 1, "table": 0}, {"order": 1, "table": [0]}):
+        with pytest.raises(UsageError):
+            FiniteGroup.from_cayley(data)
+
+
+def test_unreadable_cayley_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text("not json")
+    for spec in (f"file:{path}", f"file:{tmp_path / 'missing.json'}"):
+        with pytest.raises(UsageError):
+            named_group(spec)
+
+
+def test_inverses_by_powering():
+    for G in (symmetric_group(4), dihedral_group(5), cyclic_group(7),
+              direct_product(cyclic_group(2), symmetric_group(3))):
+        for g in G.elements:
+            assert G.op(g, G.inv(g)) == G.identity == G.op(G.inv(g), g)
+
+
+def test_symmetric_groups_are_groups():
+    # sym:n skips the axiom scan; permutation composition is checked here
+    for n in range(6):
+        FiniteGroup(all_perms(n), perm_mul, check=True)
 
 
 def test_named_specs():
