@@ -24,6 +24,9 @@ from .. import BudgetExceededError, UsageError
 from ..groupoid import (ActionGroupoid, FnFunctor, Functor, PairFunctor,
                         ProductGroupoid, SpanFn, external_product,
                         is_faithful, pull_push_span)
+# not called here; kept as a module binding because perfbench/spans.py wraps
+# is_equivalence in every module that binds it and its tests expect this one
+from ..groupoid import is_equivalence  # noqa: F401
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groups import FiniteGroup
 from .simplicial import TruncatedSimplicialGroupoid
@@ -89,15 +92,18 @@ class HeckeWaldhausen:
     def level(self, factors, name) -> ActionGroupoid:
         """G^n // (K_0 x ... x K_n) for subgroups K_t of G: (k_0..k_n) acts
         by phi_t -> k_t phi_t k_{t-1}^-1.  With every K_t = H this is X_n."""
-        objs = list(iproduct(self.G.elements, repeat=len(factors) - 1))
-        index = {f: i for i, f in enumerate(objs)}
         twist = self.twist
 
         def act(ks, i):
             return index[tuple(map(twist, ks[1:], objs[i], ks))]
 
-        return ActionGroupoid(tuple_group(factors, f"{name}:group"), objs,
-                              act, name=name, check=False)
+        X = ActionGroupoid(tuple_group(factors, f"{name}:group"),
+                           iproduct(self.G.elements, repeat=len(factors) - 1),
+                           act, name=name, check=False)
+        # one object index per level: act and obj_index share it
+        objs = X.objects
+        index = X._obj_index = {f: i for i, f in enumerate(objs)}
+        return X
 
     def face(self, src, tgt, n, k) -> Functor:
         """d_k: X_n -> X_{n-1}; drops k_k and merges the connectors on

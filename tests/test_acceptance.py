@@ -178,6 +178,7 @@ def test_criterion_6_hecke_algebras_and_modules():
         alg4 = HeckeAlgebra(S4, symmetric_subgroup(S4, 3))
         for alg in (alg3, alg4):
             assert alg.convolution_constants() == alg.constants
+            assert alg.oracle_agrees and alg.integral
             assert alg.extremal_faithful
             ok, wit = alg.check_associativity_and_unit()
             assert ok, wit
@@ -189,6 +190,8 @@ def test_criterion_6_hecke_algebras_and_modules():
         ]
         assert triples[0].action_table == alg3.constants
         for mod in triples:
+            assert mod.convolution_action() == mod.action_table
+            assert mod.oracle_agrees and mod.integral
             ok, wit = mod.check_module_axioms()
             assert ok, wit
 
