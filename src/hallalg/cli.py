@@ -158,10 +158,12 @@ def cmd_segal_check(args):
         if not args.family or args.bound is None:
             raise UsageError("segal-check --construction s needs "
                              "--family and --bound")
-        from .waldhausen.sconstruction import s_construction
+        from .waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
+                                               s_construction)
         inst = make_instance(args.family, q=args.q, p=args.p,
                              group=args.group, bound=args.bound)
-        x = s_construction(inst, depth=3)
+        x = s_construction(inst, depth=3,
+                           budget=args.budget or DEFAULT_TRIANGLE_BUDGET)
         label = f"s({inst.family})"
     simp = check_simplicial_identities(x)
     seg = check_2segal_degree3(x, budget=budget)

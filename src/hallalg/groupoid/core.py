@@ -204,7 +204,9 @@ class ActionGroupoid(Groupoid):
     """Action groupoid of a finite group on a finite set.
 
     Morphism tokens are (g, src_index) with target act(g, src_index);
-    composition is group multiplication.
+    composition is group multiplication.  The group acting at an object is
+    looked up by `group_at`: `group` everywhere, unless a subclass splits
+    the objects into blocks, each with its own group mapping it to itself.
     """
 
     def __init__(self, group: FiniteGroup, objects, act, name="X//G",
@@ -228,11 +230,15 @@ class ActionGroupoid(Groupoid):
                     assert act(group.op(a, b), i) == act(a, act(b, i)), \
                         "action incompatible with multiplication"
 
+    def group_at(self, i) -> FiniteGroup:
+        """The group whose elements are the morphisms out of object i."""
+        return self.group
+
     def out(self, i):
-        return [(g, i) for g in self.group.elements]
+        return [(g, i) for g in self.group_at(i).elements]
 
     def gens_out(self, i):
-        return [(g, i) for g in self.group.generators()]
+        return [(g, i) for g in self.group_at(i).generators()]
 
     def mor_src(self, m):
         return m[1]
@@ -241,22 +247,24 @@ class ActionGroupoid(Groupoid):
         return self.act(m[0], m[1])
 
     def compose(self, m2, m1):
-        return (self.group.op(m2[0], m1[0]), m1[1])
+        return (self.group_at(m1[1]).op(m2[0], m1[0]), m1[1])
 
     def identity(self, i):
-        return (self.group.identity, i)
+        return (self.group_at(i).identity, i)
 
     def inverse(self, m):
-        return (self.group.inv(m[0]), self.mor_tgt(m))
+        return (self.group_at(m[1]).inv(m[0]), self.mor_tgt(m))
 
     def hom(self, i, j):
-        return [(g, i) for g in self.group.elements if self.act(g, i) == j]
+        return [(g, i) for g in self.group_at(i).elements
+                if self.act(g, i) == j]
 
     def aut_size(self, i):
-        return sum(1 for g in self.group.elements if self.act(g, i) == i)
+        return sum(1 for g in self.group_at(i).elements
+                   if self.act(g, i) == i)
 
     def n_morphisms(self):
-        return self.group.order * self.n_objects
+        return sum(self.group_at(i).order for i in range(self.n_objects))
 
 
 def b_group(G: FiniteGroup, name=None) -> ActionGroupoid:

@@ -251,7 +251,13 @@ def is_equivalence(f: Functor) -> EquivalenceVerdict:
         fr = f.on_obj(c.rep)
         for m in auts:
             fm = f.on_mor(m)
-            assert tgt.mor_src(fm) == fr and tgt.mor_tgt(fm) == fr
+            if tgt.mor_src(fm) != fr or tgt.mor_tgt(fm) != fr:
+                return EquivalenceVerdict(
+                    False, "automorphism not sent to an automorphism",
+                    {"kind": "not_a_functor",
+                     "object": repr(src.objects[c.rep]),
+                     "image_source": repr(tgt.objects[tgt.mor_src(fm)]),
+                     "image_target": repr(tgt.objects[tgt.mor_tgt(fm)])})
             images.add(fm)
         if len(images) < len(auts):
             return EquivalenceVerdict(

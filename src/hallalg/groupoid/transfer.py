@@ -113,15 +113,15 @@ def external_product(prod: ProductGroupoid, f: SpanFn, g: SpanFn) -> SpanFn:
 
 
 def is_faithful(f: Functor) -> bool:
-    """Injective on every hom-set; decided per source object by grouping
-    morphisms out on (target, image)."""
-    for i in range(f.src.n_objects):
-        seen = set()
-        for m in f.src.out(i):
-            key = (f.src.mor_tgt(m), f.on_mor(m))
-            if key in seen:
-                return False
-            seen.add(key)
+    """Injective on every hom-set.  A nonempty hom-set Hom(x, y) is a torsor
+    under Aut(x), and conjugate objects have conjugate Aut groups, so it is
+    enough that Aut(rep) -> Aut(f rep) is injective at one representative
+    per source component."""
+    src = f.src
+    for c in src.components():
+        auts = src.hom(c.rep, c.rep)
+        if len({f.on_mor(m) for m in auts}) < len(auts):
+            return False
     return True
 
 

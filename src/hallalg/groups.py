@@ -14,6 +14,7 @@ Axiom failures raise ``UsageError``.
 import json
 import random
 from functools import reduce
+from itertools import product as iproduct
 
 from . import BudgetExceededError, UsageError
 
@@ -301,6 +302,23 @@ def direct_product(G, H, name=None):
 
     return FiniteGroup(elems, op, name=name or f"product:({G.name},{H.name})",
                        check=False)
+
+
+def tuple_group(factors, name) -> FiniteGroup:
+    """K_0 x ... x K_n with tuple tokens and coordinatewise generators."""
+    def op(a, b):
+        return tuple(K.op(x, y) for K, x, y in zip(factors, a, b))
+
+    P = FiniteGroup(iproduct(*(K.elements for K in factors)), op, name=name,
+                    check=False)
+    gens = []
+    for pos, K in enumerate(factors):
+        for g in K.generators():
+            t = list(P.identity)
+            t[pos] = g
+            gens.append(tuple(t))
+    P._gens = tuple(gens)
+    return P
 
 
 def klein_group():

@@ -7,8 +7,6 @@ by pull-push through the degree-2 flag groupoids; both routes are compared
 in the tests and the acceptance suite.
 """
 
-from fractions import Fraction
-
 from . import BudgetExceededError, UsageError
 from .groupoid import (PairFunctor, ProductGroupoid, SpanFn,
                        external_product, pull_push_span)
@@ -109,7 +107,9 @@ def hall_product_via_span(inst: ProtoAbelianInstance, bound, f: dict,
     for comp_idx, v in out.values.items():
         rep = x1.components()[comp_idx].rep
         key = x1.objects[rep].entries[(0, 1)]
-        assert Fraction(v).denominator == 1, "non-integral Hall constant"
+        if v.denominator != 1:
+            raise ArithmeticError(f"non-integral Hall constant {v} at "
+                                  f"class {key!r}")
         result[key] = int(v)
     return result
 

@@ -28,25 +28,8 @@ from ..groupoid import (ActionGroupoid, FnFunctor, Functor, PairFunctor,
 # is_equivalence in every module that binds it and its tests expect this one
 from ..groupoid import is_equivalence  # noqa: F401
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
-from ..groups import FiniteGroup
+from ..groups import FiniteGroup, tuple_group
 from .simplicial import TruncatedSimplicialGroupoid
-
-
-def tuple_group(factors, name) -> FiniteGroup:
-    """K_0 x ... x K_n with tuple tokens and coordinatewise generators."""
-    def op(a, b):
-        return tuple(K.op(x, y) for K, x, y in zip(factors, a, b))
-
-    P = FiniteGroup(iproduct(*(K.elements for K in factors)), op, name=name,
-                    check=False)
-    gens = []
-    for pos, K in enumerate(factors):
-        for g in K.generators():
-            t = list(P.identity)
-            t[pos] = g
-            gens.append(tuple(t))
-    P._gens = tuple(gens)
-    return P
 
 
 class HeckeWaldhausen:

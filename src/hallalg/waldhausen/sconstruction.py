@@ -6,83 +6,124 @@ columns, every square bicartesian (boundary squares with a zero corner are
 the exactness conditions).  Faces delete a row and column, composing the
 maps across the gap; degeneracies duplicate, inserting zero entries and
 identity maps.  This full model makes the simplicial identities strict.
+
+Level n is the groupoid of these triangles and componentwise isomorphisms.
+Because the entries are skeletal, such an isomorphism is a family
+(phi_ij) in the product of the entries' automorphism groups, and it sends
+each row mono m: A_ij >-> A_i,j+1 to phi_i,j+1 m phi_ij^-1 and each column
+epi likewise.  So level n is an action groupoid: one group prod Aut(A_ij)
+per tuple of entries, acting on the triangles with those entries, and a
+morphism is a token (phis, source index).  The search for intertwining iso
+families that this replaces is kept in the tests, as the oracle that the
+action's hom-sets are checked against.
 """
 
-from .. import BudgetExceededError
-from ..groupoid import (DisjointUnion, FnFunctor, Groupoid, b_group)
+from functools import cache
+from math import prod
+
+from .. import BudgetExceededError, UsageError
+from ..groupoid import ActionGroupoid, DisjointUnion, FnFunctor, b_group
+from ..groups import tuple_group
 from ..protoab.base import ProtoAbelianInstance
 from .simplicial import TruncatedSimplicialGroupoid
 
 DEFAULT_TRIANGLE_BUDGET = 200_000
 
 
+@cache
+def _layout(n):
+    """Positions (i, j) of the entries, row monos and column epis of a
+    degree-n triangle, in lexicographic order."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    return (pairs, [(i, j) for i, j in pairs if j < n],
+            [(i, j) for i, j in pairs if i + 1 < j])
+
+
 def _pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    return _layout(n)[0]
 
 
-class Triangle:
-    """Immutable triangle diagram; hashable via its encoding."""
+class Triangle(tuple):
+    """Immutable triangle diagram, stored as its encoding
+    (n, entries, row monos, column epis) with each part in `_layout(n)`
+    order; `entries`, `rmono` and `cepi` are dict views keyed by (i, j):
+    A_ij, the mono A_ij -> A_i,j+1 (j < n), the epi A_ij -> A_i+1,j
+    (i+1 < j)."""
 
-    __slots__ = ("n", "entries", "rmono", "cepi", "_key")
+    __slots__ = ()
 
-    def __init__(self, n, entries, rmono, cepi):
-        self.n = n
-        self.entries = entries    # dict (i,j) -> class key
-        self.rmono = rmono        # dict (i,j) -> map A_ij -> A_i,j+1 (j < n)
-        self.cepi = cepi          # dict (i,j) -> map A_ij -> A_i+1,j (i+1 < j)
-        self._key = (n,
-                     tuple(entries[p] for p in _pairs(n)),
-                     tuple(rmono[p] for p in sorted(rmono)),
-                     tuple(cepi[p] for p in sorted(cepi)))
+    def __new__(cls, n, entries, rmono, cepi):
+        pairs, rkeys, ckeys = _layout(n)
+        return super().__new__(cls, (n, tuple(entries[p] for p in pairs),
+                                     tuple(rmono[p] for p in rkeys),
+                                     tuple(cepi[p] for p in ckeys)))
 
-    def sig(self):
-        return (self.n, tuple(self.entries[p] for p in _pairs(self.n)))
+    @property
+    def n(self):
+        return self[0]
 
-    def __eq__(self, other):
-        return isinstance(other, Triangle) and self._key == other._key
+    @property
+    def entries(self):
+        return dict(zip(_layout(self[0])[0], self[1]))
 
-    def __hash__(self):
-        return hash(self._key)
+    @property
+    def rmono(self):
+        return dict(zip(_layout(self[0])[1], self[2]))
+
+    @property
+    def cepi(self):
+        return dict(zip(_layout(self[0])[2], self[3]))
 
     def __repr__(self):
-        ent = {p: self.entries[p] for p in _pairs(self.n)}
-        return f"Triangle(n={self.n}, {ent})"
+        return f"Triangle(n={self.n}, {self.entries})"
+
+
+def _classes(inst, bound):
+    classes = inst.iso_classes()
+    if bound is None:
+        return classes
+    return [c for c in classes if inst.size_of(c) <= bound]
+
+
+def _unique(maps, what):
+    if len(maps) != 1:
+        raise ValueError(f"expected exactly one {what}, found {len(maps)}")
+    return maps[0]
 
 
 def _epi_to_zero(inst, x):
-    eps = inst.epis(x, inst.zero_key())
-    assert len(eps) == 1
-    return eps[0]
+    return _unique(inst.epis(x, inst.zero_key()), f"epi {x} ->> 0")
 
 
 def _mono_from_zero(inst, x):
-    ms = inst.monos(inst.zero_key(), x)
-    assert len(ms) == 1
-    return ms[0]
+    return _unique(inst.monos(inst.zero_key(), x), f"mono 0 >-> {x}")
 
 
-def _square_ok(inst, tri, i, j):
+def _square_ok(inst, entries, rmono, cepi, i, j):
     """Bicartesian check for the square between rows i,i+1 and cols j-1,j
     (j >= i+2); the j-1 == i+1 boundary uses the zero corner."""
-    m = tri.rmono[(i, j - 1)]
-    q = tri.cepi[(i, j)]
+    m = rmono[(i, j - 1)]
+    q = cepi[(i, j)]
     if j - 1 == i + 1:
-        p = _epi_to_zero(inst, tri.entries[(i, j - 1)])
-        jm = _mono_from_zero(inst, tri.entries[(i + 1, j)])
+        p = _epi_to_zero(inst, entries[(i, j - 1)])
+        jm = _mono_from_zero(inst, entries[(i + 1, j)])
     else:
-        p = tri.cepi[(i, j - 1)]
-        jm = tri.rmono[(i + 1, j - 1)]
+        p = cepi[(i, j - 1)]
+        jm = rmono[(i + 1, j - 1)]
     return inst.square_bicartesian(m, p, q, jm)
 
 
 def enumerate_triangles(inst: ProtoAbelianInstance, n: int, bound=None,
                         budget=DEFAULT_TRIANGLE_BUDGET):
     """All valid degree-n triangles with size(A_0n) <= bound."""
-    classes = inst.iso_classes()
-    if bound is not None:
-        classes = [c for c in classes if inst.size_of(c) <= bound]
+    classes = _classes(inst, bound)
     if n == 0:
         return [Triangle(0, {}, {}, {})]
+
+    def over_budget(count, what):
+        return BudgetExceededError(
+            f"level S_{n}({inst.family}): triangle enumeration reached "
+            f"{count} {what}, over the budget of {budget}")
 
     # first rows: chains of monos A_01 -> ... -> A_0n
     rows0 = [({(0, 1): c}, {}) for c in classes]
@@ -144,167 +185,110 @@ def enumerate_triangles(inst: ProtoAbelianInstance, n: int, bound=None,
                 new_stack.extend(grown)
             stack = new_stack
             if len(stack) > budget:
-                raise BudgetExceededError("triangle enumeration over budget")
+                raise over_budget(len(stack), f"partial triangles at row {i}")
         for entries, rmono, cepi in stack:
-            tri = Triangle(n, entries, rmono, cepi)
-            if all(_square_ok(inst, tri, i, j)
+            if all(_square_ok(inst, entries, rmono, cepi, i, j)
                    for i in range(n - 1) for j in range(i + 2, n + 1)):
-                out.append(tri)
+                out.append(Triangle(n, entries, rmono, cepi))
         if len(out) > budget:
-            raise BudgetExceededError("triangle enumeration over budget")
+            raise over_budget(len(out), "triangles")
     return out
 
 
-class TriangleGroupoid(Groupoid):
-    """Level n of the S-construction: triangles and componentwise isos."""
+class _AutActionGroupoid(ActionGroupoid):
+    """Objects with a tuple of entries; the group at an object is the product
+    of its entries' automorphism groups, one group per entries tuple, acting
+    by `transport`.  Every group's order is checked against the budget
+    before any group is built."""
+
+    def __init__(self, inst, objects, entries_of, budget, name):
+        super().__init__(None, objects, self.transport, name=name,
+                         check=False)
+        self.inst = inst
+        buckets = dict.fromkeys(map(entries_of, self.objects))
+        aut_order = {c: inst.aut_order(c) for e in buckets for c in e}
+        for entries in buckets:
+            order = prod(aut_order[c] for c in entries)
+            if order > budget:
+                raise BudgetExceededError(
+                    f"level {name}: the automorphism group of the entries "
+                    f"{entries} has order {order}, over the budget of "
+                    f"{budget}")
+        auts = {c: inst.aut_group(c) for c in aut_order}
+        groups = {e: tuple_group([auts[c] for c in e], f"Aut{e}")
+                  for e in buckets}
+        self._group_of = [groups[entries_of(o)] for o in self.objects]
+
+    def group_at(self, i):
+        return self._group_of[i]
+
+
+class TriangleGroupoid(_AutActionGroupoid):
+    """Level n of the S-construction: triangles and componentwise isos, as
+    the action of prod Aut(A_ij) (factors in `_pairs(n)` order)."""
 
     def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET,
                  name=None):
-        self.inst = inst
         self.level = n
+        pairs, rkeys, ckeys = _layout(n)
+        pos = {p: k for k, p in enumerate(pairs)}
+        # each map's (target entry, source entry) positions, in layout order
+        self._rpos = [(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
+        self._cpos = [(pos[a + 1, b], pos[a, b]) for a, b in ckeys]
         tris = enumerate_triangles(inst, n, bound=bound, budget=budget)
-        super().__init__(tris, name=name or f"S_{n}({inst.family})")
-        self._buckets = {}
-        for idx, t in enumerate(tris):
-            self._buckets.setdefault(t.sig(), []).append(idx)
-        self._iso_cache = {}
-        self._inv_cache = {}
-        self._out_cache = {}
+        super().__init__(inst, tris, lambda t: t[1],     # entries tuple
+                         budget, name or f"S_{n}({inst.family})")
 
-    def _isos(self, cls):
-        if cls not in self._iso_cache:
-            isos = self.inst.isos(cls, cls)
-            inv = {}
-            ident = self.inst.identity(cls)
-            for f in isos:
-                for g in isos:
-                    if self.inst.compose(g, f) == ident:
-                        inv[f] = g
-                        break
-            self._iso_cache[cls] = isos
-            self._inv_cache[cls] = inv
-        return self._iso_cache[cls]
-
-    def _component_isos(self, x: Triangle, y: Triangle):
-        """Families (phi_p) of entry autos intertwining x's maps with y's."""
-        if x.sig() != y.sig():
-            return
-        n = x.n
-        pairs = _pairs(n)
-        pools = []
-        for p in pairs:
-            pools.append(self._isos(x.entries[p]))
-
-        def compatible(assign, p, phi):
-            i, j = p
-            inst = self.inst
-            if j - 1 > i:
-                left = (i, j - 1)
-                if inst.compose(phi, x.rmono[left]) != \
-                   inst.compose(y.rmono[left], assign[left]):
-                    return False
-            if i >= 1:
-                up = (i - 1, j)
-                if inst.compose(phi, x.cepi[up]) != \
-                   inst.compose(y.cepi[up], assign[up]):
-                    return False
-            return True
-
-        def rec(k, assign):
-            if k == len(pairs):
-                yield tuple(assign[p] for p in pairs)
-                return
-            p = pairs[k]
-            for phi in pools[k]:
-                if compatible(assign, p, phi):
-                    assign[p] = phi
-                    yield from rec(k + 1, assign)
-                    del assign[p]
-
-        yield from rec(0, {})
-
-    # morphism token: (src_idx, tgt_idx, phis tuple aligned with _pairs(n))
-
-    def out(self, i):
-        cached = self._out_cache.get(i)
-        if cached is None:
-            x = self.objects[i]
-            cached = []
-            for j in self._buckets[x.sig()]:
-                y = self.objects[j]
-                cached.extend((i, j, phis)
-                              for phis in self._component_isos(x, y))
-            self._out_cache[i] = cached
-        return cached
-
-    def hom(self, i, j):
-        return [m for m in self.out(i) if m[1] == j]
-
-    def mor_src(self, m):
-        return m[0]
-
-    def mor_tgt(self, m):
-        return m[1]
-
-    def compose(self, m2, m1):
-        assert m2[0] == m1[1]
-        inst = self.inst
-        phis = tuple(inst.compose(a, b) for a, b in zip(m2[2], m1[2]))
-        return (m1[0], m2[1], phis)
-
-    def identity(self, i):
-        x = self.objects[i]
-        phis = tuple(self.inst.identity(x.entries[p]) for p in _pairs(x.n))
-        return (i, i, phis)
-
-    def inverse(self, m):
-        i, j, phis = m
-        x = self.objects[i]
-        inv = []
-        for p, phi in zip(_pairs(x.n), phis):
-            self._isos(x.entries[p])  # populate inversion cache
-            inv.append(self._inv_cache[x.entries[p]][phi])
-        return (j, i, tuple(inv))
+    def transport(self, phis, i):
+        """The triangle phis . x: m: A_p -> A_q becomes phi_q m phi_p^-1."""
+        n, entries, rmono, cepi = self.objects[i]
+        inv = self._group_of[i].inv(phis)
+        c = self.inst.compose
+        rmono = tuple([c(c(phis[t], m), inv[s])
+                       for m, (t, s) in zip(rmono, self._rpos)])
+        cepi = tuple([c(c(phis[t], e), inv[s])
+                      for e, (t, s) in zip(cepi, self._cpos)])
+        return self.obj_index((n, entries, rmono, cepi))
 
 
 def _face_triangle(inst, tri: Triangle, k: int) -> Triangle:
     """Delete row and column k."""
-    n = tri.n
+    n, ent, rm, ce = tri.n, tri.entries, tri.rmono, tri.cepi
     keep = [x for x in range(n + 1) if x != k]
     s = {new: old for new, old in enumerate(keep)}
     entries, rmono, cepi = {}, {}, {}
     for i in range(n):
         for j in range(i + 1, n):
-            entries[(i, j)] = tri.entries[(s[i], s[j])]
+            entries[(i, j)] = ent[(s[i], s[j])]
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
             si, sj, sj1 = s[i], s[j], s[j + 1]
             if sj1 == sj + 1:
-                rmono[(i, j)] = tri.rmono[(si, sj)]
+                rmono[(i, j)] = rm[(si, sj)]
             else:
-                rmono[(i, j)] = inst.compose(tri.rmono[(si, sj + 1)],
-                                             tri.rmono[(si, sj)])
+                rmono[(i, j)] = inst.compose(rm[(si, sj + 1)],
+                                             rm[(si, sj)])
     for i in range(n - 2):
         for j in range(i + 2, n):
             si, si1, sj = s[i], s[i + 1], s[j]
             if si1 == si + 1:
-                cepi[(i, j)] = tri.cepi[(si, sj)]
+                cepi[(i, j)] = ce[(si, sj)]
             else:
-                cepi[(i, j)] = inst.compose(tri.cepi[(si + 1, sj)],
-                                            tri.cepi[(si, sj)])
+                cepi[(i, j)] = inst.compose(ce[(si + 1, sj)],
+                                            ce[(si, sj)])
     return Triangle(n - 1, entries, rmono, cepi)
 
 
 def _degeneracy_triangle(inst, tri: Triangle, k: int) -> Triangle:
     """Duplicate index k, inserting zero entries and identity maps."""
-    n = tri.n
+    n, ent, rm, ce = tri.n, tri.entries, tri.rmono, tri.cepi
     t = lambda x: x if x <= k else x - 1
     zero = inst.zero_key()
     entries, rmono, cepi = {}, {}, {}
     for i in range(n + 1):
         for j in range(i + 1, n + 2):
             entries[(i, j)] = (zero if t(i) == t(j)
-                               else tri.entries[(t(i), t(j))])
+                               else ent[(t(i), t(j))])
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             a, b = entries[(i, j)], entries[(i, j + 1)]
@@ -313,7 +297,7 @@ def _degeneracy_triangle(inst, tri: Triangle, k: int) -> Triangle:
             elif t(j + 1) == t(j):            # duplicated column
                 rmono[(i, j)] = inst.identity(a)
             else:
-                rmono[(i, j)] = tri.rmono[(t(i), t(j))]
+                rmono[(i, j)] = rm[(t(i), t(j))]
     for i in range(n):
         for j in range(i + 2, n + 2):
             a, b = entries[(i, j)], entries[(i + 1, j)]
@@ -322,14 +306,15 @@ def _degeneracy_triangle(inst, tri: Triangle, k: int) -> Triangle:
             elif t(i + 1) == t(j):            # target is a zero entry
                 cepi[(i, j)] = _epi_to_zero(inst, a)
             else:
-                cepi[(i, j)] = tri.cepi[(t(i), t(j))]
+                cepi[(i, j)] = ce[(t(i), t(j))]
     return Triangle(n + 1, entries, rmono, cepi)
 
 
 def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
                    budget=DEFAULT_TRIANGLE_BUDGET) -> TruncatedSimplicialGroupoid:
     """Levels 0..depth of the flag simplicial groupoid of the instance."""
-    assert 0 <= depth <= 3
+    if not 0 <= depth <= 3:
+        raise UsageError(f"S-construction depth {depth} is outside 0..3")
     levels = [TriangleGroupoid(inst, n, bound=bound, budget=budget)
               for n in range(depth + 1)]
     faces, degens = {}, {}
@@ -343,9 +328,8 @@ def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
             sel_idx = [src_pos[(keep[a], keep[b])] for (a, b) in _pairs(n - 1)]
 
             def mor_map(m, *, obj_map=obj_map, sel_idx=sel_idx):
-                i, j, phis = m
-                return (obj_map[i], obj_map[j],
-                        tuple(phis[s] for s in sel_idx))
+                phis, i = m
+                return (tuple(phis[s] for s in sel_idx), obj_map[i])
 
             faces[(n, k)] = FnFunctor(src, tgt, obj_map, mor_map,
                                       name=f"d_{k}^{n}")
@@ -361,10 +345,9 @@ def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
                        for (a, b) in _pairs(n + 1)]
 
             def mor_map(m, *, obj_map=obj_map, sel_idx=sel_idx):
-                i, j, phis = m
-                return (obj_map[i], obj_map[j],
-                        tuple(zero_id if s is None else phis[s]
-                              for s in sel_idx))
+                phis, i = m
+                return (tuple(zero_id if s is None else phis[s]
+                              for s in sel_idx), obj_map[i])
 
             degens[(n, k)] = FnFunctor(src, tgt, obj_map, mor_map,
                                        name=f"s_{k}^{n}")
@@ -372,91 +355,30 @@ def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
                                        name=f"S({inst.family})")
 
 
-class FlagGroupoid(Groupoid):
-    """Flags 0 >-> A_1 >-> ... >-> A_n only (no quotient data); equivalent
-    to the full triangle model, which is checked via is_equivalence."""
+class FlagGroupoid(_AutActionGroupoid):
+    """Flags 0 >-> A_1 >-> ... >-> A_n only (no quotient data), with
+    prod Aut(A_k) acting; equivalent to the full triangle model, which is
+    checked via is_equivalence."""
 
     def __init__(self, inst, n, bound=None, name=None):
-        self.inst = inst
         self.level = n
-        classes = inst.iso_classes()
-        if bound is not None:
-            classes = [c for c in classes if inst.size_of(c) <= bound]
-        flags = [((), ())] if n == 0 else None
-        if flags is None:
-            flags = [((c,), ()) for c in classes]
-            for _ in range(n - 1):
-                new = []
-                for entries, monos in flags:
-                    for c in classes:
-                        for m in inst.monos(entries[-1], c):
-                            new.append((entries + (c,), monos + (m,)))
-                flags = new
-        super().__init__(flags, name=name or f"Flags_{n}({inst.family})")
-        self._buckets = {}
-        for i, (entries, _) in enumerate(flags):
-            self._buckets.setdefault(entries, []).append(i)
-        self._out_cache = {}
+        classes = _classes(inst, bound)
+        flags = [((), ())] if n == 0 else [((c,), ()) for c in classes]
+        for _ in range(n - 1):
+            flags = [(entries + (c,), monos + (m,))
+                     for entries, monos in flags for c in classes
+                     for m in inst.monos(entries[-1], c)]
+        super().__init__(inst, flags, lambda f: f[0],
+                         DEFAULT_TRIANGLE_BUDGET,
+                         name or f"Flags_{n}({inst.family})")
 
-    def _families(self, x, y):
-        inst = self.inst
-        entries, monos_x = x
-        _, monos_y = y
-        pools = [inst.isos(c, c) for c in entries]
-
-        def rec(k, chosen):
-            if k == len(entries):
-                yield tuple(chosen)
-                return
-            for phi in pools[k]:
-                if k > 0 and inst.compose(phi, monos_x[k - 1]) != \
-                        inst.compose(monos_y[k - 1], chosen[k - 1]):
-                    continue
-                chosen.append(phi)
-                yield from rec(k + 1, chosen)
-                chosen.pop()
-
-        yield from rec(0, [])
-
-    def out(self, i):
-        cached = self._out_cache.get(i)
-        if cached is None:
-            x = self.objects[i]
-            cached = []
-            for j in self._buckets[x[0]]:
-                cached.extend((i, j, phis)
-                              for phis in self._families(x, self.objects[j]))
-            self._out_cache[i] = cached
-        return cached
-
-    def hom(self, i, j):
-        return [m for m in self.out(i) if m[1] == j]
-
-    def mor_src(self, m):
-        return m[0]
-
-    def mor_tgt(self, m):
-        return m[1]
-
-    def compose(self, m2, m1):
-        assert m2[0] == m1[1]
-        phis = tuple(self.inst.compose(a, b) for a, b in zip(m2[2], m1[2]))
-        return (m1[0], m2[1], phis)
-
-    def identity(self, i):
-        entries, _ = self.objects[i]
-        return (i, i, tuple(self.inst.identity(c) for c in entries))
-
-    def inverse(self, m):
-        i, j, phis = m
-        entries, _ = self.objects[i]
-        inst = self.inst
-        inv = []
-        for c, phi in zip(entries, phis):
-            ident = inst.identity(c)
-            inv.append(next(g for g in inst.isos(c, c)
-                            if inst.compose(g, phi) == ident))
-        return (j, i, tuple(inv))
+    def transport(self, phis, i):
+        """m_k: A_k >-> A_k+1 becomes phi_k+1 m_k phi_k^-1."""
+        entries, monos = self.objects[i]
+        inv = self._group_of[i].inv(phis)
+        c = self.inst.compose
+        return self.obj_index((entries, tuple(
+            c(c(phis[k + 1], m), inv[k]) for k, m in enumerate(monos))))
 
 
 def flag_comparison_functor(tri_level: TriangleGroupoid,
@@ -466,25 +388,24 @@ def flag_comparison_functor(tri_level: TriangleGroupoid,
 
     def obj_map(i):
         tri = tri_level.objects[i]
-        entries = tuple(tri.entries[(0, j)] for j in range(1, n + 1))
-        monos = tuple(tri.rmono[(0, j)] for j in range(1, n))
+        ent, rm = tri.entries, tri.rmono
+        entries = tuple(ent[(0, j)] for j in range(1, n + 1))
+        monos = tuple(rm[(0, j)] for j in range(1, n))
         return flags.obj_index((entries, monos))
 
     pairs = _pairs(n)
     first_row = [pairs.index((0, j)) for j in range(1, n + 1)]
 
     def mor_map(m):
-        i, j, phis = m
-        return (obj_map(i), obj_map(j), tuple(phis[k] for k in first_row))
+        phis, i = m
+        return (tuple(phis[k] for k in first_row), obj_map(i))
 
     return FnFunctor(tri_level, flags, obj_map, mor_map, name="first-row")
 
 
 def skeletal_core_groupoid(inst, bound=None):
     """Disjoint union of B(Aut(c)) over iso classes: the instance's core."""
-    classes = inst.iso_classes()
-    if bound is not None:
-        classes = [c for c in classes if inst.size_of(c) <= bound]
+    classes = _classes(inst, bound)
     parts = [b_group(inst.aut_group(c), name=f"B(Aut:{c})") for c in classes]
     return DisjointUnion(parts, name=f"core({inst.family})"), classes
 
@@ -501,9 +422,7 @@ def core_comparison_functor(x1: TriangleGroupoid):
         return core.offsets[cls_pos[tri.entries[(0, 1)]]]
 
     def mor_map(m):
-        i, _, phis = m
-        tri = x1.objects[i]
-        part = cls_pos[tri.entries[(0, 1)]]
-        return (part, (phis[0], 0))
+        phis, i = m
+        return (cls_pos[x1.objects[i].entries[(0, 1)]], (phis[0], 0))
 
     return FnFunctor(x1, core, obj_map, mor_map, name="to-core")

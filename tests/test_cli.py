@@ -118,6 +118,21 @@ def test_hecke_budget_refused_before_enumeration(capsys):
     assert "X_3(sym:5,sym:4)" in err and "1728000" in err
 
 
+def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):
+    import hallalg.waldhausen.simplicial as simplicial
+
+    def not_reached(x):
+        raise AssertionError("the budget must stop the run first")
+
+    monkeypatch.setattr(simplicial, "check_simplicial_identities",
+                        not_reached)
+    code = run(["segal-check", "--construction", "s", "--family", "vect-fq",
+                "--q", "2", "--bound", "2", "--budget", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "level S_3(vect-fq)" in err and "reached 129 triangles" in err
+
+
 def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
     from hallalg.waldhausen.hecke import HeckeAlgebra
     original = HeckeAlgebra.convolution_constants

@@ -76,6 +76,11 @@ def test_is_equivalence_verdicts(s3_setup):
     skel = FnFunctor(point_groupoid(), swap, lambda i: 0,
                      lambda m: swap.identity(0))
     assert is_equivalence(skel).ok
+    # the swap sent to a morphism 0 -> 1: not a functor, and no traceback
+    bad = FnFunctor(sub, swap, lambda i: 0, lambda m: (m[0], 0))
+    v = is_equivalence(bad)
+    assert not v.ok and v.witness["kind"] == "not_a_functor"
+    assert v.witness["image_target"] == "1"
 
 
 def test_pullback_examples(s3_setup):
@@ -106,6 +111,30 @@ def test_pushforward_values(s3_setup):
     assert not is_faithful(surj)
     assert pushforward_fn(surj, SpanFn.const(BZ4, 1)).values == \
         {0: Fraction(1, 2)}
+
+
+def _faithful_per_object(f):
+    """The direct route: no two morphisms out of one object have the same
+    target and the same image."""
+    for i in range(f.src.n_objects):
+        seen = set()
+        for m in f.src.out(i):
+            key = (f.src.mor_tgt(m), f.on_mor(m))
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
+def test_is_faithful_matches_per_object_route():
+    from hallalg.waldhausen.hecke import HeckeWaldhausen
+    S4 = symmetric_group(4)
+    hw = HeckeWaldhausen(S4, symmetric_subgroup(S4, 3), depth=2)
+    functors = [*hw.faces.values(), *hw.degeneracies.values(),
+                constant_functor(hw.levels[1], hw.levels[0], 0)]
+    verdicts = [is_faithful(f) for f in functors]
+    assert verdicts == [_faithful_per_object(f) for f in functors]
+    assert verdicts[-1] is False
 
 
 def test_pull_push_span_trivial(s3_setup):

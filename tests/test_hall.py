@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -102,3 +103,16 @@ def test_route_equivalence_p_groups():
                 continue
             assert hall_product(t, {a: 1}, {b: 1}) == \
                 hall_product_via_span(ab, 2, {a: 1}, {b: 1})
+
+
+def test_span_route_refuses_a_non_integral_constant(monkeypatch):
+    import hallalg.hall as hall
+    real = hall.pull_push_span
+
+    def halved(*args, **kwargs):
+        return real(*args, **kwargs).scale(Fraction(1, 2))
+
+    monkeypatch.setattr(hall, "pull_push_span", halved)
+    with pytest.raises(ArithmeticError,
+                       match="non-integral Hall constant 1/2 at class 1"):
+        hall_product_via_span(VectFq(2, 1), 1, {1: 1}, {0: 1})

@@ -1,11 +1,15 @@
+from collections import defaultdict
+from itertools import product
+
 import pytest
 
+from hallalg import BudgetExceededError, UsageError
 from hallalg.groupoid import (ActionGroupoid, FnFunctor, GroupHomFunctor,
                               b_group, cardinality, compose_functors,
                               functors_equal, is_equivalence,
                               two_fiber_product)
-from hallalg.groups import (symmetric_group, symmetric_subgroup,
-                            trivial_group)
+from hallalg.groups import (cyclic_group, symmetric_group,
+                            symmetric_subgroup, trivial_group)
 from hallalg.protoab import F1FreeG, VectFq
 from hallalg.waldhausen import (FlagGroupoid,
                                 check_2segal_degree3, check_pointed,
@@ -14,6 +18,7 @@ from hallalg.waldhausen import (FlagGroupoid,
                                 flag_comparison_functor, hecke_waldhausen,
                                 mutation_corpus, s_construction)
 from hallalg.waldhausen.hecke import HeckeWaldhausen
+from hallalg.waldhausen.sconstruction import TriangleGroupoid, _pairs
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
 
 
@@ -25,6 +30,11 @@ def s_vect():
 @pytest.fixture(scope="module")
 def s_f1():
     return s_construction(F1FreeG(trivial_group(), 2), depth=3)
+
+
+@pytest.fixture(scope="module")
+def s_f1c2():
+    return s_construction(F1FreeG(cyclic_group(2), 2), depth=3)
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +110,100 @@ def test_segal_and_pointed_pass(s_vect, s_f1, hecke_s3):
         assert check_pointed(x).ok
 
 
-def test_mutation_corpus_fails_with_witness(hecke_s3, s_f1):
-    entries = mutation_corpus(hecke_s3) + mutation_corpus(s_f1)
-    assert len(entries) >= 5
-    for name, mutated, kind in entries:
-        verdict = (check_2segal_degree3(mutated) if kind == "segal"
-                   else check_pointed(mutated))
-        assert not verdict.ok, name
-        assert verdict.witnesses, name
+def test_mutation_corpus_fails_with_witness(hecke_s3, s_f1, s_vect):
+    # S(Vect F_2) has nontrivial automorphisms, unlike S(F1[trivial])
+    for x in (hecke_s3, s_f1, s_vect):
+        entries = mutation_corpus(x)
+        assert len(entries) >= 5
+        for name, mutated, kind in entries:
+            verdict = (check_2segal_degree3(mutated) if kind == "segal"
+                       else check_pointed(mutated))
+            assert not verdict.ok, (x.name, name)
+            assert verdict.witnesses, (x.name, name)
+            assert {w["kind"] for w in verdict.witnesses} <= {
+                "missed_component", "hom_not_bijective",
+                "comparison_undefined"}, (x.name, name)
+
+
+# -- the iso-family search, as the oracle for the triangle actions -----------
+
+
+def _maps(tri):
+    """(source entry, target entry, map) for every map of the triangle."""
+    return ([(p, (p[0], p[1] + 1), m) for p, m in sorted(tri.rmono.items())]
+            + [(p, (p[0] + 1, p[1]), e) for p, e in sorted(tri.cepi.items())])
+
+
+def check_against_iso_families(level):
+    """hom(i, j) of the action, {phis : mor_tgt((phis, i)) == j}, must be
+    the set of iso families x_i -> x_j found by brute force, for every pair
+    of triangles with the same entries: every family (phi_p) in the full
+    product of the entries' isos is tested against every commutation
+    condition phi_q m = m' phi_p (m: A_p -> A_q of x_i, m' of x_j).  The
+    pairs are matched by a join on the tuple of all the conditions' two
+    sides, so no pair and no condition is skipped; one family is checked at
+    a time, so nothing is stored."""
+    inst, compose = level.inst, level.inst.compose
+    pos = {p: k for k, p in enumerate(_pairs(level.level))}
+    buckets = defaultdict(list)
+    for i, tri in enumerate(level.objects):
+        buckets[tuple(tri.entries.values())].append(i)
+    for entries, members in buckets.items():
+        families = list(product(*(inst.isos(c, c) for c in entries)))
+        for i in members:
+            out = [m[0] for m in level.out(i)]
+            assert len(out) == len(families) and set(out) == set(families)
+        maps = {i: [(pos[p], pos[q], m) for p, q, m in _maps(level.objects[i])]
+                for i in members}
+        for phis in families:
+            sources = defaultdict(list)     # x_j's side: m' phi_p
+            for j in members:
+                sources[tuple([compose(m, phis[p])
+                               for p, q, m in maps[j]])].append(j)
+            for i in members:               # x_i's side: phi_q m
+                key = tuple([compose(phis[q], m) for p, q, m in maps[i]])
+                assert sources.get(key) == [level.mor_tgt((phis, i))], \
+                    (level.name, level.objects[i], phis)
+
+
+@pytest.mark.parametrize("name", ["s_vect", "s_f1c2"])
+def test_triangle_homs_match_iso_family_oracle(name, request):
+    for level in request.getfixturevalue(name).levels:
+        check_against_iso_families(level)
+
+
+def test_level_budgets_name_the_level():
+    inst = VectFq(2, 2)
+    with pytest.raises(BudgetExceededError,
+                       match=r"S_3\(vect-fq\): triangle enumeration reached"):
+        TriangleGroupoid(inst, 3, budget=300)
+    # 331 triangles fit, but prod Aut over the entries (0,2,2,2,2,0) is 6^4
+    with pytest.raises(BudgetExceededError,
+                       match=r"S_3\(vect-fq\).*\(0, 2, 2, 2, 2, 0\) has "
+                             r"order 1296"):
+        TriangleGroupoid(inst, 3, budget=1000)
+
+
+def test_s_construction_depth_is_a_usage_error():
+    with pytest.raises(UsageError, match="depth 4"):
+        s_construction(F1FreeG(trivial_group(), 1), depth=4)
+
+
+def test_maps_through_zero_must_be_unique():
+    class TwoZeroEpis(VectFq):
+        def epis(self, x, y):
+            maps = super().epis(x, y)
+            return maps * 2 if y == 0 else maps
+
+    class TwoZeroMonos(VectFq):
+        def monos(self, x, y):
+            maps = super().monos(x, y)
+            return maps * 2 if x == 0 else maps
+
+    for cls, what in ((TwoZeroEpis, r"epi \d ->> 0"),
+                      (TwoZeroMonos, r"mono 0 >-> \d")):
+        with pytest.raises(ValueError, match=f"exactly one {what}, found 2"):
+            s_construction(cls(2, 1), depth=2)
 
 
 # -- the iterated 2-fiber product, as the oracle for the flat levels ----------
@@ -236,7 +332,6 @@ def test_flat_levels_match_fiber_product_oracle():
 
 
 def test_subgroup_verified():
-    from hallalg import UsageError
     S3 = symmetric_group(3)
     S4 = symmetric_group(4)
     with pytest.raises(UsageError):
