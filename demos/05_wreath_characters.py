@@ -9,7 +9,7 @@ from hallalg.wreath import character_table
 # Z/2 wr S_2 is the dihedral group of order 8: five classes, five
 # irreducibles labeled by partition-valued maps on the dual of Z/2.
 tab = character_table(cyclic_group(2), 2)
-print("group order:", tab.W.order)
+print("group order:", tab.order)
 print("classes:", [l.to_json() for l in tab.class_labels])
 print("class sizes:", tab.class_sizes)
 for i, lam in enumerate(tab.irr_labels):
@@ -17,7 +17,7 @@ for i, lam in enumerate(tab.irr_labels):
     print(f"  X{lam.to_json()!s:24s} {row}")
 print("orthogonality:", tab.check_orthogonality()[0])
 print("sum of dim^2 = |W|:",
-      sum(tab.dimension(l) ** 2 for l in tab.irr_labels) == tab.W.order)
+      sum(tab.dimension(l) ** 2 for l in tab.irr_labels) == tab.order)
 
 # Values of Z/3 wr S_2 live in Z[zeta_3] -- printed as polynomials in z.
 tab3 = character_table(cyclic_group(3), 2)

@@ -3,8 +3,10 @@
 Subcommands: hall-table, hecke-table, hecke-module, segal-check,
 wreath-char-table, ch-verify, schurweyl.  JSON is the source of truth; csv
 and text are projections.  Exit codes: 0 pass/success, 1 verdict failure,
-2 usage or budget error.  Rationals are emitted as strings "p/q";
-cyclotomic values as polynomial strings over the printed conductor.
+2 usage or budget error, 3 internal error: any other exception from a
+command, reported as one line on stderr, "internal error: <Type>: <msg>",
+with no traceback and nothing on stdout.  Rationals are emitted as strings
+"p/q"; cyclotomic values as polynomial strings over the printed conductor.
 """
 
 import argparse
@@ -261,10 +263,19 @@ def run(argv=None) -> int:
     try:
         if args.budget is not None and args.budget <= 0:
             raise UsageError("--budget must be positive")
+        for flag in ("n", "max_size", "d"):
+            if getattr(args, flag, 0) < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must not be "
+                                 f"negative")
         data, rows = COMMANDS[args.command](args)
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        msg = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {msg}",
+              file=sys.stderr)
+        return 3
     _emit(args, data, rows)
     return 0 if data.get("pass", True) else 1
 

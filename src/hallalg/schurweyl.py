@@ -97,21 +97,20 @@ class SchurWeylReport:
 def schur_weyl_report(G: FiniteGroup, n: int, d: int) -> SchurWeylReport:
     _require_abelian(G)
     labels = partition_maps(n, tuple(range(G.order)))
-    rep = SchurWeylReport(G.name, n, d)
+    rep = SchurWeylReport(G.name, n, d, nonzero_count_matches=True)
     kernel_count = 0
     for lam in labels:
         dr = dim_R(lam, d)
         dx = irreducible_dimension(G, lam)
         kernel = dr == 0
         kernel_count += kernel
+        # dim R_lam vanishes exactly when some lam(gamma) has > d rows
         max_rows = max((len(p) for _, p in lam.items()), default=0)
-        assert kernel == (max_rows > d), "kernel criterion"
+        if kernel != (max_rows > d):
+            rep.nonzero_count_matches = False
         rep.rows.append({"label": lam.to_json(), "dim_X": dx, "dim_R": dr,
                          "kernel": kernel})
     rep.sum_of_squares = check_sum_of_squares(G, n, d)[0]
     rep.total_dimension = check_total_dimension(G, n, d)[0]
     rep.kernel_free_when_n_le_d = (n > d) or (kernel_count == 0)
-    rep.nonzero_count_matches = (
-        sum(1 for r in rep.rows if not r["kernel"])
-        == len(labels) - kernel_count)
     return rep

@@ -8,7 +8,7 @@ Z[zeta_e] until values are materialized as Cyc.
 
 from functools import cache
 
-from ..exactmath.cyclotomic import Cyc
+from .. import UsageError
 from ..exactmath.partitions import check_partition
 from ..groups import FiniteGroup
 
@@ -49,7 +49,8 @@ def murnaghan_nakayama(shape, cycles) -> int:
 def abelian_dual(G: FiniteGroup):
     """All |G| linear characters as exponent vectors over zeta_exponent;
     trivial character first, then lexicographic."""
-    assert G.is_abelian(), "linear-character dual needs an abelian group"
+    if not G.is_abelian():
+        raise UsageError("the linear-character dual needs an abelian group")
     e = G.exponent()
     gens = G.generators()
     orders = [G.element_order(g) for g in gens]
@@ -83,9 +84,8 @@ def abelian_dual(G: FiniteGroup):
             if vec not in chars:
                 chars.append(vec)
     chars.sort(key=lambda v: (v != tuple([0] * G.order), v))
-    assert len(chars) == G.order, "dual has the wrong size"
+    if len(chars) != G.order:
+        raise ArithmeticError(f"found {len(chars)} linear characters of "
+                              f"{G.name}, not |G| = {G.order}")
     return chars
 
-
-def char_value(vec, e, g_idx) -> Cyc:
-    return Cyc.zeta(e, vec[g_idx]) if e > 1 else Cyc.one()

@@ -17,12 +17,19 @@ from ..groups import FiniteGroup, all_perms, perm_cycles, perm_inv, perm_mul
 DEFAULT_WREATH_BUDGET = 5000
 
 
-def wreath_product(G: FiniteGroup, n: int,
-                   budget: int = DEFAULT_WREATH_BUDGET) -> FiniteGroup:
+def wreath_order(G: FiniteGroup, n: int,
+                 budget: int = DEFAULT_WREATH_BUDGET) -> int:
+    """|G wr S_n| = |G|^n n!; refused when it exceeds the budget."""
     order = G.order ** n * factorial(n)
     if order > budget:
         raise BudgetExceededError(
             f"|{G.name} wr S_{n}| = {order} exceeds budget {budget}")
+    return order
+
+
+def wreath_product(G: FiniteGroup, n: int,
+                   budget: int = DEFAULT_WREATH_BUDGET) -> FiniteGroup:
+    wreath_order(G, n, budget)
     elems = [(tuple(g), s) for g in iproduct(G.elements, repeat=n)
              for s in all_perms(n)]
 
@@ -32,17 +39,7 @@ def wreath_product(G: FiniteGroup, n: int,
         base = tuple(G.op(g[i], h[sinv[i]]) for i in range(n))
         return (base, perm_mul(sigma, tau))
 
-    W = FiniteGroup(elems, op, name=f"{G.name}wrS{n}", check=False)
-    # spot-check associativity; the construction is a semidirect product
-    import random
-    rng = random.Random(1)
-    pick = (elems if order <= 64 else
-            [rng.choice(elems) for _ in range(12)])
-    for a in pick:
-        for b in pick:
-            for c in pick:
-                assert op(op(a, b), c) == op(a, op(b, c))
-    return W
+    return FiniteGroup(elems, op, name=f"{G.name}wrS{n}", check=False)
 
 
 def cycle_product(G: FiniteGroup, base, sigma, cycle):

@@ -197,7 +197,7 @@ def test_criterion_6_hecke_algebras_and_modules():
 
 
 def test_criterion_7_wreath_character_tables():
-    from hallalg.wreath import character_table
+    from hallalg.wreath import character_table, wreath_product
     with criterion(7, 120, "wreath character tables: label counts, exact "
                            "orthogonality, sum of squared dims"):
         ranges = [(cyclic_group(2), (1, 2, 3)), (cyclic_group(3), (1, 2)),
@@ -210,8 +210,8 @@ def test_criterion_7_wreath_character_tables():
                 assert len(tab.class_labels) == want
                 ok, wit = tab.check_orthogonality()
                 assert ok, (G.name, n, wit)
-                assert sum(tab.dimension(l) ** 2
-                           for l in tab.irr_labels) == tab.W.order
+                assert sum(tab.dimension(l) ** 2 for l in tab.irr_labels) \
+                    == wreath_product(G, n).order
 
 
 def test_criterion_8_characteristic_map_ring_hom():

@@ -68,6 +68,10 @@ BAD_INPUTS = [
     ["hall-table", "--family", "ab-p-groups", "--p", "2", "--bound", "128"],
     ["hall-table", "--family", "ab-p-groups", "--p", "2", "--bound", "0"],
     ["hall-table", "--family", "f1-free", "--G", "trivial", "--bound", "-1"],
+    ["wreath-char-table", "--G", "cyclic:2", "--n", "-1"],
+    ["ch-verify", "--G", "cyclic:2", "--max-size", "-1"],
+    ["schurweyl", "--G", "cyclic:2", "--n", "-1", "--d", "1"],
+    ["schurweyl", "--G", "cyclic:2", "--n", "1", "--d", "-1"],
 ]
 
 
@@ -148,6 +152,24 @@ def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
     assert code == 1
     data = json.loads(out)
     assert data["oracle_agrees"] is False and data["pass"] is False
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a table value that makes an induction multiplicity non-integral
+    import hallalg.wreath.chmap as chmap
+
+    def halved(G, n, budget):
+        tab = chmap.WreathCharacterTable(G, n, budget)
+        tab.values[0] = [v / 2 for v in tab.values[0]]
+        return tab
+
+    monkeypatch.setattr(chmap, "character_table", halved)
+    code = run(["ch-verify", "--G", "cyclic:2", "--max-size", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ArithmeticError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_flag_rejected():

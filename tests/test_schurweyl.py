@@ -88,3 +88,20 @@ def test_report_json():
     assert set(js["verdicts"]) == {"sum_of_squares", "total_dimension",
                                    "kernel_free_when_n_le_d",
                                    "nonzero_count_matches"}
+
+
+def test_kernel_criterion_checked_row_by_row(monkeypatch):
+    # dim R_(1,1) over d = 1 is 0 and dim R_(2) is 1; swapping them keeps
+    # the number of kernel rows but breaks the criterion on both rows
+    import hallalg.schurweyl as sw
+    honest = sw.dim_R
+
+    def swapped(lam, d):
+        other = {((2,),): ((1, 1),), ((1, 1),): ((2,),)}[lam.parts]
+        return honest(PartitionMap(lam.labels, other), d)
+
+    monkeypatch.setattr(sw, "dim_R", swapped)
+    r = schur_weyl_report(trivial_group(), 2, 1)
+    assert sum(row["kernel"] for row in r.rows) == 1
+    assert r.nonzero_count_matches is False
+    assert r.ok is False

@@ -1,17 +1,27 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError, UsageError
+from hallalg.exactmath.cyclotomic import Cyc
 from hallalg.exactmath.partitions import (PartitionMap, partition_maps,
                                           partition_maps_count)
-from hallalg.groups import (cyclic_group, klein_group, perm_sign,
-                            symmetric_group, trivial_group)
+from hallalg.groups import (cyclic_group, klein_group, named_group,
+                            perm_cycles, perm_sign, symmetric_group,
+                            trivial_group)
 from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
-                            character_table, induction_product,
-                            irreducible_dimension, murnaghan_nakayama,
-                            wreath_class_label, wreath_product)
-from hallalg.wreath.chmap import WreathCharacterTable
+                            character_table, class_label_representative,
+                            induction_product, irreducible_dimension,
+                            murnaghan_nakayama, wreath_class_label,
+                            wreath_product)
+from hallalg.wreath import chmap
+from hallalg.wreath.chmap import (WreathCharacterTable, centralizer_order,
+                                  character_value)
 
 
 def test_wreath_orders():
@@ -21,6 +31,18 @@ def test_wreath_orders():
     assert wreath_product(cyclic_group(3), 1).order == 3
     with pytest.raises(BudgetExceededError):
         wreath_product(cyclic_group(5), 5)
+
+
+@pytest.mark.parametrize("G_name,n,samples", [
+    ("cyclic:2", 2, None), ("cyclic:3", 3, 10)])
+def test_wreath_product_is_associative(G_name, n, samples):
+    W = wreath_product(named_group(G_name), n)
+    pick = (W.elements if samples is None
+            else random.Random(1).sample(W.elements, samples))
+    for a in pick:
+        for b in pick:
+            for c in pick:
+                assert W.op(W.op(a, b), c) == W.op(a, W.op(b, c))
 
 
 def test_symmetric_character_examples():
@@ -117,6 +139,8 @@ def test_trivial_group_reduces_to_symmetric_characters():
 def test_nonabelian_rejected():
     with pytest.raises(UsageError):
         WreathCharacterTable(symmetric_group(3), 1)
+    with pytest.raises(UsageError):
+        abelian_dual(symmetric_group(3))
 
 
 def test_induction_examples():
@@ -170,3 +194,212 @@ def test_ch_injective_on_basis():
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             assert images[i] != images[j]
+
+
+# -- the enumeration route, kept as the oracle --------------------------------
+
+
+class EnumeratedTable:
+    """The character table of G wr S_n by brute force over the group: class
+    sizes by labeling every element, and each irreducible X_lam as the
+    character induced from the block subgroup prod_gamma (G wr S_|lam(gamma)|)
+    with the twisted character (g, sigma) -> prod_i gamma(g_i)
+    . chi^{lam(gamma)}(cycle type of sigma) on each block."""
+
+    def __init__(self, G, n):
+        self.G, self.n, self.e = G, n, G.exponent()
+        self.W = wreath_product(G, n)
+        self.dual = abelian_dual(G)
+        labels = partition_maps(n, tuple(range(G.order)))
+        self.class_labels = self.irr_labels = labels
+        self.class_pos = {l: i for i, l in enumerate(labels)}
+        self.irr_pos = self.class_pos
+        self.label_of = {w: wreath_class_label(G, w) for w in self.W.elements}
+        self.class_sizes = [0] * len(labels)
+        for lab in self.label_of.values():
+            self.class_sizes[self.class_pos[lab]] += 1
+        reps = [class_label_representative(G, n, l) for l in labels]
+        assert [self.label_of[w] for w in reps] == labels
+        self.values = [self._induced_character(lam, reps) for lam in labels]
+
+    def _blocks(self, lam):
+        blocks, pos = [], 0
+        for gamma, part in lam.items():
+            m = sum(part)
+            blocks.append((gamma, part, range(pos, pos + m)))
+            pos += m
+        return blocks
+
+    def _base_value(self, lam, w):
+        """(exponent, coefficient) of the block character at w, or None if
+        w does not lie in the block subgroup."""
+        base, sigma = w
+        expo, mn = 0, 1
+        for gamma, part, block in self._blocks(lam):
+            if not part:
+                continue
+            lengths = []
+            for cyc in perm_cycles(sigma):
+                if cyc[0] in block:
+                    if not all(i in block for i in cyc):
+                        return None
+                    lengths.append(len(cyc))
+            for i in block:
+                expo += self.dual[gamma][self.G.index[base[i]]]
+            mn *= murnaghan_nakayama(part, tuple(sorted(lengths,
+                                                        reverse=True)))
+        return expo % self.e, mn
+
+    def _induced_character(self, lam, reps):
+        W = self.W
+        sub_order = self.G.order ** self.n
+        for _, part, _ in self._blocks(lam):
+            sub_order *= factorial(sum(part))
+        out = []
+        for rep in reps:
+            val = Cyc.zero(self.e)
+            for t in W.elements:
+                bv = self._base_value(lam, W.op(W.op(t, rep), W.inv(t)))
+                if bv is not None and bv[1]:
+                    val = val + Cyc.zeta(self.e, bv[0]) * bv[1]
+            out.append(val / sub_order)
+        return out
+
+    def value(self, lam, w):
+        return self.values[self.irr_pos[lam]][
+            self.class_pos[self.label_of[w]]]
+
+
+@cache
+def enumerated_table(G_name, n):
+    return EnumeratedTable(named_group(G_name), n)
+
+
+def young_subgroup_induction(G_name, lam, mu):
+    """<Ind(X_lam x X_mu), X_nu> for every nu, averaging over the Young
+    subgroup G wr (S_n x S_m) of G wr S_(n+m)."""
+    n, m = lam.total, mu.total
+    big = enumerated_table(G_name, n + m)
+    small_n, small_m = enumerated_table(G_name, n), enumerated_table(G_name, m)
+    sub = [(base, sigma) for base, sigma in big.W.elements
+           if all(sigma[i] < n for i in range(n))]
+    out = {}
+    for nu in big.irr_labels:
+        tot = Cyc.zero(big.e)
+        for base, sigma in sub:
+            wn = (base[:n], sigma[:n])
+            wm = (base[n:], tuple(s - n for s in sigma[n:]))
+            tot = tot + (small_n.value(lam, wn) * small_m.value(mu, wm)
+                         * big.value(nu, (base, sigma)).conj())
+        q = (tot / len(sub)).rational_value()
+        assert q.denominator == 1 and q >= 0
+        if q:
+            out[nu] = int(q)
+    return out
+
+
+@pytest.mark.parametrize("G_name,n", [
+    ("trivial", 0), ("trivial", 1), ("trivial", 2), ("trivial", 3),
+    ("trivial", 4), ("cyclic:2", 0), ("cyclic:2", 1), ("cyclic:2", 2),
+    ("cyclic:2", 3), ("cyclic:2", 4), ("cyclic:3", 1), ("cyclic:3", 2),
+    ("cyclic:3", 3), ("cyclic:4", 2), ("klein", 2)])
+def test_table_matches_enumeration_oracle(G_name, n):
+    want = enumerated_table(G_name, n)
+    got = WreathCharacterTable(named_group(G_name), n)
+    assert got.order == want.W.order
+    assert got.class_labels == want.class_labels
+    assert got.irr_labels == want.irr_labels
+    assert got.class_sizes == want.class_sizes
+    assert got.e == want.e
+    assert ([[v.to_string() for v in row] for row in got.values]
+            == [[v.to_string() for v in row] for row in want.values])
+
+
+@pytest.mark.parametrize("G_name,max_total", [
+    ("cyclic:2", 3), ("cyclic:3", 2), ("trivial", 4)])
+def test_induction_matches_young_subgroup_oracle(G_name, max_total):
+    G = named_group(G_name)
+    labels = tuple(range(G.order))
+    for n in range(max_total + 1):
+        for m in range(max_total + 1 - n):
+            for lam in partition_maps(n, labels):
+                for mu in partition_maps(m, labels):
+                    assert (induction_product(G, lam, mu)
+                            == young_subgroup_induction(G_name, lam, mu)), \
+                        (lam, mu)
+
+
+# -- beyond the oracle's range ------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["cyclic:2", "cyclic:3", "cyclic:4", "klein"]),
+       st.integers(0, 6), st.data())
+def test_column_orthogonality_beyond_the_oracle(G_name, n, data):
+    G = named_group(G_name)
+    k, e = G.order, G.exponent()
+    chars = [[vec[G.index[cls[0]]] for cls in G.conjugacy_classes()]
+             for vec in abelian_dual(G)]
+    labels = partition_maps(n, tuple(range(k)))
+    rho = data.draw(st.sampled_from(labels))
+    # |W| / |C_rho| = prod_c z_rho(c) |G|^l(rho(c))
+    centralizer = prod(r ** mult * factorial(mult) * k ** mult
+                       for part in rho.parts
+                       for r, mult in Counter(part).items())
+    assert centralizer_order(k, rho) == centralizer
+    assert sum(character_value(chars, e, lam, rho)
+               * character_value(chars, e, lam, rho).conj()
+               for lam in labels) == centralizer
+    identity = PartitionMap(range(k), [(1,) * n] + [()] * (k - 1))
+    for lam in labels:
+        assert (character_value(chars, e, lam, identity)
+                == irreducible_dimension(G, lam))
+
+
+# -- certification errors are explicit, not asserts ---------------------------
+
+
+def test_dimension_must_be_a_whole_number():
+    tab = WreathCharacterTable(cyclic_group(2), 2)
+    lam = tab.irr_labels[0]
+    tab.values[0][tab.identity_class] = Cyc.rational(Fraction(1, 2))
+    with pytest.raises(ArithmeticError):
+        tab.dimension(lam)
+
+
+def test_inner_product_must_be_rational():
+    tab = WreathCharacterTable(cyclic_group(2), 2)
+    tab.values[0][0] = Cyc.zeta(4)
+    with pytest.raises(ArithmeticError):
+        tab.inner(0, 1)
+
+
+def test_orthogonality_checks_the_class_sizes():
+    tab = WreathCharacterTable(cyclic_group(2), 2)
+    tab.class_sizes[0] += 1
+    assert tab.check_orthogonality() == (False, ("class sizes", 9, 8))
+
+
+@pytest.mark.parametrize("skew", [
+    lambda v: v * Cyc.zeta(4),          # not rational
+    lambda v: v / 2,                    # rational, not whole
+    lambda v: -v,                       # whole, negative
+])
+def test_induction_multiplicity_must_be_natural(monkeypatch, skew):
+    def skewed_table(G, n, budget):
+        tab = WreathCharacterTable(G, n, budget)
+        tab.values[0] = [skew(v) for v in tab.values[0]]
+        return tab
+
+    monkeypatch.setattr(chmap, "character_table", skewed_table)
+    t = trivial_group()
+    one = PartitionMap((0,), ((1,),))
+    with pytest.raises(ArithmeticError):
+        induction_product(t, one, one)
+
+
+def test_abelian_dual_size_is_checked(monkeypatch):
+    G = cyclic_group(2)
+    monkeypatch.setattr(G, "exponent", lambda: 1)
+    with pytest.raises(ArithmeticError):
+        abelian_dual(G)
