@@ -167,9 +167,11 @@ def cmd_segal_check(args):
         x = s_construction(inst, depth=3,
                            budget=args.budget or DEFAULT_TRIANGLE_BUDGET)
         label = f"s({inst.family})"
-    simp = check_simplicial_identities(x)
+    # the Segal squares first: each refuses an over-budget fiber product
+    # before any work, so a budget error comes before the identity checks
     seg = check_2segal_degree3(x, budget=budget)
     poi = check_pointed(x, budget=budget)
+    simp = check_simplicial_identities(x)
     ok = simp.ok and seg.ok and poi.ok
     data = {
         "construction": label,

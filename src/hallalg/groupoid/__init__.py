@@ -3,10 +3,12 @@
 from .core import (ActionGroupoid, Component, DisjointUnion, FullSubgroupoid,
                    Groupoid, ProductGroupoid, TableGroupoid, b_group,
                    discrete_groupoid, materialize, pi0, point_groupoid)
-from .fiber import FiberProductGroupoid, two_fiber_product
+from .fiber import (FiberProductGroupoid, FiberSkeleton, fiber_product_size,
+                    two_fiber_product)
 from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
                        Functor, GroupHomFunctor, IdentityFunctor, PairFunctor,
-                       compose_functors, constant_functor, functor_from_json,
+                       compose_functors, constant_functor,
+                       equivalence_on_pi0, functor_from_json,
                        functor_to_json, functors_equal, is_equivalence,
                        point_inclusion, twist_by_natural_iso)
 from .transfer import (SpanFn, cardinality, external_product, is_faithful,
@@ -16,11 +18,12 @@ __all__ = [
     "ActionGroupoid", "Component", "DisjointUnion", "FullSubgroupoid",
     "Groupoid", "ProductGroupoid", "TableGroupoid", "b_group",
     "discrete_groupoid", "materialize", "pi0", "point_groupoid",
-    "FiberProductGroupoid", "two_fiber_product",
+    "FiberProductGroupoid", "FiberSkeleton", "fiber_product_size",
+    "two_fiber_product",
     "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor",
     "GroupHomFunctor", "IdentityFunctor", "PairFunctor", "compose_functors",
-    "constant_functor", "functor_from_json", "functor_to_json",
-    "functors_equal", "is_equivalence", "point_inclusion",
+    "constant_functor", "equivalence_on_pi0", "functor_from_json",
+    "functor_to_json", "functors_equal", "is_equivalence", "point_inclusion",
     "twist_by_natural_iso",
     "SpanFn", "cardinality", "external_product", "is_faithful",
     "pull_push_span", "pullback_fn", "pushforward_fn",

@@ -8,7 +8,9 @@ without materializing morphism tables (ActionGroupoid, fiber products).
 
 pi0 is computed by BFS over a generating family of morphisms; components are
 ordered by their smallest object index and carry the automorphism-group
-order of a representative.
+order of a representative.  `from_rep` gives a morphism from the
+representative to any object, which is how 2-fiber products locate objects
+on their skeleton.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,8 @@ DEFAULT_OBJECT_BUDGET = 10 ** 6
 @dataclass(frozen=True)
 class Component:
     index: int
-    rep: int          # object index of the representative
+    rep: int          # object index of the representative; in a
+                      # FiberSkeleton, the object (a, b, phi) itself
     size: int         # number of objects
     aut_order: int    # |Aut(rep)|
 
@@ -39,6 +42,7 @@ class Groupoid:
         self._obj_index = None
         self._components = None
         self._comp_of = None
+        self._from_rep = None
 
     # -- object indexing ----------------------------------------------------
 
@@ -126,6 +130,24 @@ class Groupoid:
     def component_of(self, i) -> int:
         self.components()
         return self._comp_of[i]
+
+    def from_rep(self, i):
+        """A morphism from the representative of i's component to i; the
+        tree of them is built once, by BFS over the generating morphisms."""
+        if self._from_rep is None:
+            tree = [None] * self.n_objects
+            for c in self.components():
+                tree[c.rep] = self.identity(c.rep)
+                stack = [c.rep]
+                while stack:
+                    x = stack.pop()
+                    for m in self.gens_out(x):
+                        t = self.mor_tgt(m)
+                        if tree[t] is None:
+                            tree[t] = self.compose(m, tree[x])
+                            stack.append(t)
+            self._from_rep = tree
+        return self._from_rep[i]
 
     def generating_morphisms(self):
         """A set of morphisms generating the groupoid under composition and

@@ -2,14 +2,103 @@
 
 Objects of A x_D B are triples (a, b, phi) with phi: f(a) -> g(b) a morphism
 of D; a morphism (alpha, beta) transports phi to g(beta)∘phi∘f(alpha)^-1.
-The object set is materialized fully (guarded by a budget); morphisms stay
-enumerable on demand.  D's morphisms are interned as integers, so D must be
-small enough to list them -- true of every base we fiber over.
+
+The checks that use fiber products need only their pi0 and automorphism
+orders, which FiberSkeleton computes from component representatives: over
+components [a], [b] with f(a) ≅ g(b), the components of A x_D B are the
+orbits of Aut(a) x Aut(b) on Hom_D(f a, g b), and the automorphism order
+of a component is the order of the stabiliser of a point of its orbit.
+fiber_product_size counts the objects without listing them.
+
+FiberProductGroupoid materialises the object set (guarded by a budget),
+with morphisms enumerable on demand.  It is the explicit construction for
+small examples and the oracle for the skeleton in the tests; no check on
+the production path builds one.  D's morphisms are interned as integers, so
+D must be small enough to list them.
 """
 
+from collections import Counter, defaultdict
+
 from .. import BudgetExceededError
-from .core import DEFAULT_OBJECT_BUDGET, Groupoid
+from .core import DEFAULT_OBJECT_BUDGET, Component, Groupoid
 from .functors import FnFunctor, Functor
+
+
+def _check_cospan(f: Functor, g: Functor):
+    if f.tgt is not g.tgt:
+        raise ValueError(f"legs {f.name} and {g.name} must share their "
+                         f"target")
+
+
+def fiber_product_size(f: Functor, g: Functor) -> int:
+    """Number of objects of A x_D B: sum over the components c of D of
+    n_A(c) n_B(c) |Aut c|, where n_A(c) counts the objects of A over c."""
+    _check_cospan(f, g)
+    d = f.tgt
+    n_a = Counter(d.component_of(f.on_obj(i)) for i in range(f.src.n_objects))
+    n_b = Counter(d.component_of(g.on_obj(j)) for j in range(g.src.n_objects))
+    comps = d.components()
+    return sum(n * n_b[c] * comps[c].aut_order for c, n in n_a.items())
+
+
+class FiberSkeleton:
+    """pi0 of A x_D B over f: A -> D <- B: g, without its objects.
+
+    `components` lists the components pair by pair of components ([a], [b])
+    in the order of A's and then B's components, and within a pair by the
+    position in D.hom(f a, g b) of the least point of the orbit.  Each is a
+    Component whose rep is the object (a, b, phi) of that least point phi,
+    with its number of objects and the order of the stabiliser of phi in
+    Aut(a) x Aut(b)."""
+
+    def __init__(self, f: Functor, g: Functor):
+        _check_cospan(f, g)
+        self.f, self.g = f, g
+        self.a, self.b, self.d = f.src, g.src, f.tgt
+        d = self.d
+        over = defaultdict(list)        # D component -> B components
+        for cb in self.b.components():
+            over[d.component_of(g.on_obj(cb.rep))].append(cb)
+        self.components = []
+        self._orbit_of = {}             # (A comp, B comp) -> {phi: index}
+        for ca in self.a.components():
+            for cb in over[d.component_of(f.on_obj(ca.rep))]:
+                self._orbit_of[ca.index, cb.index] = self._orbits(ca, cb)
+
+    def _orbits(self, ca, cb):
+        """Split Hom_D(f a, g b) into orbits of Aut(a) x Aut(b), acting by
+        phi -> g(beta)∘phi∘f(alpha)^-1; appends one component per orbit."""
+        a, b, d = self.a, self.b, self.d
+        right = {d.inverse(self.f.on_mor(m)) for m in a.hom(ca.rep, ca.rep)}
+        left = {self.g.on_mor(m) for m in b.hom(cb.rep, cb.rep)}
+        n_auts = ca.aut_order * cb.aut_order
+        orbit_of = {}
+        for phi in d.hom(self.f.on_obj(ca.rep), self.g.on_obj(cb.rep)):
+            if phi in orbit_of:
+                continue
+            idx = len(self.components)
+            orbit_of[phi] = idx
+            stack, n = [phi], 1
+            while stack:
+                x = stack.pop()
+                for y in ([d.compose(x, m) for m in right]
+                          + [d.compose(m, x) for m in left]):
+                    if y not in orbit_of:
+                        orbit_of[y] = idx
+                        stack.append(y)
+                        n += 1
+            self.components.append(Component(
+                idx, (ca.rep, cb.rep, phi), ca.size * cb.size * n,
+                n_auts // n))
+        return orbit_of
+
+    def locate(self, u, v, phi) -> int:
+        """Index of the component of the object (u, v, phi): phi is
+        transported to the representatives along rep -> u and rep -> v."""
+        a, b, d = self.a, self.b, self.d
+        phi0 = d.compose(d.inverse(self.g.on_mor(b.from_rep(v))),
+                         d.compose(phi, self.f.on_mor(a.from_rep(u))))
+        return self._orbit_of[a.component_of(u), b.component_of(v)][phi0]
 
 
 class _BaseTables:
@@ -51,7 +140,7 @@ class FiberProductGroupoid(Groupoid):
 
     def __init__(self, f: Functor, g: Functor, name=None,
                  budget=DEFAULT_OBJECT_BUDGET):
-        assert f.tgt is g.tgt, "legs must share their target"
+        _check_cospan(f, g)
         self.f, self.g = f, g
         self.a, self.b, self.d = f.src, g.src, f.tgt
         self.base = _BaseTables(self.d, budget)
@@ -106,18 +195,6 @@ class FiberProductGroupoid(Groupoid):
     def mor_tgt(self, m):
         return self.obj_index(self._tgt_obj(m))
 
-    def neighbors(self, idx):
-        i, j, phi = self.objects[idx]
-        base = self.base
-        oi = self.obj_index
-        for alpha in self.a.gens_out(i):
-            fa = base.index[self.f.on_mor(alpha)]
-            yield oi((self.a.mor_tgt(alpha), j,
-                      base.compose(phi, base.inv[fa])))
-        for beta in self.b.gens_out(j):
-            gb = base.index[self.g.on_mor(beta)]
-            yield oi((i, self.b.mor_tgt(beta), base.compose(gb, phi)))
-
     def compose(self, m2, m1):
         assert m2[2] == self.mor_tgt(m1)
         return (self.a.compose(m2[0], m1[0]),
@@ -144,7 +221,7 @@ class FiberProductGroupoid(Groupoid):
     def aut_size(self, idx):
         return len(self.hom(idx, idx))
 
-    # projections and the square data
+    # projections
 
     @property
     def proj_a(self) -> Functor:
@@ -155,10 +232,6 @@ class FiberProductGroupoid(Groupoid):
     def proj_b(self) -> Functor:
         return FnFunctor(self, self.b, lambda i: self.objects[i][1],
                          lambda m: m[1], name="pr_B")
-
-    def connecting_iso(self, idx):
-        """The base morphism phi: f(pr_A x) -> g(pr_B x) at the object."""
-        return self.base.tokens[self.objects[idx][2]]
 
 
 def two_fiber_product(f: Functor, g: Functor,

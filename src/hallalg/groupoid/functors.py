@@ -4,7 +4,9 @@ A functor maps object indices to object indices and morphism tokens to
 morphism tokens.  is_equivalence decides essential surjectivity and full
 faithfulness exactly, returning a witness on failure: for groupoids this
 reduces to pi0 bijectivity plus bijectivity of each automorphism map at one
-representative per source component.
+representative per source component.  equivalence_on_pi0 is the same
+decision against any model of the target's pi0; the 2-Segal checks use it
+on the skeleton of a fiber product.
 """
 
 from dataclasses import dataclass, field
@@ -221,12 +223,37 @@ def is_equivalence(f: Functor) -> EquivalenceVerdict:
     injectivity plus bijectivity of Aut(x) -> Aut(F x) at one representative
     per component; essential surjectivity is pi0 surjectivity.
     """
-    src, tgt = f.src, f.tgt
+    tgt = f.tgt
+
+    def aut_image(i, m):
+        fm, fi = f.on_mor(m), f.on_obj(i)
+        if tgt.mor_src(fm) != fi or tgt.mor_tgt(fm) != fi:
+            return None, (repr(tgt.objects[tgt.mor_src(fm)]),
+                          repr(tgt.objects[tgt.mor_tgt(fm)]))
+        return fm, None
+
+    return equivalence_on_pi0(
+        f.src, tgt.components(), lambda i: tgt.component_of(f.on_obj(i)),
+        aut_image, lambda c: repr(tgt.objects[c.rep]))
+
+
+def equivalence_on_pi0(src: Groupoid, tcomps, image_component, aut_image,
+                       describe) -> EquivalenceVerdict:
+    """The decision of is_equivalence against any model of the target's
+    pi0, in its order: pi0 injectivity, surjectivity, then the Aut map at
+    each source representative.
+
+    `tcomps` are the target components (index, aut_order);
+    `image_component(i)` is the index of the component of F(i);
+    `aut_image(i, m)` is (F(m), None) for an automorphism m of i, or
+    (None, (source, target)) with the reprs of F(m)'s ends when F(m) is not
+    an automorphism of F(i); `describe(c)` is the repr of the representative
+    of target component c.
+    """
     scomps = src.components()
-    tcomps = tgt.components()
     image = {}
     for c in scomps:
-        tc = tgt.component_of(f.on_obj(c.rep))
+        tc = image_component(c.rep)
         if tc in image:
             other = image[tc]
             return EquivalenceVerdict(
@@ -243,21 +270,19 @@ def is_equivalence(f: Functor) -> EquivalenceVerdict:
         return EquivalenceVerdict(
             False, "not essentially surjective",
             {"kind": "missed_component",
-             "target_object": repr(tgt.objects[c.rep]),
+             "target_object": describe(c),
              "component_index": c.index})
-    for c in scomps:
+    for tc, c in image.items():
         auts = src.hom(c.rep, c.rep)
         images = set()
-        fr = f.on_obj(c.rep)
         for m in auts:
-            fm = f.on_mor(m)
-            if tgt.mor_src(fm) != fr or tgt.mor_tgt(fm) != fr:
+            fm, ends = aut_image(c.rep, m)
+            if ends is not None:
                 return EquivalenceVerdict(
                     False, "automorphism not sent to an automorphism",
                     {"kind": "not_a_functor",
                      "object": repr(src.objects[c.rep]),
-                     "image_source": repr(tgt.objects[tgt.mor_src(fm)]),
-                     "image_target": repr(tgt.objects[tgt.mor_tgt(fm)])})
+                     "image_source": ends[0], "image_target": ends[1]})
             images.add(fm)
         if len(images) < len(auts):
             return EquivalenceVerdict(
@@ -266,7 +291,7 @@ def is_equivalence(f: Functor) -> EquivalenceVerdict:
                  "pair": [repr(src.objects[c.rep])] * 2,
                  "hom_size_source": len(auts),
                  "distinct_images": len(images)})
-        target_aut = tcomps[tgt.component_of(fr)].aut_order
+        target_aut = tcomps[tc].aut_order
         if len(images) != target_aut:
             return EquivalenceVerdict(
                 False, "automorphism map not surjective",

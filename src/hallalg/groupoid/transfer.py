@@ -1,16 +1,24 @@
 """Pull-push transfer on finitely supported functions on iso classes.
 
 A SpanFn assigns exact rationals to the components of a groupoid.  Pullback
-composes with the functor on pi0; pushforward along f at a component of the
-target integrates over the 2-fiber of f, weighting each fiber component by
-1/#Aut.  Pushforward along a faithful functor preserves integrality.
+composes with the functor on pi0.  Pushforward along f integrates over the
+homotopy fiber of f, weighting each fiber component by 1/#Aut; by
+orbit-stabiliser that integral is the closed formula
+(f_! psi)([b]) = sum over [a] with f a ≅ b of psi([a]) |Aut b| / |Aut a|,
+so no fiber product is built.  Pushforward along a faithful functor
+preserves integrality.  A function on the wrong groupoid is a ValueError.
 """
 
 from fractions import Fraction
 
 from .core import Groupoid, ProductGroupoid
-from .fiber import two_fiber_product
-from .functors import Functor, point_inclusion
+from .functors import Functor
+
+
+def _same_carrier(got: Groupoid, want: Groupoid, what):
+    if got is not want:
+        raise ValueError(f"{what} lives on {got.name}, expected "
+                         f"{want.name}")
 
 
 class SpanFn:
@@ -23,7 +31,9 @@ class SpanFn:
         self.values = {}
         ncomp = len(gpd.components())
         for k, v in dict(values).items():
-            assert 0 <= k < ncomp, f"component {k} out of range"
+            if not 0 <= k < ncomp:
+                raise ValueError(f"component {k} out of range for "
+                                 f"{ncomp} components of {gpd.name}")
             v = Fraction(v)
             if v:
                 self.values[k] = v
@@ -40,7 +50,7 @@ class SpanFn:
         return self.values.get(comp_idx, Fraction(0))
 
     def __add__(self, other):
-        assert self.gpd is other.gpd
+        _same_carrier(other.gpd, self.gpd, "summand")
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, Fraction(0)) + v
@@ -63,7 +73,7 @@ class SpanFn:
 
 def pullback_fn(f: Functor, phi: SpanFn) -> SpanFn:
     """(f* phi)([a]) = phi([f a]); f must land in phi's carrier."""
-    assert phi.gpd is f.tgt, "function lives on the wrong groupoid"
+    _same_carrier(phi.gpd, f.tgt, "function to pull back")
     tgt = f.tgt
     vals = {}
     for c in f.src.components():
@@ -73,36 +83,37 @@ def pullback_fn(f: Functor, phi: SpanFn) -> SpanFn:
     return SpanFn(f.src, vals)
 
 
-def pushforward_fn(f: Functor, psi: SpanFn, budget=None) -> SpanFn:
-    """(f_! psi)(b) = sum over pi0 of the 2-fiber over b of psi(a)/#Aut,
-    computed via the 2-fiber product against the point inclusion at b."""
-    assert psi.gpd is f.src, "function lives on the wrong groupoid"
+def pushforward_fn(f: Functor, psi: SpanFn) -> SpanFn:
+    """(f_! psi)([b]) = sum over [a] with f a ≅ b of
+    psi([a]) |Aut b| / |Aut a|: the sum over the homotopy fiber over b of
+    psi/#Aut, whose components over [a] are the orbits of Aut(a) on
+    Hom(f a, b), |Aut b| morphisms, each with the kernel of
+    Aut(a) -> Aut(b) as stabiliser.  It holds for non-faithful f too."""
+    _same_carrier(psi.gpd, f.src, "function to push forward")
     src, tgt = f.src, f.tgt
+    tcomps = tgt.components()
     vals = {}
-    for c in tgt.components():
-        kwargs = {} if budget is None else {"budget": budget}
-        fiber = two_fiber_product(f, point_inclusion(tgt, c.rep), **kwargs)
-        total = Fraction(0)
-        for fc in fiber.components():
-            a_idx = fiber.objects[fc.rep][0]
-            v = psi[src.component_of(a_idx)]
-            if v:
-                total += Fraction(v, fc.aut_order)
-        if total:
-            vals[c.index] = total
-    return SpanFn(tgt, vals)
+    for c in src.components():
+        v = psi[c.index]
+        if v:
+            b = tgt.component_of(f.on_obj(c.rep))
+            vals[b] = vals.get(b, 0) + v * Fraction(tcomps[b].aut_order,
+                                                    c.aut_order)
+    return SpanFn(tgt, dict(sorted(vals.items())))
 
 
-def pull_push_span(c: Functor, nu: Functor, phi: SpanFn,
-                   budget=None) -> SpanFn:
+def pull_push_span(c: Functor, nu: Functor, phi: SpanFn) -> SpanFn:
     """(nu)_! ∘ c* for a span P <- S -> Q given by (c, nu)."""
-    assert c.src is nu.src, "span legs must share their apex"
-    return pushforward_fn(nu, pullback_fn(c, phi), budget=budget)
+    if c.src is not nu.src:
+        raise ValueError(f"span legs {c.name} and {nu.name} must share "
+                         f"their apex")
+    return pushforward_fn(nu, pullback_fn(c, phi))
 
 
 def external_product(prod: ProductGroupoid, f: SpanFn, g: SpanFn) -> SpanFn:
     """f x g on A x B: value at [(a, b)] is f([a]) * g([b])."""
-    assert f.gpd is prod.a and g.gpd is prod.b
+    _same_carrier(f.gpd, prod.a, "first factor")
+    _same_carrier(g.gpd, prod.b, "second factor")
     vals = {}
     for c in prod.components():
         ia, ib = prod.objects[c.rep]

@@ -27,6 +27,8 @@ class AbelianPGroups(ProtoAbelianInstance):
         self.p = p
         self.order_bound = order_bound
         self.max_size = int(log(order_bound, p) + 1e-9)
+        self._image_sizes = {}      # hom -> |image|, for isos/monos/epis
+        super().__init__()
 
     def iso_classes(self):
         out = []
@@ -79,7 +81,11 @@ class AbelianPGroups(ProtoAbelianInstance):
         return [(x, y, imgs) for imgs in out]
 
     def _image_size(self, f):
-        return len({self.apply(f, a) for a in self.elements(f[0])})
+        size = self._image_sizes.get(f)
+        if size is None:
+            size = self._image_sizes[f] = len(
+                {self.apply(f, a) for a in self.elements(f[0])})
+        return size
 
     def isos(self, x, y):
         if x != y:

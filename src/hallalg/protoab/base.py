@@ -11,12 +11,17 @@ is bicartesian iff im(i) = q^-1(im(j)); the boundary squares with C = 0
 specialize to exactness im(i) = ker(q).
 """
 
+from collections import Counter
+
 from .. import BudgetExceededError
 from ..groups import FiniteGroup
 
 
 class ProtoAbelianInstance:
     family = "?"
+
+    def __init__(self):
+        self._sub_types = {}        # M -> Counter of (sub type, quot type)
 
     # -- enumeration surface -------------------------------------------------
 
@@ -68,12 +73,14 @@ class ProtoAbelianInstance:
     # -- derived operations ---------------------------------------------------
 
     def subobjects_with_type(self, m, l, n) -> int:
-        """Number of subobjects U of M with U ~ L and M/U ~ N."""
-        count = 0
-        for u in self.subobjects(m):
-            if self.classify_sub(m, u) == l and self.classify_quot(m, u) == n:
-                count += 1
-        return count
+        """Number of subobjects U of M with U ~ L and M/U ~ N; each
+        subobject of M is classified once, for all (L, N)."""
+        types = self._sub_types.get(m)
+        if types is None:
+            types = self._sub_types[m] = Counter(
+                (self.classify_sub(m, u), self.classify_quot(m, u))
+                for u in self.subobjects(m))
+        return types[l, n]
 
     def count_ses(self, l, m, n, budget: int = 500_000) -> int:
         """Number of pairs (mono L -> M, epi M -> N) with im = ker."""

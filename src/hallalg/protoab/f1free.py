@@ -24,6 +24,7 @@ class F1FreeG(ProtoAbelianInstance):
             raise UsageError(f"f1-free: bound {bound} must be >= 0")
         self.G = G
         self.bound = bound
+        super().__init__()
 
     def iso_classes(self):
         return list(range(self.bound + 1))

@@ -27,6 +27,7 @@ class VectFq(ProtoAbelianInstance):
                              "0..4")
         self.q = q
         self.bound = bound
+        super().__init__()
 
     # vectors of F_q^d as tuples
     @cache

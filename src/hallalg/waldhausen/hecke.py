@@ -24,9 +24,6 @@ from .. import BudgetExceededError, UsageError
 from ..groupoid import (ActionGroupoid, FnFunctor, Functor, PairFunctor,
                         ProductGroupoid, SpanFn, external_product,
                         is_faithful, pull_push_span)
-# not called here; kept as a module binding because perfbench/spans.py wraps
-# is_equivalence in every module that binds it and its tests expect this one
-from ..groupoid import is_equivalence  # noqa: F401
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groups import FiniteGroup, tuple_group
 from .simplicial import TruncatedSimplicialGroupoid

@@ -137,6 +137,21 @@ def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):
     assert "level S_3(vect-fq)" in err and "reached 129 triangles" in err
 
 
+def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
+    import hallalg.waldhausen.simplicial as simplicial
+
+    def not_reached(f, g):
+        raise AssertionError("the budget must stop the run first")
+
+    monkeypatch.setattr(simplicial, "functors_equal", not_reached)
+    code = run(["segal-check", "--construction", "hecke", "--G", "sym:4",
+                "--H", "sym:2", "--budget", "1000"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("triangulation {012},{023}: the comparison fiber product has "
+            "55296 objects, over the budget of 1000") in err
+
+
 def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
     from hallalg.waldhausen.hecke import HeckeAlgebra
     original = HeckeAlgebra.convolution_constants

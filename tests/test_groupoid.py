@@ -1,20 +1,23 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FnFunctor,
-                              GroupHomFunctor, IdentityFunctor, SpanFn,
-                              TableGroupoid, b_group, cardinality,
+from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
+                              FnFunctor, GroupHomFunctor, IdentityFunctor,
+                              SpanFn, TableGroupoid, b_group, cardinality,
                               compose_functors, constant_functor,
                               discrete_groupoid, external_product,
-                              is_equivalence, is_faithful, materialize,
-                              point_groupoid, point_inclusion,
-                              ProductGroupoid, pull_push_span, pullback_fn,
-                              pushforward_fn, twist_by_natural_iso,
-                              two_fiber_product)
-from hallalg.groups import (cyclic_group, symmetric_group,
-                            symmetric_subgroup)
+                              fiber_product_size, is_equivalence,
+                              is_faithful, materialize, point_groupoid,
+                              point_inclusion, ProductGroupoid,
+                              pull_push_span, pullback_fn, pushforward_fn,
+                              twist_by_natural_iso, two_fiber_product)
+from hallalg.groups import (alternating_subgroup, cyclic_group, perm_sign,
+                            symmetric_group, symmetric_subgroup,
+                            trivial_group)
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +249,186 @@ def test_functor_json_roundtrip():
     assert js["objects"] == list(range(fib.n_objects))
     back = functor_from_json(fib, fib, js)
     assert is_equivalence(back).ok
+
+
+def test_transfer_rejects_functions_on_the_wrong_groupoid(s3_setup):
+    # explicit errors, not asserts, so that they hold under python -O
+    S3, S2, BS3, BS2 = s3_setup
+    incl = GroupHomFunctor(BS2, BS3)
+    with pytest.raises(ValueError, match="component 1 out of range"):
+        SpanFn(BS2, {1: 1})
+    with pytest.raises(ValueError, match="summand"):
+        SpanFn.const(BS2) + SpanFn.const(BS3)
+    with pytest.raises(ValueError, match="function to pull back"):
+        pullback_fn(incl, SpanFn.const(BS2))
+    with pytest.raises(ValueError, match="function to push forward"):
+        pushforward_fn(incl, SpanFn.const(BS3))
+    with pytest.raises(ValueError, match="must share their apex"):
+        pull_push_span(incl, IdentityFunctor(BS3), SpanFn.const(BS3))
+    prod = ProductGroupoid(BS2, BS3)
+    with pytest.raises(ValueError, match="first factor"):
+        external_product(prod, SpanFn.const(BS3), SpanFn.const(BS3))
+    with pytest.raises(ValueError, match="second factor"):
+        external_product(prod, SpanFn.const(BS2), SpanFn.const(BS2))
+    for build in (FiberSkeleton, two_fiber_product, fiber_product_size):
+        with pytest.raises(ValueError, match="must share their target"):
+            build(incl, IdentityFunctor(BS2))
+
+
+# -- random small cospans: the fiber product is the oracle for the skeleton --
+
+S3 = symmetric_group(3)
+C2, C4 = cyclic_group(2), cyclic_group(4)
+# each target group K: the subgroups L whose coset spaces K/L make up the
+# objects of D, and homomorphisms rho: G -> K for the legs, faithful or not
+TARGETS = {
+    "C2": (C2, [[0], [0, 1]],
+           [(C2, lambda x: x), (C4, lambda x: x % 2), (C2, lambda x: 0),
+            (trivial_group(), lambda x: 0),
+            (S3, lambda p: (1 - perm_sign(p)) // 2)]),
+    "C4": (C4, [[0], [0, 2], [0, 1, 2, 3]],
+           [(C4, lambda x: x), (C2, lambda x: 2 * x),
+            (C4, lambda x: 2 * x % 4), (C4, lambda x: 0)]),
+    "S3": (S3, [[S3.identity], symmetric_subgroup(S3, 2).elements,
+                alternating_subgroup(S3).elements, S3.elements],
+           [(S3, lambda p: p), (symmetric_subgroup(S3, 2), lambda p: p),
+            (alternating_subgroup(S3), lambda p: p),
+            (S3, lambda p: S3.identity)]),
+}
+
+
+def _target(K, subgroups):
+    """D = T // K for T the disjoint union of the coset spaces K/L."""
+    pts = []
+    for j, L in enumerate(subgroups):
+        for x in K.elements:
+            coset = (j, frozenset(K.op(x, y) for y in L))
+            if coset not in pts:
+                pts.append(coset)
+    index = {t: i for i, t in enumerate(pts)}
+
+    def act(k, i):
+        j, coset = pts[i]
+        return index[(j, frozenset(K.op(k, y) for y in coset))]
+
+    return ActionGroupoid(K, pts, act, name="T//K")
+
+
+def _leg(D, G, rho, picks, labels):
+    """A = S // G over D: S is the closure under rho(G) of the picked points
+    of D's objects x range(labels), g acting through rho on the first
+    coordinate; the functor forgets the label."""
+    pts, seen = [], set()
+    for p in picks:
+        stack = [p] if p not in seen else []
+        seen.add(p)
+        while stack:
+            t, x = q = stack.pop()
+            pts.append(q)
+            for g in G.elements:
+                q2 = (D.act(rho(g), t), x)
+                if q2 not in seen:
+                    seen.add(q2)
+                    stack.append(q2)
+    index = {q: i for i, q in enumerate(pts)}
+    A = ActionGroupoid(
+        G, pts, lambda g, i: index[(D.act(rho(g), pts[i][0]), pts[i][1])],
+        name=f"S//{G.name}")
+    return FnFunctor(A, D, lambda i: pts[i][0],
+                     lambda m: (rho(m[0]), pts[m[1]][0]), name="leg")
+
+
+@st.composite
+def cospans(draw):
+    K, subgroups, homs = TARGETS[draw(st.sampled_from(sorted(TARGETS)))]
+    D = _target(K, draw(st.lists(st.sampled_from(subgroups), min_size=1,
+                                 max_size=3)))
+    legs = []
+    for _ in range(2):
+        G, rho = draw(st.sampled_from(homs))
+        labels = draw(st.integers(1, 2))
+        picks = draw(st.lists(st.tuples(st.integers(0, D.n_objects - 1),
+                                        st.integers(0, labels - 1)),
+                              max_size=4))
+        legs.append(_leg(D, G, rho, picks, labels))
+    return legs
+
+
+@settings(max_examples=100, deadline=None)
+@given(cospans())
+def test_fiber_skeleton_matches_fiber_product(legs):
+    f, g = legs
+    fp = two_fiber_product(f, g)
+    skel = FiberSkeleton(f, g)
+    assert fiber_product_size(f, g) == fp.n_objects
+    assert len(skel.components) == len(fp.components())
+    for leg in legs:
+        for u in range(leg.src.n_objects):
+            r = leg.src.from_rep(u)
+            rep = leg.src.components()[leg.src.component_of(u)].rep
+            assert (leg.src.mor_src(r), leg.src.mor_tgt(r)) == (rep, u)
+    # locate is constant on each component and a bijection on pi0 that
+    # keeps sizes and automorphism orders
+    image = {}
+    for idx, (i, j, k) in enumerate(fp.objects):
+        c = skel.locate(i, j, fp.base.tokens[k])
+        assert image.setdefault(fp.component_of(idx), c) == c
+    assert sorted(image.values()) == list(range(len(skel.components)))
+    for comp, c in image.items():
+        fc, sc = fp.components()[comp], skel.components[c]
+        assert (fc.size, fc.aut_order) == (sc.size, sc.aut_order)
+    for sc in skel.components:
+        assert skel.locate(*sc.rep) == sc.index
+    # groupoid cardinality of the homotopy pullback:
+    # |A x_D B| = sum over c in pi0 D of |Aut c| |A_c| |B_c|
+    D = f.tgt
+    over = []
+    for leg in legs:
+        card = defaultdict(Fraction)
+        for c in leg.src.components():
+            card[D.component_of(leg.on_obj(c.rep))] += Fraction(
+                1, c.aut_order)
+        over.append(card)
+    want = sum((c.aut_order * over[0][c.index] * over[1][c.index]
+                for c in D.components()), Fraction(0))
+    assert cardinality(fp) == want
+    assert sum((Fraction(1, c.aut_order) for c in skel.components),
+               Fraction(0)) == want
+
+
+def pushforward_via_fibers(f, psi):
+    """The fiber-product route: at each component of the target, the sum of
+    psi/#Aut over the components of the 2-fiber over its representative."""
+    src, tgt = f.src, f.tgt
+    vals = {}
+    for c in tgt.components():
+        fiber = two_fiber_product(f, point_inclusion(tgt, c.rep))
+        vals[c.index] = sum(
+            (Fraction(psi[src.component_of(fiber.objects[fc.rep][0])],
+                      fc.aut_order) for fc in fiber.components()),
+            Fraction(0))
+    return SpanFn(tgt, vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cospans(), st.lists(st.integers(-3, 3), min_size=12, max_size=12))
+def test_pushforward_matches_fiber_route(legs, weights):
+    for f in legs:
+        psi = SpanFn(f.src, dict(enumerate(
+            weights[:len(f.src.components())])))
+        assert pushforward_fn(f, psi) == pushforward_via_fibers(f, psi)
+
+
+def test_pushforward_matches_fiber_route_on_hecke_spans():
+    from hallalg.waldhausen.hecke import HeckeWaldhausen
+    for n, k in ((3, 2), (4, 3)):
+        G = symmetric_group(n)
+        hw = HeckeWaldhausen(G, symmetric_subgroup(G, k), depth=2)
+        d0, d1, d2 = (hw.faces[(2, i)] for i in range(3))
+        for face in (d0, d1, d2):
+            x1 = face.tgt
+            for c in x1.components():
+                psi = pullback_fn(face, SpanFn.delta(x1, c.index))
+                for push in (d0, d1):
+                    assert (pushforward_fn(push, psi)
+                            == pushforward_via_fibers(push, psi))

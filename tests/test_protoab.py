@@ -159,3 +159,35 @@ def test_make_instance():
         make_instance("vect-fq", bound=2)
     with pytest.raises(UsageError):
         make_instance("unknown", bound=2)
+
+
+@pytest.mark.parametrize("inst", [
+    AbelianPGroups(2, 16), VectFq(2, 3), F1FreeG(cyclic_group(2), 3)],
+    ids=["ab-p-groups-2-16", "vect-fq-2-3", "f1-free-c2-3"])
+def test_subobject_type_counts_match_per_subobject_count(inst):
+    classes = inst.iso_classes()
+    for m in classes:
+        types = [(inst.classify_sub(m, u), inst.classify_quot(m, u))
+                 for u in inst.subobjects(m)]
+        for l in classes:
+            for n in classes:
+                assert inst.subobjects_with_type(m, l, n) == \
+                    types.count((l, n)), (m, l, n)
+
+
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 9)])
+def test_abelian_isos_monos_epis_match_brute_force(p, bound):
+    inst = AbelianPGroups(p, bound)
+    for x in inst.iso_classes():
+        for y in inst.iso_classes():
+            homs = inst._homs(x, y)
+            ys = set(inst.elements(y))
+            images = [[inst.apply(f, a) for a in inst.elements(x)]
+                      for f in homs]
+            injective = [f for f, im in zip(homs, images)
+                         if len(set(im)) == len(im)]
+            surjective = [f for f, im in zip(homs, images) if set(im) == ys]
+            for _ in range(2):          # the second call reads the cache
+                assert inst.monos(x, y) == injective
+                assert inst.epis(x, y) == surjective
+                assert inst.isos(x, y) == (injective if x == y else [])

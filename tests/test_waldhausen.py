@@ -17,6 +17,7 @@ from hallalg.waldhausen import (FlagGroupoid,
                                 core_comparison_functor,
                                 flag_comparison_functor, hecke_waldhausen,
                                 mutation_corpus, s_construction)
+from hallalg.waldhausen import segal
 from hallalg.waldhausen.hecke import HeckeWaldhausen
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _pairs
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
@@ -123,6 +124,93 @@ def test_mutation_corpus_fails_with_witness(hecke_s3, s_f1, s_vect):
             assert {w["kind"] for w in verdict.witnesses} <= {
                 "missed_component", "hom_not_bijective",
                 "comparison_undefined"}, (x.name, name)
+
+
+# -- the materialised fiber product, as the oracle for the skeletal checks ---
+
+
+def materialised_comparison(apex, fa, fb, leg_f, leg_g, budget, name):
+    """The comparison functor into the materialised fiber product, decided
+    by is_equivalence; returns (ok, witness) like segal._comparison."""
+    fp = two_fiber_product(leg_f, leg_g, budget=budget)
+    obj_map = []
+    for i in range(apex.n_objects):
+        u, v = fa.on_obj(i), fb.on_obj(i)
+        du = leg_f.on_obj(u)
+        if du != leg_g.on_obj(v):
+            return False, {"kind": "comparison_undefined"}
+        obj_map.append(fp.obj_index((u, v, fp.base.identity_id(du))))
+    cmp = FnFunctor(apex, fp, obj_map,
+                    lambda m: (fa.on_mor(m), fb.on_mor(m),
+                               obj_map[apex.mor_src(m)]), name=name)
+    verdict = is_equivalence(cmp)
+    return verdict.ok, (None if verdict.ok else verdict.witness)
+
+
+def _with_face(x, k, face):
+    faces = dict(x.faces)
+    faces[(3, k)] = face
+    return TruncatedSimplicialGroupoid(list(x.levels), faces,
+                                       dict(x.degeneracies))
+
+
+def moved_object(x):
+    """d_1 of X_3 moved at one object that represents no component, so that
+    the first comparison is undefined there and only there."""
+    x3, x2, d1 = x.levels[3], x.levels[2], x.face(3, 1)
+    d2 = x.face(2, 2)
+    reps = {c.rep for c in x3.components()}
+    i = max(set(range(x3.n_objects)) - reps)
+    j = next(j for j in range(x2.n_objects)
+             if d2.on_obj(j) != d2.on_obj(d1.on_obj(i)))
+    obj_map = [d1.on_obj(o) for o in range(x3.n_objects)]
+    obj_map[i] = j
+    return _with_face(x, 1, FnFunctor(x3, x2, obj_map, d1.on_mor)), i
+
+
+def identity_on_morphisms(x):
+    """d_3 of X_3 sends every morphism to an identity: automorphisms of X_3
+    stop being sent to automorphisms of the fiber product."""
+    x3, x2, d3 = x.levels[3], x.levels[2], x.face(3, 3)
+    return _with_face(x, 3, FnFunctor(
+        x3, x2, d3.on_obj,
+        lambda m: x2.identity(d3.on_obj(x3.mor_src(m)))))
+
+
+def test_skeletal_comparisons_match_materialised_oracle(
+        hecke_s3, s_f1, s_vect, monkeypatch):
+    cases, moved = [], {}
+    for x in (hecke_s3, s_vect, s_f1):
+        cases += [(x.name, x, "segal"), (x.name, x, "pointed")]
+        cases += [(f"{x.name}:{name}", m, kind)
+                  for name, m, kind in mutation_corpus(x)]
+        mutated, moved[x.name] = moved_object(x)
+        cases += [(f"{x.name}:moved-object", mutated, "segal"),
+                  (f"{x.name}:identity-d3", identity_on_morphisms(x),
+                   "segal")]
+
+    def verdicts():
+        out = {}
+        for name, x, kind in cases:
+            v = (check_2segal_degree3 if kind == "segal"
+                 else check_pointed)(x)
+            out[name, kind] = [(sq, ok, w and w["kind"])
+                               for sq, ok, w in v.squares]
+        return out
+
+    skeletal = verdicts()
+    # every object of the apex is checked, not only the representatives
+    v = check_2segal_degree3(moved_object(hecke_s3)[0])
+    assert v.squares[0][2]["object"] == repr(
+        hecke_s3.levels[3].objects[moved[hecke_s3.name]])
+    monkeypatch.setattr(segal, "_comparison", materialised_comparison)
+    assert skeletal == verdicts()
+    for x in (hecke_s3, s_vect, s_f1):
+        for name in ("constant-d1", "moved-object"):
+            assert skeletal[f"{x.name}:{name}", "segal"][0][2] == \
+                "comparison_undefined", (x.name, name)
+    assert skeletal[f"{hecke_s3.name}:identity-d3", "segal"][0][2] == \
+        "not_a_functor"
 
 
 # -- the iso-family search, as the oracle for the triangle actions -----------
