@@ -43,6 +43,18 @@ def multiset_number(m: int, n: int) -> int:
     return comb(m + n - 1, n)
 
 
+def q_binomial(m: int, k: int, q: int) -> int:
+    """The Gaussian binomial [m choose k]_q: the number of k-dimensional
+    subspaces of F_q^m."""
+    if not 0 <= k <= m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order."""

@@ -2,7 +2,8 @@
 
 Multiplication is a callable on tokens; no Cayley table is stored.  The
 identity is found and verified on construction, and each inverse is the
-power e^(ord e - 1), verified on both sides.  With ``check=True`` (groups
+power e^(ord e - 1), verified on both sides; products of groups take both
+from their factors instead.  With ``check=True`` (groups
 from outside input, Cayley JSON included) inverses are also proved unique by
 an exhaustive scan and associativity is checked exhaustively up to a budget
 and on a seeded sample beyond it.  The groups the program builds itself
@@ -23,18 +24,11 @@ ASSOC_FULL_CHECK_MAX_ORDER = 128
 
 class FiniteGroup:
     def __init__(self, elements, op, name="G", check=True):
-        self.elements = list(elements)
-        self.name = name
-        self._op = op
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise UsageError(f"{name}: duplicate elements")
-        self.order = len(self.elements)
+        self._set_elements(elements, op, name)
         # identity: the unique e with e*x == x for a probe x, verified on all
         probe = self.elements[0]
         ids = [e for e in self.elements if op(e, probe) == probe]
-        ids = [e for e in ids if all(op(e, x) == x and op(x, e) == x
-                                     for x in self.elements)]
+        ids = [e for e in ids if self._is_identity(e)]
         if len(ids) != 1:
             raise UsageError(f"{name}: no unique identity")
         self.identity = ids[0]
@@ -42,8 +36,41 @@ class FiniteGroup:
         if check:
             self._check_unique_inverses()
             self._check_associativity()
+
+    @classmethod
+    def _with_inverses(cls, elements, op, name, identity, inv, check=False):
+        """A group whose identity and inverse map are known by construction
+        (products of groups); ``check=True`` verifies them and then checks
+        the axioms as the constructor does."""
+        self = cls.__new__(cls)
+        self._set_elements(elements, op, name)
+        self.identity = identity
+        self._inv = inv
+        if check:
+            if not self._is_identity(identity):
+                raise UsageError(f"{name}: {identity!r} is not the identity")
+            for e in self.elements:
+                if (e not in inv or op(e, inv[e]) != identity
+                        or op(inv[e], e) != identity):
+                    raise UsageError(f"{name}: no inverse for {e!r}")
+            self._check_unique_inverses()
+            self._check_associativity()
+        return self
+
+    def _set_elements(self, elements, op, name):
+        self.elements = list(elements)
+        self.name = name
+        self._op = op
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        if len(self.index) != len(self.elements):
+            raise UsageError(f"{name}: duplicate elements")
+        self.order = len(self.elements)
         self._classes = None
         self._gens = None
+
+    def _is_identity(self, e):
+        op = self._op
+        return all(op(e, x) == x and op(x, e) == x for x in self.elements)
 
     def _power_inverse(self, e):
         """e^(ord e - 1), found within `order` steps, checked on both
@@ -305,12 +332,16 @@ def direct_product(G, H, name=None):
 
 
 def tuple_group(factors, name) -> FiniteGroup:
-    """K_0 x ... x K_n with tuple tokens and coordinatewise generators."""
+    """K_0 x ... x K_n with tuple tokens; the identity, the inverses and the
+    generators are coordinatewise."""
     def op(a, b):
         return tuple(K.op(x, y) for K, x, y in zip(factors, a, b))
 
-    P = FiniteGroup(iproduct(*(K.elements for K in factors)), op, name=name,
-                    check=False)
+    elems = list(iproduct(*(K.elements for K in factors)))
+    invs = iproduct(*([K.inv(x) for x in K.elements] for K in factors))
+    P = FiniteGroup._with_inverses(
+        elems, op, name, tuple(K.identity for K in factors),
+        dict(zip(elems, invs)))
     gens = []
     for pos, K in enumerate(factors):
         for g in K.generators():

@@ -2,8 +2,10 @@
 
 The object of type lam is prod_i Z/p^lam_i with elements stored as tuples;
 a homomorphism is the tuple of images of the standard generators e_i (each
-of order dividing p^lam_i).  Subgroups are enumerated by closure and
-classified, together with their quotients, by counting p^k-torsion.
+of order dividing p^lam_i).  Hall constants are Hall polynomials
+(`exactmath.halllittlewood`); subgroups are enumerated by closure and
+classified, together with their quotients, by counting p^k-torsion, which is
+the oracle for them.
 """
 
 from functools import cache
@@ -28,6 +30,7 @@ class AbelianPGroups(ProtoAbelianInstance):
         self.order_bound = order_bound
         self.max_size = int(log(order_bound, p) + 1e-9)
         self._image_sizes = {}      # hom -> |image|, for isos/monos/epis
+        self._hall = None           # HallPolynomials(p), made on first use
         super().__init__()
 
     def iso_classes(self):
@@ -101,9 +104,22 @@ class AbelianPGroups(ProtoAbelianInstance):
         full = self.p ** sum(y)
         return [f for f in self._homs(x, y) if self._image_size(f) == full]
 
+    def hall_constant(self, n, l, m):
+        """The Hall polynomial g^M_{N,L}(p), from Hall-Littlewood
+        P-functions at t = 1/p."""
+        if sum(l) + sum(n) != sum(m):
+            return 0
+        if self._hall is None:
+            # imported here so that `import hallalg` does not load it
+            from ..exactmath.halllittlewood import HallPolynomials
+            self._hall = HallPolynomials(self.p)
+        return self._hall(m, n, l)
+
     @cache
     def compose(self, g, f):
-        assert f[1] == g[0]
+        if f[1] != g[0]:
+            raise ValueError(f"compose: target {f[1]!r} is not source "
+                             f"{g[0]!r}")
         imgs = tuple(self.apply(g, img) for img in f[2])
         return (f[0], g[1], imgs)
 
@@ -116,21 +132,29 @@ class AbelianPGroups(ProtoAbelianInstance):
     @cache
     def subobjects(self, m):
         """All subgroups, by closure over added elements."""
+        mods = self._mods(m)
+
+        def add(a, b):
+            return tuple((x + y) % k for x, y, k in zip(a, b, mods))
+
         zero = frozenset([tuple([0] * len(m))])
         found = {zero}
         frontier = [zero]
         elems = self.elements(m)
         while frontier:
             s = frontier.pop()
+            seen = set(s)
             for v in elems:
-                if v in s:
+                if v in seen:
                     continue
+                # <s, v> depends only on the coset v + s
+                seen.update(add(u, v) for u in s)
                 # s is a subgroup, so <s, v> = union of cosets s + k*v
                 span = set()
                 w = tuple([0] * len(m))
                 while True:
-                    span.update(self.add(m, u, w) for u in s)
-                    w = self.add(m, w, v)
+                    span.update(add(u, w) for u in s)
+                    w = add(w, v)
                     if w == tuple([0] * len(m)):
                         break
                 fs = frozenset(span)
@@ -153,7 +177,9 @@ class AbelianPGroups(ProtoAbelianInstance):
             if step == 0:
                 break
             conj.append(step)
-        assert all(conj[i] >= conj[i + 1] for i in range(len(conj) - 1))
+        if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
+            raise ValueError(f"torsion counts {counts} are not those of an "
+                             f"abelian {self.p}-group")
         return conjugate(tuple(conj))
 
     def classify_sub(self, m, u):
@@ -170,7 +196,9 @@ class AbelianPGroups(ProtoAbelianInstance):
         for k in range(maxk + 1):
             hits = sum(1 for x in elems
                        if self.smul(m, self.p ** k, x) in u)
-            assert hits % len(u) == 0
+            if hits % len(u):
+                raise ValueError(f"classify_quot: {sorted(u)} is not a "
+                                 f"subgroup of type {m}")
             counts.append(hits // len(u))
         return self._type_from_torsion_counts(counts)
 

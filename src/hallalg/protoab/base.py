@@ -70,11 +70,17 @@ class ProtoAbelianInstance:
     def zero_sub(self, x):
         raise NotImplementedError
 
+    def hall_constant(self, n, l, m) -> int:
+        """g^M_{N,L}, the number of subobjects U of M with U ~ L and
+        M/U ~ N, from the family's closed form."""
+        raise NotImplementedError
+
     # -- derived operations ---------------------------------------------------
 
     def subobjects_with_type(self, m, l, n) -> int:
-        """Number of subobjects U of M with U ~ L and M/U ~ N; each
-        subobject of M is classified once, for all (L, N)."""
+        """Number of subobjects U of M with U ~ L and M/U ~ N, by
+        enumeration: the oracle for `hall_constant`.  Each subobject of M is
+        classified once, for all (L, N)."""
         types = self._sub_types.get(m)
         if types is None:
             types = self._sub_types[m] = Counter(
@@ -100,7 +106,10 @@ class ProtoAbelianInstance:
 
     def square_bicartesian(self, i, p, q, j) -> bool:
         """i: A->B, p: A->C, q: B->D, j: C->D; assumes mono/epi placement."""
-        assert i[0] == p[0] and i[1] == q[0] and p[1] == j[0] and q[1] == j[1]
+        if not (i[0] == p[0] and i[1] == q[0] and p[1] == j[0]
+                and q[1] == j[1]):
+            raise ValueError("square_bicartesian: the maps do not form a "
+                             "square A->B, A->C, B->D, C->D")
         if self.compose(q, i) != self.compose(j, p):
             return False
         return self.image_sub(i) == self.preimage_sub(q, self.image_sub(j))

@@ -10,6 +10,7 @@ decompositions into G-stable subsets.
 
 from functools import cache
 from itertools import permutations
+from math import comb
 
 from .. import UsageError
 from ..groups import FiniteGroup
@@ -76,9 +77,15 @@ class F1FreeG(ProtoAbelianInstance):
                 out.append((x, y, tuple(full)))
         return out
 
+    def hall_constant(self, n, l, m):
+        """binom(m, l): a subobject is a set of l of the m basis orbits."""
+        return comb(m, l) if l + n == m else 0
+
     @cache
     def compose(self, g, f):
-        assert f[1] == g[0]
+        if f[1] != g[0]:
+            raise ValueError(f"compose: target {f[1]!r} is not source "
+                             f"{g[0]!r}")
         data = []
         for entry in f[2]:
             if entry is None:

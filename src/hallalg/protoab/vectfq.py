@@ -9,6 +9,7 @@ from functools import cache
 from itertools import product as iproduct
 
 from .. import UsageError
+from ..exactmath.partitions import q_binomial
 from .base import ProtoAbelianInstance
 
 
@@ -85,9 +86,15 @@ class VectFq(ProtoAbelianInstance):
     def epis(self, x, y):
         return [] if x < y else self._maps(x, y, "epi")
 
+    def hall_constant(self, n, l, m):
+        """The Gaussian binomial [m choose l]_q."""
+        return q_binomial(m, l, self.q) if l + n == m else 0
+
     @cache
     def compose(self, g, f):
-        assert f[1] == g[0]
+        if f[1] != g[0]:
+            raise ValueError(f"compose: target {f[1]!r} is not source "
+                             f"{g[0]!r}")
         src, mid, dst = f[0], f[1], g[1]
         q = self.q
         gm, fm = g[2], f[2]
@@ -110,12 +117,15 @@ class VectFq(ProtoAbelianInstance):
         allv = self.vectors(m)
         while frontier:
             s = frontier.pop()
+            seen = set(s)
             for v in allv:
-                if v in s:
+                if v in seen:
                     continue
                 # s is a subspace, so span(s + v) = union of cosets u + c*v
                 fs = frozenset(tuple((u[i] + c * v[i]) % q for i in range(m))
                                for u in s for c in range(q))
+                # every vector of fs outside s spans fs together with s
+                seen |= fs
                 if fs not in found:
                     found.add(fs)
                     frontier.append(fs)
@@ -126,7 +136,9 @@ class VectFq(ProtoAbelianInstance):
         while s < size:
             s *= self.q
             d += 1
-        assert s == size
+        if s != size:
+            raise ValueError(f"vect-fq: {size} vectors is not a power of "
+                             f"q = {self.q}")
         return d
 
     def classify_sub(self, m, u):

@@ -7,8 +7,8 @@ from hallalg.groups import (FiniteGroup, all_perms, alternating_subgroup,
                             cyclic_group, cycle_type, dihedral_group,
                             direct_product, klein_group, named_group,
                             named_subgroup, perm_inv, perm_mul, perm_sign,
-                            symmetric_group,
-                            symmetric_subgroup, trivial_group, young_subgroup)
+                            symmetric_group, symmetric_subgroup,
+                            trivial_group, tuple_group, young_subgroup)
 
 
 def test_basic_families():
@@ -123,3 +123,27 @@ def test_named_specs():
     assert named_subgroup(S3, "alt:3").order == 3
     with pytest.raises(UsageError):
         named_subgroup(S3, "sym:9")
+
+
+@pytest.mark.parametrize("factors", [
+    ("sym:3", "cyclic:2", "sym:3"), ("dihedral:4",), ()],
+    ids=["s3xc2xs3", "one-factor", "empty"])
+def test_tuple_group_identity_and_inverses_match_the_search(factors):
+    P = tuple_group([named_group(f) for f in factors], "P")
+    Q = FiniteGroup(P.elements, P.op, name="Q", check=True)
+    assert P.identity == Q.identity
+    assert all(P.inv(e) == Q.inv(e) for e in P.elements)
+    assert P.order == Q.order
+
+
+def test_given_identity_and_inverses_are_verified_on_check():
+    C = cyclic_group(4)
+    elems, op = C.elements, C.op
+    good = {e: (-e) % 4 for e in elems}
+    assert FiniteGroup._with_inverses(elems, op, "C", 0, good,
+                                      check=True).inv(1) == 3
+    with pytest.raises(UsageError, match="not the identity"):
+        FiniteGroup._with_inverses(elems, op, "C", 1, good, check=True)
+    with pytest.raises(UsageError, match="no inverse"):
+        FiniteGroup._with_inverses(elems, op, "C", 0, good | {1: 1},
+                                   check=True)

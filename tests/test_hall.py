@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError, UsageError
-from hallalg.groups import cyclic_group, trivial_group
+from hallalg.groups import cyclic_group, symmetric_group, trivial_group
 from hallalg.hall import (check_associativity, divided_powers_iso_check,
                           hall_constants, hall_product, hall_product_via_span)
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
@@ -116,3 +117,70 @@ def test_span_route_refuses_a_non_integral_constant(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match="non-integral Hall constant 1/2 at class 1"):
         hall_product_via_span(VectFq(2, 1), 1, {1: 1}, {0: 1})
+
+
+ORACLE_INSTANCES = {
+    "ab-p-2-32": lambda: AbelianPGroups(2, 32),
+    "ab-p-3-27": lambda: AbelianPGroups(3, 27),
+    "ab-p-5-25": lambda: AbelianPGroups(5, 25),
+    "vect-f2-4": lambda: VectFq(2, 4),
+    "vect-f3-3": lambda: VectFq(3, 3),
+    "f1-c2-4": lambda: F1FreeG(cyclic_group(2), 4),
+    "f1-s3-4": lambda: F1FreeG(symmetric_group(3), 4),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_closed_forms_match_subobject_counts(name):
+    inst = ORACLE_INSTANCES[name]()
+    classes = inst.iso_classes()
+    for m in classes:
+        for l in classes:
+            for n in classes:
+                assert inst.hall_constant(n, l, m) == \
+                    inst.subobjects_with_type(m, l, n), (m, l, n)
+    table = hall_constants(inst)
+    assert all(table.constant(n, l, m) == inst.hall_constant(n, l, m)
+               for m in classes for l in classes for n in classes)
+
+
+# every type within the order cap 64, order 64 itself included at p = 2
+_AB64 = {p: AbelianPGroups(p, 64) for p in (2, 3, 5)}
+_AB64_TYPES = [(p, m) for p, inst in _AB64.items()
+               for m in inst.iso_classes()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_AB64_TYPES))
+def test_hall_polynomials_match_subgroup_counts(pm):
+    p, m = pm
+    inst = _AB64[p]
+    below = [c for c in inst.iso_classes() if sum(c) <= sum(m)]
+    for l in below:
+        for n in below:
+            assert inst.hall_constant(n, l, m) == \
+                inst.subobjects_with_type(m, l, n), (p, m, l, n)
+
+
+def test_bound_64_table_is_associative():
+    table = hall_constants(AbelianPGroups(2, 64))
+    assert len(table.basis) == 30
+    ok, wit = check_associativity(table)
+    assert ok, wit
+
+
+def test_delta_outside_the_basis_raises(table_vf2):
+    with pytest.raises(UsageError, match="outside the table basis"):
+        table_vf2.delta(5)
+
+
+def test_divided_powers_check_compares_enumerated_counts(monkeypatch):
+    real = F1FreeG.subobjects_with_type
+
+    def miscounted(self, m, l, n):
+        return real(self, m, l, n) + (1 if (m, l, n) == (3, 1, 2) else 0)
+
+    monkeypatch.setattr(F1FreeG, "subobjects_with_type", miscounted)
+    ok, detail = divided_powers_iso_check(cyclic_group(2), 3)
+    assert not ok and (detail["M"], detail["L"], detail["N"]) == (3, 1, 2)
+    assert detail["group"] == "cyclic:2"

@@ -191,3 +191,35 @@ def test_abelian_isos_monos_epis_match_brute_force(p, bound):
                 assert inst.monos(x, y) == injective
                 assert inst.epis(x, y) == surjective
                 assert inst.isos(x, y) == (injective if x == y else [])
+
+
+@pytest.mark.parametrize("inst", [
+    AbelianPGroups(2, 4), VectFq(2, 2), F1FreeG(cyclic_group(2), 2)],
+    ids=["ab-p-groups", "vect-fq", "f1-free"])
+def test_compose_of_unmatched_maps_raises(inst):
+    a, b = inst.iso_classes()[1], inst.iso_classes()[2]
+    f, g = inst.identity(a), inst.identity(b)
+    with pytest.raises(ValueError, match="is not source"):
+        inst.compose(g, f)
+
+
+def test_square_with_misplaced_maps_raises(vf2):
+    i1, i2 = vf2.identity(1), vf2.identity(2)
+    with pytest.raises(ValueError, match="do not form a square"):
+        vf2.square_bicartesian(i1, i1, i2, i1)
+
+
+def test_torsion_counts_of_no_p_group_raise(ab2):
+    # 2-torsion of order 2, 4-torsion of order 8: increments 1, 2 grow
+    with pytest.raises(ValueError, match="torsion counts"):
+        ab2._type_from_torsion_counts([1, 2, 8])
+
+
+def test_quotient_by_a_non_subgroup_raises(ab2):
+    with pytest.raises(ValueError, match="not a subgroup"):
+        ab2.classify_quot((2,), frozenset({(0,), (1,), (2,)}))
+
+
+def test_subspace_size_not_a_power_of_q_raises(vf2):
+    with pytest.raises(ValueError, match="not a power"):
+        vf2.classify_sub(2, frozenset({(0, 0), (1, 0), (0, 1)}))
