@@ -67,6 +67,7 @@ class FiniteGroup:
         self.order = len(self.elements)
         self._classes = None
         self._gens = None
+        self.memo = {}     # data derived from the group, dropped with it
 
     def _is_identity(self, e):
         op = self._op

@@ -3,7 +3,10 @@ abelian groups.
 
 Characters of an abelian group are stored as exponent vectors: gamma(g) =
 zeta_e^(table[g]) with e the group exponent, so all arithmetic stays in
-Z[zeta_e] until values are materialized as Cyc.
+Z[zeta_e].  A wreath character value (chmap.character_value) sums integer
+coefficients by exponent of zeta_e and is reduced mod Phi_e once into a Cyc;
+the certificates of chmap read the Cyc values back as integer vectors over
+Z[zeta_e] and reduce once per sum.
 """
 
 from functools import cache
@@ -38,7 +41,9 @@ def murnaghan_nakayama(shape, cycles) -> int:
     """chi^shape on the class of cycle type `cycles` (a partition)."""
     shape = check_partition(shape)
     cycles = check_partition(cycles)
-    assert sum(shape) == sum(cycles)
+    if sum(shape) != sum(cycles):
+        raise ValueError(f"shape {shape} and cycle type {cycles} have "
+                         f"different sizes")
     if not cycles:
         return 1
     t, rest = cycles[0], cycles[1:]

@@ -14,19 +14,28 @@ and the class rho has |W| / prod_c z_{rho(c)} |G|^{l(rho(c))} elements,
 |W| = |G|^n n!.  No group element is built.  Tables are certified by exact
 row and column orthogonality and by class sizes adding up to |W|;
 induction multiplicities come from Frobenius reciprocity over class labels.
-Summing over the elements of the group and of the Young subgroup is the
-oracle in the tests.  On K_0, ch sends the induction product to the
-componentwise Littlewood-Richardson product, which is what the acceptance
-suite verifies.
+Every value lies in Z[zeta_e], e the exponent of G, so each of these sums
+of weighted Hermitian products runs on the integer kernel of
+exactmath.cyclotomic: the printed Cyc values are read into integer
+coefficient vectors with one common denominator, the products accumulate
+unreduced and each sum is reduced mod Phi_e once.  The integer form is
+read afresh from `values` on every call, so a certificate is always of the
+values that are printed.  Summing over the elements of the group and of the
+Young subgroup is the oracle in the tests for the values, and per-term Cyc
+arithmetic is the oracle for the certificates.  On K_0, ch sends the
+induction product to the componentwise Littlewood-Richardson product, which
+is what the acceptance suite verifies.  Tables are memoised on their group
+(`character_table`), so they are dropped with it.
 """
 
+import weakref
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 from math import factorial, prod
 
 from .. import UsageError
-from ..exactmath.cyclotomic import Cyc
+from ..exactmath.cyclotomic import (Cyc, conjugate, dot, euler_phi,
+                                    integer_form, planes, reduce_poly)
 from ..exactmath.partitions import PartitionMap, partition_maps
 from ..exactmath.symfunc import MultiSymElem
 from ..exactmath.tableaux import standard_tableaux_count
@@ -58,6 +67,17 @@ def centralizer_order(k: int, rho: PartitionMap) -> int:
     return out
 
 
+def hermitian_gram(e: int, vectors, weights=None):
+    """Yields ((i, j), sum_c w_c x_i(c) conj(x_j(c))) for i <= j over
+    Z[zeta_e], each x_i a list of integer coefficient vectors, one per
+    class; the weights w_c default to 1."""
+    xs = [planes(x, weights) for x in vectors]
+    bars = [planes(conjugate(e, v) for v in x) for x in vectors]
+    for i, x in enumerate(xs):
+        for j in range(i, len(bars)):
+            yield (i, j), dot(e, x, bars[j])
+
+
 def character_value(chars, e: int, lam: PartitionMap,
                     rho: PartitionMap) -> Cyc:
     """chi^lam(rho) by the closed formula; chars[gamma][c] is the exponent
@@ -66,13 +86,12 @@ def character_value(chars, e: int, lam: PartitionMap,
                     reverse=True)
     room = [sum(part) for part in lam.parts]
     sent = [[] for _ in room]
-    acc = {}
+    acc = [0] * e   # acc[x]: the coefficient of zeta_e^x
 
     def assign(i, expo):
         if i == len(cycles):
-            acc[expo] = acc.get(expo, 0) + prod(
-                murnaghan_nakayama(part, tuple(lengths))
-                for part, lengths in zip(lam.parts, sent))
+            acc[expo] += prod(murnaghan_nakayama(part, tuple(lengths))
+                              for part, lengths in zip(lam.parts, sent))
             return
         r, c = cycles[i]
         for gamma, row in enumerate(chars):
@@ -84,7 +103,7 @@ def character_value(chars, e: int, lam: PartitionMap,
                 room[gamma] += r
 
     assign(0, 0)
-    return sum((Cyc.zeta(e, x) * c for x, c in acc.items()), Cyc.zero(e))
+    return Cyc(e, reduce_poly(e, acc))
 
 
 class WreathCharacterTable:
@@ -124,40 +143,49 @@ class WreathCharacterTable:
                                   f"identity, not a whole number")
         return int(v.rational_value())
 
-    def _inner(self, f, g) -> Cyc:
-        """Class-weighted inner product of two class functions."""
-        tot = Cyc.zero(self.e)
-        for a, b, size in zip(f, g, self.class_sizes):
-            tot = tot + (a * b.conj()) * size
-        return tot / self.order
+    def _rational(self, tot, den, what) -> Fraction:
+        """The kernel's reduced sum tot over the denominator den, which
+        must be rational."""
+        if any(tot[1:]):
+            value = Cyc(self.e, [Fraction(x, den) for x in tot])
+            raise ArithmeticError(f"{what} is not rational: {value!r}")
+        return Fraction(tot[0], den)
+
+    def _inner(self, f, g) -> tuple[list[int], int]:
+        """Class-weighted inner product of two class functions, as the
+        kernel's reduced integer vector and its denominator."""
+        (fv, df), (gv, dg) = integer_form(f, self.e), integer_form(g, self.e)
+        tot = dot(self.e, planes(fv, self.class_sizes),
+                  planes(conjugate(self.e, v) for v in gv))
+        return tot, df * dg * self.order
 
     def inner(self, row_i: int, row_j: int) -> Fraction:
         """<chi_i, chi_j>."""
-        tot = self._inner(self.values[row_i], self.values[row_j])
-        if not tot.is_rational():
-            raise ArithmeticError(f"inner product of rows {row_i} and "
-                                  f"{row_j} is not rational: {tot!r}")
-        return tot.rational_value()
+        tot, den = self._inner(self.values[row_i], self.values[row_j])
+        return self._rational(tot, den, f"inner product of rows {row_i} "
+                                        f"and {row_j}")
+
+    def _integer_table(self):
+        """(rows, d): the values as integer vectors over Z[zeta_e], d times
+        each value, d their common denominator."""
+        vecs, d = integer_form((v for row in self.values for v in row),
+                               self.e)
+        ncols = len(self.class_labels)
+        return [vecs[i:i + ncols] for i in range(0, len(vecs), ncols)], d
 
     def check_orthogonality(self):
         if sum(self.class_sizes) != self.order:
             return False, ("class sizes", sum(self.class_sizes), self.order)
-        nrows = len(self.irr_labels)
-        for i in range(nrows):
-            for j in range(i, nrows):
-                want = Fraction(1 if i == j else 0)
-                if self.inner(i, j) != want:
-                    return False, ("row", i, j)
-        ncols = len(self.class_labels)
-        for c in range(ncols):
-            for c2 in range(c, ncols):
-                tot = Cyc.zero(self.e)
-                for i in range(nrows):
-                    tot = tot + self.values[i][c] * self.values[i][c2].conj()
-                want = (Fraction(self.order, self.class_sizes[c])
-                        if c == c2 else Fraction(0))
-                if not tot.is_rational() or tot.rational_value() != want:
-                    return False, ("column", c, c2)
+        table, d = self._integer_table()
+        for (i, j), tot in hermitian_gram(self.e, table, self.class_sizes):
+            q = self._rational(tot, d * d * self.order,
+                               f"inner product of rows {i} and {j}")
+            if q != (1 if i == j else 0):
+                return False, ("row", i, j)
+        for (c, c2), tot in hermitian_gram(self.e, list(zip(*table))):
+            want = Fraction(self.order, self.class_sizes[c]) if c == c2 else 0
+            if any(tot[1:]) or Fraction(tot[0], d * d) != want:
+                return False, ("column", c, c2)
         dims2 = sum(self.dimension(l) ** 2 for l in self.irr_labels)
         if dims2 != self.order:
             return False, ("sum of squares", dims2, self.order)
@@ -168,13 +196,12 @@ class WreathCharacterTable:
         raises on non-integer multiplicities."""
         out = {}
         for lam, row in zip(self.irr_labels, self.values):
-            tot = self._inner(values_by_class, row)
-            if not tot.is_rational() or tot.rational_value().denominator != 1:
+            tot, den = self._inner(values_by_class, row)
+            if any(tot[1:]) or tot[0] % den:
                 raise UsageError("class function is not an integral "
                                  "combination of irreducibles")
-            m = int(tot.rational_value())
-            if m:
-                out[lam] = m
+            if tot[0]:
+                out[lam] = tot[0] // den
         return out
 
     def to_json(self):
@@ -189,10 +216,29 @@ class WreathCharacterTable:
         }
 
 
-@cache
+_MEMO_KEY = "wreath character tables"
+_memo_holders = weakref.WeakSet()   # the groups holding tables, for clearing
+
+
 def character_table(G: FiniteGroup, n: int,
                     budget: int = DEFAULT_WREATH_BUDGET):
-    return WreathCharacterTable(G, n, budget=budget)
+    """The table of G wr S_n, memoised in G.memo: it lives as long as G."""
+    wreath_order(G, n, budget)
+    tables = G.memo.setdefault(_MEMO_KEY, {})
+    if n not in tables:
+        tables[n] = WreathCharacterTable(G, n, budget=budget)
+        _memo_holders.add(G)
+    return tables[n]
+
+
+def _clear_character_tables():
+    for G in list(_memo_holders):
+        G.memo.pop(_MEMO_KEY, None)
+    _memo_holders.clear()
+
+
+# as on a functools cache, so that a cold start can drop every live table
+character_table.cache_clear = _clear_character_tables
 
 
 def wreath_character(G: FiniteGroup, lam: PartitionMap,
@@ -217,29 +263,35 @@ def induction_product(G: FiniteGroup, lam: PartitionMap, mu: PartitionMap,
     row_lam = small_n.values[small_n.irr_pos[lam]]
     row_mu = small_m.values[small_m.irr_pos[mu]]
 
-    # the class function lam x mu summed over each class of the big group
+    # the class function lam x mu summed over each class of the big group,
+    # as integer polynomials in zeta_e, unreduced
+    e = big.e
+    (va, da), (vb, db) = integer_form(row_lam, e), integer_form(row_mu, e)
     restricted = {}
     for a, rho1 in enumerate(small_n.class_labels):
         for b, rho2 in enumerate(small_m.class_labels):
             joined = big.class_pos[PartitionMap(rho1.labels, [
                 tuple(sorted(p + q, reverse=True))
                 for p, q in zip(rho1.parts, rho2.parts)])]
-            val = (row_lam[a] * row_mu[b]
-                   * (small_n.class_sizes[a] * small_m.class_sizes[b]))
-            restricted[joined] = restricted.get(joined, 0) + val
+            w = small_n.class_sizes[a] * small_m.class_sizes[b]
+            acc = restricted.setdefault(joined, [0] * (2 * euler_phi(e) - 1))
+            for i, x in enumerate(va[a]):
+                for j, y in enumerate(vb[b]):
+                    acc[i + j] += w * x * y
 
+    classes = list(restricted)
+    xs = planes(restricted[c] for c in classes)
     out = {}
     for nu, row in zip(big.irr_labels, big.values):
-        tot = Cyc.zero(big.e)
-        for c, val in restricted.items():
-            tot = tot + val * row[c].conj()
-        tot = tot / (small_n.order * small_m.order)
-        q = tot.rational_value() if tot.is_rational() else None
-        if q is None or q.denominator != 1 or q < 0:
+        vc, dc = integer_form((row[c] for c in classes), e)
+        tot = dot(e, xs, planes(conjugate(e, v) for v in vc))
+        den = da * db * dc * small_n.order * small_m.order
+        if any(tot[1:]) or tot[0] % den or tot[0] < 0:
+            value = Cyc(e, [Fraction(x, den) for x in tot])
             raise ArithmeticError(f"multiplicity of {nu} in the induction "
-                                  f"product is not in N: {tot!r}")
-        if q:
-            out[nu] = int(q)
+                                  f"product is not in N: {value!r}")
+        if tot[0]:
+            out[nu] = tot[0] // den
     return out
 
 
@@ -250,7 +302,8 @@ def ch(G: FiniteGroup, x_basis: dict) -> MultiSymElem:
     for lam, c in x_basis.items():
         if labels is None:
             labels = lam.labels
-        assert lam.labels == labels, "mixed label sets"
+        if lam.labels != labels:
+            raise ValueError(f"mixed label sets: {lam.labels} and {labels}")
         coords[lam] = c
     if labels is None:
         labels = tuple(range(G.order))

@@ -65,6 +65,9 @@ def wreath_class_label(G: FiniteGroup, x) -> PartitionMap:
 
 def class_label_representative(G: FiniteGroup, n: int, label: PartitionMap):
     """A wreath element with the given class label."""
+    if label.total != n:
+        raise ValueError(f"class label {label.to_json()} has size "
+                         f"{label.total}, not {n}")
     base = [G.identity] * n
     sigma = list(range(n))
     pos = 0
@@ -76,5 +79,4 @@ def class_label_representative(G: FiniteGroup, n: int, label: PartitionMap):
             sigma[pos + length - 1] = pos
             base[pos] = rep
             pos += length
-    assert pos == n
     return (tuple(base), tuple(sigma))

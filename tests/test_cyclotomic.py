@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.exactmath.cyclotomic import (Cyc, cyclotomic_polynomial,
-                                          euler_phi)
+from hallalg.exactmath.cyclotomic import (Cyc, _polydivmod_int, conjugate,
+                                          cyclotomic_polynomial, dot,
+                                          euler_phi, integer_form, planes)
 
 
 def test_cyclotomic_polynomials():
@@ -80,3 +81,43 @@ def test_string_forms():
     assert (Cyc.zeta(3) * Fraction(-1)).to_string() == "-z"
     js = Cyc.zeta(4).to_json()
     assert js["conductor"] == 4 and js["coeffs"] == ["0", "1"]
+
+
+@settings(max_examples=80)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_integer_kernel_matches_cyc(m, data):
+    phi = euler_phi(m)
+    vector = st.lists(st.integers(-3, 3), min_size=phi, max_size=phi)
+    xs = data.draw(st.lists(vector, min_size=1, max_size=4))
+    ys = data.draw(st.lists(vector, min_size=len(xs), max_size=len(xs)))
+    for x in xs:
+        assert conjugate(m, x) == Cyc(m, x).conj().coeffs
+    want = sum((Cyc(m, x) * Cyc(m, y) for x, y in zip(xs, ys)), Cyc.zero(m))
+    assert tuple(dot(m, planes(xs), planes(ys))) == want.coeffs
+
+
+def test_integer_form_clears_one_denominator():
+    values = [Cyc.zeta(6) / 2, Cyc.rational(Fraction(1, 3)), Cyc.zeta(3),
+              Cyc.zero(4)]
+    vectors, d = integer_form(values, 6)
+    assert d == 6
+    assert [Cyc(6, v) / d for v in vectors] == values
+    # a value outside Q(zeta_6); a rational one of any conductor is inside
+    with pytest.raises(ArithmeticError):
+        integer_form([Cyc.zeta(4)], 6)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: Cyc(3, [1]), ValueError),
+    (lambda: Cyc.zeta(4).promote(6), ValueError),
+    (lambda: Cyc.zeta(3) / Cyc.zeta(3), ValueError),
+    (lambda: Cyc.zeta(3) / 0, ZeroDivisionError),
+    (lambda: Cyc.zeta(3).rational_value(), ArithmeticError),
+    (lambda: _polydivmod_int([1, 0, 1], [1, 1]), ArithmeticError),
+    (lambda: euler_phi(0), ValueError),
+    (lambda: cyclotomic_polynomial(0), ValueError),
+], ids=["length", "promote", "divide-by-cyc", "divide-by-zero",
+        "rational-value", "inexact-division", "phi-of-0", "phi-poly-of-0"])
+def test_malformed_input_raises(call, error):
+    with pytest.raises(error):
+        call()

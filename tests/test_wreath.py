@@ -1,4 +1,7 @@
+import gc
 import random
+import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -22,6 +25,7 @@ from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
 from hallalg.wreath import chmap
 from hallalg.wreath.chmap import (WreathCharacterTable, centralizer_order,
                                   character_value)
+from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
 
 
 def test_wreath_orders():
@@ -403,3 +407,204 @@ def test_abelian_dual_size_is_checked(monkeypatch):
     monkeypatch.setattr(G, "exponent", lambda: 1)
     with pytest.raises(ArithmeticError):
         abelian_dual(G)
+
+
+# -- per-term Cyc arithmetic, kept as the oracle of the integer kernel --------
+
+
+def cyc_inner(tab, f, g) -> Cyc:
+    """sum_c |c| f(c) conj(g(c)) / |W|, one Cyc product per class."""
+    tot = Cyc.zero(tab.e)
+    for a, b, size in zip(f, g, tab.class_sizes):
+        tot = tot + (a * b.conj()) * size
+    return tot / tab.order
+
+
+def cyc_column(tab, c, c2) -> Cyc:
+    """sum_i chi_i(c) conj(chi_i(c2))."""
+    tot = Cyc.zero(tab.e)
+    for row in tab.values:
+        tot = tot + row[c] * row[c2].conj()
+    return tot
+
+
+def cyc_check_orthogonality(tab):
+    if sum(tab.class_sizes) != tab.order:
+        return False, ("class sizes", sum(tab.class_sizes), tab.order)
+    nrows, ncols = len(tab.irr_labels), len(tab.class_labels)
+    for i in range(nrows):
+        for j in range(i, nrows):
+            # rational_value raises ArithmeticError on a non-rational sum
+            q = cyc_inner(tab, tab.values[i], tab.values[j]).rational_value()
+            if q != (1 if i == j else 0):
+                return False, ("row", i, j)
+    for c in range(ncols):
+        for c2 in range(c, ncols):
+            tot = cyc_column(tab, c, c2)
+            want = Fraction(tab.order, tab.class_sizes[c]) if c == c2 else 0
+            if not tot.is_rational() or tot.rational_value() != want:
+                return False, ("column", c, c2)
+    dims2 = sum(tab.dimension(l) ** 2 for l in tab.irr_labels)
+    if dims2 != tab.order:
+        return False, ("sum of squares", dims2, tab.order)
+    return True, None
+
+
+def cyc_induction_product(G, lam, mu, budget=DEFAULT_WREATH_BUDGET):
+    """Frobenius reciprocity over class labels, one Cyc product per term."""
+    n, m = lam.total, mu.total
+    big = chmap.character_table(G, n + m, budget)
+    small_n = chmap.character_table(G, n, budget)
+    small_m = chmap.character_table(G, m, budget)
+    row_lam = small_n.values[small_n.irr_pos[lam]]
+    row_mu = small_m.values[small_m.irr_pos[mu]]
+    restricted = {}
+    for a, rho1 in enumerate(small_n.class_labels):
+        for b, rho2 in enumerate(small_m.class_labels):
+            joined = big.class_pos[PartitionMap(rho1.labels, [
+                tuple(sorted(p + q, reverse=True))
+                for p, q in zip(rho1.parts, rho2.parts)])]
+            val = (row_lam[a] * row_mu[b]
+                   * (small_n.class_sizes[a] * small_m.class_sizes[b]))
+            restricted[joined] = restricted.get(joined, 0) + val
+    out = {}
+    for nu, row in zip(big.irr_labels, big.values):
+        tot = Cyc.zero(big.e)
+        for c, val in restricted.items():
+            tot = tot + val * row[c].conj()
+        q = (tot / (small_n.order * small_m.order)).rational_value()
+        if q.denominator != 1 or q < 0:
+            raise ArithmeticError(f"multiplicity {q} of {nu}")
+        if q:
+            out[nu] = int(q)
+    return out
+
+
+def scrambled(tab):
+    """The table with entry (i, c) sent to v * zeta_e^(i + 2c) + (i - c) /
+    (1 + c mod 2): values that are neither orthogonal nor integral."""
+    tab.values = [[v * Cyc.zeta(tab.e, i + 2 * c) + Fraction(i - c, 1 + c % 2)
+                   for c, v in enumerate(row)]
+                  for i, row in enumerate(tab.values)]
+    return tab
+
+
+@pytest.mark.parametrize("G_name,n", [
+    (G_name, n) for G_name in ("trivial", "cyclic:2", "cyclic:3", "cyclic:4",
+                               "klein")
+    for n in range(4)] + [
+    (G_name, n) for G_name in ("cyclic:5", "cyclic:6") for n in range(3)])
+def test_kernel_grams_match_cyc_oracle(G_name, n):
+    # the scrambled values make every product a different element of
+    # Q(zeta_e); conductors 5 and 6 reduce with rows beyond phi, and at n = 3
+    # their per-term oracle takes 15 s and 22 s, so it stops at n = 2 there
+    tab = scrambled(WreathCharacterTable(named_group(G_name), n))
+    table, d = tab._integer_table()
+    rows = dict(chmap.hermitian_gram(tab.e, table, tab.class_sizes))
+    cols = dict(chmap.hermitian_gram(tab.e, list(zip(*table))))
+    assert d == (2 if len(tab.values) > 1 else 1)
+    assert len(rows) == len(cols) == len(tab.values) * (
+        len(tab.values) + 1) // 2
+    for (i, j), tot in rows.items():
+        got = Cyc(tab.e, [Fraction(x, d * d * tab.order) for x in tot])
+        assert got == cyc_inner(tab, tab.values[i], tab.values[j]), (i, j)
+    for (c, c2), tot in cols.items():
+        got = Cyc(tab.e, [Fraction(x, d * d) for x in tot])
+        assert got == cyc_column(tab, c, c2), (c, c2)
+
+
+@pytest.mark.parametrize("G_name", ["cyclic:2", "cyclic:3"])
+def test_induction_matches_cyc_oracle(G_name):
+    G = named_group(G_name)
+    labels = tuple(range(G.order))
+    for n in range(4):
+        for m in range(4 - n):
+            for lam in partition_maps(n, labels):
+                for mu in partition_maps(m, labels):
+                    assert (induction_product(G, lam, mu)
+                            == cyc_induction_product(G, lam, mu)), (lam, mu)
+
+
+def verdict(check):
+    try:
+        return check()
+    except ArithmeticError:
+        return "ArithmeticError"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([("trivial", 3), ("cyclic:2", 3), ("cyclic:3", 0),
+                        ("cyclic:3", 2), ("cyclic:4", 2), ("cyclic:5", 1),
+                        ("cyclic:6", 1), ("klein", 2)]),
+       st.sampled_from(["zeta_e^k", "zeta_4", "half", "negate", "plus_one"]),
+       st.data())
+def test_perturbed_table_gets_the_oracle_verdict(case, how, data):
+    G_name, n = case
+    tab = WreathCharacterTable(named_group(G_name), n)
+    i = data.draw(st.integers(0, len(tab.values) - 1), label="row")
+    c = data.draw(st.integers(0, len(tab.values) - 1), label="column")
+    k = data.draw(st.integers(0, tab.e - 1), label="k")
+    perturb = {"zeta_e^k": lambda v: v * Cyc.zeta(tab.e, k),
+               "zeta_4": lambda v: v * Cyc.zeta(4),
+               "half": lambda v: v / 2,
+               "negate": lambda v: -v,
+               "plus_one": lambda v: v + 1}[how]
+    tab.values[i][c] = perturb(tab.values[i][c])
+    assert (verdict(tab.check_orthogonality)
+            == verdict(lambda: cyc_check_orthogonality(tab)))
+
+
+def test_check_reads_the_values_afresh():
+    tab = WreathCharacterTable(cyclic_group(3), 2)
+    assert tab.check_orthogonality() == (True, None)
+    tab.values[1][tab.identity_class] = -tab.values[1][tab.identity_class]
+    assert tab.check_orthogonality() == (False, ("row", 0, 1))
+
+
+def test_certification_beyond_a_hundred_classes():
+    # C3 wr S5 (|W| = 29160) and Klein wr S4 (|W| = 6144), over the default
+    # budget; per-term Cyc arithmetic needs 105 s and 47 s to certify them
+    start = time.perf_counter()
+    for G, n, labels in ((cyclic_group(3), 5, 108), (klein_group(), 4, 105)):
+        tab = WreathCharacterTable(G, n, budget=30000)
+        assert len(tab.class_labels) == labels
+        assert tab.check_orthogonality() == (True, None)
+    assert time.perf_counter() - start < 10
+
+
+def test_dropped_group_and_its_tables_are_collected():
+    G = cyclic_group(2)
+    tab = character_table(G, 2)
+    assert character_table(G, 2) is tab
+    character_table.cache_clear()
+    assert character_table(G, 2) is not tab
+    refs = [weakref.ref(G), weakref.ref(character_table(G, 2))]
+    del G, tab
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_decompose_reads_any_class_function():
+    tab = WreathCharacterTable(cyclic_group(3), 2)
+    f = [a * 2 + b for a, b in zip(tab.values[1], tab.values[4])]
+    assert tab.decompose(f) == {tab.irr_labels[1]: 2, tab.irr_labels[4]: 1}
+    with pytest.raises(UsageError):
+        tab.decompose([v / 3 for v in f])
+
+
+def test_mixed_label_sets_are_refused():
+    Z2 = cyclic_group(2)
+    with pytest.raises(ValueError):
+        ch(Z2, {PartitionMap((0, 1), ((1,), ())): 1,
+                PartitionMap((0,), ((1,),)): 1})
+
+
+def test_murnaghan_nakayama_sizes_must_agree():
+    with pytest.raises(ValueError):
+        murnaghan_nakayama((2,), (1,))
+
+
+def test_class_representative_size_must_be_n():
+    with pytest.raises(ValueError):
+        class_label_representative(cyclic_group(2), 3,
+                                   PartitionMap((0, 1), ((1,), (1,))))
