@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import BudgetExceededError, UsageError
+from .groupoid.core import DEFAULT_OBJECT_BUDGET
 from .groups import named_group, named_subgroup
 from .protoab import make_instance
 
@@ -112,7 +113,7 @@ def cmd_hecke_table(args):
     from .waldhausen.hecke import HeckeAlgebra
     G = named_group(args.group)
     H = named_subgroup(G, args.subgroup)
-    alg = HeckeAlgebra(G, H)
+    alg = HeckeAlgebra(G, H, budget=args.budget or DEFAULT_OBJECT_BUDGET)
     ok, wit = alg.check_associativity_and_unit()
     data = alg.to_json()
     data["oracle_agrees"] = alg.oracle_agrees
@@ -130,8 +131,9 @@ def cmd_hecke_module(args):
     G = named_group(args.group)
     H = named_subgroup(G, args.subgroup)
     P = named_subgroup(G, args.module_subgroup)
-    alg = HeckeAlgebra(G, H)
-    mod = HeckeModule(alg, P)
+    budget = args.budget or DEFAULT_OBJECT_BUDGET
+    alg = HeckeAlgebra(G, H, budget=budget)
+    mod = HeckeModule(alg, P, budget=budget)
     ok, wit = mod.check_module_axioms()
     data = mod.to_json()
     data["module_axioms"] = ok
@@ -146,7 +148,7 @@ def cmd_hecke_module(args):
 def cmd_segal_check(args):
     from .waldhausen.segal import check_2segal_degree3, check_pointed
     from .waldhausen.simplicial import check_simplicial_identities
-    budget = args.budget or 10 ** 6
+    budget = args.budget or DEFAULT_OBJECT_BUDGET
     if args.construction == "hecke":
         if not args.group or not args.subgroup:
             raise UsageError("segal-check --construction hecke needs "

@@ -6,8 +6,8 @@ from .core import (ActionGroupoid, Component, DisjointUnion, FullSubgroupoid,
 from .fiber import (FiberProductGroupoid, FiberSkeleton, fiber_product_size,
                     two_fiber_product)
 from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
-                       Functor, GroupHomFunctor, IdentityFunctor, PairFunctor,
-                       compose_functors, constant_functor,
+                       Functor, GMap, GroupHomFunctor, IdentityFunctor,
+                       PairFunctor, compose_functors, constant_functor,
                        equivalence_on_pi0, functor_from_json,
                        functor_to_json, functors_equal, is_equivalence,
                        point_inclusion, twist_by_natural_iso)
@@ -20,7 +20,7 @@ __all__ = [
     "discrete_groupoid", "materialize", "pi0", "point_groupoid",
     "FiberProductGroupoid", "FiberSkeleton", "fiber_product_size",
     "two_fiber_product",
-    "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor",
+    "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
     "GroupHomFunctor", "IdentityFunctor", "PairFunctor", "compose_functors",
     "constant_functor", "equivalence_on_pi0", "functor_from_json",
     "functor_to_json", "functors_equal", "is_equivalence", "point_inclusion",

@@ -55,11 +55,6 @@ class Groupoid:
             self._obj_index = {o: i for i, o in enumerate(self.objects)}
         return self._obj_index[obj]
 
-    def try_obj_index(self, obj):
-        if self._obj_index is None:
-            self._obj_index = {o: i for i, o in enumerate(self.objects)}
-        return self._obj_index.get(obj)
-
     # -- morphism token protocol (subclass responsibility) ------------------
 
     def out(self, i):
@@ -455,13 +450,30 @@ class DisjointUnion(Groupoid):
         return self.parts[k].aut_size(j)
 
 
+class _Pairs:
+    """The pairs (i, j) of range(na) x range(nb) in lexicographic order, as
+    a sequence computed on demand."""
+
+    def __init__(self, na, nb):
+        self.na, self.nb = na, nb
+
+    def __len__(self):
+        return self.na * self.nb
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        return divmod(k, self.nb)
+
+
 class ProductGroupoid(Groupoid):
-    """A x B; tokens are (m_a, m_b)."""
+    """A x B; tokens are (m_a, m_b).  The objects, the pairs (i, j), are not
+    listed."""
 
     def __init__(self, a: Groupoid, b: Groupoid, name=None):
         self.a, self.b = a, b
-        objs = [(i, j) for i in range(a.n_objects) for j in range(b.n_objects)]
-        super().__init__(objs, name=name or f"{a.name}x{b.name}")
+        super().__init__((), name=name or f"{a.name}x{b.name}")
+        self.objects = _Pairs(a.n_objects, b.n_objects)
         self._nb = b.n_objects
 
     def pair_index(self, i, j):
@@ -502,6 +514,21 @@ class ProductGroupoid(Groupoid):
     def aut_size(self, i):
         ia, ib = self.objects[i]
         return self.a.aut_size(ia) * self.b.aut_size(ib)
+
+    def components(self) -> list[Component]:
+        """Pairs of the factors' components in lexicographic order, which is
+        the order of their least objects (i, j) -> i * |B| + j; no BFS."""
+        if self._components is None:
+            a, b, nb = self.a, self.b, self._nb
+            cb = b.components()
+            self._components = [
+                Component(x.index * len(cb) + y.index, x.rep * nb + y.rep,
+                          x.size * y.size, x.aut_order * y.aut_order)
+                for x in a.components() for y in cb]
+            of_b = [b.component_of(j) for j in range(nb)]
+            self._comp_of = [x * len(cb) + y for x in map(
+                a.component_of, range(a.n_objects)) for y in of_b]
+        return self._components
 
 
 class FullSubgroupoid(Groupoid):

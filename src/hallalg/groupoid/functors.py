@@ -6,12 +6,13 @@ faithfulness exactly, returning a witness on failure: for groupoids this
 reduces to pi0 bijectivity plus bijectivity of each automorphism map at one
 representative per source component.  equivalence_on_pi0 is the same
 decision against any model of the target's pi0; the 2-Segal checks use it
-on the skeleton of a fiber product.
+on the skeleton of a fiber product.  A functor induced by a G-map of
+objects (GMap) is an index table; GMaps compose and compare by their tables.
 """
 
 from dataclasses import dataclass, field
 
-from .core import Groupoid, ProductGroupoid, point_groupoid
+from .core import ActionGroupoid, Groupoid, ProductGroupoid, point_groupoid
 
 
 class Functor:
@@ -77,9 +78,32 @@ class IdentityFunctor(Functor):
         return m
 
 
+class GMap(Functor):
+    """The functor of action groupoids of one group induced by a G-map of
+    their objects, given as the index table t: (g, i) -> (g, t[i])."""
+
+    def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
+                 name="F"):
+        super().__init__(src, tgt, name=name)
+        self.table = list(table)
+
+    def on_obj(self, i):
+        return self.table[i]
+
+    def on_mor(self, m):
+        return (m[0], self.table[m[1]])
+
+
+def _check_composable(outer, inner):
+    if inner.tgt is not outer.src:
+        raise ValueError(f"{outer.name} after {inner.name} is not "
+                         f"composable: {inner.tgt.name} is not "
+                         f"{outer.src.name}")
+
+
 class ComposedFunctor(Functor):
     def __init__(self, outer: Functor, inner: Functor):
-        assert inner.tgt is outer.src, "not composable"
+        _check_composable(outer, inner)
         super().__init__(inner.src, outer.tgt,
                          name=f"{outer.name}∘{inner.name}")
         self.outer, self.inner = outer, inner
@@ -92,6 +116,12 @@ class ComposedFunctor(Functor):
 
 
 def compose_functors(outer, inner):
+    """outer after inner; two G-maps compose by indexing their tables."""
+    if isinstance(outer, GMap) and isinstance(inner, GMap):
+        _check_composable(outer, inner)
+        table = outer.table
+        return GMap(inner.src, outer.tgt, [table[j] for j in inner.table],
+                    name=f"{outer.name}∘{inner.name}")
     return ComposedFunctor(outer, inner)
 
 
@@ -182,11 +212,25 @@ class EquivalenceVerdict:
                 "witness": self.witness}
 
 
+def _gmap_table(f: Functor):
+    """The index table of a G-map (the identity of an action groupoid is
+    one), or None."""
+    if isinstance(f, GMap):
+        return f.table
+    if isinstance(f, IdentityFunctor) and isinstance(f.src, ActionGroupoid):
+        return list(range(f.src.n_objects))
+    return None
+
+
 def functors_equal(f: Functor, g: Functor) -> bool:
-    """Strict equality, decided on all objects and a generating family of
-    morphisms (which determines a functor)."""
+    """Strict equality.  Two G-maps are equal on every morphism exactly when
+    their tables are equal; any other pair is compared on all objects and a
+    generating family of morphisms (which determines a functor)."""
     if f.src is not g.src or f.tgt is not g.tgt:
         return False
+    tf, tg = _gmap_table(f), _gmap_table(g)
+    if tf is not None and tg is not None:
+        return tf == tg
     for i in range(f.src.n_objects):
         if f.on_obj(i) != g.on_obj(i):
             return False

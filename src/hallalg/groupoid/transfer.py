@@ -111,16 +111,13 @@ def pull_push_span(c: Functor, nu: Functor, phi: SpanFn) -> SpanFn:
 
 
 def external_product(prod: ProductGroupoid, f: SpanFn, g: SpanFn) -> SpanFn:
-    """f x g on A x B: value at [(a, b)] is f([a]) * g([b])."""
+    """f x g on A x B: value at [(a, b)] is f([a]) * g([b]); the component
+    ([a], [b]) has index [a] * |pi0 B| + [b]."""
     _same_carrier(f.gpd, prod.a, "first factor")
     _same_carrier(g.gpd, prod.b, "second factor")
-    vals = {}
-    for c in prod.components():
-        ia, ib = prod.objects[c.rep]
-        v = f[prod.a.component_of(ia)] * g[prod.b.component_of(ib)]
-        if v:
-            vals[c.index] = v
-    return SpanFn(prod, vals)
+    nb = len(prod.b.components())
+    return SpanFn(prod, {x * nb + y: u * v for x, u in f.values.items()
+                         for y, v in g.values.items()})
 
 
 def is_faithful(f: Functor) -> bool:

@@ -2,120 +2,147 @@
 the convolution algebras/modules it induces.
 
 The paper defines level n as the iterated 2-fiber product
-BH x_BG ... x_BG BH (n+1 factors), the Cech nerve of BH -> BG.  Level n here
-is its flat model, the action groupoid G^n // H^(n+1): an object is the
-tuple of connecting elements (phi_1..phi_n) in G^n, listed in lexicographic
-order, and a morphism (h_0..h_n) acts by phi_i -> h_i phi_i h_{i-1}^-1.
-Faces compose adjacent connectors and drop the matching h (Cech style);
-degeneracies insert an identity connector and repeat an h.  The iterated
-fiber product itself lives in the tests, as the oracle that the flat levels
-are checked against (equivalence, and commuting faces and degeneracies).
+BH x_BG ... x_BG BH (n+1 factors), the Cech nerve of BH -> BG.  It is
+equivalent to the action groupoid (G/H)^(n+1) // G, the Hecke-Waldhausen
+space of Dyckerhoff and Kapranov, and that is level n here: an object is a
+tuple of coset indices, one coordinate per factor, in lexicographic order,
+and a morphism (g, i) acts on every coordinate by left multiplication.  The
+cosets G/K are numbered by their least element in G.elements order, and G
+acts through one left-multiplication table per subgroup.  Face d_k deletes
+coordinate k and degeneracy s_k repeats it.  Both are G-maps, so each is an
+object index table (a GMap), and the simplicial identities are equalities
+of tables.  A hom-set is the intersection of one transporter set
+{g : g x = y} per coordinate.
+
+Two models stay in the tests as oracles: the iterated fiber product and the
+flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
+functors that must be equivalences commuting with every face and
+degeneracy.
 
 pi0 of level 1 is the double coset set H\\G/H; pull-push along
 X_1 x X_1 <- X_2 -> X_1 gives the Hecke algebra, checked against the direct
 convolution (f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x).  The module on H\\G/P
-comes from the same span with P in place of the first H.
+comes from the same span with G/P in place of the first G/H.  A double
+coset is labelled by its least element in G.elements order, and the bases
+are sorted by label.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import (ActionGroupoid, FnFunctor, Functor, PairFunctor,
+from ..groupoid import (ActionGroupoid, Functor, GMap, PairFunctor,
                         ProductGroupoid, SpanFn, external_product,
                         is_faithful, pull_push_span)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
-from ..groups import FiniteGroup, tuple_group
+from ..groups import FiniteGroup
 from .simplicial import TruncatedSimplicialGroupoid
 
 
+def _refuse_over_budget(what, count, budget):
+    if count > budget:
+        raise BudgetExceededError(
+            f"{what} has {count} objects, over the budget of {budget}")
+
+
+class Cosets:
+    """G/K numbered by least element in G.elements order: the coset of
+    each element, the left-multiplication table mult[k][x] (element index
+    k, coset x) and the transporter masks: bit k of trans[x][y] is set when
+    element k takes coset x to coset y."""
+
+    def __init__(self, G: FiniteGroup, K: FiniteGroup):
+        index = G.index
+        coset_of = [-1] * G.order
+        reps = []
+        for k, g in enumerate(G.elements):
+            if coset_of[k] < 0:
+                for h in K.elements:
+                    coset_of[index[G.op(g, h)]] = len(reps)
+                reps.append(g)
+        self.coset_of = coset_of
+        self.count = len(reps)
+        self.mult = [[coset_of[index[G.op(g, r)]] for r in reps]
+                     for g in G.elements]
+        self.trans = [[0] * self.count for _ in reps]
+        for k, row in enumerate(self.mult):
+            for x, y in enumerate(row):
+                self.trans[x][y] |= 1 << k
+
+
+class CosetLevel(ActionGroupoid):
+    """(G/K_0 x ... x G/K_n) // G on tuples of coset indices."""
+
+    def __init__(self, G: FiniteGroup, spaces, name):
+        self.spaces = list(spaces)
+        objs = list(iproduct(*(range(s.count) for s in self.spaces)))
+        index = {o: i for i, o in enumerate(objs)}
+        gidx, mults = G.index, [s.mult for s in self.spaces]
+
+        def act(g, i):
+            k = gidx[g]
+            return index[tuple([m[k][x] for m, x in zip(mults, objs[i])])]
+
+        super().__init__(G, objs, act, name=name, check=False)
+        self._obj_index = index
+
+    def _transporter(self, i, j):
+        mask = -1
+        for s, x, y in zip(self.spaces, self.objects[i], self.objects[j]):
+            mask &= s.trans[x][y]
+        return mask
+
+    def hom(self, i, j):
+        els, mask, out = self.group.elements, self._transporter(i, j), []
+        while mask:
+            low = mask & -mask
+            out.append((els[low.bit_length() - 1], i))
+            mask ^= low
+        return out
+
+    def aut_size(self, i):
+        return self._transporter(i, i).bit_count()
+
+
+def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
+    """d_k: deletes coordinate k."""
+    idx = tgt.obj_index
+    return GMap(src, tgt, [idx(o[:k] + o[k + 1:]) for o in src.objects],
+                name=f"d_{k}^{len(src.spaces) - 1}")
+
+
+def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
+    """s_k: repeats coordinate k."""
+    idx = tgt.obj_index
+    return GMap(src, tgt, [idx(o[:k + 1] + o[k:]) for o in src.objects],
+                name=f"s_{k}^{len(src.spaces) - 1}")
+
+
 class HeckeWaldhausen:
-    """Levels X_n = G^n // H^(n+1), n = 0..depth, with faces and
+    """Levels X_n = (G/H)^(n+1) // G, n = 0..depth, with faces and
     degeneracies."""
 
-    def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3):
+    def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
+                 budget: int = DEFAULT_OBJECT_BUDGET):
         if not G.is_subgroup(H.elements):
             raise UsageError(f"{H.name} is not a subgroup of {G.name}")
         if not 0 <= depth <= 3:
             raise UsageError(f"Hecke-Waldhausen depth {depth} is outside 0..3")
         # the top level is the largest; refuse before building any level
-        top = G.order ** depth
-        if top > DEFAULT_OBJECT_BUDGET:
-            raise BudgetExceededError(
-                f"Hecke-Waldhausen level X_{depth}({G.name},{H.name}) has "
-                f"{top} objects, over the budget of {DEFAULT_OBJECT_BUDGET}")
+        _refuse_over_budget(
+            f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})",
+            (G.order // H.order) ** (depth + 1), budget)
         self.G, self.H = G, H
         self.depth = depth
-        self._twists = {}
-        self.levels = [self.level([H] * (n + 1), f"X{n}({G.name},{H.name})")
+        self.cosets = Cosets(G, H)
+        self.levels = [CosetLevel(G, [self.cosets] * (n + 1),
+                                  f"X{n}({G.name},{H.name})")
                        for n in range(depth + 1)]
-        self.faces = {}
-        self.degeneracies = {}
-        for n in range(1, depth + 1):
-            for k in range(n + 1):
-                self.faces[(n, k)] = self.face(
-                    self.levels[n], self.levels[n - 1], n, k)
-        for n in range(0, depth):
-            for k in range(n + 1):
-                self.degeneracies[(n, k)] = self.degeneracy(
-                    self.levels[n], self.levels[n + 1], n, k)
-
-    def twist(self, a, phi, b):
-        """a phi b^-1, memoised: every morphism target goes through it."""
-        try:
-            return self._twists[a, phi, b]
-        except KeyError:
-            G = self.G
-            out = self._twists[a, phi, b] = G.op(G.op(a, phi), G.inv(b))
-            return out
-
-    def level(self, factors, name) -> ActionGroupoid:
-        """G^n // (K_0 x ... x K_n) for subgroups K_t of G: (k_0..k_n) acts
-        by phi_t -> k_t phi_t k_{t-1}^-1.  With every K_t = H this is X_n."""
-        twist = self.twist
-
-        def act(ks, i):
-            return index[tuple(map(twist, ks[1:], objs[i], ks))]
-
-        X = ActionGroupoid(tuple_group(factors, f"{name}:group"),
-                           iproduct(self.G.elements, repeat=len(factors) - 1),
-                           act, name=name, check=False)
-        # one object index per level: act and obj_index share it
-        objs = X.objects
-        index = X._obj_index = {f: i for i, f in enumerate(objs)}
-        return X
-
-    def face(self, src, tgt, n, k) -> Functor:
-        """d_k: X_n -> X_{n-1}; drops k_k and merges the connectors on
-        either side of factor k (drops the outer one at k = 0, n)."""
-        twist, e = self.twist, self.G.identity
-
-        def obj(f):
-            if k == 0:
-                return f[1:]
-            if k == n:
-                return f[:-1]
-            # the merged connector f[k] f[k-1] (= f[k] f[k-1] e^-1)
-            return f[:k - 1] + (twist(f[k], f[k - 1], e),) + f[k + 1:]
-
-        obj_map = [tgt.obj_index(obj(f)) for f in src.objects]
-
-        def mor_map(m):
-            ks, i = m
-            return (ks[:k] + ks[k + 1:], obj_map[i])
-
-        return FnFunctor(src, tgt, obj_map, mor_map, name=f"d_{k}^{n}")
-
-    def degeneracy(self, src, tgt, n, k) -> Functor:
-        """s_k: X_n -> X_{n+1}; an identity connector at k, k_k repeated."""
-        e = self.G.identity
-        obj_map = [tgt.obj_index(f[:k] + (e,) + f[k:]) for f in src.objects]
-
-        def mor_map(m):
-            ks, i = m
-            return (ks[:k + 1] + ks[k:], obj_map[i])
-
-        return FnFunctor(src, tgt, obj_map, mor_map, name=f"s_{k}^{n}")
+        lv = self.levels
+        self.faces = {(n, k): face(lv[n], lv[n - 1], k)
+                      for n in range(1, depth + 1) for k in range(n + 1)}
+        self.degeneracies = {(n, k): degeneracy(lv[n], lv[n + 1], k)
+                             for n in range(depth) for k in range(n + 1)}
 
     def simplicial(self) -> TruncatedSimplicialGroupoid:
         return TruncatedSimplicialGroupoid(
@@ -127,6 +154,41 @@ def hecke_waldhausen(G, H, depth: int = 3) -> TruncatedSimplicialGroupoid:
     return HeckeWaldhausen(G, H, depth).simplicial()
 
 
+class DoubleCosets:
+    """K_1\\G/K_0 as the components of the level (G/K_0 x G/K_1) // G, in
+    which g is the object (g K_0, K_1).  `basis` lists the least element of
+    each double coset in G.elements order; `slot` maps a component of the
+    level to its position in the basis."""
+
+    def __init__(self, level: CosetLevel):
+        self.level = level
+        G = level.group
+        first, second = level.spaces
+        self._first = first.coset_of
+        self._home = second.coset_of[G.index[G.identity]]
+        self.slot, self.basis = {}, []
+        for k, g in enumerate(G.elements):
+            c = self._component(k)
+            if c not in self.slot:
+                self.slot[c] = len(self.basis)
+                self.basis.append(g)
+
+    def _component(self, k):
+        lv = self.level
+        return lv.component_of(lv.obj_index((self._first[k], self._home)))
+
+    def index(self, g) -> int:
+        """Position in the basis of the double coset of g."""
+        return self.slot[self._component(self.level.group.index[g])]
+
+    def cosets(self):
+        """The double cosets as sets of G tokens, in basis order."""
+        out = [set() for _ in self.basis]
+        for g in self.level.group.elements:
+            out[self.index(g)].add(g)
+        return out
+
+
 def _exact(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
@@ -135,20 +197,23 @@ def _json_number(v):
     return str(v) if isinstance(v, Fraction) else v
 
 
-def _pull_push_table(left: Functor, right: Functor, middle: Functor):
+def _pull_push_table(left: Functor, right: Functor, middle: Functor,
+                     basis_a: DoubleCosets, basis_b: DoubleCosets):
     """Pull-push of delta_a x delta_b along the span
-    left.tgt x right.tgt <- apex -> middle.tgt, for all component pairs
-    (a, b): the table {(a, b): {c: value}} and whether it is integral."""
+    left.tgt x right.tgt <- apex -> right.tgt (the middle leg), for all
+    component pairs (a, b): the table {(a, b): {c: value}} in basis
+    positions, and whether it is integral."""
     A, B = left.tgt, right.tgt
     prod = ProductGroupoid(A, B)
     chop = PairFunctor(left, right, prod)
     table, integral = {}, True
-    for a in range(len(A.components())):
-        for b in range(len(B.components())):
+    for a, pa in basis_a.slot.items():
+        for b, pb in basis_b.slot.items():
             out = pull_push_span(chop, middle, external_product(
                 prod, SpanFn.delta(A, a), SpanFn.delta(B, b)))
             integral = integral and out.is_integral()
-            table[(a, b)] = {c: _exact(v) for c, v in out.values.items()}
+            table[(pa, pb)] = {basis_b.slot[c]: _exact(v)
+                               for c, v in out.values.items()}
     return table, integral
 
 
@@ -174,31 +239,30 @@ class HeckeAlgebra:
     """Structure constants of H-biinvariant functions on G under the
     pull-push product, with the convolution oracle alongside."""
 
-    def __init__(self, G, H):
-        self.hw = HeckeWaldhausen(G, H, depth=2)
+    def __init__(self, G, H, budget: int = DEFAULT_OBJECT_BUDGET):
+        self.hw = HeckeWaldhausen(G, H, depth=2, budget=budget)
         self.G, self.H = G, H
-        x1 = self.x1 = self.hw.levels[1]
-        # representative G tokens, canonical order
-        self.basis = [x1.objects[c.rep][0] for c in x1.components()]
+        self.x1 = self.hw.levels[1]
+        self.double_cosets = DoubleCosets(self.x1)
+        # least element of each double coset, in G.elements order
+        self.basis = self.double_cosets.basis
         self.labels = [str(t) for t in self.basis]
 
         d0, d1, d2 = (self.hw.faces[(2, i)] for i in range(3))
         # the extremal face must be faithful for integrality -- verified
         self.extremal_faithful = is_faithful(d1)
-        self.constants, self.integral = _pull_push_table(d0, d2, d1)
+        self.constants, self.integral = _pull_push_table(
+            d0, d2, d1, self.double_cosets, self.double_cosets)
         self.unit_index = self.coset_index(G.identity)
         self.oracle_agrees = self.convolution_constants() == self.constants
 
     def coset_index(self, g) -> int:
         """Index of the double coset HgH in the basis."""
-        return self.x1.component_of(self.x1.obj_index((g,)))
+        return self.double_cosets.index(g)
 
     def cosets(self):
         """The double cosets as sets of G tokens, in basis order."""
-        out = [set() for _ in self.basis]
-        for g in self.G.elements:
-            out[self.coset_index(g)].add(g)
-        return out
+        return self.double_cosets.cosets()
 
     def convolution_constants(self):
         """(f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x) on biinvariant
@@ -248,39 +312,42 @@ class HeckeAlgebra:
 
 class HeckeModule:
     """The convolution action of H(G,H) on functions on H\\G/P, via the
-    span X_1 x Y_0 <- Y_1 -> Y_0 with Y_0 = G // (P x H) and
-    Y_1 = G^2 // (P x H x H), faces as in the Hecke-Waldhausen levels."""
+    span X_1 x Y_0 <- Y_1 -> Y_0 with Y_0 = (G/P x G/H) // G and
+    Y_1 = (G/P x G/H x G/H) // G, faces as in the Hecke-Waldhausen levels.
+    Y_1 over the budget is refused before Y_0 and Y_1 are built."""
 
-    def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup):
+    def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup,
+                 budget: int = DEFAULT_OBJECT_BUDGET):
         G, H = algebra.G, algebra.H
         if not G.is_subgroup(P.elements):
             raise UsageError(f"{P.name} is not a subgroup of {G.name}")
+        gh = algebra.hw.cosets
+        _refuse_over_budget(
+            f"Hecke module level Y_1({G.name},{H.name},{P.name})",
+            G.order // P.order * gh.count ** 2, budget)
         self.alg = algebra
         self.G, self.H, self.P = G, H, P
-        hw = algebra.hw
-        y0 = self.y0 = hw.level([P, H], "Y0")
-        y1 = hw.level([P, H, H], "Y1")
-        # components of G // (P x H) are the double cosets H g P
-        self.basis = [y0.objects[c.rep][0] for c in y0.components()]
+        gp = Cosets(G, P)
+        y0 = self.y0 = CosetLevel(G, [gp, gh], "Y0")
+        y1 = CosetLevel(G, [gp, gh, gh], "Y1")
+        # components of Y_0 are the double cosets H g P
+        self.double_cosets = DoubleCosets(y0)
+        self.basis = self.double_cosets.basis
         self.labels = [str(g) for g in self.basis]
 
-        d0 = hw.face(y1, algebra.x1, 2, 0)
-        d1 = hw.face(y1, y0, 2, 1)
-        d2 = hw.face(y1, y0, 2, 2)
-        self.action_table, self.integral = _pull_push_table(d0, d2, d1)
+        self.action_table, self.integral = _pull_push_table(
+            face(y1, algebra.x1, 0), face(y1, y0, 2), face(y1, y0, 1),
+            algebra.double_cosets, self.double_cosets)
         self.oracle_agrees = self.convolution_action() == self.action_table
 
     def vector_index(self, g) -> int:
         """Index of HgP in the module basis."""
-        return self.y0.component_of(self.y0.obj_index((g,)))
+        return self.double_cosets.index(g)
 
     def convolution_action(self):
         """(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on H\\G/P indicators."""
-        mods = [set() for _ in self.basis]
-        for g in self.G.elements:
-            mods[self.vector_index(g)].add(g)
-        return _convolution_table(self.G, self.H, self.alg.cosets(), mods,
-                                  self.basis)
+        return _convolution_table(self.G, self.H, self.alg.cosets(),
+                                  self.double_cosets.cosets(), self.basis)
 
     def act(self, f: dict, v: dict) -> dict:
         out = {}

@@ -104,9 +104,15 @@ def _verdict(apex, squares, budget) -> SegalVerdict:
     return SegalVerdict(all(ok for _, ok, _ in out), out)
 
 
+def _need_depth(x: TruncatedSimplicialGroupoid, n):
+    if x.depth < n:
+        raise ValueError(f"{x.name} is truncated at degree {x.depth}; the "
+                         f"check needs degree {n}")
+
+
 def check_2segal_degree3(x: TruncatedSimplicialGroupoid,
                          budget=DEFAULT_OBJECT_BUDGET) -> SegalVerdict:
-    assert x.depth >= 3, "need the degree-3 truncation"
+    _need_depth(x, 3)
     return _verdict(x.levels[3], [
         ("triangulation {012},{023}", x.face(3, 3), x.face(3, 1),
          x.face(2, 1), x.face(2, 2)),
@@ -116,7 +122,7 @@ def check_2segal_degree3(x: TruncatedSimplicialGroupoid,
 
 def check_pointed(x: TruncatedSimplicialGroupoid,
                   budget=DEFAULT_OBJECT_BUDGET) -> SegalVerdict:
-    assert x.depth >= 2, "need the degree-2 truncation"
+    _need_depth(x, 2)
     return _verdict(x.levels[1], [
         ("unital square s_0", x.degeneracy(1, 0), x.face(1, 1),
          x.face(2, 2), x.degeneracy(0, 0)),

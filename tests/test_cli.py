@@ -113,13 +113,60 @@ def test_usage_errors_exit_2_without_asserts(tmp_path):
         assert proc.stderr.startswith("error: "), proc.stderr
 
 
-def test_hecke_budget_refused_before_enumeration(capsys):
-    # |S5|^3 objects at level 3: refused before any level is built
+def test_hecke_budget_refused_before_enumeration(capsys, monkeypatch):
+    # [S5:1]^4 objects at level 3: refused before any level is built
+    import hallalg.waldhausen.hecke as hecke
+
+    def not_reached(*args):
+        raise AssertionError("the budget must stop the run first")
+
+    monkeypatch.setattr(hecke, "Cosets", not_reached)
     code = run(["segal-check", "--construction", "hecke", "--G", "sym:5",
-                "--H", "sym:4"])
+                "--H", "trivial"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "X_3(sym:5,sym:4)" in err and "1728000" in err
+    assert "X_3(sym:5,trivial)" in err and "207360000" in err
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_hecke_coset_levels_scale(capsys, n):
+    # X_3 of (S_n, S_(n-1)) has n^4 objects
+    code, out = run_capture(capsys, [
+        "segal-check", "--construction", "hecke", "--G", f"sym:{n}",
+        "--H", f"sym:{n - 1}"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True and data["witnesses"] == []
+
+
+@pytest.mark.parametrize("command, budget, stage, count", [
+    ("hecke-table", 50, "X_2(sym:4,sym:3)", 64),
+    ("hecke-module", 50, "X_2(sym:4,sym:3)", 64),
+    ("hecke-module", 100, "Y_1(sym:4,sym:3,sym:2)", 192),
+])
+def test_hecke_commands_refuse_over_budget(capsys, monkeypatch, command,
+                                           budget, stage, count):
+    import hallalg.waldhausen.hecke as hecke
+    built = []
+    real = hecke.CosetLevel
+
+    def recording(G, spaces, name):
+        built.append(name)
+        return real(G, spaces, name)
+
+    monkeypatch.setattr(hecke, "CosetLevel", recording)
+    argv = [command, "--G", "sym:4", "--H", "sym:3", "--budget", str(budget)]
+    if command == "hecke-module":
+        argv += ["--P", "sym:2"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert (f"{stage} has {count} objects, over the budget of "
+            f"{budget}") in captured.err
+    # no level of the refused stage is built
+    want = [] if stage.startswith("X") else [
+        f"X{n}(sym:4,sym:3)" for n in range(3)]
+    assert built == want
 
 
 def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):
@@ -149,7 +196,7 @@ def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
     assert code == 2
     err = capsys.readouterr().err
     assert ("triangulation {012},{023}: the comparison fiber product has "
-            "55296 objects, over the budget of 1000") in err
+            "497664 objects, over the budget of 1000") in err
 
 
 def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):

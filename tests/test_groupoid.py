@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
-                              FnFunctor, GroupHomFunctor, IdentityFunctor,
-                              SpanFn, TableGroupoid, b_group, cardinality,
+                              FnFunctor, Groupoid, GroupHomFunctor,
+                              IdentityFunctor, SpanFn, TableGroupoid,
+                              b_group, cardinality,
                               compose_functors, constant_functor,
                               discrete_groupoid, external_product,
                               fiber_product_size, is_equivalence,
@@ -215,6 +216,50 @@ def test_product_groupoid_and_external():
     vals = sorted(ext.values.values())
     assert vals == [Fraction(1), Fraction(3, 2)]
     prod.validate()
+
+
+def test_product_pi0_matches_bfs():
+    from hallalg.waldhausen.hecke import HeckeWaldhausen
+    S3 = symmetric_group(3)
+    hw = HeckeWaldhausen(S3, symmetric_subgroup(S3, 2), depth=1)
+    swap = ActionGroupoid(cyclic_group(2), [0, 1], lambda g, i: i ^ g,
+                          name="swap")
+    factors = [lambda: hw.levels[0],              # connected
+               lambda: hw.levels[1],              # two components
+               lambda: discrete_groupoid(range(3)),
+               lambda: b_group(cyclic_group(2)),
+               lambda: swap,
+               lambda: ProductGroupoid(hw.levels[1], discrete_groupoid(
+                   range(2)))]
+    for make_a in factors:
+        for make_b in factors:
+            # fresh factors and products, so no pi0 is shared
+            bfs = ProductGroupoid(make_a(), make_b())
+            comps = Groupoid.components(bfs)
+            skel = ProductGroupoid(make_a(), make_b())
+            assert skel.components() == comps, skel.name
+            assert [skel.component_of(i) for i in range(skel.n_objects)] \
+                == bfs._comp_of, skel.name
+            # external products, against the value at each representative
+            f = SpanFn(skel.a, {c.index: c.index + 1
+                                for c in skel.a.components()})
+            g = SpanFn(skel.b, {c.index: Fraction(1, c.index + 2)
+                                for c in skel.b.components()[1:]})
+            nb = skel.b.n_objects
+            want = {c.index: f[skel.a.component_of(c.rep // nb)]
+                    * g[skel.b.component_of(c.rep % nb)] for c in comps}
+            assert external_product(skel, f, g).values == {
+                k: v for k, v in want.items() if v}
+
+
+def test_composing_unrelated_functors_is_a_value_error():
+    # raised, not asserted: `python -O` must not skip it
+    from hallalg.groupoid import ComposedFunctor, GMap
+    BZ2, BZ3 = b_group(cyclic_group(2)), b_group(cyclic_group(3))
+    with pytest.raises(ValueError, match="not composable"):
+        ComposedFunctor(IdentityFunctor(BZ2), IdentityFunctor(BZ3))
+    with pytest.raises(ValueError, match="not composable"):
+        compose_functors(GMap(BZ2, BZ2, [0]), GMap(BZ3, BZ3, [0]))
 
 
 def test_table_groupoid_json_roundtrip(s3_setup):

@@ -1,15 +1,17 @@
+import re
 from collections import defaultdict
 from itertools import product
 
 import pytest
 
 from hallalg import BudgetExceededError, UsageError
-from hallalg.groupoid import (ActionGroupoid, FnFunctor, GroupHomFunctor,
-                              b_group, cardinality, compose_functors,
-                              functors_equal, is_equivalence,
-                              two_fiber_product)
+from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
+                              GroupHomFunctor, b_group, cardinality,
+                              compose_functors, functors_equal,
+                              is_equivalence, two_fiber_product)
 from hallalg.groups import (cyclic_group, symmetric_group,
-                            symmetric_subgroup, trivial_group)
+                            symmetric_subgroup, trivial_group, tuple_group,
+                            young_subgroup)
 from hallalg.protoab import F1FreeG, VectFq
 from hallalg.waldhausen import (FlagGroupoid,
                                 check_2segal_degree3, check_pointed,
@@ -86,21 +88,79 @@ def test_simplicial_identities_catch_mutation(hecke_s3):
     assert not v.ok and v.violations
 
 
+def opaque(x):
+    """x with every face and degeneracy hidden behind an FnFunctor, so that
+    the identities are decided on generating morphisms, not on tables."""
+    def hide(f):
+        return FnFunctor(f.src, f.tgt, [f.on_obj(i)
+                                        for i in range(f.src.n_objects)],
+                         f.on_mor, name=f.name)
+
+    return TruncatedSimplicialGroupoid(
+        list(x.levels), {k: hide(f) for k, f in x.faces.items()},
+        {k: hide(f) for k, f in x.degeneracies.items()})
+
+
+def with_swapped(x, kind, key):
+    """x with two entries of one face or degeneracy table swapped: the
+    first object and the first object with a different image."""
+    maps = {"face": dict(x.faces), "degeneracy": dict(x.degeneracies)}
+    f = maps[kind][key]
+    t = list(f.table)
+    j = next((j for j in range(len(t)) if t[j] != t[0]), None)
+    if j is None:
+        return None
+    t[0], t[j] = t[j], t[0]
+    maps[kind][key] = GMap(f.src, f.tgt, t, name=f.name)
+    return TruncatedSimplicialGroupoid(list(x.levels), maps["face"],
+                                       maps["degeneracy"])
+
+
+@pytest.mark.parametrize("G, k", [(3, 2), (4, 3), (4, 2)])
+def test_table_identities_match_generating_morphisms(G, k, monkeypatch):
+    S = symmetric_group(G)
+    x = hecke_waldhausen(S, symmetric_subgroup(S, k), depth=3)
+    cases = [x]
+    if G == 3:
+        # every table of HW(S3,S2) with two entries swapped
+        cases += [m for kind, maps in (("face", x.faces),
+                                       ("degeneracy", x.degeneracies))
+                  for key in maps if (m := with_swapped(x, kind, key))]
+    generic = [check_simplicial_identities(opaque(c)).violations
+               for c in cases]
+
+    def not_reached(self):
+        raise AssertionError("G-maps are compared by their tables")
+
+    monkeypatch.setattr(Groupoid, "generating_morphisms", not_reached)
+    tables = [check_simplicial_identities(c).violations for c in cases]
+    assert tables == generic
+    assert tables[0] == [] and all(tables[1:])
+
+
+def test_swapped_face_table_fails_the_identities(hecke_s3):
+    v = check_simplicial_identities(with_swapped(hecke_s3, "face", (3, 1)))
+    assert not v.ok
+    assert any(re.fullmatch(r"d_\d d_\d != d_\d d_\d at level 3", label)
+               for label in v.violations), v.violations
+
+
 def test_hecke_level_shapes():
     S3 = symmetric_group(3)
     S2 = symmetric_subgroup(S3, 2)
     x = hecke_waldhausen(S3, S2, depth=2)
-    assert [g.n_objects for g in x.levels] == [1, 6, 36]
+    assert [g.n_objects for g in x.levels] == [3, 9, 27]   # [G:H]^(n+1)
     assert len(x.levels[1].components()) == 2     # H\G/H
-    # (G, G): every level connected with Aut of order |G|
+    # (G, G): every level is one object with Aut of order |G|
     xgg = hecke_waldhausen(S3, S3, depth=2)
     for lvl in xgg.levels:
         comps = lvl.components()
+        assert lvl.n_objects == 1
         assert len(comps) == 1 and comps[0].aut_order == 6
-    # (G, 1): level 1 is discrete on G
+    # (G, 1): level 1 is G x G // G, equivalent to the discrete G
     triv = S3.subgroup([S3.identity], name="trivial")
     x1 = hecke_waldhausen(S3, triv, depth=2)
-    assert x1.levels[1].n_objects == 6
+    assert x1.levels[1].n_objects == 36
     assert all(c.aut_order == 1 for c in x1.levels[1].components())
     assert len(x1.levels[1].components()) == 6
 
@@ -272,6 +332,16 @@ def test_level_budgets_name_the_level():
         TriangleGroupoid(inst, 3, budget=1000)
 
 
+def test_checks_refuse_a_short_truncation():
+    # raised, not asserted: `python -O` must not skip them
+    S3 = symmetric_group(3)
+    S2 = symmetric_subgroup(S3, 2)
+    with pytest.raises(ValueError, match="needs degree 3"):
+        check_2segal_degree3(hecke_waldhausen(S3, S2, depth=2))
+    with pytest.raises(ValueError, match="needs degree 2"):
+        check_pointed(hecke_waldhausen(S3, S2, depth=1))
+
+
 def test_s_construction_depth_is_a_usage_error():
     with pytest.raises(UsageError, match="depth 4"):
         s_construction(F1FreeG(trivial_group(), 1), depth=4)
@@ -294,7 +364,55 @@ def test_maps_through_zero_must_be_unique():
             s_construction(cls(2, 1), depth=2)
 
 
-# -- the iterated 2-fiber product, as the oracle for the flat levels ----------
+# -- the flat model and the iterated 2-fiber product, as oracles --------------
+
+
+class FlatHecke:
+    """Level n as the flat model G^n // H^(n+1): an object is the tuple of
+    connecting elements (phi_1..phi_n), and (h_0..h_n) acts by
+    phi_i -> h_i phi_i h_(i-1)^-1.  Faces compose adjacent connectors and
+    drop the matching h; degeneracies insert an identity connector and
+    repeat an h."""
+
+    def __init__(self, G, H, depth):
+        self.G, self.H = G, H
+        self.levels = [self._level(n) for n in range(depth + 1)]
+        self.faces = {(n, k): self._face(n, k)
+                      for n in range(1, depth + 1) for k in range(n + 1)}
+        self.degeneracies = {(n, k): self._degeneracy(n, k)
+                             for n in range(depth) for k in range(n + 1)}
+
+    def _level(self, n):
+        G = self.G
+        objs = list(product(G.elements, repeat=n))
+        index = {f: i for i, f in enumerate(objs)}
+
+        def act(hs, i):
+            return index[tuple(G.op(G.op(b, phi), G.inv(a))
+                               for a, phi, b in zip(hs, objs[i], hs[1:]))]
+
+        return ActionGroupoid(tuple_group([self.H] * (n + 1), f"H^{n + 1}"),
+                              objs, act, name=f"flat{n}", check=False)
+
+    def _face(self, n, k):
+        src, tgt, G = self.levels[n], self.levels[n - 1], self.G
+
+        def obj(f):
+            if k in (0, n):
+                return f[1:] if k == 0 else f[:-1]
+            return f[:k - 1] + (G.op(f[k], f[k - 1]),) + f[k + 1:]
+
+        obj_map = [tgt.obj_index(obj(f)) for f in src.objects]
+        return FnFunctor(src, tgt, obj_map,
+                         lambda m: (m[0][:k] + m[0][k + 1:], obj_map[m[1]]),
+                         name=f"d_{k}^{n}")
+
+    def _degeneracy(self, n, k):
+        src, tgt, e = self.levels[n], self.levels[n + 1], self.G.identity
+        obj_map = [tgt.obj_index(f[:k] + (e,) + f[k:]) for f in src.objects]
+        return FnFunctor(src, tgt, obj_map,
+                         lambda m: (m[0][:k + 1] + m[0][k:], obj_map[m[1]]),
+                         name=f"s_{k}^{n}")
 
 
 class NestedHecke:
@@ -391,32 +509,94 @@ class NestedHecke:
                          name=f"cmp_{n}")
 
 
-def test_flat_levels_match_fiber_product_oracle():
+def _oracle_cases():
     S3, S4 = symmetric_group(3), symmetric_group(4)
-    cases = [(S3, symmetric_subgroup(S3, 2), 3), (S3, S3, 3),
-             (S3, S3.subgroup([S3.identity], name="trivial"), 3),
-             (S4, symmetric_subgroup(S4, 2), 2)]
-    for G, H, depth in cases:
-        hw = HeckeWaldhausen(G, H, depth)
+    return [(S3, symmetric_subgroup(S3, 2), 3), (S3, S3, 3),
+            (S3, S3.subgroup([S3.identity], name="trivial"), 3),
+            (S4, symmetric_subgroup(S4, 2), 2)]
+
+
+def test_flat_levels_match_fiber_product_oracle():
+    for G, H, depth in _oracle_cases():
+        model = FlatHecke(G, H, depth)
         oracle = NestedHecke(G, H, depth)
         cmp = []
-        for n, flat in enumerate(hw.levels):
+        for n, flat in enumerate(model.levels):
             # the level's action really is one (checked by the constructor)
             ActionGroupoid(flat.group, flat.objects, flat.act)
             f = oracle.comparison(n, flat)
             f.validate()
             assert is_equivalence(f).ok, (G.name, H.name, n)
             cmp.append(f)
-        for (n, k), d in hw.faces.items():
+        for (n, k), d in model.faces.items():
             assert functors_equal(compose_functors(d, cmp[n]),
                                   compose_functors(cmp[n - 1],
                                                    oracle.faces[(n, k)])), \
                 (G.name, H.name, "face", n, k)
-        for (n, k), s in hw.degeneracies.items():
+        for (n, k), s in model.degeneracies.items():
             assert functors_equal(compose_functors(s, cmp[n]),
                                   compose_functors(cmp[n + 1],
                                                    oracle.degeneracies[(n, k)])), \
                 (G.name, H.name, "degeneracy", n, k)
+
+
+def section_comparison(hw, flat, n):
+    """The functor from coset level n to flat level n through the least
+    element s(x) of each coset: (x_0..x_n) -> (s(x_i)^-1 s(x_(i-1)))_i, and
+    g -> (s(g x_i)^-1 g s(x_i))_i, which lies in H^(n+1).  It commutes with
+    faces and degeneracies on the nose."""
+    G, cosets = hw.G, hw.cosets
+    s = [G.elements[cosets.coset_of.index(x)] for x in range(cosets.count)]
+    src, tgt = hw.levels[n], flat.levels[n]
+
+    def connectors(xs):
+        return tuple(G.op(G.inv(s[b]), s[a]) for a, b in zip(xs, xs[1:]))
+
+    obj_map = [tgt.obj_index(connectors(xs)) for xs in src.objects]
+
+    def mor_map(m):
+        g, i = m
+        return (tuple(G.op(G.op(G.inv(s[src.objects[src.mor_tgt(m)][t]]), g),
+                           s[x]) for t, x in enumerate(src.objects[i])),
+                obj_map[i])
+
+    return FnFunctor(src, tgt, obj_map, mor_map, name=f"sec_{n}")
+
+
+def test_coset_levels_match_flat_model():
+    for G, H, depth in _oracle_cases():
+        hw = HeckeWaldhausen(G, H, depth)
+        flat = FlatHecke(G, H, depth)
+        cmp = []
+        for n, level in enumerate(hw.levels):
+            # the level's action really is one (checked by the constructor)
+            ActionGroupoid(level.group, level.objects, level.act)
+            f = section_comparison(hw, flat, n)
+            f.validate()
+            assert is_equivalence(f).ok, (G.name, H.name, n)
+            cmp.append(f)
+        for (n, k), d in hw.faces.items():
+            d.validate()
+            assert functors_equal(compose_functors(flat.faces[(n, k)], cmp[n]),
+                                  compose_functors(cmp[n - 1], d)), \
+                (G.name, H.name, "face", n, k)
+        for (n, k), s in hw.degeneracies.items():
+            s.validate()
+            assert functors_equal(
+                compose_functors(flat.degeneracies[(n, k)], cmp[n]),
+                compose_functors(cmp[n + 1], s)), \
+                (G.name, H.name, "degeneracy", n, k)
+
+
+def test_coset_hom_sets_match_the_scan_of_g():
+    # the transporter intersection against ActionGroupoid's scan of G
+    S4 = symmetric_group(4)
+    hw = HeckeWaldhausen(S4, young_subgroup(S4, [2, 2]), depth=2)
+    for level in hw.levels:
+        for i in range(level.n_objects):
+            assert level.aut_size(i) == ActionGroupoid.aut_size(level, i)
+            for j in range(0, level.n_objects, 7):
+                assert level.hom(i, j) == ActionGroupoid.hom(level, i, j)
 
 
 def test_subgroup_verified():
