@@ -131,9 +131,8 @@ def cmd_hecke_module(args):
     G = named_group(args.group)
     H = named_subgroup(G, args.subgroup)
     P = named_subgroup(G, args.module_subgroup)
-    budget = args.budget or DEFAULT_OBJECT_BUDGET
-    alg = HeckeAlgebra(G, H, budget=budget)
-    mod = HeckeModule(alg, P, budget=budget)
+    alg = HeckeAlgebra(G, H, budget=args.budget or DEFAULT_OBJECT_BUDGET)
+    mod = HeckeModule(alg, P)
     ok, wit = mod.check_module_axioms()
     data = mod.to_json()
     data["module_axioms"] = ok
@@ -156,7 +155,10 @@ def cmd_segal_check(args):
         from .waldhausen.hecke import hecke_waldhausen
         G = named_group(args.group)
         H = named_subgroup(G, args.subgroup)
-        x = hecke_waldhausen(G, H, depth=3)
+        # the levels are refused over the default budget unless --budget
+        # raises it; a smaller --budget bounds the Segal squares only
+        x = hecke_waldhausen(G, H, depth=3,
+                             budget=max(budget, DEFAULT_OBJECT_BUDGET))
         label = f"hecke({G.name},{H.name})"
     else:
         if not args.family or args.bound is None:

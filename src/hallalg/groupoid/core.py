@@ -525,10 +525,13 @@ class ProductGroupoid(Groupoid):
                 Component(x.index * len(cb) + y.index, x.rep * nb + y.rep,
                           x.size * y.size, x.aut_order * y.aut_order)
                 for x in a.components() for y in cb]
-            of_b = [b.component_of(j) for j in range(nb)]
-            self._comp_of = [x * len(cb) + y for x in map(
-                a.component_of, range(a.n_objects)) for y in of_b]
         return self._components
+
+    def component_of(self, i) -> int:
+        """From the factors' components, with no table over the pairs."""
+        ia, ib = divmod(i, self._nb)
+        return (self.a.component_of(ia) * len(self.b.components())
+                + self.b.component_of(ib))
 
 
 class FullSubgroupoid(Groupoid):

@@ -79,8 +79,9 @@ class IdentityFunctor(Functor):
 
 
 class GMap(Functor):
-    """The functor of action groupoids of one group induced by a G-map of
-    their objects, given as the index table t: (g, i) -> (g, t[i])."""
+    """The functor of action groupoids induced by a G-map of their objects,
+    given as the index table t: (g, i) -> (g, t[i]).  The source's group
+    is the target's or a subgroup of it."""
 
     def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
                  name="F"):

@@ -11,8 +11,7 @@ cosets G/K are numbered by their least element in G.elements order, and G
 acts through one left-multiplication table per subgroup.  Face d_k deletes
 coordinate k and degeneracy s_k repeats it.  Both are G-maps, so each is an
 object index table (a GMap), and the simplicial identities are equalities
-of tables.  A hom-set is the intersection of one transporter set
-{g : g x = y} per coordinate.
+of tables.
 
 Two models stay in the tests as oracles: the iterated fiber product and the
 flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
@@ -22,21 +21,27 @@ degeneracy.
 pi0 of level 1 is the double coset set H\\G/H; pull-push along
 X_1 x X_1 <- X_2 -> X_1 gives the Hecke algebra, checked against the direct
 convolution (f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x).  The module on H\\G/P
-comes from the same span with G/P in place of the first G/H.  A double
-coset is labelled by its least element in G.elements order, and the bases
-are sorted by label.
+comes from the same span with G/P in place of the first G/H.  The apex
+needs no strict simplicial identities, so it is pinned: the full
+subgroupoid on the tuples whose first coset is H (or P), acted on by that
+subgroup, with [G:H]^2 objects where level 2 has [G:H]^3.  A double coset
+is labelled by its least element in G.elements order, and the bases are
+sorted by label.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import (ActionGroupoid, Functor, GMap, PairFunctor,
-                        ProductGroupoid, SpanFn, external_product,
-                        is_faithful, pull_push_span)
+from ..groupoid import ActionGroupoid, Functor, GMap, is_faithful
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groups import FiniteGroup
 from .simplicial import TruncatedSimplicialGroupoid
+
+
+def _check_subgroup(G, K):
+    if not G.is_subgroup(K.elements):
+        raise UsageError(f"{K.name} is not a subgroup of {G.name}")
 
 
 def _refuse_over_budget(what, count, budget):
@@ -48,8 +53,9 @@ def _refuse_over_budget(what, count, budget):
 class Cosets:
     """G/K numbered by least element in G.elements order: the coset of
     each element, the left-multiplication table mult[k][x] (element index
-    k, coset x) and the transporter masks: bit k of trans[x][y] is set when
-    element k takes coset x to coset y."""
+    k, coset x), `home`, the number of the coset K itself, and the
+    transporter masks: bit k of trans[x][y] is set when element k takes
+    coset x to coset y."""
 
     def __init__(self, G: FiniteGroup, K: FiniteGroup):
         index = G.index
@@ -60,8 +66,10 @@ class Cosets:
                 for h in K.elements:
                     coset_of[index[G.op(g, h)]] = len(reps)
                 reps.append(g)
+        self.subgroup = K
         self.coset_of = coset_of
         self.count = len(reps)
+        self.home = coset_of[index[G.identity]]
         self.mult = [[coset_of[index[G.op(g, r)]] for r in reps]
                      for g in G.elements]
         self.trans = [[0] * self.count for _ in reps]
@@ -71,11 +79,20 @@ class Cosets:
 
 
 class CosetLevel(ActionGroupoid):
-    """(G/K_0 x ... x G/K_n) // G on tuples of coset indices."""
+    """(G/K_0 x ... x G/K_n) // G on tuples of coset indices.  Pinned, it
+    is the full subgroupoid ({K_0} x G/K_1 x ... x G/K_n) // K_0 on the
+    tuples whose first coset is K_0 itself: G moves every first coset to
+    K_0, so the inclusion is an equivalence, with [G:K_0] times fewer
+    objects.  A hom-set intersects one transporter mask per coordinate and
+    lists its elements in G.elements order (pinned, they lie in K_0)."""
 
-    def __init__(self, G: FiniteGroup, spaces, name):
+    def __init__(self, G: FiniteGroup, spaces, name, pinned=False):
         self.spaces = list(spaces)
-        objs = list(iproduct(*(range(s.count) for s in self.spaces)))
+        first = self.spaces[0]
+        axes = [range(s.count) for s in self.spaces]
+        if pinned:
+            axes[0] = [first.home]
+        objs = list(iproduct(*axes))
         index = {o: i for i, o in enumerate(objs)}
         gidx, mults = G.index, [s.mult for s in self.spaces]
 
@@ -83,8 +100,10 @@ class CosetLevel(ActionGroupoid):
             k = gidx[g]
             return index[tuple([m[k][x] for m, x in zip(mults, objs[i])])]
 
-        super().__init__(G, objs, act, name=name, check=False)
+        super().__init__(first.subgroup if pinned else G, objs, act,
+                         name=name, check=False)
         self._obj_index = index
+        self._elements = G.elements
 
     def _transporter(self, i, j):
         mask = -1
@@ -93,7 +112,7 @@ class CosetLevel(ActionGroupoid):
         return mask
 
     def hom(self, i, j):
-        els, mask, out = self.group.elements, self._transporter(i, j), []
+        els, mask, out = self._elements, self._transporter(i, j), []
         while mask:
             low = mask & -mask
             out.append((els[low.bit_length() - 1], i))
@@ -124,8 +143,7 @@ class HeckeWaldhausen:
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
                  budget: int = DEFAULT_OBJECT_BUDGET):
-        if not G.is_subgroup(H.elements):
-            raise UsageError(f"{H.name} is not a subgroup of {G.name}")
+        _check_subgroup(G, H)
         if not 0 <= depth <= 3:
             raise UsageError(f"Hecke-Waldhausen depth {depth} is outside 0..3")
         # the top level is the largest; refuse before building any level
@@ -150,22 +168,25 @@ class HeckeWaldhausen:
             name=f"Hecke({self.G.name},{self.H.name})")
 
 
-def hecke_waldhausen(G, H, depth: int = 3) -> TruncatedSimplicialGroupoid:
-    return HeckeWaldhausen(G, H, depth).simplicial()
+def hecke_waldhausen(G, H, depth: int = 3,
+                     budget: int = DEFAULT_OBJECT_BUDGET
+                     ) -> TruncatedSimplicialGroupoid:
+    return HeckeWaldhausen(G, H, depth, budget).simplicial()
 
 
 class DoubleCosets:
-    """K_1\\G/K_0 as the components of the level (G/K_0 x G/K_1) // G, in
-    which g is the object (g K_0, K_1).  `basis` lists the least element of
-    each double coset in G.elements order; `slot` maps a component of the
-    level to its position in the basis."""
+    """K_1\\G/K_0 as the components of the level (G/K_0 x G/K_1) // G,
+    pinned or not, in which K_1 g K_0 is the object (K_0, g^-1 K_1).
+    `basis` lists the least element of each double coset in G.elements
+    order; `slot` maps a component of the level to its position in the
+    basis."""
 
-    def __init__(self, level: CosetLevel):
-        self.level = level
-        G = level.group
+    def __init__(self, G: FiniteGroup, level: CosetLevel):
+        self.level, self.G = level, G
         first, second = level.spaces
-        self._first = first.coset_of
-        self._home = second.coset_of[G.index[G.identity]]
+        self._home = first.home
+        self._second = [second.coset_of[G.index[G.inv(g)]]
+                        for g in G.elements]
         self.slot, self.basis = {}, []
         for k, g in enumerate(G.elements):
             c = self._component(k)
@@ -175,16 +196,16 @@ class DoubleCosets:
 
     def _component(self, k):
         lv = self.level
-        return lv.component_of(lv.obj_index((self._first[k], self._home)))
+        return lv.component_of(lv.obj_index((self._home, self._second[k])))
 
     def index(self, g) -> int:
         """Position in the basis of the double coset of g."""
-        return self.slot[self._component(self.level.group.index[g])]
+        return self.slot[self._component(self.G.index[g])]
 
     def cosets(self):
         """The double cosets as sets of G tokens, in basis order."""
         out = [set() for _ in self.basis]
-        for g in self.level.group.elements:
+        for g in self.G.elements:
             out[self.index(g)].add(g)
         return out
 
@@ -201,19 +222,25 @@ def _pull_push_table(left: Functor, right: Functor, middle: Functor,
                      basis_a: DoubleCosets, basis_b: DoubleCosets):
     """Pull-push of delta_a x delta_b along the span
     left.tgt x right.tgt <- apex -> right.tgt (the middle leg), for all
-    component pairs (a, b): the table {(a, b): {c: value}} in basis
-    positions, and whether it is integral."""
+    component pairs (a, b) in one pass over the apex: the component [x]
+    adds |Aut(middle x)| / |Aut x| (pushforward_fn's weight) at
+    [middle x] to the pair ([left x], [right x]).  Returns the table
+    {(a, b): {c: value}} in basis positions, and whether it is
+    integral."""
     A, B = left.tgt, right.tgt
-    prod = ProductGroupoid(A, B)
-    chop = PairFunctor(left, right, prod)
-    table, integral = {}, True
-    for a, pa in basis_a.slot.items():
-        for b, pb in basis_b.slot.items():
-            out = pull_push_span(chop, middle, external_product(
-                prod, SpanFn.delta(A, a), SpanFn.delta(B, b)))
-            integral = integral and out.is_integral()
-            table[(pa, pb)] = {basis_b.slot[c]: _exact(v)
-                               for c, v in out.values.items()}
+    auts = [c.aut_order for c in B.components()]
+    sums = {(pa, pb): {} for pa in basis_a.slot.values()
+            for pb in basis_b.slot.values()}
+    for x in middle.src.components():
+        row = sums[(basis_a.slot[A.component_of(left.on_obj(x.rep))],
+                    basis_b.slot[B.component_of(right.on_obj(x.rep))])]
+        c = B.component_of(middle.on_obj(x.rep))
+        pc = basis_b.slot[c]
+        row[pc] = row.get(pc, 0) + Fraction(auts[c], x.aut_order)
+    table = {k: {c: _exact(v) for c, v in sorted(row.items())}
+             for k, row in sums.items()}
+    integral = all(v.denominator == 1 for row in sums.values()
+                   for v in row.values())
     return table, integral
 
 
@@ -237,18 +264,26 @@ def _convolution_table(G, H, left_cosets, right_cosets, reps):
 
 class HeckeAlgebra:
     """Structure constants of H-biinvariant functions on G under the
-    pull-push product, with the convolution oracle alongside."""
+    pull-push product, with the convolution oracle alongside.  The span
+    X_1 x X_1 <- X_2 -> X_1 has X_1 = (G/H)^2 // G and the pinned level 2,
+    {H} x (G/H)^2 // H; both have [G:H]^2 objects, and X_2 over the budget
+    is refused before any level is built."""
 
     def __init__(self, G, H, budget: int = DEFAULT_OBJECT_BUDGET):
-        self.hw = HeckeWaldhausen(G, H, depth=2, budget=budget)
+        _check_subgroup(G, H)
+        _refuse_over_budget(f"Hecke algebra level X_2({G.name},{H.name})",
+                            (G.order // H.order) ** 2, budget)
         self.G, self.H = G, H
-        self.x1 = self.hw.levels[1]
-        self.double_cosets = DoubleCosets(self.x1)
+        self.cosets_h = Cosets(G, H)
+        self.x1 = CosetLevel(G, [self.cosets_h] * 2, f"X1({G.name},{H.name})")
+        x2 = CosetLevel(G, [self.cosets_h] * 3, f"X2({G.name},{H.name})",
+                        pinned=True)
+        self.double_cosets = DoubleCosets(G, self.x1)
         # least element of each double coset, in G.elements order
         self.basis = self.double_cosets.basis
         self.labels = [str(t) for t in self.basis]
 
-        d0, d1, d2 = (self.hw.faces[(2, i)] for i in range(3))
+        d0, d1, d2 = (face(x2, self.x1, k) for k in range(3))
         # the extremal face must be faithful for integrality -- verified
         self.extremal_faithful = is_faithful(d1)
         self.constants, self.integral = _pull_push_table(
@@ -312,26 +347,21 @@ class HeckeAlgebra:
 
 class HeckeModule:
     """The convolution action of H(G,H) on functions on H\\G/P, via the
-    span X_1 x Y_0 <- Y_1 -> Y_0 with Y_0 = (G/P x G/H) // G and
-    Y_1 = (G/P x G/H x G/H) // G, faces as in the Hecke-Waldhausen levels.
-    Y_1 over the budget is refused before Y_0 and Y_1 are built."""
+    span X_1 x Y_0 <- Y_1 -> Y_0 with the pinned levels
+    Y_0 = {P} x G/H // P and Y_1 = {P} x (G/H)^2 // P, faces as in the
+    Hecke-Waldhausen levels.  Y_1 has as many objects as the algebra's
+    X_2, which has passed the budget."""
 
-    def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup,
-                 budget: int = DEFAULT_OBJECT_BUDGET):
+    def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup):
         G, H = algebra.G, algebra.H
-        if not G.is_subgroup(P.elements):
-            raise UsageError(f"{P.name} is not a subgroup of {G.name}")
-        gh = algebra.hw.cosets
-        _refuse_over_budget(
-            f"Hecke module level Y_1({G.name},{H.name},{P.name})",
-            G.order // P.order * gh.count ** 2, budget)
+        _check_subgroup(G, P)
         self.alg = algebra
         self.G, self.H, self.P = G, H, P
-        gp = Cosets(G, P)
-        y0 = self.y0 = CosetLevel(G, [gp, gh], "Y0")
-        y1 = CosetLevel(G, [gp, gh, gh], "Y1")
+        gp, gh = Cosets(G, P), algebra.cosets_h
+        y0 = self.y0 = CosetLevel(G, [gp, gh], "Y0", pinned=True)
+        y1 = CosetLevel(G, [gp, gh, gh], "Y1", pinned=True)
         # components of Y_0 are the double cosets H g P
-        self.double_cosets = DoubleCosets(y0)
+        self.double_cosets = DoubleCosets(G, y0)
         self.basis = self.double_cosets.basis
         self.labels = [str(g) for g in self.basis]
 

@@ -139,34 +139,32 @@ def test_hecke_coset_levels_scale(capsys, n):
     assert data["pass"] is True and data["witnesses"] == []
 
 
-@pytest.mark.parametrize("command, budget, stage, count", [
-    ("hecke-table", 50, "X_2(sym:4,sym:3)", 64),
-    ("hecke-module", 50, "X_2(sym:4,sym:3)", 64),
-    ("hecke-module", 100, "Y_1(sym:4,sym:3,sym:2)", 192),
-])
-def test_hecke_commands_refuse_over_budget(capsys, monkeypatch, command,
-                                           budget, stage, count):
+@pytest.mark.parametrize("command", ["hecke-table", "hecke-module"])
+def test_hecke_commands_refuse_over_budget(capsys, monkeypatch, command):
+    # the pinned X_2 of (S4,S3) has [S4:S3]^2 = 16 objects
     import hallalg.waldhausen.hecke as hecke
     built = []
     real = hecke.CosetLevel
 
-    def recording(G, spaces, name):
+    def recording(G, spaces, name, pinned=False):
         built.append(name)
-        return real(G, spaces, name)
+        return real(G, spaces, name, pinned)
 
     monkeypatch.setattr(hecke, "CosetLevel", recording)
-    argv = [command, "--G", "sym:4", "--H", "sym:3", "--budget", str(budget)]
+    argv = [command, "--G", "sym:4", "--H", "sym:3", "--budget", "15"]
     if command == "hecke-module":
         argv += ["--P", "sym:2"]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert (f"{stage} has {count} objects, over the budget of "
-            f"{budget}") in captured.err
-    # no level of the refused stage is built
-    want = [] if stage.startswith("X") else [
-        f"X{n}(sym:4,sym:3)" for n in range(3)]
-    assert built == want
+    assert ("Hecke algebra level X_2(sym:4,sym:3) has 16 objects, over the "
+            "budget of 15") in captured.err
+    assert built == []
+    # at the count itself every level is built and the command passes
+    argv[argv.index("15")] = "16"
+    code = run(argv)
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(built) == (2 if command == "hecke-table" else 4)
 
 
 def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):
@@ -197,6 +195,30 @@ def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert ("triangulation {012},{023}: the comparison fiber product has "
             "497664 objects, over the budget of 1000") in err
+
+
+def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):
+    # HW(C16,1): squares of 16^5 = 1048576 objects, over the default
+    import hallalg.waldhausen.hecke as hecke
+    seen = []
+    real = hecke.HeckeWaldhausen
+
+    def recording(G, H, depth, budget):
+        seen.append(budget)
+        return real(G, H, depth, budget)
+
+    monkeypatch.setattr(hecke, "HeckeWaldhausen", recording)
+    argv = ["segal-check", "--construction", "hecke", "--G", "cyclic:16",
+            "--H", "trivial"]
+    assert run(argv) == 2
+    assert "1048576 objects, over the budget of 1000000" in \
+        capsys.readouterr().err
+    code, out = run_capture(capsys, argv + ["--budget", "1048576"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    # a budget below the default bounds the squares, not the levels
+    assert run(["segal-check", "--construction", "hecke", "--G", "sym:3",
+                "--H", "trivial", "--budget", "10"]) == 2
+    assert seen == [10 ** 6, 1048576, 10 ** 6]
 
 
 def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):

@@ -6,9 +6,11 @@ import pytest
 
 from hallalg import BudgetExceededError, UsageError
 from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
-                              GroupHomFunctor, b_group, cardinality,
-                              compose_functors, functors_equal,
-                              is_equivalence, two_fiber_product)
+                              GroupHomFunctor, PairFunctor, ProductGroupoid,
+                              SpanFn, b_group, cardinality,
+                              compose_functors, external_product,
+                              functors_equal, is_equivalence,
+                              pull_push_span, two_fiber_product)
 from hallalg.groups import (cyclic_group, symmetric_group,
                             symmetric_subgroup, trivial_group, tuple_group,
                             young_subgroup)
@@ -20,7 +22,9 @@ from hallalg.waldhausen import (FlagGroupoid,
                                 flag_comparison_functor, hecke_waldhausen,
                                 mutation_corpus, s_construction)
 from hallalg.waldhausen import segal
-from hallalg.waldhausen.hecke import HeckeWaldhausen
+from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
+                                      HeckeAlgebra, HeckeModule,
+                                      HeckeWaldhausen, face)
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _pairs
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
 
@@ -588,15 +592,92 @@ def test_coset_levels_match_flat_model():
                 (G.name, H.name, "degeneracy", n, k)
 
 
-def test_coset_hom_sets_match_the_scan_of_g():
-    # the transporter intersection against ActionGroupoid's scan of G
+def test_coset_hom_sets_match_the_scan_of_the_group():
+    # the transporter intersection against ActionGroupoid's scan of the
+    # acting group, G on a full level and H on a pinned one
     S4 = symmetric_group(4)
-    hw = HeckeWaldhausen(S4, young_subgroup(S4, [2, 2]), depth=2)
-    for level in hw.levels:
+    cosets = Cosets(S4, young_subgroup(S4, [2, 2]))
+
+    def order(m):
+        return S4.index[m[0]]
+
+    for n, pinned in ((0, False), (1, False), (2, False), (1, True),
+                      (2, True)):
+        level = CosetLevel(S4, [cosets] * (n + 1), "X", pinned)
         for i in range(level.n_objects):
             assert level.aut_size(i) == ActionGroupoid.aut_size(level, i)
             for j in range(0, level.n_objects, 7):
-                assert level.hom(i, j) == ActionGroupoid.hom(level, i, j)
+                assert sorted(level.hom(i, j), key=order) == sorted(
+                    ActionGroupoid.hom(level, i, j), key=order)
+                if not pinned:
+                    assert level.hom(i, j) == ActionGroupoid.hom(level, i, j)
+
+
+def _inclusion(pinned, full):
+    """The inclusion of a pinned coset level into the full one."""
+    obj_map = [full.obj_index(o) for o in pinned.objects]
+    return FnFunctor(pinned, full, obj_map,
+                     lambda m: (m[0], obj_map[m[1]]), name="incl")
+
+
+def test_pinned_levels_are_equivalent_full_subgroupoids():
+    S4 = symmetric_group(4)
+    for H in (symmetric_subgroup(S4, 3), young_subgroup(S4, [2, 2]),
+              S4.subgroup([S4.identity], name="trivial")):
+        cosets = Cosets(S4, H)
+        for n in (1, 2):
+            full = CosetLevel(S4, [cosets] * (n + 1), "full")
+            pinned = CosetLevel(S4, [cosets] * (n + 1), "pinned", True)
+            assert pinned.n_objects * cosets.count == full.n_objects
+            f = _inclusion(pinned, full)
+            f.validate()
+            assert is_equivalence(f).ok, (H.name, n)
+
+
+def generic_pull_push_table(left, right, middle, basis_a, basis_b):
+    """One pull_push_span of delta_a x delta_b along
+    left.tgt x right.tgt <- apex -> right.tgt per pair of components."""
+    A, B = left.tgt, right.tgt
+    prod = ProductGroupoid(A, B)
+    chop = PairFunctor(left, right, prod)
+    table, integral = {}, True
+    for a, pa in basis_a.slot.items():
+        for b, pb in basis_b.slot.items():
+            out = pull_push_span(chop, middle, external_product(
+                prod, SpanFn.delta(A, a), SpanFn.delta(B, b)))
+            integral = integral and out.is_integral()
+            table[(pa, pb)] = {basis_b.slot[c]: v
+                               for c, v in out.values.items()}
+    return table, integral
+
+
+def test_pinned_apex_gives_the_tables_of_the_full_levels():
+    # the Hecke algebra and module tables (one pass over a pinned apex)
+    # against one pull_push_span per pair over the full levels
+    # (G/H)^3 // G and (G/P x (G/H)^2) // G
+    S4 = symmetric_group(4)
+    S3, S2 = symmetric_subgroup(S4, 3), symmetric_subgroup(S4, 2)
+    for H, P in ((S3, S2), (S2, S3), (young_subgroup(S4, [2, 2]), S3)):
+        alg = HeckeAlgebra(S4, H)
+        hw = HeckeWaldhausen(S4, H, depth=2)
+        d0, d1, d2 = (hw.faces[(2, k)] for k in range(3))
+        basis = DoubleCosets(S4, hw.levels[1])
+        assert basis.basis == alg.basis
+        assert generic_pull_push_table(d0, d2, d1, basis, basis) == (
+            alg.constants, alg.integral)
+        assert alg.oracle_agrees
+
+        mod = HeckeModule(alg, P)
+        gp = Cosets(S4, P)
+        y0 = CosetLevel(S4, [gp, hw.cosets], "Y0")
+        y1 = CosetLevel(S4, [gp, hw.cosets, hw.cosets], "Y1")
+        module_basis = DoubleCosets(S4, y0)
+        assert module_basis.basis == mod.basis
+        assert generic_pull_push_table(
+            face(y1, hw.levels[1], 0), face(y1, y0, 2), face(y1, y0, 1),
+            basis, module_basis) == (
+            mod.action_table, mod.integral)
+        assert mod.oracle_agrees
 
 
 def test_subgroup_verified():
