@@ -19,12 +19,9 @@ def is_partition(t) -> bool:
 
 def check_partition(t) -> Partition:
     t = tuple(t)
-    assert is_partition(t), f"not a partition: {t!r}"
+    if not is_partition(t):
+        raise ValueError(f"not a partition: {t!r}")
     return t
-
-
-def partition_size(t) -> int:
-    return sum(t)
 
 
 def conjugate(t: Partition) -> Partition:
@@ -35,7 +32,8 @@ def conjugate(t: Partition) -> Partition:
 
 def multiset_number(m: int, n: int) -> int:
     """Number of multisets of cardinality n drawn from m symbols: C(m+n-1, n)."""
-    assert m >= 0 and n >= 0
+    if m < 0 or n < 0:
+        raise ValueError(f"multiset_number({m}, {n}): negative argument")
     if n == 0:
         return 1
     if m == 0:
@@ -58,7 +56,8 @@ def q_binomial(m: int, k: int, q: int) -> int:
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"no partitions of {n}")
     if n == 0:
         return ((),)
     out = []
@@ -85,8 +84,11 @@ class PartitionMap:
     def __init__(self, labels, parts):
         self.labels = tuple(labels)
         self.parts = tuple(check_partition(p) for p in parts)
-        assert len(self.labels) == len(self.parts)
-        assert len(set(self.labels)) == len(self.labels), "duplicate labels"
+        if len(self.labels) != len(self.parts):
+            raise ValueError(f"{len(self.labels)} labels for "
+                             f"{len(self.parts)} partitions")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"duplicate labels in {self.labels}")
         self._hash = hash((self.labels, self.parts))
 
     @property
@@ -136,7 +138,8 @@ def compositions(n: int, k: int):
 def partition_maps(n: int, labels) -> list[PartitionMap]:
     """All partition-valued maps on `labels` of total size n, canonical order."""
     labels = tuple(labels)
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"no partition maps of total size {n}")
     if n > 0 and not labels:
         return []
     out = []

@@ -9,8 +9,8 @@ Littlewood-Richardson coefficients.
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .littlewood import littlewood_richardson, schur_product
-from .partitions import PartitionMap, check_partition, partitions_of
+from .littlewood import schur_product
+from .partitions import PartitionMap, check_partition
 
 
 def _clean(d):
@@ -73,8 +73,9 @@ class MultiSymElem:
         self.labels = tuple(labels)
         self.coords = {}
         for k, v in dict(coords).items():
-            assert isinstance(k, PartitionMap) and k.labels == self.labels, \
-                "mismatched index sets"
+            if not (isinstance(k, PartitionMap) and k.labels == self.labels):
+                raise ValueError(f"key {k!r} is not a partition map on "
+                                 f"{self.labels}")
             v = Fraction(v)
             if v:
                 self.coords[k] = v
@@ -90,7 +91,9 @@ class MultiSymElem:
         return cls(labels, {empty: 1})
 
     def __add__(self, other):
-        assert self.labels == other.labels, "mismatched index sets"
+        if self.labels != other.labels:
+            raise ValueError(f"mismatched index sets: {self.labels!r} vs "
+                             f"{other.labels!r}")
         out = dict(self.coords)
         for k, v in other.coords.items():
             out[k] = out.get(k, Fraction(0)) + v
@@ -122,14 +125,8 @@ class MultiSymElem:
 def _basis_product(a: PartitionMap, b: PartitionMap) -> dict[PartitionMap, int]:
     """S_a * S_b = sum_nu (prod_x c^{nu(x)}_{a(x) b(x)}) S_nu."""
     labels = a.labels
-    per_label = []
-    for lam, mu in zip(a.parts, b.parts):
-        opts = []
-        for nu in partitions_of(sum(lam) + sum(mu)):
-            c = littlewood_richardson(lam, mu, nu)
-            if c:
-                opts.append((nu, c))
-        per_label.append(opts)
+    per_label = [schur_product(lam, mu).items()
+                 for lam, mu in zip(a.parts, b.parts)]
     out = {}
     for combo in iproduct(*per_label):
         coeff = 1

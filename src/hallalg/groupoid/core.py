@@ -8,9 +8,11 @@ without materializing morphism tables (ActionGroupoid, fiber products).
 
 pi0 is computed by BFS over a generating family of morphisms; components are
 ordered by their smallest object index and carry the automorphism-group
-order of a representative.  `from_rep` gives a morphism from the
-representative to any object, which is how 2-fiber products locate objects
-on their skeleton.
+order of a representative.  In a product A x B, whose pair (i, j) has index
+i * |B| + j, that makes the component ([a], [b]) number [a] * |pi0 B| + [b],
+with representative (rep_a, rep_b): the index `external_product` reads.
+`from_rep` gives a morphism from the representative to any object, which is
+how 2-fiber products locate objects on their skeleton.
 """
 
 from dataclasses import dataclass
@@ -450,30 +452,14 @@ class DisjointUnion(Groupoid):
         return self.parts[k].aut_size(j)
 
 
-class _Pairs:
-    """The pairs (i, j) of range(na) x range(nb) in lexicographic order, as
-    a sequence computed on demand."""
-
-    def __init__(self, na, nb):
-        self.na, self.nb = na, nb
-
-    def __len__(self):
-        return self.na * self.nb
-
-    def __getitem__(self, k):
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        return divmod(k, self.nb)
-
-
 class ProductGroupoid(Groupoid):
-    """A x B; tokens are (m_a, m_b).  The objects, the pairs (i, j), are not
-    listed."""
+    """A x B; objects are the pairs (i, j) at index i * |B| + j, tokens are
+    (m_a, m_b)."""
 
     def __init__(self, a: Groupoid, b: Groupoid, name=None):
         self.a, self.b = a, b
-        super().__init__((), name=name or f"{a.name}x{b.name}")
-        self.objects = _Pairs(a.n_objects, b.n_objects)
+        objs = [(i, j) for i in range(a.n_objects) for j in range(b.n_objects)]
+        super().__init__(objs, name=name or f"{a.name}x{b.name}")
         self._nb = b.n_objects
 
     def pair_index(self, i, j):
@@ -514,24 +500,6 @@ class ProductGroupoid(Groupoid):
     def aut_size(self, i):
         ia, ib = self.objects[i]
         return self.a.aut_size(ia) * self.b.aut_size(ib)
-
-    def components(self) -> list[Component]:
-        """Pairs of the factors' components in lexicographic order, which is
-        the order of their least objects (i, j) -> i * |B| + j; no BFS."""
-        if self._components is None:
-            a, b, nb = self.a, self.b, self._nb
-            cb = b.components()
-            self._components = [
-                Component(x.index * len(cb) + y.index, x.rep * nb + y.rep,
-                          x.size * y.size, x.aut_order * y.aut_order)
-                for x in a.components() for y in cb]
-        return self._components
-
-    def component_of(self, i) -> int:
-        """From the factors' components, with no table over the pairs."""
-        ia, ib = divmod(i, self._nb)
-        return (self.a.component_of(ia) * len(self.b.components())
-                + self.b.component_of(ib))
 
 
 class FullSubgroupoid(Groupoid):

@@ -291,21 +291,26 @@ def all_perms(n):
 
 # named families
 
+def _check_size(family, n, least):
+    if n < least:
+        raise UsageError(f"{family}:{n}: the size must be at least {least}")
+
+
 def cyclic_group(n):
-    assert n >= 1
+    _check_size("cyclic", n, 1)
     return FiniteGroup(list(range(n)), lambda a, b: (a + b) % n,
                        name=f"cyclic:{n}")
 
 
 def symmetric_group(n):
-    assert n >= 0
+    _check_size("sym", n, 0)
     # composition of permutations is associative by construction
     return FiniteGroup(all_perms(n), perm_mul, name=f"sym:{n}", check=False)
 
 
 def dihedral_group(n):
     """Order 2n: tokens (rotation, flip)."""
-    assert n >= 1
+    _check_size("dihedral", n, 1)
 
     def op(a, b):
         r1, s1 = a

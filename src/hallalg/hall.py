@@ -93,25 +93,28 @@ def hall_product_via_span(inst: ProtoAbelianInstance, bound, f: dict,
     from .waldhausen.sconstruction import s_construction
     x = simplicial if simplicial is not None else \
         s_construction(inst, depth=2, bound=bound)
-    x1, x2 = x.levels[1], x.levels[2]
+    x1 = x.levels[1]
     d0, d1, d2 = x.face(2, 0), x.face(2, 1), x.face(2, 2)
+    # the class A_01 of each component of X_1, and its component
+    keys = [x1.objects[c.rep].entries[(0, 1)] for c in x1.components()]
+    comp = {key: i for i, key in enumerate(keys)}
+    for key in list(f) + list(g):
+        if key not in comp:
+            raise UsageError(f"class {key!r} outside the flag groupoid X_1")
+    top = max(map(inst.size_of, keys))
+    for n in f:
+        for l in g:
+            size = inst.size_of(n) + inst.size_of(l)
+            if size > top:
+                raise BudgetExceededError(
+                    f"product of sizes {size} exceeds the bound {top} of X_1")
     prod = ProductGroupoid(x1, x1)
-    chop = PairFunctor(d0, d2, prod)
-
-    def as_spanfn(vec):
-        vals = {}
-        for key, c in vec.items():
-            idx = next(i for i, tri in enumerate(x1.objects)
-                       if tri.entries[(0, 1)] == key)
-            vals[x1.component_of(idx)] = c
-        return SpanFn(x1, vals)
-
-    out = pull_push_span(chop, d1, external_product(
-        prod, as_spanfn(f), as_spanfn(g)))
+    out = pull_push_span(PairFunctor(d0, d2, prod), d1, external_product(
+        prod, SpanFn(x1, {comp[k]: c for k, c in f.items()}),
+        SpanFn(x1, {comp[k]: c for k, c in g.items()})))
     result = {}
     for comp_idx, v in out.values.items():
-        rep = x1.components()[comp_idx].rep
-        key = x1.objects[rep].entries[(0, 1)]
+        key = keys[comp_idx]
         if v.denominator != 1:
             raise ArithmeticError(f"non-integral Hall constant {v} at "
                                   f"class {key!r}")

@@ -18,18 +18,19 @@ flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
 functors that must be equivalences commuting with every face and
 degeneracy.
 
-pi0 of level 1 is the double coset set H\\G/H; pull-push along
-X_1 x X_1 <- X_2 -> X_1 gives the Hecke algebra, checked against the direct
-convolution (f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x).  The module on H\\G/P
-comes from the same span with G/P in place of the first G/H.  The apex
-needs no strict simplicial identities, so it is pinned: the full
-subgroupoid on the tuples whose first coset is H (or P), acted on by that
-subgroup, with [G:H]^2 objects where level 2 has [G:H]^3.  A double coset
-is labelled by its least element in G.elements order, and the bases are
-sorted by label.
+pi0 of level 1 is the double coset set H\\G/H.  The module on H\\G/P
+comes from pull-push along X_1 x Y_0 <- Y_1 -> Y_0, where Y_n is level n+1
+with G/P in place of the first G/H, checked against the direct convolution
+(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x).  The Hecke algebra is the regular
+module, P = H, whose span is X_1 x X_1 <- X_2 -> X_1.  The apex needs no
+strict simplicial identities, so it is pinned: the full subgroupoid on the
+tuples whose first coset is P, acted on by P, with [G:H]^2 objects where
+level 2 has [G:P][G:H]^2.  A double coset is labelled by its least element
+in G.elements order, and the bases are sorted by label.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from .. import BudgetExceededError, UsageError
@@ -259,15 +260,27 @@ def _convolution_table(G, H, left_cosets, right_cosets, reps):
     return out
 
 
-# -- the Hecke algebra ---------------------------------------------------------
+# -- the Hecke algebra and its modules -------------------------------------
+
+
+def _bilinear(table, u: dict, v: dict) -> dict:
+    """Bilinear extension of a structure table {(a, b): {c: m}} to vectors
+    keyed by basis index."""
+    out = {}
+    for a, cu in u.items():
+        for b, cv in v.items():
+            for c, m in table[(a, b)].items():
+                out[c] = out.get(c, 0) + cu * cv * m
+    return {k: x for k, x in out.items() if x}
 
 
 class HeckeAlgebra:
     """Structure constants of H-biinvariant functions on G under the
-    pull-push product, with the convolution oracle alongside.  The span
-    X_1 x X_1 <- X_2 -> X_1 has X_1 = (G/H)^2 // G and the pinned level 2,
-    {H} x (G/H)^2 // H; both have [G:H]^2 objects, and X_2 over the budget
-    is refused before any level is built."""
+    pull-push product, with the convolution oracle alongside.  The algebra
+    is its own regular module, HeckeModule(alg, H), and takes its
+    constants, integrality and faithfulness from that module's table.  Its
+    apex, the pinned level 2 {H} x (G/H)^2 // H, has [G:H]^2 objects and is
+    refused over the budget before any level is built."""
 
     def __init__(self, G, H, budget: int = DEFAULT_OBJECT_BUDGET):
         _check_subgroup(G, H)
@@ -276,19 +289,16 @@ class HeckeAlgebra:
         self.G, self.H = G, H
         self.cosets_h = Cosets(G, H)
         self.x1 = CosetLevel(G, [self.cosets_h] * 2, f"X1({G.name},{H.name})")
-        x2 = CosetLevel(G, [self.cosets_h] * 3, f"X2({G.name},{H.name})",
-                        pinned=True)
         self.double_cosets = DoubleCosets(G, self.x1)
         # least element of each double coset, in G.elements order
         self.basis = self.double_cosets.basis
         self.labels = [str(t) for t in self.basis]
-
-        d0, d1, d2 = (face(x2, self.x1, k) for k in range(3))
-        # the extremal face must be faithful for integrality -- verified
-        self.extremal_faithful = is_faithful(d1)
-        self.constants, self.integral = _pull_push_table(
-            d0, d2, d1, self.double_cosets, self.double_cosets)
         self.unit_index = self.coset_index(G.identity)
+        self.regular = HeckeModule(self, H)
+        self.constants = self.regular.action_table
+        self.integral = self.regular.integral
+        # the extremal face must be faithful for integrality -- verified
+        self.extremal_faithful = self.regular.extremal_faithful
         self.oracle_agrees = self.convolution_constants() == self.constants
 
     def coset_index(self, g) -> int:
@@ -301,34 +311,20 @@ class HeckeAlgebra:
 
     def convolution_constants(self):
         """(f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x) on biinvariant
-        indicators."""
-        cosets = self.cosets()
-        return _convolution_table(self.G, self.H, cosets, cosets, self.basis)
+        indicators: the regular module's convolution action."""
+        return self.regular.convolution_action()
 
     def multiply(self, va: dict, vb: dict) -> dict:
         """Bilinear product of vectors keyed by basis index."""
-        out = {}
-        for a, ca in va.items():
-            for b, cb in vb.items():
-                for c, m in self.constants[(a, b)].items():
-                    out[c] = out.get(c, 0) + ca * cb * m
-        return {k: v for k, v in out.items() if v}
+        return _bilinear(self.constants, va, vb)
 
     def check_associativity_and_unit(self):
-        n = len(self.basis)
+        """The right unit, then the regular module's axioms."""
         e = {self.unit_index: 1}
-        for a in range(n):
-            if (self.multiply(e, {a: 1}) != {a: 1}
-                    or self.multiply({a: 1}, e) != {a: 1}):
+        for a in range(len(self.basis)):
+            if self.multiply({a: 1}, e) != {a: 1}:
                 return False, ("unit", a)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lhs = self.multiply(self.multiply({a: 1}, {b: 1}), {c: 1})
-                    rhs = self.multiply({a: 1}, self.multiply({b: 1}, {c: 1}))
-                    if lhs != rhs:
-                        return False, ("associativity", (a, b, c))
-        return True, None
+        return self.regular.check_module_axioms()
 
     def to_json(self):
         return {
@@ -342,15 +338,13 @@ class HeckeAlgebra:
         }
 
 
-# -- Hecke modules -------------------------------------------------------------
-
-
 class HeckeModule:
     """The convolution action of H(G,H) on functions on H\\G/P, via the
     span X_1 x Y_0 <- Y_1 -> Y_0 with the pinned levels
     Y_0 = {P} x G/H // P and Y_1 = {P} x (G/H)^2 // P, faces as in the
-    Hecke-Waldhausen levels.  Y_1 has as many objects as the algebra's
-    X_2, which has passed the budget."""
+    Hecke-Waldhausen levels.  Y_1 has [G:H]^2 objects, as many as the
+    algebra's apex, which has passed the budget.  The oracle runs on demand,
+    once."""
 
     def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup):
         G, H = algebra.G, algebra.H
@@ -358,21 +352,22 @@ class HeckeModule:
         self.alg = algebra
         self.G, self.H, self.P = G, H, P
         gp, gh = Cosets(G, P), algebra.cosets_h
-        y0 = self.y0 = CosetLevel(G, [gp, gh], "Y0", pinned=True)
+        y0 = CosetLevel(G, [gp, gh], "Y0", pinned=True)
         y1 = CosetLevel(G, [gp, gh, gh], "Y1", pinned=True)
         # components of Y_0 are the double cosets H g P
         self.double_cosets = DoubleCosets(G, y0)
         self.basis = self.double_cosets.basis
         self.labels = [str(g) for g in self.basis]
 
+        middle = face(y1, y0, 1)
+        self.extremal_faithful = is_faithful(middle)
         self.action_table, self.integral = _pull_push_table(
-            face(y1, algebra.x1, 0), face(y1, y0, 2), face(y1, y0, 1),
+            face(y1, algebra.x1, 0), face(y1, y0, 2), middle,
             algebra.double_cosets, self.double_cosets)
-        self.oracle_agrees = self.convolution_action() == self.action_table
 
-    def vector_index(self, g) -> int:
-        """Index of HgP in the module basis."""
-        return self.double_cosets.index(g)
+    @cached_property
+    def oracle_agrees(self):
+        return self.convolution_action() == self.action_table
 
     def convolution_action(self):
         """(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on H\\G/P indicators."""
@@ -380,12 +375,7 @@ class HeckeModule:
                                   self.double_cosets.cosets(), self.basis)
 
     def act(self, f: dict, v: dict) -> dict:
-        out = {}
-        for a, ca in f.items():
-            for w, cw in v.items():
-                for c, m in self.action_table[(a, w)].items():
-                    out[c] = out.get(c, 0) + ca * cw * m
-        return {k: x for k, x in out.items() if x}
+        return _bilinear(self.action_table, f, v)
 
     def check_module_axioms(self):
         alg = self.alg

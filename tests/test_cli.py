@@ -113,6 +113,16 @@ def test_usage_errors_exit_2_without_asserts(tmp_path):
         assert proc.stderr.startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("spec", ["cyclic:0", "cyclic:-3", "dihedral:0",
+                                  "sym:-1", "alt:-1"])
+def test_non_positive_group_sizes_are_usage_errors(capsys, spec):
+    assert run(["hecke-table", "--G", spec, "--H", "trivial"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "the size must be at least" in captured.err
+
+
 def test_hecke_budget_refused_before_enumeration(capsys, monkeypatch):
     # [S5:1]^4 objects at level 3: refused before any level is built
     import hallalg.waldhausen.hecke as hecke
@@ -164,7 +174,8 @@ def test_hecke_commands_refuse_over_budget(capsys, monkeypatch, command):
     argv[argv.index("15")] = "16"
     code = run(argv)
     assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
-    assert len(built) == (2 if command == "hecke-table" else 4)
+    # X_1 and the regular module's Y_0 and Y_1; the module adds its own two
+    assert len(built) == (3 if command == "hecke-table" else 5)
 
 
 def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):

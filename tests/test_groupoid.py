@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
-                              FnFunctor, Groupoid, GroupHomFunctor,
+                              FnFunctor, GroupHomFunctor,
                               IdentityFunctor, SpanFn, TableGroupoid,
                               b_group, cardinality,
                               compose_functors, constant_functor,
@@ -219,36 +219,43 @@ def test_product_groupoid_and_external():
 
 
 def test_product_pi0_matches_bfs():
+    # the BFS pi0 of A x B is what external_product relies on: component
+    # k = [a] * |pi0 B| + [b] is ([a], [b]), with rep (rep_a, rep_b), and
+    # its size and Aut order are the factors' products
     from hallalg.waldhausen.hecke import HeckeWaldhausen
     S3 = symmetric_group(3)
     hw = HeckeWaldhausen(S3, symmetric_subgroup(S3, 2), depth=1)
     swap = ActionGroupoid(cyclic_group(2), [0, 1], lambda g, i: i ^ g,
                           name="swap")
-    factors = [lambda: hw.levels[0],              # connected
-               lambda: hw.levels[1],              # two components
-               lambda: discrete_groupoid(range(3)),
-               lambda: b_group(cyclic_group(2)),
-               lambda: swap,
-               lambda: ProductGroupoid(hw.levels[1], discrete_groupoid(
-                   range(2)))]
-    for make_a in factors:
-        for make_b in factors:
-            # fresh factors and products, so no pi0 is shared
-            bfs = ProductGroupoid(make_a(), make_b())
-            comps = Groupoid.components(bfs)
-            skel = ProductGroupoid(make_a(), make_b())
-            assert skel.components() == comps, skel.name
-            assert [skel.component_of(i) for i in range(skel.n_objects)] \
-                == bfs._comp_of, skel.name
+    factors = [hw.levels[0],                      # connected
+               hw.levels[1],                      # two components
+               discrete_groupoid(range(3)),
+               b_group(cyclic_group(2)),
+               swap,
+               ProductGroupoid(hw.levels[1], discrete_groupoid(range(2)))]
+    for A in factors:
+        for B in factors:
+            prod = ProductGroupoid(A, B)
+            ca, cb = A.components(), B.components()
+            comps = prod.components()
+            assert len(comps) == len(ca) * len(cb), prod.name
+            for x in ca:
+                for y in cb:
+                    c = comps[x.index * len(cb) + y.index]
+                    assert prod.objects[c.rep] == (x.rep, y.rep), prod.name
+                    assert (c.size, c.aut_order) == (
+                        x.size * y.size, x.aut_order * y.aut_order)
+            for i, (ia, ib) in enumerate(prod.objects):
+                assert prod.component_of(i) == (
+                    A.component_of(ia) * len(cb) + B.component_of(ib))
             # external products, against the value at each representative
-            f = SpanFn(skel.a, {c.index: c.index + 1
-                                for c in skel.a.components()})
-            g = SpanFn(skel.b, {c.index: Fraction(1, c.index + 2)
-                                for c in skel.b.components()[1:]})
-            nb = skel.b.n_objects
-            want = {c.index: f[skel.a.component_of(c.rep // nb)]
-                    * g[skel.b.component_of(c.rep % nb)] for c in comps}
-            assert external_product(skel, f, g).values == {
+            f = SpanFn(A, {x.index: x.index + 1 for x in ca})
+            g = SpanFn(B, {y.index: Fraction(1, y.index + 2)
+                           for y in cb[1:]})
+            want = {c.index: f[A.component_of(prod.objects[c.rep][0])]
+                    * g[B.component_of(prod.objects[c.rep][1])]
+                    for c in comps}
+            assert external_product(prod, f, g).values == {
                 k: v for k, v in want.items() if v}
 
 

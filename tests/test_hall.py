@@ -86,6 +86,22 @@ def test_route_equivalence_small():
     assert hall_product_via_span(f1, 2, {0: 1}, {0: 1}) == {0: 1}
 
 
+def test_span_route_refuses_what_the_table_refuses():
+    # F1[C2] at bound 2: a class outside X_1, and a product past the bound
+    inst = F1FreeG(cyclic_group(2), 2)
+    table = hall_constants(inst)
+    for f, g in (({3: 1}, {0: 1}), ({0: 1}, {3: 1})):
+        with pytest.raises(UsageError):
+            hall_product(table, f, g)
+        with pytest.raises(UsageError, match="class 3 outside"):
+            hall_product_via_span(inst, 2, f, g)
+    for f, g in (({2: 1}, {1: 1}), ({1: 1}, {2: 0})):
+        with pytest.raises(BudgetExceededError):
+            hall_product(table, f, g)
+        with pytest.raises(BudgetExceededError, match="sizes 3 exceeds"):
+            hall_product_via_span(inst, 2, f, g)
+
+
 def test_table_json(table_vf2):
     js = table_vf2.to_json()
     assert js["family"] == "vect-fq"

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, strategies as st
 
-from hallalg.exactmath.partitions import (PartitionMap, compositions,
-                                          conjugate, multiset_number,
+from hallalg.exactmath.partitions import (PartitionMap, check_partition,
+                                          compositions, conjugate,
+                                          multiset_number,
                                           partition_maps,
                                           partition_maps_count, partitions_of)
 
@@ -88,3 +90,30 @@ def test_partition_map_json_roundtrip():
 def test_compositions_cover():
     assert list(compositions(2, 2)) == [(2, 0), (1, 1), (0, 2)]
     assert list(compositions(0, 0)) == [()]
+
+
+# input checks raise ValueError rather than assert: `python -O` strips asserts
+@pytest.mark.parametrize("bad", [(1, 2), (0,), (2, -1), (1.0,), [3, "1"]])
+def test_check_partition_rejects_non_partitions(bad):
+    with pytest.raises(ValueError, match="not a partition"):
+        check_partition(bad)
+
+
+def test_partition_map_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="not a partition"):
+        PartitionMap(("a",), ((1, 2),))
+    with pytest.raises(ValueError, match="2 labels for 1 partitions"):
+        PartitionMap(("a", "b"), ((1,),))
+    with pytest.raises(ValueError, match="duplicate labels"):
+        PartitionMap(("a", "a"), ((1,), ()))
+
+
+def test_negative_sizes_are_value_errors():
+    with pytest.raises(ValueError, match="negative"):
+        multiset_number(-1, 2)
+    with pytest.raises(ValueError, match="negative"):
+        multiset_number(2, -1)
+    with pytest.raises(ValueError, match="no partitions of -1"):
+        partitions_of(-1)
+    with pytest.raises(ValueError, match="total size -2"):
+        partition_maps(-2, ("a",))

@@ -35,6 +35,37 @@ def test_multisym_mismatched_labels():
         multisym_mul(a, b)
 
 
+def test_multisym_rejects_keys_on_other_labels():
+    # ValueError, not assert: `python -O` must not skip these checks
+    on_a = PartitionMap(("a",), ((1,),))
+    with pytest.raises(ValueError, match="not a partition map on"):
+        MultiSymElem(("b",), {on_a: 1})
+    with pytest.raises(ValueError, match="not a partition map on"):
+        MultiSymElem(("a",), {(1,): 1})
+    with pytest.raises(ValueError, match="mismatched index sets"):
+        MultiSymElem.basis(on_a) + MultiSymElem.unit(("b",))
+
+
+def test_basis_product_is_the_labelwise_lr_product():
+    # each label's factor is the LR expansion of s_lam * s_mu, here checked
+    # against the coefficients littlewood_richardson gives one by one
+    from hallalg.exactmath.littlewood import littlewood_richardson
+    from hallalg.exactmath.symfunc import _basis_product
+    labels = ("a", "b")
+    pool = [k for n in range(4) for k in partition_maps(n, labels)]
+    for x in pool:
+        for y in pool:
+            got = _basis_product(x, y)
+            want = {}
+            for nu in partition_maps(x.total + y.total, labels):
+                c = 1
+                for lam, mu, rho in zip(x.parts, y.parts, nu.parts):
+                    c *= littlewood_richardson(lam, mu, rho)
+                if c:
+                    want[nu] = c
+            assert got == want and list(got) == list(want), (x, y)
+
+
 def test_multisym_associative_commutative_sampled():
     # <= 50 random triples, total size <= 4 per factor, two labels
     rng = random.Random(7)
