@@ -152,11 +152,13 @@ def cmd_segal_check(args):
         if not args.group or not args.subgroup:
             raise UsageError("segal-check --construction hecke needs "
                              "--G and --H")
-        from .waldhausen.hecke import hecke_waldhausen
+        from .waldhausen.hecke import hecke_waldhausen, refuse_segal_check
         G = named_group(args.group)
         H = named_subgroup(G, args.subgroup)
         # the levels are refused over the default budget unless --budget
-        # raises it; a smaller --budget bounds the Segal squares only
+        # raises it; a smaller --budget bounds the Segal squares only, and
+        # both are refused before any level is built
+        refuse_segal_check(G, H, budget)
         x = hecke_waldhausen(G, H, depth=3,
                              budget=max(budget, DEFAULT_OBJECT_BUDGET))
         label = f"hecke({G.name},{H.name})"

@@ -8,9 +8,14 @@ without materializing morphism tables (ActionGroupoid, fiber products).
 
 pi0 is computed by BFS over a generating family of morphisms; components are
 ordered by their smallest object index and carry the automorphism-group
-order of a representative.  In a product A x B, whose pair (i, j) has index
-i * |B| + j, that makes the component ([a], [b]) number [a] * |pi0 B| + [b],
-with representative (rep_a, rep_b): the index `external_product` reads.
+order of a representative.  In an action groupoid a component is one orbit
+of the group at its objects, so that order is |group| / |orbit|
+(orbit-stabiliser), found with no scan of the group; a subclass may find
+the same list another way (the Hecke-Waldhausen coset levels search only
+the tuples that start at coset 0).  In a product A x B, whose pair (i, j)
+has index i * |B| + j, that makes the component ([a], [b]) number
+[a] * |pi0 B| + [b], with representative (rep_a, rep_b): the index
+`external_product` reads.
 `from_rep` gives a morphism from the representative to any object, which is
 how 2-fiber products locate objects on their skeleton.
 """
@@ -90,6 +95,10 @@ class Groupoid:
     def aut_size(self, i) -> int:
         return len(self.hom(i, i))
 
+    def _aut_order(self, rep, size) -> int:
+        """|Aut(rep)| for the component of `size` objects at `rep`."""
+        return self.aut_size(rep)
+
     def neighbors(self, i):
         """Targets of generating morphisms out of i (for pi0 BFS)."""
         for m in self.gens_out(i):
@@ -119,7 +128,8 @@ class Groupoid:
                             comp_of[t] = idx
                             stack.append(t)
                             size += 1
-                comps.append(Component(idx, start, size, self.aut_size(start)))
+                comps.append(Component(idx, start, size,
+                                       self._aut_order(start, size)))
             self._comp_of = comp_of
             self._components = comps
         return self._components
@@ -281,6 +291,10 @@ class ActionGroupoid(Groupoid):
     def aut_size(self, i):
         return sum(1 for g in self.group_at(i).elements
                    if self.act(g, i) == i)
+
+    def _aut_order(self, rep, size):
+        # a component is one orbit of the group at its objects
+        return self.group_at(rep).order // size
 
     def n_morphisms(self):
         return sum(self.group_at(i).order for i in range(self.n_objects))

@@ -35,8 +35,16 @@ def fiber_product_size(f: Functor, g: Functor) -> int:
     n_A(c) n_B(c) |Aut c|, where n_A(c) counts the objects of A over c."""
     _check_cospan(f, g)
     d = f.tgt
-    n_a = Counter(d.component_of(f.on_obj(i)) for i in range(f.src.n_objects))
-    n_b = Counter(d.component_of(g.on_obj(j)) for j in range(g.src.n_objects))
+
+    def over(leg):
+        # one component_of per object of D that the leg reaches
+        hits = Counter(map(leg.on_obj, range(leg.src.n_objects)))
+        out = Counter()
+        for x, n in hits.items():
+            out[d.component_of(x)] += n
+        return out
+
+    n_a, n_b = over(f), over(g)
     comps = d.components()
     return sum(n * n_b[c] * comps[c].aut_order for c, n in n_a.items())
 

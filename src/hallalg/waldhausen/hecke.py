@@ -5,13 +5,24 @@ The paper defines level n as the iterated 2-fiber product
 BH x_BG ... x_BG BH (n+1 factors), the Cech nerve of BH -> BG.  It is
 equivalent to the action groupoid (G/H)^(n+1) // G, the Hecke-Waldhausen
 space of Dyckerhoff and Kapranov, and that is level n here: an object is a
-tuple of coset indices, one coordinate per factor, in lexicographic order,
-and a morphism (g, i) acts on every coordinate by left multiplication.  The
-cosets G/K are numbered by their least element in G.elements order, and G
-acts through one left-multiplication table per subgroup.  Face d_k deletes
-coordinate k and degeneracy s_k repeats it.  Both are G-maps, so each is an
-object index table (a GMap), and the simplicial identities are equalities
-of tables.
+tuple of coset indices, one coordinate per factor, numbered in
+lexicographic (mixed-radix) order, and a morphism (g, i) acts on every
+coordinate by left multiplication.  The cosets G/K are numbered by their
+least element in G.elements order, and G acts through one
+left-multiplication table per subgroup.  Face d_k deletes coordinate k and
+degeneracy s_k repeats it.  Both are G-maps, so each is an object index
+table (a GMap), filled by index arithmetic from strided runs of the target's
+indices, and the simplicial identities are equalities of tables.
+
+pi0 of a level comes from the block of tuples whose first coset is coset
+0: G is transitive on the first coordinate, so every orbit meets the block
+in one orbit of the stabiliser of coset 0, and the least index of the
+orbit lies there.  A search over the block through one index permutation
+per generator of the stabiliser gives the components in the order, with
+the representatives, of a search over the whole level; any other object is
+moved into the block by a fixed element per first coset.  The 2-Segal
+squares' fiber products have [G:H]^4 |G| objects, so segal-check refuses
+them over budget before any level is built.
 
 Two models stay in the tests as oracles: the iterated fiber product and the
 flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
@@ -32,11 +43,13 @@ in G.elements order, and the bases are sorted by label.
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 from .. import BudgetExceededError, UsageError
 from ..groupoid import ActionGroupoid, Functor, GMap, is_faithful
-from ..groupoid.core import DEFAULT_OBJECT_BUDGET
+from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
+from .segal import DEGREE3_SQUARES, refuse_fiber_product
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -67,7 +80,7 @@ class Cosets:
                 for h in K.elements:
                     coset_of[index[G.op(g, h)]] = len(reps)
                 reps.append(g)
-        self.subgroup = K
+        self.group, self.subgroup = G, K
         self.coset_of = coset_of
         self.count = len(reps)
         self.home = coset_of[index[G.identity]]
@@ -78,33 +91,130 @@ class Cosets:
             for x, y in enumerate(row):
                 self.trans[x][y] |= 1 << k
 
+    @cached_property
+    def coset_zero(self):
+        """The stabiliser of coset 0 (K conjugated by elements[0]), and
+        for each coset the index of the first element taking it to coset
+        0."""
+        G = self.group
+        to_zero = [None] * self.count
+        for k, row in enumerate(self.mult):
+            for x, y in enumerate(row):
+                if y == 0 and to_zero[x] is None:
+                    to_zero[x] = k
+        stab = G.subgroup([g for g, row in zip(G.elements, self.mult)
+                           if row[0] == 0], name=f"Stab({G.name}, 0)")
+        return stab, to_zero
+
 
 class CosetLevel(ActionGroupoid):
-    """(G/K_0 x ... x G/K_n) // G on tuples of coset indices.  Pinned, it
-    is the full subgroupoid ({K_0} x G/K_1 x ... x G/K_n) // K_0 on the
-    tuples whose first coset is K_0 itself: G moves every first coset to
-    K_0, so the inclusion is an equivalence, with [G:K_0] times fewer
-    objects.  A hom-set intersects one transporter mask per coordinate and
-    lists its elements in G.elements order (pinned, they lie in K_0)."""
+    """(G/K_0 x ... x G/K_n) // G on tuples of coset indices, numbered in
+    lexicographic (mixed-radix) order.  Pinned, it is the full subgroupoid
+    ({K_0} x G/K_1 x ... x G/K_n) // K_0 on the tuples whose first coset
+    is K_0 itself: G moves every first coset to K_0, so the inclusion is
+    an equivalence, with [G:K_0] times fewer objects.  `sizes` are the
+    axis sizes (a pinned first axis has size 1); the object (x_0..x_n) has
+    the mixed-radix index over them (a pinned x_0 counts as 0).
+
+    pi0 is searched on the block of tuples whose first coset is the base
+    coset: coset 0, or K_0 itself when pinned (the block is then the whole
+    level).  An orbit of the base coset's stabiliser there gives a
+    component's representative and Aut order, and [G:K_0] times its size
+    (once when pinned).  A hom-set intersects one transporter mask per
+    coordinate and lists its elements in G.elements order (pinned, they
+    lie in K_0)."""
 
     def __init__(self, G: FiniteGroup, spaces, name, pinned=False):
         self.spaces = list(spaces)
         first = self.spaces[0]
-        axes = [range(s.count) for s in self.spaces]
+        self.sizes = [s.count for s in self.spaces]
+        axes = [range(n) for n in self.sizes]
+        strides = [prod(self.sizes[j + 1:]) for j in range(len(axes))]
         if pinned:
-            axes[0] = [first.home]
+            # the first coordinate is always K_0's own coset, counted as 0
+            self.sizes[0], axes[0], strides[0] = 1, [first.home], 0
+        self.pinned = pinned
         objs = list(iproduct(*axes))
-        index = {o: i for i, o in enumerate(objs)}
-        gidx, mults = G.index, [s.mult for s in self.spaces]
+        gidx = G.index
+        tables = list(zip([s.mult for s in self.spaces], strides))
 
         def act(g, i):
             k = gidx[g]
-            return index[tuple([m[k][x] for m, x in zip(mults, objs[i])])]
+            return sum([m[k][x] * s for (m, s), x in zip(tables, objs[i])])
 
         super().__init__(first.subgroup if pinned else G, objs, act,
                          name=name, check=False)
-        self._obj_index = index
-        self._elements = G.elements
+        self._G = G
+
+    @cached_property
+    def indices(self):
+        """list(range(n_objects)): index tables into this level slice it,
+        so that they share its ints."""
+        return list(range(self.n_objects))
+
+    def components(self):
+        """The block searched in index order through one index permutation
+        per generator of the base coset's stabiliser (mixed radix over
+        coordinates 1..n), with a tree of elements from each representative
+        to the objects of its orbit."""
+        if self._components is None:
+            G = self._G
+            if self.pinned:
+                stab, self._to_base = self.group, None
+            else:
+                stab, self._to_base = self.spaces[0].coset_zero
+            gens, perms = stab.generators(), []
+            for g in gens:
+                k, perm = G.index[g], [0]
+                for s, n in zip(self.spaces[1:], self.sizes[1:]):
+                    row = s.mult[k]
+                    perm = [p * n + row[x] for p in perm for x in range(n)]
+                perms.append(perm)
+            spread = self.sizes[0]
+            tree = [None] * (self.n_objects // spread)
+            comp_of, comps = [-1] * len(tree), []
+            for start in range(len(tree)):
+                if comp_of[start] >= 0:
+                    continue
+                idx = len(comps)
+                comp_of[start], tree[start] = idx, G.identity
+                stack, size = [start], 1
+                while stack:
+                    x = stack.pop()
+                    for g, perm in zip(gens, perms):
+                        t = perm[x]
+                        if comp_of[t] < 0:
+                            comp_of[t], tree[t] = idx, G.op(g, tree[x])
+                            stack.append(t)
+                            size += 1
+                comps.append(Component(idx, start, size * spread,
+                                       stab.order // size))
+            self._comp_of, self._from_rep = comp_of, tree
+            self._components = comps
+        return self._components
+
+    def _into_block(self, i):
+        """(k, j): element index k (None for the identity) takes object i
+        to object j of the block."""
+        self.components()
+        if i < len(self._comp_of):
+            return None, i
+        k = self._to_base[self.objects[i][0]]
+        return k, self.act(self._G.elements[k], i)
+
+    def component_of(self, i):
+        _, j = self._into_block(i)
+        return self._comp_of[j]
+
+    def from_rep(self, i):
+        """The block's tree element at the object i is moved to,
+        composed with the inverse of the element that moves it."""
+        G = self._G
+        k, j = self._into_block(i)
+        g = self._from_rep[j]
+        if k is not None:
+            g = G.op(G.inv(G.elements[k]), g)
+        return (g, self._components[self._comp_of[j]].rep)
 
     def _transporter(self, i, j):
         mask = -1
@@ -113,7 +223,7 @@ class CosetLevel(ActionGroupoid):
         return mask
 
     def hom(self, i, j):
-        els, mask, out = self._elements, self._transporter(i, j), []
+        els, mask, out = self._G.elements, self._transporter(i, j), []
         while mask:
             low = mask & -mask
             out.append((els[low.bit_length() - 1], i))
@@ -124,18 +234,64 @@ class CosetLevel(ActionGroupoid):
         return self._transporter(i, i).bit_count()
 
 
+def _table(src: CosetLevel, tgt: CosetLevel, sizes, k, runs):
+    """An index table src -> tgt from strided runs of tgt's indices: for
+    each prefix a of coordinates 0..k-1 and each value x of coordinate k,
+    the run of the S suffixes starting at runs(a, x) * S."""
+    if tgt.sizes != sizes:
+        raise ValueError(f"{tgt.name} has axis sizes {tgt.sizes}, not "
+                         f"{sizes}")
+    ids, S = tgt.indices, prod(src.sizes[k + 1:])
+    table = []
+    for a in range(prod(src.sizes[:k])):
+        for x in range(src.sizes[k]):
+            start = runs(a, x) * S
+            table += ids[start:start + S]
+    return table
+
+
 def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
-    """d_k: deletes coordinate k."""
-    idx = tgt.obj_index
-    return GMap(src, tgt, [idx(o[:k] + o[k + 1:]) for o in src.objects],
+    """d_k: deletes coordinate k, so (a, x, b) goes to (a, b)."""
+    sizes = src.sizes[:k] + src.sizes[k + 1:]
+    return GMap(src, tgt, _table(src, tgt, sizes, k, lambda a, x: a),
                 name=f"d_{k}^{len(src.spaces) - 1}")
 
 
 def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
-    """s_k: repeats coordinate k."""
-    idx = tgt.obj_index
-    return GMap(src, tgt, [idx(o[:k + 1] + o[k:]) for o in src.objects],
-                name=f"s_{k}^{len(src.spaces) - 1}")
+    """s_k: repeats coordinate k, so (a, x, b) goes to (a, x, x, b)."""
+    n = src.sizes[k]
+    sizes = src.sizes[:k + 1] + src.sizes[k:]
+    table = _table(src, tgt, sizes, k, lambda a, x: (a * n + x) * n + x)
+    return GMap(src, tgt, table, name=f"s_{k}^{len(src.spaces) - 1}")
+
+
+def _refuse_levels(G, H, depth, budget):
+    _check_subgroup(G, H)
+    if not 0 <= depth <= 3:
+        raise UsageError(f"Hecke-Waldhausen depth {depth} is outside 0..3")
+    # the top level is the largest; refuse before building any level
+    _refuse_over_budget(
+        f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})",
+        (G.order // H.order) ** (depth + 1), budget)
+
+
+def segal_square_size(G, H) -> int:
+    """Objects of each degree-3 comparison fiber product X_2 x_X_1 X_2 of
+    the Hecke-Waldhausen levels, [G:H]^4 |G|: over a G-orbit O of
+    X_1 = (G/H)^2 lie |O| [G:H] objects of X_2 on either side, and a point
+    of O has |G| / |O| automorphisms, so O adds |O| [G:H]^2 |G|."""
+    return (G.order // H.order) ** 4 * G.order
+
+
+def refuse_segal_check(G, H, budget):
+    """Refuse, before any level is built, what the 2-Segal check of
+    HW(G, H) would refuse, in the same order and with the same message:
+    level X_3 over the larger of `budget` and the default, then the
+    degree-3 squares over `budget` itself (the pointedness squares, with
+    [G:H]^2 |G| objects, are smaller)."""
+    _refuse_levels(G, H, 3, max(budget, DEFAULT_OBJECT_BUDGET))
+    refuse_fiber_product(DEGREE3_SQUARES[0], segal_square_size(G, H),
+                         budget)
 
 
 class HeckeWaldhausen:
@@ -144,13 +300,7 @@ class HeckeWaldhausen:
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
                  budget: int = DEFAULT_OBJECT_BUDGET):
-        _check_subgroup(G, H)
-        if not 0 <= depth <= 3:
-            raise UsageError(f"Hecke-Waldhausen depth {depth} is outside 0..3")
-        # the top level is the largest; refuse before building any level
-        _refuse_over_budget(
-            f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})",
-            (G.order // H.order) ** (depth + 1), budget)
+        _refuse_levels(G, H, depth, budget)
         self.G, self.H = G, H
         self.depth = depth
         self.cosets = Cosets(G, H)
@@ -351,7 +501,8 @@ class HeckeModule:
         _check_subgroup(G, P)
         self.alg = algebra
         self.G, self.H, self.P = G, H, P
-        gp, gh = Cosets(G, P), algebra.cosets_h
+        gh = algebra.cosets_h
+        gp = gh if P is H else Cosets(G, P)
         y0 = CosetLevel(G, [gp, gh], "Y0", pinned=True)
         y1 = CosetLevel(G, [gp, gh, gh], "Y1", pinned=True)
         # components of Y_0 are the double cosets H g P
@@ -371,8 +522,10 @@ class HeckeModule:
 
     def convolution_action(self):
         """(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on H\\G/P indicators."""
-        return _convolution_table(self.G, self.H, self.alg.cosets(),
-                                  self.double_cosets.cosets(), self.basis)
+        left = self.alg.cosets()
+        # the regular module's double cosets are the algebra's
+        right = left if self.P is self.H else self.double_cosets.cosets()
+        return _convolution_table(self.G, self.H, left, right, self.basis)
 
     def act(self, f: dict, v: dict) -> dict:
         return _bilinear(self.action_table, f, v)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .. import BudgetExceededError
 from ..groupoid import (DisjointUnion, FnFunctor, FullSubgroupoid, Functor,
-                        discrete_groupoid)
+                        GMap, discrete_groupoid)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groupoid.fiber import FiberSkeleton, fiber_product_size
 from ..groupoid.functors import equivalence_on_pi0
@@ -55,24 +55,37 @@ class SegalVerdict:
                 "witnesses": self.witnesses}
 
 
+# the degree-3 squares, in the order check_2segal_degree3 decides them
+DEGREE3_SQUARES = ("triangulation {012},{023}", "triangulation {013},{123}")
+
+
+def refuse_fiber_product(name, size, budget):
+    """Refuse the square `name` when its comparison fiber product has more
+    than `budget` objects."""
+    if size > budget:
+        raise BudgetExceededError(
+            f"{name}: the comparison fiber product has {size} "
+            f"objects, over the budget of {budget}")
+
+
 def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
                 leg_g: Functor, budget, name):
     """Whether the canonical functor x -> (fa x, fb x, id) from the apex to
     leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It is
     decided on the skeleton of the fiber product: well-definedness on every
-    apex object, then is_equivalence's checks on component
-    representatives."""
-    size = fiber_product_size(leg_f, leg_g)
-    if size > budget:
-        raise BudgetExceededError(
-            f"{name}: the comparison fiber product has {size} "
-            f"objects, over the budget of {budget}")
-    for i in range(apex.n_objects):
-        if leg_f.on_obj(fa.on_obj(i)) != leg_g.on_obj(fb.on_obj(i)):
-            return (False,
-                    {"kind": "comparison_undefined",
-                     "object": repr(apex.objects[i]),
-                     "detail": "face composites disagree on objects"})
+    apex object (by composing index tables when all four functors are
+    G-maps), then is_equivalence's checks on component representatives."""
+    refuse_fiber_product(name, fiber_product_size(leg_f, leg_g), budget)
+    if not all(isinstance(f, GMap) for f in (fa, fb, leg_f, leg_g)) or (
+            [leg_f.table[j] for j in fa.table] !=
+            [leg_g.table[j] for j in fb.table]):
+        # name the first object on which the composites disagree
+        for i in range(apex.n_objects):
+            if leg_f.on_obj(fa.on_obj(i)) != leg_g.on_obj(fb.on_obj(i)):
+                return (False,
+                        {"kind": "comparison_undefined",
+                         "object": repr(apex.objects[i]),
+                         "detail": "face composites disagree on objects"})
     skel = FiberSkeleton(leg_f, leg_g)
     a, b, d = skel.a, skel.b, skel.d
 
@@ -113,11 +126,11 @@ def _need_depth(x: TruncatedSimplicialGroupoid, n):
 def check_2segal_degree3(x: TruncatedSimplicialGroupoid,
                          budget=DEFAULT_OBJECT_BUDGET) -> SegalVerdict:
     _need_depth(x, 3)
+    first, second = DEGREE3_SQUARES
     return _verdict(x.levels[3], [
-        ("triangulation {012},{023}", x.face(3, 3), x.face(3, 1),
-         x.face(2, 1), x.face(2, 2)),
-        ("triangulation {013},{123}", x.face(3, 2), x.face(3, 0),
-         x.face(2, 0), x.face(2, 1))], budget)
+        (first, x.face(3, 3), x.face(3, 1), x.face(2, 1), x.face(2, 2)),
+        (second, x.face(3, 2), x.face(3, 0), x.face(2, 0), x.face(2, 1))],
+        budget)
 
 
 def check_pointed(x: TruncatedSimplicialGroupoid,

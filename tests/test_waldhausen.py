@@ -11,7 +11,9 @@ from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
                               compose_functors, external_product,
                               functors_equal, is_equivalence,
                               pull_push_span, two_fiber_product)
-from hallalg.groups import (cyclic_group, symmetric_group,
+from hallalg.groupoid.fiber import fiber_product_size
+from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
+                            named_group, named_subgroup, symmetric_group,
                             symmetric_subgroup, trivial_group, tuple_group,
                             young_subgroup)
 from hallalg.protoab import F1FreeG, VectFq
@@ -24,7 +26,8 @@ from hallalg.waldhausen import (FlagGroupoid,
 from hallalg.waldhausen import segal
 from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       HeckeAlgebra, HeckeModule,
-                                      HeckeWaldhausen, face)
+                                      HeckeWaldhausen, degeneracy, face,
+                                      segal_square_size)
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _pairs
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
 
@@ -611,6 +614,166 @@ def test_coset_hom_sets_match_the_scan_of_the_group():
                     ActionGroupoid.hom(level, i, j), key=order)
                 if not pinned:
                     assert level.hom(i, j) == ActionGroupoid.hom(level, i, j)
+
+
+def _shuffled_cayley(G, shift):
+    """G as a Cayley-table group on 0..|G|-1 whose elements start at
+    G.elements[shift], so that its identity is not elements[0]."""
+    order = G.elements[shift:] + G.elements[:shift]
+    idx = {g: i for i, g in enumerate(order)}
+    return FiniteGroup.from_cayley(
+        {"order": G.order,
+         "table": [[idx[G.op(a, b)] for b in order] for a in order]},
+        name=f"cayley({G.name})"), idx
+
+
+def _block_pi0_cases():
+    S3, S4 = symmetric_group(3), symmetric_group(4)
+    D8 = dihedral_group(4)
+    C, idx = _shuffled_cayley(S4, 5)
+    CH = C.subgroup([idx[g] for g in young_subgroup(S4, [2, 2]).elements],
+                    name="young:2+2")
+    return [(S3, symmetric_subgroup(S3, 2)), (S4, symmetric_subgroup(S4, 2)),
+            (S4, symmetric_subgroup(S4, 3)),
+            (D8, D8.subgroup([D8.identity], name="trivial")),
+            (S4, S4.subgroup([S4.identity], name="trivial")), (C, CH)]
+
+
+def test_block_pi0_matches_the_bfs_over_the_level():
+    for G, H in _block_pi0_cases():
+        hw = HeckeWaldhausen(G, H, 3)
+        for n, level in enumerate(hw.levels):
+            oracle = CosetLevel(G, level.spaces, "oracle")
+            bfs = Groupoid.components(oracle)
+            assert level.components() == bfs, (G.name, H.name, n)
+            comp_of = oracle._comp_of
+            for i in range(level.n_objects):
+                c = level.component_of(i)
+                assert c == comp_of[i], (G.name, H.name, n, i)
+                m = level.from_rep(i)
+                assert level.mor_src(m) == bfs[c].rep
+                assert level.mor_tgt(m) == i
+    # the Cayley-table group lists its identity after elements[0]
+    assert _block_pi0_cases()[-1][0].identity != 0
+
+
+def test_pinned_block_pi0_matches_the_bfs():
+    S4 = symmetric_group(4)
+    C, idx = _shuffled_cayley(S4, 7)
+    H = C.subgroup([idx[g] for g in symmetric_subgroup(S4, 2).elements],
+                   name="sym:2")
+    P = C.subgroup([idx[g] for g in symmetric_subgroup(S4, 3).elements],
+                   name="sym:3")
+    gh, gp = Cosets(C, H), Cosets(C, P)
+    for spaces in ([gh, gh], [gp, gh], [gp, gh, gh], [gh, gh, gh]):
+        for pinned in (False, True):
+            level = CosetLevel(C, spaces, "L", pinned)
+            oracle = CosetLevel(C, spaces, "oracle", pinned)
+            bfs = Groupoid.components(oracle)
+            assert level.components() == bfs, (len(spaces), pinned)
+            for i in range(level.n_objects):
+                assert level.component_of(i) == oracle._comp_of[i]
+                m = level.from_rep(i)
+                assert level.mor_src(m) == bfs[level.component_of(i)].rep
+                assert level.mor_tgt(m) == i
+
+
+def test_index_tables_match_the_tuple_formulas():
+    # faces delete a coordinate, degeneracies repeat one, and the action
+    # moves every coordinate, on full and pinned levels
+    S4 = symmetric_group(4)
+    C, idx = _shuffled_cayley(S4, 3)
+    H = C.subgroup([idx[g] for g in young_subgroup(S4, [2, 2]).elements],
+                   name="young:2+2")
+    P = C.subgroup([idx[g] for g in symmetric_subgroup(S4, 3).elements],
+                   name="sym:3")
+    gh, gp = Cosets(C, H), Cosets(C, P)
+    for first in (gh, gp):
+        for pinned in (False, True):
+            for n in range(1, 4):
+                spaces = [first] + [gh] * n
+                src = CosetLevel(C, spaces, "L", pinned)
+                for k in range(n + 1):
+                    # d_0 of a pinned level lands in the full level
+                    low = CosetLevel(C, spaces[:k] + spaces[k + 1:], "low",
+                                     pinned and k > 0)
+                    assert face(src, low, k).table == [
+                        low.obj_index(o[:k] + o[k + 1:])
+                        for o in src.objects], (pinned, n, k)
+                    if pinned and k == 0:
+                        continue
+                    up = CosetLevel(C, spaces[:k + 1] + spaces[k:], "up",
+                                    pinned)
+                    assert degeneracy(src, up, k).table == [
+                        up.obj_index(o[:k + 1] + o[k:])
+                        for o in src.objects], (pinned, n, k)
+                for g in src.group.elements:
+                    k = C.index[g]
+                    assert [src.act(g, i) for i in range(src.n_objects)] == [
+                        src.obj_index(tuple(s.mult[k][x] for s, x in
+                                            zip(src.spaces, o)))
+                        for o in src.objects]
+    # axis sizes that do not fit are refused
+    pinned = CosetLevel(C, [gh, gh], "pinned", True)
+    with pytest.raises(ValueError):
+        face(CosetLevel(C, [gh, gh, gh], "X2"), pinned, 1)
+    with pytest.raises(ValueError):
+        degeneracy(pinned, CosetLevel(C, [gh, gh, gh], "Y", True), 0)
+
+
+@pytest.mark.parametrize("G, H", [
+    ("sym:3", "sym:2"), ("sym:3", "trivial"), ("sym:4", "sym:2"),
+    ("sym:4", "young:2+2"), ("dihedral:4", "trivial"),
+    ("cyclic:6", "indices:0,2,4")])
+def test_segal_square_size_closed_form(G, H):
+    G = named_group(G)
+    H = named_subgroup(G, H)
+    x = HeckeWaldhausen(G, H, 2)
+    sizes = {fiber_product_size(x.faces[(2, a)], x.faces[(2, b)])
+             for a, b in ((1, 2), (0, 1))}
+    assert sizes == {segal_square_size(G, H)}
+
+
+def test_comparison_names_the_first_object_where_gmap_tables_disagree(
+        hecke_s3):
+    # the composed tables find the disagreement and the per-object loop
+    # names the object, as for a functor that is not a G-map
+    mutated, i = moved_object(hecke_s3)
+    d1 = mutated.face(3, 1)
+    table = [d1.on_obj(o) for o in range(d1.src.n_objects)]
+    v = check_2segal_degree3(
+        _with_face(hecke_s3, 1, GMap(d1.src, d1.tgt, table, name="d_1'")))
+    assert v.squares[0][1:] == (False, {
+        "kind": "comparison_undefined",
+        "object": repr(hecke_s3.levels[3].objects[i]),
+        "detail": "face composites disagree on objects"})
+
+
+def test_action_aut_orders_are_orbit_stabiliser(s_vect, s_f1c2):
+    S4 = symmetric_group(4)
+    hw = hecke_waldhausen(S4, symmetric_subgroup(S4, 2), depth=3)
+    for x in (s_vect, s_f1c2, hw):
+        for level in x.levels:
+            for c in level.components():
+                assert c.aut_order == len(level.hom(c.rep, c.rep)), (
+                    x.name, c)
+
+
+def test_regular_module_reuses_the_algebra_cosets(monkeypatch):
+    S4 = symmetric_group(4)
+    alg = HeckeAlgebra(S4, symmetric_subgroup(S4, 2))
+    assert all(s is alg.cosets_h
+               for s in alg.regular.double_cosets.level.spaces)
+    walks = []
+    real = DoubleCosets.cosets
+
+    def counting(self):
+        walks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DoubleCosets, "cosets", counting)
+    assert alg.convolution_constants() == alg.constants
+    assert walks == [alg.double_cosets]
 
 
 def _inclusion(pinned, full):
