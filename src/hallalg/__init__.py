@@ -30,5 +30,5 @@ from .waldhausen import (HeckeAlgebra, HeckeModule, check_2segal_degree3,  # noq
                          check_pointed, check_simplicial_identities,
                          hecke_waldhausen, s_construction)
 from .wreath import (ch, ch_ring_hom_check, character_table,             # noqa: E402
-                     induction_product, wreath_character,
-                     wreath_class_label, wreath_product)
+                     induction_product, wreath_class_label,
+                     wreath_product)

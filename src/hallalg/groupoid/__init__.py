@@ -1,30 +1,29 @@
 """Finite groupoids, functors, 2-fiber products and pull-push transfer."""
 
 from .core import (ActionGroupoid, Component, DisjointUnion, FullSubgroupoid,
-                   Groupoid, ProductGroupoid, TableGroupoid, b_group,
-                   discrete_groupoid, materialize, pi0, point_groupoid)
+                   Groupoid, ProductGroupoid, b_group, discrete_groupoid,
+                   pi0, point_groupoid)
 from .fiber import (FiberProductGroupoid, FiberSkeleton, fiber_product_size,
                     two_fiber_product)
 from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
                        Functor, GMap, GroupHomFunctor, IdentityFunctor,
                        PairFunctor, compose_functors, constant_functor,
-                       equivalence_on_pi0, functor_from_json,
-                       functor_to_json, functors_equal, is_equivalence,
+                       equivalence_on_pi0, functors_equal, is_equivalence,
                        point_inclusion, twist_by_natural_iso)
 from .transfer import (SpanFn, cardinality, external_product, is_faithful,
-                       pull_push_span, pullback_fn, pushforward_fn)
+                       pull_push_span, pull_push_table, pullback_fn,
+                       pushforward_fn)
 
 __all__ = [
     "ActionGroupoid", "Component", "DisjointUnion", "FullSubgroupoid",
-    "Groupoid", "ProductGroupoid", "TableGroupoid", "b_group",
-    "discrete_groupoid", "materialize", "pi0", "point_groupoid",
+    "Groupoid", "ProductGroupoid", "b_group", "discrete_groupoid", "pi0",
+    "point_groupoid",
     "FiberProductGroupoid", "FiberSkeleton", "fiber_product_size",
     "two_fiber_product",
     "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
     "GroupHomFunctor", "IdentityFunctor", "PairFunctor", "compose_functors",
-    "constant_functor", "equivalence_on_pi0", "functor_from_json",
-    "functor_to_json", "functors_equal", "is_equivalence", "point_inclusion",
-    "twist_by_natural_iso",
+    "constant_functor", "equivalence_on_pi0", "functors_equal",
+    "is_equivalence", "point_inclusion", "twist_by_natural_iso",
     "SpanFn", "cardinality", "external_product", "is_faithful",
-    "pull_push_span", "pullback_fn", "pushforward_fn",
+    "pull_push_span", "pull_push_table", "pullback_fn", "pushforward_fn",
 ]

@@ -1,10 +1,9 @@
 """Finite groupoids with exact hom-sets.
 
 Objects are indexed 0..n-1; morphisms are hashable tokens interpreted by the
-owning groupoid (source/target/compose/inverse).  Small groupoids can be
-fully explicit tables (TableGroupoid, with JSON exchange); large ones keep
-hom-sets enumerable on demand so that exact bijection tests stay decidable
-without materializing morphism tables (ActionGroupoid, fiber products).
+owning groupoid (source/target/compose/inverse).  Hom-sets are enumerated
+on demand (ActionGroupoid, products, fiber products), so exact bijection
+tests stay decidable without materialising morphism tables.
 
 pi0 is computed by BFS over a generating family of morphisms; components are
 ordered by their smallest object index and carry the automorphism-group
@@ -23,7 +22,6 @@ how 2-fiber products locate objects on their skeleton.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .. import BudgetExceededError
 from ..groups import FiniteGroup, trivial_group
 
 DEFAULT_OBJECT_BUDGET = 10 ** 6
@@ -315,97 +313,9 @@ def discrete_groupoid(labels, name="discrete") -> ActionGroupoid:
                           check=False)
 
 
-class TableGroupoid(Groupoid):
-    """Fully explicit: morphism list with src/tgt, composition table,
-    identities and inverses.  Validated eagerly on construction."""
-
-    def __init__(self, objects, mor_src, mor_tgt, comp, identities, inverses,
-                 name="X", check=True):
-        super().__init__(objects, name=name)
-        self.msrc = list(mor_src)
-        self.mtgt = list(mor_tgt)
-        self.comp_table = dict(comp)        # (m2, m1) -> m
-        self.ids = list(identities)         # per object
-        self.invs = list(inverses)          # per morphism
-        self._out = [[] for _ in range(self.n_objects)]
-        for m, s in enumerate(self.msrc):
-            self._out[s].append(m)
-        if check:
-            self.validate()
-
-    def out(self, i):
-        return self._out[i]
-
-    def mor_src(self, m):
-        return self.msrc[m]
-
-    def mor_tgt(self, m):
-        return self.mtgt[m]
-
-    def compose(self, m2, m1):
-        return self.comp_table[(m2, m1)]
-
-    def identity(self, i):
-        return self.ids[i]
-
-    def inverse(self, m):
-        return self.invs[m]
-
-    def n_morphisms(self):
-        return len(self.msrc)
-
-    def to_json(self):
-        return {
-            "objects": [str(o) for o in self.objects],
-            "morphisms": [{"id": m, "src": self.msrc[m], "tgt": self.mtgt[m]}
-                          for m in range(len(self.msrc))],
-            "composition": sorted([m2, m1, m]
-                                  for (m2, m1), m in self.comp_table.items()),
-            "identities": self.ids,
-            "inverses": self.invs,
-        }
-
-    @classmethod
-    def from_json(cls, data, name="X"):
-        nmor = len(data["morphisms"])
-        msrc = [None] * nmor
-        mtgt = [None] * nmor
-        for rec in data["morphisms"]:
-            msrc[rec["id"]] = rec["src"]
-            mtgt[rec["id"]] = rec["tgt"]
-        comp = {(m2, m1): m for m2, m1, m in data["composition"]}
-        return cls(data["objects"], msrc, mtgt, comp, data["identities"],
-                   data["inverses"], name=name)
-
-
 def pi0(g: Groupoid) -> list[Component]:
     """Connected components with representative, size and Aut order."""
     return g.components()
-
-
-def materialize(g: Groupoid, budget: int = DEFAULT_OBJECT_BUDGET,
-                name=None) -> TableGroupoid:
-    """Flatten any groupoid into an explicit TableGroupoid."""
-    tokens = []
-    for i in range(g.n_objects):
-        tokens.extend(g.out(i))
-        if len(tokens) > budget:
-            raise BudgetExceededError(
-                f"materializing {g!r} exceeds {budget} morphisms")
-    tok_index = {t: m for m, t in enumerate(tokens)}
-    msrc = [g.mor_src(t) for t in tokens]
-    mtgt = [g.mor_tgt(t) for t in tokens]
-    comp = {}
-    for m1, t1 in enumerate(tokens):
-        j = mtgt[m1]
-        for t2 in g.out(j):
-            comp[(tok_index[t2], m1)] = tok_index[g.compose(t2, t1)]
-            if len(comp) > 20 * budget:
-                raise BudgetExceededError("composition table too large")
-    ids = [tok_index[g.identity(i)] for i in range(g.n_objects)]
-    invs = [tok_index[g.inverse(t)] for t in tokens]
-    return TableGroupoid(list(g.objects), msrc, mtgt, comp, ids, invs,
-                         name=name or f"table({g.name})")
 
 
 class DisjointUnion(Groupoid):

@@ -204,7 +204,8 @@ class FiberProductGroupoid(Groupoid):
         return self.obj_index(self._tgt_obj(m))
 
     def compose(self, m2, m1):
-        assert m2[2] == self.mor_tgt(m1)
+        if m2[2] != self.mor_tgt(m1):
+            raise ValueError(f"{self.name}: m2 does not start where m1 ends")
         return (self.a.compose(m2[0], m1[0]),
                 self.b.compose(m2[1], m1[1]), m1[2])
 

@@ -7,7 +7,10 @@ reduces to pi0 bijectivity plus bijectivity of each automorphism map at one
 representative per source component.  equivalence_on_pi0 is the same
 decision against any model of the target's pi0; the 2-Segal checks use it
 on the skeleton of a fiber product.  A functor induced by a G-map of
-objects (GMap) is an index table; GMaps compose and compare by their tables.
+objects and a coordinate selection of tuple groups (GMap) is an index table
+plus that selection; GMaps compose and compare by table and selection, and
+other functors (ComposedFunctor, FnFunctor) on a generating family of
+morphisms, which the tests use as the oracle for the tables.
 """
 
 from dataclasses import dataclass, field
@@ -29,22 +32,29 @@ class Functor:
 
     def validate(self, budget: int = 50_000):
         """Identities on every object; src/tgt and composition on generating
-        morphisms (a functor is determined by its values on generators)."""
+        morphisms (a functor is determined by its values on generators).
+        A failure is a ValueError."""
+        def check(ok, what):
+            if not ok:
+                raise ValueError(f"{self.name}: {what}")
+
         for i in range(self.src.n_objects):
             fi = self.on_obj(i)
-            assert self.on_mor(self.src.identity(i)) == self.tgt.identity(fi), \
-                f"{self.name}: identity not preserved at {i}"
+            check(self.on_mor(self.src.identity(i)) == self.tgt.identity(fi),
+                  f"identity not preserved at {i}")
         seen = 0
         for i in range(self.src.n_objects):
             for m1 in self.src.gens_out(i):
                 j = self.src.mor_tgt(m1)
                 fm1 = self.on_mor(m1)
-                assert self.tgt.mor_src(fm1) == self.on_obj(i)
-                assert self.tgt.mor_tgt(fm1) == self.on_obj(j)
+                check(self.tgt.mor_src(fm1) == self.on_obj(i),
+                      f"a morphism out of {i} is not sent out of its image")
+                check(self.tgt.mor_tgt(fm1) == self.on_obj(j),
+                      f"a morphism into {j} is not sent into its image")
                 for m2 in self.src.gens_out(j):
                     lhs = self.on_mor(self.src.compose(m2, m1))
                     rhs = self.tgt.compose(self.on_mor(m2), fm1)
-                    assert lhs == rhs, f"{self.name}: not functorial"
+                    check(lhs == rhs, "not functorial")
                     seen += 1
                     if seen >= budget:
                         return
@@ -80,19 +90,36 @@ class IdentityFunctor(Functor):
 
 class GMap(Functor):
     """The functor of action groupoids induced by a G-map of their objects,
-    given as the index table t: (g, i) -> (g, t[i]).  The source's group
-    is the target's or a subgroup of it."""
+    given as the index table t, and a map of their groups: (g, i) ->
+    (sel(g), t[i]).  With `sel` None, g passes through (the source's group
+    is the target's or a subgroup of it).  Otherwise the groups are tuple
+    groups, and sel(g) takes coordinate sel[k] of g, or `fill` where
+    sel[k] is None.  A selection that is the identity on the source's
+    coordinates is stored as None, and a fill no slot uses as None, so
+    equal functors have equal (table, sel, fill)."""
 
     def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
-                 name="F"):
+                 name="F", sel=None, fill=None):
         super().__init__(src, tgt, name=name)
         self.table = list(table)
+        if sel is not None:
+            sel = tuple(sel)
+            if src.n_objects and sel == tuple(
+                    range(len(src.identity(0)[0]))):
+                sel = None
+        self.sel = sel
+        self.fill = fill if sel is not None and None in sel else None
 
     def on_obj(self, i):
         return self.table[i]
 
     def on_mor(self, m):
-        return (m[0], self.table[m[1]])
+        g, i = m
+        if self.sel is None:
+            return (g, self.table[i])
+        fill = self.fill
+        return (tuple([fill if k is None else g[k] for k in self.sel]),
+                self.table[i])
 
 
 def _check_composable(outer, inner):
@@ -117,12 +144,21 @@ class ComposedFunctor(Functor):
 
 
 def compose_functors(outer, inner):
-    """outer after inner; two G-maps compose by indexing their tables."""
+    """outer after inner; two G-maps compose by indexing their tables and
+    their selections, unless both fills are needed and differ."""
     if isinstance(outer, GMap) and isinstance(inner, GMap):
         _check_composable(outer, inner)
-        table = outer.table
-        return GMap(inner.src, outer.tgt, [table[j] for j in inner.table],
-                    name=f"{outer.name}∘{inner.name}")
+        fills = [f for f in (outer.fill, inner.fill) if f is not None]
+        if len(fills) < 2 or fills[0] == fills[1]:
+            sel = outer.sel
+            if sel is None:
+                sel = inner.sel
+            elif inner.sel is not None:
+                sel = [None if k is None else inner.sel[k] for k in sel]
+            table = outer.table
+            return GMap(inner.src, outer.tgt, [table[j] for j in inner.table],
+                        name=f"{outer.name}∘{inner.name}", sel=sel,
+                        fill=fills[0] if fills else None)
     return ComposedFunctor(outer, inner)
 
 
@@ -135,11 +171,13 @@ class GroupHomFunctor(Functor):
         # homomorphism property on all pairs (groups here are small)
         H, G = bh.group, bg.group
         for a in H.elements:
-            assert hom(a) in G.index
+            if hom(a) not in G.index:
+                raise ValueError(f"{self.name}: {a!r} is not sent into "
+                                 f"{G.name}")
         for a in H.generators():
             for b in H.generators():
-                assert hom(H.op(a, b)) == G.op(hom(a), hom(b)), \
-                    "not a group homomorphism"
+                if hom(H.op(a, b)) != G.op(hom(a), hom(b)):
+                    raise ValueError("not a group homomorphism")
 
     def on_obj(self, i):
         return 0
@@ -168,8 +206,11 @@ class PairFunctor(Functor):
 
     def __init__(self, f: Functor, g: Functor, prod: ProductGroupoid,
                  name=None):
-        assert f.src is g.src
-        assert prod.a is f.tgt and prod.b is g.tgt
+        if f.src is not g.src:
+            raise ValueError(f"{f.name} and {g.name} have different sources")
+        if prod.a is not f.tgt or prod.b is not g.tgt:
+            raise ValueError(f"{prod.name} is not {f.tgt.name} x "
+                             f"{g.tgt.name}")
         super().__init__(f.src, prod, name=name or f"({f.name},{g.name})")
         self.f, self.g = f, g
 
@@ -213,25 +254,30 @@ class EquivalenceVerdict:
                 "witness": self.witness}
 
 
-def _gmap_table(f: Functor):
-    """The index table of a G-map (the identity of an action groupoid is
+def _gmap_key(f: Functor):
+    """(table, sel, fill) of a G-map (the identity of an action groupoid is
     one), or None."""
     if isinstance(f, GMap):
-        return f.table
+        return f.table, f.sel, f.fill
     if isinstance(f, IdentityFunctor) and isinstance(f.src, ActionGroupoid):
-        return list(range(f.src.n_objects))
+        return list(range(f.src.n_objects)), None, None
     return None
 
 
 def functors_equal(f: Functor, g: Functor) -> bool:
-    """Strict equality.  Two G-maps are equal on every morphism exactly when
-    their tables are equal; any other pair is compared on all objects and a
-    generating family of morphisms (which determines a functor)."""
+    """Strict equality.  Two G-maps with different tables differ, and with
+    equal tables and selections are equal; any other pair is compared on
+    all objects and a generating family of morphisms (which determines a
+    functor), so that, say, a fill and a coordinate whose group is trivial
+    still compare equal."""
     if f.src is not g.src or f.tgt is not g.tgt:
         return False
-    tf, tg = _gmap_table(f), _gmap_table(g)
-    if tf is not None and tg is not None:
-        return tf == tg
+    kf, kg = _gmap_key(f), _gmap_key(g)
+    if kf is not None and kg is not None:
+        if kf[0] != kg[0]:
+            return False
+        if kf[1:] == kg[1:]:
+            return True
     for i in range(f.src.n_objects):
         if f.on_obj(i) != g.on_obj(i):
             return False
@@ -239,26 +285,6 @@ def functors_equal(f: Functor, g: Functor) -> bool:
         if f.on_mor(m) != g.on_mor(m):
             return False
     return True
-
-
-def functor_to_json(f: Functor) -> dict:
-    """Exchange format for functors between explicit-table groupoids:
-    object and morphism images by id."""
-    src, tgt = f.src, f.tgt
-    objs = [f.on_obj(i) for i in range(src.n_objects)]
-    mors = [f.on_mor(m) for m in range(src.n_morphisms())]
-    assert all(isinstance(m, int) for m in mors), \
-        "functor serialization needs table groupoids"
-    return {"objects": objs, "morphisms": mors}
-
-
-def functor_from_json(src: Groupoid, tgt: Groupoid, data: dict,
-                      name="F") -> Functor:
-    objs = list(data["objects"])
-    mors = list(data["morphisms"])
-    f = FnFunctor(src, tgt, objs, lambda m: mors[m], name=name)
-    f.validate()
-    return f
 
 
 def is_equivalence(f: Functor) -> EquivalenceVerdict:

@@ -5,8 +5,10 @@ composes with the functor on pi0.  Pushforward along f integrates over the
 homotopy fiber of f, weighting each fiber component by 1/#Aut; by
 orbit-stabiliser that integral is the closed formula
 (f_! psi)([b]) = sum over [a] with f a ≅ b of psi([a]) |Aut b| / |Aut a|,
-so no fiber product is built.  Pushforward along a faithful functor
-preserves integrality.  A function on the wrong groupoid is a ValueError.
+so no fiber product is built.  pull_push_table gives the pull-push of
+every pair of delta functions along a span in one pass over its apex.
+Pushforward along a faithful functor preserves integrality.  A function on
+the wrong groupoid is a ValueError.
 """
 
 from fractions import Fraction
@@ -108,6 +110,28 @@ def pull_push_span(c: Functor, nu: Functor, phi: SpanFn) -> SpanFn:
         raise ValueError(f"span legs {c.name} and {nu.name} must share "
                          f"their apex")
     return pushforward_fn(nu, pullback_fn(c, phi))
+
+
+def pull_push_table(left: Functor, right: Functor, middle: Functor) -> dict:
+    """Pull-push of delta_a x delta_b along the span
+    left.tgt x right.tgt <- S -> middle.tgt, for every pair of components
+    (a, b) that S reaches, in one pass over the components of the apex S:
+    the component [x] adds |Aut(middle x)| / |Aut x| (pushforward_fn's
+    weight) at [middle x] to the pair ([left x], [right x]).  Returns
+    {(a, b): {c: value}} keyed by component index; a pair S misses has no
+    row."""
+    if left.src is not middle.src or right.src is not middle.src:
+        raise ValueError(f"span legs {left.name}, {right.name} and "
+                         f"{middle.name} must share their apex")
+    A, B, C = left.tgt, right.tgt, middle.tgt
+    auts = [c.aut_order for c in C.components()]
+    table = {}
+    for x in middle.src.components():
+        row = table.setdefault((A.component_of(left.on_obj(x.rep)),
+                                B.component_of(right.on_obj(x.rep))), {})
+        c = C.component_of(middle.on_obj(x.rep))
+        row[c] = row.get(c, 0) + Fraction(auts[c], x.aut_order)
+    return table
 
 
 def external_product(prod: ProductGroupoid, f: SpanFn, g: SpanFn) -> SpanFn:

@@ -7,13 +7,13 @@ form (`hall_constant`): binom(m, l) over F_1[G], the Gaussian binomial
 [m choose l]_q over F_q, and the Hall polynomial for abelian p-groups.
 Counting subobjects (`subobjects_with_type`) is the oracle for these in the
 tests.  A second, independent route computes the same product by pull-push
-through the degree-2 flag groupoids; both routes are compared in the tests
-and the acceptance suite.
+through the degree-2 flag groupoids, reading the span's table in one pass
+over X_2 (`pull_push_table`); both routes are compared in the tests and the
+acceptance suite.
 """
 
 from . import BudgetExceededError, UsageError
-from .groupoid import (PairFunctor, ProductGroupoid, SpanFn,
-                       external_product, pull_push_span)
+from .groupoid import pull_push_table
 from .protoab import F1FreeG, ProtoAbelianInstance
 
 
@@ -108,12 +108,17 @@ def hall_product_via_span(inst: ProtoAbelianInstance, bound, f: dict,
             if size > top:
                 raise BudgetExceededError(
                     f"product of sizes {size} exceeds the bound {top} of X_1")
-    prod = ProductGroupoid(x1, x1)
-    out = pull_push_span(PairFunctor(d0, d2, prod), d1, external_product(
-        prod, SpanFn(x1, {comp[k]: c for k, c in f.items()}),
-        SpanFn(x1, {comp[k]: c for k, c in g.items()})))
+    fa = {comp[k]: c for k, c in f.items()}
+    gb = {comp[k]: c for k, c in g.items()}
+    out = {}
+    for (a, b), row in pull_push_table(d0, d2, d1).items():
+        w = fa.get(a, 0) * gb.get(b, 0)
+        for c, v in row.items():
+            out[c] = out.get(c, 0) + w * v
     result = {}
-    for comp_idx, v in out.values.items():
+    for comp_idx, v in sorted(out.items()):
+        if not v:
+            continue
         key = keys[comp_idx]
         if v.denominator != 1:
             raise ArithmeticError(f"non-integral Hall constant {v} at "

@@ -46,7 +46,8 @@ from itertools import product as iproduct
 from math import prod
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import ActionGroupoid, Functor, GMap, is_faithful
+from ..groupoid import (ActionGroupoid, Functor, GMap, is_faithful,
+                        pull_push_table)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
 from .segal import DEGREE3_SQUARES, refuse_fiber_product
@@ -371,25 +372,15 @@ def _json_number(v):
 
 def _pull_push_table(left: Functor, right: Functor, middle: Functor,
                      basis_a: DoubleCosets, basis_b: DoubleCosets):
-    """Pull-push of delta_a x delta_b along the span
-    left.tgt x right.tgt <- apex -> right.tgt (the middle leg), for all
-    component pairs (a, b) in one pass over the apex: the component [x]
-    adds |Aut(middle x)| / |Aut x| (pushforward_fn's weight) at
-    [middle x] to the pair ([left x], [right x]).  Returns the table
-    {(a, b): {c: value}} in basis positions, and whether it is
-    integral."""
-    A, B = left.tgt, right.tgt
-    auts = [c.aut_order for c in B.components()]
-    sums = {(pa, pb): {} for pa in basis_a.slot.values()
-            for pb in basis_b.slot.values()}
-    for x in middle.src.components():
-        row = sums[(basis_a.slot[A.component_of(left.on_obj(x.rep))],
-                    basis_b.slot[B.component_of(right.on_obj(x.rep))])]
-        c = B.component_of(middle.on_obj(x.rep))
-        pc = basis_b.slot[c]
-        row[pc] = row.get(pc, 0) + Fraction(auts[c], x.aut_order)
-    table = {k: {c: _exact(v) for c, v in sorted(row.items())}
-             for k, row in sums.items()}
+    """pull_push_table of the span, for all component pairs (a, b), in
+    basis positions (a pair the apex misses has an empty row), and whether
+    it is integral."""
+    sa, sb = basis_a.slot, basis_b.slot
+    sums = pull_push_table(left, right, middle)
+    table = {(pa, pb): {} for pa in sa.values() for pb in sb.values()}
+    for (a, b), row in sums.items():
+        table[(sa[a], sb[b])] = {c: _exact(v) for c, v in sorted(
+            (sb[c], v) for c, v in row.items())}
     integral = all(v.denominator == 1 for row in sums.values()
                    for v in row.values())
     return table, integral

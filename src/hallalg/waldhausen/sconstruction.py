@@ -16,13 +16,21 @@ per tuple of entries, acting on the triangles with those entries, and a
 morphism is a token (phis, source index).  The search for intertwining iso
 families that this replaces is kept in the tests, as the oracle that the
 action's hom-sets are checked against.
+
+A face or degeneracy sends entry (a, b) of a triangle to an entry of its
+image, or to a zero entry, so on morphisms it selects coordinates of phis,
+filling a zero entry's slot with the identity of 0.  Each is a GMap: the
+index table of the triangles' images plus that selection, so the
+simplicial identities and the Segal comparisons are decided on tables, as
+for the Hecke-Waldhausen levels.
 """
 
 from functools import cache
 from math import prod
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import ActionGroupoid, DisjointUnion, FnFunctor, b_group
+from ..groupoid import (ActionGroupoid, DisjointUnion, FnFunctor, GMap,
+                        b_group)
 from ..groups import tuple_group
 from ..protoab.base import ProtoAbelianInstance
 from .simplicial import TruncatedSimplicialGroupoid
@@ -310,6 +318,24 @@ def _degeneracy_triangle(inst, tri: Triangle, k: int) -> Triangle:
     return Triangle(n + 1, entries, rmono, cepi)
 
 
+def _simplicial_map(inst, src, tgt, k, is_face):
+    """Face d_k or degeneracy s_k as a G-map of levels: the index table of
+    the triangles' images, and entry (a, b) of an image's automorphism
+    taken from entry (t(a), t(b)) of the source's, where t skips k (face)
+    or repeats it (degeneracy), or the zero entry's identity when
+    t(a) == t(b)."""
+    if is_face:
+        image, t, name = _face_triangle, lambda x: x + (x >= k), "d"
+    else:
+        image, t, name = _degeneracy_triangle, lambda x: x - (x > k), "s"
+    src_pos = {p: i for i, p in enumerate(_pairs(src.level))}
+    sel = [None if t(a) == t(b) else src_pos[(t(a), t(b))]
+           for a, b in _pairs(tgt.level)]
+    table = [tgt.obj_index(image(inst, tri, k)) for tri in src.objects]
+    return GMap(src, tgt, table, name=f"{name}_{k}^{src.level}", sel=sel,
+                fill=inst.identity(inst.zero_key()))
+
+
 def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
                    budget=DEFAULT_TRIANGLE_BUDGET) -> TruncatedSimplicialGroupoid:
     """Levels 0..depth of the flag simplicial groupoid of the instance."""
@@ -317,40 +343,11 @@ def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
         raise UsageError(f"S-construction depth {depth} is outside 0..3")
     levels = [TriangleGroupoid(inst, n, bound=bound, budget=budget)
               for n in range(depth + 1)]
-    faces, degens = {}, {}
-    for n in range(1, depth + 1):
-        src, tgt = levels[n], levels[n - 1]
-        src_pos = {p: k for k, p in enumerate(_pairs(n))}
-        for k in range(n + 1):
-            obj_map = [tgt.obj_index(_face_triangle(inst, tri, k))
-                       for tri in src.objects]
-            keep = [x for x in range(n + 1) if x != k]
-            sel_idx = [src_pos[(keep[a], keep[b])] for (a, b) in _pairs(n - 1)]
-
-            def mor_map(m, *, obj_map=obj_map, sel_idx=sel_idx):
-                phis, i = m
-                return (tuple(phis[s] for s in sel_idx), obj_map[i])
-
-            faces[(n, k)] = FnFunctor(src, tgt, obj_map, mor_map,
-                                      name=f"d_{k}^{n}")
-    zero_id = inst.identity(inst.zero_key())
-    for n in range(0, depth):
-        src, tgt = levels[n], levels[n + 1]
-        src_pos = {p: k for k, p in enumerate(_pairs(n))}
-        for k in range(n + 1):
-            obj_map = [tgt.obj_index(_degeneracy_triangle(inst, tri, k))
-                       for tri in src.objects]
-            t = lambda x, k=k: x if x <= k else x - 1
-            sel_idx = [None if t(a) == t(b) else src_pos[(t(a), t(b))]
-                       for (a, b) in _pairs(n + 1)]
-
-            def mor_map(m, *, obj_map=obj_map, sel_idx=sel_idx):
-                phis, i = m
-                return (tuple(zero_id if s is None else phis[s]
-                              for s in sel_idx), obj_map[i])
-
-            degens[(n, k)] = FnFunctor(src, tgt, obj_map, mor_map,
-                                       name=f"s_{k}^{n}")
+    faces = {(n, k): _simplicial_map(inst, levels[n], levels[n - 1], k, True)
+             for n in range(1, depth + 1) for k in range(n + 1)}
+    degens = {(n, k): _simplicial_map(inst, levels[n], levels[n + 1], k,
+                                      False)
+              for n in range(depth) for k in range(n + 1)}
     return TruncatedSimplicialGroupoid(levels, faces, degens,
                                        name=f"S({inst.family})")
 

@@ -74,7 +74,8 @@ def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
     leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It is
     decided on the skeleton of the fiber product: well-definedness on every
     apex object (by composing index tables when all four functors are
-    G-maps), then is_equivalence's checks on component representatives."""
+    G-maps, as the faces and degeneracies of both constructions are), then
+    is_equivalence's checks on component representatives."""
     refuse_fiber_product(name, fiber_product_size(leg_f, leg_g), budget)
     if not all(isinstance(f, GMap) for f in (fa, fb, leg_f, leg_g)) or (
             [leg_f.table[j] for j in fa.table] !=

@@ -2,8 +2,10 @@
 
 Levels X_0..X_N with faces d_i: X_n -> X_{n-1} and degeneracies
 s_i: X_n -> X_{n+1}.  All identities that type-check inside the truncation
-are verified as strict equality of functors (on every object and on a
-generating family of morphisms, which determines a functor).
+are verified as strict equality of functors.  Both constructions give their
+faces and degeneracies as GMaps, which compose and compare by index table
+and coordinate selection; any other functor is compared on every object
+and on a generating family of morphisms, which determines a functor.
 """
 
 from dataclasses import dataclass, field

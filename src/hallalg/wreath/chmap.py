@@ -241,14 +241,6 @@ def _clear_character_tables():
 character_table.cache_clear = _clear_character_tables
 
 
-def wreath_character(G: FiniteGroup, lam: PartitionMap,
-                     budget: int = DEFAULT_WREATH_BUDGET) -> dict:
-    """The character of X_lam as a map class label -> Cyc."""
-    tab = character_table(G, lam.total, budget)
-    row = tab.values[tab.irr_pos[lam]]
-    return dict(zip(tab.class_labels, row))
-
-
 def induction_product(G: FiniteGroup, lam: PartitionMap, mu: PartitionMap,
                       budget: int = DEFAULT_WREATH_BUDGET) -> dict:
     """Decomposition of Ind_{G wr (S_n x S_m)}^{G wr S_{n+m}}

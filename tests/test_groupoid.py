@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
-                              FnFunctor, GroupHomFunctor,
-                              IdentityFunctor, SpanFn, TableGroupoid,
-                              b_group, cardinality,
+                              FnFunctor, GroupHomFunctor, IdentityFunctor,
+                              SpanFn, b_group, cardinality,
                               compose_functors, constant_functor,
                               discrete_groupoid, external_product,
                               fiber_product_size, is_equivalence,
-                              is_faithful, materialize, point_groupoid,
-                              point_inclusion, ProductGroupoid,
+                              is_faithful, point_groupoid, point_inclusion,
+                              ProductGroupoid,
                               pull_push_span, pullback_fn, pushforward_fn,
                               twist_by_natural_iso, two_fiber_product)
 from hallalg.groups import (alternating_subgroup, cyclic_group, perm_sign,
@@ -269,17 +268,6 @@ def test_composing_unrelated_functors_is_a_value_error():
         compose_functors(GMap(BZ2, BZ2, [0]), GMap(BZ3, BZ3, [0]))
 
 
-def test_table_groupoid_json_roundtrip(s3_setup):
-    S3, S2, BS3, BS2 = s3_setup
-    incl = GroupHomFunctor(BS2, BS3)
-    fib = two_fiber_product(incl, point_inclusion(BS3, 0))
-    tab = materialize(fib)
-    js = tab.to_json()
-    tab2 = TableGroupoid.from_json(js)
-    assert cardinality(tab2) == cardinality(fib) == 3
-    assert tab2.n_morphisms() == fib.n_morphisms()
-
-
 def test_budget_guard():
     from hallalg import BudgetExceededError
     S3 = symmetric_group(3)
@@ -287,20 +275,6 @@ def test_budget_guard():
     idf = IdentityFunctor(BS3)
     with pytest.raises(BudgetExceededError):
         two_fiber_product(idf, idf, budget=2)
-
-
-def test_functor_json_roundtrip():
-    from hallalg.groupoid import functor_from_json, functor_to_json
-    S3 = symmetric_group(3)
-    S2 = symmetric_subgroup(S3, 2)
-    BS3 = b_group(S3)
-    incl = GroupHomFunctor(b_group(S2), BS3)
-    fib = materialize(two_fiber_product(incl, point_inclusion(BS3, 0)))
-    idf = IdentityFunctor(fib)
-    js = functor_to_json(idf)
-    assert js["objects"] == list(range(fib.n_objects))
-    back = functor_from_json(fib, fib, js)
-    assert is_equivalence(back).ok
 
 
 def test_transfer_rejects_functions_on_the_wrong_groupoid(s3_setup):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -124,12 +123,13 @@ def test_route_equivalence_p_groups():
 
 def test_span_route_refuses_a_non_integral_constant(monkeypatch):
     import hallalg.hall as hall
-    real = hall.pull_push_span
+    real = hall.pull_push_table
 
     def halved(*args, **kwargs):
-        return real(*args, **kwargs).scale(Fraction(1, 2))
+        return {k: {c: v / 2 for c, v in row.items()}
+                for k, row in real(*args, **kwargs).items()}
 
-    monkeypatch.setattr(hall, "pull_push_span", halved)
+    monkeypatch.setattr(hall, "pull_push_table", halved)
     with pytest.raises(ArithmeticError,
                        match="non-integral Hall constant 1/2 at class 1"):
         hall_product_via_span(VectFq(2, 1), 1, {1: 1}, {0: 1})

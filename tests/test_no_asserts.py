@@ -10,7 +10,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hallalg"
 ASSERT_FREE = ["waldhausen", "wreath", "protoab", "hall.py", "groups.py",
                "cli.py", "schurweyl.py", "exactmath/cyclotomic.py",
                "exactmath/halllittlewood.py", "exactmath/partitions.py",
-               "exactmath/symfunc.py"]
+               "exactmath/symfunc.py", "groupoid/functors.py",
+               "groupoid/fiber.py"]
 
 
 def _modules():

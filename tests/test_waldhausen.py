@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from hallalg import BudgetExceededError, UsageError
-from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
-                              GroupHomFunctor, PairFunctor, ProductGroupoid,
-                              SpanFn, b_group, cardinality,
+from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
+                              GMap, Groupoid, GroupHomFunctor, PairFunctor,
+                              ProductGroupoid, SpanFn, b_group, cardinality,
                               compose_functors, external_product,
                               functors_equal, is_equivalence,
                               pull_push_span, two_fiber_product)
@@ -16,7 +16,7 @@ from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
                             named_group, named_subgroup, symmetric_group,
                             symmetric_subgroup, trivial_group, tuple_group,
                             young_subgroup)
-from hallalg.protoab import F1FreeG, VectFq
+from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
 from hallalg.waldhausen import (FlagGroupoid,
                                 check_2segal_degree3, check_pointed,
                                 check_simplicial_identities,
@@ -108,31 +108,68 @@ def opaque(x):
         {k: hide(f) for k, f in x.degeneracies.items()})
 
 
-def with_swapped(x, kind, key):
-    """x with two entries of one face or degeneracy table swapped: the
-    first object and the first object with a different image."""
+def with_map(x, kind, key, **change):
+    """x with one face or degeneracy rebuilt as a GMap whose table, sel or
+    fill is changed as given."""
     maps = {"face": dict(x.faces), "degeneracy": dict(x.degeneracies)}
     f = maps[kind][key]
-    t = list(f.table)
-    j = next((j for j in range(len(t)) if t[j] != t[0]), None)
-    if j is None:
-        return None
-    t[0], t[j] = t[j], t[0]
-    maps[kind][key] = GMap(f.src, f.tgt, t, name=f.name)
+    parts = {"table": f.table, "sel": f.sel, "fill": f.fill, **change}
+    maps[kind][key] = GMap(f.src, f.tgt, name=f.name, **parts)
     return TruncatedSimplicialGroupoid(list(x.levels), maps["face"],
                                        maps["degeneracy"])
 
 
-@pytest.mark.parametrize("G, k", [(3, 2), (4, 3), (4, 2)])
-def test_table_identities_match_generating_morphisms(G, k, monkeypatch):
-    S = symmetric_group(G)
-    x = hecke_waldhausen(S, symmetric_subgroup(S, k), depth=3)
+def swapped(seq):
+    """seq with its first entry and the first entry that differs from it
+    swapped, or None."""
+    t = list(seq)
+    j = next((j for j in range(len(t)) if t[j] != t[0]), None)
+    if j is None:
+        return None
+    t[0], t[j] = t[j], t[0]
+    return t
+
+
+def with_swapped(x, kind, key):
+    """x with two entries of one face or degeneracy table swapped, or
+    None."""
+    t = swapped((x.faces if kind == "face" else x.degeneracies)[key].table)
+    return None if t is None else with_map(x, kind, key, table=t)
+
+
+def _hw(n, k):
+    S = symmetric_group(n)
+    return hecke_waldhausen(S, symmetric_subgroup(S, k), depth=3)
+
+
+TABLE_CASES = {
+    "3-2": lambda: _hw(3, 2),
+    "4-3": lambda: _hw(4, 3),
+    "4-2": lambda: _hw(4, 2),
+    "s-vect-f2-2": lambda: s_construction(VectFq(2, 2), depth=3),
+    "s-f1-c2-2": lambda: s_construction(F1FreeG(cyclic_group(2), 2), depth=3),
+    "s-f1-trivial-2": lambda: s_construction(F1FreeG(trivial_group(), 2),
+                                             depth=3),
+    "s-ab-p-2-4": lambda: s_construction(AbelianPGroups(2, 4), depth=3),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_table_identities_match_generating_morphisms(case, monkeypatch):
+    x = TABLE_CASES[case]()
     cases = [x]
-    if G == 3:
+    if case == "3-2":
         # every table of HW(S3,S2) with two entries swapped
         cases += [m for kind, maps in (("face", x.faces),
                                        ("degeneracy", x.degeneracies))
                   for key in maps if (m := with_swapped(x, kind, key))]
+    elif case.startswith("s-"):
+        cases.append(with_swapped(x, "face", (3, 1)))
+        # equal tables with different selections go to the generic walk
+        bad_sel = with_map(x, "face", (3, 1), sel=swapped(x.face(3, 1).sel))
+        walked = check_simplicial_identities(bad_sel).violations
+        assert walked and walked == check_simplicial_identities(
+            opaque(bad_sel)).violations
     generic = [check_simplicial_identities(opaque(c)).violations
                for c in cases]
 
@@ -143,6 +180,39 @@ def test_table_identities_match_generating_morphisms(G, k, monkeypatch):
     tables = [check_simplicial_identities(c).violations for c in cases]
     assert tables == generic
     assert tables[0] == [] and all(tables[1:])
+
+
+def test_a_fill_against_a_trivial_coordinate_compares_equal():
+    # at bound 0 every entry is the zero object, whose Aut group is trivial
+    x = s_construction(F1FreeG(trivial_group(), 0), depth=3)
+    s0 = x.degeneracy(1, 0)
+    assert s0.sel == (None, 0, 0)
+    y = with_map(x, "degeneracy", (1, 0), sel=(0, 0, 0))
+    assert y.degeneracy(1, 0).sel == (0, 0, 0)
+    assert functors_equal(y.degeneracy(1, 0), s0)
+    assert check_simplicial_identities(y).violations == [] == \
+        check_simplicial_identities(opaque(y)).violations
+
+
+def test_composed_gmaps_match_the_composed_functor(s_vect):
+    maps = [*s_vect.faces.values(), *s_vect.degeneracies.values()]
+    for outer in maps:
+        for inner in maps:
+            if inner.tgt is not outer.src:
+                continue
+            fast = compose_functors(outer, inner)
+            slow = ComposedFunctor(outer, inner)
+            assert isinstance(fast, GMap)
+            src = inner.src
+            assert fast.table == [slow.on_obj(i)
+                                  for i in range(src.n_objects)]
+            for m in src.generating_morphisms():
+                assert fast.on_mor(m) == slow.on_mor(m), fast.name
+    # two fills that differ are left to ComposedFunctor
+    s0 = s_vect.degeneracy(1, 0)
+    other = GMap(s0.src, s0.tgt, s0.table, sel=s0.sel, fill="other")
+    assert isinstance(compose_functors(s_vect.degeneracy(2, 0), other),
+                      ComposedFunctor)
 
 
 def test_swapped_face_table_fails_the_identities(hecke_s3):
