@@ -105,7 +105,10 @@ def schur_product_by_polynomials(lam: Partition, mu: Partition) -> dict[Partitio
         lead = max(poly)
         coeff = poly[lead]
         nu = tuple(e for e in lead if e)
-        assert all(lead[i] >= lead[i + 1] for i in range(nvars - 1)), lead
+        if any(lead[i] < lead[i + 1] for i in range(nvars - 1)):
+            raise ArithmeticError(f"the leading monomial {lead} of the "
+                                  f"product of s_{lam} and s_{mu} is not a "
+                                  f"partition")
         out[nu] = coeff
         for expo, c in schur_monomials(nu, nvars).items():
             newc = poly.get(expo, 0) - coeff * c

@@ -41,10 +41,15 @@ def ssyt_iter(shape: Partition, d: int):
     yield from rec(0, 0)
 
 
+def _check_variables(d):
+    if d < 1:
+        raise ValueError(f"need at least one variable, got d = {d}")
+
+
 def ssyt_count(shape: Partition, d: int) -> int:
     """Number of SSYT of `shape` with entries in {1..d}; equals s_shape(1^d)."""
     shape = check_partition(shape)
-    assert d >= 1
+    _check_variables(d)
     return sum(1 for _ in ssyt_iter(shape, d))
 
 
@@ -52,14 +57,16 @@ def ssyt_count(shape: Partition, d: int) -> int:
 def schur_eval_ones(shape: Partition, d: int) -> int:
     """s_shape(1^d) by the hook-content product over cells."""
     shape = check_partition(shape)
-    assert d >= 1
+    _check_variables(d)
     conj = conjugate(shape)
     val = Fraction(1)
     for i, row in enumerate(shape):
         for j in range(row):
             hook = (row - j) + (conj[j] - i) - 1
             val *= Fraction(d + j - i, hook)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ArithmeticError(f"the hook-content product for {shape} at "
+                              f"d = {d} is not an integer: {val}")
     return int(val)
 
 
@@ -73,7 +80,9 @@ def standard_tableaux_count(shape: Partition) -> int:
     for i, row in enumerate(shape):
         for j in range(row):
             denom *= (row - j) + (conj[j] - i) - 1
-    assert factorial(n) % denom == 0
+    if factorial(n) % denom:
+        raise ArithmeticError(f"the hook product {denom} of {shape} does "
+                              f"not divide {n}!")
     return factorial(n) // denom
 
 

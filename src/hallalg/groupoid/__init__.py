@@ -9,7 +9,7 @@ from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
                        Functor, GMap, GroupHomFunctor, IdentityFunctor,
                        PairFunctor, compose_functors, constant_functor,
                        equivalence_on_pi0, functors_equal, is_equivalence,
-                       point_inclusion, twist_by_natural_iso)
+                       point_inclusion)
 from .transfer import (SpanFn, cardinality, external_product, is_faithful,
                        pull_push_span, pull_push_table, pullback_fn,
                        pushforward_fn)
@@ -23,7 +23,7 @@ __all__ = [
     "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
     "GroupHomFunctor", "IdentityFunctor", "PairFunctor", "compose_functors",
     "constant_functor", "equivalence_on_pi0", "functors_equal",
-    "is_equivalence", "point_inclusion", "twist_by_natural_iso",
+    "is_equivalence", "point_inclusion",
     "SpanFn", "cardinality", "external_product", "is_faithful",
     "pull_push_span", "pull_push_table", "pullback_fn", "pushforward_fn",
 ]

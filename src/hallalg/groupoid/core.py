@@ -188,23 +188,32 @@ class Groupoid:
 
     def validate(self, budget: int = 200_000):
         """Check the groupoid axioms; exhaustive below `budget` morphism
-        pairs, spot-checked above."""
+        pairs, spot-checked above.  A failure is a ValueError naming the
+        objects involved."""
+        def check(ok, what, *objs):
+            if not ok:
+                raise ValueError(f"{self.name}: {what} (objects {objs})")
+
         n = self.n_objects
         for i in range(min(n, budget)):
             e = self.identity(i)
-            assert self.mor_src(e) == i and self.mor_tgt(e) == i
+            check(self.mor_src(e) == i and self.mor_tgt(e) == i,
+                  "an identity is not a loop", i)
         seen_pairs = 0
         for i in range(n):
             for m in self.out(i):
-                assert self.mor_src(m) == i
+                check(self.mor_src(m) == i, "a morphism starts elsewhere", i)
                 j = self.mor_tgt(m)
                 minv = self.inverse(m)
-                assert self.mor_src(minv) == j and self.mor_tgt(minv) == i
-                assert self.compose(minv, m) == self.identity(i)
-                assert self.compose(m, minv) == self.identity(j)
-                e_j = self.identity(j)
-                assert self.compose(e_j, m) == m
-                assert self.compose(m, self.identity(i)) == m
+                check(self.mor_src(minv) == j and self.mor_tgt(minv) == i,
+                      "an inverse does not reverse its morphism", i, j)
+                check(self.compose(minv, m) == self.identity(i) and
+                      self.compose(m, minv) == self.identity(j),
+                      "a morphism composed with its inverse is not an "
+                      "identity", i, j)
+                check(self.compose(self.identity(j), m) == m and
+                      self.compose(m, self.identity(i)) == m,
+                      "an identity is not neutral", i, j)
                 seen_pairs += 1
                 if seen_pairs > budget:
                     return
@@ -218,7 +227,8 @@ class Groupoid:
                     for m3 in self.out(k):
                         a = self.compose(m3, self.compose(m2, m1))
                         b = self.compose(self.compose(m3, m2), m1)
-                        assert a == b, "associativity failure"
+                        check(a == b, "composition is not associative", i, j,
+                              k)
                         seen += 1
                         if seen > budget:
                             return
@@ -244,7 +254,9 @@ class ActionGroupoid(Groupoid):
         if check:
             ident = group.identity
             for i in range(self.n_objects):
-                assert act(ident, i) == i, "identity must act trivially"
+                if act(ident, i) != i:
+                    raise ValueError(f"{name}: the identity moves object "
+                                     f"{i}")
             gens = group.generators()
             small = group.order ** 2 * self.n_objects <= 200_000
             pairs = ((a, b) for a in (group.elements if small else gens)
@@ -254,8 +266,10 @@ class ActionGroupoid(Groupoid):
             pairs = list(pairs)
             for i in objs:
                 for a, b in pairs:
-                    assert act(group.op(a, b), i) == act(a, act(b, i)), \
-                        "action incompatible with multiplication"
+                    if act(group.op(a, b), i) != act(a, act(b, i)):
+                        raise ValueError(f"{name}: the action at object {i} "
+                                         f"is incompatible with "
+                                         f"multiplication")
 
     def group_at(self, i) -> FiniteGroup:
         """The group whose elements are the morphisms out of object i."""
@@ -354,7 +368,9 @@ class DisjointUnion(Groupoid):
         return self.offsets[k] + self.parts[k].mor_tgt(t)
 
     def compose(self, m2, m1):
-        assert m2[0] == m1[0]
+        if m2[0] != m1[0]:
+            raise ValueError(f"{self.name}: morphisms of parts {m1[0]} and "
+                             f"{m2[0]} do not compose")
         return (m1[0], self.parts[m1[0]].compose(m2[1], m1[1]))
 
     def identity(self, i):
@@ -436,7 +452,10 @@ class FullSubgroupoid(Groupoid):
         # must be closed under morphisms
         for o in self.inner:
             for t in ambient.neighbors(o):
-                assert t in self.to_sub, "object set not component-closed"
+                if t not in self.to_sub:
+                    raise ValueError(f"the objects of {name or ambient.name} "
+                                     f"are not a union of components: {o} "
+                                     f"reaches {t}")
         super().__init__([ambient.objects[o] for o in self.inner],
                          name=name or f"sub({ambient.name})")
 

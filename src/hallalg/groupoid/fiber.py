@@ -10,6 +10,21 @@ orbits of Aut(a) x Aut(b) on Hom_D(f a, g b), and the automorphism order
 of a component is the order of the stabiliser of a point of its orbit.
 fiber_product_size counts the objects without listing them.
 
+A comparison x -> (fa x, fb x) of G-maps into A x_D B is often decided
+with no pi0 at all.  Along an isofibration f the strict pullback
+P = {(u, v) : f u = g v} is equivalent to the 2-fiber product, and when
+the comparison's group map is onto the groups of P, with kernel N at the
+apex object x, the comparison is an equivalence exactly when it hits every
+object of P and each fibre is one free N-orbit.  strict_pullback_equivalence
+checks this on the index tables.  It applies in two cases: every group is
+one shared group object passed through (N is trivial, so the test is a
+bijection onto P), or every selection of tuple groups is a projection (fa,
+fb and f injective, with no fill and onto their targets' groups) and the
+coordinates that fa and fb both select are exactly the pairs that f and g
+identify (N is the product of the factors of the apex coordinates that
+neither selects).  In any other case, and to name the witness of a failure,
+the checks use FiberSkeleton.
+
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
 small examples and the oracle for the skeleton in the tests; no check on
@@ -17,11 +32,14 @@ the production path builds one.  D's morphisms are interned as integers, so
 D must be small enough to list them.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
+from itertools import repeat
+from math import prod
+from operator import add
 
 from .. import BudgetExceededError
-from .core import DEFAULT_OBJECT_BUDGET, Component, Groupoid
-from .functors import FnFunctor, Functor
+from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Component, Groupoid
+from .functors import FnFunctor, Functor, GMap
 
 
 def _check_cospan(f: Functor, g: Functor):
@@ -49,6 +67,120 @@ def fiber_product_size(f: Functor, g: Functor) -> int:
     return sum(n * n_b[c] * comps[c].aut_order for c, n in n_a.items())
 
 
+def _projection(m: GMap):
+    """The selection of m when it projects tuple groups onto its target's:
+    injective, with no fill, and at every object the selected factors'
+    orders multiply to the order of the target's group; else None."""
+    sel = m.sel
+    if sel is None or None in sel or len(set(sel)) < len(sel):
+        return None
+    groups = set(zip(map(m.src.group_at, range(m.src.n_objects)),
+                     map(m.tgt.group_at, m.table)))
+    for s, t in groups:
+        factors = getattr(s, "factors", None)
+        if factors is None or prod(factors[k].order for k in sel) != t.order:
+            return None
+    return sel
+
+
+def _free_kernel(group, selected):
+    """(|N|, generators of N) for N the factors of `group` at the
+    coordinates outside `selected`."""
+    order, gens = 1, []
+    for c, k in enumerate(group.factors):
+        if c not in selected and k.order > 1:
+            order *= k.order
+            for h in k.generators():
+                t = list(group.identity)
+                t[c] = h
+                gens.append(tuple(t))
+    return order, gens
+
+
+def strict_pullback_equivalence(fa: Functor, fb: Functor, f: Functor,
+                                g: Functor):
+    """Whether x -> (fa x, fb x) from the apex to the strict pullback P of
+    f: A -> D <- B: g, hence to A x_D B, is an equivalence, decided on the
+    index tables (see the module docstring); None when the rule does not
+    apply.  The functors must be G-maps, equivariant, with f∘fa = g∘fb on
+    objects (segal checks both tables first).  The objects of P are
+    numbered over each object d of D, in the order of d, then of u in
+    f^-1(d), then of v in g^-1(d)."""
+    maps = (fa, fb, f, g)
+    apex = fa.src
+    spaces = (apex, f.src, g.src, f.tgt)
+    if not (all(isinstance(m, GMap) for m in maps)
+            and all(isinstance(x, ActionGroupoid) for x in spaces)
+            and fb.src is apex and fa.tgt is f.src and fb.tgt is g.src
+            and g.tgt is f.tgt):
+        return None
+    if all(m.sel is None for m in maps):
+        if apex.group is None or any(x.group is not apex.group
+                                     for x in spaces):
+            return None
+        selected = None             # N is trivial
+    else:
+        sa, sb, sf = map(_projection, (fa, fb, f))
+        if None in (sa, sb, sf) or g.sel is None:
+            return None
+        at_b = {c: l for l, c in enumerate(sb)}
+        if {(k, at_b[c]) for k, c in enumerate(sa) if c in at_b} != set(
+                zip(sf, g.sel)):
+            return None
+        selected = set(sa) | set(sb)
+    n_d = f.tgt.n_objects
+
+    def ranks(leg):
+        count, rank = [0] * n_d, []
+        for d in leg.table:
+            rank.append(count[d])
+            count[d] += 1
+        return count, rank
+
+    (nf, rf), (ng, rg) = ranks(f), ranks(g)
+    offset, size = [], 0
+    for a, b in zip(nf, ng):
+        offset.append(size)
+        size += a * b
+    if size > apex.n_objects:
+        return False
+    base = [offset[d] + r * ng[d] for d, r in zip(f.table, rf)]
+    points = map(add, map(base.__getitem__, fa.table),
+                 map(rg.__getitem__, fb.table))
+    hit = bytearray(size)
+    if selected is None:            # a bijection onto P
+        if size != apex.n_objects:
+            return False
+        # mark every point hit, in C; then each is hit once
+        deque(map(hit.__setitem__, points, repeat(1)), maxlen=0)
+        return 0 not in hit
+    kernels, seen, missing = {}, bytearray(apex.n_objects), size
+    for x, p in enumerate(points):
+        if seen[x]:
+            continue
+        if hit[p]:                  # a second N-orbit over p
+            return False
+        hit[p] = 1
+        missing -= 1
+        group = apex.group_at(x)
+        if group not in kernels:
+            kernels[group] = _free_kernel(group, selected)
+        order, gens = kernels[group]
+        if order > 1:               # the N-orbit of x must be free
+            seen[x], stack, n = 1, [x], 1
+            while stack:
+                y = stack.pop()
+                for h in gens:
+                    z = apex.act(h, y)
+                    if not seen[z]:
+                        seen[z] = 1
+                        stack.append(z)
+                        n += 1
+            if n != order:
+                return False
+    return missing == 0
+
+
 class FiberSkeleton:
     """pi0 of A x_D B over f: A -> D <- B: g, without its objects.
 
@@ -69,16 +201,25 @@ class FiberSkeleton:
             over[d.component_of(g.on_obj(cb.rep))].append(cb)
         self.components = []
         self._orbit_of = {}             # (A comp, B comp) -> {phi: index}
+        lefts = {}                      # B comp -> {g(beta)}
         for ca in self.a.components():
-            for cb in over[d.component_of(f.on_obj(ca.rep))]:
-                self._orbit_of[ca.index, cb.index] = self._orbits(ca, cb)
+            cbs = over[d.component_of(f.on_obj(ca.rep))]
+            if not cbs:
+                continue
+            right = {d.inverse(f.on_mor(m))
+                     for m in self.a.hom(ca.rep, ca.rep)}
+            for cb in cbs:
+                if cb.index not in lefts:
+                    lefts[cb.index] = {g.on_mor(m)
+                                       for m in self.b.hom(cb.rep, cb.rep)}
+                self._orbit_of[ca.index, cb.index] = self._orbits(
+                    ca, cb, right, lefts[cb.index])
 
-    def _orbits(self, ca, cb):
+    def _orbits(self, ca, cb, right, left):
         """Split Hom_D(f a, g b) into orbits of Aut(a) x Aut(b), acting by
-        phi -> g(beta)∘phi∘f(alpha)^-1; appends one component per orbit."""
-        a, b, d = self.a, self.b, self.d
-        right = {d.inverse(self.f.on_mor(m)) for m in a.hom(ca.rep, ca.rep)}
-        left = {self.g.on_mor(m) for m in b.hom(cb.rep, cb.rep)}
+        phi -> g(beta)∘phi∘f(alpha)^-1, given `right`, the f(alpha)^-1, and
+        `left`, the g(beta); appends one component per orbit."""
+        d = self.d
         n_auts = ca.aut_order * cb.aut_order
         orbit_of = {}
         for phi in d.hom(self.f.on_obj(ca.rep), self.g.on_obj(cb.rep)):

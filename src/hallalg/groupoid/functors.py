@@ -221,25 +221,6 @@ class PairFunctor(Functor):
         return (self.f.on_mor(m), self.g.on_mor(m))
 
 
-def twist_by_natural_iso(f: Functor, eta) -> Functor:
-    """The naturally isomorphic functor x -> tgt(eta_x), m -> eta∘F(m)∘eta^-1.
-
-    `eta` maps each source object index to a target morphism token with
-    source f(x).
-    """
-    tgt = f.tgt
-
-    def obj_map(i):
-        return tgt.mor_tgt(eta(i))
-
-    def mor_map(m):
-        i, j = f.src.mor_src(m), f.src.mor_tgt(m)
-        return tgt.compose(eta(j), tgt.compose(f.on_mor(m),
-                                               tgt.inverse(eta(i))))
-
-    return FnFunctor(f.src, tgt, obj_map, mor_map, name=f"{f.name}~")
-
-
 @dataclass
 class EquivalenceVerdict:
     ok: bool

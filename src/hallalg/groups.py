@@ -339,7 +339,7 @@ def direct_product(G, H, name=None):
 
 def tuple_group(factors, name) -> FiniteGroup:
     """K_0 x ... x K_n with tuple tokens; the identity, the inverses and the
-    generators are coordinatewise."""
+    generators are coordinatewise, and `factors` lists the K_i."""
     def op(a, b):
         return tuple(K.op(x, y) for K, x, y in zip(factors, a, b))
 
@@ -355,6 +355,7 @@ def tuple_group(factors, name) -> FiniteGroup:
             t[pos] = g
             gens.append(tuple(t))
     P._gens = tuple(gens)
+    P.factors = tuple(factors)
     return P
 
 

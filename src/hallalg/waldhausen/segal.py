@@ -17,10 +17,20 @@ Each check returns a verdict carrying a witness on failure: a comparison
 that is not even well defined (corrupted faces), a missed component, a
 hom-set where the map fails to be bijective, or an automorphism not sent to
 one.  The fiber products are never built: each square counts their objects
-and refuses one over the budget before any other work, checks that the
-comparison is defined on every object of the apex, and then decides the
-equivalence against the skeleton of the fiber product (FiberSkeleton), on
-one representative per component of the apex.
+and refuses one over the budget before any other work, and checks that the
+comparison is defined on every object of the apex.  When the four functors
+are G-maps that meet the conditions of strict_pullback_equivalence
+(groupoid/fiber.py), the square is then decided on their index tables
+alone: along an isofibration the strict pullback P is equivalent to the
+fiber product, so the comparison is an equivalence exactly when it hits
+every object of P and each fibre is one free orbit of the kernel of its
+group map.  That covers the degree-3 squares of both constructions and the
+Hecke-Waldhausen unital squares.  The S-construction's unital squares,
+where s_0 maps Aut(A) diagonally, and functors that are not G-maps (the
+mutation corpus) do not meet the conditions; they, and every square the
+rule finds is not an equivalence, are decided against the skeleton of the
+fiber product (FiberSkeleton), on one representative per component of the
+apex, which names the witness.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +39,8 @@ from .. import BudgetExceededError
 from ..groupoid import (DisjointUnion, FnFunctor, FullSubgroupoid, Functor,
                         GMap, discrete_groupoid)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
-from ..groupoid.fiber import FiberSkeleton, fiber_product_size
+from ..groupoid.fiber import (FiberSkeleton, fiber_product_size,
+                              strict_pullback_equivalence)
 from ..groupoid.functors import equivalence_on_pi0
 from .simplicial import TruncatedSimplicialGroupoid
 
@@ -71,15 +82,16 @@ def refuse_fiber_product(name, size, budget):
 def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
                 leg_g: Functor, budget, name):
     """Whether the canonical functor x -> (fa x, fb x, id) from the apex to
-    leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It is
-    decided on the skeleton of the fiber product: well-definedness on every
-    apex object (by composing index tables when all four functors are
-    G-maps, as the faces and degeneracies of both constructions are), then
-    is_equivalence's checks on component representatives."""
+    leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It
+    checks well-definedness on every apex object (by composing index tables
+    when all four functors are G-maps, as the faces and degeneracies of both
+    constructions are), then decides on the strict pullback when that rule
+    applies and says yes, and otherwise on the skeleton of the fiber
+    product, by is_equivalence's checks on component representatives."""
     refuse_fiber_product(name, fiber_product_size(leg_f, leg_g), budget)
     if not all(isinstance(f, GMap) for f in (fa, fb, leg_f, leg_g)) or (
-            [leg_f.table[j] for j in fa.table] !=
-            [leg_g.table[j] for j in fb.table]):
+            list(map(leg_f.table.__getitem__, fa.table)) !=
+            list(map(leg_g.table.__getitem__, fb.table))):
         # name the first object on which the composites disagree
         for i in range(apex.n_objects):
             if leg_f.on_obj(fa.on_obj(i)) != leg_g.on_obj(fb.on_obj(i)):
@@ -87,6 +99,8 @@ def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
                         {"kind": "comparison_undefined",
                          "object": repr(apex.objects[i]),
                          "detail": "face composites disagree on objects"})
+    if strict_pullback_equivalence(fa, fb, leg_f, leg_g):
+        return True, None
     skel = FiberSkeleton(leg_f, leg_g)
     a, b, d = skel.a, skel.b, skel.d
 

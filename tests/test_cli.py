@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +9,22 @@ from pathlib import Path
 import pytest
 
 from hallalg.cli import run
+from hallalg.waldhausen import segal
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_workloads():
+    """perfbench/workloads.py, read only: its CLI jobs carry the recorded
+    exit codes and output digests."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {job.name: job for job in module.workload_jobs("groupoid")}
+
+
+JOBS = _load_workloads()
 
 
 def run_capture(capsys, argv):
@@ -111,6 +129,39 @@ def test_usage_errors_exit_2_without_asserts(tmp_path):
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("job", ["hw-s4-s2", "s-vect-f2-2"])
+def test_segal_check_under_python_O_matches_the_recorded_digest(job):
+    # no certification step is an assert that `python -O` would strip
+    job = JOBS[job]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hallalg.cli", *job.argv],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == job.exit_code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == job.digest
+
+
+@pytest.mark.parametrize("job, skeletons", [
+    ("hw-s3-s2", []), ("hw-s4-s2", []),
+    ("s-vect-f2-2", ["d_2^2", "d_0^2"])])
+def test_segal_check_builds_a_skeleton_only_for_the_s_unital_squares(
+        capsys, monkeypatch, job, skeletons):
+    # the other squares are decided on the strict pullback
+    built = []
+
+    class Counted(segal.FiberSkeleton):
+        def __init__(self, f, g):
+            built.append(f.name)
+            super().__init__(f, g)
+
+    monkeypatch.setattr(segal, "FiberSkeleton", Counted)
+    job = JOBS[job]
+    code, out = run_capture(capsys, job.argv)
+    assert code == job.exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == job.digest
+    assert built == skeletons
 
 
 @pytest.mark.parametrize("spec", ["cyclic:0", "cyclic:-3", "dihedral:0",

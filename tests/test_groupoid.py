@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
+                              FullSubgroupoid,
                               FnFunctor, GroupHomFunctor, IdentityFunctor,
                               SpanFn, b_group, cardinality,
                               compose_functors, constant_functor,
@@ -14,7 +15,7 @@ from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
                               is_faithful, point_groupoid, point_inclusion,
                               ProductGroupoid,
                               pull_push_span, pullback_fn, pushforward_fn,
-                              twist_by_natural_iso, two_fiber_product)
+                              two_fiber_product)
 from hallalg.groups import (alternating_subgroup, cyclic_group, perm_sign,
                             symmetric_group, symmetric_subgroup,
                             trivial_group)
@@ -178,6 +179,23 @@ def test_base_change_on_computed_squares(s3_setup):
         lhs = pushforward_fn(fib.proj_b, pullback_fn(fib.proj_a, phi))
         rhs = pullback_fn(incl, pushforward_fn(incl, phi))
         assert lhs == rhs
+
+
+def twist_by_natural_iso(f, eta):
+    """The naturally isomorphic functor x -> tgt(eta_x), m -> eta∘F(m)∘eta^-1.
+
+    `eta` maps each source object index to a target morphism token with
+    source f(x).
+    """
+    tgt = f.tgt
+
+    def mor_map(m):
+        i, j = f.src.mor_src(m), f.src.mor_tgt(m)
+        return tgt.compose(eta(j), tgt.compose(f.on_mor(m),
+                                               tgt.inverse(eta(i))))
+
+    return FnFunctor(f.src, tgt, lambda i: tgt.mor_tgt(eta(i)), mor_map,
+                     name=f"{f.name}~")
 
 
 def test_iso_invariance(s3_setup):
@@ -458,3 +476,24 @@ def test_pushforward_matches_fiber_route_on_hecke_spans():
                 for push in (d0, d1):
                     assert (pushforward_fn(push, psi)
                             == pushforward_via_fibers(push, psi))
+
+
+def test_malformed_groupoids_are_value_errors():
+    # explicit errors, not asserts that `python -O` would strip
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    with pytest.raises(ValueError, match="identity moves"):
+        ActionGroupoid(Z2, [0, 1], lambda g, i: 1 - i)
+
+    def skew(g, i):              # 1 acting twice is not 2 acting once
+        return i if g == 0 else (i + 1) % 3
+
+    with pytest.raises(ValueError, match="incompatible"):
+        ActionGroupoid(Z3, [0, 1, 2], skew)
+    with pytest.raises(ValueError, match="inverse"):
+        ActionGroupoid(Z3, [0, 1, 2], skew, check=False).validate()
+    swap = ActionGroupoid(Z2, [0, 1], lambda g, i: i ^ g)
+    with pytest.raises(ValueError, match="union of components"):
+        FullSubgroupoid(swap, [0])
+    both = DisjointUnion([swap, swap])
+    with pytest.raises(ValueError, match="do not compose"):
+        both.compose(both.identity(0), both.identity(2))

@@ -1,3 +1,5 @@
+import pytest
+
 from hallalg.exactmath.littlewood import (littlewood_richardson,
                                           schur_product,
                                           schur_product_by_polynomials)
@@ -76,3 +78,9 @@ def test_pieri_row():
 
 def test_grading():
     assert littlewood_richardson((2,), (1,), (2,)) == 0
+
+
+def test_no_variables_is_a_value_error():
+    for count in (ssyt_count, schur_eval_ones):
+        with pytest.raises(ValueError, match="at least one variable"):
+            count((1,), 0)

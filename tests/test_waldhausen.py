@@ -11,7 +11,8 @@ from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
                               compose_functors, external_product,
                               functors_equal, is_equivalence,
                               pull_push_span, two_fiber_product)
-from hallalg.groupoid.fiber import fiber_product_size
+from hallalg.groupoid.fiber import (fiber_product_size,
+                                    strict_pullback_equivalence)
 from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
                             named_group, named_subgroup, symmetric_group,
                             symmetric_subgroup, trivial_group, tuple_group,
@@ -918,3 +919,158 @@ def test_subgroup_verified():
     S4 = symmetric_group(4)
     with pytest.raises(UsageError):
         hecke_waldhausen(S3, S4, depth=1)
+
+
+# -- the strict pullback rule, against the skeleton ---------------------------
+
+
+def decided_squares(x):
+    """(name, apex, fa, fb, leg_f, leg_g) of every square that the 2-Segal
+    and pointedness checks of x decide, in their order."""
+    seen, comparison = [], segal._comparison
+    segal._comparison = lambda *args: seen.append(
+        (args[-1], *args[:5])) or (True, None)
+    try:
+        check_2segal_degree3(x)
+        check_pointed(x)
+    finally:
+        segal._comparison = comparison
+    return seen
+
+
+def comparisons(squares, budget=10 ** 7):
+    return [segal._comparison(apex, fa, fb, f, g, budget, name)
+            for name, apex, fa, fb, f, g in squares]
+
+
+RULE_CASES = {
+    "hw-s3-s2": lambda: _hw(3, 2),
+    "hw-s4-s2": lambda: _hw(4, 2),
+    "hw-s4-s3": lambda: _hw(4, 3),
+    "hw-d8-1": lambda: hecke_waldhausen(
+        dihedral_group(4), named_subgroup(dihedral_group(4), "trivial")),
+    **{k: TABLE_CASES[k] for k in TABLE_CASES if k.startswith("s-")},
+}
+
+
+@pytest.mark.parametrize("case", list(RULE_CASES))
+def test_strict_pullback_rule_agrees_with_the_skeleton(case, monkeypatch):
+    squares = decided_squares(RULE_CASES[case]())
+    rule = [strict_pullback_equivalence(fa, fb, f, g)
+            for _, _, fa, fb, f, g in squares]
+    decided = comparisons(squares)
+    monkeypatch.setattr(segal, "strict_pullback_equivalence",
+                        lambda *args: None)
+    skeleton = comparisons(squares)
+    assert decided == skeleton == [(True, None)] * 4
+    # the S-construction's unital squares map Aut(A) diagonally
+    assert rule == ([True] * 4 if case.startswith("hw") else
+                    [True, True, None, None])
+
+
+@pytest.mark.parametrize("case", ["hw-s3-s2", "hw-d8-1"])
+def test_a_gmap_square_that_is_no_equivalence_gets_the_skeleton_witness(
+        case, monkeypatch):
+    # fa and fb precomposed with s_2 d_3, an equivariant endomorphism of
+    # X_3 that is not an equivalence
+    x = RULE_CASES[case]()
+    e = compose_functors(x.degeneracy(2, 2), x.face(3, 3))
+    squares = [(name, apex, compose_functors(fa, e), compose_functors(fb, e),
+                f, g) for name, apex, fa, fb, f, g in decided_squares(x)[:2]]
+    assert all(isinstance(sq[2], GMap) for sq in squares)
+    assert [strict_pullback_equivalence(*sq[2:]) for sq in squares] == [
+        False, False]
+    decided = comparisons(squares)
+    monkeypatch.setattr(segal, "strict_pullback_equivalence",
+                        lambda *args: None)
+    assert decided == comparisons(squares)
+    assert all(not ok and w["kind"] == "hom_not_bijective"
+               for ok, w in decided)
+
+
+def test_the_rule_does_not_apply_on_a_pinned_apex():
+    S3 = symmetric_group(3)
+    hw = HeckeWaldhausen(S3, symmetric_subgroup(S3, 2), 3)
+    x3 = hw.levels[3]
+    pinned = CosetLevel(S3, [hw.cosets] * 4, "pinned X3", pinned=True)
+    incl = GMap(pinned, x3, [x3.obj_index(o) for o in pinned.objects])
+    for name, _, fa, fb, f, g in decided_squares(hw.simplicial())[:2]:
+        fa, fb = compose_functors(fa, incl), compose_functors(fb, incl)
+        assert strict_pullback_equivalence(fa, fb, f, g) is None
+        assert comparisons([(name, pinned, fa, fb, f, g)]) == [(True, None)]
+
+
+@pytest.mark.parametrize("case", ["s-vect-f2-2", "s-f1-c2-2", "s-ab-p-2-4"])
+def test_s_construction_maps_are_functors(case):
+    # the strict pullback rule relies on equivariant G-map tables
+    x = TABLE_CASES[case]()
+    for f in [*x.faces.values(), *x.degeneracies.values()]:
+        f.validate()
+
+
+def _c2_square(n_objects, act, sb=(0, 2), a_objects=1, first=2):
+    """A square of tuple-group action groupoids: the apex acted on by
+    C_first x C2^3 through `act`; fa and fb select coordinates (0, 1) and
+    `sb` into C_first x C2-groupoids, A with `a_objects` fixed objects, B
+    with one; both legs select coordinate 0 into a one-object
+    C2-groupoid, and every table is constant 0.  With sb = (0, 2),
+    coordinate 3 is the kernel N of the comparison's group map."""
+    C2, C = cyclic_group(2), cyclic_group(first)
+    K4, K2 = (tuple_group([C] + [C2] * k, f"C{first}xC2^{k}") for k in (3, 1))
+    apex = ActionGroupoid(K4, range(n_objects), act, name="X")
+    a = ActionGroupoid(K2, range(a_objects), lambda g, i: i, name="A")
+    b = ActionGroupoid(K2, [0], lambda g, i: 0, name="B")
+    d = ActionGroupoid(tuple_group([C2], "C2"), [0], lambda g, i: 0,
+                       name="D")
+    return (GMap(apex, a, [0] * n_objects, sel=(0, 1)),
+            GMap(apex, b, [0] * n_objects, sel=sb),
+            GMap(a, d, [0] * a_objects, sel=(0,)), GMap(b, d, [0], sel=(0,)))
+
+
+def _shared_square(n_objects):
+    """The apex with `n_objects` objects and A, B, D with one, all acted on
+    trivially by one group C2, with constant tables and no selections."""
+    C2 = cyclic_group(2)
+    apex, a, b, d = (ActionGroupoid(C2, range(n), lambda g, i: i, name=name)
+                     for n, name in ((n_objects, "X"), (1, "A"), (1, "B"),
+                                     (1, "D")))
+    return (GMap(apex, a, [0] * n_objects), GMap(apex, b, [0] * n_objects),
+            GMap(a, d, [0]), GMap(b, d, [0]))
+
+
+def _swap(g, i):
+    return i ^ g[3]
+
+
+@pytest.mark.parametrize("square, expected", [
+    (lambda: _c2_square(2, _swap), True),    # the fibre is one free N-orbit
+    (lambda: _c2_square(1, lambda g, i: i), False),   # N fixes the object
+    (lambda: _c2_square(4, _swap), False),   # two N-orbits over one point
+    # two N-orbits over one point of P, none over the other
+    (lambda: _c2_square(4, _swap, a_objects=2), False),
+    (lambda: _shared_square(1), True),
+    (lambda: _shared_square(2), False),      # two objects over one point
+], ids=["free-orbit", "fixed", "two-orbits", "two-orbits-one-missed",
+        "shared-bijection", "shared-two-to-one"])
+def test_the_rule_counts_the_fibres(square, expected):
+    fa, fb, f, g = square()
+    assert strict_pullback_equivalence(fa, fb, f, g) is expected
+    ok, _ = materialised_comparison(fa.src, fa, fb, f, g, 10 ** 4, "c2")
+    assert ok is expected
+    assert comparisons([("c2", fa.src, fa, fb, f, g)])[0][0] is expected
+
+
+@pytest.mark.parametrize("square, expected", [
+    # fa and fb share coordinate 1, but the legs identify coordinate 0
+    (lambda: _c2_square(2, _swap, sb=(1, 2)), None),
+    # f sends the trivial factor of A into C2: not an isofibration, and
+    # the comparison misses the component of the non-identity element
+    (lambda: _c2_square(2, _swap, first=1), False),
+], ids=["shared-coordinates", "leg-not-onto"])
+def test_the_rule_needs_its_conditions(square, expected):
+    fa, fb, f, g = square()
+    assert strict_pullback_equivalence(fa, fb, f, g) is None
+    if expected is not None:
+        ok, _ = materialised_comparison(fa.src, fa, fb, f, g, 10 ** 4, "c2")
+        assert ok is expected
+        assert comparisons([("c2", fa.src, fa, fb, f, g)])[0][0] is expected
