@@ -13,10 +13,10 @@ class UsageError(ValueError):
 
 
 # convenience re-exports; the exceptions above must exist first
-from .exactmath import (Cyc, MultiSymElem, PartitionMap, SymElem,        # noqa: E402
+from .exactmath import (Cyc, MultiSymElem, PartitionMap,                 # noqa: E402
                         littlewood_richardson, multiset_number,
                         multisym_mul, partition_maps, partitions_of,
-                        schur_eval_ones, ssyt_count)
+                        schur_eval_ones)
 from .groupoid import (SpanFn, b_group, cardinality, is_equivalence,     # noqa: E402
                        pi0, pull_push_span, pullback_fn, pushforward_fn,
                        two_fiber_product)
@@ -25,10 +25,9 @@ from .hall import (check_associativity, divided_powers_iso_check,        # noqa:
                    hall_constants, hall_product, hall_product_via_span)
 from .protoab import AbelianPGroups, F1FreeG, VectFq, make_instance      # noqa: E402
 from .schurweyl import (check_sum_of_squares, check_total_dimension,     # noqa: E402
-                        dim_R, dim_poly_fns, schur_weyl_report)
+                        dim_R, schur_weyl_report)
 from .waldhausen import (HeckeAlgebra, HeckeModule, check_2segal_degree3,  # noqa: E402
                          check_pointed, check_simplicial_identities,
                          hecke_waldhausen, s_construction)
 from .wreath import (ch, ch_ring_hom_check, character_table,             # noqa: E402
-                     induction_product, wreath_class_label,
-                     wreath_product)
+                     induction_product, wreath_product)

@@ -1,19 +1,17 @@
 """Exact arithmetic and symmetric-function combinatorics."""
 
 from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
-from .littlewood import (littlewood_richardson, schur_product,
-                         schur_product_by_polynomials)
+from .littlewood import littlewood_richardson, schur_product
 from .partitions import (PartitionMap, conjugate, multiset_number,
-                         partition_maps, partition_maps_count, partitions_of)
-from .symfunc import MultiSymElem, SymElem, multisym_mul
-from .tableaux import (schur_eval_ones, ssyt_count, ssyt_iter,
-                       standard_tableaux_count)
+                         partition_maps, partitions_of)
+from .symfunc import MultiSymElem, multisym_mul
+from .tableaux import schur_eval_ones, standard_tableaux_count
 
 __all__ = [
     "Cyc", "cyclotomic_polynomial", "euler_phi",
-    "littlewood_richardson", "schur_product", "schur_product_by_polynomials",
+    "littlewood_richardson", "schur_product",
     "PartitionMap", "conjugate", "multiset_number", "partition_maps",
-    "partition_maps_count", "partitions_of",
-    "MultiSymElem", "SymElem", "multisym_mul",
-    "schur_eval_ones", "ssyt_count", "ssyt_iter", "standard_tableaux_count",
+    "partitions_of",
+    "MultiSymElem", "multisym_mul",
+    "schur_eval_ones", "standard_tableaux_count",
 ]

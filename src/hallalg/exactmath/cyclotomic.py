@@ -232,9 +232,6 @@ class Cyc:
             acc[-k % self.m] += c
         return Cyc(self.m, reduce_poly(self.m, acc))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 

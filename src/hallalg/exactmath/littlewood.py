@@ -2,14 +2,13 @@
 
 c^nu_{lambda,mu} counts LR fillings of nu/lambda with content mu: rows
 weakly increase, columns strictly increase, and the reverse reading word
-(right to left, top to bottom) is a lattice word.  The test suite guards
-this against a monomial-expansion oracle.
+(right to left, top to bottom) is a lattice word.  The tests guard this
+against multiplying out Schur polynomials (`tests/oracles/exactmath.py`).
 """
 
 from functools import cache
 
 from .partitions import Partition, check_partition, partitions_of
-from .tableaux import poly_mul, schur_monomials
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -84,36 +83,4 @@ def schur_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
         c = littlewood_richardson(lam, mu, nu)
         if c:
             out[nu] = c
-    return out
-
-
-def schur_product_by_polynomials(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Independent oracle: expand s_lam * s_mu as polynomials in enough
-    variables and peel off leading monomials.
-
-    Every symmetric polynomial's lex-leading exponent is a partition, and the
-    lex-leading monomial of s_nu is x^nu with coefficient 1, so repeatedly
-    subtracting c * s_nu for the current lex-leading term terminates with the
-    Schur expansion.
-    """
-    lam, mu = check_partition(lam), check_partition(mu)
-    n = sum(lam) + sum(mu)
-    nvars = max(n, 1)
-    poly = dict(poly_mul(schur_monomials(lam, nvars), schur_monomials(mu, nvars)))
-    out = {}
-    while poly:
-        lead = max(poly)
-        coeff = poly[lead]
-        nu = tuple(e for e in lead if e)
-        if any(lead[i] < lead[i + 1] for i in range(nvars - 1)):
-            raise ArithmeticError(f"the leading monomial {lead} of the "
-                                  f"product of s_{lam} and s_{mu} is not a "
-                                  f"partition")
-        out[nu] = coeff
-        for expo, c in schur_monomials(nu, nvars).items():
-            newc = poly.get(expo, 0) - coeff * c
-            if newc:
-                poly[expo] = newc
-            else:
-                poly.pop(expo, None)
     return out

@@ -6,7 +6,7 @@ decreasing lexicographic, so all emitted tables are byte-stable.
 """
 
 from functools import cache
-from math import comb, prod
+from math import comb
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -66,10 +66,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
             if not rest or rest[0] <= first:
                 out.append((first,) + rest)
     return tuple(out)
-
-
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))
 
 
 class PartitionMap:
@@ -150,9 +146,3 @@ def partition_maps(n: int, labels) -> list[PartitionMap]:
             stack = [s + (p,) for s in stack for p in pool]
         out.extend(PartitionMap(labels, s) for s in stack)
     return out
-
-
-def partition_maps_count(n: int, k: int) -> int:
-    """|P_n(X)| for |X| = k, by the composition formula."""
-    return sum(prod(partition_count(c) for c in comp)
-               for comp in compositions(n, k))

@@ -1,7 +1,6 @@
-"""Symmetric-function elements in the Schur basis, single- and multi-alphabet.
+"""Symmetric functions over a finite label set X in the Schur basis.
 
-SymElem is a finitely supported Q-combination of Schur functions s_lambda.
-MultiSymElem is the same over a finite label set X, with basis elements
+MultiSymElem is a finitely supported Q-combination of the basis elements
 S_lambda = prod_x s_lambda(x); products expand componentwise through
 Littlewood-Richardson coefficients.
 """
@@ -10,57 +9,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .littlewood import schur_product
-from .partitions import PartitionMap, check_partition
-
-
-def _clean(d):
-    return {k: v for k, v in d.items() if v}
-
-
-class SymElem:
-    """Finitely supported map Partition -> Fraction, Schur coordinates."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords=()):
-        self.coords = _clean({check_partition(k): Fraction(v)
-                              for k, v in dict(coords).items()})
-
-    @classmethod
-    def schur(cls, lam):
-        return cls({tuple(lam): 1})
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SymElem(out)
-
-    def __sub__(self, other):
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return SymElem(out)
-
-    def scale(self, c):
-        return SymElem({k: v * Fraction(c) for k, v in self.coords.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for lam, a in self.coords.items():
-            for mu, b in other.coords.items():
-                for nu, c in schur_product(lam, mu).items():
-                    out[nu] = out.get(nu, Fraction(0)) + a * b * c
-        return SymElem(out)
-
-    def __eq__(self, other):
-        return isinstance(other, SymElem) and self.coords == other.coords
-
-    def __repr__(self):
-        if not self.coords:
-            return "SymElem(0)"
-        terms = [f"{v}*s{list(k)}" for k, v in sorted(self.coords.items())]
-        return "SymElem(" + " + ".join(terms) + ")"
+from .partitions import PartitionMap
 
 
 class MultiSymElem:

@@ -102,9 +102,6 @@ class Groupoid:
         for m in self.gens_out(i):
             yield self.mor_tgt(m)
 
-    def n_morphisms(self) -> int:
-        return sum(len(list(self.out(i))) for i in range(self.n_objects))
-
     # -- pi0 -----------------------------------------------------------------
 
     def components(self) -> list[Component]:
@@ -307,9 +304,6 @@ class ActionGroupoid(Groupoid):
     def _aut_order(self, rep, size):
         # a component is one orbit of the group at its objects
         return self.group_at(rep).order // size
-
-    def n_morphisms(self):
-        return sum(self.group_at(i).order for i in range(self.n_objects))
 
 
 def b_group(G: FiniteGroup, name=None) -> ActionGroupoid:

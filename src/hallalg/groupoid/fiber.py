@@ -27,9 +27,9 @@ the checks use FiberSkeleton.
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
-small examples and the oracle for the skeleton in the tests; no check on
-the production path builds one.  D's morphisms are interned as integers, so
-D must be small enough to list them.
+small examples (`two_fiber_product`, as in demos/01) and the oracle for the
+skeleton in the tests; no check builds one.  D's morphisms are interned as
+integers, so D must be small enough to list them.
 """
 
 from collections import Counter, defaultdict, deque

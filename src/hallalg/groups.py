@@ -68,6 +68,7 @@ class FiniteGroup:
         self._classes = None
         self._gens = None
         self.memo = {}     # data derived from the group, dropped with it
+        self.subgroup_of = None   # the group whose subgroup() made this one
 
     def _is_identity(self, e):
         op = self._op
@@ -171,12 +172,16 @@ class FiniteGroup:
         return all(self._op(a, self._inv[b]) in elems
                    for a in elems for b in elems)
 
-    def subgroup(self, elems, name="H"):
-        """The subgroup on the given tokens, sharing this group's tokens."""
+    def subgroup(self, elems, name="H", check=True):
+        """The subgroup on the given tokens, sharing this group's tokens;
+        its `subgroup_of` is this group.  ``check=False`` skips the closure
+        test, for a subgroup by construction."""
         elems = sorted(set(elems), key=self.index.__getitem__)
-        if not self.is_subgroup(elems):
+        if check and not self.is_subgroup(elems):
             raise UsageError(f"{name} is not a subgroup of {self.name}")
-        return FiniteGroup(elems, self._op, name=name, check=False)
+        sub = FiniteGroup(elems, self._op, name=name, check=False)
+        sub.subgroup_of = self
+        return sub
 
     def conjugacy_classes(self):
         """Classes as tuples of tokens, ordered by smallest element index."""
@@ -262,26 +267,6 @@ def perm_sign(p):
             if clen % 2 == 0:
                 sign = -sign
     return sign
-
-
-def perm_cycles(p):
-    """Cycles of p as tuples, each starting at its smallest point."""
-    seen = [False] * len(p)
-    cycles = []
-    for i in range(len(p)):
-        if not seen[i]:
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = p[j]
-            cycles.append(tuple(cyc))
-    return cycles
-
-
-def cycle_type(p):
-    return tuple(sorted((len(c) for c in perm_cycles(p)), reverse=True))
 
 
 def all_perms(n):

@@ -18,14 +18,12 @@ from .protoab import F1FreeG, ProtoAbelianInstance
 
 
 class HallTable:
-    """Basis of iso classes up to the bound plus structure constants."""
+    """Basis of the instance's iso classes plus structure constants."""
 
-    def __init__(self, inst: ProtoAbelianInstance, bound=None):
+    def __init__(self, inst: ProtoAbelianInstance):
         self.inst = inst
-        classes = inst.iso_classes()
-        if bound is not None:
-            classes = [c for c in classes if inst.size_of(c) <= bound]
-        self.basis = sorted(classes, key=lambda c: (inst.size_of(c), c))
+        self.basis = sorted(inst.iso_classes(),
+                            key=lambda c: (inst.size_of(c), c))
         self.bound = max((inst.size_of(c) for c in self.basis), default=0)
         self.pos = {c: i for i, c in enumerate(self.basis)}
         self.constants = {}
@@ -78,8 +76,8 @@ class HallTable:
         }
 
 
-def hall_constants(inst: ProtoAbelianInstance, bound=None) -> HallTable:
-    return HallTable(inst, bound=bound)
+def hall_constants(inst: ProtoAbelianInstance) -> HallTable:
+    return HallTable(inst)
 
 
 def hall_product(table: HallTable, f: dict, g: dict) -> dict:

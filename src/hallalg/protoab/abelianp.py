@@ -8,7 +8,6 @@ classified, together with their quotients, by counting p^k-torsion, which is
 the oracle for them.
 """
 
-from functools import cache
 from itertools import product as iproduct
 from math import log
 
@@ -19,6 +18,8 @@ from .base import ProtoAbelianInstance
 
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
+    _cached = ("elements", "_homs", "compose", "subobjects", "image_sub",
+               "preimage_sub")
 
     def __init__(self, p: int, order_bound: int):
         if not (p >= 2 and all(p % k for k in range(2, p))):
@@ -45,7 +46,6 @@ class AbelianPGroups(ProtoAbelianInstance):
     def zero_key(self):
         return ()
 
-    @cache
     def elements(self, lam):
         lam = check_partition(lam)
         mods = [self.p ** part for part in lam]
@@ -69,7 +69,6 @@ class AbelianPGroups(ProtoAbelianInstance):
             out = self.add(dst, out, self.smul(dst, coeff, img))
         return out
 
-    @cache
     def _homs(self, x, y):
         """All homomorphisms x -> y as generator-image tuples."""
         pools = []
@@ -115,7 +114,6 @@ class AbelianPGroups(ProtoAbelianInstance):
             self._hall = HallPolynomials(self.p)
         return self._hall(m, n, l)
 
-    @cache
     def compose(self, g, f):
         if f[1] != g[0]:
             raise ValueError(f"compose: target {f[1]!r} is not source "
@@ -129,7 +127,6 @@ class AbelianPGroups(ProtoAbelianInstance):
                      for i in range(n))
         return (x, x, imgs)
 
-    @cache
     def subobjects(self, m):
         """All subgroups, by closure over added elements."""
         mods = self._mods(m)
@@ -202,11 +199,9 @@ class AbelianPGroups(ProtoAbelianInstance):
             counts.append(hits // len(u))
         return self._type_from_torsion_counts(counts)
 
-    @cache
     def image_sub(self, f):
         return frozenset(self.apply(f, a) for a in self.elements(f[0]))
 
-    @cache
     def preimage_sub(self, f, sub):
         return frozenset(a for a in self.elements(f[0])
                          if self.apply(f, a) in sub)

@@ -12,16 +12,21 @@ specialize to exactness im(i) = ker(q).
 """
 
 from collections import Counter
+from functools import cache
 
-from .. import BudgetExceededError
 from ..groups import FiniteGroup
 
 
 class ProtoAbelianInstance:
     family = "?"
+    _cached = ()    # names of the methods each instance memoises
 
     def __init__(self):
         self._sub_types = {}        # M -> Counter of (sub type, quot type)
+        # one memo per instance, dropped with it; a cache on the class
+        # would keep every instance alive
+        for name in self._cached:
+            setattr(self, name, cache(getattr(self, name)))
 
     # -- enumeration surface -------------------------------------------------
 
@@ -88,22 +93,6 @@ class ProtoAbelianInstance:
                 for u in self.subobjects(m))
         return types[l, n]
 
-    def count_ses(self, l, m, n, budget: int = 500_000) -> int:
-        """Number of pairs (mono L -> M, epi M -> N) with im = ker."""
-        monos = self.monos(l, m)
-        epis = self.epis(m, n)
-        if len(monos) * len(epis) > budget:
-            raise BudgetExceededError(
-                f"count_ses({l},{m},{n}): {len(monos)}x{len(epis)} pairs")
-        count = 0
-        images = [self.image_sub(i) for i in monos]
-        kernels = [self.preimage_sub(p, self.zero_sub(n)) for p in epis]
-        for im in images:
-            for ker in kernels:
-                if im == ker:
-                    count += 1
-        return count
-
     def square_bicartesian(self, i, p, q, j) -> bool:
         """i: A->B, p: A->C, q: B->D, j: C->D; assumes mono/epi placement."""
         if not (i[0] == p[0] and i[1] == q[0] and p[1] == j[0]
@@ -118,6 +107,3 @@ class ProtoAbelianInstance:
         maps = self.isos(key, key)
         return FiniteGroup(maps, self.compose,
                            name=f"Aut({self.family}:{key})", check=False)
-
-    def total_subobjects(self, m) -> int:
-        return len(self.subobjects(m))

@@ -8,7 +8,6 @@ killed orbits; cokernels drop the image; short exact sequences are wedge
 decompositions into G-stable subsets.
 """
 
-from functools import cache
 from itertools import permutations
 from math import comb
 
@@ -19,6 +18,7 @@ from .base import ProtoAbelianInstance
 
 class F1FreeG(ProtoAbelianInstance):
     family = "f1-free"
+    _cached = ("_injections", "epis", "compose", "image_sub", "preimage_sub")
 
     def __init__(self, G: FiniteGroup, bound: int):
         if bound < 0:
@@ -40,7 +40,6 @@ class F1FreeG(ProtoAbelianInstance):
         from math import factorial
         return (self.G.order ** key) * factorial(key)
 
-    @cache
     def _injections(self, x, y):
         """All (orbit injection, twists) maps x -> y with every orbit
         surviving."""
@@ -63,7 +62,6 @@ class F1FreeG(ProtoAbelianInstance):
             return []
         return self._injections(x, y)
 
-    @cache
     def epis(self, x, y):
         if x < y:
             return []
@@ -81,7 +79,6 @@ class F1FreeG(ProtoAbelianInstance):
         """binom(m, l): a subobject is a set of l of the m basis orbits."""
         return comb(m, l) if l + n == m else 0
 
-    @cache
     def compose(self, g, f):
         if f[1] != g[0]:
             raise ValueError(f"compose: target {f[1]!r} is not source "
@@ -119,11 +116,9 @@ class F1FreeG(ProtoAbelianInstance):
     def classify_quot(self, m, u):
         return m - len(u)
 
-    @cache
     def image_sub(self, f):
         return frozenset(entry[0] for entry in f[2] if entry is not None)
 
-    @cache
     def preimage_sub(self, f, sub):
         return frozenset(i for i, entry in enumerate(f[2])
                          if entry is None or entry[0] in sub)

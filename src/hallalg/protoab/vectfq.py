@@ -5,7 +5,6 @@ column vectors; subobjects are subspaces stored as frozensets of vectors.
 The sizes involved stay tiny, so everything is enumerated directly.
 """
 
-from functools import cache
 from itertools import product as iproduct
 
 from .. import UsageError
@@ -19,6 +18,8 @@ def _is_prime(q):
 
 class VectFq(ProtoAbelianInstance):
     family = "vect-fq"
+    _cached = ("vectors", "_all_matrices", "_maps", "compose", "subobjects",
+               "image_sub", "preimage_sub")
 
     def __init__(self, q: int, bound: int):
         if not _is_prime(q):
@@ -31,7 +32,6 @@ class VectFq(ProtoAbelianInstance):
         super().__init__()
 
     # vectors of F_q^d as tuples
-    @cache
     def vectors(self, d):
         return [tuple(v) for v in iproduct(range(self.q), repeat=d)]
 
@@ -40,7 +40,6 @@ class VectFq(ProtoAbelianInstance):
         return tuple(sum(row[j] * v[j] for j in range(len(v))) % q
                      for row in mat)
 
-    @cache
     def _all_matrices(self, dst, src):
         rows = self.vectors(src)
         return [mat for mat in iproduct(rows, repeat=dst)]
@@ -63,7 +62,6 @@ class VectFq(ProtoAbelianInstance):
     def zero_key(self):
         return 0
 
-    @cache
     def _maps(self, x, y, kind):
         out = []
         for mat in self._all_matrices(y, x):
@@ -90,7 +88,6 @@ class VectFq(ProtoAbelianInstance):
         """The Gaussian binomial [m choose l]_q."""
         return q_binomial(m, l, self.q) if l + n == m else 0
 
-    @cache
     def compose(self, g, f):
         if f[1] != g[0]:
             raise ValueError(f"compose: target {f[1]!r} is not source "
@@ -107,7 +104,6 @@ class VectFq(ProtoAbelianInstance):
                     for i in range(x))
         return (x, x, mat)
 
-    @cache
     def subobjects(self, m):
         """All subspaces of F_q^m as frozensets of vectors."""
         q = self.q
@@ -147,12 +143,10 @@ class VectFq(ProtoAbelianInstance):
     def classify_quot(self, m, u):
         return m - self._dim_of_size(len(u))
 
-    @cache
     def image_sub(self, f):
         src, dst, _ = f
         return frozenset(self.apply(f[2], v) for v in self.vectors(src))
 
-    @cache
     def preimage_sub(self, f, sub):
         src, dst, _ = f
         return frozenset(v for v in self.vectors(src)

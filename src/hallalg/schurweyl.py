@@ -8,10 +8,6 @@ has more than d rows.  Three exact identities are verified:
   sum_lam (dim R_lam)^2          = multiset(d^2 |G|, n)
   sum_lam dim X_lam . dim R_lam  = (d |G|)^n
   n <= d  =>  no R_lam vanishes
-
-together with the homogeneous-polynomial-function dimension
-multiset(d^2 |G^ab|, n), where the abelianization is computed by commutator
-closure so the count also makes sense for nonabelian G.
 """
 
 from dataclasses import dataclass, field
@@ -22,12 +18,6 @@ from .exactmath.partitions import PartitionMap, multiset_number, partition_maps
 from .exactmath.tableaux import schur_eval_ones
 from .groups import FiniteGroup
 from .wreath.chmap import irreducible_dimension
-
-
-def dim_poly_fns(G: FiniteGroup, d: int, n: int) -> int:
-    """dim of degree-n homogeneous polynomial functions on the G-linear
-    endomorphisms of a rank-d free module: multiset(d^2 |G^ab|, n)."""
-    return multiset_number(d * d * G.abelianization_order(), n)
 
 
 def dim_R(lam: PartitionMap, d: int) -> int:

@@ -3,9 +3,7 @@
 
 from .hecke import (HeckeAlgebra, HeckeModule, HeckeWaldhausen,
                     hecke_waldhausen)
-from .sconstruction import (FlagGroupoid, TriangleGroupoid,
-                            core_comparison_functor, flag_comparison_functor,
-                            s_construction, skeletal_core_groupoid)
+from .sconstruction import TriangleGroupoid, s_construction
 from .segal import (SegalVerdict, check_2segal_degree3, check_pointed,
                     mutation_corpus)
 from .simplicial import (SimplicialVerdict, TruncatedSimplicialGroupoid,
@@ -13,8 +11,7 @@ from .simplicial import (SimplicialVerdict, TruncatedSimplicialGroupoid,
 
 __all__ = [
     "HeckeAlgebra", "HeckeModule", "HeckeWaldhausen", "hecke_waldhausen",
-    "FlagGroupoid", "TriangleGroupoid", "core_comparison_functor",
-    "flag_comparison_functor", "s_construction", "skeletal_core_groupoid",
+    "TriangleGroupoid", "s_construction",
     "SegalVerdict", "check_2segal_degree3", "check_pointed",
     "mutation_corpus",
     "SimplicialVerdict", "TruncatedSimplicialGroupoid",

@@ -55,7 +55,8 @@ from .simplicial import TruncatedSimplicialGroupoid
 
 
 def _check_subgroup(G, K):
-    if not G.is_subgroup(K.elements):
+    # G.subgroup checked K when it made it
+    if K.subgroup_of is not G and not G.is_subgroup(K.elements):
         raise UsageError(f"{K.name} is not a subgroup of {G.name}")
 
 
@@ -104,7 +105,8 @@ class Cosets:
                 if y == 0 and to_zero[x] is None:
                     to_zero[x] = k
         stab = G.subgroup([g for g, row in zip(G.elements, self.mult)
-                           if row[0] == 0], name=f"Stab({G.name}, 0)")
+                           if row[0] == 0], name=f"Stab({G.name}, 0)",
+                          check=False)     # a point stabiliser
         return stab, to_zero
 
 

@@ -15,7 +15,9 @@ epi likewise.  So level n is an action groupoid: one group prod Aut(A_ij)
 per tuple of entries, acting on the triangles with those entries, and a
 morphism is a token (phis, source index).  The search for intertwining iso
 families that this replaces is kept in the tests, as the oracle that the
-action's hom-sets are checked against.
+action's hom-sets are checked against.  Two equivalent models are test
+oracles as well (`tests/oracles/sconstruction.py`): the flags of monos
+alone, and for level 1 the skeletal core of the instance.
 
 A face or degeneracy sends entry (a, b) of a triangle to an entry of its
 image, or to a zero entry, so on morphisms it selects coordinates of phis,
@@ -29,8 +31,7 @@ from functools import cache
 from math import prod
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import (ActionGroupoid, DisjointUnion, FnFunctor, GMap,
-                        b_group)
+from ..groupoid import ActionGroupoid, GMap
 from ..groups import tuple_group
 from ..protoab.base import ProtoAbelianInstance
 from .simplicial import TruncatedSimplicialGroupoid
@@ -203,17 +204,25 @@ def enumerate_triangles(inst: ProtoAbelianInstance, n: int, bound=None,
     return out
 
 
-class _AutActionGroupoid(ActionGroupoid):
-    """Objects with a tuple of entries; the group at an object is the product
-    of its entries' automorphism groups, one group per entries tuple, acting
-    by `transport`.  Every group's order is checked against the budget
-    before any group is built."""
+class TriangleGroupoid(ActionGroupoid):
+    """Level n of the S-construction: triangles and componentwise isos, as
+    the action of prod Aut(A_ij) (factors in `_pairs(n)` order) by
+    `transport`, one group per tuple of entries.  Every group's order is
+    checked against the budget before any group is built."""
 
-    def __init__(self, inst, objects, entries_of, budget, name):
-        super().__init__(None, objects, self.transport, name=name,
-                         check=False)
+    def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
-        buckets = dict.fromkeys(map(entries_of, self.objects))
+        self.level = n
+        pairs, rkeys, ckeys = _layout(n)
+        pos = {p: k for k, p in enumerate(pairs)}
+        # each map's (target entry, source entry) positions, in layout order
+        self._rpos = [(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
+        self._cpos = [(pos[a + 1, b], pos[a, b]) for a, b in ckeys]
+        name = f"S_{n}({inst.family})"
+        super().__init__(None, enumerate_triangles(inst, n, bound=bound,
+                                                   budget=budget),
+                         self.transport, name=name, check=False)
+        buckets = dict.fromkeys(t[1] for t in self.objects)  # entries tuples
         aut_order = {c: inst.aut_order(c) for e in buckets for c in e}
         for entries in buckets:
             order = prod(aut_order[c] for c in entries)
@@ -225,27 +234,10 @@ class _AutActionGroupoid(ActionGroupoid):
         auts = {c: inst.aut_group(c) for c in aut_order}
         groups = {e: tuple_group([auts[c] for c in e], f"Aut{e}")
                   for e in buckets}
-        self._group_of = [groups[entries_of(o)] for o in self.objects]
+        self._group_of = [groups[t[1]] for t in self.objects]
 
     def group_at(self, i):
         return self._group_of[i]
-
-
-class TriangleGroupoid(_AutActionGroupoid):
-    """Level n of the S-construction: triangles and componentwise isos, as
-    the action of prod Aut(A_ij) (factors in `_pairs(n)` order)."""
-
-    def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET,
-                 name=None):
-        self.level = n
-        pairs, rkeys, ckeys = _layout(n)
-        pos = {p: k for k, p in enumerate(pairs)}
-        # each map's (target entry, source entry) positions, in layout order
-        self._rpos = [(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
-        self._cpos = [(pos[a + 1, b], pos[a, b]) for a, b in ckeys]
-        tris = enumerate_triangles(inst, n, bound=bound, budget=budget)
-        super().__init__(inst, tris, lambda t: t[1],     # entries tuple
-                         budget, name or f"S_{n}({inst.family})")
 
     def transport(self, phis, i):
         """The triangle phis . x: m: A_p -> A_q becomes phi_q m phi_p^-1."""
@@ -351,75 +343,3 @@ def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
     return TruncatedSimplicialGroupoid(levels, faces, degens,
                                        name=f"S({inst.family})")
 
-
-class FlagGroupoid(_AutActionGroupoid):
-    """Flags 0 >-> A_1 >-> ... >-> A_n only (no quotient data), with
-    prod Aut(A_k) acting; equivalent to the full triangle model, which is
-    checked via is_equivalence."""
-
-    def __init__(self, inst, n, bound=None, name=None):
-        self.level = n
-        classes = _classes(inst, bound)
-        flags = [((), ())] if n == 0 else [((c,), ()) for c in classes]
-        for _ in range(n - 1):
-            flags = [(entries + (c,), monos + (m,))
-                     for entries, monos in flags for c in classes
-                     for m in inst.monos(entries[-1], c)]
-        super().__init__(inst, flags, lambda f: f[0],
-                         DEFAULT_TRIANGLE_BUDGET,
-                         name or f"Flags_{n}({inst.family})")
-
-    def transport(self, phis, i):
-        """m_k: A_k >-> A_k+1 becomes phi_k+1 m_k phi_k^-1."""
-        entries, monos = self.objects[i]
-        inv = self._group_of[i].inv(phis)
-        c = self.inst.compose
-        return self.obj_index((entries, tuple(
-            c(c(phis[k + 1], m), inv[k]) for k, m in enumerate(monos))))
-
-
-def flag_comparison_functor(tri_level: TriangleGroupoid,
-                            flags: FlagGroupoid):
-    """Project a triangle to its first row."""
-    n = tri_level.level
-
-    def obj_map(i):
-        tri = tri_level.objects[i]
-        ent, rm = tri.entries, tri.rmono
-        entries = tuple(ent[(0, j)] for j in range(1, n + 1))
-        monos = tuple(rm[(0, j)] for j in range(1, n))
-        return flags.obj_index((entries, monos))
-
-    pairs = _pairs(n)
-    first_row = [pairs.index((0, j)) for j in range(1, n + 1)]
-
-    def mor_map(m):
-        phis, i = m
-        return (tuple(phis[k] for k in first_row), obj_map(i))
-
-    return FnFunctor(tri_level, flags, obj_map, mor_map, name="first-row")
-
-
-def skeletal_core_groupoid(inst, bound=None):
-    """Disjoint union of B(Aut(c)) over iso classes: the instance's core."""
-    classes = _classes(inst, bound)
-    parts = [b_group(inst.aut_group(c), name=f"B(Aut:{c})") for c in classes]
-    return DisjointUnion(parts, name=f"core({inst.family})"), classes
-
-
-def core_comparison_functor(x1: TriangleGroupoid):
-    """X_[1] -> skeletal core; an equivalence by construction, asserted in
-    tests via is_equivalence."""
-    inst = x1.inst
-    core, classes = skeletal_core_groupoid(inst)
-    cls_pos = {c: k for k, c in enumerate(classes)}
-
-    def obj_map(i):
-        tri = x1.objects[i]
-        return core.offsets[cls_pos[tri.entries[(0, 1)]]]
-
-    def mor_map(m):
-        phis, i = m
-        return (cls_pos[x1.objects[i].entries[(0, 1)]], (phis[0], 0))
-
-    return FnFunctor(x1, core, obj_map, mor_map, name="to-core")

@@ -4,12 +4,11 @@ from .characters import abelian_dual, murnaghan_nakayama
 from .chmap import (WreathCharacterTable, ch, ch_ring_hom_check,
                     character_table, induction_product,
                     irreducible_dimension)
-from .wreathgroup import (class_label_representative, wreath_class_label,
-                          wreath_product)
+from .wreathgroup import wreath_product
 
 __all__ = [
     "abelian_dual", "murnaghan_nakayama",
     "WreathCharacterTable", "ch", "ch_ring_hom_check", "character_table",
     "induction_product", "irreducible_dimension",
-    "class_label_representative", "wreath_class_label", "wreath_product",
+    "wreath_product",
 ]

@@ -22,7 +22,9 @@ unreduced and each sum is reduced mod Phi_e once.  The integer form is
 read afresh from `values` on every call, so a certificate is always of the
 values that are printed.  Summing over the elements of the group and of the
 Young subgroup is the oracle in the tests for the values, and per-term Cyc
-arithmetic is the oracle for the certificates.  On K_0, ch sends the
+arithmetic is the oracle for the certificates; the tests' oracles
+(`tests/oracles/wreath.py`) also hold the class label of each element and
+the inner products and decompositions of other class functions.  On K_0, ch sends the
 induction product to the componentwise Littlewood-Richardson product, which
 is what the acceptance suite verifies.  Tables are memoised on their group
 (`character_table`), so they are dropped with it.
@@ -151,20 +153,6 @@ class WreathCharacterTable:
             raise ArithmeticError(f"{what} is not rational: {value!r}")
         return Fraction(tot[0], den)
 
-    def _inner(self, f, g) -> tuple[list[int], int]:
-        """Class-weighted inner product of two class functions, as the
-        kernel's reduced integer vector and its denominator."""
-        (fv, df), (gv, dg) = integer_form(f, self.e), integer_form(g, self.e)
-        tot = dot(self.e, planes(fv, self.class_sizes),
-                  planes(conjugate(self.e, v) for v in gv))
-        return tot, df * dg * self.order
-
-    def inner(self, row_i: int, row_j: int) -> Fraction:
-        """<chi_i, chi_j>."""
-        tot, den = self._inner(self.values[row_i], self.values[row_j])
-        return self._rational(tot, den, f"inner product of rows {row_i} "
-                                        f"and {row_j}")
-
     def _integer_table(self):
         """(rows, d): the values as integer vectors over Z[zeta_e], d times
         each value, d their common denominator."""
@@ -190,19 +178,6 @@ class WreathCharacterTable:
         if dims2 != self.order:
             return False, ("sum of squares", dims2, self.order)
         return True, None
-
-    def decompose(self, values_by_class) -> dict:
-        """Coordinates of a class function in the irreducible basis;
-        raises on non-integer multiplicities."""
-        out = {}
-        for lam, row in zip(self.irr_labels, self.values):
-            tot, den = self._inner(values_by_class, row)
-            if any(tot[1:]) or tot[0] % den:
-                raise UsageError("class function is not an integral "
-                                 "combination of irreducibles")
-            if tot[0]:
-                out[lam] = tot[0] // den
-        return out
 
     def to_json(self):
         return {

@@ -1,0 +1,101 @@
+"""Wreath-product oracles that work element by element: the class label of
+a wreath element from its cycles, an element with a given label, and
+inner products and decompositions of class functions against a character
+table.  The production character tables never build a group element."""
+
+from hallalg import UsageError
+from hallalg.exactmath.cyclotomic import conjugate, dot, integer_form, planes
+from hallalg.exactmath.partitions import PartitionMap
+from hallalg.groups import FiniteGroup
+
+
+def perm_cycles(p):
+    """Cycles of p as tuples, each starting at its smallest point."""
+    seen = [False] * len(p)
+    cycles = []
+    for i in range(len(p)):
+        if not seen[i]:
+            cyc = []
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                cyc.append(j)
+                j = p[j]
+            cycles.append(tuple(cyc))
+    return cycles
+
+
+def cycle_type(p):
+    return tuple(sorted((len(c) for c in perm_cycles(p)), reverse=True))
+
+
+def cycle_product(G: FiniteGroup, base, cycle):
+    """Product of the base entries along a sigma-cycle, in traversal order
+    (class-well-defined; order immaterial for abelian G)."""
+    out = G.identity
+    for i in cycle:
+        out = G.op(out, base[i])
+    return out
+
+
+def wreath_class_label(G: FiniteGroup, x) -> PartitionMap:
+    """The partition-valued map on the conjugacy classes of G: each cycle
+    of sigma adds its length to the partition of the class of its cycle
+    product."""
+    base, sigma = x
+    k = len(G.conjugacy_classes())
+    buckets = {i: [] for i in range(k)}
+    for cycle in perm_cycles(sigma):
+        g = cycle_product(G, base, cycle)
+        buckets[G.class_index_of(g)].append(len(cycle))
+    parts = tuple(tuple(sorted(buckets[i], reverse=True)) for i in range(k))
+    return PartitionMap(tuple(range(k)), parts)
+
+
+def class_label_representative(G: FiniteGroup, n: int, label: PartitionMap):
+    """A wreath element with the given class label."""
+    if label.total != n:
+        raise ValueError(f"class label {label.to_json()} has size "
+                         f"{label.total}, not {n}")
+    base = [G.identity] * n
+    sigma = list(range(n))
+    pos = 0
+    for cls_idx, part in label.items():
+        rep = G.conjugacy_classes()[cls_idx][0]
+        for length in part:
+            for i in range(length - 1):
+                sigma[pos + i] = pos + i + 1
+            sigma[pos + length - 1] = pos
+            base[pos] = rep
+            pos += length
+    return (tuple(base), tuple(sigma))
+
+
+def _inner(tab, f, g):
+    """Class-weighted inner product of two class functions on the table's
+    classes, as the reduced integer vector and its denominator."""
+    (fv, df), (gv, dg) = integer_form(f, tab.e), integer_form(g, tab.e)
+    tot = dot(tab.e, planes(fv, tab.class_sizes),
+              planes(conjugate(tab.e, v) for v in gv))
+    return tot, df * dg * tab.order
+
+
+def inner(tab, row_i: int, row_j: int):
+    """<chi_i, chi_j>; raises ArithmeticError when it is not rational."""
+    tot, den = _inner(tab, tab.values[row_i], tab.values[row_j])
+    return tab._rational(tot, den, f"inner product of rows {row_i} and "
+                                   f"{row_j}")
+
+
+def decompose(tab, values_by_class) -> dict:
+    """Coordinates of a class function in the irreducible basis; raises on
+    non-integer multiplicities."""
+    out = {}
+    for lam, row in zip(tab.irr_labels, tab.values):
+        tot, den = _inner(tab, values_by_class, row)
+        if any(tot[1:]) or tot[0] % den:
+            raise UsageError("class function is not an integral "
+                             "combination of irreducibles")
+        if tot[0]:
+            out[lam] = tot[0] // den
+    return out

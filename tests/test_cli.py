@@ -301,6 +301,29 @@ def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
     assert data["oracle_agrees"] is False and data["pass"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    "segal-check --construction hecke --G sym:4 --H sym:2",
+    "hecke-table --G sym:4 --H sym:3"])
+def test_the_subgroup_is_checked_once(capsys, monkeypatch, argv):
+    # named_subgroup checks H <= G; the levels, the algebra and its
+    # regular module take that verdict instead of scanning |H|^2 pairs again
+    from hallalg.groups import FiniteGroup, named_group, named_subgroup
+    argv = argv.split()
+    H = frozenset(named_subgroup(named_group("sym:4"),
+                                 argv[argv.index("--H") + 1]).elements)
+    checked = []
+    real = FiniteGroup.is_subgroup
+
+    def recording(self, elems):
+        checked.append(frozenset(elems))
+        return real(self, elems)
+
+    monkeypatch.setattr(FiniteGroup, "is_subgroup", recording)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert checked.count(H) == 1
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     # a table value that makes an induction multiplicity non-integral
     import hallalg.wreath.chmap as chmap

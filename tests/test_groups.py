@@ -4,11 +4,12 @@ import pytest
 
 from hallalg import UsageError
 from hallalg.groups import (FiniteGroup, all_perms, alternating_subgroup,
-                            cyclic_group, cycle_type, dihedral_group,
-                            direct_product, klein_group, named_group,
-                            named_subgroup, perm_inv, perm_mul, perm_sign,
-                            symmetric_group, symmetric_subgroup,
-                            trivial_group, tuple_group, young_subgroup)
+                            cyclic_group, dihedral_group, direct_product,
+                            klein_group, named_group, named_subgroup,
+                            perm_inv, perm_mul, perm_sign, symmetric_group,
+                            symmetric_subgroup, trivial_group, tuple_group,
+                            young_subgroup)
+from oracles.wreath import cycle_type
 
 
 def test_basic_families():

