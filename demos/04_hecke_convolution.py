@@ -29,8 +29,8 @@ print("(S4,S3): T1*T1 =", alg4.constants[(other, other)])
 # Modules on H\G/P: for P = H this is the right-regular module (same
 # table); for P = G every double coset acts by its coset volume.
 print("regular module equals the multiplication table:",
-      HeckeModule(alg, S2).action_table == alg.constants)
+      HeckeModule(alg, S2).constants == alg.constants)
 modG = HeckeModule(alg, S3)
-print("P = G module:", modG.action_table)
+print("P = G module:", modG.constants)
 modA = HeckeModule(alg, alternating_subgroup(S3))
 print("P = A_3 module axioms:", modA.check_module_axioms()[0])

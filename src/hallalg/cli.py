@@ -3,10 +3,11 @@
 Subcommands: hall-table, hecke-table, hecke-module, segal-check,
 wreath-char-table, ch-verify, schurweyl.  JSON is the source of truth; csv
 and text are projections.  Exit codes: 0 pass/success, 1 verdict failure,
-2 usage or budget error, 3 internal error: any other exception from a
-command, reported as one line on stderr, "internal error: <Type>: <msg>",
-with no traceback and nothing on stdout.  Rationals are emitted as strings
-"p/q"; cyclotomic values as polynomial strings over the printed conductor.
+2 usage or budget error (an --out that cannot be written is a usage
+error), 3 internal error: any other exception from a command, reported as
+one line on stderr, "internal error: <Type>: <msg>", with no traceback and
+nothing on stdout.  Rationals are emitted as strings "p/q"; cyclotomic
+values as polynomial strings over the printed conductor.
 """
 
 import argparse
@@ -97,7 +98,7 @@ def cmd_hall_table(args):
     inst = make_instance(args.family, q=args.q, p=args.p, group=args.group,
                          bound=args.bound)
     from .hall import check_associativity, hall_constants
-    table = hall_constants(inst)
+    table = hall_constants(inst, args.budget or DEFAULT_OBJECT_BUDGET)
     ok, wit = check_associativity(table)
     data = table.to_json()
     data["associative_unital"] = ok
@@ -259,8 +260,12 @@ def _emit(args, data, rows):
             lines.append(f"pass: {data['pass']}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -276,6 +281,7 @@ def run(argv=None) -> int:
                 raise UsageError(f"--{flag.replace('_', '-')} must not be "
                                  f"negative")
         data, rows = COMMANDS[args.command](args)
+        _emit(args, data, rows)
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -284,7 +290,6 @@ def run(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {msg}",
               file=sys.stderr)
         return 3
-    _emit(args, data, rows)
     return 0 if data.get("pass", True) else 1
 
 

@@ -10,74 +10,64 @@ tests.  A second, independent route computes the same product by pull-push
 through the degree-2 flag groupoids, reading the span's table in one pass
 over X_2 (`pull_push_table`); both routes are compared in the tests and the
 acceptance suite.
+
+The table is a `StructureTable` (`hallalg.structure`), as the Hecke tables
+are, so its product and its associativity and unit check are theirs.  It
+has a row (N, L) exactly when size N + size L is within the bound: a
+product past the bound has no row, and the check skips a triple that needs
+one.
 """
 
 from . import BudgetExceededError, UsageError
 from .groupoid import pull_push_table
+from .groupoid.core import DEFAULT_OBJECT_BUDGET
 from .protoab import F1FreeG, ProtoAbelianInstance
+from .structure import StructureTable, check_algebra
 
 
-class HallTable:
-    """Basis of the instance's iso classes plus structure constants."""
+class HallTable(StructureTable):
+    """The instance's iso classes sorted by size, and a row
+    [N].[L] = sum_M g^M_{N,L} [M] for each pair with size N + size L within
+    the bound.  The triples (N, L, M) with size N + size L = size M, one
+    `hall_constant` each, are counted first and refused over the budget."""
 
-    def __init__(self, inst: ProtoAbelianInstance):
+    def __init__(self, inst: ProtoAbelianInstance,
+                 budget: int = DEFAULT_OBJECT_BUDGET):
         self.inst = inst
-        self.basis = sorted(inst.iso_classes(),
-                            key=lambda c: (inst.size_of(c), c))
-        self.bound = max((inst.size_of(c) for c in self.basis), default=0)
-        self.pos = {c: i for i, c in enumerate(self.basis)}
-        self.constants = {}
-        for m in self.basis:
-            for l in self.basis:
-                for n in self.basis:
-                    if inst.size_of(l) + inst.size_of(n) != inst.size_of(m):
-                        continue
-                    g = inst.hall_constant(n, l, m)
-                    if g:
-                        self.constants[(n, l, m)] = g
-
-    def constant(self, n, l, m) -> int:
-        return self.constants.get((n, l, m), 0)
-
-    def product(self, f: dict, g: dict) -> dict:
-        """Bilinear extension of [N].[L] = sum g^M_{N,L} [M]."""
-        for key in list(f) + list(g):
-            if key not in self.pos:
-                raise UsageError(f"class {key!r} outside the table basis")
-        out = {}
-        for n, cn in f.items():
-            for l, cl in g.items():
-                size = self.inst.size_of(n) + self.inst.size_of(l)
-                if size > self.bound:
-                    raise BudgetExceededError(
-                        f"product of sizes {size} exceeds table bound")
-                for m in self.basis:
-                    if self.inst.size_of(m) != size:
-                        continue
-                    c = self.constant(n, l, m)
-                    if c:
-                        out[m] = out.get(m, 0) + cn * cl * c
-        return {k: v for k, v in out.items() if v}
-
-    def delta(self, key) -> dict:
-        if key not in self.pos:
-            raise UsageError(f"class {key!r} outside the table basis")
-        return {key: 1}
+        size = inst.size_of
+        self.basis = sorted(inst.iso_classes(), key=lambda c: (size(c), c))
+        by_size = {}
+        for c in self.basis:
+            by_size.setdefault(size(c), []).append(c)
+        bound = max(by_size, default=0)
+        count = sum(len(ns) * len(ls) * len(by_size.get(i + j, ()))
+                    for i, ns in by_size.items() for j, ls in by_size.items())
+        if count > budget:
+            raise BudgetExceededError(
+                f"the Hall table of {inst.family} has {count} basis triples, "
+                f"over the budget of {budget}")
+        super().__init__({
+            (n, l): {m: g for m in by_size.get(size(n) + size(l), ())
+                     if (g := inst.hall_constant(n, l, m))}
+            for n in self.basis for l in self.basis
+            if size(n) + size(l) <= bound})
 
     def to_json(self):
+        flat = [(n, l, m, g) for (n, l), row in self.constants.items()
+                for m, g in row.items()]
         return {
             "family": self.inst.family,
             "basis": [str(c) for c in self.basis],
             "constants": [{"N": str(n), "L": str(l), "M": str(m), "g": g}
-                          for (n, l, m), g in sorted(
-                              self.constants.items(),
-                              key=lambda kv: (self.inst.size_of(kv[0][2]),
-                                              kv[0]))],
+                          for n, l, m, g in sorted(
+                              flat, key=lambda t: (self.inst.size_of(t[2]),
+                                                   t[:3]))],
         }
 
 
-def hall_constants(inst: ProtoAbelianInstance) -> HallTable:
-    return HallTable(inst)
+def hall_constants(inst: ProtoAbelianInstance,
+                   budget: int = DEFAULT_OBJECT_BUDGET) -> HallTable:
+    return HallTable(inst, budget)
 
 
 def hall_product(table: HallTable, f: dict, g: dict) -> dict:
@@ -126,32 +116,9 @@ def hall_product_via_span(inst: ProtoAbelianInstance, bound, f: dict,
 
 
 def check_associativity(table: HallTable):
-    """(a.b).c = a.(b.c) on all basis triples inside the bound; returns
+    """Associative and unital on all basis triples inside the bound; returns
     (ok, counterexample)."""
-    inst = table.inst
-    for a in table.basis:
-        for b in table.basis:
-            if inst.size_of(a) + inst.size_of(b) > table.bound:
-                continue
-            ab = table.product(table.delta(a), table.delta(b))
-            for c in table.basis:
-                total = (inst.size_of(a) + inst.size_of(b)
-                         + inst.size_of(c))
-                if total > table.bound:
-                    continue
-                bc = table.product(table.delta(b), table.delta(c))
-                lhs = table.product(ab, table.delta(c))
-                rhs = table.product(table.delta(a), bc)
-                if lhs != rhs:
-                    return False, {"triple": (str(a), str(b), str(c)),
-                                   "lhs": lhs, "rhs": rhs}
-    zero = inst.zero_key()
-    for a in table.basis:
-        da = table.delta(a)
-        if (table.product(table.delta(zero), da) != da
-                or table.product(da, table.delta(zero)) != da):
-            return False, {"unit_failure": str(a)}
-    return True, None
+    return check_algebra(table, table.inst.zero_key())
 
 
 def divided_powers_iso_check(G, bound: int):

@@ -38,6 +38,11 @@ strict simplicial identities, so it is pinned: the full subgroupoid on the
 tuples whose first coset is P, acted on by P, with [G:H]^2 objects where
 level 2 has [G:P][G:H]^2.  A double coset is labelled by its least element
 in G.elements order, and the bases are sorted by label.
+
+A module is a `StructureTable` (`hallalg.structure`) keyed by basis
+positions, as the Hall tables are, and the algebra reads its constants off
+its regular module.  So one check decides the module axioms and, after the
+right unit, associativity and the unit.
 """
 
 from fractions import Fraction
@@ -50,6 +55,7 @@ from ..groupoid import (ActionGroupoid, Functor, GMap, is_faithful,
                         pull_push_table)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
+from ..structure import StructureTable, check_action, check_algebra
 from .segal import DEGREE3_SQUARES, refuse_fiber_product
 from .simplicial import TruncatedSimplicialGroupoid
 
@@ -368,8 +374,12 @@ def _exact(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
 
-def _json_number(v):
-    return str(v) if isinstance(v, Fraction) else v
+def _json_rows(constants, b_name, row_name):
+    """The rows {(a, b): {c: m}} as JSON, a non-integral m as "p/q"."""
+    return [{"a": a, b_name: b,
+             row_name: {str(c): str(m) if isinstance(m, Fraction) else m
+                        for c, m in sorted(row.items())}}
+            for (a, b), row in sorted(constants.items())]
 
 
 def _pull_push_table(left: Functor, right: Functor, middle: Functor,
@@ -406,17 +416,6 @@ def _convolution_table(G, H, left_cosets, right_cosets, reps):
 # -- the Hecke algebra and its modules -------------------------------------
 
 
-def _bilinear(table, u: dict, v: dict) -> dict:
-    """Bilinear extension of a structure table {(a, b): {c: m}} to vectors
-    keyed by basis index."""
-    out = {}
-    for a, cu in u.items():
-        for b, cv in v.items():
-            for c, m in table[(a, b)].items():
-                out[c] = out.get(c, 0) + cu * cv * m
-    return {k: x for k, x in out.items() if x}
-
-
 class HeckeAlgebra:
     """Structure constants of H-biinvariant functions on G under the
     pull-push product, with the convolution oracle alongside.  The algebra
@@ -438,7 +437,7 @@ class HeckeAlgebra:
         self.labels = [str(t) for t in self.basis]
         self.unit_index = self.coset_index(G.identity)
         self.regular = HeckeModule(self, H)
-        self.constants = self.regular.action_table
+        self.constants = self.regular.constants
         self.integral = self.regular.integral
         # the extremal face must be faithful for integrality -- verified
         self.extremal_faithful = self.regular.extremal_faithful
@@ -457,37 +456,27 @@ class HeckeAlgebra:
         indicators: the regular module's convolution action."""
         return self.regular.convolution_action()
 
-    def multiply(self, va: dict, vb: dict) -> dict:
-        """Bilinear product of vectors keyed by basis index."""
-        return _bilinear(self.constants, va, vb)
-
     def check_associativity_and_unit(self):
         """The right unit, then the regular module's axioms."""
-        e = {self.unit_index: 1}
-        for a in range(len(self.basis)):
-            if self.multiply({a: 1}, e) != {a: 1}:
-                return False, ("unit", a)
-        return self.regular.check_module_axioms()
+        return check_algebra(self.regular, self.unit_index)
 
     def to_json(self):
         return {
             "group": self.G.name, "subgroup": self.H.name,
             "cosets": self.labels,
-            "constants": [{"a": a, "b": b,
-                           "product": {str(c): _json_number(m)
-                                       for c, m in sorted(v.items())}}
-                          for (a, b), v in sorted(self.constants.items())],
+            "constants": _json_rows(self.constants, "b", "product"),
             "extremal_faithful": self.extremal_faithful,
         }
 
 
-class HeckeModule:
+class HeckeModule(StructureTable):
     """The convolution action of H(G,H) on functions on H\\G/P, via the
     span X_1 x Y_0 <- Y_1 -> Y_0 with the pinned levels
     Y_0 = {P} x G/H // P and Y_1 = {P} x (G/H)^2 // P, faces as in the
     Hecke-Waldhausen levels.  Y_1 has [G:H]^2 objects, as many as the
-    algebra's apex, which has passed the budget.  The oracle runs on demand,
-    once."""
+    algebra's apex, which has passed the budget.  The constants
+    {(a, v): {c: m}} are keyed by basis positions.  The oracle runs on
+    demand, once."""
 
     def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup):
         G, H = algebra.G, algebra.H
@@ -505,13 +494,14 @@ class HeckeModule:
 
         middle = face(y1, y0, 1)
         self.extremal_faithful = is_faithful(middle)
-        self.action_table, self.integral = _pull_push_table(
+        constants, self.integral = _pull_push_table(
             face(y1, algebra.x1, 0), face(y1, y0, 2), middle,
             algebra.double_cosets, self.double_cosets)
+        super().__init__(constants)
 
     @cached_property
     def oracle_agrees(self):
-        return self.convolution_action() == self.action_table
+        return self.convolution_action() == self.constants
 
     def convolution_action(self):
         """(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on H\\G/P indicators."""
@@ -520,24 +510,8 @@ class HeckeModule:
         right = left if self.P is self.H else self.double_cosets.cosets()
         return _convolution_table(self.G, self.H, left, right, self.basis)
 
-    def act(self, f: dict, v: dict) -> dict:
-        return _bilinear(self.action_table, f, v)
-
     def check_module_axioms(self):
-        alg = self.alg
-        na, nv = len(alg.basis), len(self.basis)
-        e = {alg.unit_index: 1}
-        for v in range(nv):
-            if self.act(e, {v: 1}) != {v: 1}:
-                return False, ("unit", v)
-        for a in range(na):
-            for b in range(na):
-                for v in range(nv):
-                    lhs = self.act(alg.multiply({a: 1}, {b: 1}), {v: 1})
-                    rhs = self.act({a: 1}, self.act({b: 1}, {v: 1}))
-                    if lhs != rhs:
-                        return False, ("mixed associativity", (a, b, v))
-        return True, None
+        return check_action(self.alg.regular, self, self.alg.unit_index)
 
     def to_json(self):
         return {
@@ -545,8 +519,5 @@ class HeckeModule:
             "module_subgroup": self.P.name,
             "hecke_cosets": self.alg.labels,
             "module_cosets": self.labels,
-            "action": [{"a": a, "v": v,
-                        "result": {str(c): _json_number(m)
-                                   for c, m in sorted(t.items())}}
-                       for (a, v), t in sorted(self.action_table.items())],
+            "action": _json_rows(self.constants, "v", "result"),
         }

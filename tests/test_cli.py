@@ -301,6 +301,63 @@ def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
     assert data["oracle_agrees"] is False and data["pass"] is False
 
 
+def test_a_failing_hall_verdict_prints_its_counterexample(capsys,
+                                                         monkeypatch):
+    # the classes of ab-p-groups are tuples, so the witness is keyed by
+    # their strings
+    from hallalg.protoab import AbelianPGroups
+    real = AbelianPGroups.hall_constant
+
+    def raised(self, n, l, m):
+        bump = 1 if (n, l, m) == ((1,), (2,), (3,)) else 0
+        return real(self, n, l, m) + bump
+
+    monkeypatch.setattr(AbelianPGroups, "hall_constant", raised)
+    code, out = run_capture(capsys, [
+        "hall-table", "--family", "ab-p-groups", "--p", "2", "--bound", "8"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert set(data["counterexample"]) == {"triple", "lhs", "rhs"}
+
+
+def test_hall_budget_refused_before_any_constant(capsys, monkeypatch):
+    # 30 classes of abelian 2-groups up to order 64, and 1110 triples
+    # (N, L, M) with size N + size L = size M, one hall_constant each
+    from hallalg.protoab import AbelianPGroups
+    real, calls = AbelianPGroups.hall_constant, None
+
+    def counting(self, n, l, m):
+        if calls is None:
+            raise AssertionError("the budget must stop the run first")
+        calls.append((n, l, m))
+        return real(self, n, l, m)
+
+    monkeypatch.setattr(AbelianPGroups, "hall_constant", counting)
+    argv = ["hall-table", "--family", "ab-p-groups", "--p", "2",
+            "--bound", "64", "--budget"]
+    for budget in ("1", "1109"):
+        code = run(argv + [budget])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert (f"1110 basis triples, over the budget of {budget}"
+                in captured.err)
+    # at the count itself the table is built, one constant per triple
+    calls = []
+    code, out = run_capture(capsys, argv + ["1110"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert len(calls) == len(set(calls)) == 1110
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    code = run(["hall-table", "--family", "vect-fq", "--q", "2",
+                "--bound", "2", "--out", str(tmp_path / "no" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     "segal-check --construction hecke --G sym:4 --H sym:2",
     "hecke-table --G sym:4 --H sym:3"])

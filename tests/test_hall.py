@@ -47,9 +47,10 @@ def test_products_and_unit(table_vf2):
 
 
 def test_grading(table_ab2):
-    for (n, l, m), g in table_ab2.constants.items():
-        assert sum(m) == sum(n) + sum(l)
-        assert g > 0
+    for (n, l), row in table_ab2.constants.items():
+        for m, g in row.items():
+            assert sum(m) == sum(n) + sum(l)
+            assert g > 0
 
 
 def test_associativity_steinitz(table_ab2):
@@ -59,9 +60,18 @@ def test_associativity_steinitz(table_ab2):
 
 def test_associativity_catches_corruption():
     t = hall_constants(F1FreeG(trivial_group(), 3))
-    t.constants[(2, 1, 3)] += 1    # perturb g^{(3)}_{(2),(1)}
+    t.constants[(2, 1)][3] += 1    # perturb g^{(3)}_{(2),(1)}
     ok, wit = check_associativity(t)
     assert not ok and "triple" in wit
+
+
+@pytest.mark.parametrize("row", [(1, 0), (0, 1)])
+def test_a_broken_unit_row_is_a_unit_failure(row):
+    # [1].[0] is caught by the right-unit test, [0].[1] by the action check
+    t = hall_constants(F1FreeG(trivial_group(), 3))
+    t.constants[row] = {1: 2}
+    ok, wit = check_associativity(t)
+    assert not ok and wit == {"unit_failure": "1"}
 
 
 def test_divided_powers():
@@ -186,8 +196,9 @@ def test_bound_64_table_is_associative():
 
 
 def test_delta_outside_the_basis_raises(table_vf2):
-    with pytest.raises(UsageError, match="outside the table basis"):
-        table_vf2.delta(5)
+    for f, g in (({9: 1}, {0: 1}), ({0: 1}, {5: 1})):
+        with pytest.raises(UsageError, match="outside the table basis"):
+            hall_product(table_vf2, f, g)
 
 
 def test_divided_powers_check_compares_enumerated_counts(monkeypatch):

@@ -72,7 +72,7 @@ def test_group_algebra_case():
 def test_regular_module(alg_s3):
     S3 = symmetric_group(3)
     mod = HeckeModule(alg_s3, symmetric_subgroup(S3, 2))
-    assert mod.action_table == alg_s3.constants
+    assert mod.constants == alg_s3.constants
     assert mod.oracle_agrees and mod.integral
     ok, wit = mod.check_module_axioms()
     assert ok, wit
@@ -87,7 +87,7 @@ def test_full_group_module(alg_s3):
     for a in range(len(alg_s3.basis)):
         vol = sum(1 for g in S3.elements
                   if alg_s3.coset_index(g) == a) // alg_s3.H.order
-        assert mod.action_table[(a, 0)] == {0: vol}
+        assert mod.constants[(a, 0)] == {0: vol}
     ok, wit = mod.check_module_axioms()
     assert ok, wit
 
@@ -97,7 +97,7 @@ def test_alternating_module(alg_s3):
     mod = HeckeModule(alg_s3, alternating_subgroup(S3))
     ok, wit = mod.check_module_axioms()
     assert ok, wit
-    assert mod.convolution_action() == mod.action_table
+    assert mod.convolution_action() == mod.constants
     assert mod.oracle_agrees and mod.integral
 
 
@@ -107,6 +107,44 @@ def test_module_axioms_s4(alg_s4):
     assert mod.oracle_agrees and mod.integral
     ok, wit = mod.check_module_axioms()
     assert ok, wit
+
+
+def test_a_perturbed_constant_fails_associativity():
+    # a fresh table: the fixtures are shared.  Every unital algebra of
+    # dimension 2 is associative, so the perturbed algebra is the group
+    # algebra of S3; a.b = c becomes 2c, which (a.b).x = a.(b.x) catches
+    S3 = symmetric_group(3)
+    alg = HeckeAlgebra(S3, S3.subgroup([S3.identity], name="trivial"))
+    a, b = [i for i in range(len(alg.basis)) if i != alg.unit_index][:2]
+    (c,) = alg.constants[(a, b)]
+    alg.constants[(a, b)][c] += 1
+    ok, wit = alg.check_associativity_and_unit()
+    assert not ok and set(wit) == {"triple", "lhs", "rhs"}
+    assert all(isinstance(k, str) for k in [*wit["triple"], *wit["lhs"]])
+
+
+def test_a_perturbed_module_row_fails_the_module_axioms():
+    # on H\S3/S3 the other double coset acts by its volume 2, and
+    # T.T = 2 + T; a volume of 3 breaks (T.T).v = T.(T.v)
+    S3 = symmetric_group(3)
+    alg = HeckeAlgebra(S3, symmetric_subgroup(S3, 2))
+    mod = HeckeModule(alg, S3)
+    other = 1 - alg.unit_index
+    mod.constants[(other, 0)][0] += 1
+    ok, wit = mod.check_module_axioms()
+    assert not ok and wit["triple"] == (str(other), str(other), "0")
+
+
+def test_a_broken_unit_row_is_a_unit_failure():
+    S3 = symmetric_group(3)
+    alg = HeckeAlgebra(S3, symmetric_subgroup(S3, 2))
+    e, other = alg.unit_index, 1 - alg.unit_index
+    mod = HeckeModule(alg, S3)
+    mod.constants[(e, 0)] = {0: 2}
+    assert mod.check_module_axioms() == (False, {"unit_failure": "0"})
+    alg.constants[(other, e)] = {other: 2}
+    assert alg.check_associativity_and_unit() == (
+        False, {"unit_failure": str(other)})
 
 
 def test_json_shapes(alg_s3):
