@@ -203,11 +203,10 @@ def cmd_wreath_char_table(args):
     data = tab.to_json()
     data["orthogonal"] = ok
     data["pass"] = ok
-    header = ["label"] + [json.dumps(l.to_json()) for l in tab.class_labels]
-    rows = [tuple(header)]
-    for i, l in enumerate(tab.irr_labels):
-        rows.append(tuple([json.dumps(l.to_json())]
-                          + [v.to_string() for v in tab.values[i]]))
+    # the rows reuse the value strings and label JSON of data
+    rows = [("label", *map(json.dumps, data["class_labels"]))]
+    for label, values in zip(data["irreducible_labels"], data["values"]):
+        rows.append((json.dumps(label), *values))
     return data, rows
 
 

@@ -114,11 +114,6 @@ class PartitionMap:
     def to_json(self):
         return {str(l): list(p) for l, p in self.items() if p}
 
-    @classmethod
-    def from_json(cls, obj, labels):
-        parts = [tuple(obj.get(str(l), ())) for l in labels]
-        return cls(labels, parts)
-
 
 def compositions(n: int, k: int):
     """Weak compositions of n into k parts, first part largest first."""

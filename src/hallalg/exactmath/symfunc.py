@@ -33,12 +33,6 @@ class MultiSymElem:
     def basis(cls, pmap: PartitionMap):
         return cls(pmap.labels, {pmap: 1})
 
-    @classmethod
-    def unit(cls, labels):
-        labels = tuple(labels)
-        empty = PartitionMap(labels, ((),) * len(labels))
-        return cls(labels, {empty: 1})
-
     def __add__(self, other):
         if self.labels != other.labels:
             raise ValueError(f"mismatched index sets: {self.labels!r} vs "

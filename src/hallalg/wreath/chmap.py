@@ -11,22 +11,28 @@ over the maps f from the cycles to the dual that send cycle lengths adding
 up to |lam(gamma)| to each gamma, of prod f(c, r)(c) times
 prod_gamma chi^{lam(gamma)}(lengths sent to gamma) by Murnaghan-Nakayama,
 and the class rho has |W| / prod_c z_{rho(c)} |G|^{l(rho(c))} elements,
-|W| = |G|^n n!.  No group element is built.  Tables are certified by exact
+|W| = |G|^n n!.  No group element is built.  The maps from the cycles of
+rho are walked once for all labels (`class_terms`): every map has one size
+vector (|lam(gamma)|)_gamma, so the walk records the zeta exponents summed
+for each way of sending lengths to characters, grouped by size vector, and
+chi^lam(rho) reads the group of lam's sizes.  Tables are certified by exact
 row and column orthogonality and by class sizes adding up to |W|;
-induction multiplicities come from Frobenius reciprocity over class labels.
+induction multiplicities come from Frobenius reciprocity over class labels,
+in one batch per size pair (n, m) (`induction_products`), which finds the
+joined classes and reads each table once for all (lam, mu).
 Every value lies in Z[zeta_e], e the exponent of G, so each of these sums
 of weighted Hermitian products runs on the integer kernel of
 exactmath.cyclotomic: the printed Cyc values are read into integer
 coefficient vectors with one common denominator, the products accumulate
 unreduced and each sum is reduced mod Phi_e once.  The integer form is
 read afresh from `values` on every call, so a certificate is always of the
-values that are printed.  Summing over the elements of the group and of the
-Young subgroup is the oracle in the tests for the values, and per-term Cyc
-arithmetic is the oracle for the certificates; the tests' oracles
-(`tests/oracles/wreath.py`) also hold the class label of each element and
-the inner products and decompositions of other class functions.  On K_0, ch sends the
-induction product to the componentwise Littlewood-Richardson product, which
-is what the acceptance suite verifies.  Tables are memoised on their group
+values that are printed.  The tests' oracles (`tests/oracles/wreath.py`)
+are the walk per (lam, rho) and the sum over the elements of the group and
+of the Young subgroup for the values, per-term Cyc arithmetic for the
+certificates, the class label of each element, and the inner products and
+decompositions of other class functions.  On K_0, ch sends the induction
+product to the componentwise Littlewood-Richardson product, which is what
+the acceptance suite verifies.  Tables are memoised on their group
 (`character_table`), so they are dropped with it.
 """
 
@@ -80,32 +86,52 @@ def hermitian_gram(e: int, vectors, weights=None):
             yield (i, j), dot(e, x, bars[j])
 
 
-def character_value(chars, e: int, lam: PartitionMap,
-                    rho: PartitionMap) -> Cyc:
-    """chi^lam(rho) by the closed formula; chars[gamma][c] is the exponent
-    of gamma on the class c of G over zeta_e."""
+def class_terms(chars, e: int, rho: PartitionMap) -> dict:
+    """The maps f from the cycles of rho to the dual, walked once for all
+    labels: sizes -> [(lengths, counts)], lengths[gamma] the cycle lengths
+    that f sends to gamma (longest first), sizes[gamma] their sum and
+    counts[x] the number of such f with prod f(c, r)(c) = zeta_e^x;
+    chars[gamma][c] is the exponent of gamma on the class c of G.  Maps
+    that agree on the lengths sent to each gamma are merged as they are
+    walked."""
     cycles = sorted(((r, c) for c, part in rho.items() for r in part),
                     reverse=True)
-    room = [sum(part) for part in lam.parts]
-    sent = [[] for _ in room]
+    terms = {((),) * len(chars): (1,) + (0,) * (e - 1)}
+    for r, c in cycles:
+        walked = {}
+        for sent, counts in terms.items():
+            for gamma, row in enumerate(chars):
+                key = sent[:gamma] + (sent[gamma] + (r,),) + sent[gamma + 1:]
+                out = walked.setdefault(key, [0] * e)
+                for x, count in enumerate(counts):
+                    out[(x + row[c]) % e] += count
+        terms = walked
+    by_size = {}
+    for sent, counts in terms.items():
+        by_size.setdefault(tuple(map(sum, sent)), []).append((sent, counts))
+    return by_size
+
+
+def _value(e: int, lam: PartitionMap, terms) -> Cyc:
+    """chi^lam(rho) from the terms of rho whose sizes are those of lam:
+    each count times prod_gamma chi^{lam(gamma)}(lengths sent to gamma)."""
     acc = [0] * e   # acc[x]: the coefficient of zeta_e^x
-
-    def assign(i, expo):
-        if i == len(cycles):
-            acc[expo] += prod(murnaghan_nakayama(part, tuple(lengths))
-                              for part, lengths in zip(lam.parts, sent))
-            return
-        r, c = cycles[i]
-        for gamma, row in enumerate(chars):
-            if room[gamma] >= r:
-                room[gamma] -= r
-                sent[gamma].append(r)
-                assign(i + 1, (expo + row[c]) % e)
-                sent[gamma].pop()
-                room[gamma] += r
-
-    assign(0, 0)
+    for sent, counts in terms:
+        mn = prod(murnaghan_nakayama(part, lengths)
+                  for part, lengths in zip(lam.parts, sent))
+        if mn:
+            for x, count in enumerate(counts):
+                acc[x] += mn * count
     return Cyc(e, reduce_poly(e, acc))
+
+
+def _integer_rows(rows, e: int):
+    """(vectors, d): each row of Cyc values as integer vectors over
+    Z[zeta_e], d times each value, d the common denominator of all rows."""
+    rows = [list(row) for row in rows]
+    vecs, d = integer_form((v for row in rows for v in row), e)
+    it = iter(vecs)
+    return [[next(it) for _ in row] for row in rows], d
 
 
 class WreathCharacterTable:
@@ -134,9 +160,13 @@ class WreathCharacterTable:
 
         self.irr_labels = partition_maps(n, tuple(range(k)))
         self.irr_pos = {l: i for i, l in enumerate(self.irr_labels)}
-        self.values = [[character_value(chars, self.e, lam, rho)
-                        for rho in self.class_labels]
-                       for lam in self.irr_labels]
+        sizes = [tuple(map(sum, lam.parts)) for lam in self.irr_labels]
+        columns = []
+        for rho in self.class_labels:
+            terms = class_terms(chars, self.e, rho)
+            columns.append([_value(self.e, lam, terms.get(size, ()))
+                            for lam, size in zip(self.irr_labels, sizes)])
+        self.values = [list(row) for row in zip(*columns)]
 
     def dimension(self, lam: PartitionMap) -> int:
         v = self.values[self.irr_pos[lam]][self.identity_class]
@@ -153,18 +183,10 @@ class WreathCharacterTable:
             raise ArithmeticError(f"{what} is not rational: {value!r}")
         return Fraction(tot[0], den)
 
-    def _integer_table(self):
-        """(rows, d): the values as integer vectors over Z[zeta_e], d times
-        each value, d their common denominator."""
-        vecs, d = integer_form((v for row in self.values for v in row),
-                               self.e)
-        ncols = len(self.class_labels)
-        return [vecs[i:i + ncols] for i in range(0, len(vecs), ncols)], d
-
     def check_orthogonality(self):
         if sum(self.class_sizes) != self.order:
             return False, ("class sizes", sum(self.class_sizes), self.order)
-        table, d = self._integer_table()
+        table, d = _integer_rows(self.values, self.e)
         for (i, j), tot in hermitian_gram(self.e, table, self.class_sizes):
             q = self._rational(tot, d * d * self.order,
                                f"inner product of rows {i} and {j}")
@@ -216,50 +238,80 @@ def _clear_character_tables():
 character_table.cache_clear = _clear_character_tables
 
 
-def induction_product(G: FiniteGroup, lam: PartitionMap, mu: PartitionMap,
-                      budget: int = DEFAULT_WREATH_BUDGET) -> dict:
-    """Decomposition of Ind_{G wr (S_n x S_m)}^{G wr S_{n+m}}
-    (X_lam boxtimes X_mu) by Frobenius reciprocity:
+def induction_products(G: FiniteGroup, n: int, m: int,
+                       budget: int = DEFAULT_WREATH_BUDGET,
+                       pairs=None) -> dict:
+    """{(lam, mu): decomposition of Ind_{G wr (S_n x S_m)}^{G wr S_{n+m}}
+    (X_lam boxtimes X_mu)} for the given label pairs of sizes n and m, by
+    default all of them in label order.  By Frobenius reciprocity,
     <Ind chi, chi_nu> = <chi, Res chi_nu>, a sum over pairs of classes
-    (rho1, rho2) of the Young subgroup, which lies in the class
-    rho1 + rho2 (partitions joined class by class) of the big group."""
-    n, m = lam.total, mu.total
+    (rho1, rho2) of the Young subgroup, which lies in the class rho1 + rho2
+    (partitions joined class by class) of the big group.  What depends only
+    on (n, m) is done once: each table's rows are read in one integer form,
+    the joined class and weight of each class pair are found once, and the
+    big table's rows are conjugated once."""
     big = character_table(G, n + m, budget)
     small_n = character_table(G, n, budget)
     small_m = character_table(G, m, budget)
-    row_lam = small_n.values[small_n.irr_pos[lam]]
-    row_mu = small_m.values[small_m.irr_pos[mu]]
-
-    # the class function lam x mu summed over each class of the big group,
-    # as integer polynomials in zeta_e, unreduced
+    if pairs is None:
+        pairs = [(lam, mu) for lam in small_n.irr_labels
+                 for mu in small_m.irr_labels]
     e = big.e
-    (va, da), (vb, db) = integer_form(row_lam, e), integer_form(row_mu, e)
-    restricted = {}
+    lams = list(dict.fromkeys(lam for lam, _ in pairs))
+    mus = list(dict.fromkeys(mu for _, mu in pairs))
+    va, da = _integer_rows((small_n.values[small_n.irr_pos[lam]]
+                            for lam in lams), e)
+    vb, db = _integer_rows((small_m.values[small_m.irr_pos[mu]]
+                            for mu in mus), e)
+    va, vb = dict(zip(lams, va)), dict(zip(mus, vb))
+
+    joins = []   # (a, b, the class a + b of the big group, |a| |b|)
     for a, rho1 in enumerate(small_n.class_labels):
         for b, rho2 in enumerate(small_m.class_labels):
             joined = big.class_pos[PartitionMap(rho1.labels, [
                 tuple(sorted(p + q, reverse=True))
                 for p, q in zip(rho1.parts, rho2.parts)])]
-            w = small_n.class_sizes[a] * small_m.class_sizes[b]
-            acc = restricted.setdefault(joined, [0] * (2 * euler_phi(e) - 1))
-            for i, x in enumerate(va[a]):
-                for j, y in enumerate(vb[b]):
-                    acc[i + j] += w * x * y
+            joins.append((a, b, joined,
+                          small_n.class_sizes[a] * small_m.class_sizes[b]))
+    classes = list(dict.fromkeys(joined for _, _, joined, _ in joins))
+    vc, dc = _integer_rows(([row[c] for c in classes] for row in big.values),
+                           e)
+    bars = [planes(conjugate(e, v) for v in row) for row in vc]
+    den = da * db * dc * small_n.order * small_m.order
+    width = 2 * euler_phi(e) - 1
 
-    classes = list(restricted)
-    xs = planes(restricted[c] for c in classes)
     out = {}
-    for nu, row in zip(big.irr_labels, big.values):
-        vc, dc = integer_form((row[c] for c in classes), e)
-        tot = dot(e, xs, planes(conjugate(e, v) for v in vc))
-        den = da * db * dc * small_n.order * small_m.order
-        if any(tot[1:]) or tot[0] % den or tot[0] < 0:
-            value = Cyc(e, [Fraction(x, den) for x in tot])
-            raise ArithmeticError(f"multiplicity of {nu} in the induction "
-                                  f"product is not in N: {value!r}")
-        if tot[0]:
-            out[nu] = tot[0] // den
+    for lam, mu in pairs:
+        # the class function lam x mu summed over each class of the big
+        # group, as integer polynomials in zeta_e, unreduced
+        row_lam, row_mu = va[lam], vb[mu]
+        restricted = {c: [0] * width for c in classes}
+        for a, b, joined, w in joins:
+            acc = restricted[joined]
+            for i, xi in enumerate(row_lam[a]):
+                if xi:
+                    for j, yj in enumerate(row_mu[b]):
+                        acc[i + j] += w * xi * yj
+        xs = planes(restricted.values())
+        decomposition = out[lam, mu] = {}
+        for nu, bar in zip(big.irr_labels, bars):
+            tot = dot(e, xs, bar)
+            if any(tot[1:]) or tot[0] % den or tot[0] < 0:
+                value = Cyc(e, [Fraction(x, den) for x in tot])
+                raise ArithmeticError(f"multiplicity of {nu} in the "
+                                      f"induction product is not in N: "
+                                      f"{value!r}")
+            if tot[0]:
+                decomposition[nu] = tot[0] // den
     return out
+
+
+def induction_product(G: FiniteGroup, lam: PartitionMap, mu: PartitionMap,
+                      budget: int = DEFAULT_WREATH_BUDGET) -> dict:
+    """Decomposition of Ind_{G wr (S_n x S_m)}^{G wr S_{n+m}}
+    (X_lam boxtimes X_mu): induction_products for the one pair."""
+    return induction_products(G, lam.total, mu.total, budget,
+                              [(lam, mu)])[lam, mu]
 
 
 def ch(G: FiniteGroup, x_basis: dict) -> MultiSymElem:
@@ -282,19 +334,17 @@ def ch_ring_hom_check(G: FiniteGroup, max_total: int,
     """ch(Ind(X_lam boxtimes X_mu)) = S_lam . S_mu for all label pairs with
     total size <= max_total; returns (ok, failures)."""
     from ..exactmath.symfunc import multisym_mul
-    k = G.order
     failures = []
     for n in range(0, max_total + 1):
         for m in range(0, max_total + 1 - n):
-            for lam in partition_maps(n, tuple(range(k))):
-                for mu in partition_maps(m, tuple(range(k))):
-                    ind = induction_product(G, lam, mu, budget)
-                    lhs = ch(G, ind)
-                    rhs = multisym_mul(MultiSymElem.basis(lam),
-                                       MultiSymElem.basis(mu))
-                    if lhs != rhs:
-                        failures.append({"lam": lam.to_json(),
-                                         "mu": mu.to_json(),
-                                         "lhs": lhs.to_json(),
-                                         "rhs": rhs.to_json()})
+            products = induction_products(G, n, m, budget)
+            for (lam, mu), ind in products.items():
+                lhs = ch(G, ind)
+                rhs = multisym_mul(MultiSymElem.basis(lam),
+                                   MultiSymElem.basis(mu))
+                if lhs != rhs:
+                    failures.append({"lam": lam.to_json(),
+                                     "mu": mu.to_json(),
+                                     "lhs": lhs.to_json(),
+                                     "rhs": rhs.to_json()})
     return (not failures), failures

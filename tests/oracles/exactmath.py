@@ -2,15 +2,18 @@
 semistandard tableaux for the hook-content product, Schur polynomials
 multiplied out for the Littlewood-Richardson rule, products of weak
 compositions for the number of partition-valued maps, and Schur-basis
-arithmetic in one alphabet on top of the LR rule."""
+arithmetic in one alphabet on top of the LR rule.  Also the inverse of
+`PartitionMap.to_json` and the unit of the multi-alphabet Schur ring,
+which only the tests need."""
 
 from collections import Counter
 from fractions import Fraction
 from math import prod
 
 from hallalg.exactmath.littlewood import schur_product
-from hallalg.exactmath.partitions import (check_partition, compositions,
-                                          partitions_of)
+from hallalg.exactmath.partitions import (PartitionMap, check_partition,
+                                          compositions, partitions_of)
+from hallalg.exactmath.symfunc import MultiSymElem
 
 
 def ssyt_iter(shape, d: int):
@@ -105,6 +108,17 @@ def partition_maps_count(n: int, k: int) -> int:
     """|P_n(X)| for |X| = k, by the composition formula."""
     return sum(prod(len(partitions_of(c)) for c in comp)
                for comp in compositions(n, k))
+
+
+def partition_map_from_json(obj, labels) -> PartitionMap:
+    """The partition map on `labels` whose to_json() is obj."""
+    return PartitionMap(labels, [tuple(obj.get(str(l), ())) for l in labels])
+
+
+def multisym_unit(labels) -> MultiSymElem:
+    """S_empty, the unit of the Schur ring on `labels`."""
+    labels = tuple(labels)
+    return MultiSymElem(labels, {PartitionMap(labels, ((),) * len(labels)): 1})
 
 
 class SymElem:

@@ -1,12 +1,18 @@
 """Wreath-product oracles that work element by element: the class label of
 a wreath element from its cycles, an element with a given label, and
 inner products and decompositions of class functions against a character
-table.  The production character tables never build a group element."""
+table.  The production character tables never build a group element.
+`character_value` is the closed formula one (lam, rho) at a time, the
+oracle of the table's single walk per class."""
+
+from math import prod
 
 from hallalg import UsageError
-from hallalg.exactmath.cyclotomic import conjugate, dot, integer_form, planes
+from hallalg.exactmath.cyclotomic import (Cyc, conjugate, dot, integer_form,
+                                          planes, reduce_poly)
 from hallalg.exactmath.partitions import PartitionMap
 from hallalg.groups import FiniteGroup
+from hallalg.wreath.characters import murnaghan_nakayama
 
 
 def perm_cycles(p):
@@ -99,3 +105,32 @@ def decompose(tab, values_by_class) -> dict:
         if tot[0]:
             out[lam] = tot[0] // den
     return out
+
+
+def character_value(chars, e: int, lam: PartitionMap,
+                    rho: PartitionMap) -> Cyc:
+    """chi^lam(rho) by the closed formula, walking only the maps from the
+    cycles of rho to the dual that fit the sizes of lam; chars[gamma][c] is
+    the exponent of gamma on the class c of G over zeta_e."""
+    cycles = sorted(((r, c) for c, part in rho.items() for r in part),
+                    reverse=True)
+    room = [sum(part) for part in lam.parts]
+    sent = [[] for _ in room]
+    acc = [0] * e   # acc[x]: the coefficient of zeta_e^x
+
+    def assign(i, expo):
+        if i == len(cycles):
+            acc[expo] += prod(murnaghan_nakayama(part, tuple(lengths))
+                              for part, lengths in zip(lam.parts, sent))
+            return
+        r, c = cycles[i]
+        for gamma, row in enumerate(chars):
+            if room[gamma] >= r:
+                room[gamma] -= r
+                sent[gamma].append(r)
+                assign(i + 1, (expo + row[c]) % e)
+                sent[gamma].pop()
+                room[gamma] += r
+
+    assign(0, 0)
+    return Cyc(e, reduce_poly(e, acc))

@@ -446,3 +446,88 @@ def test_csv_and_text_formats(capsys, tmp_path):
                 "--out", str(path)])
     assert code == 0
     assert json.loads(path.read_text())["pass"] is True
+
+
+# sha256 of the output of each command in each format, recorded before the
+# wreath tables were built from one walk per class and the induction
+# products in one batch per size pair; both must leave every byte as it was
+WREATH_OUTPUT_DIGESTS = {
+    ("wreath-char-table --G cyclic:2 --n 2", "json"):
+        "baa5d1c05f1ae7247762f8c7651fc54c327ab3c0b6ffb551810b18e83891a423",
+    ("wreath-char-table --G cyclic:2 --n 2", "csv"):
+        "cb2c3ed85ecb954328736743e6f21ff359fd67adec320d3ca8d97ae81bbe4e39",
+    ("wreath-char-table --G cyclic:2 --n 2", "text"):
+        "e5b2cb70360ca12256fda7648a78b907ea9facbbfc8771b6f33621e8a06e8657",
+    ("wreath-char-table --G cyclic:2 --n 4", "json"):
+        "5cc15d81c6ec713c64735250d992f44439999dde8b2fc4b7402ebb4f62961446",
+    ("wreath-char-table --G cyclic:2 --n 4", "csv"):
+        "522f55f9fdb371b6d66e0ac14015c0c9dabb5ec4b4254c5c9283a6b08fdc57d0",
+    ("wreath-char-table --G cyclic:2 --n 4", "text"):
+        "a6ec9a3d638bb3d8f2bace4017e2b438c109f1bc539bd9baccdfbf6d49a3b948",
+    ("wreath-char-table --G cyclic:3 --n 3", "json"):
+        "b69505aaf48713d6db8707abf598f1adeda10ab92c151a0edd20a39e51d064df",
+    ("wreath-char-table --G cyclic:3 --n 3", "csv"):
+        "3694472dd5e99635e25ed5d2ddd64e823d33326c8b0fb8e4843f48a9cc61f1ec",
+    ("wreath-char-table --G cyclic:3 --n 3", "text"):
+        "5fb092b75de6ef36aaf7ee907183adc154107acf1082835e83a25d449e829ceb",
+    ("wreath-char-table --G klein --n 2", "json"):
+        "bf8143ded741b0ea212529966861306206f3f9c6977082d75fc1cdda2f2c32c9",
+    ("wreath-char-table --G klein --n 2", "csv"):
+        "551f46f8ee30a33f41af2c118daab18b2bb6f14cc5db98e8afcecd9b2d20c3c8",
+    ("wreath-char-table --G klein --n 2", "text"):
+        "f8fb7f474902b11caf24c18906b1e8b1b0e4207d65e65edca92522f0041b981d",
+    ("ch-verify --G cyclic:2 --max-size 2", "json"):
+        "6e455b776354aadaa7ab5c7ad312218b19d99b33b0917d756bfc3ab4303b8945",
+    ("ch-verify --G cyclic:2 --max-size 2", "csv"):
+        "b3101d306cfa2d246c6f217b8ff29e9d90bc195bc6563583282bea765de5d9b0",
+    ("ch-verify --G cyclic:2 --max-size 2", "text"):
+        "17c415a0ff7ac1f12f8d0bfceca15d27a604578ae7fb7c59a1d05791f2de1836",
+    ("ch-verify --G cyclic:2 --max-size 3", "json"):
+        "52761e59861a2247d7189618916369e9e998d0a9609a4bc404823387224621d9",
+    ("ch-verify --G cyclic:2 --max-size 3", "csv"):
+        "b3101d306cfa2d246c6f217b8ff29e9d90bc195bc6563583282bea765de5d9b0",
+    ("ch-verify --G cyclic:2 --max-size 3", "text"):
+        "17c415a0ff7ac1f12f8d0bfceca15d27a604578ae7fb7c59a1d05791f2de1836",
+    ("ch-verify --G cyclic:3 --max-size 2", "json"):
+        "0cd31cdc26c8a2cd404443b97838d3a2af4ae476bdbd00ac44198cec5543d5b5",
+    ("ch-verify --G cyclic:3 --max-size 2", "csv"):
+        "b3101d306cfa2d246c6f217b8ff29e9d90bc195bc6563583282bea765de5d9b0",
+    ("ch-verify --G cyclic:3 --max-size 2", "text"):
+        "17c415a0ff7ac1f12f8d0bfceca15d27a604578ae7fb7c59a1d05791f2de1836",
+    ("schurweyl --G klein --n 4 --d 3", "json"):
+        "e2c42d03c8402445ba44c56f8d864af8cf65b153d74b213190f0b337bee95987",
+    ("schurweyl --G klein --n 4 --d 3", "csv"):
+        "c3f3b93a961bc5c9387d8676d076de7ee4a67dbd7c63f979c57974c8bf9ead9f",
+    ("schurweyl --G klein --n 4 --d 3", "text"):
+        "630a96160f64c39618ed5b8aba734bfaaf0e0ddfaa9546a7cf24fe770913f84c",
+    ("schurweyl --G trivial --n 2 --d 1", "json"):
+        "bf7b03ec444cb1356ef056487530ce09e33ecfdd1054af2df2aa621c622fb8d4",
+    ("schurweyl --G trivial --n 2 --d 1", "csv"):
+        "8536a3b6f9d2eec2bfd57e511bfa29c26deed966185e383bef4fb60be00775f0",
+    ("schurweyl --G trivial --n 2 --d 1", "text"):
+        "61ffd59e1ef35ebac6b42a96b35ed80e1a0724ddf6f36b5fed7124b42d38d690",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(WREATH_OUTPUT_DIGESTS))
+def test_wreath_outputs_are_byte_identical(capsys, command, fmt):
+    code, out = run_capture(capsys, command.split() + ["--format", fmt])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == WREATH_OUTPUT_DIGESTS[command, fmt]
+
+
+def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
+    from hallalg.exactmath.cyclotomic import Cyc
+    calls = []
+
+    def counting(self, real=Cyc.to_string):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Cyc, "to_string", counting)
+    code, out = run_capture(capsys, ["wreath-char-table", "--G", "cyclic:3",
+                                     "--n", "3", "--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 22    # C3 wr S3 has 22 classes
+    assert len(calls) == 22 * 22

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError, UsageError
+from hallalg.cli import run
 from hallalg.exactmath.cyclotomic import Cyc
 from hallalg.exactmath.partitions import PartitionMap, partition_maps
 from hallalg.groups import (cyclic_group, klein_group, named_group,
@@ -20,12 +21,11 @@ from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
                             irreducible_dimension, murnaghan_nakayama,
                             wreath_product)
 from hallalg.wreath import chmap
-from hallalg.wreath.chmap import (WreathCharacterTable, centralizer_order,
-                                  character_value)
+from hallalg.wreath.chmap import WreathCharacterTable, centralizer_order
 from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
 from oracles.exactmath import partition_maps_count
-from oracles.wreath import (class_label_representative, cycle_type,
-                            decompose, inner, perm_cycles,
+from oracles.wreath import (character_value, class_label_representative,
+                            cycle_type, decompose, inner, perm_cycles,
                             wreath_class_label)
 
 
@@ -333,6 +333,87 @@ def test_induction_matches_young_subgroup_oracle(G_name, max_total):
                         (lam, mu)
 
 
+# -- the table's walk per class against the walk per (lam, rho) --------------
+
+
+def dual_exponents(G):
+    """chars[gamma][c]: the exponent of gamma on the class c of G."""
+    return [[vec[G.index[cls[0]]] for cls in G.conjugacy_classes()]
+            for vec in abelian_dual(G)]
+
+
+@pytest.mark.parametrize("G_name,n", [
+    (G_name, n) for G_name in ("trivial", "cyclic:2", "cyclic:3", "cyclic:4",
+                               "cyclic:5", "cyclic:6", "klein")
+    for n in range(4)] + [("cyclic:2", 4), ("cyclic:3", 4)])
+def test_table_matches_the_per_pair_walk(G_name, n):
+    G = named_group(G_name)
+    tab = WreathCharacterTable(G, n)
+    chars = dual_exponents(G)
+    want = [[character_value(chars, tab.e, lam, rho)
+             for rho in tab.class_labels] for lam in tab.irr_labels]
+    assert ([[v.to_string() for v in row] for row in tab.values]
+            == [[v.to_string() for v in row] for row in want])
+
+
+@cache
+def table_and_dual(G_name, n):
+    G = named_group(G_name)
+    return WreathCharacterTable(G, n, budget=10 ** 6), dual_exponents(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("cyclic:2", 6), ("cyclic:3", 5), ("cyclic:4", 4),
+                        ("cyclic:5", 4), ("cyclic:6", 4), ("klein", 4)]),
+       st.data())
+def test_table_entry_matches_the_per_pair_walk(case, data):
+    G_name, top = case
+    n = data.draw(st.integers(0, top), label="n")
+    tab, chars = table_and_dual(G_name, n)
+    lam = data.draw(st.sampled_from(tab.irr_labels), label="lam")
+    rho = data.draw(st.sampled_from(tab.class_labels), label="rho")
+    assert (tab.values[tab.irr_pos[lam]][tab.class_pos[rho]]
+            == character_value(chars, tab.e, lam, rho))
+
+
+# -- work counts --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("G_name,n", [
+    ("trivial", 0), ("trivial", 4), ("cyclic:2", 3), ("cyclic:3", 3),
+    ("klein", 2)])
+def test_a_table_walks_each_class_once(monkeypatch, G_name, n):
+    walked = []
+
+    def counting(chars, e, rho, walk=chmap.class_terms):
+        walked.append(rho)
+        return walk(chars, e, rho)
+
+    monkeypatch.setattr(chmap, "class_terms", counting)
+    tab = WreathCharacterTable(named_group(G_name), n)
+    assert walked == tab.class_labels
+
+
+@pytest.mark.parametrize("G_name,max_total", [
+    ("trivial", 4), ("cyclic:2", 2), ("cyclic:2", 3), ("cyclic:3", 2),
+    ("klein", 2)])
+def test_integer_forms_per_size_pair_do_not_grow_with_the_labels(
+        monkeypatch, G_name, max_total):
+    # one for the rows of each small table and one for the big table,
+    # however many label pairs and labels nu there are
+    calls = []
+
+    def counting(values, m, real=chmap.integer_form):
+        calls.append(m)
+        return real(values, m)
+
+    monkeypatch.setattr(chmap, "integer_form", counting)
+    ok, failures = ch_ring_hom_check(named_group(G_name), max_total)
+    assert ok, failures
+    size_pairs = (max_total + 1) * (max_total + 2) // 2
+    assert len(calls) == 3 * size_pairs
+
+
 # -- beyond the oracle's range ------------------------------------------------
 
 
@@ -342,8 +423,7 @@ def test_induction_matches_young_subgroup_oracle(G_name, max_total):
 def test_column_orthogonality_beyond_the_oracle(G_name, n, data):
     G = named_group(G_name)
     k, e = G.order, G.exponent()
-    chars = [[vec[G.index[cls[0]]] for cls in G.conjugacy_classes()]
-             for vec in abelian_dual(G)]
+    chars = dual_exponents(G)
     labels = partition_maps(n, tuple(range(k)))
     rho = data.draw(st.sampled_from(labels))
     # |W| / |C_rho| = prod_c z_rho(c) |G|^l(rho(c))
@@ -384,11 +464,14 @@ def test_orthogonality_checks_the_class_sizes():
     assert tab.check_orthogonality() == (False, ("class sizes", 9, 8))
 
 
-@pytest.mark.parametrize("skew", [
+SKEWS = [
     lambda v: v * Cyc.zeta(4),          # not rational
     lambda v: v / 2,                    # rational, not whole
     lambda v: -v,                       # whole, negative
-])
+]
+
+
+@pytest.mark.parametrize("skew", SKEWS)
 def test_induction_multiplicity_must_be_natural(monkeypatch, skew):
     def skewed_table(G, n, budget):
         tab = WreathCharacterTable(G, n, budget)
@@ -400,6 +483,47 @@ def test_induction_multiplicity_must_be_natural(monkeypatch, skew):
     one = PartitionMap((0,), ((1,),))
     with pytest.raises(ArithmeticError):
         induction_product(t, one, one)
+
+
+def first_pair_error(G, max_total):
+    """The ArithmeticError of the first label pair, in ch_ring_hom_check's
+    order, whose one-pair induction product raises."""
+    labels = tuple(range(G.order))
+    for n in range(max_total + 1):
+        for m in range(max_total + 1 - n):
+            for lam in partition_maps(n, labels):
+                for mu in partition_maps(m, labels):
+                    try:
+                        induction_product(G, lam, mu)
+                    except ArithmeticError as exc:
+                        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("G_name", ["trivial", "cyclic:2", "cyclic:3"])
+@pytest.mark.parametrize("skew", SKEWS)
+@pytest.mark.parametrize("where", ["first row", "row 1 of size 2"])
+def test_ch_verify_raises_the_first_pair_error(capsys, monkeypatch, G_name,
+                                               skew, where):
+    def skewed_table(G, n, budget):
+        tab = WreathCharacterTable(G, n, budget)
+        i = 0 if where == "first row" else 1 if n == 2 else None
+        if i is not None and i < len(tab.values):
+            tab.values[i] = [skew(v) for v in tab.values[i]]
+        return tab
+
+    monkeypatch.setattr(chmap, "character_table", skewed_table)
+    G = named_group(G_name)
+    message = first_pair_error(G, 3)
+    assert message is not None
+    with pytest.raises(ArithmeticError) as exc:
+        ch_ring_hom_check(G, 3)
+    assert str(exc.value) == message
+    code = run(["ch-verify", "--G", G_name, "--max-size", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"internal error: ArithmeticError: {message}\n"
 
 
 def test_abelian_dual_size_is_checked(monkeypatch):
@@ -499,7 +623,7 @@ def test_kernel_grams_match_cyc_oracle(G_name, n):
     # Q(zeta_e); conductors 5 and 6 reduce with rows beyond phi, and at n = 3
     # their per-term oracle takes 15 s and 22 s, so it stops at n = 2 there
     tab = scrambled(WreathCharacterTable(named_group(G_name), n))
-    table, d = tab._integer_table()
+    table, d = chmap._integer_rows(tab.values, tab.e)
     rows = dict(chmap.hermitian_gram(tab.e, table, tab.class_sizes))
     cols = dict(chmap.hermitian_gram(tab.e, list(zip(*table))))
     assert d == (2 if len(tab.values) > 1 else 1)
@@ -530,6 +654,74 @@ def verdict(check):
         return check()
     except ArithmeticError:
         return "ArithmeticError"
+
+
+def oracle_ring_hom_check(G, max_total):
+    """ch_ring_hom_check pair by pair over the per-term Cyc oracle."""
+    from hallalg.exactmath.symfunc import MultiSymElem, multisym_mul
+    labels = tuple(range(G.order))
+    failures = []
+    for n in range(max_total + 1):
+        for m in range(max_total + 1 - n):
+            for lam in partition_maps(n, labels):
+                for mu in partition_maps(m, labels):
+                    lhs = ch(G, cyc_induction_product(G, lam, mu))
+                    rhs = multisym_mul(MultiSymElem.basis(lam),
+                                       MultiSymElem.basis(mu))
+                    if lhs != rhs:
+                        failures.append({"lam": lam.to_json(),
+                                         "mu": mu.to_json(),
+                                         "lhs": lhs.to_json(),
+                                         "rhs": rhs.to_json()})
+    return (not failures), failures
+
+
+def test_swapped_rows_give_the_oracle_failures(monkeypatch):
+    # rows 0 and 1 of C2 wr S_2 traded: every multiplicity stays natural,
+    # so the pairs that reach them fail with lhs != rhs, not an error
+    tables = {}
+
+    def swapped(G, n, budget):
+        if n not in tables:
+            tab = tables[n] = WreathCharacterTable(G, n, budget)
+            if n == 2:
+                tab.values[0], tab.values[1] = tab.values[1], tab.values[0]
+        return tables[n]
+
+    monkeypatch.setattr(chmap, "character_table", swapped)
+    G = cyclic_group(2)
+    got = ch_ring_hom_check(G, 3)
+    assert got[1]
+    assert got == oracle_ring_hom_check(G, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("trivial", 3), ("cyclic:2", 2), ("cyclic:3", 2),
+                        ("klein", 1)]),
+       st.sampled_from(["zeta_e^k", "half", "negate", "plus_one", "double"]),
+       st.data())
+def test_perturbed_tables_give_the_oracle_failures(case, how, data):
+    # perturbations that stay in Q(zeta_e): the batch and the oracle then
+    # reject exactly the same multiplicities, pair by pair
+    G_name, max_total = case
+    G = named_group(G_name)
+    tables = {n: WreathCharacterTable(G, n) for n in range(max_total + 1)}
+    n = data.draw(st.integers(0, max_total), label="n")
+    tab = tables[n]
+    i = data.draw(st.integers(0, len(tab.values) - 1), label="row")
+    c = data.draw(st.integers(0, len(tab.values) - 1), label="column")
+    k = data.draw(st.integers(0, tab.e - 1), label="k")
+    perturb = {"zeta_e^k": lambda v: v * Cyc.zeta(tab.e, k),
+               "half": lambda v: v / 2,
+               "negate": lambda v: -v,
+               "plus_one": lambda v: v + 1,
+               "double": lambda v: v * 2}[how]
+    tab.values[i][c] = perturb(tab.values[i][c])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chmap, "character_table",
+                   lambda G, n, budget: tables[n])
+        assert (verdict(lambda: ch_ring_hom_check(G, max_total))
+                == verdict(lambda: oracle_ring_hom_check(G, max_total)))
 
 
 @settings(max_examples=80, deadline=None)
