@@ -31,14 +31,7 @@ def _add_common(p):
                    default="json")
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="hallalg",
-        description="exact Hall algebra / 2-Segal / Hecke / wreath-character "
-                    "workbench")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hall-table", help="Hall structure constants")
+def _hall_table_parser(p):
     p.add_argument("--family", required=True,
                    choices=("vect-fq", "f1-free", "ab-p-groups"))
     p.add_argument("--q", type=int, help="field size for vect-fq")
@@ -46,22 +39,19 @@ def build_parser():
     p.add_argument("--G", dest="group", help="group spec for f1-free")
     p.add_argument("--bound", type=int, required=True,
                    help="size bound (dimension / rank / group order)")
-    _add_common(p)
 
-    p = sub.add_parser("hecke-table", help="Hecke algebra constants")
+
+def _hecke_table_parser(p):
     p.add_argument("--G", dest="group", required=True)
     p.add_argument("--H", dest="subgroup", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("hecke-module",
-                       help="action of the Hecke algebra on H\\G/P")
-    p.add_argument("--G", dest="group", required=True)
-    p.add_argument("--H", dest="subgroup", required=True)
+
+def _hecke_module_parser(p):
+    _hecke_table_parser(p)
     p.add_argument("--P", dest="module_subgroup", required=True)
-    _add_common(p)
 
-    p = sub.add_parser("segal-check",
-                       help="simplicial, 2-Segal and unitality checks")
+
+def _segal_check_parser(p):
     p.add_argument("--construction", required=True, choices=("s", "hecke"))
     p.add_argument("--G", dest="group")
     p.add_argument("--H", dest="subgroup")
@@ -69,25 +59,39 @@ def build_parser():
     p.add_argument("--q", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--bound", type=int)
-    _add_common(p)
 
-    p = sub.add_parser("wreath-char-table",
-                       help="character table of G wr S_n")
+
+def _wreath_char_table_parser(p):
     p.add_argument("--G", dest="group", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("ch-verify",
-                       help="characteristic map is a ring homomorphism")
+
+def _ch_verify_parser(p):
     p.add_argument("--G", dest="group", required=True)
     p.add_argument("--max-size", type=int, default=3)
-    _add_common(p)
 
-    p = sub.add_parser("schurweyl", help="Schur-Weyl counting report")
-    p.add_argument("--G", dest="group", required=True)
-    p.add_argument("--n", type=int, required=True)
+
+def _schurweyl_parser(p):
+    _wreath_char_table_parser(p)
     p.add_argument("--d", type=int, required=True)
-    _add_common(p)
+
+
+def build_parser(command=None):
+    """The argument parser, with every subcommand or only `command`.  With
+    one subcommand, the metavar still lists them all, so that its usage
+    line reads as the full parser's; the full parser keeps the default
+    metavar, which its errors name as "command"."""
+    ap = argparse.ArgumentParser(
+        prog="hallalg",
+        description="exact Hall algebra / 2-Segal / Hecke / wreath-character "
+                    "workbench")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            _add_common(p)
     return ap
 
 
@@ -233,14 +237,23 @@ def cmd_schurweyl(args):
     return data, rows
 
 
+# each subcommand: its help line, the function adding its own arguments and
+# the function running it
 COMMANDS = {
-    "hall-table": cmd_hall_table,
-    "hecke-table": cmd_hecke_table,
-    "hecke-module": cmd_hecke_module,
-    "segal-check": cmd_segal_check,
-    "wreath-char-table": cmd_wreath_char_table,
-    "ch-verify": cmd_ch_verify,
-    "schurweyl": cmd_schurweyl,
+    "hall-table": ("Hall structure constants", _hall_table_parser,
+                   cmd_hall_table),
+    "hecke-table": ("Hecke algebra constants", _hecke_table_parser,
+                    cmd_hecke_table),
+    "hecke-module": ("action of the Hecke algebra on H\\G/P",
+                     _hecke_module_parser, cmd_hecke_module),
+    "segal-check": ("simplicial, 2-Segal and unitality checks",
+                    _segal_check_parser, cmd_segal_check),
+    "wreath-char-table": ("character table of G wr S_n",
+                          _wreath_char_table_parser, cmd_wreath_char_table),
+    "ch-verify": ("characteristic map is a ring homomorphism",
+                  _ch_verify_parser, cmd_ch_verify),
+    "schurweyl": ("Schur-Weyl counting report", _schurweyl_parser,
+                  cmd_schurweyl),
 }
 
 
@@ -270,7 +283,10 @@ def _emit(args, data, rows):
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known subcommand first needs only its own parser; --help, an
+    # unknown command or no argument at all get the full one
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = ap.parse_args(argv)
     try:
         if args.budget is not None and args.budget <= 0:
@@ -279,7 +295,7 @@ def run(argv=None) -> int:
             if getattr(args, flag, 0) < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must not be "
                                  f"negative")
-        data, rows = COMMANDS[args.command](args)
+        data, rows = COMMANDS[args.command][2](args)
         _emit(args, data, rows)
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

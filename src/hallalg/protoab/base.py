@@ -19,13 +19,14 @@ from ..groups import FiniteGroup
 
 class ProtoAbelianInstance:
     family = "?"
-    _cached = ()    # names of the methods each instance memoises
+    _cached = ()    # names of the methods each instance memoises, besides
+                    # aut_group
 
     def __init__(self):
         self._sub_types = {}        # M -> Counter of (sub type, quot type)
         # one memo per instance, dropped with it; a cache on the class
         # would keep every instance alive
-        for name in self._cached:
+        for name in ("aut_group", *self._cached):
             setattr(self, name, cache(getattr(self, name)))
 
     # -- enumeration surface -------------------------------------------------
@@ -104,6 +105,7 @@ class ProtoAbelianInstance:
         return self.image_sub(i) == self.preimage_sub(q, self.image_sub(j))
 
     def aut_group(self, key) -> FiniteGroup:
+        """Aut(key), one group per class and instance."""
         maps = self.isos(key, key)
         return FiniteGroup(maps, self.compose,
                            name=f"Aut({self.family}:{key})", check=False)

@@ -243,16 +243,23 @@ class CosetLevel(ActionGroupoid):
         return self._transporter(i, i).bit_count()
 
 
+def _runs(src: CosetLevel, tgt: CosetLevel, sizes, k):
+    """tgt's indices, the run length S of the suffixes after coordinate k
+    and the number of prefixes before it, once tgt's axis sizes are
+    checked to be `sizes`."""
+    if tgt.sizes != sizes:
+        raise ValueError(f"{tgt.name} has axis sizes {tgt.sizes}, not "
+                         f"{sizes}")
+    return tgt.indices, prod(src.sizes[k + 1:]), prod(src.sizes[:k])
+
+
 def _table(src: CosetLevel, tgt: CosetLevel, sizes, k, runs):
     """An index table src -> tgt from strided runs of tgt's indices: for
     each prefix a of coordinates 0..k-1 and each value x of coordinate k,
     the run of the S suffixes starting at runs(a, x) * S."""
-    if tgt.sizes != sizes:
-        raise ValueError(f"{tgt.name} has axis sizes {tgt.sizes}, not "
-                         f"{sizes}")
-    ids, S = tgt.indices, prod(src.sizes[k + 1:])
+    ids, S, prefixes = _runs(src, tgt, sizes, k)
     table = []
-    for a in range(prod(src.sizes[:k])):
+    for a in range(prefixes):
         for x in range(src.sizes[k]):
             start = runs(a, x) * S
             table += ids[start:start + S]
@@ -260,10 +267,13 @@ def _table(src: CosetLevel, tgt: CosetLevel, sizes, k, runs):
 
 
 def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
-    """d_k: deletes coordinate k, so (a, x, b) goes to (a, b)."""
-    sizes = src.sizes[:k] + src.sizes[k + 1:]
-    return GMap(src, tgt, _table(src, tgt, sizes, k, lambda a, x: a),
-                name=f"d_{k}^{len(src.spaces) - 1}")
+    """d_k: deletes coordinate k, so (a, x, b) goes to (a, b): for each
+    prefix a, the run of tgt's indices over a, once per value x."""
+    ids, S, prefixes = _runs(src, tgt, src.sizes[:k] + src.sizes[k + 1:], k)
+    n, table = src.sizes[k], []
+    for a in range(prefixes):
+        table += ids[a * S:(a + 1) * S] * n
+    return GMap(src, tgt, table, name=f"d_{k}^{len(src.spaces) - 1}")
 
 
 def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:

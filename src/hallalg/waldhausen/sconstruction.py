@@ -12,22 +12,37 @@ Because the entries are skeletal, such an isomorphism is a family
 (phi_ij) in the product of the entries' automorphism groups, and it sends
 each row mono m: A_ij >-> A_i,j+1 to phi_i,j+1 m phi_ij^-1 and each column
 epi likewise.  So level n is an action groupoid: one group prod Aut(A_ij)
-per tuple of entries, acting on the triangles with those entries, and a
-morphism is a token (phis, source index).  The search for intertwining iso
-families that this replaces is kept in the tests, as the oracle that the
-action's hom-sets are checked against.  Two equivalent models are test
-oracles as well (`tests/oracles/sconstruction.py`): the flags of monos
-alone, and for level 1 the skeletal core of the instance.
+per tuple of entries, acting on the triangles with those entries by
+`transport`, and a morphism is a token (phis, source index).
 
-A face or degeneracy sends entry (a, b) of a triangle to an entry of its
-image, or to a zero entry, so on morphisms it selects coordinates of phis,
-filling a zero entry's slot with the identity of 0.  Each is a GMap: the
-index table of the triangles' images plus that selection, so the
-simplicial identities and the Segal comparisons are decided on tables, as
-for the Hecke-Waldhausen levels.
+First rows, then one free orbit.  A triangle is determined by its first
+row r = (A_01 >-> ... >-> A_0n) up to a unique isomorphism that fixes row
+0: A_ij is the cokernel of A_0i >-> A_0j, each square being a pushout.  So
+the triangles over r are one free orbit of
+K+(r) = prod_{1 <= i < j <= n} Aut(A_ij), and level n has the closed count
+sum_r prod_{i < j} |Aut(A_0j / A_0i)| of objects.  A level lists its first
+rows, checks that count against the budget before it builds any
+completion, completes each row once by a search that checks every square
+as it closes, and transports that completion by every element of K+(r).
+
+Faces and degeneracies by position plans.  A face or degeneracy sends
+entry (a, b) of a triangle to an entry of its image, or to a zero entry,
+so on morphisms it selects coordinates of phis, filling a zero entry's
+slot with the identity of 0.  Each is a GMap: the index table of the
+triangles' images plus that selection, so the simplicial identities and
+the Segal comparisons are decided on tables.  The image of a triangle is
+read off a plan cached per (n, k) over the flat encoding: where each
+entry comes from, which map each map copies or which two it composes, and
+which map fills each zero slot.
+
+The search over all diagrams and the triangle-by-triangle faces and
+degeneracies that these replace are test oracles
+(`tests/oracles/sconstruction.py`), with two equivalent models: the flags
+of monos alone, and for level 1 the skeletal core of the instance.
 """
 
 from functools import cache
+from itertools import product as iproduct
 from math import prod
 
 from .. import BudgetExceededError, UsageError
@@ -37,6 +52,12 @@ from ..protoab.base import ProtoAbelianInstance
 from .simplicial import TruncatedSimplicialGroupoid
 
 DEFAULT_TRIANGLE_BUDGET = 200_000
+
+
+class TriangleCompletionError(ValueError):
+    """The triangles over a first row are not one free orbit: no map closes
+    some square, or two automorphisms give the same triangle.  Neither
+    happens in a proto-abelian category."""
 
 
 @cache
@@ -54,7 +75,7 @@ def _pairs(n):
 
 class Triangle(tuple):
     """Immutable triangle diagram, stored as its encoding
-    (n, entries, row monos, column epis) with each part in `_layout(n)`
+    (n, entries, row monos, column epis), each part a tuple in `_layout(n)`
     order; `entries`, `rmono` and `cepi` are dict views keyed by (i, j):
     A_ij, the mono A_ij -> A_i,j+1 (j < n), the epi A_ij -> A_i+1,j
     (i+1 < j)."""
@@ -62,10 +83,7 @@ class Triangle(tuple):
     __slots__ = ()
 
     def __new__(cls, n, entries, rmono, cepi):
-        pairs, rkeys, ckeys = _layout(n)
-        return super().__new__(cls, (n, tuple(entries[p] for p in pairs),
-                                     tuple(rmono[p] for p in rkeys),
-                                     tuple(cepi[p] for p in ckeys)))
+        return super().__new__(cls, (n, entries, rmono, cepi))
 
     @property
     def n(self):
@@ -122,93 +140,90 @@ def _square_ok(inst, entries, rmono, cepi, i, j):
     return inst.square_bicartesian(m, p, q, jm)
 
 
-def enumerate_triangles(inst: ProtoAbelianInstance, n: int, bound=None,
-                        budget=DEFAULT_TRIANGLE_BUDGET):
-    """All valid degree-n triangles with size(A_0n) <= bound."""
-    classes = _classes(inst, bound)
-    if n == 0:
-        return [Triangle(0, {}, {}, {})]
-
-    def over_budget(count, what):
-        return BudgetExceededError(
-            f"level S_{n}({inst.family}): triangle enumeration reached "
-            f"{count} {what}, over the budget of {budget}")
-
-    # first rows: chains of monos A_01 -> ... -> A_0n
-    rows0 = [({(0, 1): c}, {}) for c in classes]
+def _first_rows(inst, n, classes, budget, name):
+    """The chains A_01 >-> ... >-> A_0n of monos between `classes`, as
+    (entries, monos).  Each row has at least one triangle, so partial rows
+    more than the budget are refused, counted before they are listed."""
+    rows = [((), ())] if n == 0 else [((c,), ()) for c in classes]
     for j in range(2, n + 1):
-        new = []
-        for entries, rmono in rows0:
-            prev = entries[(0, j - 1)]
-            for c in classes:
-                for m in inst.monos(prev, c):
-                    e2 = dict(entries)
-                    e2[(0, j)] = c
-                    r2 = dict(rmono)
-                    r2[(0, j - 1)] = m
-                    new.append((e2, r2))
-        rows0 = new
+        out = {a: sum(len(inst.monos(a, c)) for c in classes)
+               for a in classes}
+        count = sum(out[ent[-1]] for ent, _ in rows)
+        if count > budget:
+            raise BudgetExceededError(
+                f"level {name}: {count} first rows up to A_0{j} already "
+                f"exceed the budget of {budget} triangles")
+        rows = [(ent + (c,), monos + (m,)) for ent, monos in rows
+                for c in classes for m in inst.monos(ent[-1], c)]
+    return rows
 
-    out = []
-    for entries0, rmono0 in rows0:
-        stack = [(entries0, rmono0, {})]
-        for i in range(1, n):
-            new_stack = []
-            for entries, rmono, cepi in stack:
-                # choose A_{i,i+1} with epi from A_{i-1,i+1}, exactness at
-                # the zero-corner square
-                grown = []
-                src = entries[(i - 1, i + 1)]
-                im_first = inst.image_sub(rmono[(i - 1, i)])
-                for c in classes:
-                    for e in inst.epis(src, c):
-                        if inst.preimage_sub(e, inst.zero_sub(c)) != im_first:
-                            continue
-                        e2 = dict(entries)
-                        e2[(i, i + 1)] = c
-                        c2 = dict(cepi)
-                        c2[(i - 1, i + 1)] = e
-                        grown.append((e2, rmono, c2))
-                # extend along the row, enforcing commutativity; the
-                # bicartesian condition is checked once the triangle closes
-                for j in range(i + 2, n + 1):
-                    grown2 = []
-                    for e2, rm, c2 in grown:
-                        src_epi = e2[(i - 1, j)]
-                        left = e2[(i, j - 1)]
-                        for c in classes:
-                            for e in inst.epis(src_epi, c):
-                                lhs = inst.compose(e, rm[(i - 1, j - 1)])
-                                for m2 in inst.monos(left, c):
-                                    if lhs != inst.compose(
-                                            m2, c2[(i - 1, j - 1)]):
-                                        continue
-                                    e3 = dict(e2)
-                                    e3[(i, j)] = c
-                                    rm3 = dict(rm)
-                                    rm3[(i, j - 1)] = m2
-                                    c3 = dict(c2)
-                                    c3[(i - 1, j)] = e
-                                    grown2.append((e3, rm3, c3))
-                    grown = grown2
-                new_stack.extend(grown)
-            stack = new_stack
-            if len(stack) > budget:
-                raise over_budget(len(stack), f"partial triangles at row {i}")
-        for entries, rmono, cepi in stack:
-            if all(_square_ok(inst, entries, rmono, cepi, i, j)
-                   for i in range(n - 1) for j in range(i + 2, n + 1)):
-                out.append(Triangle(n, entries, rmono, cepi))
-        if len(out) > budget:
-            raise over_budget(len(out), "triangles")
-    return out
+
+def _entries(inst, row, quotient):
+    """The entries of the triangles over a first row, in `_layout` order:
+    row 0, then for 1 <= i < j the class of A_0j / A_0i, the cokernel of
+    the composite mono A_0i >-> A_0j.  The image of A_0i is carried along
+    the row one mono at a time; `quotient` memoises, by that mono m and the
+    image U in its source (None for A_0i itself), the image m(U), the class
+    of its cokernel and a mono onto it, so that rows sharing a prefix build
+    no composite twice."""
+    classes, monos = row
+    out = list(classes)
+    for i in range(1, len(classes)):
+        sub = rep = None
+        for m in monos[i - 1:]:
+            hit = quotient.get((m, sub))
+            if hit is None:
+                rep = m if rep is None else inst.compose(m, rep)
+                image = inst.image_sub(rep)
+                hit = quotient[m, sub] = (
+                    image, inst.classify_quot(m[1], image), rep)
+            sub, q, rep = hit
+            out.append(q)
+    return tuple(out)
+
+
+def _complete(inst, n, entries, monos, name):
+    """One triangle with the given entries and first-row monos.  Rows
+    1..n-1 are filled left to right; at entry (i, j) the first epi from
+    A_i-1,j (and, off the diagonal, the first mono from A_i,j-1) that
+    makes the square at rows i-1, i and columns j-1, j bicartesian is
+    taken.  Every filled square is a pushout, so the partial diagram is
+    unique up to a unique isomorphism fixing row 0, and a first choice
+    never leads to a dead end."""
+    pairs, rkeys, ckeys = _layout(n)
+    ent = dict(zip(pairs, entries))
+    rmono = {(0, j): m for j, m in enumerate(monos, start=1)}
+    cepi = {}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            sides = ([None] if j == i + 1
+                     else inst.monos(ent[i, j - 1], ent[i, j]))
+            if not any(_close(inst, ent, rmono, cepi, i, j, e, m)
+                       for e in inst.epis(ent[i - 1, j], ent[i, j])
+                       for m in sides):
+                raise TriangleCompletionError(
+                    f"level {name}: no map closes the square at rows "
+                    f"{i - 1}, {i} and columns {j - 1}, {j} over the first "
+                    f"row {entries[:n]}")
+    return (tuple(rmono[p] for p in rkeys), tuple(cepi[p] for p in ckeys))
+
+
+def _close(inst, ent, rmono, cepi, i, j, e, m):
+    """Place the epi e into (i, j), and the mono m unless it is None;
+    whether the square they close is bicartesian."""
+    cepi[i - 1, j] = e
+    if m is not None:
+        rmono[i, j - 1] = m
+    return _square_ok(inst, ent, rmono, cepi, i - 1, j)
 
 
 class TriangleGroupoid(ActionGroupoid):
     """Level n of the S-construction: triangles and componentwise isos, as
     the action of prod Aut(A_ij) (factors in `_pairs(n)` order) by
-    `transport`, one group per tuple of entries.  Every group's order is
-    checked against the budget before any group is built."""
+    `transport`, one group per tuple of entries.  The closed count of the
+    triangles, then every group's order, is checked against the budget
+    before any completion or group is built; `closed_count` keeps the
+    count."""
 
     def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
@@ -219,122 +234,161 @@ class TriangleGroupoid(ActionGroupoid):
         self._rpos = [(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
         self._cpos = [(pos[a + 1, b], pos[a, b]) for a, b in ckeys]
         name = f"S_{n}({inst.family})"
-        super().__init__(None, enumerate_triangles(inst, n, bound=bound,
-                                                   budget=budget),
-                         self.transport, name=name, check=False)
-        buckets = dict.fromkeys(t[1] for t in self.objects)  # entries tuples
-        aut_order = {c: inst.aut_order(c) for e in buckets for c in e}
-        for entries in buckets:
-            order = prod(aut_order[c] for c in entries)
+        rows = _first_rows(inst, n, _classes(inst, bound), budget, name)
+        quotient = {}
+        entries = [_entries(inst, row, quotient) for row in rows]
+        aut_order = {c: inst.aut_order(c) for e in set(entries) for c in e}
+        # row 0 is fixed: its n entries are not in K+(r)
+        self.closed_count = sum(prod(aut_order[c] for c in e[n:])
+                                for e in entries)
+        if self.closed_count > budget:
+            raise BudgetExceededError(
+                f"level {name}: {self.closed_count} triangles over "
+                f"{len(rows)} first rows (the closed count), over the "
+                f"budget of {budget}")
+        buckets = dict.fromkeys(entries)
+        for e in buckets:
+            order = prod(aut_order[c] for c in e)
             if order > budget:
                 raise BudgetExceededError(
                     f"level {name}: the automorphism group of the entries "
-                    f"{entries} has order {order}, over the budget of "
-                    f"{budget}")
-        auts = {c: inst.aut_group(c) for c in aut_order}
-        groups = {e: tuple_group([auts[c] for c in e], f"Aut{e}")
+                    f"{e} has order {order}, over the budget of {budget}")
+        groups = {e: tuple_group([inst.aut_group(c) for c in e], f"Aut{e}")
                   for e in buckets}
-        self._group_of = [groups[t[1]] for t in self.objects]
+        objects, self._group_of, index = [], [], {}
+        for (_, monos), e in zip(rows, entries):
+            rmono, cepi = _complete(inst, n, e, monos, name)
+            group = groups[e]
+            orbit = iproduct(*([K.identity] if i == 0 else K.elements
+                               for (i, _), K in zip(pairs, group.factors)))
+            for phis in orbit:
+                tri = Triangle(n, e, *self._moved(group, phis, rmono, cepi))
+                if tri in index:
+                    raise TriangleCompletionError(
+                        f"level {name}: {tri!r} is built twice, so the "
+                        f"first rows repeat or an orbit is not free")
+                index[tri] = len(objects)
+                objects.append(tri)
+                self._group_of.append(group)
+        super().__init__(None, objects, self.transport, name=name,
+                         check=False)
+        self._obj_index = index
 
     def group_at(self, i):
         return self._group_of[i]
 
+    def _moved(self, group, phis, rmono, cepi):
+        """The maps of phis . x: m: A_p -> A_q becomes phi_q m phi_p^-1,
+        and stays m where both phi_q and phi_p are the identity tokens
+        (the identities of generators and of K+(r) are)."""
+        c, one, inv = self.inst.compose, group.identity, group.inv(phis)
+        return (tuple([m if phis[t] is one[t] and inv[s] is one[s]
+                       else c(c(phis[t], m), inv[s])
+                       for m, (t, s) in zip(rmono, self._rpos)]),
+                tuple([e if phis[t] is one[t] and inv[s] is one[s]
+                       else c(c(phis[t], e), inv[s])
+                       for e, (t, s) in zip(cepi, self._cpos)]))
+
     def transport(self, phis, i):
-        """The triangle phis . x: m: A_p -> A_q becomes phi_q m phi_p^-1."""
+        """The index of the triangle phis . x_i."""
         n, entries, rmono, cepi = self.objects[i]
-        inv = self._group_of[i].inv(phis)
-        c = self.inst.compose
-        rmono = tuple([c(c(phis[t], m), inv[s])
-                       for m, (t, s) in zip(rmono, self._rpos)])
-        cepi = tuple([c(c(phis[t], e), inv[s])
-                      for e, (t, s) in zip(cepi, self._cpos)])
-        return self.obj_index((n, entries, rmono, cepi))
+        moved = self._moved(self._group_of[i], phis, rmono, cepi)
+        return self.obj_index((n, entries, *moved))
 
 
-def _face_triangle(inst, tri: Triangle, k: int) -> Triangle:
-    """Delete row and column k."""
-    n, ent, rm, ce = tri.n, tri.entries, tri.rmono, tri.cepi
-    keep = [x for x in range(n + 1) if x != k]
-    s = {new: old for new, old in enumerate(keep)}
-    entries, rmono, cepi = {}, {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            entries[(i, j)] = ent[(s[i], s[j])]
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            si, sj, sj1 = s[i], s[j], s[j + 1]
-            if sj1 == sj + 1:
-                rmono[(i, j)] = rm[(si, sj)]
-            else:
-                rmono[(i, j)] = inst.compose(rm[(si, sj + 1)],
-                                             rm[(si, sj)])
-    for i in range(n - 2):
-        for j in range(i + 2, n):
-            si, si1, sj = s[i], s[i + 1], s[j]
-            if si1 == si + 1:
-                cepi[(i, j)] = ce[(si, sj)]
-            else:
-                cepi[(i, j)] = inst.compose(ce[(si + 1, sj)],
-                                            ce[(si, sj)])
-    return Triangle(n - 1, entries, rmono, cepi)
+@cache
+def _plan(n, k, is_face):
+    """How d_k (is_face) or s_k builds the image of a degree-n triangle from
+    its flat encoding (n, entries, rmono, cepi), as (entries, maps, fills):
+    - entries: the source position of each entry of the image, or None for
+      a zero entry; this is also the GMap's selection;
+    - maps: for each map of the image, row monos then column epis, (a, None)
+      to copy map a of rmono + cepi + fills, or (a, b) to compose map a
+      after map b;
+    - fills: (kind, source entry position) of each map that a zero entry
+      or a repeated index puts in: the mono from 0, the epi to 0 or the
+      identity of that entry.
+    The index map t skips k (face) or repeats it (degeneracy)."""
+    m = n - 1 if is_face else n + 1
+    t = (lambda x: x + (x >= k)) if is_face else (lambda x: x - (x > k))
+    pairs, rkeys, ckeys = _layout(n)
+    pos = {p: i for i, p in enumerate(pairs)}
+    rpos = {p: i for i, p in enumerate(rkeys)}
+    cpos = {p: len(rkeys) + i for i, p in enumerate(ckeys)}
+    fills = []
+
+    def fill(kind, i, j):
+        fills.append((kind, pos[t(i), t(j)]))
+        return (len(rkeys) + len(ckeys) + len(fills) - 1, None)
+
+    tpairs, trkeys, tckeys = _layout(m)
+    entries = tuple(None if t(a) == t(b) else pos[t(a), t(b)]
+                    for a, b in tpairs)
+    maps = []
+    for i, j in trkeys:             # the mono A_ij >-> A_i,j+1
+        if t(i) == t(j):
+            maps.append(fill("from_zero", i, j + 1))
+        elif t(j + 1) == t(j):
+            maps.append(fill("identity", i, j))
+        elif t(j + 1) == t(j) + 1:
+            maps.append((rpos[t(i), t(j)], None))
+        else:
+            maps.append((rpos[t(i), t(j) + 1], rpos[t(i), t(j)]))
+    for i, j in tckeys:             # the epi A_ij ->> A_i+1,j
+        if t(i + 1) == t(i):
+            maps.append(fill("identity", i, j))
+        elif t(i + 1) == t(j):
+            maps.append(fill("to_zero", i, j))
+        elif t(i + 1) == t(i) + 1:
+            maps.append((cpos[t(i), t(j)], None))
+        else:
+            maps.append((cpos[t(i) + 1, t(j)], cpos[t(i), t(j)]))
+    return entries, tuple(maps), tuple(fills)
 
 
-def _degeneracy_triangle(inst, tri: Triangle, k: int) -> Triangle:
-    """Duplicate index k, inserting zero entries and identity maps."""
-    n, ent, rm, ce = tri.n, tri.entries, tri.rmono, tri.cepi
-    t = lambda x: x if x <= k else x - 1
-    zero = inst.zero_key()
-    entries, rmono, cepi = {}, {}, {}
-    for i in range(n + 1):
-        for j in range(i + 1, n + 2):
-            entries[(i, j)] = (zero if t(i) == t(j)
-                               else ent[(t(i), t(j))])
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            a, b = entries[(i, j)], entries[(i, j + 1)]
-            if t(i) == t(j):                  # zero entry source
-                rmono[(i, j)] = _mono_from_zero(inst, b)
-            elif t(j + 1) == t(j):            # duplicated column
-                rmono[(i, j)] = inst.identity(a)
-            else:
-                rmono[(i, j)] = rm[(t(i), t(j))]
-    for i in range(n):
-        for j in range(i + 2, n + 2):
-            a, b = entries[(i, j)], entries[(i + 1, j)]
-            if t(i + 1) == t(i):              # duplicated row
-                cepi[(i, j)] = inst.identity(a)
-            elif t(i + 1) == t(j):            # target is a zero entry
-                cepi[(i, j)] = _epi_to_zero(inst, a)
-            else:
-                cepi[(i, j)] = ce[(t(i), t(j))]
-    return Triangle(n + 1, entries, rmono, cepi)
+_FILLS = {"from_zero": _mono_from_zero, "to_zero": _epi_to_zero,
+          "identity": lambda inst, x: inst.identity(x)}
 
 
 def _simplicial_map(inst, src, tgt, k, is_face):
     """Face d_k or degeneracy s_k as a G-map of levels: the index table of
-    the triangles' images, and entry (a, b) of an image's automorphism
-    taken from entry (t(a), t(b)) of the source's, where t skips k (face)
-    or repeats it (degeneracy), or the zero entry's identity when
-    t(a) == t(b)."""
-    if is_face:
-        image, t, name = _face_triangle, lambda x: x + (x >= k), "d"
-    else:
-        image, t, name = _degeneracy_triangle, lambda x: x - (x > k), "s"
-    src_pos = {p: i for i, p in enumerate(_pairs(src.level))}
-    sel = [None if t(a) == t(b) else src_pos[(t(a), t(b))]
-           for a, b in _pairs(tgt.level)]
-    table = [tgt.obj_index(image(inst, tri, k)) for tri in src.objects]
-    return GMap(src, tgt, table, name=f"{name}_{k}^{src.level}", sel=sel,
-                fill=inst.identity(inst.zero_key()))
+    the triangles' images, each built by `_plan`, and entry (a, b) of an
+    image's automorphism taken from the source entry the plan names, or
+    the zero entry's identity."""
+    entries, maps, fills = _plan(src.level, k, is_face)
+    nr = len(_layout(tgt.level)[1])
+    rmaps, cmaps = maps[:nr], maps[nr:]
+    compose, zero = inst.compose, inst.zero_key()
+    heads, table = {}, []
+    for _, ent, rmono, cepi in src.objects:
+        # the image's entries and the fills depend only on the source's
+        head = heads.get(ent)
+        if head is None:
+            head = heads[ent] = (
+                tuple([zero if p is None else ent[p] for p in entries]),
+                tuple([_FILLS[kind](inst, ent[p]) for kind, p in fills]))
+        image_entries, extra = head
+        flat = rmono + cepi + extra
+        table.append(tgt.obj_index((
+            tgt.level, image_entries,
+            tuple([flat[a] if b is None else compose(flat[a], flat[b])
+                   for a, b in rmaps]),
+            tuple([flat[a] if b is None else compose(flat[a], flat[b])
+                   for a, b in cmaps]))))
+    name = "d" if is_face else "s"
+    return GMap(src, tgt, table, name=f"{name}_{k}^{src.level}", sel=entries,
+                fill=inst.identity(zero))
 
 
 def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
                    budget=DEFAULT_TRIANGLE_BUDGET) -> TruncatedSimplicialGroupoid:
-    """Levels 0..depth of the flag simplicial groupoid of the instance."""
+    """Levels 0..depth of the flag simplicial groupoid of the instance.  The
+    top level, the largest, is built first, so that its budget checks come
+    before any completion."""
     if not 0 <= depth <= 3:
         raise UsageError(f"S-construction depth {depth} is outside 0..3")
     levels = [TriangleGroupoid(inst, n, bound=bound, budget=budget)
-              for n in range(depth + 1)]
+              for n in range(depth, -1, -1)][::-1]
     faces = {(n, k): _simplicial_map(inst, levels[n], levels[n - 1], k, True)
              for n in range(1, depth + 1) for k in range(n + 1)}
     degens = {(n, k): _simplicial_map(inst, levels[n], levels[n + 1], k,
@@ -342,4 +396,3 @@ def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
               for n in range(depth) for k in range(n + 1)}
     return TruncatedSimplicialGroupoid(levels, faces, degens,
                                        name=f"S({inst.family})")
-

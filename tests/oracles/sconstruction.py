@@ -1,12 +1,174 @@
-"""Two models equivalent to levels of the S-construction: the flags
-0 >-> A_1 >-> ... >-> A_n with no quotient data, and, for level 1, the
-skeletal core of the instance.  A comparison functor from the triangle
-levels to each must be an equivalence."""
+"""Oracles for the S-construction levels.
 
+- `enumerate_triangles`: every degree-n triangle, by a search over all
+  classes, epis and monos at each entry, with every square checked;
+- `face_triangle` and `degeneracy_triangle`: the image of one triangle,
+  built entry by entry;
+- two models equivalent to the levels: the flags 0 >-> A_1 >-> ... >-> A_n
+  with no quotient data, and, for level 1, the skeletal core of the
+  instance.  A comparison functor from the triangle levels to each must be
+  an equivalence."""
+
+from hallalg import BudgetExceededError
 from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FnFunctor,
                               b_group)
 from hallalg.groups import tuple_group
-from hallalg.waldhausen.sconstruction import _pairs
+from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
+                                              Triangle, _classes,
+                                              _epi_to_zero, _layout,
+                                              _mono_from_zero, _pairs,
+                                              _square_ok)
+
+
+def _triangle(n, entries, rmono, cepi):
+    """The Triangle of dicts keyed by (i, j)."""
+    pairs, rkeys, ckeys = _layout(n)
+    return Triangle(n, tuple(entries[p] for p in pairs),
+                    tuple(rmono[p] for p in rkeys),
+                    tuple(cepi[p] for p in ckeys))
+
+
+def enumerate_triangles(inst, n: int, bound=None,
+                        budget=DEFAULT_TRIANGLE_BUDGET):
+    """All valid degree-n triangles with size(A_0n) <= bound, by a search
+    over every class, epi and mono at each entry, with every square checked
+    once the triangle closes."""
+    classes = _classes(inst, bound)
+    if n == 0:
+        return [_triangle(0, {}, {}, {})]
+
+    def over_budget(count, what):
+        return BudgetExceededError(
+            f"level S_{n}({inst.family}): triangle enumeration reached "
+            f"{count} {what}, over the budget of {budget}")
+
+    # first rows: chains of monos A_01 -> ... -> A_0n
+    rows0 = [({(0, 1): c}, {}) for c in classes]
+    for j in range(2, n + 1):
+        new = []
+        for entries, rmono in rows0:
+            prev = entries[(0, j - 1)]
+            for c in classes:
+                for m in inst.monos(prev, c):
+                    e2 = dict(entries)
+                    e2[(0, j)] = c
+                    r2 = dict(rmono)
+                    r2[(0, j - 1)] = m
+                    new.append((e2, r2))
+        rows0 = new
+
+    out = []
+    for entries0, rmono0 in rows0:
+        stack = [(entries0, rmono0, {})]
+        for i in range(1, n):
+            new_stack = []
+            for entries, rmono, cepi in stack:
+                # choose A_{i,i+1} with epi from A_{i-1,i+1}, exactness at
+                # the zero-corner square
+                grown = []
+                src = entries[(i - 1, i + 1)]
+                im_first = inst.image_sub(rmono[(i - 1, i)])
+                for c in classes:
+                    for e in inst.epis(src, c):
+                        if inst.preimage_sub(e, inst.zero_sub(c)) != im_first:
+                            continue
+                        e2 = dict(entries)
+                        e2[(i, i + 1)] = c
+                        c2 = dict(cepi)
+                        c2[(i - 1, i + 1)] = e
+                        grown.append((e2, rmono, c2))
+                # extend along the row, enforcing commutativity; the
+                # bicartesian condition is checked once the triangle closes
+                for j in range(i + 2, n + 1):
+                    grown2 = []
+                    for e2, rm, c2 in grown:
+                        src_epi = e2[(i - 1, j)]
+                        left = e2[(i, j - 1)]
+                        for c in classes:
+                            for e in inst.epis(src_epi, c):
+                                lhs = inst.compose(e, rm[(i - 1, j - 1)])
+                                for m2 in inst.monos(left, c):
+                                    if lhs != inst.compose(
+                                            m2, c2[(i - 1, j - 1)]):
+                                        continue
+                                    e3 = dict(e2)
+                                    e3[(i, j)] = c
+                                    rm3 = dict(rm)
+                                    rm3[(i, j - 1)] = m2
+                                    c3 = dict(c2)
+                                    c3[(i - 1, j)] = e
+                                    grown2.append((e3, rm3, c3))
+                    grown = grown2
+                new_stack.extend(grown)
+            stack = new_stack
+            if len(stack) > budget:
+                raise over_budget(len(stack), f"partial triangles at row {i}")
+        for entries, rmono, cepi in stack:
+            if all(_square_ok(inst, entries, rmono, cepi, i, j)
+                   for i in range(n - 1) for j in range(i + 2, n + 1)):
+                out.append(_triangle(n, entries, rmono, cepi))
+        if len(out) > budget:
+            raise over_budget(len(out), "triangles")
+    return out
+
+
+def face_triangle(inst, tri, k: int):
+    """Delete row and column k."""
+    n, ent, rm, ce = tri.n, tri.entries, tri.rmono, tri.cepi
+    keep = [x for x in range(n + 1) if x != k]
+    s = {new: old for new, old in enumerate(keep)}
+    entries, rmono, cepi = {}, {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[(i, j)] = ent[(s[i], s[j])]
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            si, sj, sj1 = s[i], s[j], s[j + 1]
+            if sj1 == sj + 1:
+                rmono[(i, j)] = rm[(si, sj)]
+            else:
+                rmono[(i, j)] = inst.compose(rm[(si, sj + 1)],
+                                             rm[(si, sj)])
+    for i in range(n - 2):
+        for j in range(i + 2, n):
+            si, si1, sj = s[i], s[i + 1], s[j]
+            if si1 == si + 1:
+                cepi[(i, j)] = ce[(si, sj)]
+            else:
+                cepi[(i, j)] = inst.compose(ce[(si + 1, sj)],
+                                            ce[(si, sj)])
+    return _triangle(n - 1, entries, rmono, cepi)
+
+
+def degeneracy_triangle(inst, tri, k: int):
+    """Duplicate index k, inserting zero entries and identity maps."""
+    n, ent, rm, ce = tri.n, tri.entries, tri.rmono, tri.cepi
+    t = lambda x: x if x <= k else x - 1
+    zero = inst.zero_key()
+    entries, rmono, cepi = {}, {}, {}
+    for i in range(n + 1):
+        for j in range(i + 1, n + 2):
+            entries[(i, j)] = (zero if t(i) == t(j)
+                               else ent[(t(i), t(j))])
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = entries[(i, j)], entries[(i, j + 1)]
+            if t(i) == t(j):                  # zero entry source
+                rmono[(i, j)] = _mono_from_zero(inst, b)
+            elif t(j + 1) == t(j):            # duplicated column
+                rmono[(i, j)] = inst.identity(a)
+            else:
+                rmono[(i, j)] = rm[(t(i), t(j))]
+    for i in range(n):
+        for j in range(i + 2, n + 2):
+            a, b = entries[(i, j)], entries[(i + 1, j)]
+            if t(i + 1) == t(i):              # duplicated row
+                cepi[(i, j)] = inst.identity(a)
+            elif t(i + 1) == t(j):            # target is a zero entry
+                cepi[(i, j)] = _epi_to_zero(inst, a)
+            else:
+                cepi[(i, j)] = ce[(t(i), t(j))]
+    return _triangle(n + 1, entries, rmono, cepi)
 
 
 class FlagGroupoid(ActionGroupoid):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hallalg import cli
 from hallalg.cli import run
 from hallalg.waldhausen import segal
 
@@ -241,7 +242,8 @@ def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):
                 "--q", "2", "--bound", "2", "--budget", "100"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "level S_3(vect-fq)" in err and "reached 129 triangles" in err
+    # the closed count of level 3 is refused before any completion is built
+    assert "level S_3(vect-fq): 331 triangles" in err
 
 
 def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
@@ -531,3 +533,48 @@ def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 1 + 22    # C3 wr S3 has 22 classes
     assert len(calls) == 22 * 22
+
+
+PARSER_CORPUS = [
+    # valid runs, in each output format
+    "hall-table --family vect-fq --q 2 --bound 2",
+    "hall-table --family f1-free --G cyclic:2 --bound 2 --format csv",
+    "hecke-table --G sym:3 --H sym:2 --format text",
+    "hecke-module --G sym:3 --H sym:2 --P sym:2",
+    "segal-check --construction hecke --G sym:3 --H sym:2",
+    "wreath-char-table --G cyclic:2 --n 2 --seed 4",
+    "ch-verify --G cyclic:2 --max-size 2",
+    "schurweyl --G cyclic:2 --n 2 --d 2",
+    # missing and invalid options, and arguments no parser knows
+    "hall-table --family vect-fq --q 2",
+    "hecke-module --G sym:3 --H sym:2",
+    "schurweyl --G cyclic:2 --n 2",
+    "segal-check --construction t",
+    "hall-table --family vect-fq --q 2 --bound two",
+    "ch-verify --G cyclic:2 --format xml",
+    "ch-verify --G cyclic:2 --bogus 1",
+    "ch-verify --G cyclic:2 extra",
+    "wreath-char-table --G cyclic:2 --n 2 --budget 0",
+    "schurweyl --G cyclic:2 --n -1 --d 2",
+    # help, per command and at the top, an unknown command and no argument
+    *(f"{name} -h" for name in cli.COMMANDS),
+    "-h", "--help", "--budget 3 ch-verify", "frobnicate --G cyclic:2", "",
+]
+
+
+def _run_all(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:           # argparse exits on help and errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
+    light = [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS] == light
+    codes = [code for code, _, _ in light]
+    assert codes[:8] == [0] * 8 and 2 in codes and 0 in codes[8:]

@@ -1,0 +1,175 @@
+"""S-construction levels from first rows, against the search oracle.
+
+Each level lists its first rows, checks the closed count, completes each
+row once and transports that completion; faces and degeneracies are read
+off position plans.  Here both are compared with the oracles of
+`tests/oracles/sconstruction.py`: the search over every class, epi and
+mono at each entry, and the triangle-by-triangle images."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hallalg import BudgetExceededError
+from hallalg.groups import cyclic_group, trivial_group
+from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
+from hallalg.waldhausen import sconstruction
+from hallalg.waldhausen.sconstruction import (TriangleCompletionError,
+                                              TriangleGroupoid, _layout,
+                                              s_construction)
+from oracles.sconstruction import (degeneracy_triangle, enumerate_triangles,
+                                   face_triangle)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+INSTANCES = {
+    "vect-f2-2": lambda: VectFq(2, 2),
+    "f1-trivial-2": lambda: F1FreeG(trivial_group(), 2),
+    "f1-c2-2": lambda: F1FreeG(cyclic_group(2), 2),
+    "f1-c3-2": lambda: F1FreeG(cyclic_group(3), 2),
+    "ab-p-2-4": lambda: AbelianPGroups(2, 4),
+}
+
+_BUILT = {}
+
+
+def built(name):
+    """(instance, S-construction to degree 3, oracle triangles per level),
+    once per test session."""
+    if name not in _BUILT:
+        inst = INSTANCES[name]()
+        x = s_construction(inst, depth=3)
+        _BUILT[name] = inst, x, [enumerate_triangles(inst, n)
+                                 for n in range(4)]
+    return _BUILT[name]
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_levels_are_the_oracle_triangles(name):
+    _, x, oracle = built(name)
+    for level, triangles in zip(x.levels, oracle):
+        assert len(set(triangles)) == len(triangles)
+        assert len(set(level.objects)) == level.n_objects
+        assert set(level.objects) == set(triangles), (name, level.level)
+        assert level.closed_count == len(triangles) == level.n_objects
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_faces_and_degeneracies_are_the_oracle_images(name):
+    inst, x, _ = built(name)
+    for maps, image, step in ((x.faces, face_triangle, -1),
+                              (x.degeneracies, degeneracy_triangle, 1)):
+        for (n, k), f in maps.items():
+            tgt = x.levels[n + step]
+            assert f.table == [tgt.obj_index(image(inst, tri, k))
+                               for tri in x.levels[n].objects], (name, n, k)
+
+
+def _oracle_transport(inst, level, phis, tri):
+    """phis . tri by the dict views: m: A_p -> A_q becomes
+    phi_q m phi_p^-1."""
+    pos = {p: k for k, p in enumerate(_layout(level.level)[0])}
+    factors = level.group_at(level.obj_index(tri)).factors
+    inv = [K.inv(phi) for K, phi in zip(factors, phis)]
+    c = inst.compose
+
+    def moved(maps, step):
+        return tuple(c(c(phis[pos[step(p)]], m), inv[pos[p]])
+                     for p, m in maps.items())
+
+    return (tri.n, tri[1], moved(tri.rmono, lambda p: (p[0], p[1] + 1)),
+            moved(tri.cepi, lambda p: (p[0] + 1, p[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transport_and_the_simplicial_maps_are_equivariant(data):
+    inst, x, _ = built(data.draw(st.sampled_from(sorted(INSTANCES))))
+    n = data.draw(st.integers(0, 3))
+    level = x.levels[n]
+    i = data.draw(st.integers(0, level.n_objects - 1))
+    phis = tuple(data.draw(st.sampled_from(K.elements))
+                 for K in level.group_at(i).factors)
+    j = level.transport(phis, i)
+    assert level.objects[j] == _oracle_transport(inst, level, phis,
+                                                 level.objects[i])
+    maps = [(f, face_triangle, k) for (m, k), f in x.faces.items() if m == n]
+    maps += [(f, degeneracy_triangle, k)
+             for (m, k), f in x.degeneracies.items() if m == n]
+    for f, image, k in maps:
+        g, target = f.on_mor((phis, i))
+        assert target == f.table[i]
+        assert f.tgt.objects[f.table[j]] == image(inst, level.objects[j], k)
+        assert f.table[j] == f.tgt.transport(g, target)
+
+
+def test_one_aut_group_per_class_is_shared_by_the_levels():
+    inst, x, _ = built("f1-c2-2")
+    for level in x.levels:
+        for i, tri in enumerate(level.objects):
+            assert all(K is inst.aut_group(c) for K, c in
+                       zip(level.group_at(i).factors, tri[1]))
+
+
+def test_the_closed_count_is_refused_before_any_completion(monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("no completion may be built")
+
+    monkeypatch.setattr(sconstruction, "_complete", not_reached)
+    # 37,130 first rows of Vect F2 at dimension <= 3 carry 4,898,455
+    # triangles
+    with pytest.raises(BudgetExceededError,
+                       match=r"level S_3\(vect-fq\): 4898455 triangles over "
+                             r"37130 first rows"):
+        s_construction(VectFq(2, 3), depth=3)
+    # partial first rows over the budget stop the listing itself
+    with pytest.raises(BudgetExceededError,
+                       match=r"S_3\(vect-fq\): 13 first rows up to A_02 "
+                             r"already exceed the budget of 10 triangles"):
+        TriangleGroupoid(VectFq(2, 2), 3, budget=10)
+
+
+class NoSquareFromDim2(VectFq):
+    """Vect F2 with every square whose column epi leaves dimension 2
+    declared not bicartesian."""
+
+    def square_bicartesian(self, i, p, q, j):
+        return q[0] != 2 and super().square_bicartesian(i, p, q, j)
+
+
+class TwiceMonos1To2(VectFq):
+    """Vect F2 listing each mono F2 >-> F2^2 twice, so first rows repeat."""
+
+    def monos(self, x, y):
+        maps = super().monos(x, y)
+        return maps * 2 if (x, y) == (1, 2) else maps
+
+
+def test_a_broken_square_or_a_repeated_triangle_is_a_named_error():
+    with pytest.raises(TriangleCompletionError,
+                       match=r"S_2\(vect-fq\): no map closes the square at "
+                             r"rows 0, 1 and columns 1, 2 over the first row "
+                             r"\(0, 2\)"):
+        TriangleGroupoid(NoSquareFromDim2(2, 2), 2)
+    with pytest.raises(TriangleCompletionError, match="built twice"):
+        TriangleGroupoid(TwiceMonos1To2(2, 2), 2)
+
+
+def test_the_named_errors_hold_under_python_O():
+    script = (
+        "import sys\n"
+        "sys.path[:0] = ['src', 'tests']\n"
+        "from test_sconstruction import NoSquareFromDim2, TwiceMonos1To2\n"
+        "from hallalg.waldhausen.sconstruction import TriangleGroupoid\n"
+        "assert False, 'asserts are stripped'\n"
+        "for cls in (NoSquareFromDim2, TwiceMonos1To2):\n"
+        "    try:\n"
+        "        TriangleGroupoid(cls(2, 2), 2)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["TriangleCompletionError"] * 2

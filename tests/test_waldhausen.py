@@ -22,7 +22,7 @@ from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
                                 check_simplicial_identities,
                                 hecke_waldhausen, mutation_corpus,
                                 s_construction)
-from hallalg.waldhausen import segal
+from hallalg.waldhausen import hecke, segal
 from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       HeckeAlgebra, HeckeModule,
                                       HeckeWaldhausen, degeneracy, face,
@@ -400,8 +400,11 @@ def test_triangle_homs_match_iso_family_oracle(name, request):
 
 def test_level_budgets_name_the_level():
     inst = VectFq(2, 2)
+    # the closed count, before any completion is built
     with pytest.raises(BudgetExceededError,
-                       match=r"S_3\(vect-fq\): triangle enumeration reached"):
+                       match=r"S_3\(vect-fq\): 331 triangles over 71 first "
+                             r"rows \(the closed count\), over the budget "
+                             r"of 300"):
         TriangleGroupoid(inst, 3, budget=300)
     # 331 triangles fit, but prod Aut over the entries (0,2,2,2,2,0) is 6^4
     with pytest.raises(BudgetExceededError,
@@ -790,6 +793,25 @@ def test_index_tables_match_the_tuple_formulas():
         face(CosetLevel(C, [gh, gh, gh], "X2"), pinned, 1)
     with pytest.raises(ValueError):
         degeneracy(pinned, CosetLevel(C, [gh, gh, gh], "Y", True), 0)
+
+
+def test_faces_match_the_table_of_one_run_per_prefix_and_value():
+    # a face writes the run over each prefix once per deleted value; the
+    # generic table writes one run per (prefix, value) pair
+    S4 = symmetric_group(4)
+    gh = Cosets(S4, symmetric_subgroup(S4, 2))
+    gp = Cosets(S4, young_subgroup(S4, [2, 2]))
+    for first in (gh, gp):
+        for pinned in (False, True):
+            for n in range(1, 4):
+                spaces = [first] + [gh] * n
+                src = CosetLevel(S4, spaces, "L", pinned)
+                for k in range(n + 1):
+                    sizes = src.sizes[:k] + src.sizes[k + 1:]
+                    low = CosetLevel(S4, spaces[:k] + spaces[k + 1:], "low",
+                                     pinned and k > 0)
+                    assert face(src, low, k).table == hecke._table(
+                        src, low, sizes, k, lambda a, x: a), (pinned, n, k)
 
 
 @pytest.mark.parametrize("G, H", [
