@@ -13,7 +13,7 @@ class UsageError(ValueError):
 
 
 # convenience re-exports; the exceptions above must exist first
-from .exactmath import (Cyc, MultiSymElem, PartitionMap,                 # noqa: E402
+from .exactmath import (MultiSymElem, PartitionMap,                      # noqa: E402
                         littlewood_richardson, multiset_number,
                         multisym_mul, partition_maps, partitions_of,
                         schur_eval_ones)

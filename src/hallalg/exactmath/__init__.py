@@ -1,6 +1,6 @@
 """Exact arithmetic and symmetric-function combinatorics."""
 
-from .cyclotomic import Cyc, cyclotomic_polynomial, euler_phi
+from .cyclotomic import cyclotomic_polynomial, euler_phi
 from .littlewood import littlewood_richardson, schur_product
 from .partitions import (PartitionMap, conjugate, multiset_number,
                          partition_maps, partitions_of)
@@ -8,7 +8,7 @@ from .symfunc import MultiSymElem, multisym_mul
 from .tableaux import schur_eval_ones, standard_tableaux_count
 
 __all__ = [
-    "Cyc", "cyclotomic_polynomial", "euler_phi",
+    "cyclotomic_polynomial", "euler_phi",
     "littlewood_richardson", "schur_product",
     "PartitionMap", "conjugate", "multiset_number", "partition_maps",
     "partitions_of",

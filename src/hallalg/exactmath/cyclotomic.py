@@ -1,23 +1,18 @@
-"""Exact cyclotomic numbers: Q(zeta_m) as polynomials in zeta_m mod Phi_m.
-
-A Cyc stores its conductor m and a coefficient vector of length
-euler_phi(m) = deg Phi_m over Fraction.  Mixed-conductor arithmetic promotes
-both operands to the lcm conductor via zeta_m = zeta_M^(M/m).  Conductor 1
-embeds the rationals.
+"""Exact cyclotomic integers: Z[zeta_m] as coefficient vectors in the power
+basis 1, zeta, ..., zeta^(phi-1), phi = euler_phi(m) = deg Phi_m.
 
 Phi_m is monic with integer coefficients, so zeta_m^k has an integer vector
-in the power basis 1, zeta, ..., zeta^(phi-1) for every k; one table of these
-reduction rows serves both Cyc and the integer kernel below.  The kernel
-works on integer coefficient vectors over Z[zeta_m]: `integer_form` clears
-one common denominator from a list of Cyc values, `conjugate` applies the
-fixed integer matrix of complex conjugation, and `dot` sums products over a
-list of vectors given by their planes, accumulating unreduced in Z[x] and
-reducing mod Phi_m once per sum.
+in the power basis for every k; one table of these reduction rows serves
+the whole kernel.  A value is a plain tuple of coefficients (ints, or
+Fractions where a caller divides): `reduce_poly` reduces any polynomial in
+zeta_m, `conjugate` applies the fixed integer matrix of complex
+conjugation, `dot` sums products over a list of vectors given by their
+planes, accumulating unreduced in Z[x] and reducing mod Phi_m once per sum,
+and `poly_string` prints a vector as a polynomial in z.
 """
 
-from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 
@@ -99,22 +94,6 @@ def conjugate(m: int, vec) -> tuple:
     return tuple(sum(map(mul, vec, col)) for col in _conjugation_columns(m))
 
 
-def integer_form(values, m: int) -> tuple[list[tuple[int, ...]], int]:
-    """(vectors, d): the coefficient vectors over Z[zeta_m] of d * v for
-    each Cyc v, d the least common denominator.  A value outside Q(zeta_m)
-    (conductor not dividing m, and not rational) raises ArithmeticError."""
-    coeffs = []
-    for v in values:
-        if m % v.m:
-            if not v.is_rational():
-                raise ArithmeticError(f"{v!r} does not lie in Q(zeta_{m})")
-            v = Cyc.rational(v.coeffs[0])
-        coeffs.append(v.promote(m).coeffs)
-    d = lcm(*(c.denominator for cs in coeffs for c in cs))
-    return [tuple(c.numerator * (d // c.denominator) for c in cs)
-            for cs in coeffs], d
-
-
 def planes(vectors, weights=None) -> list[tuple[int, ...]]:
     """Plane k of a list of coefficient vectors: their zeta^k coefficients,
     each times its weight when weights are given."""
@@ -135,148 +114,26 @@ def dot(m: int, xs, ys) -> list[int]:
     return reduce_poly(m, acc)
 
 
-class Cyc:
-    """An element of the m-th cyclotomic field, reduced mod Phi_m."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != euler_phi(m):
-            raise ValueError(f"Q(zeta_{m}) has coefficient vectors of length "
-                             f"{euler_phi(m)}, not {len(coeffs)}")
-        self.m = m
-        self.coeffs = coeffs
-
-    @classmethod
-    def rational(cls, q) -> "Cyc":
-        return cls(1, (Fraction(q),))
-
-    @classmethod
-    def zeta(cls, m: int, k: int = 1) -> "Cyc":
-        return cls(m, reduce_poly(m, [0] * (k % m) + [1]))
-
-    @classmethod
-    def zero(cls, m: int = 1) -> "Cyc":
-        return cls(m, (Fraction(0),) * euler_phi(m))
-
-    @classmethod
-    def one(cls, m: int = 1) -> "Cyc":
-        c = [Fraction(0)] * euler_phi(m)
-        c[0] = Fraction(1)
-        return cls(m, c)
-
-    def promote(self, big_m: int) -> "Cyc":
-        """Re-express in Q(zeta_M) for m | M."""
-        if big_m % self.m:
-            raise ValueError(f"conductor {self.m} does not divide {big_m}")
-        if big_m == self.m:
-            return self
-        step = big_m // self.m
-        poly = [0] * (step * (len(self.coeffs) - 1) + 1)
-        poly[::step] = self.coeffs
-        return Cyc(big_m, reduce_poly(big_m, poly))
-
-    @staticmethod
-    def _pair(a, b):
-        if not isinstance(a, Cyc):
-            a = Cyc.rational(a)
-        if not isinstance(b, Cyc):
-            b = Cyc.rational(b)
-        m = a.m * b.m // gcd(a.m, b.m)
-        return a.promote(m), b.promote(m)
-
-    def __add__(self, other):
-        a, b = Cyc._pair(self, other)
-        return Cyc(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyc(self.m, tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        a, b = Cyc._pair(self, other)
-        return Cyc(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyc(self.m, tuple(c * other for c in self.coeffs))
-        a, b = Cyc._pair(self, other)
-        acc = [0] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    acc[i + j] += x * y
-        return Cyc(a.m, reduce_poly(a.m, acc))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            raise ValueError(f"a Cyc is divided only by a rational, "
-                             f"not by {other!r}")
-        if other == 0:
-            raise ZeroDivisionError("Cyc division by zero")
-        return Cyc(self.m, tuple(c / other for c in self.coeffs))
-
-    def conj(self) -> "Cyc":
-        """Complex conjugation zeta -> zeta^-1."""
-        acc = [0] * self.m
-        for k, c in enumerate(self.coeffs):
-            acc[-k % self.m] += c
-        return Cyc(self.m, reduce_poly(self.m, acc))
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ArithmeticError(f"not rational: {self!r}")
-        return self.coeffs[0]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        a, b = Cyc._pair(self, other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # equality crosses conductors; not usable as a dict key
-
-    def __repr__(self):
-        if self.is_rational():
-            return f"Cyc({self.coeffs[0]})"
-        return f"Cyc(m={self.m}, {self.to_string()})"
-
-    def to_string(self, var: str = "z") -> str:
-        """Human form like '1-2*z+1/2*z^2'; '0' when zero."""
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
+def poly_string(coeffs, var: str = "z") -> str:
+    """Human form of a coefficient vector, like '1-2*z+1/2*z^2'; '0' when
+    zero.  The coefficients are ints or Fractions."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            terms.append(str(c))
+        else:
+            mono = var if k == 1 else f"{var}^{k}"
+            if c == 1:
+                terms.append(mono)
+            elif c == -1:
+                terms.append(f"-{mono}")
             else:
-                mono = var if k == 1 else f"{var}^{k}"
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}*{mono}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
-
-    def to_json(self):
-        return {"conductor": self.m, "coeffs": [str(c) for c in self.coeffs]}
+                terms.append(f"{c}*{mono}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += t if t.startswith("-") else "+" + t
+    return out

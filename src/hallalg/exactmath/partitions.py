@@ -141,3 +141,17 @@ def partition_maps(n: int, labels) -> list[PartitionMap]:
             stack = [s + (p,) for s in stack for p in pool]
         out.extend(PartitionMap(labels, s) for s in stack)
     return out
+
+
+def count_partition_maps(n: int, k: int) -> int:
+    """len(partition_maps(n, labels)) for k labels, without listing them:
+    the coefficient of x^n in (sum_j p(j) x^j)^k."""
+    p = [1] + [0] * n                   # p[j]: the partitions of j
+    for part in range(1, n + 1):
+        for j in range(part, n + 1):
+            p[j] += p[j - part]
+    out = [1] + [0] * n
+    for _ in range(k):
+        out = [sum(out[i] * p[j - i] for i in range(j + 1))
+               for j in range(n + 1)]
+    return out[n]

@@ -8,16 +8,21 @@ has more than d rows.  Three exact identities are verified:
   sum_lam (dim R_lam)^2          = multiset(d^2 |G|, n)
   sum_lam dim X_lam . dim R_lam  = (d |G|)^n
   n <= d  =>  no R_lam vanishes
+
+The report lists every label; their number is counted first and refused
+over the budget before any label is built.
 """
 
 from dataclasses import dataclass, field
 
-from . import UsageError
+from . import BudgetExceededError, UsageError
 
-from .exactmath.partitions import PartitionMap, multiset_number, partition_maps
+from .exactmath.partitions import (PartitionMap, count_partition_maps,
+                                   multiset_number, partition_maps)
 from .exactmath.tableaux import schur_eval_ones
 from .groups import FiniteGroup
 from .wreath.chmap import irreducible_dimension
+from .wreath.wreathgroup import DEFAULT_WREATH_BUDGET
 
 
 def dim_R(lam: PartitionMap, d: int) -> int:
@@ -84,8 +89,13 @@ class SchurWeylReport:
         }
 
 
-def schur_weyl_report(G: FiniteGroup, n: int, d: int) -> SchurWeylReport:
+def schur_weyl_report(G: FiniteGroup, n: int, d: int,
+                      budget: int = DEFAULT_WREATH_BUDGET) -> SchurWeylReport:
     _require_abelian(G)
+    count = count_partition_maps(n, G.order)
+    if count > budget:
+        raise BudgetExceededError(f"{G.name} wr S_{n} has {count} labels, "
+                                  f"over budget {budget}")
     labels = partition_maps(n, tuple(range(G.order)))
     rep = SchurWeylReport(G.name, n, d, nonzero_count_matches=True)
     kernel_count = 0

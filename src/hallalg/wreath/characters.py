@@ -5,8 +5,8 @@ Characters of an abelian group are stored as exponent vectors: gamma(g) =
 zeta_e^(table[g]) with e the group exponent, so all arithmetic stays in
 Z[zeta_e].  A wreath character table (chmap.class_terms) counts the maps
 from each class's cycles to the dual by exponent of zeta_e, and each value
-is reduced mod Phi_e once into a Cyc; the certificates of chmap read the
-Cyc values back as integer vectors over Z[zeta_e] and reduce once per sum.
+is reduced mod Phi_e once into the integer coefficient vector that the
+table stores, prints and certifies.
 """
 
 from functools import cache

@@ -15,25 +15,26 @@ and the class rho has |W| / prod_c z_{rho(c)} |G|^{l(rho(c))} elements,
 rho are walked once for all labels (`class_terms`): every map has one size
 vector (|lam(gamma)|)_gamma, so the walk records the zeta exponents summed
 for each way of sending lengths to characters, grouped by size vector, and
-chi^lam(rho) reads the group of lam's sizes.  Tables are certified by exact
-row and column orthogonality and by class sizes adding up to |W|;
-induction multiplicities come from Frobenius reciprocity over class labels,
-in one batch per size pair (n, m) (`induction_products`), which finds the
-joined classes and reads each table once for all (lam, mu).
-Every value lies in Z[zeta_e], e the exponent of G, so each of these sums
-of weighted Hermitian products runs on the integer kernel of
-exactmath.cyclotomic: the printed Cyc values are read into integer
-coefficient vectors with one common denominator, the products accumulate
-unreduced and each sum is reduced mod Phi_e once.  The integer form is
-read afresh from `values` on every call, so a certificate is always of the
-values that are printed.  The tests' oracles (`tests/oracles/wreath.py`)
-are the walk per (lam, rho) and the sum over the elements of the group and
-of the Young subgroup for the values, per-term Cyc arithmetic for the
-certificates, the class label of each element, and the inner products and
-decompositions of other class functions.  On K_0, ch sends the induction
-product to the componentwise Littlewood-Richardson product, which is what
-the acceptance suite verifies.  Tables are memoised on their group
-(`character_table`), so they are dropped with it.
+chi^lam(rho) reads the group of lam's sizes.  Classes and irreducibles
+have the same labels, so one label list indexes both rows and columns.
+Every value lies in Z[zeta_e], e the exponent of G, and is kept as its
+integer coefficient vector in the power basis 1, zeta_e, ...,
+zeta_e^(phi(e)-1) from the closed formula to the printed JSON
+(`poly_string`).  The certificate and the induction multiplicities are
+sums of weighted Hermitian products of these vectors on the integer kernel
+of exactmath.cyclotomic, each reduced mod Phi_e once, and read `values`
+afresh on every call, so a certificate is always of the printed values.
+Tables are certified by class sizes adding up to |W|, row orthogonality
+and the squared dimensions; the column relation follows from the rows
+(`check_orthogonality`).  Induction multiplicities come from Frobenius
+reciprocity over class labels, in one batch per size pair (n, m)
+(`induction_products`).  The tests' oracles (`tests/oracles`) are the walk
+per (lam, rho) and the sums over the elements of the group and of the
+Young subgroup for the values, per-term cyclotomic arithmetic for the
+certificates, and the class label of each element.  On K_0, ch sends the
+induction product to the componentwise Littlewood-Richardson product,
+which is what the acceptance suite verifies.  Tables are memoised on their
+group (`character_table`), so they are dropped with it.
 """
 
 import weakref
@@ -42,8 +43,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .. import UsageError
-from ..exactmath.cyclotomic import (Cyc, conjugate, dot, euler_phi,
-                                    integer_form, planes, reduce_poly)
+from ..exactmath.cyclotomic import (conjugate, dot, euler_phi, planes,
+                                    poly_string, reduce_poly)
 from ..exactmath.partitions import PartitionMap, partition_maps
 from ..exactmath.symfunc import MultiSymElem
 from ..exactmath.tableaux import standard_tableaux_count
@@ -112,7 +113,7 @@ def class_terms(chars, e: int, rho: PartitionMap) -> dict:
     return by_size
 
 
-def _value(e: int, lam: PartitionMap, terms) -> Cyc:
+def _value(e: int, lam: PartitionMap, terms) -> tuple:
     """chi^lam(rho) from the terms of rho whose sizes are those of lam:
     each count times prod_gamma chi^{lam(gamma)}(lengths sent to gamma)."""
     acc = [0] * e   # acc[x]: the coefficient of zeta_e^x
@@ -122,20 +123,12 @@ def _value(e: int, lam: PartitionMap, terms) -> Cyc:
         if mn:
             for x, count in enumerate(counts):
                 acc[x] += mn * count
-    return Cyc(e, reduce_poly(e, acc))
-
-
-def _integer_rows(rows, e: int):
-    """(vectors, d): each row of Cyc values as integer vectors over
-    Z[zeta_e], d times each value, d the common denominator of all rows."""
-    rows = [list(row) for row in rows]
-    vecs, d = integer_form((v for row in rows for v in row), e)
-    it = iter(vecs)
-    return [[next(it) for _ in row] for row in rows], d
+    return tuple(reduce_poly(e, acc))
 
 
 class WreathCharacterTable:
-    """Exact character table of G wr S_n, G abelian."""
+    """Exact character table of G wr S_n, G abelian: values[i][c] is the
+    coefficient vector of chi^labels[i] on the class labels[c]."""
 
     def __init__(self, G: FiniteGroup, n: int,
                  budget: int = DEFAULT_WREATH_BUDGET):
@@ -150,16 +143,15 @@ class WreathCharacterTable:
         reps = [G.index[cls[0]] for cls in G.conjugacy_classes()]
         chars = [[vec[i] for i in reps] for vec in self.dual]
 
-        self.class_labels = partition_maps(n, tuple(range(k)))
-        self.class_pos = {l: i for i, l in enumerate(self.class_labels)}
+        # classes of G and linear characters are both range(k)
+        self.class_labels = self.irr_labels = partition_maps(n, range(k))
+        self.pos = {l: i for i, l in enumerate(self.class_labels)}
         self.class_sizes = [self.order // centralizer_order(k, rho)
                             for rho in self.class_labels]
         one = G.class_index_of(G.identity)
-        self.identity_class = self.class_pos[PartitionMap(
+        self.identity_class = self.pos[PartitionMap(
             range(k), [(1,) * n if c == one else () for c in range(k)])]
 
-        self.irr_labels = partition_maps(n, tuple(range(k)))
-        self.irr_pos = {l: i for i, l in enumerate(self.irr_labels)}
         sizes = [tuple(map(sum, lam.parts)) for lam in self.irr_labels]
         columns = []
         for rho in self.class_labels:
@@ -169,33 +161,36 @@ class WreathCharacterTable:
         self.values = [list(row) for row in zip(*columns)]
 
     def dimension(self, lam: PartitionMap) -> int:
-        v = self.values[self.irr_pos[lam]][self.identity_class]
-        if not v.is_rational() or v.rational_value().denominator != 1:
-            raise ArithmeticError(f"character {lam} has value {v!r} at the "
-                                  f"identity, not a whole number")
-        return int(v.rational_value())
+        v = self.values[self.pos[lam]][self.identity_class]
+        if any(v[1:]) or v[0] % 1:
+            raise ArithmeticError(f"character {lam} has value "
+                                  f"{poly_string(v)} at the identity, not "
+                                  f"a whole number")
+        return int(v[0])
 
     def _rational(self, tot, den, what) -> Fraction:
         """The kernel's reduced sum tot over the denominator den, which
         must be rational."""
         if any(tot[1:]):
-            value = Cyc(self.e, [Fraction(x, den) for x in tot])
-            raise ArithmeticError(f"{what} is not rational: {value!r}")
+            value = poly_string([Fraction(x, den) for x in tot])
+            raise ArithmeticError(f"{what} is not rational: {value}")
         return Fraction(tot[0], den)
 
     def check_orthogonality(self):
+        """(True, None), or (False, witness) for the first failing check:
+        the class sizes add up to |W|; the rows are orthonormal,
+        X D X* = |W| I with D = diag(class sizes); the squared dimensions
+        add up to |W|.  The column relation X* X = |W| D^-1 is not checked
+        apart, as the rows imply it: the table is square, so X D X* = |W| I
+        makes X invertible with inverse D X* / |W|, and X* X = |W| D^-1."""
         if sum(self.class_sizes) != self.order:
             return False, ("class sizes", sum(self.class_sizes), self.order)
-        table, d = _integer_rows(self.values, self.e)
-        for (i, j), tot in hermitian_gram(self.e, table, self.class_sizes):
-            q = self._rational(tot, d * d * self.order,
+        for (i, j), tot in hermitian_gram(self.e, self.values,
+                                          self.class_sizes):
+            q = self._rational(tot, self.order,
                                f"inner product of rows {i} and {j}")
             if q != (1 if i == j else 0):
                 return False, ("row", i, j)
-        for (c, c2), tot in hermitian_gram(self.e, list(zip(*table))):
-            want = Fraction(self.order, self.class_sizes[c]) if c == c2 else 0
-            if any(tot[1:]) or Fraction(tot[0], d * d) != want:
-                return False, ("column", c, c2)
         dims2 = sum(self.dimension(l) ** 2 for l in self.irr_labels)
         if dims2 != self.order:
             return False, ("sum of squares", dims2, self.order)
@@ -209,7 +204,7 @@ class WreathCharacterTable:
             "class_sizes": self.class_sizes,
             "irreducible_labels": [l.to_json() for l in self.irr_labels],
             "conductor": self.e,
-            "values": [[v.to_string() for v in row] for row in self.values],
+            "values": [[poly_string(v) for v in row] for row in self.values],
         }
 
 
@@ -247,9 +242,9 @@ def induction_products(G: FiniteGroup, n: int, m: int,
     <Ind chi, chi_nu> = <chi, Res chi_nu>, a sum over pairs of classes
     (rho1, rho2) of the Young subgroup, which lies in the class rho1 + rho2
     (partitions joined class by class) of the big group.  What depends only
-    on (n, m) is done once: each table's rows are read in one integer form,
-    the joined class and weight of each class pair are found once, and the
-    big table's rows are conjugated once."""
+    on (n, m) is done once: the rows of each table are read once, the
+    joined class and weight of each class pair are found once, and the big
+    table's rows are conjugated once."""
     big = character_table(G, n + m, budget)
     small_n = character_table(G, n, budget)
     small_m = character_table(G, m, budget)
@@ -257,34 +252,26 @@ def induction_products(G: FiniteGroup, n: int, m: int,
         pairs = [(lam, mu) for lam in small_n.irr_labels
                  for mu in small_m.irr_labels]
     e = big.e
-    lams = list(dict.fromkeys(lam for lam, _ in pairs))
-    mus = list(dict.fromkeys(mu for _, mu in pairs))
-    va, da = _integer_rows((small_n.values[small_n.irr_pos[lam]]
-                            for lam in lams), e)
-    vb, db = _integer_rows((small_m.values[small_m.irr_pos[mu]]
-                            for mu in mus), e)
-    va, vb = dict(zip(lams, va)), dict(zip(mus, vb))
-
     joins = []   # (a, b, the class a + b of the big group, |a| |b|)
     for a, rho1 in enumerate(small_n.class_labels):
         for b, rho2 in enumerate(small_m.class_labels):
-            joined = big.class_pos[PartitionMap(rho1.labels, [
+            joined = big.pos[PartitionMap(rho1.labels, [
                 tuple(sorted(p + q, reverse=True))
                 for p, q in zip(rho1.parts, rho2.parts)])]
             joins.append((a, b, joined,
                           small_n.class_sizes[a] * small_m.class_sizes[b]))
     classes = list(dict.fromkeys(joined for _, _, joined, _ in joins))
-    vc, dc = _integer_rows(([row[c] for c in classes] for row in big.values),
-                           e)
-    bars = [planes(conjugate(e, v) for v in row) for row in vc]
-    den = da * db * dc * small_n.order * small_m.order
+    bars = [planes(conjugate(e, row[c]) for c in classes)
+            for row in big.values]
+    den = small_n.order * small_m.order
     width = 2 * euler_phi(e) - 1
 
     out = {}
     for lam, mu in pairs:
         # the class function lam x mu summed over each class of the big
         # group, as integer polynomials in zeta_e, unreduced
-        row_lam, row_mu = va[lam], vb[mu]
+        row_lam = small_n.values[small_n.pos[lam]]
+        row_mu = small_m.values[small_m.pos[mu]]
         restricted = {c: [0] * width for c in classes}
         for a, b, joined, w in joins:
             acc = restricted[joined]
@@ -297,10 +284,10 @@ def induction_products(G: FiniteGroup, n: int, m: int,
         for nu, bar in zip(big.irr_labels, bars):
             tot = dot(e, xs, bar)
             if any(tot[1:]) or tot[0] % den or tot[0] < 0:
-                value = Cyc(e, [Fraction(x, den) for x in tot])
+                value = poly_string([Fraction(x, den) for x in tot])
                 raise ArithmeticError(f"multiplicity of {nu} in the "
                                       f"induction product is not in N: "
-                                      f"{value!r}")
+                                      f"{value}")
             if tot[0]:
                 decomposition[nu] = tot[0] // den
     return out

@@ -3,16 +3,20 @@ a wreath element from its cycles, an element with a given label, and
 inner products and decompositions of class functions against a character
 table.  The production character tables never build a group element.
 `character_value` is the closed formula one (lam, rho) at a time, the
-oracle of the table's single walk per class."""
+oracle of the table's single walk per class.  Class functions are lists of
+coefficient vectors over Z[zeta_e], one per class, as in the tables;
+`cyc_table` reads a table's vectors as Cyc values for the per-term
+oracles."""
 
 from math import prod
 
 from hallalg import UsageError
-from hallalg.exactmath.cyclotomic import (Cyc, conjugate, dot, integer_form,
-                                          planes, reduce_poly)
+from hallalg.exactmath.cyclotomic import conjugate, dot, planes, reduce_poly
 from hallalg.exactmath.partitions import PartitionMap
 from hallalg.groups import FiniteGroup
 from hallalg.wreath.characters import murnaghan_nakayama
+
+from .cyclotomic import Cyc
 
 
 def perm_cycles(p):
@@ -77,13 +81,17 @@ def class_label_representative(G: FiniteGroup, n: int, label: PartitionMap):
     return (tuple(base), tuple(sigma))
 
 
+def cyc_table(tab):
+    """The table's values as Cyc values of its conductor, row by row."""
+    return [[Cyc(tab.e, v) for v in row] for row in tab.values]
+
+
 def _inner(tab, f, g):
     """Class-weighted inner product of two class functions on the table's
-    classes, as the reduced integer vector and its denominator."""
-    (fv, df), (gv, dg) = integer_form(f, tab.e), integer_form(g, tab.e)
-    tot = dot(tab.e, planes(fv, tab.class_sizes),
-              planes(conjugate(tab.e, v) for v in gv))
-    return tot, df * dg * tab.order
+    classes, as the reduced sum and its denominator |W|."""
+    tot = dot(tab.e, planes(f, tab.class_sizes),
+              planes(conjugate(tab.e, v) for v in g))
+    return tot, tab.order
 
 
 def inner(tab, row_i: int, row_j: int):
@@ -108,7 +116,7 @@ def decompose(tab, values_by_class) -> dict:
 
 
 def character_value(chars, e: int, lam: PartitionMap,
-                    rho: PartitionMap) -> Cyc:
+                    rho: PartitionMap) -> tuple:
     """chi^lam(rho) by the closed formula, walking only the maps from the
     cycles of rho to the dual that fit the sizes of lam; chars[gamma][c] is
     the exponent of gamma on the class c of G over zeta_e."""
@@ -133,4 +141,4 @@ def character_value(chars, e: int, lam: PartitionMap,
                 room[gamma] += r
 
     assign(0, 0)
-    return Cyc(e, reduce_poly(e, acc))
+    return tuple(reduce_poly(e, acc))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ def _load_workloads():
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {job.name: job for job in module.workload_jobs("groupoid")}
+    return {job.name: job for workload in module.WORKLOADS
+            for job in module.workload_jobs(workload)}
 
 
 JOBS = _load_workloads()
@@ -132,8 +134,9 @@ def test_usage_errors_exit_2_without_asserts(tmp_path):
         assert proc.stderr.startswith("error: "), proc.stderr
 
 
-@pytest.mark.parametrize("job", ["hw-s4-s2", "s-vect-f2-2"])
-def test_segal_check_under_python_O_matches_the_recorded_digest(job):
+@pytest.mark.parametrize("job", ["hw-s4-s2", "s-vect-f2-2", "char-table-c3-3",
+                                 "ch-verify-c2-3"])
+def test_cli_job_under_python_O_matches_the_recorded_digest(job):
     # no certification step is an assert that `python -O` would strip
     job = JOBS[job]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -389,7 +392,8 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
     def halved(G, n, budget):
         tab = chmap.WreathCharacterTable(G, n, budget)
-        tab.values[0] = [v / 2 for v in tab.values[0]]
+        tab.values[0] = [tuple(Fraction(x, 2) for x in v)
+                         for v in tab.values[0]]
         return tab
 
     monkeypatch.setattr(chmap, "character_table", halved)
@@ -397,8 +401,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.startswith("internal error: ArithmeticError: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == ("internal error: ArithmeticError: multiplicity "
+                            "of {0:[], 1:[]} in the induction product is "
+                            "not in N: 1/8\n")
 
 
 def test_unknown_flag_rejected():
@@ -520,19 +525,73 @@ def test_wreath_outputs_are_byte_identical(capsys, command, fmt):
 
 
 def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
-    from hallalg.exactmath.cyclotomic import Cyc
+    from hallalg.wreath import chmap
     calls = []
 
-    def counting(self, real=Cyc.to_string):
-        calls.append(self)
-        return real(self)
+    def counting(coeffs, real=chmap.poly_string):
+        calls.append(coeffs)
+        return real(coeffs)
 
-    monkeypatch.setattr(Cyc, "to_string", counting)
+    monkeypatch.setattr(chmap, "poly_string", counting)
     code, out = run_capture(capsys, ["wreath-char-table", "--G", "cyclic:3",
                                      "--n", "3", "--format", "csv"])
     assert code == 0
     assert len(out.splitlines()) == 1 + 22    # C3 wr S3 has 22 classes
     assert len(calls) == 22 * 22
+
+
+@pytest.mark.parametrize("argv", [
+    "wreath-char-table --G cyclic:3 --n 3",
+    "wreath-char-table --G klein --n 2",
+    "ch-verify --G cyclic:3 --max-size 2",
+    "schurweyl --G cyclic:4 --n 3 --d 2",
+])
+def test_wreath_commands_build_no_cyc(capsys, monkeypatch, argv):
+    # the tables keep integer vectors from the closed formula to the JSON;
+    # Cyc is a test oracle only, and no module of the package holds it
+    from oracles.cyclotomic import Cyc
+    built = []
+    real = Cyc.__init__
+
+    def recording(self, m, coeffs):
+        built.append(m)
+        real(self, m, coeffs)
+
+    monkeypatch.setattr(Cyc, "__init__", recording)
+    assert run(argv.split()) == 0
+    capsys.readouterr()
+    assert built == []
+    assert [name for name, module in sys.modules.items()
+            if name.split(".")[0] == "hallalg"
+            and (hasattr(module, "Cyc") or hasattr(module, "integer_form"))
+            ] == []
+
+
+def test_schurweyl_labels_are_counted_before_any_is_built(capsys,
+                                                          monkeypatch):
+    from hallalg import schurweyl
+    from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
+    from oracles.exactmath import partition_maps_count
+
+    def refused(*args):
+        raise AssertionError("partition_maps ran over the budget")
+
+    monkeypatch.setattr(schurweyl, "partition_maps", refused)
+    for group, k, n, budget in (("cyclic:6", 6, 7, None),
+                                ("cyclic:2", 2, 3, 9)):
+        argv = ["schurweyl", "--G", group, "--n", str(n), "--d", "2"]
+        code = run(argv + ([] if budget is None
+                           else ["--budget", str(budget)]))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: {group} wr S_{n} has {partition_maps_count(n, k)} "
+            f"labels, over budget {budget or DEFAULT_WREATH_BUDGET}\n")
+    monkeypatch.undo()
+    # C2 at n = 3 has 10 labels: a budget of 10 builds the report
+    assert run(["schurweyl", "--G", "cyclic:2", "--n", "3", "--d", "2",
+                "--budget", "10"]) == 0
+    capsys.readouterr()
 
 
 PARSER_CORPUS = [

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.exactmath.cyclotomic import (Cyc, _polydivmod_int, conjugate,
+from hallalg.exactmath.cyclotomic import (_polydivmod_int, conjugate,
                                           cyclotomic_polynomial, dot,
-                                          euler_phi, integer_form, planes)
+                                          euler_phi, planes, poly_string)
+from oracles.cyclotomic import Cyc
 
 
 def test_cyclotomic_polynomials():
@@ -81,6 +82,9 @@ def test_string_forms():
     assert (Cyc.zeta(3) * Fraction(-1)).to_string() == "-z"
     js = Cyc.zeta(4).to_json()
     assert js["conductor"] == 4 and js["coeffs"] == ["0", "1"]
+    assert poly_string((1, -2, Fraction(1, 2))) == "1-2*z+1/2*z^2"
+    assert poly_string((0, -1, 0, 3)) == "-z+3*z^3"
+    assert poly_string((0, 0)) == "0"
 
 
 @settings(max_examples=80)
@@ -96,15 +100,16 @@ def test_integer_kernel_matches_cyc(m, data):
     assert tuple(dot(m, planes(xs), planes(ys))) == want.coeffs
 
 
-def test_integer_form_clears_one_denominator():
-    values = [Cyc.zeta(6) / 2, Cyc.rational(Fraction(1, 3)), Cyc.zeta(3),
-              Cyc.zero(4)]
-    vectors, d = integer_form(values, 6)
-    assert d == 6
-    assert [Cyc(6, v) / d for v in vectors] == values
-    # a value outside Q(zeta_6); a rational one of any conductor is inside
-    with pytest.raises(ArithmeticError):
-        integer_form([Cyc.zeta(4)], 6)
+@settings(max_examples=120)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_poly_string_is_the_cyc_string(m, data):
+    # a Cyc holds Fractions and the tables hold ints: both print alike
+    phi = euler_phi(m)
+    coefficient = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    v = data.draw(st.lists(coefficient, min_size=phi, max_size=phi))
+    assert poly_string(v) == Cyc(m, v).to_string()
 
 
 @pytest.mark.parametrize("call,error", [

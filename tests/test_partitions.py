@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from hallalg.exactmath.partitions import (PartitionMap, check_partition,
                                           compositions, conjugate,
+                                          count_partition_maps,
                                           multiset_number,
                                           partition_maps, partitions_of)
 from oracles.exactmath import partition_map_from_json, partition_maps_count
@@ -79,6 +80,18 @@ def test_partition_maps_count_formula():
         for k in range(1, 4):
             assert len(partition_maps(n, tuple(range(k)))) == \
                 partition_maps_count(n, k)
+
+
+def test_label_count_matches_the_composition_formula():
+    # the generating function (sum_j p(j) x^j)^k against the listing (small)
+    # and the sum over compositions (beyond it); k = 0 has one empty map
+    for n in range(9):
+        assert count_partition_maps(n, 0) == (n == 0)
+        for k in range(1, 7):
+            assert count_partition_maps(n, k) == partition_maps_count(n, k)
+            if n <= 4 and k <= 4:
+                assert count_partition_maps(n, k) == len(
+                    partition_maps(n, tuple(range(k))))
 
 
 def test_partition_map_json_roundtrip():
