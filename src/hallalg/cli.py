@@ -227,11 +227,10 @@ def cmd_ch_verify(args):
 
 
 def cmd_schurweyl(args):
-    from .schurweyl import schur_weyl_report
-    from .wreath.wreathgroup import DEFAULT_WREATH_BUDGET
+    from .schurweyl import DEFAULT_SCHURWEYL_BUDGET, schur_weyl_report
     G = named_group(args.group)
     rep = schur_weyl_report(G, args.n, args.d,
-                            args.budget or DEFAULT_WREATH_BUDGET)
+                            args.budget or DEFAULT_SCHURWEYL_BUDGET)
     data = rep.to_json()
     rows = [("label", "dim_X", "dim_R", "kernel")] + [
         (json.dumps(r["label"]), str(r["dim_X"]), str(r["dim_R"]),

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -540,53 +541,39 @@ def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
     assert len(calls) == 22 * 22
 
 
-@pytest.mark.parametrize("argv", [
-    "wreath-char-table --G cyclic:3 --n 3",
-    "wreath-char-table --G klein --n 2",
-    "ch-verify --G cyclic:3 --max-size 2",
-    "schurweyl --G cyclic:4 --n 3 --d 2",
-])
-def test_wreath_commands_build_no_cyc(capsys, monkeypatch, argv):
-    # the tables keep integer vectors from the closed formula to the JSON;
-    # Cyc is a test oracle only, and no module of the package holds it
-    from oracles.cyclotomic import Cyc
-    built = []
-    real = Cyc.__init__
-
-    def recording(self, m, coeffs):
-        built.append(m)
-        real(self, m, coeffs)
-
-    monkeypatch.setattr(Cyc, "__init__", recording)
-    assert run(argv.split()) == 0
-    capsys.readouterr()
-    assert built == []
-    assert [name for name, module in sys.modules.items()
-            if name.split(".")[0] == "hallalg"
-            and (hasattr(module, "Cyc") or hasattr(module, "integer_form"))
-            ] == []
+def test_no_package_module_holds_cyc():
+    # the wreath commands keep integer vectors from the closed formula to
+    # the JSON; Cyc and integer_form are test oracles, and the package
+    # cannot import tests/oracles, so none of its modules can build a Cyc
+    import hallalg
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.walk_packages(hallalg.__path__, "hallalg.")]
+    assert "hallalg.wreath.chmap" in {m.__name__ for m in modules}
+    assert [m.__name__ for m in [hallalg] + modules
+            if hasattr(m, "Cyc") or hasattr(m, "integer_form")] == []
 
 
 def test_schurweyl_labels_are_counted_before_any_is_built(capsys,
                                                           monkeypatch):
     from hallalg import schurweyl
-    from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
     from oracles.exactmath import partition_maps_count
 
     def refused(*args):
         raise AssertionError("partition_maps ran over the budget")
 
     monkeypatch.setattr(schurweyl, "partition_maps", refused)
-    for group, k, n, budget in (("cyclic:6", 6, 7, None),
+    # C6 at n = 12 has 380,051 labels, over the default of 200,000
+    for group, k, n, budget in (("cyclic:6", 6, 12, None),
                                 ("cyclic:2", 2, 3, 9)):
         argv = ["schurweyl", "--G", group, "--n", str(n), "--d", "2"]
         code = run(argv + ([] if budget is None
                            else ["--budget", str(budget)]))
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
+        budget = budget or schurweyl.DEFAULT_SCHURWEYL_BUDGET
         assert captured.err == (
             f"error: {group} wr S_{n} has {partition_maps_count(n, k)} "
-            f"labels, over budget {budget or DEFAULT_WREATH_BUDGET}\n")
+            f"labels, over budget {budget}\n")
     monkeypatch.undo()
     # C2 at n = 3 has 10 labels: a budget of 10 builds the report
     assert run(["schurweyl", "--G", "cyclic:2", "--n", "3", "--d", "2",
