@@ -18,8 +18,7 @@ from .exactmath import (MultiSymElem, PartitionMap,                      # noqa:
                         multisym_mul, partition_maps, partitions_of,
                         schur_eval_ones)
 from .groupoid import (SpanFn, b_group, cardinality, is_equivalence,     # noqa: E402
-                       pi0, pull_push_span, pullback_fn, pushforward_fn,
-                       two_fiber_product)
+                       pi0, pullback_fn, pushforward_fn, two_fiber_product)
 from .groups import FiniteGroup, named_group, named_subgroup             # noqa: E402
 from .hall import (check_associativity, divided_powers_iso_check,        # noqa: E402
                    hall_constants, hall_product, hall_product_via_span)

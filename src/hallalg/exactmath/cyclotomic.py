@@ -114,7 +114,7 @@ def dot(m: int, xs, ys) -> list[int]:
     return reduce_poly(m, acc)
 
 
-def poly_string(coeffs, var: str = "z") -> str:
+def poly_string(coeffs) -> str:
     """Human form of a coefficient vector, like '1-2*z+1/2*z^2'; '0' when
     zero.  The coefficients are ints or Fractions."""
     terms = []
@@ -124,7 +124,7 @@ def poly_string(coeffs, var: str = "z") -> str:
         if k == 0:
             terms.append(str(c))
         else:
-            mono = var if k == 1 else f"{var}^{k}"
+            mono = "z" if k == 1 else f"z^{k}"
             if c == 1:
                 terms.append(mono)
             elif c == -1:

@@ -1,29 +1,25 @@
 """Finite groupoids, functors, 2-fiber products and pull-push transfer."""
 
 from .core import (ActionGroupoid, Component, DisjointUnion, FullSubgroupoid,
-                   Groupoid, ProductGroupoid, b_group, discrete_groupoid,
-                   pi0, point_groupoid)
+                   Groupoid, b_group, discrete_groupoid, pi0, point_groupoid)
 from .fiber import (FiberProductGroupoid, FiberSkeleton, fiber_product_size,
                     two_fiber_product)
 from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
                        Functor, GMap, GroupHomFunctor, IdentityFunctor,
-                       PairFunctor, compose_functors, constant_functor,
-                       equivalence_on_pi0, functors_equal, is_equivalence,
-                       point_inclusion)
-from .transfer import (SpanFn, cardinality, external_product, is_faithful,
-                       pull_push_span, pull_push_table, pullback_fn,
-                       pushforward_fn)
+                       compose_functors, constant_functor, equivalence_on_pi0,
+                       functors_equal, is_equivalence, point_inclusion)
+from .transfer import (SpanFn, cardinality, is_faithful, pull_push_table,
+                       pullback_fn, pushforward_fn)
 
 __all__ = [
     "ActionGroupoid", "Component", "DisjointUnion", "FullSubgroupoid",
-    "Groupoid", "ProductGroupoid", "b_group", "discrete_groupoid", "pi0",
-    "point_groupoid",
+    "Groupoid", "b_group", "discrete_groupoid", "pi0", "point_groupoid",
     "FiberProductGroupoid", "FiberSkeleton", "fiber_product_size",
     "two_fiber_product",
     "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
-    "GroupHomFunctor", "IdentityFunctor", "PairFunctor", "compose_functors",
+    "GroupHomFunctor", "IdentityFunctor", "compose_functors",
     "constant_functor", "equivalence_on_pi0", "functors_equal",
     "is_equivalence", "point_inclusion",
-    "SpanFn", "cardinality", "external_product", "is_faithful",
-    "pull_push_span", "pull_push_table", "pullback_fn", "pushforward_fn",
+    "SpanFn", "cardinality", "is_faithful", "pull_push_table", "pullback_fn",
+    "pushforward_fn",
 ]

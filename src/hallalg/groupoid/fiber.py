@@ -39,7 +39,7 @@ from operator import add
 
 from .. import BudgetExceededError
 from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Component, Groupoid
-from .functors import FnFunctor, Functor, GMap
+from .functors import Functor, GMap
 
 
 def _check_cospan(f: Functor, g: Functor):
@@ -280,9 +280,6 @@ class _BaseTables:
     def hom_ids(self, i, j):
         return [self.index[t] for t in self.d.hom(i, j)]
 
-    def identity_id(self, i):
-        return self.index[self.d.identity(i)]
-
 
 class FiberProductGroupoid(Groupoid):
     """A x_D B over f: A -> D <- B: g."""
@@ -371,20 +368,8 @@ class FiberProductGroupoid(Groupoid):
     def aut_size(self, idx):
         return len(self.hom(idx, idx))
 
-    # projections
-
-    @property
-    def proj_a(self) -> Functor:
-        return FnFunctor(self, self.a, lambda i: self.objects[i][0],
-                         lambda m: m[0], name="pr_A")
-
-    @property
-    def proj_b(self) -> Functor:
-        return FnFunctor(self, self.b, lambda i: self.objects[i][1],
-                         lambda m: m[1], name="pr_B")
-
 
 def two_fiber_product(f: Functor, g: Functor,
                       budget=DEFAULT_OBJECT_BUDGET) -> FiberProductGroupoid:
-    """The 2-fiber product with its projections (as attributes)."""
+    """The 2-fiber product A x_D B of f: A -> D <- B: g."""
     return FiberProductGroupoid(f, g, budget=budget)

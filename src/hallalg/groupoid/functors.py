@@ -15,7 +15,7 @@ morphisms, which the tests use as the oracle for the tables.
 
 from dataclasses import dataclass, field
 
-from .core import ActionGroupoid, Groupoid, ProductGroupoid, point_groupoid
+from .core import ActionGroupoid, Groupoid, point_groupoid
 
 
 class Functor:
@@ -29,35 +29,6 @@ class Functor:
 
     def on_mor(self, m):
         raise NotImplementedError
-
-    def validate(self, budget: int = 50_000):
-        """Identities on every object; src/tgt and composition on generating
-        morphisms (a functor is determined by its values on generators).
-        A failure is a ValueError."""
-        def check(ok, what):
-            if not ok:
-                raise ValueError(f"{self.name}: {what}")
-
-        for i in range(self.src.n_objects):
-            fi = self.on_obj(i)
-            check(self.on_mor(self.src.identity(i)) == self.tgt.identity(fi),
-                  f"identity not preserved at {i}")
-        seen = 0
-        for i in range(self.src.n_objects):
-            for m1 in self.src.gens_out(i):
-                j = self.src.mor_tgt(m1)
-                fm1 = self.on_mor(m1)
-                check(self.tgt.mor_src(fm1) == self.on_obj(i),
-                      f"a morphism out of {i} is not sent out of its image")
-                check(self.tgt.mor_tgt(fm1) == self.on_obj(j),
-                      f"a morphism into {j} is not sent into its image")
-                for m2 in self.src.gens_out(j):
-                    lhs = self.on_mor(self.src.compose(m2, m1))
-                    rhs = self.tgt.compose(self.on_mor(m2), fm1)
-                    check(lhs == rhs, "not functorial")
-                    seen += 1
-                    if seen >= budget:
-                        return
 
     def __repr__(self):
         return f"Functor({self.name}: {self.src.name} -> {self.tgt.name})"
@@ -199,26 +170,6 @@ def constant_functor(src: Groupoid, tgt: Groupoid, obj_idx: int) -> Functor:
     return FnFunctor(src, tgt, lambda i: obj_idx,
                      lambda m: tgt.identity(obj_idx),
                      name=f"const[{obj_idx}]")
-
-
-class PairFunctor(Functor):
-    """(F, G): X -> A x B from F: X -> A and G: X -> B."""
-
-    def __init__(self, f: Functor, g: Functor, prod: ProductGroupoid,
-                 name=None):
-        if f.src is not g.src:
-            raise ValueError(f"{f.name} and {g.name} have different sources")
-        if prod.a is not f.tgt or prod.b is not g.tgt:
-            raise ValueError(f"{prod.name} is not {f.tgt.name} x "
-                             f"{g.tgt.name}")
-        super().__init__(f.src, prod, name=name or f"({f.name},{g.name})")
-        self.f, self.g = f, g
-
-    def on_obj(self, i):
-        return self.tgt.pair_index(self.f.on_obj(i), self.g.on_obj(i))
-
-    def on_mor(self, m):
-        return (self.f.on_mor(m), self.g.on_mor(m))
 
 
 @dataclass

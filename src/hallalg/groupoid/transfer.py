@@ -13,7 +13,7 @@ the wrong groupoid is a ValueError.
 
 from fractions import Fraction
 
-from .core import Groupoid, ProductGroupoid
+from .core import Groupoid
 from .functors import Functor
 
 
@@ -41,10 +41,6 @@ class SpanFn:
                 self.values[k] = v
 
     @classmethod
-    def delta(cls, gpd, comp_idx):
-        return cls(gpd, {comp_idx: 1})
-
-    @classmethod
     def const(cls, gpd, value=1):
         return cls(gpd, {c.index: value for c in gpd.components()})
 
@@ -65,9 +61,6 @@ class SpanFn:
     def __eq__(self, other):
         return (isinstance(other, SpanFn) and self.gpd is other.gpd
                 and self.values == other.values)
-
-    def is_integral(self):
-        return all(v.denominator == 1 for v in self.values.values())
 
     def __repr__(self):
         return f"SpanFn({self.gpd.name}, {dict(sorted(self.values.items()))})"
@@ -104,14 +97,6 @@ def pushforward_fn(f: Functor, psi: SpanFn) -> SpanFn:
     return SpanFn(tgt, dict(sorted(vals.items())))
 
 
-def pull_push_span(c: Functor, nu: Functor, phi: SpanFn) -> SpanFn:
-    """(nu)_! ∘ c* for a span P <- S -> Q given by (c, nu)."""
-    if c.src is not nu.src:
-        raise ValueError(f"span legs {c.name} and {nu.name} must share "
-                         f"their apex")
-    return pushforward_fn(nu, pullback_fn(c, phi))
-
-
 def pull_push_table(left: Functor, right: Functor, middle: Functor) -> dict:
     """Pull-push of delta_a x delta_b along the span
     left.tgt x right.tgt <- S -> middle.tgt, for every pair of components
@@ -132,16 +117,6 @@ def pull_push_table(left: Functor, right: Functor, middle: Functor) -> dict:
         c = C.component_of(middle.on_obj(x.rep))
         row[c] = row.get(c, 0) + Fraction(auts[c], x.aut_order)
     return table
-
-
-def external_product(prod: ProductGroupoid, f: SpanFn, g: SpanFn) -> SpanFn:
-    """f x g on A x B: value at [(a, b)] is f([a]) * g([b]); the component
-    ([a], [b]) has index [a] * |pi0 B| + [b]."""
-    _same_carrier(f.gpd, prod.a, "first factor")
-    _same_carrier(g.gpd, prod.b, "second factor")
-    nb = len(prod.b.components())
-    return SpanFn(prod, {x * nb + y: u * v for x, u in f.values.items()
-                         for y, v in g.values.items()})
 
 
 def is_faithful(f: Functor) -> bool:

@@ -205,6 +205,3 @@ class AbelianPGroups(ProtoAbelianInstance):
     def preimage_sub(self, f, sub):
         return frozenset(a for a in self.elements(f[0])
                          if self.apply(f, a) in sub)
-
-    def zero_sub(self, x):
-        return frozenset([tuple([0] * len(x))])

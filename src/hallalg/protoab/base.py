@@ -73,9 +73,6 @@ class ProtoAbelianInstance:
     def preimage_sub(self, f, sub):
         raise NotImplementedError
 
-    def zero_sub(self, x):
-        raise NotImplementedError
-
     def hall_constant(self, n, l, m) -> int:
         """g^M_{N,L}, the number of subobjects U of M with U ~ L and
         M/U ~ N, from the family's closed form."""

@@ -122,6 +122,3 @@ class F1FreeG(ProtoAbelianInstance):
     def preimage_sub(self, f, sub):
         return frozenset(i for i, entry in enumerate(f[2])
                          if entry is None or entry[0] in sub)
-
-    def zero_sub(self, x):
-        return frozenset()

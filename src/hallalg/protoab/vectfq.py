@@ -151,6 +151,3 @@ class VectFq(ProtoAbelianInstance):
         src, dst, _ = f
         return frozenset(v for v in self.vectors(src)
                          if self.apply(f[2], v) in sub)
-
-    def zero_sub(self, x):
-        return frozenset([tuple([0] * x)])

@@ -23,8 +23,8 @@ from .exactmath.tableaux import schur_eval_ones
 from .groups import FiniteGroup
 from .wreath.chmap import irreducible_dimension
 
-# labels; a report costs about 0.11 ms and 3.6 KB of peak memory per label,
-# so the default stops one at about 22 s and 0.75 GB
+# labels; a `schurweyl` run costs about 0.07 ms and 3.6 KB of peak memory
+# per label, so the default stops one at about 14 s and 0.75 GB
 DEFAULT_SCHURWEYL_BUDGET = 200_000
 
 
@@ -99,12 +99,13 @@ def schur_weyl_report(G: FiniteGroup, n: int, d: int,
     if count > budget:
         raise BudgetExceededError(f"{G.name} wr S_{n} has {count} labels, "
                                   f"over budget {budget}")
-    labels = partition_maps(n, tuple(range(G.order)))
     rep = SchurWeylReport(G.name, n, d, nonzero_count_matches=True)
-    kernel_count = 0
-    for lam in labels:
+    kernel_count = squares = total = 0
+    for lam in partition_maps(n, tuple(range(G.order))):
         dr = dim_R(lam, d)
         dx = irreducible_dimension(G, lam)
+        squares += dr * dr
+        total += dx * dr
         kernel = dr == 0
         kernel_count += kernel
         # dim R_lam vanishes exactly when some lam(gamma) has > d rows
@@ -113,7 +114,7 @@ def schur_weyl_report(G: FiniteGroup, n: int, d: int,
             rep.nonzero_count_matches = False
         rep.rows.append({"label": lam.to_json(), "dim_X": dx, "dim_R": dr,
                          "kernel": kernel})
-    rep.sum_of_squares = check_sum_of_squares(G, n, d)[0]
-    rep.total_dimension = check_total_dimension(G, n, d)[0]
+    rep.sum_of_squares = squares == multiset_number(d * d * G.order, n)
+    rep.total_dimension = total == (d * G.order) ** n
     rep.kernel_free_when_n_le_d = (n > d) or (kernel_count == 0)
     return rep

@@ -28,9 +28,6 @@ class StructureTable:
         self.left_basis = list(dict.fromkeys(a for a, _ in constants))
         self.right_basis = list(dict.fromkeys(b for _, b in constants))
 
-    def constant(self, a, b, c):
-        return self.constants.get((a, b), {}).get(c, 0)
-
     def product(self, u: dict, v: dict) -> dict:
         """The bilinear extension; a key outside the bases is a usage
         error, a pair past the truncation a budget error."""

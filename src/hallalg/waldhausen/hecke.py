@@ -152,7 +152,7 @@ class CosetLevel(ActionGroupoid):
             return sum([m[k][x] * s for (m, s), x in zip(tables, objs[i])])
 
         super().__init__(first.subgroup if pinned else G, objs, act,
-                         name=name, check=False)
+                         name=name)
         self._G = G
 
     @cached_property

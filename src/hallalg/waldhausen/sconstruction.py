@@ -69,10 +69,6 @@ def _layout(n):
             [(i, j) for i, j in pairs if i + 1 < j])
 
 
-def _pairs(n):
-    return _layout(n)[0]
-
-
 class Triangle(tuple):
     """Immutable triangle diagram, stored as its encoding
     (n, entries, row monos, column epis), each part a tuple in `_layout(n)`
@@ -219,7 +215,7 @@ def _close(inst, ent, rmono, cepi, i, j, e, m):
 
 class TriangleGroupoid(ActionGroupoid):
     """Level n of the S-construction: triangles and componentwise isos, as
-    the action of prod Aut(A_ij) (factors in `_pairs(n)` order) by
+    the action of prod Aut(A_ij) (factors in `_layout(n)[0]` order) by
     `transport`, one group per tuple of entries.  The closed count of the
     triangles, then every group's order, is checked against the budget
     before any completion or group is built; `closed_count` keeps the
@@ -270,8 +266,7 @@ class TriangleGroupoid(ActionGroupoid):
                 index[tri] = len(objects)
                 objects.append(tri)
                 self._group_of.append(group)
-        super().__init__(None, objects, self.transport, name=name,
-                         check=False)
+        super().__init__(None, objects, self.transport, name=name)
         self._obj_index = index
 
     def group_at(self, i):

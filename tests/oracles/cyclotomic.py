@@ -132,9 +132,9 @@ class Cyc:
             return f"Cyc({self.coeffs[0]})"
         return f"Cyc(m={self.m}, {self.to_string()})"
 
-    def to_string(self, var: str = "z") -> str:
+    def to_string(self) -> str:
         """Human form like '1-2*z+1/2*z^2'; '0' when zero."""
-        return poly_string(self.coeffs, var)
+        return poly_string(self.coeffs)
 
     def to_json(self):
         return {"conductor": self.m, "coeffs": [str(c) for c in self.coeffs]}

@@ -6,8 +6,8 @@ them."""
 def count_ses(inst, l, m, n) -> int:
     """Number of pairs (mono L -> M, epi M -> N) with im = ker."""
     images = [inst.image_sub(i) for i in inst.monos(l, m)]
-    kernels = [inst.preimage_sub(p, inst.zero_sub(n))
-               for p in inst.epis(m, n)]
+    zero_n = inst.image_sub(inst.monos(inst.zero_key(), n)[0])
+    kernels = [inst.preimage_sub(p, zero_n) for p in inst.epis(m, n)]
     return sum(1 for im in images for ker in kernels if im == ker)
 
 

@@ -16,8 +16,7 @@ from hallalg.groups import tuple_group
 from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
                                               Triangle, _classes,
                                               _epi_to_zero, _layout,
-                                              _mono_from_zero, _pairs,
-                                              _square_ok)
+                                              _mono_from_zero, _square_ok)
 
 
 def _triangle(n, entries, rmono, cepi):
@@ -69,8 +68,9 @@ def enumerate_triangles(inst, n: int, bound=None,
                 src = entries[(i - 1, i + 1)]
                 im_first = inst.image_sub(rmono[(i - 1, i)])
                 for c in classes:
+                    zero_c = inst.image_sub(inst.monos(inst.zero_key(), c)[0])
                     for e in inst.epis(src, c):
-                        if inst.preimage_sub(e, inst.zero_sub(c)) != im_first:
+                        if inst.preimage_sub(e, zero_c) != im_first:
                             continue
                         e2 = dict(entries)
                         e2[(i, i + 1)] = c
@@ -185,7 +185,7 @@ class FlagGroupoid(ActionGroupoid):
                      for entries, monos in flags for c in classes
                      for m in inst.monos(entries[-1], c)]
         super().__init__(None, flags, self.transport,
-                         name=f"Flags_{n}({inst.family})", check=False)
+                         name=f"Flags_{n}({inst.family})")
         auts = {c: inst.aut_group(c) for c in classes}
         groups = {entries: tuple_group([auts[c] for c in entries],
                                        f"Aut{entries}")
@@ -214,7 +214,7 @@ def flag_comparison_functor(tri_level, flags: FlagGroupoid):
         monos = tuple(rm[(0, j)] for j in range(1, n))
         return flags.obj_index((entries, monos))
 
-    pairs = _pairs(n)
+    pairs = _layout(n)[0]
     first_row = [pairs.index((0, j)) for j in range(1, n + 1)]
 
     def mor_map(m):

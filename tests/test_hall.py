@@ -10,6 +10,10 @@ from hallalg.hall import (check_associativity, divided_powers_iso_check,
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
 
 
+def _constant(table, a, b, c):
+    return table.constants.get((a, b), {}).get(c, 0)
+
+
 @pytest.fixture(scope="module")
 def table_vf2():
     return hall_constants(VectFq(2, 2))
@@ -21,19 +25,19 @@ def table_ab2():
 
 
 def test_structure_constants_examples(table_vf2, table_ab2):
-    assert table_vf2.constant(1, 1, 2) == 3
-    assert table_ab2.constant((1,), (1,), (2,)) == 1
-    assert table_ab2.constant((1,), (1,), (1, 1)) == 3
+    assert _constant(table_vf2, 1, 1, 2) == 3
+    assert _constant(table_ab2, (1,), (1,), (2,)) == 1
+    assert _constant(table_ab2, (1,), (1,), (1, 1)) == 3
     t = hall_constants(F1FreeG(cyclic_group(2), 5))
     for n in range(6):
         for m in range(6 - n):
-            assert t.constant(n, m, n + m) == comb(n + m, n)
+            assert _constant(t, n, m, n + m) == comb(n + m, n)
 
 
 def test_hall_polynomial_at_q(table_vf2):
     # g^{F_q^2}_{1,1} = q + 1 at q = 2, 3, by enumeration
-    assert table_vf2.constant(1, 1, 2) == 3
-    assert hall_constants(VectFq(3, 2)).constant(1, 1, 2) == 4
+    assert _constant(table_vf2, 1, 1, 2) == 3
+    assert _constant(hall_constants(VectFq(3, 2)), 1, 1, 2) == 4
 
 
 def test_products_and_unit(table_vf2):
@@ -166,7 +170,7 @@ def test_closed_forms_match_subobject_counts(name):
                 assert inst.hall_constant(n, l, m) == \
                     inst.subobjects_with_type(m, l, n), (m, l, n)
     table = hall_constants(inst)
-    assert all(table.constant(n, l, m) == inst.hall_constant(n, l, m)
+    assert all(_constant(table, n, l, m) == inst.hall_constant(n, l, m)
                for m in classes for l in classes for n in classes)
 
 

@@ -1,13 +1,16 @@
-"""Every public top-level `def` and `class` of `src/hallalg` is reached from
-the production side: the package itself, the demos or the benchmark.  A
-definition that only tests call belongs in `tests/oracles`, and one that
-nothing calls is deleted.
+"""Every non-dunder `def` and `class` of `src/hallalg`, at the top level of a
+module or inside a class (methods included), is reached from the production
+side: the package itself, the demos or the benchmark.  A definition that
+only tests call belongs in `tests/oracles`, and one that nothing calls is
+deleted.
 
 A reference is an `ast.Name` or `ast.Attribute` outside the definition
 itself, so an `import` in an `__init__.py` (a re-export) or an `__all__`
-entry does not count.  A span target of `perfbench/spans.py` counts too:
-the benchmark patches it by name.  spans.py is only read here, never
-changed."""
+entry does not count.  References are matched by name alone: a method is
+reached when any production code names an attribute so called.  A span
+target of `perfbench/spans.py` counts too, with every prefix of its
+attribute path: the benchmark patches it by name.  spans.py is only read
+here, never changed."""
 
 import ast
 import importlib.util
@@ -17,29 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hallalg"
 SPANS_PY = ROOT / "perfbench" / "spans.py"
 
-# Definitions kept in src/ although tests are their main callers, each with
-# its reason.  Of these, only PairFunctor, external_product and
-# pull_push_span have no production reference at all.
-DEMO_01 = "used by demos/01_pull_push_calculus.py"
-MUTATION = "the mutation corpus, a perfbench API job"
-README = "the groupoid calculus that the README documents"
-ALLOWED = {
-    "FiberProductGroupoid": "perfbench span target groupoid.fiber_build",
-    "wreath_product": "perfbench span target wreath.group_build",
-    "two_fiber_product": DEMO_01,
-    "point_inclusion": DEMO_01,
-    "GroupHomFunctor": DEMO_01,
-    "pi0": DEMO_01,
-    "cardinality": DEMO_01,
-    "mutation_corpus": MUTATION,
-    "FullSubgroupoid": MUTATION,
-    "DisjointUnion": MUTATION,
-    "constant_functor": MUTATION,
-    "ProductGroupoid": README,
-    "PairFunctor": README,
-    "external_product": README,
-    "pull_push_span": README,
-}
+# Definitions kept in src/ although nothing on the production side names
+# them, keyed like "hallalg.structure.StructureTable.product", each with its
+# reason.  An entry whose name is reached is stale and fails the test.
+ALLOWED = {}
 
 
 def _load_spans():
@@ -55,15 +39,26 @@ def _module_name(path):
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
+def _walk_defs(body, prefix):
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        qual = f"{prefix}{node.name}"
+        yield qual, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            yield from _walk_defs(node.body, f"{qual}.")
+
+
 def _definitions():
-    """(module, name, first line, last line) of every public top-level
-    def and class in src/hallalg."""
+    """(path, attribute path, name, first line, last line) of every
+    non-dunder def and class in src/hallalg, top-level or in a class."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path, node.name, node.lineno, node.end_lineno
+        for qual, name, lo, hi in _walk_defs(tree.body, ""):
+            yield path, qual, name, lo, hi
 
 
 def _references():
@@ -83,29 +78,56 @@ def _references():
     return refs
 
 
+def _span_targets():
+    """(module, attribute path) of every span target and of every prefix
+    of its path."""
+    out = set()
+    for _, modname, path, *_ in _load_spans().SPANS:
+        parts = path.split(".")
+        for k in range(1, len(parts) + 1):
+            out.add((modname, ".".join(parts[:k])))
+    return out
+
+
 def _unreached():
     refs = _references()
-    span_targets = {(modname, path.split(".")[0])
-                    for _, modname, path, *_ in _load_spans().SPANS}
+    span_targets = _span_targets()
     out = []
-    for path, name, lo, hi in _definitions():
-        if (_module_name(path), name) in span_targets:
+    for path, qual, name, lo, hi in _definitions():
+        if (_module_name(path), qual) in span_targets:
             continue
         if any(p != path or not lo <= line <= hi
                for p, line in refs.get(name, ())):
             continue
-        out.append(f"{_module_name(path)}.{name}")
+        out.append(f"{_module_name(path)}.{qual}")
     return out
 
 
-def test_every_public_definition_is_reached_or_allowed():
-    unreached = [q for q in _unreached()
-                 if q.rsplit(".", 1)[1] not in ALLOWED]
+def test_every_definition_is_reached_or_allowed():
+    unreached = [q for q in _unreached() if q not in ALLOWED]
     assert unreached == [], (
         "only tests (or nothing) reach these; move them to tests/oracles "
         f"or delete them: {unreached}")
 
 
-def test_every_allowed_name_is_defined():
-    defined = {name for _, name, _, _ in _definitions()}
-    assert sorted(set(ALLOWED) - defined) == []
+def test_every_allowed_entry_is_unreached():
+    """An allowed name that production code reaches (or that no longer
+    exists) is a stale entry."""
+    assert sorted(set(ALLOWED) - set(_unreached())) == []
+
+
+def test_no_src_module_imports_the_tests():
+    bad = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            for mod in mods:
+                parts = mod.split(".")
+                if parts[0] == "tests" or "oracles" in parts:
+                    bad.append(f"{path.relative_to(ROOT)}: {mod}")
+    assert bad == []

@@ -6,11 +6,10 @@ import pytest
 
 from hallalg import BudgetExceededError, UsageError
 from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
-                              GMap, Groupoid, GroupHomFunctor, PairFunctor,
-                              ProductGroupoid, SpanFn, b_group, cardinality,
-                              compose_functors, external_product,
+                              GMap, Groupoid, GroupHomFunctor, SpanFn,
+                              b_group, cardinality, compose_functors,
                               functors_equal, is_equivalence,
-                              pull_push_span, two_fiber_product)
+                              two_fiber_product)
 from hallalg.groupoid.fiber import (fiber_product_size,
                                     strict_pullback_equivalence)
 from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
@@ -27,8 +26,11 @@ from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       HeckeAlgebra, HeckeModule,
                                       HeckeWaldhausen, degeneracy, face,
                                       segal_square_size)
-from hallalg.waldhausen.sconstruction import TriangleGroupoid, _pairs
+from hallalg.waldhausen.sconstruction import TriangleGroupoid, _layout
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
+from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
+                              fiber_projections, pull_push_span,
+                              validate_action, validate_functor)
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
                                    flag_comparison_functor)
 
@@ -62,7 +64,7 @@ def test_level_zero_is_trivial(s_vect):
 def test_x1_equivalent_to_core(s_vect, s_f1):
     for x in (s_vect, s_f1):
         f = core_comparison_functor(x.levels[1])
-        f.validate()
+        validate_functor(f)
         assert is_equivalence(f).ok
 
 
@@ -277,7 +279,7 @@ def materialised_comparison(apex, fa, fb, leg_f, leg_g, budget, name):
         du = leg_f.on_obj(u)
         if du != leg_g.on_obj(v):
             return False, {"kind": "comparison_undefined"}
-        obj_map.append(fp.obj_index((u, v, fp.base.identity_id(du))))
+        obj_map.append(fp.obj_index((u, v, fp.base.index[fp.d.identity(du)])))
     cmp = FnFunctor(apex, fp, obj_map,
                     lambda m: (fa.on_mor(m), fb.on_mor(m),
                                obj_map[apex.mor_src(m)]), name=name)
@@ -370,7 +372,7 @@ def check_against_iso_families(level):
     sides, so no pair and no condition is skipped; one family is checked at
     a time, so nothing is stored."""
     inst, compose = level.inst, level.inst.compose
-    pos = {p: k for k, p in enumerate(_pairs(level.level))}
+    pos = {p: k for k, p in enumerate(_layout(level.level)[0])}
     buckets = defaultdict(list)
     for i, tri in enumerate(level.objects):
         buckets[tuple(tri.entries.values())].append(i)
@@ -473,7 +475,7 @@ class FlatHecke:
                                for a, phi, b in zip(hs, objs[i], hs[1:]))]
 
         return ActionGroupoid(tuple_group([self.H] * (n + 1), f"H^{n + 1}"),
-                              objs, act, name=f"flat{n}", check=False)
+                              objs, act, name=f"flat{n}")
 
     def _face(self, n, k):
         src, tgt, G = self.levels[n], self.levels[n - 1], self.G
@@ -537,9 +539,9 @@ class NestedHecke:
     def _face(self, n, k):
         lvl = self.levels[n]
         if k == n:
-            return lvl.proj_a
+            return fiber_projections(lvl)[0]
         if n == 1:
-            return lvl.proj_b
+            return fiber_projections(lvl)[1]
         if k < n - 1:
             return self._induced(n, self.faces[(n - 1, k)], n - 1,
                                  f"d_{k}^{n}")
@@ -603,10 +605,10 @@ def test_flat_levels_match_fiber_product_oracle():
         oracle = NestedHecke(G, H, depth)
         cmp = []
         for n, flat in enumerate(model.levels):
-            # the level's action really is one (checked by the constructor)
-            ActionGroupoid(flat.group, flat.objects, flat.act)
+            # the level's action really is one
+            validate_action(flat)
             f = oracle.comparison(n, flat)
-            f.validate()
+            validate_functor(f)
             assert is_equivalence(f).ok, (G.name, H.name, n)
             cmp.append(f)
         for (n, k), d in model.faces.items():
@@ -650,19 +652,19 @@ def test_coset_levels_match_flat_model():
         flat = FlatHecke(G, H, depth)
         cmp = []
         for n, level in enumerate(hw.levels):
-            # the level's action really is one (checked by the constructor)
-            ActionGroupoid(level.group, level.objects, level.act)
+            # the level's action really is one
+            validate_action(level)
             f = section_comparison(hw, flat, n)
-            f.validate()
+            validate_functor(f)
             assert is_equivalence(f).ok, (G.name, H.name, n)
             cmp.append(f)
         for (n, k), d in hw.faces.items():
-            d.validate()
+            validate_functor(d)
             assert functors_equal(compose_functors(flat.faces[(n, k)], cmp[n]),
                                   compose_functors(cmp[n - 1], d)), \
                 (G.name, H.name, "face", n, k)
         for (n, k), s in hw.degeneracies.items():
-            s.validate()
+            validate_functor(s)
             assert functors_equal(
                 compose_functors(flat.degeneracies[(n, k)], cmp[n]),
                 compose_functors(cmp[n + 1], s)), \
@@ -886,7 +888,7 @@ def test_pinned_levels_are_equivalent_full_subgroupoids():
             pinned = CosetLevel(S4, [cosets] * (n + 1), "pinned", True)
             assert pinned.n_objects * cosets.count == full.n_objects
             f = _inclusion(pinned, full)
-            f.validate()
+            validate_functor(f)
             assert is_equivalence(f).ok, (H.name, n)
 
 
@@ -900,8 +902,9 @@ def generic_pull_push_table(left, right, middle, basis_a, basis_b):
     for a, pa in basis_a.slot.items():
         for b, pb in basis_b.slot.items():
             out = pull_push_span(chop, middle, external_product(
-                prod, SpanFn.delta(A, a), SpanFn.delta(B, b)))
-            integral = integral and out.is_integral()
+                prod, SpanFn(A, {a: 1}), SpanFn(B, {b: 1})))
+            integral = integral and all(v.denominator == 1
+                                        for v in out.values.values())
             table[(pa, pb)] = {basis_b.slot[c]: v
                                for c, v in out.values.items()}
     return table, integral
@@ -1030,7 +1033,7 @@ def test_s_construction_maps_are_functors(case):
     # the strict pullback rule relies on equivariant G-map tables
     x = TABLE_CASES[case]()
     for f in [*x.faces.values(), *x.degeneracies.values()]:
-        f.validate()
+        validate_functor(f)
 
 
 def _c2_square(n_objects, act, sb=(0, 2), a_objects=1, first=2):
