@@ -96,6 +96,8 @@ def build_parser(command=None):
 
 
 # -- commands -------------------------------------------------------------------
+# Each returns its JSON data and a function that builds the csv/text rows
+# from it, which _emit calls only for those formats.
 
 
 def cmd_hall_table(args):
@@ -109,9 +111,8 @@ def cmd_hall_table(args):
     if wit:
         data["counterexample"] = wit
     data["pass"] = ok
-    rows = [("N", "L", "M", "g")] + [
+    return data, lambda: [("N", "L", "M", "g")] + [
         (r["N"], r["L"], r["M"], str(r["g"])) for r in data["constants"]]
-    return data, rows
 
 
 def cmd_hecke_table(args):
@@ -125,10 +126,9 @@ def cmd_hecke_table(args):
     data["associative_unital"] = ok
     data["pass"] = (ok and alg.extremal_faithful and alg.oracle_agrees
                     and alg.integral)
-    rows = [("a", "b", "product")] + [
+    return data, lambda: [("a", "b", "product")] + [
         (str(r["a"]), str(r["b"]), json.dumps(r["product"]))
         for r in data["constants"]]
-    return data, rows
 
 
 def cmd_hecke_module(args):
@@ -143,10 +143,9 @@ def cmd_hecke_module(args):
     data["module_axioms"] = ok
     data["pass"] = (ok and mod.oracle_agrees and mod.integral
                     and alg.oracle_agrees and alg.integral)
-    rows = [("a", "v", "result")] + [
+    return data, lambda: [("a", "v", "result")] + [
         (str(r["a"]), str(r["v"]), json.dumps(r["result"]))
         for r in data["action"]]
-    return data, rows
 
 
 def cmd_segal_check(args):
@@ -192,10 +191,9 @@ def cmd_segal_check(args):
         "witnesses": simp.violations + seg.witnesses + poi.witnesses,
         "pass": ok,
     }
-    rows = [("check", "pass")] + [
-        ("simplicial", str(simp.ok)), ("2-segal", str(seg.ok)),
-        ("pointed", str(poi.ok))]
-    return data, rows
+    return data, lambda: [
+        ("check", "pass"), ("simplicial", str(simp.ok)),
+        ("2-segal", str(seg.ok)), ("pointed", str(poi.ok))]
 
 
 def cmd_wreath_char_table(args):
@@ -208,10 +206,10 @@ def cmd_wreath_char_table(args):
     data["orthogonal"] = ok
     data["pass"] = ok
     # the rows reuse the value strings and label JSON of data
-    rows = [("label", *map(json.dumps, data["class_labels"]))]
-    for label, values in zip(data["irreducible_labels"], data["values"]):
-        rows.append((json.dumps(label), *values))
-    return data, rows
+    return data, lambda: [
+        ("label", *map(json.dumps, data["class_labels"])),
+        *((json.dumps(label), *values) for label, values
+          in zip(data["irreducible_labels"], data["values"]))]
 
 
 def cmd_ch_verify(args):
@@ -222,8 +220,7 @@ def cmd_ch_verify(args):
                                      args.budget or DEFAULT_WREATH_BUDGET)
     data = {"group": G.name, "max_total_size": args.max_size,
             "pass": ok, "failures": failures}
-    rows = [("pass",), (str(ok),)]
-    return data, rows
+    return data, lambda: [("pass",), (str(ok),)]
 
 
 def cmd_schurweyl(args):
@@ -232,10 +229,9 @@ def cmd_schurweyl(args):
     rep = schur_weyl_report(G, args.n, args.d,
                             args.budget or DEFAULT_SCHURWEYL_BUDGET)
     data = rep.to_json()
-    rows = [("label", "dim_X", "dim_R", "kernel")] + [
+    return data, lambda: [("label", "dim_X", "dim_R", "kernel")] + [
         (json.dumps(r["label"]), str(r["dim_X"]), str(r["dim_R"]),
          str(r["kernel"])) for r in data["rows"]]
-    return data, rows
 
 
 # each subcommand: its help line, the function adding its own arguments and
@@ -258,13 +254,16 @@ COMMANDS = {
 }
 
 
-def _emit(args, data, rows):
+def _emit(args, data, build_rows):
+    """Print data as JSON, or as csv or text the rows that build_rows()
+    makes, built only for those two formats."""
     if args.format == "json":
         text = json.dumps(data, indent=2) + "\n"
     elif args.format == "csv":
         text = "\n".join(",".join(str(c).replace(",", ";") for c in row)
-                         for row in rows) + "\n"
+                         for row in build_rows()) + "\n"
     else:
+        rows = build_rows()
         widths = [max(len(str(row[i])) for row in rows)
                   for i in range(len(rows[0]))] if rows else []
         lines = ["  ".join(str(c).ljust(w) for c, w in zip(row, widths))
@@ -296,8 +295,8 @@ def run(argv=None) -> int:
             if getattr(args, flag, 0) < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must not be "
                                  f"negative")
-        data, rows = COMMANDS[args.command][2](args)
-        _emit(args, data, rows)
+        data, build_rows = COMMANDS[args.command][2](args)
+        _emit(args, data, build_rows)
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

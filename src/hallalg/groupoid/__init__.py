@@ -1,25 +1,22 @@
 """Finite groupoids, functors, 2-fiber products and pull-push transfer."""
 
-from .core import (ActionGroupoid, Component, DisjointUnion, FullSubgroupoid,
-                   Groupoid, b_group, discrete_groupoid, pi0, point_groupoid)
-from .fiber import (FiberProductGroupoid, FiberSkeleton, fiber_product_size,
-                    two_fiber_product)
+from .core import (ActionGroupoid, Component, Groupoid, b_group, pi0,
+                   point_groupoid)
+from .fiber import FiberProductGroupoid, fiber_product_size, two_fiber_product
 from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
                        Functor, GMap, GroupHomFunctor, IdentityFunctor,
-                       compose_functors, constant_functor, equivalence_on_pi0,
-                       functors_equal, is_equivalence, point_inclusion)
+                       compose_functors, functors_equal, is_equivalence,
+                       point_inclusion)
 from .transfer import (SpanFn, cardinality, is_faithful, pull_push_table,
                        pullback_fn, pushforward_fn)
 
 __all__ = [
-    "ActionGroupoid", "Component", "DisjointUnion", "FullSubgroupoid",
-    "Groupoid", "b_group", "discrete_groupoid", "pi0", "point_groupoid",
-    "FiberProductGroupoid", "FiberSkeleton", "fiber_product_size",
-    "two_fiber_product",
+    "ActionGroupoid", "Component", "Groupoid", "b_group", "pi0",
+    "point_groupoid",
+    "FiberProductGroupoid", "fiber_product_size", "two_fiber_product",
     "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
     "GroupHomFunctor", "IdentityFunctor", "compose_functors",
-    "constant_functor", "equivalence_on_pi0", "functors_equal",
-    "is_equivalence", "point_inclusion",
+    "functors_equal", "is_equivalence", "point_inclusion",
     "SpanFn", "cardinality", "is_faithful", "pull_push_table", "pullback_fn",
     "pushforward_fn",
 ]

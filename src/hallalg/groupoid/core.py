@@ -11,9 +11,9 @@ order of a representative.  In an action groupoid a component is one orbit
 of the group at its objects, so that order is |group| / |orbit|
 (orbit-stabiliser), found with no scan of the group; a subclass may find
 the same list another way (the Hecke-Waldhausen coset levels search only
-the tuples that start at coset 0).
-`from_rep` gives a morphism from the representative to any object, which is
-how 2-fiber products locate objects on their skeleton.
+the tuples that start at coset 0).  The checks need only each
+component's representative, size and automorphism order, never a morphism
+from the representative to another object.
 """
 
 from dataclasses import dataclass
@@ -27,8 +27,7 @@ DEFAULT_OBJECT_BUDGET = 10 ** 6
 @dataclass(frozen=True)
 class Component:
     index: int
-    rep: int          # object index of the representative; in a
-                      # FiberSkeleton, the object (a, b, phi) itself
+    rep: int          # object index of the representative
     size: int         # number of objects
     aut_order: int    # |Aut(rep)|
 
@@ -44,7 +43,6 @@ class Groupoid:
         self._obj_index = None
         self._components = None
         self._comp_of = None
-        self._from_rep = None
 
     # -- object indexing ----------------------------------------------------
 
@@ -95,11 +93,6 @@ class Groupoid:
         """|Aut(rep)| for the component of `size` objects at `rep`."""
         return self.aut_size(rep)
 
-    def neighbors(self, i):
-        """Targets of generating morphisms out of i (for pi0 BFS)."""
-        for m in self.gens_out(i):
-            yield self.mor_tgt(m)
-
     # -- pi0 -----------------------------------------------------------------
 
     def components(self) -> list[Component]:
@@ -116,7 +109,8 @@ class Groupoid:
                 size = 1
                 while stack:
                     x = stack.pop()
-                    for t in self.neighbors(x):
+                    for m in self.gens_out(x):
+                        t = self.mor_tgt(m)
                         if comp_of[t] < 0:
                             comp_of[t] = idx
                             stack.append(t)
@@ -130,24 +124,6 @@ class Groupoid:
     def component_of(self, i) -> int:
         self.components()
         return self._comp_of[i]
-
-    def from_rep(self, i):
-        """A morphism from the representative of i's component to i; the
-        tree of them is built once, by BFS over the generating morphisms."""
-        if self._from_rep is None:
-            tree = [None] * self.n_objects
-            for c in self.components():
-                tree[c.rep] = self.identity(c.rep)
-                stack = [c.rep]
-                while stack:
-                    x = stack.pop()
-                    for m in self.gens_out(x):
-                        t = self.mor_tgt(m)
-                        if tree[t] is None:
-                            tree[t] = self.compose(m, tree[x])
-                            stack.append(t)
-            self._from_rep = tree
-        return self._from_rep[i]
 
     def generating_morphisms(self):
         """A set of morphisms generating the groupoid under composition and
@@ -247,115 +223,6 @@ def point_groupoid() -> ActionGroupoid:
     return b_group(trivial_group(), name="pt")
 
 
-def discrete_groupoid(labels, name="discrete") -> ActionGroupoid:
-    return ActionGroupoid(trivial_group(), labels, lambda g, i: i, name=name)
-
-
 def pi0(g: Groupoid) -> list[Component]:
     """Connected components with representative, size and Aut order."""
     return g.components()
-
-
-class DisjointUnion(Groupoid):
-    """Coproduct of groupoids; tokens are (part, inner token)."""
-
-    def __init__(self, parts, name=None):
-        self.parts = list(parts)
-        self.offsets = []
-        objs = []
-        for p in self.parts:
-            self.offsets.append(len(objs))
-            objs.extend((len(self.offsets) - 1, o) for o in p.objects)
-        super().__init__(objs,
-                         name=name or "+".join(p.name for p in self.parts))
-
-    def _locate(self, i):
-        for k in range(len(self.parts) - 1, -1, -1):
-            if i >= self.offsets[k]:
-                return k, i - self.offsets[k]
-        raise IndexError(i)
-
-    def out(self, i):
-        k, j = self._locate(i)
-        return [(k, m) for m in self.parts[k].out(j)]
-
-    def gens_out(self, i):
-        k, j = self._locate(i)
-        return [(k, m) for m in self.parts[k].gens_out(j)]
-
-    def mor_src(self, m):
-        k, t = m
-        return self.offsets[k] + self.parts[k].mor_src(t)
-
-    def mor_tgt(self, m):
-        k, t = m
-        return self.offsets[k] + self.parts[k].mor_tgt(t)
-
-    def compose(self, m2, m1):
-        if m2[0] != m1[0]:
-            raise ValueError(f"{self.name}: morphisms of parts {m1[0]} and "
-                             f"{m2[0]} do not compose")
-        return (m1[0], self.parts[m1[0]].compose(m2[1], m1[1]))
-
-    def identity(self, i):
-        k, j = self._locate(i)
-        return (k, self.parts[k].identity(j))
-
-    def inverse(self, m):
-        return (m[0], self.parts[m[0]].inverse(m[1]))
-
-    def hom(self, i, j):
-        ki, oi = self._locate(i)
-        kj, oj = self._locate(j)
-        if ki != kj:
-            return []
-        return [(ki, m) for m in self.parts[ki].hom(oi, oj)]
-
-    def aut_size(self, i):
-        k, j = self._locate(i)
-        return self.parts[k].aut_size(j)
-
-
-class FullSubgroupoid(Groupoid):
-    """Full subcategory on a union of components of the ambient groupoid."""
-
-    def __init__(self, ambient: Groupoid, object_indices, name=None):
-        self.ambient = ambient
-        self.inner = list(object_indices)
-        self.to_sub = {o: i for i, o in enumerate(self.inner)}
-        # must be closed under morphisms
-        for o in self.inner:
-            for t in ambient.neighbors(o):
-                if t not in self.to_sub:
-                    raise ValueError(f"the objects of {name or ambient.name} "
-                                     f"are not a union of components: {o} "
-                                     f"reaches {t}")
-        super().__init__([ambient.objects[o] for o in self.inner],
-                         name=name or f"sub({ambient.name})")
-
-    def out(self, i):
-        return self.ambient.out(self.inner[i])
-
-    def gens_out(self, i):
-        return self.ambient.gens_out(self.inner[i])
-
-    def mor_src(self, m):
-        return self.to_sub[self.ambient.mor_src(m)]
-
-    def mor_tgt(self, m):
-        return self.to_sub[self.ambient.mor_tgt(m)]
-
-    def compose(self, m2, m1):
-        return self.ambient.compose(m2, m1)
-
-    def identity(self, i):
-        return self.ambient.identity(self.inner[i])
-
-    def inverse(self, m):
-        return self.ambient.inverse(m)
-
-    def hom(self, i, j):
-        return self.ambient.hom(self.inner[i], self.inner[j])
-
-    def aut_size(self, i):
-        return self.ambient.aut_size(self.inner[i])

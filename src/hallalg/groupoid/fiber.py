@@ -1,45 +1,41 @@
-"""2-fiber products of groupoids.
+"""2-fiber products of groupoids, and the table rule that decides whether
+a comparison into one is an equivalence.
 
 Objects of A x_D B are triples (a, b, phi) with phi: f(a) -> g(b) a morphism
 of D; a morphism (alpha, beta) transports phi to g(beta)∘phi∘f(alpha)^-1.
-
-The checks that use fiber products need only their pi0 and automorphism
-orders, which FiberSkeleton computes from component representatives: over
-components [a], [b] with f(a) ≅ g(b), the components of A x_D B are the
-orbits of Aut(a) x Aut(b) on Hom_D(f a, g b), and the automorphism order
-of a component is the order of the stabiliser of a point of its orbit.
 fiber_product_size counts the objects without listing them.
 
-A comparison x -> (fa x, fb x) of G-maps into A x_D B is often decided
-with no pi0 at all.  Along an isofibration f the strict pullback
-P = {(u, v) : f u = g v} is equivalent to the 2-fiber product, and when
-the comparison's group map is onto the groups of P, with kernel N at the
-apex object x, the comparison is an equivalence exactly when it hits every
-object of P and each fibre is one free N-orbit.  strict_pullback_equivalence
-checks this on the index tables.  It applies in two cases: every group is
-one shared group object passed through (N is trivial, so the test is a
-bijection onto P), or every selection of tuple groups is a projection (fa,
-fb and f injective, with no fill and onto their targets' groups) and the
-coordinates that fa and fb both select are exactly the pairs that f and g
-identify (N is the product of the factors of the apex coordinates that
-neither selects).  In any other case, and to name the witness of a failure,
-the checks use FiberSkeleton.
+strict_pullback_equivalence decides on the index tables whether
+x -> (fa x, fb x) from an apex X into A x_D B is an equivalence, for G-maps
+of action groupoids.  Along an isofibration f (onto the groups of D), the
+strict pullback P = {(u, v) : f u = g v} is equivalent to A x_D B.  P is
+the action groupoid of G_P = {(a, b) : f a = g b}, and the comparison has
+the group map rho: h -> (fa h, fb h), whose kernel N is the product of the
+apex factors that neither fa nor fb selects; it is an equivalence exactly
+when N acts freely and G_P x_G X -> P is a bijection.  Where rho is onto
+G_P (the degree-3 squares, the Hecke-Waldhausen unital squares), that is
+X/N -> P: every object of P is hit and each fibre is one free N-orbit, with
+no pi0 of any level.  Otherwise (rho injective: the S-construction's
+unital squares, where s_0 maps Aut(A) diagonally, or an apex acted on by a
+subgroup), and to name the witness of a failure, the rule runs
+is_equivalence's decision on P, whose components are the G_P-orbits of
+the images of the apex's representatives.
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
 small examples (`two_fiber_product`, as in demos/01) and the oracle for the
-skeleton in the tests; no check builds one.  D's morphisms are interned as
-integers, so D must be small enough to list them.
+table rule in the tests; no check builds one.  D's morphisms are interned
+as integers, so D must be small enough to list them.
 """
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from itertools import repeat
-from math import prod
 from operator import add
 
 from .. import BudgetExceededError
-from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Component, Groupoid
-from .functors import Functor, GMap
+from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Groupoid
+from .functors import (EquivalenceVerdict, Functor, GMap, aut_map_verdict,
+                       missed_component, pi0_collision)
 
 
 def _check_cospan(f: Functor, g: Functor):
@@ -67,28 +63,27 @@ def fiber_product_size(f: Functor, g: Functor) -> int:
     return sum(n * n_b[c] * comps[c].aut_order for c, n in n_a.items())
 
 
-def _projection(m: GMap):
-    """The selection of m when it projects tuple groups onto its target's:
-    injective, with no fill, and at every object the selected factors'
-    orders multiply to the order of the target's group; else None."""
-    sel = m.sel
-    if sel is None or None in sel or len(set(sel)) < len(sel):
-        return None
-    groups = set(zip(map(m.src.group_at, range(m.src.n_objects)),
-                     map(m.tgt.group_at, m.table)))
-    for s, t in groups:
-        factors = getattr(s, "factors", None)
-        if factors is None or prod(factors[k].order for k in sel) != t.order:
-            return None
-    return sel
+def _used(m: GMap):
+    """The coordinates of the source's groups that the group map of m
+    keeps: None when g passes through (the map is injective), none for the
+    trivial map, else those its selection names."""
+    if m.sel is None:
+        return None if m.fill is None else set()
+    return set(m.sel) - {None}
 
 
-def _free_kernel(group, selected):
-    """(|N|, generators of N) for N the factors of `group` at the
-    coordinates outside `selected`."""
+def _kernel(group, used):
+    """(|K|, generators of K) for K the kernel of a group map that keeps
+    the coordinates `used` of `group` (None: the map is injective): the
+    factors outside `used`, or the whole group when it has no factors."""
+    if used is None or group.order == 1:
+        return 1, []
+    factors = getattr(group, "factors", None)
+    if factors is None:
+        return group.order, list(group.generators())
     order, gens = 1, []
-    for c, k in enumerate(group.factors):
-        if c not in selected and k.order > 1:
+    for c, k in enumerate(factors):
+        if c not in used and k.order > 1:
             order *= k.order
             for h in k.generators():
                 t = list(group.identity)
@@ -97,157 +92,196 @@ def _free_kernel(group, selected):
     return order, gens
 
 
+def _group_tuples(src, *maps):
+    """The distinct tuples of the groups at x and at m(x) for each G-map m
+    in `maps`, over the objects x of src; a level with a `group` acts by
+    it at every object."""
+    spaces = (src, *(m.tgt for m in maps))
+    if None not in (s.group for s in spaces):
+        return {tuple(s.group for s in spaces)} if src.n_objects else set()
+    return set(zip(map(src.group_at, range(src.n_objects)),
+                   *(map(m.tgt.group_at, m.table) for m in maps)))
+
+
+def _check_isofibration(f: GMap):
+    """f must be onto the groups of its target at every object: it passes
+    g through, or selects distinct coordinates with no fill, and the
+    source's group is the target's times the kernel."""
+    used = _used(f)
+    if f.fill is None and (used is None or len(used) == len(f.sel)) and all(
+            s.order == t.order * _kernel(s, used)[0]
+            for s, t in _group_tuples(f.src, f)):
+        return
+    raise ValueError(f"the leg {f.name} is not onto the groups of "
+                     f"{f.tgt.name}, so the strict pullback is not the "
+                     f"fiber product")
+
+
+def _orbit(space, x, gens, seen):
+    """Mark the orbit of x under `gens` in `seen`; its size."""
+    seen[x], stack, n = 1, [x], 1
+    while stack:
+        y = stack.pop()
+        for h in gens:
+            z = space.act(h, y)
+            if not seen[z]:
+                seen[z] = 1
+                stack.append(z)
+                n += 1
+    return n
+
+
+class _Square:
+    """The comparison from the apex of fa, fb into the strict pullback P
+    of f: A -> D <- B: g.  The objects of P are numbered over each object
+    d of D, in the order of d, then of u in f^-1(d), then of v in
+    g^-1(d)."""
+
+    def __init__(self, fa: GMap, fb: GMap, f: GMap, g: GMap):
+        self.fa, self.fb, self.f, self.g = fa, fb, f, g
+        self.apex, self.a, self.b = fa.src, f.src, g.src
+        ua, ub = _used(fa), _used(fb)
+        self.used = None if ua is None or ub is None else ua | ub
+        self.f_used = _used(f)
+        n_d = f.tgt.n_objects
+
+        def ranks(leg):
+            count, rank = [0] * n_d, []
+            for d in leg.table:
+                rank.append(count[d])
+                count[d] += 1
+            return count, rank
+
+        (nf, rf), (self.ng, self.rg) = ranks(f), ranks(g)
+        offset, self.size = [], 0
+        for a, b in zip(nf, self.ng):
+            offset.append(self.size)
+            self.size += a * b
+        self.base = [offset[d] + r * self.ng[d] for d, r in zip(f.table, rf)]
+
+    def point(self, u, v):
+        return self.base[u] + self.rg[v]
+
+    def describe(self, p):
+        """The repr of the object (u, v) of P numbered p."""
+        d = self.f.table
+        u = next(u for u, start in enumerate(self.base)
+                 if start <= p < start + self.ng[d[u]])
+        v = next(v for v, e in enumerate(self.g.table)
+                 if e == d[u] and self.point(u, v) == p)
+        return repr((self.a.objects[u], self.b.objects[v]))
+
+    def p_group(self, ga, gb):
+        """(|G_P|, generators) of G_P in ga x gb: the generators b of gb,
+        each with a lift of g(b) along f, then the kernel of f with the
+        identity of gb."""
+        k_order, kernel = _kernel(ga, self.f_used)
+        sel, gens = self.f.sel, []
+        for b in gb.generators():
+            e = self.g.hom(b)
+            if sel is not None:
+                t = list(ga.identity)
+                for c, x in zip(sel, e):
+                    t[c] = x
+                e = tuple(t)
+            gens.append((e, b))
+        return gb.order * k_order, gens + [(k, gb.identity) for k in kernel]
+
+    def fibres(self) -> bool:
+        """Whether rho is onto G_P at every object, every object of P is
+        hit and each fibre is one free N-orbit; False also where rho is not
+        onto."""
+        apex, a, b, fa, fb = self.apex, self.a, self.b, self.fa, self.fb
+        if self.size > apex.n_objects:
+            return False
+        kernels = {}
+        for gx, ga, gb in _group_tuples(apex, fa, fb):
+            kernels[gx] = _kernel(gx, self.used)
+            # |G_P| as p_group counts it, without listing generators
+            p_order = gb.order * _kernel(ga, self.f_used)[0]
+            if gx.order != kernels[gx][0] * p_order:
+                return False            # rho is not onto G_P
+        points = map(add, map(self.base.__getitem__, fa.table),
+                     map(self.rg.__getitem__, fb.table))
+        hit = bytearray(self.size)
+        if all(n == 1 for n, _ in kernels.values()):  # a bijection onto P
+            if self.size != apex.n_objects:
+                return False
+            # mark every point hit, in C; then each is hit once
+            deque(map(hit.__setitem__, points, repeat(1)), maxlen=0)
+            return 0 not in hit
+        seen, missing = bytearray(apex.n_objects), self.size
+        for x, p in enumerate(points):
+            if seen[x]:
+                continue
+            if hit[p]:                  # a second N-orbit over p
+                return False
+            hit[p] = 1
+            missing -= 1
+            n_order, gens = kernels[apex.group_at(x)]
+            if n_order > 1 and _orbit(apex, x, gens, seen) != n_order:
+                return False            # the N-orbit of x is not free
+        return missing == 0
+
+    def decide(self) -> EquivalenceVerdict:
+        """is_equivalence's decision on X -> P, in its order, with its
+        witness: the components of P that the comparison reaches are the
+        G_P-orbits of the images of the apex's representatives, numbered
+        in the order they are reached, each with its Aut order."""
+        apex, a, b = self.apex, self.a, self.b
+        label, auts, first = [-1] * self.size, [], {}
+        for c in apex.components():
+            u, v = self.fa.table[c.rep], self.fb.table[c.rep]
+            p = self.point(u, v)
+            if label[p] < 0:
+                order, gens = self.p_group(a.group_at(u), b.group_at(v))
+                label[p], stack, n = len(auts), [(u, v)], 1
+                while stack:
+                    s, t = stack.pop()
+                    for h, k in gens:
+                        s2, t2 = a.act(h, s), b.act(k, t)
+                        q = self.point(s2, t2)
+                        if label[q] < 0:
+                            label[q] = label[p]
+                            stack.append((s2, t2))
+                            n += 1
+                auts.append(order // n)
+            comp = label[p]
+            if comp in first:
+                return pi0_collision(repr(apex.objects[first[comp].rep]),
+                                     repr(apex.objects[c.rep]), auts[comp])
+            first[comp] = c
+        if -1 in label:
+            return missed_component(self.describe(label.index(-1)),
+                                    len(auts))
+        seen = bytearray(apex.n_objects)
+        for comp, c in first.items():
+            # N meets the stabiliser of the representative in
+            # |N| / |N-orbit| elements, the kernel of its Aut map
+            n_order, gens = _kernel(apex.group_at(c.rep), self.used)
+            images = c.aut_order * _orbit(apex, c.rep, gens, seen) // n_order
+            verdict = aut_map_verdict(repr(apex.objects[c.rep]),
+                                      c.aut_order, images, auts[comp])
+            if verdict is not None:
+                return verdict
+        return EquivalenceVerdict(True)
+
+
 def strict_pullback_equivalence(fa: Functor, fb: Functor, f: Functor,
-                                g: Functor):
+                                g: Functor) -> EquivalenceVerdict:
     """Whether x -> (fa x, fb x) from the apex to the strict pullback P of
     f: A -> D <- B: g, hence to A x_D B, is an equivalence, decided on the
-    index tables (see the module docstring); None when the rule does not
-    apply.  The functors must be G-maps, equivariant, with f∘fa = g∘fb on
-    objects (segal checks both tables first).  The objects of P are
-    numbered over each object d of D, in the order of d, then of u in
-    f^-1(d), then of v in g^-1(d)."""
-    maps = (fa, fb, f, g)
-    apex = fa.src
-    spaces = (apex, f.src, g.src, f.tgt)
-    if not (all(isinstance(m, GMap) for m in maps)
-            and all(isinstance(x, ActionGroupoid) for x in spaces)
-            and fb.src is apex and fa.tgt is f.src and fb.tgt is g.src
-            and g.tgt is f.tgt):
-        return None
-    if all(m.sel is None for m in maps):
-        if apex.group is None or any(x.group is not apex.group
-                                     for x in spaces):
-            return None
-        selected = None             # N is trivial
-    else:
-        sa, sb, sf = map(_projection, (fa, fb, f))
-        if None in (sa, sb, sf) or g.sel is None:
-            return None
-        at_b = {c: l for l, c in enumerate(sb)}
-        if {(k, at_b[c]) for k, c in enumerate(sa) if c in at_b} != set(
-                zip(sf, g.sel)):
-            return None
-        selected = set(sa) | set(sb)
-    n_d = f.tgt.n_objects
-
-    def ranks(leg):
-        count, rank = [0] * n_d, []
-        for d in leg.table:
-            rank.append(count[d])
-            count[d] += 1
-        return count, rank
-
-    (nf, rf), (ng, rg) = ranks(f), ranks(g)
-    offset, size = [], 0
-    for a, b in zip(nf, ng):
-        offset.append(size)
-        size += a * b
-    if size > apex.n_objects:
-        return False
-    base = [offset[d] + r * ng[d] for d, r in zip(f.table, rf)]
-    points = map(add, map(base.__getitem__, fa.table),
-                 map(rg.__getitem__, fb.table))
-    hit = bytearray(size)
-    if selected is None:            # a bijection onto P
-        if size != apex.n_objects:
-            return False
-        # mark every point hit, in C; then each is hit once
-        deque(map(hit.__setitem__, points, repeat(1)), maxlen=0)
-        return 0 not in hit
-    kernels, seen, missing = {}, bytearray(apex.n_objects), size
-    for x, p in enumerate(points):
-        if seen[x]:
-            continue
-        if hit[p]:                  # a second N-orbit over p
-            return False
-        hit[p] = 1
-        missing -= 1
-        group = apex.group_at(x)
-        if group not in kernels:
-            kernels[group] = _free_kernel(group, selected)
-        order, gens = kernels[group]
-        if order > 1:               # the N-orbit of x must be free
-            seen[x], stack, n = 1, [x], 1
-            while stack:
-                y = stack.pop()
-                for h in gens:
-                    z = apex.act(h, y)
-                    if not seen[z]:
-                        seen[z] = 1
-                        stack.append(z)
-                        n += 1
-            if n != order:
-                return False
-    return missing == 0
-
-
-class FiberSkeleton:
-    """pi0 of A x_D B over f: A -> D <- B: g, without its objects.
-
-    `components` lists the components pair by pair of components ([a], [b])
-    in the order of A's and then B's components, and within a pair by the
-    position in D.hom(f a, g b) of the least point of the orbit.  Each is a
-    Component whose rep is the object (a, b, phi) of that least point phi,
-    with its number of objects and the order of the stabiliser of phi in
-    Aut(a) x Aut(b)."""
-
-    def __init__(self, f: Functor, g: Functor):
-        _check_cospan(f, g)
-        self.f, self.g = f, g
-        self.a, self.b, self.d = f.src, g.src, f.tgt
-        d = self.d
-        over = defaultdict(list)        # D component -> B components
-        for cb in self.b.components():
-            over[d.component_of(g.on_obj(cb.rep))].append(cb)
-        self.components = []
-        self._orbit_of = {}             # (A comp, B comp) -> {phi: index}
-        lefts = {}                      # B comp -> {g(beta)}
-        for ca in self.a.components():
-            cbs = over[d.component_of(f.on_obj(ca.rep))]
-            if not cbs:
-                continue
-            right = {d.inverse(f.on_mor(m))
-                     for m in self.a.hom(ca.rep, ca.rep)}
-            for cb in cbs:
-                if cb.index not in lefts:
-                    lefts[cb.index] = {g.on_mor(m)
-                                       for m in self.b.hom(cb.rep, cb.rep)}
-                self._orbit_of[ca.index, cb.index] = self._orbits(
-                    ca, cb, right, lefts[cb.index])
-
-    def _orbits(self, ca, cb, right, left):
-        """Split Hom_D(f a, g b) into orbits of Aut(a) x Aut(b), acting by
-        phi -> g(beta)∘phi∘f(alpha)^-1, given `right`, the f(alpha)^-1, and
-        `left`, the g(beta); appends one component per orbit."""
-        d = self.d
-        n_auts = ca.aut_order * cb.aut_order
-        orbit_of = {}
-        for phi in d.hom(self.f.on_obj(ca.rep), self.g.on_obj(cb.rep)):
-            if phi in orbit_of:
-                continue
-            idx = len(self.components)
-            orbit_of[phi] = idx
-            stack, n = [phi], 1
-            while stack:
-                x = stack.pop()
-                for y in ([d.compose(x, m) for m in right]
-                          + [d.compose(m, x) for m in left]):
-                    if y not in orbit_of:
-                        orbit_of[y] = idx
-                        stack.append(y)
-                        n += 1
-            self.components.append(Component(
-                idx, (ca.rep, cb.rep, phi), ca.size * cb.size * n,
-                n_auts // n))
-        return orbit_of
-
-    def locate(self, u, v, phi) -> int:
-        """Index of the component of the object (u, v, phi): phi is
-        transported to the representatives along rep -> u and rep -> v."""
-        a, b, d = self.a, self.b, self.d
-        phi0 = d.compose(d.inverse(self.g.on_mor(b.from_rep(v))),
-                         d.compose(phi, self.f.on_mor(a.from_rep(u))))
-        return self._orbit_of[a.component_of(u), b.component_of(v)][phi0]
+    index tables (see the module docstring), with is_equivalence's witness
+    when it is not.  The functors must be G-maps of action groupoids,
+    equivariant, that form a square with f∘fa = g∘fb (segal checks this
+    first), and f must be onto the groups of D; otherwise ValueError."""
+    for m in (fa, fb, f, g):
+        if not (isinstance(m, GMap) and isinstance(m.src, ActionGroupoid)
+                and isinstance(m.tgt, ActionGroupoid)):
+            raise ValueError(f"{m.name} is not a G-map of action groupoids")
+    _check_isofibration(f)
+    square = _Square(fa, fb, f, g)
+    return EquivalenceVerdict(True) if square.fibres() else square.decide()
 
 
 class _BaseTables:
@@ -277,9 +311,6 @@ class _BaseTables:
             self._comp[key] = out
         return out
 
-    def hom_ids(self, i, j):
-        return [self.index[t] for t in self.d.hom(i, j)]
-
 
 class FiberProductGroupoid(Groupoid):
     """A x_D B over f: A -> D <- B: g."""
@@ -299,7 +330,7 @@ class FiberProductGroupoid(Groupoid):
                 key = (da, db)
                 homs = hom_cache.get(key)
                 if homs is None:
-                    homs = self.base.hom_ids(da, db)
+                    homs = [self.base.index[t] for t in self.d.hom(da, db)]
                     hom_cache[key] = homs
                 for k in homs:
                     objs.append((i, j, k))
@@ -317,12 +348,6 @@ class FiberProductGroupoid(Groupoid):
         gb = base.index[self.g.on_mor(beta)]
         return base.compose(base.compose(gb, phi), base.inv[fa])
 
-    def _tgt_obj(self, m):
-        alpha, beta, src_idx = m
-        i, j, phi = self.objects[src_idx]
-        return (self.a.mor_tgt(alpha), self.b.mor_tgt(beta),
-                self._transport(phi, alpha, beta))
-
     def out(self, idx):
         i, j, _ = self.objects[idx]
         return [(alpha, beta, idx) for alpha in self.a.out(i)
@@ -339,7 +364,10 @@ class FiberProductGroupoid(Groupoid):
         return m[2]
 
     def mor_tgt(self, m):
-        return self.obj_index(self._tgt_obj(m))
+        alpha, beta, src_idx = m
+        return self.obj_index((self.a.mor_tgt(alpha), self.b.mor_tgt(beta),
+                               self._transport(self.objects[src_idx][2],
+                                               alpha, beta)))
 
     def compose(self, m2, m1):
         if m2[2] != self.mor_tgt(m1):

@@ -4,13 +4,13 @@ A functor maps object indices to object indices and morphism tokens to
 morphism tokens.  is_equivalence decides essential surjectivity and full
 faithfulness exactly, returning a witness on failure: for groupoids this
 reduces to pi0 bijectivity plus bijectivity of each automorphism map at one
-representative per source component.  equivalence_on_pi0 is the same
-decision against any model of the target's pi0; the 2-Segal checks use it
-on the skeleton of a fiber product.  A functor induced by a G-map of
-objects and a coordinate selection of tuple groups (GMap) is an index table
-plus that selection; GMaps compose and compare by table and selection, and
-other functors (ComposedFunctor, FnFunctor) on a generating family of
-morphisms, which the tests use as the oracle for the tables.
+representative per source component.  It is the oracle of the 2-Segal
+table rule (groupoid/fiber.py), which reports its failures with the same
+witnesses, built here.  A functor induced by a G-map of objects and a map
+of groups (GMap) is an index table plus a coordinate selection of tuple
+groups, or the trivial group map; GMaps compose and compare by table and
+selection, and other functors (ComposedFunctor, FnFunctor) on a generating
+family of morphisms, which the tests use as the oracle for the tables.
 """
 
 from dataclasses import dataclass, field
@@ -63,34 +63,41 @@ class GMap(Functor):
     """The functor of action groupoids induced by a G-map of their objects,
     given as the index table t, and a map of their groups: (g, i) ->
     (sel(g), t[i]).  With `sel` None, g passes through (the source's group
-    is the target's or a subgroup of it).  Otherwise the groups are tuple
-    groups, and sel(g) takes coordinate sel[k] of g, or `fill` where
-    sel[k] is None.  A selection that is the identity on the source's
-    coordinates is stored as None, and a fill no slot uses as None, so
-    equal functors have equal (table, sel, fill)."""
+    is the target's or a subgroup of it), or, when a `fill` is given, every
+    g goes to that fill, the target's identity (the trivial map, as a
+    constant functor has).  Otherwise the groups are tuple groups, and
+    sel(g) takes coordinate sel[k] of g, or `fill` where sel[k] is None.  A
+    selection that is the identity on the source's coordinates is stored as
+    None, and a fill no slot uses is dropped, so equal functors have equal
+    (table, sel, fill)."""
 
     def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
                  name="F", sel=None, fill=None):
         super().__init__(src, tgt, name=name)
-        self.table = list(table)
+        # a list is kept, not copied: no table is changed once made
+        self.table = table if type(table) is list else list(table)
         if sel is not None:
             sel = tuple(sel)
+            if None not in sel:
+                fill = None
             if src.n_objects and sel == tuple(
                     range(len(src.identity(0)[0]))):
                 sel = None
         self.sel = sel
-        self.fill = fill if sel is not None and None in sel else None
+        self.fill = fill
+
+    def hom(self, g):
+        """The image of the group element g."""
+        sel, fill = self.sel, self.fill
+        if sel is None:
+            return g if fill is None else fill
+        return tuple([fill if k is None else g[k] for k in sel])
 
     def on_obj(self, i):
         return self.table[i]
 
     def on_mor(self, m):
-        g, i = m
-        if self.sel is None:
-            return (g, self.table[i])
-        fill = self.fill
-        return (tuple([fill if k is None else g[k] for k in self.sel]),
-                self.table[i])
+        return (self.hom(m[0]), self.table[m[1]])
 
 
 def _check_composable(outer, inner):
@@ -116,9 +123,18 @@ class ComposedFunctor(Functor):
 
 def compose_functors(outer, inner):
     """outer after inner; two G-maps compose by indexing their tables and
-    their selections, unless both fills are needed and differ."""
+    their selections, unless both fills are needed and differ; a trivial
+    group map on either side makes the composite trivial."""
     if isinstance(outer, GMap) and isinstance(inner, GMap):
         _check_composable(outer, inner)
+        name = f"{outer.name}∘{inner.name}"
+        table = outer.table
+        table = [table[j] for j in inner.table]
+        trivial = [m for m in (inner, outer)
+                   if m.sel is None and m.fill is not None]
+        if trivial:                     # every g goes to one element
+            return GMap(inner.src, outer.tgt, table, name=name,
+                        fill=outer.hom(trivial[-1].fill))
         fills = [f for f in (outer.fill, inner.fill) if f is not None]
         if len(fills) < 2 or fills[0] == fills[1]:
             sel = outer.sel
@@ -126,9 +142,7 @@ def compose_functors(outer, inner):
                 sel = inner.sel
             elif inner.sel is not None:
                 sel = [None if k is None else inner.sel[k] for k in sel]
-            table = outer.table
-            return GMap(inner.src, outer.tgt, [table[j] for j in inner.table],
-                        name=f"{outer.name}∘{inner.name}", sel=sel,
+            return GMap(inner.src, outer.tgt, table, name=name, sel=sel,
                         fill=fills[0] if fills else None)
     return ComposedFunctor(outer, inner)
 
@@ -165,25 +179,13 @@ def point_inclusion(g: Groupoid, obj_idx: int) -> Functor:
                      name=f"at[{obj_idx}]")
 
 
-def constant_functor(src: Groupoid, tgt: Groupoid, obj_idx: int) -> Functor:
-    """Collapse everything to one object; morphisms to its identity."""
-    return FnFunctor(src, tgt, lambda i: obj_idx,
-                     lambda m: tgt.identity(obj_idx),
-                     name=f"const[{obj_idx}]")
-
-
 @dataclass
 class EquivalenceVerdict:
     ok: bool
-    reason: str = "equivalence"
     witness: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.ok
-
-    def to_json(self):
-        return {"pass": self.ok, "reason": self.reason,
-                "witness": self.witness}
 
 
 def _gmap_key(f: Functor):
@@ -219,87 +221,73 @@ def functors_equal(f: Functor, g: Functor) -> bool:
     return True
 
 
+def pi0_collision(first, second, target_aut) -> EquivalenceVerdict:
+    """Two source components, with representatives `first` and `second`
+    (reprs), sent to one target component with `target_aut`
+    automorphisms."""
+    return EquivalenceVerdict(False, {
+        "kind": "hom_not_bijective", "pair": [first, second],
+        "hom_size_source": 0, "hom_size_target": target_aut})
+
+
+def missed_component(target_object, index) -> EquivalenceVerdict:
+    """The target component `index`, at `target_object` (a repr), is
+    missed."""
+    return EquivalenceVerdict(False, {
+        "kind": "missed_component", "target_object": target_object,
+        "component_index": index})
+
+
+def aut_map_verdict(rep, n_auts, n_images, target_aut):
+    """The failure of Aut(rep) -> Aut(F rep), with `n_auts` automorphisms
+    at `rep` (a repr), `n_images` distinct images and `target_aut`
+    automorphisms at the image, or None when the map is bijective."""
+    if n_images == n_auts == target_aut:
+        return None
+    size = ({"distinct_images": n_images} if n_images < n_auts
+            else {"hom_size_target": target_aut})
+    return EquivalenceVerdict(False, {
+        "kind": "hom_not_bijective", "pair": [rep] * 2,
+        "hom_size_source": n_auts, **size})
+
+
 def is_equivalence(f: Functor) -> EquivalenceVerdict:
-    """Essential surjectivity plus full faithfulness, with witnesses.
+    """Essential surjectivity plus full faithfulness, with witnesses, in
+    this order: pi0 injectivity, pi0 surjectivity, then the Aut map at
+    each source representative.
 
     For functors of groupoids full faithfulness is equivalent to pi0
     injectivity plus bijectivity of Aut(x) -> Aut(F x) at one representative
     per component; essential surjectivity is pi0 surjectivity.
     """
-    tgt = f.tgt
-
-    def aut_image(i, m):
-        fm, fi = f.on_mor(m), f.on_obj(i)
-        if tgt.mor_src(fm) != fi or tgt.mor_tgt(fm) != fi:
-            return None, (repr(tgt.objects[tgt.mor_src(fm)]),
-                          repr(tgt.objects[tgt.mor_tgt(fm)]))
-        return fm, None
-
-    return equivalence_on_pi0(
-        f.src, tgt.components(), lambda i: tgt.component_of(f.on_obj(i)),
-        aut_image, lambda c: repr(tgt.objects[c.rep]))
-
-
-def equivalence_on_pi0(src: Groupoid, tcomps, image_component, aut_image,
-                       describe) -> EquivalenceVerdict:
-    """The decision of is_equivalence against any model of the target's
-    pi0, in its order: pi0 injectivity, surjectivity, then the Aut map at
-    each source representative.
-
-    `tcomps` are the target components (index, aut_order);
-    `image_component(i)` is the index of the component of F(i);
-    `aut_image(i, m)` is (F(m), None) for an automorphism m of i, or
-    (None, (source, target)) with the reprs of F(m)'s ends when F(m) is not
-    an automorphism of F(i); `describe(c)` is the repr of the representative
-    of target component c.
-    """
-    scomps = src.components()
+    src, tgt = f.src, f.tgt
+    tcomps = tgt.components()
     image = {}
-    for c in scomps:
-        tc = image_component(c.rep)
+    for c in src.components():
+        tc = tgt.component_of(f.on_obj(c.rep))
         if tc in image:
-            other = image[tc]
-            return EquivalenceVerdict(
-                False, "not faithful on pi0",
-                {"kind": "hom_not_bijective",
-                 "pair": [repr(src.objects[other.rep]),
-                          repr(src.objects[c.rep])],
-                 "hom_size_source": 0,
-                 "hom_size_target": tcomps[tc].aut_order})
+            return pi0_collision(repr(src.objects[image[tc].rep]),
+                                 repr(src.objects[c.rep]),
+                                 tcomps[tc].aut_order)
         image[tc] = c
-    missed = [c for c in tcomps if c.index not in image]
-    if missed:
-        c = missed[0]
-        return EquivalenceVerdict(
-            False, "not essentially surjective",
-            {"kind": "missed_component",
-             "target_object": describe(c),
-             "component_index": c.index})
+    for tc in tcomps:
+        if tc.index not in image:
+            return missed_component(repr(tgt.objects[tc.rep]), tc.index)
     for tc, c in image.items():
+        fi, rep = f.on_obj(c.rep), repr(src.objects[c.rep])
         auts = src.hom(c.rep, c.rep)
         images = set()
         for m in auts:
-            fm, ends = aut_image(c.rep, m)
-            if ends is not None:
-                return EquivalenceVerdict(
-                    False, "automorphism not sent to an automorphism",
-                    {"kind": "not_a_functor",
-                     "object": repr(src.objects[c.rep]),
-                     "image_source": ends[0], "image_target": ends[1]})
+            fm = f.on_mor(m)
+            ends = tgt.mor_src(fm), tgt.mor_tgt(fm)
+            if ends != (fi, fi):
+                return EquivalenceVerdict(False, {
+                    "kind": "not_a_functor", "object": rep,
+                    "image_source": repr(tgt.objects[ends[0]]),
+                    "image_target": repr(tgt.objects[ends[1]])})
             images.add(fm)
-        if len(images) < len(auts):
-            return EquivalenceVerdict(
-                False, "automorphism map not injective",
-                {"kind": "hom_not_bijective",
-                 "pair": [repr(src.objects[c.rep])] * 2,
-                 "hom_size_source": len(auts),
-                 "distinct_images": len(images)})
-        target_aut = tcomps[tc].aut_order
-        if len(images) != target_aut:
-            return EquivalenceVerdict(
-                False, "automorphism map not surjective",
-                {"kind": "hom_not_bijective",
-                 "pair": [repr(src.objects[c.rep])] * 2,
-                 "hom_size_source": len(auts),
-                 "hom_size_target": target_aut})
+        verdict = aut_map_verdict(rep, len(auts), len(images),
+                                  tcomps[tc].aut_order)
+        if verdict is not None:
+            return verdict
     return EquivalenceVerdict(True)

@@ -164,66 +164,49 @@ class CosetLevel(ActionGroupoid):
     def components(self):
         """The block searched in index order through one index permutation
         per generator of the base coset's stabiliser (mixed radix over
-        coordinates 1..n), with a tree of elements from each representative
-        to the objects of its orbit."""
+        coordinates 1..n)."""
         if self._components is None:
             G = self._G
             if self.pinned:
                 stab, self._to_base = self.group, None
             else:
                 stab, self._to_base = self.spaces[0].coset_zero
-            gens, perms = stab.generators(), []
-            for g in gens:
+            perms = []
+            for g in stab.generators():
                 k, perm = G.index[g], [0]
                 for s, n in zip(self.spaces[1:], self.sizes[1:]):
                     row = s.mult[k]
                     perm = [p * n + row[x] for p in perm for x in range(n)]
                 perms.append(perm)
             spread = self.sizes[0]
-            tree = [None] * (self.n_objects // spread)
-            comp_of, comps = [-1] * len(tree), []
-            for start in range(len(tree)):
+            comp_of, comps = [-1] * (self.n_objects // spread), []
+            for start in range(len(comp_of)):
                 if comp_of[start] >= 0:
                     continue
                 idx = len(comps)
-                comp_of[start], tree[start] = idx, G.identity
+                comp_of[start] = idx
                 stack, size = [start], 1
                 while stack:
                     x = stack.pop()
-                    for g, perm in zip(gens, perms):
+                    for perm in perms:
                         t = perm[x]
                         if comp_of[t] < 0:
-                            comp_of[t], tree[t] = idx, G.op(g, tree[x])
+                            comp_of[t] = idx
                             stack.append(t)
                             size += 1
                 comps.append(Component(idx, start, size * spread,
                                        stab.order // size))
-            self._comp_of, self._from_rep = comp_of, tree
-            self._components = comps
+            self._comp_of, self._components = comp_of, comps
         return self._components
 
-    def _into_block(self, i):
-        """(k, j): element index k (None for the identity) takes object i
-        to object j of the block."""
-        self.components()
-        if i < len(self._comp_of):
-            return None, i
-        k = self._to_base[self.objects[i][0]]
-        return k, self.act(self._G.elements[k], i)
-
     def component_of(self, i):
-        _, j = self._into_block(i)
-        return self._comp_of[j]
-
-    def from_rep(self, i):
-        """The block's tree element at the object i is moved to,
-        composed with the inverse of the element that moves it."""
-        G = self._G
-        k, j = self._into_block(i)
-        g = self._from_rep[j]
-        if k is not None:
-            g = G.op(G.inv(G.elements[k]), g)
-        return (g, self._components[self._comp_of[j]].rep)
+        """Outside the block, i is first moved into it by the first element
+        taking its first coset to the base coset."""
+        self.components()
+        if i >= len(self._comp_of):
+            k = self._to_base[self.objects[i][0]]
+            i = self.act(self._G.elements[k], i)
+        return self._comp_of[i]
 
     def _transporter(self, i, j):
         mask = -1

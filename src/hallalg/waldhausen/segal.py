@@ -14,34 +14,25 @@ degree <= 2:
     (s_1, d_0): X_1 -> X_2 x_{d_0, X_1, s_0} X_0
 
 Each check returns a verdict carrying a witness on failure: a comparison
-that is not even well defined (corrupted faces), a missed component, a
-hom-set where the map fails to be bijective, or an automorphism not sent to
-one.  The fiber products are never built: each square counts their objects
-and refuses one over the budget before any other work, and checks that the
-comparison is defined on every object of the apex.  When the four functors
-are G-maps that meet the conditions of strict_pullback_equivalence
-(groupoid/fiber.py), the square is then decided on their index tables
-alone: along an isofibration the strict pullback P is equivalent to the
-fiber product, so the comparison is an equivalence exactly when it hits
-every object of P and each fibre is one free orbit of the kernel of its
-group map.  That covers the degree-3 squares of both constructions and the
-Hecke-Waldhausen unital squares.  The S-construction's unital squares,
-where s_0 maps Aut(A) diagonally, and functors that are not G-maps (the
-mutation corpus) do not meet the conditions; they, and every square the
-rule finds is not an equivalence, are decided against the skeleton of the
-fiber product (FiberSkeleton), on one representative per component of the
-apex, which names the witness.
+that is not even well defined (corrupted faces), a missed component, or a
+hom-set where the map fails to be bijective.  The fiber products are never
+built.  Every square takes one path: it counts the objects of its fiber
+product and refuses one over the budget before any other work, checks on
+the composed index tables that the comparison is defined on every object
+of the apex, and is then decided on the index tables by the table rule,
+strict_pullback_equivalence (groupoid/fiber.py), which also names the
+witness of a square that fails.  The faces and degeneracies of both
+constructions, and of every entry of the mutation corpus, are G-maps of
+action groupoids (GMap); a square of other functors is a ValueError.
 """
 
 from dataclasses import dataclass, field
 
 from .. import BudgetExceededError
-from ..groupoid import (DisjointUnion, FnFunctor, FullSubgroupoid, Functor,
-                        GMap, discrete_groupoid)
+from ..groupoid import (ActionGroupoid, Functor, GMap, compose_functors,
+                        functors_equal)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
-from ..groupoid.fiber import (FiberSkeleton, fiber_product_size,
-                              strict_pullback_equivalence)
-from ..groupoid.functors import equivalence_on_pi0
+from ..groupoid.fiber import fiber_product_size, strict_pullback_equivalence
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -83,46 +74,28 @@ def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
                 leg_g: Functor, budget, name):
     """Whether the canonical functor x -> (fa x, fb x, id) from the apex to
     leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It
-    checks well-definedness on every apex object (by composing index tables
-    when all four functors are G-maps, as the faces and degeneracies of both
-    constructions are), then decides on the strict pullback when that rule
-    applies and says yes, and otherwise on the skeleton of the fiber
-    product, by is_equivalence's checks on component representatives."""
+    checks well-definedness on every apex object by composing the G-maps'
+    index tables, then decides on the tables by the table rule."""
     refuse_fiber_product(name, fiber_product_size(leg_f, leg_g), budget)
-    if not all(isinstance(f, GMap) for f in (fa, fb, leg_f, leg_g)) or (
-            list(map(leg_f.table.__getitem__, fa.table)) !=
-            list(map(leg_g.table.__getitem__, fb.table))):
+    if not all(isinstance(m, GMap) for m in (fa, fb, leg_f, leg_g)):
+        raise ValueError(f"{name}: the faces and degeneracies must be "
+                         f"G-maps")
+    left, right = compose_functors(leg_f, fa), compose_functors(leg_g, fb)
+    if not functors_equal(left, right):
         # name the first object on which the composites disagree
         for i in range(apex.n_objects):
-            if leg_f.on_obj(fa.on_obj(i)) != leg_g.on_obj(fb.on_obj(i)):
+            if left.on_obj(i) != right.on_obj(i):
                 return (False,
                         {"kind": "comparison_undefined",
                          "object": repr(apex.objects[i]),
                          "detail": "face composites disagree on objects"})
-    if strict_pullback_equivalence(fa, fb, leg_f, leg_g):
-        return True, None
-    skel = FiberSkeleton(leg_f, leg_g)
-    a, b, d = skel.a, skel.b, skel.d
-
-    def image_component(i):
-        u = fa.on_obj(i)
-        return skel.locate(u, fb.on_obj(i), d.identity(leg_f.on_obj(u)))
-
-    def aut_image(i, m):
-        """(alpha, beta) must be an automorphism of (u, v, id): loops at u
-        and v with f(alpha) = g(beta)."""
-        u, v = fa.on_obj(i), fb.on_obj(i)
-        alpha, beta = fa.on_mor(m), fb.on_mor(m)
-        ends = ((a.mor_src(alpha), b.mor_src(beta)),
-                (a.mor_tgt(alpha), b.mor_tgt(beta)))
-        if ends != ((u, v), (u, v)) or (
-                leg_f.on_mor(alpha) != leg_g.on_mor(beta)):
-            return None, (repr(ends[0]), repr(ends[1]))
-        return (alpha, beta), None
-
-    verdict = equivalence_on_pi0(apex, skel.components, image_component,
-                                 aut_image, lambda c: repr(c.rep))
-    return verdict.ok, (None if verdict.ok else verdict.witness)
+        raise ValueError(f"{name}: the square does not commute on "
+                         f"morphisms")
+    try:
+        verdict = strict_pullback_equivalence(fa, fb, leg_f, leg_g)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    return verdict.ok, verdict.witness or None
 
 
 def _verdict(apex, squares, budget) -> SegalVerdict:
@@ -161,100 +134,92 @@ def check_pointed(x: TruncatedSimplicialGroupoid,
 # -- mutation corpus -------------------------------------------------------------
 
 
-def _with_top_level(x: TruncatedSimplicialGroupoid, new_top, face_builder):
+class _MutatedLevel(ActionGroupoid):
+    """The action of `level` on `points`, pairs (i, k) of an object index
+    of `level` and a copy label k, closed under the action, which moves i
+    and keeps k.  With `discrete`, each object's group is cut down to its
+    trivial subgroup."""
+
+    def __init__(self, level: ActionGroupoid, points, name, discrete=False):
+        index = {p: j for j, p in enumerate(points)}
+        self._level, self._points = level, points
+        self._trivial = {} if discrete else None
+
+        def act(g, j):
+            i, k = points[j]
+            return index[level.act(g, i), k]
+
+        group = level.group
+        if discrete and group is not None:
+            group = self._cut(group)
+        super().__init__(group, [(level.objects[i], k) for i, k in points],
+                         act, name=name)
+
+    def _cut(self, group):
+        if group not in self._trivial:
+            self._trivial[group] = group.subgroup(
+                [group.identity], name=f"1<{group.name}", check=False)
+        return self._trivial[group]
+
+    def group_at(self, j):
+        group = self._level.group_at(self._points[j][0])
+        return group if self._trivial is None else self._cut(group)
+
+
+def _with_top_level(x: TruncatedSimplicialGroupoid, name, points,
+                    discrete=False):
+    """x with X_3 replaced by its action on `points` (see _MutatedLevel),
+    each face of X_3 restricted to them."""
+    top = _MutatedLevel(x.levels[3], points, name, discrete)
     levels = list(x.levels)
-    levels[3] = new_top
+    levels[3] = top
     faces = dict(x.faces)
     for k in range(4):
-        faces[(3, k)] = face_builder(k)
+        d = x.face(3, k)
+        faces[(3, k)] = GMap(top, levels[2], [d.table[i] for i, _ in points],
+                             name=f"d_{k}'", sel=d.sel, fill=d.fill)
     return TruncatedSimplicialGroupoid(levels, faces, dict(x.degeneracies),
-                                       name=x.name + "-mutated")
+                                       name=f"{x.name}-{name}")
 
 
-def mutate_drop_component(x: TruncatedSimplicialGroupoid):
-    """Restrict X_3 to a proper union of components; breaks essential
-    surjectivity."""
-    x3 = x.levels[3]
-    comps = x3.components()
-    if len(comps) < 2:
-        return None
-    keep = [i for i in range(x3.n_objects) if x3.component_of(i) == 0]
-    sub = FullSubgroupoid(x3, keep, name="dropped")
-
-    def face_builder(k):
-        orig = x.face(3, k)
-        return FnFunctor(sub, x.levels[2],
-                         [orig.on_obj(o) for o in sub.inner],
-                         orig.on_mor, name=f"d_{k}'")
-
-    return _with_top_level(x, sub, face_builder)
-
-
-def mutate_double(x: TruncatedSimplicialGroupoid):
-    """X_3 replaced by two copies; pi0 injectivity of the comparison fails."""
-    x3 = x.levels[3]
-    dbl = DisjointUnion([x3, x3], name="doubled")
-
-    def face_builder(k):
-        orig = x.face(3, k)
-
-        def obj_map(i, n=x3.n_objects):
-            return orig.on_obj(i if i < n else i - n)
-
-        def mor_map(m):
-            return orig.on_mor(m[1])
-
-        return FnFunctor(dbl, x.levels[2], obj_map, mor_map, name=f"d_{k}'")
-
-    return _with_top_level(x, dbl, face_builder)
-
-
-def mutate_discretize(x: TruncatedSimplicialGroupoid):
-    """Forget all morphisms of X_3; automorphism maps stop being surjective."""
-    x3 = x.levels[3]
-    disc = discrete_groupoid(list(range(x3.n_objects)), name="discretized")
-
-    def face_builder(k):
-        orig = x.face(3, k)
-
-        def mor_map(m):
-            return x.levels[2].identity(orig.on_obj(m[1]))
-
-        return FnFunctor(disc, x.levels[2], orig.on_obj, mor_map,
-                         name=f"d_{k}'")
-
-    return _with_top_level(x, disc, face_builder)
-
-
-def mutate_constant_face(x: TruncatedSimplicialGroupoid, k: int = 1):
-    """Corrupt one face table: d_k becomes constant; the canonical
-    comparison stops being well defined."""
-    from ..groupoid import constant_functor
-    levels = list(x.levels)
-    faces = dict(x.faces)
-    faces[(3, k)] = constant_functor(levels[3], levels[2], 0)
-    return TruncatedSimplicialGroupoid(levels, faces, dict(x.degeneracies),
-                                       name=x.name + f"-constface{k}")
-
-
-def mutate_constant_degeneracy(x: TruncatedSimplicialGroupoid):
-    """Corrupt s_0: X_1 -> X_2; the unital squares fail."""
-    from ..groupoid import constant_functor
-    degens = dict(x.degeneracies)
-    degens[(1, 0)] = constant_functor(x.levels[1], x.levels[2], 0)
-    return TruncatedSimplicialGroupoid(list(x.levels), dict(x.faces), degens,
-                                       name=x.name + "-constdegen")
+def _with_constant(x: TruncatedSimplicialGroupoid, kind, key, name):
+    """x with the map `key` of x.faces or x.degeneracies (`kind`) replaced
+    by the constant G-map onto object 0 of its target, along the trivial
+    group map: every morphism goes to the identity of object 0."""
+    maps = {"faces": dict(x.faces), "degeneracies": dict(x.degeneracies)}
+    src, tgt = maps[kind][key].src, maps[kind][key].tgt
+    maps[kind][key] = GMap(src, tgt, [0] * src.n_objects, name="const[0]",
+                           fill=tgt.group_at(0).identity)
+    return TruncatedSimplicialGroupoid(list(x.levels), maps["faces"],
+                                       maps["degeneracies"],
+                                       name=f"{x.name}-{name}")
 
 
 def mutation_corpus(x: TruncatedSimplicialGroupoid):
-    """Named mutations; every entry must fail its check with a witness."""
+    """Named mutations, each with the check that must fail with a witness:
+    - drop-component (when X_3 has two components): X_3 restricted to its
+      first component, a stable subset; essential surjectivity fails;
+    - double: two copies of X_3, the action on objects x {0, 1}; pi0
+      injectivity of the comparison fails;
+    - discretize: each group of X_3 cut down to its trivial subgroup; the
+      automorphism maps stop being surjective;
+    - constant-d1, constant-d3 and constant-s0: that face of X_3, or
+      s_0: X_1 -> X_2, made constant; the comparison is not defined."""
+    x3 = x.levels[3]
+    n = x3.n_objects
     out = []
-    m = mutate_drop_component(x)
-    if m is not None:
-        out.append(("drop-component", m, "segal"))
-    out.append(("double", mutate_double(x), "segal"))
-    out.append(("discretize", mutate_discretize(x), "segal"))
-    out.append(("constant-d1", mutate_constant_face(x, 1), "segal"))
-    out.append(("constant-d3", mutate_constant_face(x, 3), "segal"))
-    out.append(("constant-s0", mutate_constant_degeneracy(x), "pointed"))
+    if len(x3.components()) > 1:
+        out.append(("drop-component", _with_top_level(
+            x, "dropped", [(i, 0) for i in range(n)
+                           if x3.component_of(i) == 0]), "segal"))
+    out.append(("double", _with_top_level(
+        x, "doubled", [(i, k) for k in (0, 1) for i in range(n)]), "segal"))
+    out.append(("discretize", _with_top_level(
+        x, "discretized", [(i, 0) for i in range(n)], discrete=True),
+        "segal"))
+    for k in (1, 3):
+        out.append((f"constant-d{k}", _with_constant(
+            x, "faces", (3, k), f"constface{k}"), "segal"))
+    out.append(("constant-s0", _with_constant(
+        x, "degeneracies", (1, 0), "constdegen"), "pointed"))
     return out

@@ -4,6 +4,13 @@
   groupoid, functor and group-action axioms by enumeration; a failure is a
   ValueError;
 - `fiber_projections` gives the two projections of a 2-fiber product;
+- `materialised_comparison` decides a 2-Segal square by is_equivalence on
+  the materialised fiber product, the oracle for the table rule, and
+  `witness_key` is what it reproduces of the rule's witnesses;
+- `discrete_groupoid`, `constant_functor`, `DisjointUnion` and
+  `FullSubgroupoid`: small generic groupoids and functors for the tests
+  of the groupoid layer and for the skeletal core model of
+  `oracles/sconstruction.py`;
 - the product calculus: `ProductGroupoid` (A x B), `PairFunctor`
   ((F, G): X -> A x B), `external_product` (f x g on A x B) and
   `pull_push_span` (nu_! c* along one span), which together compute one
@@ -15,8 +22,10 @@
 
 from hallalg.groupoid import (ActionGroupoid, FiberProductGroupoid,
                               FnFunctor, Functor, Groupoid, SpanFn,
-                              pullback_fn, pushforward_fn)
+                              is_equivalence, pullback_fn, pushforward_fn,
+                              two_fiber_product)
 from hallalg.groupoid.transfer import _same_carrier
+from hallalg.groups import trivial_group
 
 
 def validate_groupoid(g: Groupoid, budget: int = 200_000):
@@ -123,6 +132,33 @@ def fiber_projections(fp: FiberProductGroupoid):
                       lambda m: m[1], name="pr_B"))
 
 
+def materialised_comparison(apex, fa, fb, leg_f, leg_g, budget, name):
+    """The comparison functor into the materialised fiber product, decided
+    by is_equivalence; returns (ok, witness) like the 2-Segal checks'
+    `_comparison`."""
+    fp = two_fiber_product(leg_f, leg_g, budget=budget)
+    obj_map = []
+    for i in range(apex.n_objects):
+        u, v = fa.on_obj(i), fb.on_obj(i)
+        du = leg_f.on_obj(u)
+        if du != leg_g.on_obj(v):
+            return False, {"kind": "comparison_undefined"}
+        obj_map.append(fp.obj_index((u, v, fp.base.index[fp.d.identity(du)])))
+    cmp = FnFunctor(apex, fp, obj_map,
+                    lambda m: (fa.on_mor(m), fb.on_mor(m),
+                               obj_map[apex.mor_src(m)]), name=name)
+    verdict = is_equivalence(cmp)
+    return verdict.ok, (None if verdict.ok else verdict.witness)
+
+
+def witness_key(w):
+    """What the oracle reproduces of a witness: the whole of a
+    hom_not_bijective witness, whose objects are apex objects, and the
+    kind of any other."""
+    return w if w is None or w["kind"] == "hom_not_bijective" else w["kind"]
+
+
+
 class ProductGroupoid(Groupoid):
     """A x B; objects are the pairs (i, j) at index i * |B| + j, tokens are
     (m_a, m_b)."""
@@ -209,3 +245,119 @@ def external_product(prod: ProductGroupoid, f: SpanFn, g: SpanFn) -> SpanFn:
     nb = len(prod.b.components())
     return SpanFn(prod, {x * nb + y: u * v for x, u in f.values.items()
                          for y, v in g.values.items()})
+
+
+def discrete_groupoid(labels, name="discrete") -> ActionGroupoid:
+    return ActionGroupoid(trivial_group(), labels, lambda g, i: i, name=name)
+
+
+def constant_functor(src: Groupoid, tgt: Groupoid, obj_idx: int) -> Functor:
+    """Collapse everything to one object; morphisms to its identity."""
+    return FnFunctor(src, tgt, lambda i: obj_idx,
+                     lambda m: tgt.identity(obj_idx),
+                     name=f"const[{obj_idx}]")
+
+
+class DisjointUnion(Groupoid):
+    """Coproduct of groupoids; tokens are (part, inner token)."""
+
+    def __init__(self, parts, name=None):
+        self.parts = list(parts)
+        self.offsets = []
+        objs = []
+        for p in self.parts:
+            self.offsets.append(len(objs))
+            objs.extend((len(self.offsets) - 1, o) for o in p.objects)
+        super().__init__(objs,
+                         name=name or "+".join(p.name for p in self.parts))
+
+    def _locate(self, i):
+        for k in range(len(self.parts) - 1, -1, -1):
+            if i >= self.offsets[k]:
+                return k, i - self.offsets[k]
+        raise IndexError(i)
+
+    def out(self, i):
+        k, j = self._locate(i)
+        return [(k, m) for m in self.parts[k].out(j)]
+
+    def gens_out(self, i):
+        k, j = self._locate(i)
+        return [(k, m) for m in self.parts[k].gens_out(j)]
+
+    def mor_src(self, m):
+        k, t = m
+        return self.offsets[k] + self.parts[k].mor_src(t)
+
+    def mor_tgt(self, m):
+        k, t = m
+        return self.offsets[k] + self.parts[k].mor_tgt(t)
+
+    def compose(self, m2, m1):
+        if m2[0] != m1[0]:
+            raise ValueError(f"{self.name}: morphisms of parts {m1[0]} and "
+                             f"{m2[0]} do not compose")
+        return (m1[0], self.parts[m1[0]].compose(m2[1], m1[1]))
+
+    def identity(self, i):
+        k, j = self._locate(i)
+        return (k, self.parts[k].identity(j))
+
+    def inverse(self, m):
+        return (m[0], self.parts[m[0]].inverse(m[1]))
+
+    def hom(self, i, j):
+        ki, oi = self._locate(i)
+        kj, oj = self._locate(j)
+        if ki != kj:
+            return []
+        return [(ki, m) for m in self.parts[ki].hom(oi, oj)]
+
+    def aut_size(self, i):
+        k, j = self._locate(i)
+        return self.parts[k].aut_size(j)
+
+
+class FullSubgroupoid(Groupoid):
+    """Full subcategory on a union of components of the ambient groupoid."""
+
+    def __init__(self, ambient: Groupoid, object_indices, name=None):
+        self.ambient = ambient
+        self.inner = list(object_indices)
+        self.to_sub = {o: i for i, o in enumerate(self.inner)}
+        # must be closed under morphisms
+        for o in self.inner:
+            for t in map(ambient.mor_tgt, ambient.gens_out(o)):
+                if t not in self.to_sub:
+                    raise ValueError(f"the objects of {name or ambient.name} "
+                                     f"are not a union of components: {o} "
+                                     f"reaches {t}")
+        super().__init__([ambient.objects[o] for o in self.inner],
+                         name=name or f"sub({ambient.name})")
+
+    def out(self, i):
+        return self.ambient.out(self.inner[i])
+
+    def gens_out(self, i):
+        return self.ambient.gens_out(self.inner[i])
+
+    def mor_src(self, m):
+        return self.to_sub[self.ambient.mor_src(m)]
+
+    def mor_tgt(self, m):
+        return self.to_sub[self.ambient.mor_tgt(m)]
+
+    def compose(self, m2, m1):
+        return self.ambient.compose(m2, m1)
+
+    def identity(self, i):
+        return self.ambient.identity(self.inner[i])
+
+    def inverse(self, m):
+        return self.ambient.inverse(m)
+
+    def hom(self, i, j):
+        return self.ambient.hom(self.inner[i], self.inner[j])
+
+    def aut_size(self, i):
+        return self.ambient.aut_size(self.inner[i])

@@ -10,13 +10,13 @@
   an equivalence."""
 
 from hallalg import BudgetExceededError
-from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FnFunctor,
-                              b_group)
+from hallalg.groupoid import ActionGroupoid, FnFunctor, b_group
 from hallalg.groups import tuple_group
 from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
                                               Triangle, _classes,
                                               _epi_to_zero, _layout,
                                               _mono_from_zero, _square_ok)
+from oracles.groupoid import DisjointUnion
 
 
 def _triangle(n, entries, rmono, cepi):

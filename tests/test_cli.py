@@ -148,25 +148,32 @@ def test_cli_job_under_python_O_matches_the_recorded_digest(job):
     assert hashlib.sha256(proc.stdout).hexdigest() == job.digest
 
 
-@pytest.mark.parametrize("job, skeletons", [
-    ("hw-s3-s2", []), ("hw-s4-s2", []),
-    ("s-vect-f2-2", ["d_2^2", "d_0^2"])])
-def test_segal_check_builds_a_skeleton_only_for_the_s_unital_squares(
-        capsys, monkeypatch, job, skeletons):
-    # the other squares are decided on the strict pullback
-    built = []
+@pytest.mark.parametrize("argv, job", [
+    (JOBS[name].argv, name)
+    for name in ("hw-s3-s2", "hw-s4-s2", "s-vect-f2-2", "s-f1-trivial-2")] + [
+    # the run label names only the family, so S(F1[C3], 2) prints the
+    # bytes of S(F1[trivial], 2)
+    ("segal-check --construction s --family f1-free --G cyclic:3 "
+     "--bound 2".split(), "s-f1-trivial-2")],
+    ids=["hw-s3-s2", "hw-s4-s2", "s-vect-f2-2", "s-f1-trivial-2",
+         "s-f1-c3-2"])
+def test_segal_check_decides_every_square_on_tables(capsys, monkeypatch,
+                                                     argv, job):
+    # no square materialises a fiber product or runs is_equivalence
+    import hallalg.groupoid as groupoid
+    import hallalg.groupoid.fiber as fiber
+    import hallalg.groupoid.functors as functors
 
-    class Counted(segal.FiberSkeleton):
-        def __init__(self, f, g):
-            built.append(f.name)
-            super().__init__(f, g)
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a square left the index tables")
 
-    monkeypatch.setattr(segal, "FiberSkeleton", Counted)
+    for module in (groupoid, fiber, functors, segal):
+        for name in ("FiberProductGroupoid", "is_equivalence"):
+            monkeypatch.setattr(module, name, not_reached, raising=False)
     job = JOBS[job]
-    code, out = run_capture(capsys, job.argv)
+    code, out = run_capture(capsys, argv)
     assert code == job.exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == job.digest
-    assert built == skeletons
 
 
 @pytest.mark.parametrize("spec", ["cyclic:0", "cyclic:-3", "dihedral:0",

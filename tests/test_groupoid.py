@@ -5,22 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.groupoid import (ActionGroupoid, DisjointUnion, FiberSkeleton,
-                              FullSubgroupoid,
-                              FnFunctor, GroupHomFunctor, IdentityFunctor,
-                              SpanFn, b_group, cardinality,
-                              compose_functors, constant_functor,
-                              discrete_groupoid, fiber_product_size,
-                              is_equivalence, is_faithful, point_groupoid,
-                              point_inclusion, pullback_fn, pushforward_fn,
-                              two_fiber_product)
-from hallalg.groups import (alternating_subgroup, cyclic_group, perm_sign,
-                            symmetric_group, symmetric_subgroup,
-                            trivial_group)
-from oracles.groupoid import (ProductGroupoid, external_product,
-                              fiber_projections, pull_push_span,
+from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap,
+                              GroupHomFunctor, IdentityFunctor, SpanFn,
+                              b_group, cardinality, compose_functors,
+                              fiber_product_size, is_equivalence,
+                              is_faithful, point_groupoid, point_inclusion,
+                              pullback_fn, pushforward_fn, two_fiber_product)
+from hallalg.groups import (alternating_subgroup, cyclic_group,
+                            dihedral_group, perm_sign, symmetric_group,
+                            symmetric_subgroup, trivial_group)
+from hallalg.waldhausen import segal
+from hallalg.waldhausen.hecke import CosetLevel, Cosets
+from oracles.groupoid import (DisjointUnion, FullSubgroupoid, ProductGroupoid,
+                              constant_functor, discrete_groupoid,
+                              external_product, fiber_projections,
+                              materialised_comparison, pull_push_span,
                               validate_action, validate_functor,
-                              validate_groupoid)
+                              validate_groupoid, witness_key)
 
 
 @pytest.fixture(scope="module")
@@ -317,12 +318,12 @@ def test_transfer_rejects_functions_on_the_wrong_groupoid(s3_setup):
         external_product(prod, SpanFn.const(BS3), SpanFn.const(BS3))
     with pytest.raises(ValueError, match="second factor"):
         external_product(prod, SpanFn.const(BS2), SpanFn.const(BS2))
-    for build in (FiberSkeleton, two_fiber_product, fiber_product_size):
+    for build in (two_fiber_product, fiber_product_size):
         with pytest.raises(ValueError, match="must share their target"):
             build(incl, IdentityFunctor(BS2))
 
 
-# -- random small cospans: the fiber product is the oracle for the skeleton --
+# -- random small cospans: the materialised fiber product is the oracle -----
 
 S3 = symmetric_group(3)
 C2, C4 = cyclic_group(2), cyclic_group(4)
@@ -403,29 +404,10 @@ def cospans(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(cospans())
-def test_fiber_skeleton_matches_fiber_product(legs):
+def test_fiber_product_size_matches_fiber_product(legs):
     f, g = legs
     fp = two_fiber_product(f, g)
-    skel = FiberSkeleton(f, g)
     assert fiber_product_size(f, g) == fp.n_objects
-    assert len(skel.components) == len(fp.components())
-    for leg in legs:
-        for u in range(leg.src.n_objects):
-            r = leg.src.from_rep(u)
-            rep = leg.src.components()[leg.src.component_of(u)].rep
-            assert (leg.src.mor_src(r), leg.src.mor_tgt(r)) == (rep, u)
-    # locate is constant on each component and a bijection on pi0 that
-    # keeps sizes and automorphism orders
-    image = {}
-    for idx, (i, j, k) in enumerate(fp.objects):
-        c = skel.locate(i, j, fp.base.tokens[k])
-        assert image.setdefault(fp.component_of(idx), c) == c
-    assert sorted(image.values()) == list(range(len(skel.components)))
-    for comp, c in image.items():
-        fc, sc = fp.components()[comp], skel.components[c]
-        assert (fc.size, fc.aut_order) == (sc.size, sc.aut_order)
-    for sc in skel.components:
-        assert skel.locate(*sc.rep) == sc.index
     # groupoid cardinality of the homotopy pullback:
     # |A x_D B| = sum over c in pi0 D of |Aut c| |A_c| |B_c|
     D = f.tgt
@@ -439,8 +421,100 @@ def test_fiber_skeleton_matches_fiber_product(legs):
     want = sum((c.aut_order * over[0][c.index] * over[1][c.index]
                 for c in D.components()), Fraction(0))
     assert cardinality(fp) == want
-    assert sum((Fraction(1, c.aut_order) for c in skel.components),
-               Fraction(0)) == want
+
+
+# -- random squares of coset levels: the table rule against that oracle ------
+
+D8 = dihedral_group(4)
+
+
+def _subgroups(G):
+    """Every subgroup of G (each of C4, S3 and D8 is generated by two
+    elements), as element lists, in a fixed order."""
+    found = {frozenset(G.subgroup_closure([a, b]))
+             for a in G.elements for b in G.elements}
+    return sorted((sorted(h, key=G.index.__getitem__) for h in found),
+                  key=lambda h: (len(h), [G.index[x] for x in h]))
+
+
+SQUARE_GROUPS = {G.name: (G, _subgroups(G))
+                 for G in (C4, S3, D8)}
+
+
+def _coset_map(G, small, big):
+    """G/K -> G/L, xK -> xL, for K <= L, as a list over the cosets."""
+    out = [None] * small.count
+    for k in range(G.order):
+        out[small.coset_of[k]] = big.coset_of[k]
+    return out
+
+
+def _coordinate_map(src, tgt, parts):
+    """The G-map src -> tgt that sends a tuple x to the tuple of
+    parts[j][0] applied to coordinate parts[j][1] of x."""
+    return GMap(src, tgt, [tgt.obj_index(tuple(m[x[k]] for m, k in parts))
+                           for x in src.objects])
+
+
+@st.composite
+def coset_squares(draw):
+    """(fa, fb, f, g): the 2-Segal square of (G/K1 x G/K2 x G/K3) // G over
+    G/M, with the middle coordinate coarsened to G/L in A = G/K1 x G/L and
+    to G/L' in B = G/L' x G/K3 (K2 <= L, L' <= M); the apex is pinned at
+    its first coordinate or not, and maybe mutated: a stable subset, two
+    copies, trivial groups, or one entry of fa's table moved."""
+    G, subs = SQUARE_GROUPS[draw(st.sampled_from(sorted(SQUARE_GROUPS)))]
+    pick = st.sampled_from(subs)
+    k1, k2, k3 = draw(pick), draw(pick), draw(pick)
+    over = [h for h in subs if set(k2) <= set(h)]
+    l_a, l_b = draw(st.sampled_from(over)), draw(st.sampled_from(over))
+    m = draw(st.sampled_from([h for h in over
+                              if set(l_a) | set(l_b) <= set(h)]))
+    if (G.order ** 4 * len(m) // len(k1) // len(l_a) // len(l_b)
+            // len(k3)) > 3000:
+        k1 = k3 = G.elements            # keep the fiber product small
+    c1, c2, c3, ca, cb, cm = (Cosets(G, G.subgroup(h, check=False))
+                              for h in (k1, k2, k3, l_a, l_b, m))
+    apex = CosetLevel(G, [c1, c2, c3], "X", pinned=draw(st.booleans()))
+    a = CosetLevel(G, [c1, ca], "A")
+    b = CosetLevel(G, [cb, c3], "B")
+    d = CosetLevel(G, [cm], "D")
+    one = list(range(G.order))
+    fa = _coordinate_map(apex, a, [(one, 0), (_coset_map(G, c2, ca), 1)])
+    fb = _coordinate_map(apex, b, [(_coset_map(G, c2, cb), 1), (one, 2)])
+    f = _coordinate_map(a, d, [(_coset_map(G, ca, cm), 1)])
+    g = _coordinate_map(b, d, [(_coset_map(G, cb, cm), 0)])
+    n = apex.n_objects
+    mutation = draw(st.sampled_from(
+        ["none", "drop", "double", "discretize", "moved"]))
+    points = {"drop": [(i, 0) for i in range(n)
+                       if apex.component_of(i) == 0],
+              "double": [(i, k) for k in (0, 1) for i in range(n)],
+              "discretize": [(i, 0) for i in range(n)]}.get(mutation)
+    if points is not None:
+        apex = segal._MutatedLevel(apex, points, mutation,
+                                   discrete=mutation == "discretize")
+        fa, fb = (GMap(apex, leg.tgt, [leg.table[i] for i, _ in points])
+                  for leg in (fa, fb))
+    elif mutation == "moved":
+        i = draw(st.integers(0, n - 1))
+        moved = [u for u in range(a.n_objects)
+                 if f.table[u] != f.table[fa.table[i]]]
+        if moved:
+            table = list(fa.table)
+            table[i] = draw(st.sampled_from(moved))
+            fa = GMap(apex, a, table)
+    return fa, fb, f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(coset_squares())
+def test_table_rule_matches_fiber_product_oracle(square):
+    fa, fb, f, g = square
+    args = (fa.src, fa, fb, f, g, 10 ** 6, "square")
+    ok, witness = segal._comparison(*args)
+    want_ok, want = materialised_comparison(*args)
+    assert (ok, witness_key(witness)) == (want_ok, witness_key(want))
 
 
 def pushforward_via_fibers(f, psi):

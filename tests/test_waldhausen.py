@@ -10,7 +10,7 @@ from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
                               b_group, cardinality, compose_functors,
                               functors_equal, is_equivalence,
                               two_fiber_product)
-from hallalg.groupoid.fiber import (fiber_product_size,
+from hallalg.groupoid.fiber import (_Square, fiber_product_size,
                                     strict_pullback_equivalence)
 from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
                             named_group, named_subgroup, symmetric_group,
@@ -29,8 +29,9 @@ from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _layout
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
 from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
-                              fiber_projections, pull_push_span,
-                              validate_action, validate_functor)
+                              fiber_projections, materialised_comparison,
+                              pull_push_span, validate_action,
+                              validate_functor, witness_key)
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
                                    flag_comparison_functor)
 
@@ -88,7 +89,7 @@ def test_simplicial_identities_hold(s_vect, s_f1, hecke_s3):
 
 
 def test_simplicial_identities_catch_mutation(hecke_s3):
-    from hallalg.groupoid import constant_functor
+    from oracles.groupoid import constant_functor
     faces = dict(hecke_s3.faces)
     faces[(3, 1)] = constant_functor(hecke_s3.levels[3],
                                      hecke_s3.levels[2], 0)
@@ -218,6 +219,29 @@ def test_composed_gmaps_match_the_composed_functor(s_vect):
                       ComposedFunctor)
 
 
+def test_trivial_group_maps_compose_as_the_composed_functor(s_vect,
+                                                           hecke_s3):
+    # the corpus's constant s_0 sends every morphism to an identity (the
+    # trivial group map); composed with faces and degeneracies on either
+    # side, its composite is a trivial G-map that is the composed functor
+    for x in (s_vect, hecke_s3):
+        const = {name: m for name, m, _ in mutation_corpus(x)}[
+            "constant-s0"].degeneracy(1, 0)
+        validate_functor(const)
+        pairs = [(const, x.face(2, k)) for k in range(3)]
+        pairs += [(x.face(2, k), const) for k in range(3)]
+        pairs.append((x.degeneracy(2, 0), const))
+        for outer, inner in pairs:
+            fast = compose_functors(outer, inner)
+            slow = ComposedFunctor(outer, inner)
+            assert isinstance(fast, GMap) and fast.sel is None
+            src = inner.src
+            assert fast.table == [slow.on_obj(i)
+                                  for i in range(src.n_objects)]
+            for m in src.generating_morphisms():
+                assert fast.on_mor(m) == slow.on_mor(m), fast.name
+
+
 def test_swapped_face_table_fails_the_identities(hecke_s3):
     v = check_simplicial_identities(with_swapped(hecke_s3, "face", (3, 1)))
     assert not v.ok
@@ -266,25 +290,7 @@ def test_mutation_corpus_fails_with_witness(hecke_s3, s_f1, s_vect):
                 "comparison_undefined"}, (x.name, name)
 
 
-# -- the materialised fiber product, as the oracle for the skeletal checks ---
-
-
-def materialised_comparison(apex, fa, fb, leg_f, leg_g, budget, name):
-    """The comparison functor into the materialised fiber product, decided
-    by is_equivalence; returns (ok, witness) like segal._comparison."""
-    fp = two_fiber_product(leg_f, leg_g, budget=budget)
-    obj_map = []
-    for i in range(apex.n_objects):
-        u, v = fa.on_obj(i), fb.on_obj(i)
-        du = leg_f.on_obj(u)
-        if du != leg_g.on_obj(v):
-            return False, {"kind": "comparison_undefined"}
-        obj_map.append(fp.obj_index((u, v, fp.base.index[fp.d.identity(du)])))
-    cmp = FnFunctor(apex, fp, obj_map,
-                    lambda m: (fa.on_mor(m), fb.on_mor(m),
-                               obj_map[apex.mor_src(m)]), name=name)
-    verdict = is_equivalence(cmp)
-    return verdict.ok, (None if verdict.ok else verdict.witness)
+# -- the materialised fiber product, as the oracle for the table rule -------
 
 
 def _with_face(x, k, face):
@@ -295,62 +301,62 @@ def _with_face(x, k, face):
 
 
 def moved_object(x):
-    """d_1 of X_3 moved at one object that represents no component, so that
-    the first comparison is undefined there and only there."""
+    """d_1 of X_3 with one entry of its table moved, at an object that
+    represents no component, so that the first comparison is undefined
+    there and only there."""
     x3, x2, d1 = x.levels[3], x.levels[2], x.face(3, 1)
     d2 = x.face(2, 2)
     reps = {c.rep for c in x3.components()}
     i = max(set(range(x3.n_objects)) - reps)
     j = next(j for j in range(x2.n_objects)
-             if d2.on_obj(j) != d2.on_obj(d1.on_obj(i)))
-    obj_map = [d1.on_obj(o) for o in range(x3.n_objects)]
-    obj_map[i] = j
-    return _with_face(x, 1, FnFunctor(x3, x2, obj_map, d1.on_mor)), i
+             if d2.table[j] != d2.table[d1.table[i]])
+    table = list(d1.table)
+    table[i] = j
+    return _with_face(x, 1, GMap(x3, x2, table, name="d_1'", sel=d1.sel,
+                                 fill=d1.fill)), i
 
 
-def identity_on_morphisms(x):
-    """d_3 of X_3 sends every morphism to an identity: automorphisms of X_3
-    stop being sent to automorphisms of the fiber product."""
-    x3, x2, d3 = x.levels[3], x.levels[2], x.face(3, 3)
-    return _with_face(x, 3, FnFunctor(
-        x3, x2, d3.on_obj,
-        lambda m: x2.identity(d3.on_obj(x3.mor_src(m)))))
-
-
-def test_skeletal_comparisons_match_materialised_oracle(
-        hecke_s3, s_f1, s_vect, monkeypatch):
+def test_table_comparisons_match_materialised_oracle(
+        hecke_s3, s_f1, s_vect, s_f1c2, monkeypatch):
     cases, moved = [], {}
-    for x in (hecke_s3, s_vect, s_f1):
-        cases += [(x.name, x, "segal"), (x.name, x, "pointed")]
-        cases += [(f"{x.name}:{name}", m, kind)
+    for x in (hecke_s3, _hw(4, 3), s_vect, s_f1, s_f1c2):
+        cases += [(x.name, None, x, "segal"), (x.name, None, x, "pointed")]
+        cases += [(x.name, name, m, kind)
                   for name, m, kind in mutation_corpus(x)]
         mutated, moved[x.name] = moved_object(x)
-        cases += [(f"{x.name}:moved-object", mutated, "segal"),
-                  (f"{x.name}:identity-d3", identity_on_morphisms(x),
-                   "segal")]
+        cases.append((x.name, "moved-object", mutated, "segal"))
 
     def verdicts():
         out = {}
-        for name, x, kind in cases:
+        for name, mutation, x, kind in cases:
             v = (check_2segal_degree3 if kind == "segal"
                  else check_pointed)(x)
-            out[name, kind] = [(sq, ok, w and w["kind"])
-                               for sq, ok, w in v.squares]
+            out[name, mutation, kind] = [(sq, ok, witness_key(w))
+                                         for sq, ok, w in v.squares]
         return out
 
-    skeletal = verdicts()
+    decided = verdicts()
     # every object of the apex is checked, not only the representatives
     v = check_2segal_degree3(moved_object(hecke_s3)[0])
     assert v.squares[0][2]["object"] == repr(
         hecke_s3.levels[3].objects[moved[hecke_s3.name]])
     monkeypatch.setattr(segal, "_comparison", materialised_comparison)
-    assert skeletal == verdicts()
-    for x in (hecke_s3, s_vect, s_f1):
-        for name in ("constant-d1", "moved-object"):
-            assert skeletal[f"{x.name}:{name}", "segal"][0][2] == \
-                "comparison_undefined", (x.name, name)
-    assert skeletal[f"{hecke_s3.name}:identity-d3", "segal"][0][2] == \
-        "not_a_functor"
+    assert decided == verdicts()
+    for key in decided:
+        oks = [ok for _, ok, _ in decided[key]]
+        assert all(oks) if key[1] is None else not all(oks), key
+        if key[1] in ("constant-d1", "moved-object"):
+            assert decided[key][0][2] == "comparison_undefined", key
+
+
+def test_a_square_of_other_functors_is_a_value_error(hecke_s3):
+    from oracles.groupoid import constant_functor
+    x3, x2 = hecke_s3.levels[3], hecke_s3.levels[2]
+    bad = _with_face(hecke_s3, 3, constant_functor(x3, x2, 0))
+    with pytest.raises(ValueError, match=r"triangulation \{012\},\{023\}: "
+                                         r"the faces and degeneracies must "
+                                         r"be G-maps"):
+        check_2segal_degree3(bad)
 
 
 # -- the iso-family search, as the oracle for the triangle actions -----------
@@ -724,11 +730,8 @@ def test_block_pi0_matches_the_bfs_over_the_level():
             assert level.components() == bfs, (G.name, H.name, n)
             comp_of = oracle._comp_of
             for i in range(level.n_objects):
-                c = level.component_of(i)
-                assert c == comp_of[i], (G.name, H.name, n, i)
-                m = level.from_rep(i)
-                assert level.mor_src(m) == bfs[c].rep
-                assert level.mor_tgt(m) == i
+                assert level.component_of(i) == comp_of[i], (
+                    G.name, H.name, n, i)
     # the Cayley-table group lists its identity after elements[0]
     assert _block_pi0_cases()[-1][0].identity != 0
 
@@ -749,9 +752,6 @@ def test_pinned_block_pi0_matches_the_bfs():
             assert level.components() == bfs, (len(spaces), pinned)
             for i in range(level.n_objects):
                 assert level.component_of(i) == oracle._comp_of[i]
-                m = level.from_rep(i)
-                assert level.mor_src(m) == bfs[level.component_of(i)].rep
-                assert level.mor_tgt(m) == i
 
 
 def test_index_tables_match_the_tuple_formulas():
@@ -832,12 +832,9 @@ def test_segal_square_size_closed_form(G, H):
 def test_comparison_names_the_first_object_where_gmap_tables_disagree(
         hecke_s3):
     # the composed tables find the disagreement and the per-object loop
-    # names the object, as for a functor that is not a G-map
+    # names the object
     mutated, i = moved_object(hecke_s3)
-    d1 = mutated.face(3, 1)
-    table = [d1.on_obj(o) for o in range(d1.src.n_objects)]
-    v = check_2segal_degree3(
-        _with_face(hecke_s3, 1, GMap(d1.src, d1.tgt, table, name="d_1'")))
+    v = check_2segal_degree3(mutated)
     assert v.squares[0][1:] == (False, {
         "kind": "comparison_undefined",
         "object": repr(hecke_s3.levels[3].objects[i]),
@@ -949,7 +946,10 @@ def test_subgroup_verified():
         hecke_waldhausen(S3, symmetric_subgroup(S4, 3), depth=1)
 
 
-# -- the strict pullback rule, against the skeleton ---------------------------
+# -- the strict pullback rule, against the skeleton of the fiber product ----
+#
+# The skeleton is pi0 of the materialised fiber product, with automorphism
+# orders, which is_equivalence reads in materialised_comparison.
 
 
 def decided_squares(x):
@@ -971,6 +971,12 @@ def comparisons(squares, budget=10 ** 7):
             for name, apex, fa, fb, f, g in squares]
 
 
+def fibre_rule(squares):
+    """Whether the fibre check (rho onto G_P, one free N-orbit over every
+    object of P) alone decides each square."""
+    return [_Square(fa, fb, f, g).fibres() for _, _, fa, fb, f, g in squares]
+
+
 RULE_CASES = {
     "hw-s3-s2": lambda: _hw(3, 2),
     "hw-s4-s2": lambda: _hw(4, 2),
@@ -984,16 +990,15 @@ RULE_CASES = {
 @pytest.mark.parametrize("case", list(RULE_CASES))
 def test_strict_pullback_rule_agrees_with_the_skeleton(case, monkeypatch):
     squares = decided_squares(RULE_CASES[case]())
-    rule = [strict_pullback_equivalence(fa, fb, f, g)
-            for _, _, fa, fb, f, g in squares]
     decided = comparisons(squares)
-    monkeypatch.setattr(segal, "strict_pullback_equivalence",
-                        lambda *args: None)
-    skeleton = comparisons(squares)
-    assert decided == skeleton == [(True, None)] * 4
-    # the S-construction's unital squares map Aut(A) diagonally
-    assert rule == ([True] * 4 if case.startswith("hw") else
-                    [True, True, None, None])
+    assert decided == [(True, None)] * 4
+    # the S-construction's unital squares map Aut(A) diagonally, so rho
+    # is not onto and the decision pass decides them
+    assert fibre_rule(squares) == ([True] * 4 if case.startswith("hw") else
+                                   [True, True, False, False])
+    if case not in ("hw-s4-s2", "s-ab-p-2-4"):   # too large to list
+        monkeypatch.setattr(segal, "_comparison", materialised_comparison)
+        assert comparisons(squares) == decided
 
 
 @pytest.mark.parametrize("case", ["hw-s3-s2", "hw-d8-1"])
@@ -1006,26 +1011,31 @@ def test_a_gmap_square_that_is_no_equivalence_gets_the_skeleton_witness(
     squares = [(name, apex, compose_functors(fa, e), compose_functors(fb, e),
                 f, g) for name, apex, fa, fb, f, g in decided_squares(x)[:2]]
     assert all(isinstance(sq[2], GMap) for sq in squares)
-    assert [strict_pullback_equivalence(*sq[2:]) for sq in squares] == [
-        False, False]
+    assert fibre_rule(squares) == [False, False]
     decided = comparisons(squares)
-    monkeypatch.setattr(segal, "strict_pullback_equivalence",
-                        lambda *args: None)
-    assert decided == comparisons(squares)
     assert all(not ok and w["kind"] == "hom_not_bijective"
                for ok, w in decided)
+    monkeypatch.setattr(segal, "_comparison", materialised_comparison)
+    assert decided == comparisons(squares)
 
 
-def test_the_rule_does_not_apply_on_a_pinned_apex():
+def test_the_rule_does_not_apply_on_a_pinned_apex(monkeypatch):
+    # on the pinned apex {H} x (G/H)^3 // H, rho is the inclusion of H in
+    # G: the fibre check does not apply, and the decision pass finds that
+    # the G-orbits of the images cover P
     S3 = symmetric_group(3)
     hw = HeckeWaldhausen(S3, symmetric_subgroup(S3, 2), 3)
     x3 = hw.levels[3]
     pinned = CosetLevel(S3, [hw.cosets] * 4, "pinned X3", pinned=True)
     incl = GMap(pinned, x3, [x3.obj_index(o) for o in pinned.objects])
-    for name, _, fa, fb, f, g in decided_squares(hw.simplicial())[:2]:
-        fa, fb = compose_functors(fa, incl), compose_functors(fb, incl)
-        assert strict_pullback_equivalence(fa, fb, f, g) is None
-        assert comparisons([(name, pinned, fa, fb, f, g)]) == [(True, None)]
+    squares = [(name, pinned, compose_functors(fa, incl),
+                compose_functors(fb, incl), f, g)
+               for name, _, fa, fb, f, g in
+               decided_squares(hw.simplicial())[:2]]
+    assert fibre_rule(squares) == [False, False]
+    assert comparisons(squares) == [(True, None)] * 2
+    monkeypatch.setattr(segal, "_comparison", materialised_comparison)
+    assert comparisons(squares) == [(True, None)] * 2
 
 
 @pytest.mark.parametrize("case", ["s-vect-f2-2", "s-f1-c2-2", "s-ab-p-2-4"])
@@ -1082,23 +1092,21 @@ def _swap(g, i):
         "shared-bijection", "shared-two-to-one"])
 def test_the_rule_counts_the_fibres(square, expected):
     fa, fb, f, g = square()
-    assert strict_pullback_equivalence(fa, fb, f, g) is expected
+    assert strict_pullback_equivalence(fa, fb, f, g).ok is expected
     ok, _ = materialised_comparison(fa.src, fa, fb, f, g, 10 ** 4, "c2")
     assert ok is expected
     assert comparisons([("c2", fa.src, fa, fb, f, g)])[0][0] is expected
 
 
-@pytest.mark.parametrize("square, expected", [
+@pytest.mark.parametrize("square, message", [
     # fa and fb share coordinate 1, but the legs identify coordinate 0
-    (lambda: _c2_square(2, _swap, sb=(1, 2)), None),
-    # f sends the trivial factor of A into C2: not an isofibration, and
-    # the comparison misses the component of the non-identity element
-    (lambda: _c2_square(2, _swap, first=1), False),
+    (lambda: _c2_square(2, _swap, sb=(1, 2)),
+     "the square does not commute on morphisms"),
+    # f sends the trivial factor of A into C2: not an isofibration, so
+    # the strict pullback is not the fiber product
+    (lambda: _c2_square(2, _swap, first=1), "the leg F is not onto"),
 ], ids=["shared-coordinates", "leg-not-onto"])
-def test_the_rule_needs_its_conditions(square, expected):
+def test_the_rule_needs_its_conditions(square, message):
     fa, fb, f, g = square()
-    assert strict_pullback_equivalence(fa, fb, f, g) is None
-    if expected is not None:
-        ok, _ = materialised_comparison(fa.src, fa, fb, f, g, 10 ** 4, "c2")
-        assert ok is expected
-        assert comparisons([("c2", fa.src, fa, fb, f, g)])[0][0] is expected
+    with pytest.raises(ValueError, match=f"^c2: {message}"):
+        comparisons([("c2", fa.src, fa, fb, f, g)])
