@@ -8,7 +8,8 @@ classified, together with their quotients, by counting p^k-torsion, which is
 the oracle for them.
 """
 
-from itertools import product as iproduct
+from collections import Counter
+from itertools import accumulate, product as iproduct
 from math import log
 
 from .. import UsageError
@@ -19,7 +20,7 @@ from .base import ProtoAbelianInstance
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
     _cached = ("elements", "_homs", "compose", "subobjects", "image_sub",
-               "preimage_sub")
+               "preimage_sub", "_mods", "_torsion")
 
     def __init__(self, p: int, order_bound: int):
         if not (p >= 2 and all(p % k for k in range(2, p))):
@@ -179,20 +180,41 @@ class AbelianPGroups(ProtoAbelianInstance):
                              f"abelian {self.p}-group")
         return conjugate(tuple(conj))
 
-    def classify_sub(self, m, u):
+    def _torsion(self, m):
+        """(order, height, kernel) for M of type m: order[x] is the least k
+        with p^k x = 0, height[x] the largest k <= max(m) with x in p^k M,
+        and kernel[k] = |M[p^k]| for k <= max(m).  The multiples p^k x of
+        each element are computed once, for all k."""
         maxk = max(m) if m else 0
-        counts = [len([x for x in u
-                       if self.smul(m, self.p ** k, x) == tuple([0] * len(m))])
-                  for k in range(maxk + 1)]
+        zero = tuple([0] * len(m))
+        elems = self.elements(m)
+        order, height = {}, dict.fromkeys(elems, 0)
+        for x in elems:
+            y, k = x, 0
+            while y != zero:
+                y, k = self.smul(m, self.p, y), k + 1
+                height[y] = max(height[y], k)
+            order[x] = k
+        height[zero] = maxk
+        per = Counter(order.values())
+        return order, height, list(accumulate(per[k]
+                                              for k in range(maxk + 1)))
+
+    def classify_sub(self, m, u):
+        order, _, kernel = self._torsion(m)
+        per = Counter(order[x] for x in u)
+        counts = list(accumulate(per[k] for k in range(len(kernel))))
         return self._type_from_torsion_counts(counts)
 
     def classify_quot(self, m, u):
-        maxk = max(m) if m else 0
-        elems = self.elements(m)
+        # #{x : p^k x in u} = |M[p^k]| * |u meet p^k M|, since x -> p^k x
+        # is a homomorphism onto p^k M
+        _, height, kernel = self._torsion(m)
+        per = Counter(height[y] for y in u)
+        above = list(accumulate(per[k] for k in reversed(range(len(kernel)))))
         counts = []
-        for k in range(maxk + 1):
-            hits = sum(1 for x in elems
-                       if self.smul(m, self.p ** k, x) in u)
+        for k, size in enumerate(kernel):
+            hits = size * above[-1 - k]
             if hits % len(u):
                 raise ValueError(f"classify_quot: {sorted(u)} is not a "
                                  f"subgroup of type {m}")

@@ -2,7 +2,9 @@
 semistandard tableaux for the hook-content product, Schur polynomials
 multiplied out for the Littlewood-Richardson rule, products of weak
 compositions for the number of partition-valued maps, and Schur-basis
-arithmetic in one alphabet on top of the LR rule.  Also the inverse of
+arithmetic in one alphabet on top of the LR rule, and Hall polynomials from
+the tableau formula in `Fraction` arithmetic, each monomial coefficient
+walked from the empty shape.  Also the inverse of
 `PartitionMap.to_json` and the unit of the multi-alphabet Schur ring,
 which only the tests need."""
 
@@ -10,9 +12,11 @@ from collections import Counter
 from fractions import Fraction
 from math import prod
 
+from hallalg.exactmath.halllittlewood import _sorted_parts, n_statistic
 from hallalg.exactmath.littlewood import schur_product
 from hallalg.exactmath.partitions import (PartitionMap, check_partition,
-                                          compositions, partitions_of)
+                                          compositions, conjugate,
+                                          partitions_of)
 from hallalg.exactmath.symfunc import MultiSymElem
 
 
@@ -151,3 +155,103 @@ class SymElem:
 
     def __repr__(self):
         return f"SymElem({self.coords})"
+
+
+def _splits(kappa, size):
+    """The exponent vectors alpha <= kappa (entrywise) with |alpha| = size."""
+    if not kappa:
+        if size == 0:
+            yield ()
+        return
+    rest = sum(kappa[1:])
+    for a in range(max(0, size - rest), min(kappa[0], size) + 1):
+        for tail in _splits(kappa[1:], size - a):
+            yield (a,) + tail
+
+
+def horizontal_strips_inside(mu, k: int, outer):
+    """The partitions lam inside `outer` with lam/mu a horizontal strip of k
+    boxes (mu_i <= lam_i <= mu_(i-1)); mu lies inside `outer`."""
+    rows = min(len(mu) + 1, len(outer))
+    mu = mu + (0,) * (rows - len(mu))
+
+    def extend(i, left, prefix):
+        if i == rows:
+            if left == 0:
+                yield tuple(x for x in prefix if x)
+            return
+        top = outer[i] if i == 0 else min(outer[i], mu[i - 1])
+        for part in range(mu[i], min(top, mu[i] + left) + 1):
+            yield from extend(i + 1, left - (part - mu[i]), prefix + (part,))
+
+    return extend(0, k, ())
+
+
+class FractionHallPolynomials:
+    """g^lam_{mu nu}(p) for one prime p, in `Fraction` arithmetic: each
+    coefficient of P_lam(x; 1/p) in monomials is summed over the tableaux of
+    shape lam and content kappa, walked from the empty shape for every
+    kappa and lam, and P_mu P_nu is solved over every raw split of kappa."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.t = Fraction(1, p)
+        self._monomials = {}    # lam -> {kappa: [m_kappa] P_lam(x; 1/p)}
+        self._products = {}     # (mu, nu) -> {lam: f^lam_{mu nu}(1/p)}
+
+    def psi(self, lam, mu) -> Fraction:
+        """psi_{lam/mu}(t) of the horizontal strip lam/mu."""
+        lc, mc = conjugate(lam), conjugate(mu)
+        theta = [c - (mc[j] if j < len(mc) else 0) for j, c in enumerate(lc)]
+        out = Fraction(1)
+        for j in range(1, len(theta)):
+            if theta[j - 1] == 0 and theta[j] == 1:
+                out *= 1 - self.t ** mu.count(j)
+        return out
+
+    def monomials(self, lam) -> dict:
+        """{kappa: coefficient of m_kappa in P_lam(x; 1/p)}, by summing
+        psi_T over the tableaux T of shape lam and content kappa."""
+        out = self._monomials.get(lam)
+        if out is None:
+            out = {}
+            for kappa in partitions_of(sum(lam)):
+                states = {(): Fraction(1)}
+                for k in kappa:
+                    nxt = {}
+                    for mu, w in states.items():
+                        for nu in horizontal_strips_inside(mu, k, lam):
+                            nxt[nu] = nxt.get(nu, 0) + w * self.psi(nu, mu)
+                    states = nxt
+                if states.get(lam):
+                    out[kappa] = states[lam]
+            self._monomials[lam] = out
+        return out
+
+    def product(self, mu, nu) -> dict:
+        """{lam: f^lam_{mu nu}(1/p)}: P_mu P_nu in the P basis, solved
+        from the monomial coefficients in decreasing dominance order
+        (decreasing lexicographic order refines it)."""
+        out = self._products.get((mu, nu))
+        if out is not None:
+            return out
+        pm, pn = self.monomials(mu), self.monomials(nu)
+        out = {}
+        for kappa in partitions_of(sum(mu) + sum(nu)):
+            c = Fraction(0)
+            for alpha in _splits(kappa, sum(mu)):
+                a = pm.get(_sorted_parts(alpha))
+                if a:
+                    beta = tuple(k - x for k, x in zip(kappa, alpha))
+                    c += a * pn.get(_sorted_parts(beta), 0)
+            for lam, f in out.items():
+                c -= f * self.monomials(lam).get(kappa, 0)
+            if c:
+                out[kappa] = c
+        self._products[mu, nu] = out
+        return out
+
+    def __call__(self, lam, mu, nu) -> Fraction:
+        """g^lam_{mu nu}(p), as the exact value the formula gives."""
+        return self.product(mu, nu).get(lam, 0) * Fraction(self.p) ** (
+            n_statistic(lam) - n_statistic(mu) - n_statistic(nu))

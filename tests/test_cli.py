@@ -532,6 +532,27 @@ def test_wreath_outputs_are_byte_identical(capsys, command, fmt):
     assert digest == WREATH_OUTPUT_DIGESTS[command, fmt]
 
 
+# sha256 of `hall-table --family ab-p-groups` for each (p, bound), recorded
+# before the Hall polynomials were computed in integers over Z[1/p]; the
+# table must print the same bytes
+HALL_AB_OUTPUT_DIGESTS = {
+    (2, 64): "d175b5c95b48a1a128b8326c9067e5c91f3323260165a2a3e1b40e511dff6204",
+    (3, 27): "df16f12fb28a18aa867fd42d6dfd39ad1538719dab7e8cb22f7948a053ec4ebb",
+    (5, 25): "7ea0c3aeed92f285898e9ed8472a2473321c1dff24150b3533e5be58f2d54a28",
+    (7, 49): "0150aa38374a93532ea2986042000b3cee706b04d0a1b7c6b9cf4990a1f07f4d",
+}
+
+
+@pytest.mark.parametrize("p,bound", list(HALL_AB_OUTPUT_DIGESTS))
+def test_hall_table_ab_p_groups_output_is_byte_identical(capsys, p, bound):
+    code, out = run_capture(capsys, [
+        "hall-table", "--family", "ab-p-groups", "--p", str(p),
+        "--bound", str(bound)])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == HALL_AB_OUTPUT_DIGESTS[p, bound]
+
+
 def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
     from hallalg.wreath import chmap
     calls = []

@@ -1,7 +1,6 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError, UsageError
 from hallalg.groups import cyclic_group, symmetric_group, trivial_group
@@ -180,16 +179,15 @@ _AB64_TYPES = [(p, m) for p, inst in _AB64.items()
                for m in inst.iso_classes()]
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(_AB64_TYPES))
-def test_hall_polynomials_match_subgroup_counts(pm):
-    p, m = pm
-    inst = _AB64[p]
-    below = [c for c in inst.iso_classes() if sum(c) <= sum(m)]
-    for l in below:
-        for n in below:
-            assert inst.hall_constant(n, l, m) == \
-                inst.subobjects_with_type(m, l, n), (p, m, l, n)
+def test_hall_polynomials_match_subgroup_counts():
+    assert len(_AB64_TYPES) == 41
+    for p, m in _AB64_TYPES:
+        inst = _AB64[p]
+        below = [c for c in inst.iso_classes() if sum(c) <= sum(m)]
+        for l in below:
+            for n in below:
+                assert inst.hall_constant(n, l, m) == \
+                    inst.subobjects_with_type(m, l, n), (p, m, l, n)
 
 
 def test_bound_64_table_is_associative():
