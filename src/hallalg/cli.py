@@ -22,7 +22,9 @@ from .protoab import make_instance
 
 def _add_common(p):
     p.add_argument("--budget", type=int, default=None,
-                   help="enumeration budget (objects/morphisms)")
+                   help="enumeration budget (objects/morphisms; for "
+                        "segal-check, of each level and of the strict "
+                        "pullback each square walks)")
     p.add_argument("--seed", type=int, default=None,
                    help="accepted and ignored; all computations are "
                         "deterministic")
@@ -151,20 +153,16 @@ def cmd_hecke_module(args):
 def cmd_segal_check(args):
     from .waldhausen.segal import check_2segal_degree3, check_pointed
     from .waldhausen.simplicial import check_simplicial_identities
-    budget = args.budget or DEFAULT_OBJECT_BUDGET
+    # one budget bounds the levels and the strict pullbacks of the squares
     if args.construction == "hecke":
         if not args.group or not args.subgroup:
             raise UsageError("segal-check --construction hecke needs "
                              "--G and --H")
-        from .waldhausen.hecke import hecke_waldhausen, refuse_segal_check
+        from .waldhausen.hecke import hecke_waldhausen
         G = named_group(args.group)
         H = named_subgroup(G, args.subgroup)
-        # the levels are refused over the default budget unless --budget
-        # raises it; a smaller --budget bounds the Segal squares only, and
-        # both are refused before any level is built
-        refuse_segal_check(G, H, budget)
-        x = hecke_waldhausen(G, H, depth=3,
-                             budget=max(budget, DEFAULT_OBJECT_BUDGET))
+        budget = args.budget or DEFAULT_OBJECT_BUDGET
+        x = hecke_waldhausen(G, H, depth=3, budget=budget)
         label = f"hecke({G.name},{H.name})"
     else:
         if not args.family or args.bound is None:
@@ -174,11 +172,11 @@ def cmd_segal_check(args):
                                                s_construction)
         inst = make_instance(args.family, q=args.q, p=args.p,
                              group=args.group, bound=args.bound)
-        x = s_construction(inst, depth=3,
-                           budget=args.budget or DEFAULT_TRIANGLE_BUDGET)
+        budget = args.budget or DEFAULT_TRIANGLE_BUDGET
+        x = s_construction(inst, depth=3, budget=budget)
         label = f"s({inst.family})"
-    # the Segal squares first: each refuses an over-budget fiber product
-    # before any work, so a budget error comes before the identity checks
+    # the Segal squares first: each refuses an over-budget strict pullback
+    # before it walks it, so a budget error comes before the identity checks
     seg = check_2segal_degree3(x, budget=budget)
     poi = check_pointed(x, budget=budget)
     simp = check_simplicial_identities(x)

@@ -2,7 +2,7 @@
 
 from .core import (ActionGroupoid, Component, Groupoid, b_group, pi0,
                    point_groupoid)
-from .fiber import FiberProductGroupoid, fiber_product_size, two_fiber_product
+from .fiber import FiberProductGroupoid, two_fiber_product
 from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
                        Functor, GMap, GroupHomFunctor, IdentityFunctor,
                        compose_functors, functors_equal, is_equivalence,
@@ -13,7 +13,7 @@ from .transfer import (SpanFn, cardinality, is_faithful, pull_push_table,
 __all__ = [
     "ActionGroupoid", "Component", "Groupoid", "b_group", "pi0",
     "point_groupoid",
-    "FiberProductGroupoid", "fiber_product_size", "two_fiber_product",
+    "FiberProductGroupoid", "two_fiber_product",
     "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
     "GroupHomFunctor", "IdentityFunctor", "compose_functors",
     "functors_equal", "is_equivalence", "point_inclusion",

@@ -3,7 +3,6 @@ a comparison into one is an equivalence.
 
 Objects of A x_D B are triples (a, b, phi) with phi: f(a) -> g(b) a morphism
 of D; a morphism (alpha, beta) transports phi to g(beta)∘phi∘f(alpha)^-1.
-fiber_product_size counts the objects without listing them.
 
 strict_pullback_equivalence decides on the index tables whether
 x -> (fa x, fb x) from an apex X into A x_D B is an equivalence, for G-maps
@@ -19,7 +18,9 @@ no pi0 of any level.  Otherwise (rho injective: the S-construction's
 unital squares, where s_0 maps Aut(A) diagonally, or an apex acted on by a
 subgroup), and to name the witness of a failure, the rule runs
 is_equivalence's decision on P, whose components are the G_P-orbits of
-the images of the apex's representatives.
+the images of the apex's representatives.  Both passes walk P and nothing
+larger, so P's size, sum over the objects d of D of n_f(d) n_g(d), is what
+the budget counts, before either pass runs.
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
@@ -28,7 +29,7 @@ table rule in the tests; no check builds one.  D's morphisms are interned
 as integers, so D must be small enough to list them.
 """
 
-from collections import Counter, deque
+from collections import deque
 from itertools import repeat
 from operator import add
 
@@ -36,31 +37,6 @@ from .. import BudgetExceededError
 from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Groupoid
 from .functors import (EquivalenceVerdict, Functor, GMap, aut_map_verdict,
                        missed_component, pi0_collision)
-
-
-def _check_cospan(f: Functor, g: Functor):
-    if f.tgt is not g.tgt:
-        raise ValueError(f"legs {f.name} and {g.name} must share their "
-                         f"target")
-
-
-def fiber_product_size(f: Functor, g: Functor) -> int:
-    """Number of objects of A x_D B: sum over the components c of D of
-    n_A(c) n_B(c) |Aut c|, where n_A(c) counts the objects of A over c."""
-    _check_cospan(f, g)
-    d = f.tgt
-
-    def over(leg):
-        # one component_of per object of D that the leg reaches
-        hits = Counter(map(leg.on_obj, range(leg.src.n_objects)))
-        out = Counter()
-        for x, n in hits.items():
-            out[d.component_of(x)] += n
-        return out
-
-    n_a, n_b = over(f), over(g)
-    comps = d.components()
-    return sum(n * n_b[c] * comps[c].aut_order for c, n in n_a.items())
 
 
 def _used(m: GMap):
@@ -268,19 +244,26 @@ class _Square:
 
 
 def strict_pullback_equivalence(fa: Functor, fb: Functor, f: Functor,
-                                g: Functor) -> EquivalenceVerdict:
+                                g: Functor, budget=DEFAULT_OBJECT_BUDGET
+                                ) -> EquivalenceVerdict:
     """Whether x -> (fa x, fb x) from the apex to the strict pullback P of
     f: A -> D <- B: g, hence to A x_D B, is an equivalence, decided on the
     index tables (see the module docstring), with is_equivalence's witness
     when it is not.  The functors must be G-maps of action groupoids,
     equivariant, that form a square with f∘fa = g∘fb (segal checks this
-    first), and f must be onto the groups of D; otherwise ValueError."""
+    first), and f must be onto the groups of D; otherwise ValueError.  A P
+    of more than `budget` objects, counted from the legs' tables, is
+    refused before either pass walks it."""
     for m in (fa, fb, f, g):
         if not (isinstance(m, GMap) and isinstance(m.src, ActionGroupoid)
                 and isinstance(m.tgt, ActionGroupoid)):
             raise ValueError(f"{m.name} is not a G-map of action groupoids")
     _check_isofibration(f)
     square = _Square(fa, fb, f, g)
+    if square.size > budget:
+        raise BudgetExceededError(
+            f"the strict pullback has {square.size} objects, over the "
+            f"budget of {budget}")
     return EquivalenceVerdict(True) if square.fibres() else square.decide()
 
 
@@ -317,7 +300,9 @@ class FiberProductGroupoid(Groupoid):
 
     def __init__(self, f: Functor, g: Functor, name=None,
                  budget=DEFAULT_OBJECT_BUDGET):
-        _check_cospan(f, g)
+        if f.tgt is not g.tgt:
+            raise ValueError(f"legs {f.name} and {g.name} must share their "
+                             f"target")
         self.f, self.g = f, g
         self.a, self.b, self.d = f.src, g.src, f.tgt
         self.base = _BaseTables(self.d, budget)

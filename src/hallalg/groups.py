@@ -326,19 +326,27 @@ def klein_group():
     return g
 
 
+def _check_closure(G):
+    """Whether a subgroup filtered out of G needs its closure checked: in a
+    permutation group (tokens composed by perm_mul) a point stabiliser, the
+    even permutations and a Young subgroup are subgroups by construction;
+    on other tokens the filters below need not give one."""
+    return G._op is not perm_mul
+
+
 def symmetric_subgroup(G, k):
     """The canonical sym:k inside sym:n (fixing points k..n-1)."""
     n = len(G.elements[0])
     if not 0 <= k <= n:
         raise UsageError(f"sym:{k} does not embed canonically in {G.name}")
     elems = [p for p in G.elements if all(p[i] == i for i in range(k, n))]
-    return G.subgroup(elems, name=f"sym:{k}")
+    return G.subgroup(elems, name=f"sym:{k}", check=_check_closure(G))
 
 
 def alternating_subgroup(G):
     n = len(G.elements[0])
     elems = [p for p in G.elements if perm_sign(p) == 1]
-    return G.subgroup(elems, name=f"alt:{n}")
+    return G.subgroup(elems, name=f"alt:{n}", check=_check_closure(G))
 
 
 def young_subgroup(G, blocks):
@@ -354,7 +362,8 @@ def young_subgroup(G, blocks):
     elems = [p for p in G.elements
              if all(lo <= p[i] < hi for lo, hi in bounds
                     for i in range(lo, hi))]
-    return G.subgroup(elems, name="young:" + "+".join(map(str, blocks)))
+    return G.subgroup(elems, name="young:" + "+".join(map(str, blocks)),
+                      check=_check_closure(G))
 
 
 def named_group(spec: str) -> FiniteGroup:
@@ -410,10 +419,11 @@ def named_subgroup(G: FiniteGroup, spec: str) -> FiniteGroup:
     """Subgroup of G by spec: 'sym:k', 'alt:k', 'young:a+b', 'trivial',
     'all', or a comma list of element indices."""
     spec = spec.strip()
+    # every spec but indices: names a subgroup by construction
     if spec == "all":
-        return G.subgroup(G.elements, name=G.name)
+        return G.subgroup(G.elements, name=G.name, check=False)
     if spec == "trivial":
-        return G.subgroup([G.identity], name="trivial")
+        return G.subgroup([G.identity], name="trivial", check=False)
     if spec.startswith("sym:"):
         return symmetric_subgroup(G, int(spec[4:]))
     if spec.startswith("alt:"):

@@ -20,9 +20,10 @@ in one orbit of the stabiliser of coset 0, and the least index of the
 orbit lies there.  A search over the block through one index permutation
 per generator of the stabiliser gives the components in the order, with
 the representatives, of a search over the whole level; any other object is
-moved into the block by a fixed element per first coset.  The 2-Segal
-squares' fiber products have [G:H]^4 |G| objects, so segal-check refuses
-them over budget before any level is built.
+moved into the block by a fixed element per first coset.  A level over the
+budget is refused before any level is built.  The strict pullbacks that
+the 2-Segal squares walk have [G:H]^4 objects (degree 3), as many as
+X_3, and [G:H]^2 (unital), so that refusal covers them too.
 
 Two models stay in the tests as oracles: the iterated fiber product and the
 flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
@@ -56,7 +57,6 @@ from ..groupoid import (ActionGroupoid, Functor, GMap, is_faithful,
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
 from ..structure import StructureTable, check_action, check_algebra
-from .segal import DEGREE3_SQUARES, refuse_fiber_product
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -75,9 +75,7 @@ def _refuse_over_budget(what, count, budget):
 class Cosets:
     """G/K numbered by least element in G.elements order: the coset of
     each element, the left-multiplication table mult[k][x] (element index
-    k, coset x), `home`, the number of the coset K itself, and the
-    transporter masks: bit k of trans[x][y] is set when element k takes
-    coset x to coset y."""
+    k, coset x) and `home`, the number of the coset K itself."""
 
     def __init__(self, G: FiniteGroup, K: FiniteGroup):
         index = G.index
@@ -94,10 +92,6 @@ class Cosets:
         self.home = coset_of[index[G.identity]]
         self.mult = [[coset_of[index[G.op(g, r)]] for r in reps]
                      for g in G.elements]
-        self.trans = [[0] * self.count for _ in reps]
-        for k, row in enumerate(self.mult):
-            for x, y in enumerate(row):
-                self.trans[x][y] |= 1 << k
 
     @cached_property
     def coset_zero(self):
@@ -129,9 +123,7 @@ class CosetLevel(ActionGroupoid):
     coset: coset 0, or K_0 itself when pinned (the block is then the whole
     level).  An orbit of the base coset's stabiliser there gives a
     component's representative and Aut order, and [G:K_0] times its size
-    (once when pinned).  A hom-set intersects one transporter mask per
-    coordinate and lists its elements in G.elements order (pinned, they
-    lie in K_0)."""
+    (once when pinned)."""
 
     def __init__(self, G: FiniteGroup, spaces, name, pinned=False):
         self.spaces = list(spaces)
@@ -208,23 +200,6 @@ class CosetLevel(ActionGroupoid):
             i = self.act(self._G.elements[k], i)
         return self._comp_of[i]
 
-    def _transporter(self, i, j):
-        mask = -1
-        for s, x, y in zip(self.spaces, self.objects[i], self.objects[j]):
-            mask &= s.trans[x][y]
-        return mask
-
-    def hom(self, i, j):
-        els, mask, out = self._G.elements, self._transporter(i, j), []
-        while mask:
-            low = mask & -mask
-            out.append((els[low.bit_length() - 1], i))
-            mask ^= low
-        return out
-
-    def aut_size(self, i):
-        return self._transporter(i, i).bit_count()
-
 
 def _runs(src: CosetLevel, tgt: CosetLevel, sizes, k):
     """tgt's indices, the run length S of the suffixes after coordinate k
@@ -267,42 +242,20 @@ def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
     return GMap(src, tgt, table, name=f"s_{k}^{len(src.spaces) - 1}")
 
 
-def _refuse_levels(G, H, depth, budget):
-    _check_subgroup(G, H)
-    if not 0 <= depth <= 3:
-        raise UsageError(f"Hecke-Waldhausen depth {depth} is outside 0..3")
-    # the top level is the largest; refuse before building any level
-    _refuse_over_budget(
-        f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})",
-        (G.order // H.order) ** (depth + 1), budget)
-
-
-def segal_square_size(G, H) -> int:
-    """Objects of each degree-3 comparison fiber product X_2 x_X_1 X_2 of
-    the Hecke-Waldhausen levels, [G:H]^4 |G|: over a G-orbit O of
-    X_1 = (G/H)^2 lie |O| [G:H] objects of X_2 on either side, and a point
-    of O has |G| / |O| automorphisms, so O adds |O| [G:H]^2 |G|."""
-    return (G.order // H.order) ** 4 * G.order
-
-
-def refuse_segal_check(G, H, budget):
-    """Refuse, before any level is built, what the 2-Segal check of
-    HW(G, H) would refuse, in the same order and with the same message:
-    level X_3 over the larger of `budget` and the default, then the
-    degree-3 squares over `budget` itself (the pointedness squares, with
-    [G:H]^2 |G| objects, are smaller)."""
-    _refuse_levels(G, H, 3, max(budget, DEFAULT_OBJECT_BUDGET))
-    refuse_fiber_product(DEGREE3_SQUARES[0], segal_square_size(G, H),
-                         budget)
-
-
 class HeckeWaldhausen:
     """Levels X_n = (G/H)^(n+1) // G, n = 0..depth, with faces and
-    degeneracies."""
+    degeneracies.  The top level, the largest, is refused over the budget
+    before any level is built."""
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
                  budget: int = DEFAULT_OBJECT_BUDGET):
-        _refuse_levels(G, H, depth, budget)
+        _check_subgroup(G, H)
+        if not 0 <= depth <= 3:
+            raise UsageError(f"Hecke-Waldhausen depth {depth} is outside "
+                             f"0..3")
+        _refuse_over_budget(
+            f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})",
+            (G.order // H.order) ** (depth + 1), budget)
         self.G, self.H = G, H
         self.depth = depth
         self.cosets = Cosets(G, H)

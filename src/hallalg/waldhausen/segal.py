@@ -16,12 +16,12 @@ degree <= 2:
 Each check returns a verdict carrying a witness on failure: a comparison
 that is not even well defined (corrupted faces), a missed component, or a
 hom-set where the map fails to be bijective.  The fiber products are never
-built.  Every square takes one path: it counts the objects of its fiber
-product and refuses one over the budget before any other work, checks on
-the composed index tables that the comparison is defined on every object
-of the apex, and is then decided on the index tables by the table rule,
-strict_pullback_equivalence (groupoid/fiber.py), which also names the
-witness of a square that fails.  The faces and degeneracies of both
+built.  Every square takes one path: it checks on the composed index
+tables that the comparison is defined on every object of the apex, and is
+then decided on the index tables by the table rule,
+strict_pullback_equivalence (groupoid/fiber.py), which refuses a strict
+pullback of more objects than the budget before it walks it, and names
+the witness of a square that fails.  The faces and degeneracies of both
 constructions, and of every entry of the mutation corpus, are G-maps of
 action groupoids (GMap); a square of other functors is a ValueError.
 """
@@ -32,7 +32,7 @@ from .. import BudgetExceededError
 from ..groupoid import (ActionGroupoid, Functor, GMap, compose_functors,
                         functors_equal)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
-from ..groupoid.fiber import fiber_product_size, strict_pullback_equivalence
+from ..groupoid.fiber import strict_pullback_equivalence
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -57,26 +57,13 @@ class SegalVerdict:
                 "witnesses": self.witnesses}
 
 
-# the degree-3 squares, in the order check_2segal_degree3 decides them
-DEGREE3_SQUARES = ("triangulation {012},{023}", "triangulation {013},{123}")
-
-
-def refuse_fiber_product(name, size, budget):
-    """Refuse the square `name` when its comparison fiber product has more
-    than `budget` objects."""
-    if size > budget:
-        raise BudgetExceededError(
-            f"{name}: the comparison fiber product has {size} "
-            f"objects, over the budget of {budget}")
-
-
 def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
                 leg_g: Functor, budget, name):
     """Whether the canonical functor x -> (fa x, fb x, id) from the apex to
     leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It
     checks well-definedness on every apex object by composing the G-maps'
-    index tables, then decides on the tables by the table rule."""
-    refuse_fiber_product(name, fiber_product_size(leg_f, leg_g), budget)
+    index tables, then decides on the tables by the table rule, within
+    the budget."""
     if not all(isinstance(m, GMap) for m in (fa, fb, leg_f, leg_g)):
         raise ValueError(f"{name}: the faces and degeneracies must be "
                          f"G-maps")
@@ -92,9 +79,11 @@ def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
         raise ValueError(f"{name}: the square does not commute on "
                          f"morphisms")
     try:
-        verdict = strict_pullback_equivalence(fa, fb, leg_f, leg_g)
+        verdict = strict_pullback_equivalence(fa, fb, leg_f, leg_g, budget)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{name}: {exc}") from None
     return verdict.ok, verdict.witness or None
 
 
@@ -114,11 +103,11 @@ def _need_depth(x: TruncatedSimplicialGroupoid, n):
 def check_2segal_degree3(x: TruncatedSimplicialGroupoid,
                          budget=DEFAULT_OBJECT_BUDGET) -> SegalVerdict:
     _need_depth(x, 3)
-    first, second = DEGREE3_SQUARES
     return _verdict(x.levels[3], [
-        (first, x.face(3, 3), x.face(3, 1), x.face(2, 1), x.face(2, 2)),
-        (second, x.face(3, 2), x.face(3, 0), x.face(2, 0), x.face(2, 1))],
-        budget)
+        ("triangulation {012},{023}", x.face(3, 3), x.face(3, 1),
+         x.face(2, 1), x.face(2, 2)),
+        ("triangulation {013},{123}", x.face(3, 2), x.face(3, 0),
+         x.face(2, 0), x.face(2, 1))], budget)
 
 
 def check_pointed(x: TruncatedSimplicialGroupoid,

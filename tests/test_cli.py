@@ -268,12 +268,14 @@ def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
                 "--H", "sym:2", "--budget", "1000"])
     assert code == 2
     err = capsys.readouterr().err
-    assert ("triangulation {012},{023}: the comparison fiber product has "
-            "497664 objects, over the budget of 1000") in err
+    # X_3 and the degree-3 strict pullbacks have 12^4 objects each, so the
+    # level refusal covers every square
+    assert ("Hecke-Waldhausen level X_3(sym:4,sym:2) has 20736 objects, "
+            "over the budget of 1000") in err
 
 
 def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):
-    # HW(C16,1): squares of 16^5 = 1048576 objects, over the default
+    # --budget reaches the levels unchanged, with no floor under it
     import hallalg.waldhausen.hecke as hecke
     seen = []
     real = hecke.HeckeWaldhausen
@@ -283,18 +285,50 @@ def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):
         return real(G, H, depth, budget)
 
     monkeypatch.setattr(hecke, "HeckeWaldhausen", recording)
-    argv = ["segal-check", "--construction", "hecke", "--G", "cyclic:16",
-            "--H", "trivial"]
-    assert run(argv) == 2
-    assert "1048576 objects, over the budget of 1000000" in \
-        capsys.readouterr().err
-    code, out = run_capture(capsys, argv + ["--budget", "1048576"])
+    # HW(C16,1): X_3 and the degree-3 strict pullbacks have 16^4 = 65536
+    # objects, under the default
+    code, out = run_capture(capsys, [
+        "segal-check", "--construction", "hecke", "--G", "cyclic:16",
+        "--H", "trivial"])
     assert code == 0 and json.loads(out)["pass"] is True
-    # a budget below the default bounds the squares, not the levels
     assert run(["segal-check", "--construction", "hecke", "--G", "sym:3",
                 "--H", "trivial", "--budget", "10"]) == 2
-    # the refused runs are refused before any level is built
-    assert seen == [1048576]
+    assert ("X_3(sym:3,trivial) has 1296 objects, over the budget of 10"
+            in capsys.readouterr().err)
+    assert seen == [10 ** 6, 10]
+
+    # HW(S5,S2): 60^4 = 12960000 objects, refused before any level is built
+    def not_reached(*args):
+        raise AssertionError("the budget must stop the run first")
+
+    monkeypatch.setattr(hecke, "Cosets", not_reached)
+    assert run(["segal-check", "--construction", "hecke", "--G", "sym:5",
+                "--H", "sym:2"]) == 2
+    assert ("X_3(sym:5,sym:2) has 12960000 objects, over the budget of "
+            "1000000") in capsys.readouterr().err
+
+
+# sha256 of `segal-check --construction hecke` on inputs that were refused
+# at the default budget while the squares counted a fiber product that
+# no check builds; recorded with --budget 100000000 before the squares
+# were budgeted by their strict pullbacks, and printed now at the default
+HECKE_SEGAL_DIGESTS = {
+    ("sym:4", "trivial"):
+        "23484fa24e15c410bfd75cae0ce62d3284cb38e6426e147d196ada5602c31430",
+    ("sym:5", "sym:3"):
+        "c692c3b58b6ba21c48ebeecad7831aca5de59ad9ed3b22bec5c2e2ab893d0c78",
+    ("cyclic:16", "trivial"):
+        "67998a7f6e2704d16ec000daf0fc06d9312b1c4643d7eccd04964f6e25f85948",
+}
+
+
+@pytest.mark.parametrize("G,H", list(HECKE_SEGAL_DIGESTS))
+def test_segal_check_passes_at_the_default_budget(capsys, G, H):
+    code, out = run_capture(capsys, [
+        "segal-check", "--construction", "hecke", "--G", G, "--H", H])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == HECKE_SEGAL_DIGESTS[G, H]
 
 
 def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
@@ -373,10 +407,14 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "segal-check --construction hecke --G sym:4 --H sym:2",
-    "hecke-table --G sym:4 --H sym:3"])
+    "hecke-table --G sym:4 --H sym:3",
+    "segal-check --construction hecke --G sym:4 --H indices:0,6",
+    "hecke-table --G sym:4 --H indices:0,2,6,8,12,14"])
 def test_the_subgroup_is_checked_once(capsys, monkeypatch, argv):
-    # named_subgroup checks H <= G; the levels, the algebra and its
-    # regular module take that verdict instead of scanning |H|^2 pairs again
+    # named_subgroup checks an indices: spec, which is outside input, and
+    # takes sym:k as a subgroup by construction; the levels, the algebra
+    # and its regular module take that verdict instead of scanning |H|^2
+    # pairs again
     from hallalg.groups import FiniteGroup, named_group, named_subgroup
     argv = argv.split()
     H = frozenset(named_subgroup(named_group("sym:4"),
@@ -391,7 +429,7 @@ def test_the_subgroup_is_checked_once(capsys, monkeypatch, argv):
     monkeypatch.setattr(FiniteGroup, "is_subgroup", recording)
     assert run(argv) == 0
     capsys.readouterr()
-    assert checked.count(H) == 1
+    assert checked.count(H) == ("indices:" in argv[-1])
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

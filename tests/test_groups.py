@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hallalg import UsageError
+from hallalg.cli import run
 from hallalg.groups import (FiniteGroup, all_perms, alternating_subgroup,
                             cyclic_group, dihedral_group, direct_product,
                             klein_group, named_group, named_subgroup,
@@ -43,6 +44,31 @@ def test_subgroups():
     assert young_subgroup(S4, [2, 2]).order == 4
     with pytest.raises(UsageError):
         S4.subgroup([S4.elements[1]])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_named_subgroups_of_sym_are_subgroups(n):
+    # these specs skip the closure check: they are subgroups by
+    # construction, which the check confirms here
+    G = named_group(f"sym:{n}")
+    specs = ([f"sym:{k}" for k in range(n + 1)]
+             + [f"young:{k}+{n - k}" for k in range(1, n)]
+             + ["young:" + "+".join(["1"] * n), f"alt:{n}", "all",
+                "trivial"])
+    for spec in specs:
+        H = named_subgroup(G, spec)
+        assert H.subgroup_of is G and G.is_subgroup(H.elements), spec
+
+
+def test_an_indices_spec_that_is_no_subgroup_exits_2(capsys):
+    # indices: is outside input, so its closure is still checked
+    G = symmetric_group(4)
+    with pytest.raises(UsageError, match="not a subgroup"):
+        named_subgroup(G, "indices:0,1,2")
+    assert run(["segal-check", "--construction", "hecke", "--G", "sym:4",
+                "--H", "indices:0,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a subgroup" in captured.err
 
 
 def test_exponent_abelianization():

@@ -10,8 +10,7 @@ from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
                               b_group, cardinality, compose_functors,
                               functors_equal, is_equivalence,
                               two_fiber_product)
-from hallalg.groupoid.fiber import (_Square, fiber_product_size,
-                                    strict_pullback_equivalence)
+from hallalg.groupoid.fiber import _Square, strict_pullback_equivalence
 from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
                             named_group, named_subgroup, symmetric_group,
                             symmetric_subgroup, trivial_group, tuple_group,
@@ -24,8 +23,7 @@ from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
 from hallalg.waldhausen import hecke, segal
 from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       HeckeAlgebra, HeckeModule,
-                                      HeckeWaldhausen, degeneracy, face,
-                                      segal_square_size)
+                                      HeckeWaldhausen, degeneracy, face)
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _layout
 from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
 from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
@@ -677,27 +675,6 @@ def test_coset_levels_match_flat_model():
                 (G.name, H.name, "degeneracy", n, k)
 
 
-def test_coset_hom_sets_match_the_scan_of_the_group():
-    # the transporter intersection against ActionGroupoid's scan of the
-    # acting group, G on a full level and H on a pinned one
-    S4 = symmetric_group(4)
-    cosets = Cosets(S4, young_subgroup(S4, [2, 2]))
-
-    def order(m):
-        return S4.index[m[0]]
-
-    for n, pinned in ((0, False), (1, False), (2, False), (1, True),
-                      (2, True)):
-        level = CosetLevel(S4, [cosets] * (n + 1), "X", pinned)
-        for i in range(level.n_objects):
-            assert level.aut_size(i) == ActionGroupoid.aut_size(level, i)
-            for j in range(0, level.n_objects, 7):
-                assert sorted(level.hom(i, j), key=order) == sorted(
-                    ActionGroupoid.hom(level, i, j), key=order)
-                if not pinned:
-                    assert level.hom(i, j) == ActionGroupoid.hom(level, i, j)
-
-
 def _shuffled_cayley(G, shift):
     """G as a Cayley-table group on 0..|G|-1 whose elements start at
     G.elements[shift], so that its identity is not elements[0]."""
@@ -821,12 +798,32 @@ def test_faces_match_the_table_of_one_run_per_prefix_and_value():
     ("sym:4", "young:2+2"), ("dihedral:4", "trivial"),
     ("cyclic:6", "indices:0,2,4")])
 def test_segal_square_size_closed_form(G, H):
+    # the strict pullbacks that the squares walk: [G:H]^4 objects at
+    # degree 3, as many as X_3, and [G:H]^2 on the unital squares
     G = named_group(G)
     H = named_subgroup(G, H)
-    x = HeckeWaldhausen(G, H, 2)
-    sizes = {fiber_product_size(x.faces[(2, a)], x.faces[(2, b)])
-             for a, b in ((1, 2), (0, 1))}
-    assert sizes == {segal_square_size(G, H)}
+    index = G.order // H.order
+    sizes = [_Square(fa, fb, f, g).size for _, _, fa, fb, f, g
+             in decided_squares(hecke_waldhausen(G, H))]
+    assert sizes == [index ** 4] * 2 + [index ** 2] * 2
+
+
+def test_a_square_is_refused_on_its_strict_pullback_before_the_rule(
+        monkeypatch):
+    # HW(S3,S2): the first square's strict pullback has 3^4 = 81 objects
+    x = _hw(3, 2)
+
+    def not_reached(self):
+        raise AssertionError("the budget must stop the square first")
+
+    monkeypatch.setattr(_Square, "fibres", not_reached)
+    monkeypatch.setattr(_Square, "decide", not_reached)
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "triangulation {012},{023}: the strict pullback has 81 objects, "
+            "over the budget of 80")):
+        check_2segal_degree3(x, budget=80)
+    monkeypatch.undo()
+    assert check_2segal_degree3(x, budget=81).ok
 
 
 def test_comparison_names_the_first_object_where_gmap_tables_disagree(
