@@ -12,6 +12,23 @@ class UsageError(ValueError):
     """Bad configuration or arguments."""
 
 
+class Record:
+    """A plain record whose `_fields`, in order, give its equality (with a
+    record of the same class) and its repr, as a dataclass's would."""
+
+    _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self._fields)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+
 # convenience re-exports; the exceptions above must exist first
 from .exactmath import (MultiSymElem, PartitionMap,                      # noqa: E402
                         littlewood_richardson, multiset_number,

@@ -16,7 +16,7 @@ component's representative, size and automorphism order, never a morphism
 from the representative to another object.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from ..groups import FiniteGroup, trivial_group
@@ -24,21 +24,17 @@ from ..groups import FiniteGroup, trivial_group
 DEFAULT_OBJECT_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Component:
-    index: int
-    rep: int          # object index of the representative
-    size: int         # number of objects
-    aut_order: int    # |Aut(rep)|
+# rep: the object index of the representative; size: its number of
+# objects; aut_order: |Aut(rep)|
+Component = namedtuple("Component", "index rep size aut_order")
 
 
 class Groupoid:
     """Base: subclasses define objects and the morphism token protocol."""
 
-    objects: list
-
     def __init__(self, objects, name="X"):
-        self.objects = list(objects)
+        # a sequence is kept, not copied: no groupoid changes its objects
+        self.objects = objects
         self.name = name
         self._obj_index = None
         self._components = None

@@ -13,8 +13,7 @@ selection, and other functors (ComposedFunctor, FnFunctor) on a generating
 family of morphisms, which the tests use as the oracle for the tables.
 """
 
-from dataclasses import dataclass, field
-
+from .. import Record
 from .core import ActionGroupoid, Groupoid, point_groupoid
 
 
@@ -179,10 +178,12 @@ def point_inclusion(g: Groupoid, obj_idx: int) -> Functor:
                      name=f"at[{obj_idx}]")
 
 
-@dataclass
-class EquivalenceVerdict:
-    ok: bool
-    witness: dict = field(default_factory=dict)
+class EquivalenceVerdict(Record):
+    _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness=None):
+        self.ok = ok
+        self.witness = {} if witness is None else witness
 
     def __bool__(self):
         return self.ok

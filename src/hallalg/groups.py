@@ -326,32 +326,36 @@ def klein_group():
     return g
 
 
-def _check_closure(G):
-    """Whether a subgroup filtered out of G needs its closure checked: in a
-    permutation group (tokens composed by perm_mul) a point stabiliser, the
-    even permutations and a Young subgroup are subgroups by construction;
-    on other tokens the filters below need not give one."""
-    return G._op is not perm_mul
+def _degree(G, what):
+    """n for G a permutation group on n points (tokens composed by
+    perm_mul), where a point stabiliser, the even permutations and a Young
+    subgroup are subgroups by construction; on other tokens `what` names
+    no subgroup, and is a usage error."""
+    if G._op is not perm_mul:
+        raise UsageError(f"{what} is defined only in a permutation group, "
+                         f"and {G.name} is not one")
+    return len(G.elements[0])
 
 
 def symmetric_subgroup(G, k):
     """The canonical sym:k inside sym:n (fixing points k..n-1)."""
-    n = len(G.elements[0])
+    n = _degree(G, f"sym:{k}")
     if not 0 <= k <= n:
         raise UsageError(f"sym:{k} does not embed canonically in {G.name}")
     elems = [p for p in G.elements if all(p[i] == i for i in range(k, n))]
-    return G.subgroup(elems, name=f"sym:{k}", check=_check_closure(G))
+    return G.subgroup(elems, name=f"sym:{k}", check=False)
 
 
 def alternating_subgroup(G):
-    n = len(G.elements[0])
+    n = _degree(G, "the alternating subgroup")
     elems = [p for p in G.elements if perm_sign(p) == 1]
-    return G.subgroup(elems, name=f"alt:{n}", check=_check_closure(G))
+    return G.subgroup(elems, name=f"alt:{n}", check=False)
 
 
 def young_subgroup(G, blocks):
     """prod_i sym(block_i) inside sym:n for a composition of n."""
-    n = len(G.elements[0])
+    name = "young:" + "+".join(map(str, blocks))
+    n = _degree(G, name)
     if sum(blocks) != n:
         raise UsageError(f"young blocks {blocks} do not sum to {n}")
     bounds = []
@@ -362,8 +366,7 @@ def young_subgroup(G, blocks):
     elems = [p for p in G.elements
              if all(lo <= p[i] < hi for lo, hi in bounds
                     for i in range(lo, hi))]
-    return G.subgroup(elems, name="young:" + "+".join(map(str, blocks)),
-                      check=_check_closure(G))
+    return G.subgroup(elems, name=name, check=False)
 
 
 def named_group(spec: str) -> FiniteGroup:
@@ -428,7 +431,7 @@ def named_subgroup(G: FiniteGroup, spec: str) -> FiniteGroup:
         return symmetric_subgroup(G, int(spec[4:]))
     if spec.startswith("alt:"):
         H = alternating_subgroup(G)
-        if spec != f"alt:{len(G.elements[0])}":
+        if spec != H.name:
             raise UsageError(f"{spec!r}: only the full alternating subgroup "
                              "is supported")
         return H

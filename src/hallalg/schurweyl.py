@@ -13,9 +13,7 @@ The report lists every label; their number is counted first and refused
 over the budget before any label is built.
 """
 
-from dataclasses import dataclass, field
-
-from . import BudgetExceededError, UsageError
+from . import BudgetExceededError, Record, UsageError
 
 from .exactmath.partitions import (PartitionMap, count_partition_maps,
                                    multiset_number, partition_maps)
@@ -61,16 +59,19 @@ def check_total_dimension(G: FiniteGroup, n: int, d: int):
     return lhs == rhs, {"lhs": lhs, "rhs": rhs}
 
 
-@dataclass
-class SchurWeylReport:
-    group: str
-    n: int
-    d: int
-    rows: list = field(default_factory=list)
-    sum_of_squares: bool = False
-    total_dimension: bool = False
-    kernel_free_when_n_le_d: bool = True
-    nonzero_count_matches: bool = False
+class SchurWeylReport(Record):
+    _fields = ("group", "n", "d", "rows", "sum_of_squares", "total_dimension",
+               "kernel_free_when_n_le_d", "nonzero_count_matches")
+
+    def __init__(self, group: str, n: int, d: int, rows=None,
+                 sum_of_squares=False, total_dimension=False,
+                 kernel_free_when_n_le_d=True, nonzero_count_matches=False):
+        self.group, self.n, self.d = group, n, d
+        self.rows = [] if rows is None else rows
+        self.sum_of_squares = sum_of_squares
+        self.total_dimension = total_dimension
+        self.kernel_free_when_n_le_d = kernel_free_when_n_le_d
+        self.nonzero_count_matches = nonzero_count_matches
 
     @property
     def ok(self):

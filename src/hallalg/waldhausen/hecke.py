@@ -9,10 +9,14 @@ tuple of coset indices, one coordinate per factor, numbered in
 lexicographic (mixed-radix) order, and a morphism (g, i) acts on every
 coordinate by left multiplication.  The cosets G/K are numbered by their
 least element in G.elements order, and G acts through one
-left-multiplication table per subgroup.  Face d_k deletes coordinate k and
-degeneracy s_k repeats it.  Both are G-maps, so each is an object index
-table (a GMap), filled by index arithmetic from strided runs of the target's
-indices, and the simplicial identities are equalities of tables.
+left-multiplication table per subgroup.  A level holds no tuple: it is its
+axis sizes, strides and those tables, it decodes a tuple from its index on
+demand, and g acts on an index by the same stride arithmetic.  Face d_k
+deletes coordinate k and degeneracy s_k repeats it.  Both are G-maps, so
+each is an object index table (a GMap), filled by index arithmetic from
+strided runs of the target's indices (a face slices the target's shared
+list of them, a degeneracy takes ranges, so the top level lists none), and
+the simplicial identities are equalities of tables.
 
 pi0 of a level comes from the block of tuples whose first coset is coset
 0: G is transitive on the first coordinate, so every orbit meets the block
@@ -21,9 +25,10 @@ orbit lies there.  A search over the block through one index permutation
 per generator of the stabiliser gives the components in the order, with
 the representatives, of a search over the whole level; any other object is
 moved into the block by a fixed element per first coset.  A level over the
-budget is refused before any level is built.  The strict pullbacks that
-the 2-Segal squares walk have [G:H]^4 objects (degree 3), as many as
-X_3, and [G:H]^2 (unital), so that refusal covers them too.
+budget, or whose face tables would take more than MAX_TABLE_BYTES, is
+refused before any level is built.  The strict pullbacks that the 2-Segal
+squares walk have [G:H]^4 objects (degree 3), as many as X_3, and [G:H]^2
+(unital), so that refusal covers them too.
 
 Two models stay in the tests as oracles: the iterated fiber product and the
 flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
@@ -58,6 +63,12 @@ from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
 from ..structure import StructureTable, check_action, check_algebra
 from .simplicial import TruncatedSimplicialGroupoid
+
+
+# the most bytes of face tables out of the top Hecke-Waldhausen level that a
+# run builds, whatever the budget: HW(S5,S2) has 415 MB of them and peaks at
+# about 0.7 GB in all; HW(S5,1) would need 6.6 GB
+MAX_TABLE_BYTES = 2 ** 30
 
 
 def _check_subgroup(G, K):
@@ -110,6 +121,31 @@ class Cosets:
         return stab, to_zero
 
 
+class CosetTuples:
+    """The objects of a CosetLevel as a read-only sequence, each decoded
+    from its index: coordinate j of object i is i // stride % size over
+    the axes (stride, size) that G moves, after the `head`, (home,) for a
+    pinned level and () otherwise."""
+
+    def __init__(self, head, axes):
+        self._head, self._axes = head, axes
+        self._count = prod(n for _, n in axes)
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("coset tuple index out of range")
+        return self._head + tuple([i // s % n for s, n in self._axes])
+
+    def __iter__(self):
+        return iproduct(*([x] for x in self._head),
+                        *(range(n) for _, n in self._axes))
+
+
 class CosetLevel(ActionGroupoid):
     """(G/K_0 x ... x G/K_n) // G on tuples of coset indices, numbered in
     lexicographic (mixed-radix) order.  Pinned, it is the full subgroupoid
@@ -118,6 +154,11 @@ class CosetLevel(ActionGroupoid):
     an equivalence, with [G:K_0] times fewer objects.  `sizes` are the
     axis sizes (a pinned first axis has size 1); the object (x_0..x_n) has
     the mixed-radix index over them (a pinned x_0 counts as 0).
+
+    A level holds only its axis sizes, its strides and the tables of its
+    cosets: `objects` decodes a tuple from its index on demand
+    (CosetTuples), `obj_index` encodes one, and g acts on index i through
+    the same stride arithmetic, with no tuple built.
 
     pi0 is searched on the block of tuples whose first coset is the base
     coset: coset 0, or K_0 itself when pinned (the block is then the whole
@@ -129,27 +170,38 @@ class CosetLevel(ActionGroupoid):
         self.spaces = list(spaces)
         first = self.spaces[0]
         self.sizes = [s.count for s in self.spaces]
-        axes = [range(n) for n in self.sizes]
-        strides = [prod(self.sizes[j + 1:]) for j in range(len(axes))]
+        strides = [prod(self.sizes[j + 1:]) for j in range(len(self.sizes))]
+        # (row table, stride, size) of each coordinate that g moves
+        moved = list(zip([s.mult for s in self.spaces], strides, self.sizes))
+        self._ranges = [range(n) for n in self.sizes]
         if pinned:
             # the first coordinate is always K_0's own coset, counted as 0
-            self.sizes[0], axes[0], strides[0] = 1, [first.home], 0
-        self.pinned = pinned
-        objs = list(iproduct(*axes))
+            self.sizes[0], self._ranges[0], strides[0] = 1, [first.home], 0
+            del moved[0]
+        self.pinned, self._strides = pinned, strides
         gidx = G.index
-        tables = list(zip([s.mult for s in self.spaces], strides))
 
         def act(g, i):
             k = gidx[g]
-            return sum([m[k][x] * s for (m, s), x in zip(tables, objs[i])])
+            return sum([m[k][i // s % n] * s for m, s, n in moved])
 
-        super().__init__(first.subgroup if pinned else G, objs, act,
-                         name=name)
+        super().__init__(first.subgroup if pinned else G,
+                         CosetTuples((first.home,) if pinned else (),
+                                     [(s, n) for _, s, n in moved]),
+                         act, name=name)
         self._G = G
+
+    def obj_index(self, obj):
+        """The mixed-radix index of the tuple obj, or a KeyError if obj is
+        not an object of the level."""
+        if type(obj) is not tuple or len(obj) != len(self._ranges) or any(
+                x not in r for x, r in zip(obj, self._ranges)):
+            raise KeyError(obj)
+        return sum([x * s for x, s in zip(obj, self._strides)])
 
     @cached_property
     def indices(self):
-        """list(range(n_objects)): index tables into this level slice it,
+        """list(range(n_objects)): face tables into this level slice it,
         so that they share its ints."""
         return list(range(self.n_objects))
 
@@ -196,39 +248,41 @@ class CosetLevel(ActionGroupoid):
         taking its first coset to the base coset."""
         self.components()
         if i >= len(self._comp_of):
-            k = self._to_base[self.objects[i][0]]
+            k = self._to_base[i // self._strides[0]]
             i = self.act(self._G.elements[k], i)
         return self._comp_of[i]
 
 
 def _runs(src: CosetLevel, tgt: CosetLevel, sizes, k):
-    """tgt's indices, the run length S of the suffixes after coordinate k
-    and the number of prefixes before it, once tgt's axis sizes are
-    checked to be `sizes`."""
+    """The run length S of the suffixes after coordinate k and the number
+    of prefixes before it, once tgt's axis sizes are checked to be
+    `sizes`."""
     if tgt.sizes != sizes:
         raise ValueError(f"{tgt.name} has axis sizes {tgt.sizes}, not "
                          f"{sizes}")
-    return tgt.indices, prod(src.sizes[k + 1:]), prod(src.sizes[:k])
+    return prod(src.sizes[k + 1:]), prod(src.sizes[:k])
 
 
 def _table(src: CosetLevel, tgt: CosetLevel, sizes, k, runs):
     """An index table src -> tgt from strided runs of tgt's indices: for
     each prefix a of coordinates 0..k-1 and each value x of coordinate k,
-    the run of the S suffixes starting at runs(a, x) * S."""
-    ids, S, prefixes = _runs(src, tgt, sizes, k)
+    the run of the S suffixes starting at runs(a, x) * S, taken from a
+    range, so that the larger target of a degeneracy builds no list of its
+    indices."""
+    S, prefixes = _runs(src, tgt, sizes, k)
     table = []
     for a in range(prefixes):
         for x in range(src.sizes[k]):
             start = runs(a, x) * S
-            table += ids[start:start + S]
+            table += range(start, start + S)
     return table
 
 
 def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
     """d_k: deletes coordinate k, so (a, x, b) goes to (a, b): for each
-    prefix a, the run of tgt's indices over a, once per value x."""
-    ids, S, prefixes = _runs(src, tgt, src.sizes[:k] + src.sizes[k + 1:], k)
-    n, table = src.sizes[k], []
+    prefix a, the run of tgt's shared indices over a, once per value x."""
+    S, prefixes = _runs(src, tgt, src.sizes[:k] + src.sizes[k + 1:], k)
+    ids, n, table = tgt.indices, src.sizes[k], []
     for a in range(prefixes):
         table += ids[a * S:(a + 1) * S] * n
     return GMap(src, tgt, table, name=f"d_{k}^{len(src.spaces) - 1}")
@@ -244,8 +298,9 @@ def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
 
 class HeckeWaldhausen:
     """Levels X_n = (G/H)^(n+1) // G, n = 0..depth, with faces and
-    degeneracies.  The top level, the largest, is refused over the budget
-    before any level is built."""
+    degeneracies.  The top level, the largest, is refused over the budget,
+    or when its face tables would take more than MAX_TABLE_BYTES, before
+    any level is built."""
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
                  budget: int = DEFAULT_OBJECT_BUDGET):
@@ -253,9 +308,16 @@ class HeckeWaldhausen:
         if not 0 <= depth <= 3:
             raise UsageError(f"Hecke-Waldhausen depth {depth} is outside "
                              f"0..3")
-        _refuse_over_budget(
-            f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})",
-            (G.order // H.order) ** (depth + 1), budget)
+        top = f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})"
+        count = (G.order // H.order) ** (depth + 1)
+        _refuse_over_budget(top, count, budget)
+        # a level is its index tables: the top one has a face table of
+        # `count` entries, one 8-byte list slot each, per face
+        size = count * (depth + 1) * 8
+        if size > MAX_TABLE_BYTES:
+            raise BudgetExceededError(
+                f"{top} needs {size} bytes for its {depth + 1} face tables "
+                f"of {count} entries, over the ceiling of {MAX_TABLE_BYTES}")
         self.G, self.H = G, H
         self.depth = depth
         self.cosets = Cosets(G, H)

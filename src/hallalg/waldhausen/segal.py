@@ -26,9 +26,7 @@ constructions, and of every entry of the mutation corpus, are G-maps of
 action groupoids (GMap); a square of other functors is a ValueError.
 """
 
-from dataclasses import dataclass, field
-
-from .. import BudgetExceededError
+from .. import BudgetExceededError, Record
 from ..groupoid import (ActionGroupoid, Functor, GMap, compose_functors,
                         functors_equal)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
@@ -36,10 +34,13 @@ from ..groupoid.fiber import strict_pullback_equivalence
 from .simplicial import TruncatedSimplicialGroupoid
 
 
-@dataclass
-class SegalVerdict:
-    ok: bool
-    squares: list = field(default_factory=list)   # (name, ok, witness)
+class SegalVerdict(Record):
+    _fields = ("ok", "squares")
+
+    def __init__(self, ok: bool, squares=None):
+        self.ok = ok
+        # (name, ok, witness) of each square
+        self.squares = [] if squares is None else squares
 
     def __bool__(self):
         return self.ok
@@ -141,8 +142,10 @@ class _MutatedLevel(ActionGroupoid):
         group = level.group
         if discrete and group is not None:
             group = self._cut(group)
-        super().__init__(group, [(level.objects[i], k) for i, k in points],
-                         act, name=name)
+        # a coset level decodes its objects faster in one pass than singly
+        objects = list(level.objects)
+        super().__init__(group, [(objects[i], k) for i, k in points], act,
+                         name=name)
 
     def _cut(self, group):
         if group not in self._trivial:

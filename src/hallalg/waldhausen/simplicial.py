@@ -8,18 +8,19 @@ and coordinate selection; any other functor is compared on every object
 and on a generating family of morphisms, which determines a functor.
 """
 
-from dataclasses import dataclass, field
-
+from .. import Record
 from ..groupoid import (Functor, IdentityFunctor, compose_functors,
                         functors_equal)
 
 
-@dataclass
-class TruncatedSimplicialGroupoid:
-    levels: list                      # X_0 .. X_N
-    faces: dict                       # (n, i) -> Functor X_n -> X_{n-1}
-    degeneracies: dict                # (n, i) -> Functor X_n -> X_{n+1}
-    name: str = "X"
+class TruncatedSimplicialGroupoid(Record):
+    _fields = ("levels", "faces", "degeneracies", "name")
+
+    def __init__(self, levels, faces, degeneracies, name="X"):
+        self.levels = levels               # X_0 .. X_N
+        self.faces = faces                 # (n, i) -> Functor X_n -> X_{n-1}
+        self.degeneracies = degeneracies   # (n, i) -> Functor X_n -> X_{n+1}
+        self.name = name
 
     @property
     def depth(self):
@@ -32,10 +33,12 @@ class TruncatedSimplicialGroupoid:
         return self.degeneracies[(n, i)]
 
 
-@dataclass
-class SimplicialVerdict:
-    ok: bool
-    violations: list = field(default_factory=list)
+class SimplicialVerdict(Record):
+    _fields = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations=None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def __bool__(self):
         return self.ok

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -306,6 +307,72 @@ def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):
                 "--H", "sym:2"]) == 2
     assert ("X_3(sym:5,sym:2) has 12960000 objects, over the budget of "
             "1000000") in capsys.readouterr().err
+
+
+def test_hecke_levels_over_the_table_ceiling_exit_2(capsys, monkeypatch):
+    # HW(S5,1) at --budget 10^11: X_3 has 120^4 objects, under the budget,
+    # but its four face tables would take 6.6 GB; refused before any level
+    # is built
+    import hallalg.waldhausen.hecke as hecke
+
+    def not_reached(*args):
+        raise AssertionError("the ceiling must stop the run first")
+
+    monkeypatch.setattr(hecke, "Cosets", not_reached)
+    t0 = perf_counter()
+    assert run(["segal-check", "--construction", "hecke", "--G", "sym:5",
+                "--H", "trivial", "--budget", str(10 ** 11)]) == 2
+    assert perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Hecke-Waldhausen level X_3(sym:5,trivial) needs 6635520000 "
+        "bytes for its 4 face tables of 207360000 entries, over the ceiling "
+        "of 1073741824\n")
+
+
+def test_the_table_ceiling_admits_hw_s5_s2(monkeypatch):
+    # HW(S5,S2) at --budget 10^10: 60^4 objects, 415 MB of face tables,
+    # goes on to build its levels
+    import hallalg.waldhausen.hecke as hecke
+    from hallalg.groups import symmetric_group, symmetric_subgroup
+
+    class Built(Exception):
+        pass
+
+    def building(*args):
+        raise Built
+
+    monkeypatch.setattr(hecke, "Cosets", building)
+    S5 = symmetric_group(5)
+    with pytest.raises(Built):
+        hecke.HeckeWaldhausen(S5, symmetric_subgroup(S5, 2), 3, 10 ** 10)
+
+
+def test_the_table_ceiling_is_inclusive(capsys, monkeypatch):
+    # HW(S3,S2): X_3 has 81 objects and 4 faces, 2592 bytes of tables
+    import hallalg.waldhausen.hecke as hecke
+    argv = ["segal-check", "--construction", "hecke", "--G", "sym:3",
+            "--H", "sym:2"]
+    monkeypatch.setattr(hecke, "MAX_TABLE_BYTES", 2592)
+    assert run(argv) == 0
+    monkeypatch.setattr(hecke, "MAX_TABLE_BYTES", 2591)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert "needs 2592 bytes" in capsys.readouterr().err
+
+
+def test_the_cli_imports_no_dataclasses():
+    # plain classes keep dataclasses, and with it inspect, ast, dis and
+    # tokenize, out of every CLI process
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hallalg, hallalg.cli; print("
+         "sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+         "& set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # sha256 of `segal-check --construction hecke` on inputs that were refused

@@ -578,3 +578,37 @@ def test_malformed_groupoids_are_value_errors():
     both = DisjointUnion([swap, swap])
     with pytest.raises(ValueError, match="do not compose"):
         both.compose(both.identity(0), both.identity(2))
+
+
+def test_records_keep_their_fields_equality_and_repr():
+    from hallalg.groupoid import Component, EquivalenceVerdict
+    from hallalg.schurweyl import SchurWeylReport
+    from hallalg.waldhausen import (SegalVerdict, SimplicialVerdict,
+                                    TruncatedSimplicialGroupoid)
+    c = Component(0, 3, 2, 6)
+    assert (c.index, c.rep, c.size, c.aut_order) == (0, 3, 2, 6)
+    assert repr(c) == "Component(index=0, rep=3, size=2, aut_order=6)"
+    assert len({c, Component(0, 3, 2, 6)}) == 1
+    v = EquivalenceVerdict(False, {"kind": "missed_component"})
+    assert repr(v) == ("EquivalenceVerdict(ok=False, "
+                       "witness={'kind': 'missed_component'})")
+    assert EquivalenceVerdict(True) == EquivalenceVerdict(True, {})
+    assert v != EquivalenceVerdict(False) and not v
+    # a fresh default per record, as a default_factory gives
+    assert EquivalenceVerdict(True).witness is not EquivalenceVerdict(
+        True).witness
+    assert SegalVerdict(True) == SegalVerdict(True, [])
+    assert SegalVerdict(True) != SimplicialVerdict(True)
+    assert repr(SimplicialVerdict(False, ["d_0 d_1"])) == (
+        "SimplicialVerdict(ok=False, violations=['d_0 d_1'])")
+    x = TruncatedSimplicialGroupoid([], {}, {})
+    assert repr(x) == ("TruncatedSimplicialGroupoid(levels=[], faces={}, "
+                       "degeneracies={}, name='X')")
+    assert x == TruncatedSimplicialGroupoid([], {}, {}, "X")
+    rep = SchurWeylReport("klein", 1, 1)
+    assert repr(rep) == (
+        "SchurWeylReport(group='klein', n=1, d=1, rows=[], "
+        "sum_of_squares=False, total_dimension=False, "
+        "kernel_free_when_n_le_d=True, nonzero_count_matches=False)")
+    with pytest.raises(TypeError):
+        hash(v)

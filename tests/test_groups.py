@@ -71,6 +71,21 @@ def test_an_indices_spec_that_is_no_subgroup_exits_2(capsys):
     assert captured.out == "" and "not a subgroup" in captured.err
 
 
+@pytest.mark.parametrize("G, spec", [
+    ("cyclic:3", "alt:3"), ("cyclic:3", "sym:1"), ("cyclic:3", "young:1+2"),
+    ("dihedral:4", "sym:2"), ("product:(sym:3,cyclic:2)", "sym:2"),
+    ("klein", "alt:2")])
+def test_permutation_specs_on_other_groups_exit_2(capsys, G, spec):
+    # sym:, alt: and young: read a token as a permutation; on ints they
+    # raised a TypeError (exit 3), on dihedral pairs sym:2 took all of D8
+    with pytest.raises(UsageError, match="only in a permutation group"):
+        named_subgroup(named_group(G), spec)
+    assert run(["hecke-table", "--G", G, "--H", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is defined only in a permutation group" in captured.err
+
+
 def test_exponent_abelianization():
     assert cyclic_group(6).exponent() == 6
     assert klein_group().exponent() == 2

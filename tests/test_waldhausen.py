@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import defaultdict
 from itertools import product
 
@@ -772,6 +773,84 @@ def test_index_tables_match_the_tuple_formulas():
         face(CosetLevel(C, [gh, gh, gh], "X2"), pinned, 1)
     with pytest.raises(ValueError):
         degeneracy(pinned, CosetLevel(C, [gh, gh, gh], "Y", True), 0)
+
+
+def _tuples(level):
+    """The objects of a coset level, materialised as before the view: every
+    tuple of coset indices in lexicographic order, a pinned first
+    coordinate fixed at K_0's own coset."""
+    axes = [range(s.count) for s in level.spaces]
+    if level.pinned:
+        axes[0] = [level.spaces[0].home]
+    return list(product(*axes))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_coset_level_objects_are_the_materialised_tuples(n):
+    S = symmetric_group(n)
+    gh = Cosets(S, symmetric_subgroup(S, 2))
+    gp = Cosets(S, young_subgroup(S, [n - 2, 2]) if n == 4
+                else symmetric_subgroup(S, 1))
+    for spaces in ([gh], [gh, gh], [gp, gh], [gp, gh, gh], [gh] * 4):
+        for pinned in (False, True):
+            level = CosetLevel(S, spaces, "L", pinned)
+            tuples = _tuples(level)
+            objects = level.objects
+            assert list(objects) == tuples, (len(spaces), pinned)
+            assert len(objects) == level.n_objects == len(tuples)
+            assert [objects[i] for i in range(len(tuples))] == tuples
+            assert objects[-1] == tuples[-1]
+            with pytest.raises(IndexError):
+                objects[len(tuples)]
+            assert [level.obj_index(objects[i])
+                    for i in range(len(tuples))] == list(range(len(tuples)))
+            # no tuple outside the level has an index
+            first = tuples[0]
+            foreign = [first[:-1], first + (0,), list(first),
+                       first[:-1] + (spaces[-1].count,), first[:-1] + (-1,)]
+            if pinned:
+                home = spaces[0].home
+                foreign.append(((home + 1) % spaces[0].count,) + first[1:])
+            for obj in foreign:
+                with pytest.raises(KeyError):
+                    level.obj_index(obj)
+
+
+def test_coset_level_action_matches_the_tuple_formula():
+    # g moves every coordinate of the tuple; on HW(S3,S2) and on the
+    # pinned Y levels of every module of H(S3,S2)
+    S3 = symmetric_group(3)
+    H = symmetric_subgroup(S3, 2)
+    hw = HeckeWaldhausen(S3, H, 3)
+    levels = list(hw.levels)
+    for spec in ("trivial", "sym:2", "alt:3", "all"):
+        gp = Cosets(S3, named_subgroup(S3, spec))
+        levels += [CosetLevel(S3, [gp, hw.cosets], "Y0", pinned=True),
+                   CosetLevel(S3, [gp, hw.cosets, hw.cosets], "Y1",
+                              pinned=True)]
+    for level in levels:
+        tuples = _tuples(level)
+        index = {t: i for i, t in enumerate(tuples)}
+        for g in level.group.elements:
+            k = S3.index[g]
+            assert [level.act(g, i) for i in range(len(tuples))] == [
+                index[tuple(s.mult[k][x] for s, x in zip(level.spaces, t))]
+                for t in tuples], (level.name, g)
+
+
+def test_hecke_waldhausen_levels_hold_only_their_tables():
+    # HW(S4,S2) held 3.5 MB when every level listed its tuples, a copy of
+    # them, and X_3 its 20,736 indices; degeneracies into X_3 are ranges
+    S4 = symmetric_group(4)
+    H = symmetric_subgroup(S4, 2)
+    tracemalloc.start()
+    try:
+        x = hecke_waldhausen(S4, H, 3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5e6
+    assert "indices" not in vars(x.levels[3])
 
 
 def test_faces_match_the_table_of_one_run_per_prefix_and_value():
