@@ -293,6 +293,9 @@ def run(argv=None) -> int:
             if getattr(args, flag, 0) < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must not be "
                                  f"negative")
+        if getattr(args, "d", 1) < 1:
+            raise UsageError("--d must be at least 1, the number of "
+                             "variables")
         data, build_rows = COMMANDS[args.command][2](args)
         _emit(args, data, build_rows)
     except (UsageError, BudgetExceededError) as exc:

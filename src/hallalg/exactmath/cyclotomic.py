@@ -5,14 +5,22 @@ Phi_m is monic with integer coefficients, so zeta_m^k has an integer vector
 in the power basis for every k; one table of these reduction rows serves
 the whole kernel.  A value is a plain tuple of coefficients (ints, or
 Fractions where a caller divides): `reduce_poly` reduces any polynomial in
-zeta_m, `conjugate` applies the fixed integer matrix of complex
-conjugation, `dot` sums products over a list of vectors given by their
-planes, accumulating unreduced in Z[x] and reducing mod Phi_m once per sum,
-and `poly_string` prints a vector as a polynomial in z.
+zeta_m, `integral_rows` scales rows of vectors to integers by their common
+denominator, and `poly_string` prints a vector as a polynomial in z.
+
+`PackedProducts` sums weighted Hermitian products of integer vectors by
+Kronecker substitution: the vectors y_j are packed once, one signed slot of
+W bits per j, into phi(m) integer columns that fold in conjugation and the
+reduction mod Phi_m, so that for any x, phi(m) calls of
+sum(map(mul, ...)) in CPython's big-integer arithmetic give every
+coefficient of sum_c w_c x(c) conj(y_j(c)) for all j at once.  W is one
+bit more than an a-priori bound on every slot, so no slot carries into the
+next and equal packed integers mean equal slots.
 """
 
 from functools import cache
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 
@@ -81,37 +89,89 @@ def reduce_poly(m: int, poly) -> list:
     return out
 
 
-@cache
-def _conjugation_columns(m: int) -> tuple[tuple[int, ...], ...]:
-    """Column j of the integer matrix of complex conjugation: conj(zeta^k) =
-    zeta^(m-k), so entry k is coordinate j of row (-k) mod m."""
-    rows = _reduction_rows(m)
-    return tuple(zip(*(rows[-k % m] for k in range(len(rows[0])))))
+def integral_rows(rows):
+    """Rows of coefficient vectors (ints or Fractions) as integer vectors:
+    (rows times d, d) for d the lcm of the Fractions' denominators, the
+    rows themselves when all are ints."""
+    dens = {x.denominator for row in rows for v in row for x in v
+            if type(x) is not int}
+    if not dens:
+        return rows, 1
+    den = lcm(*dens)
+    return [[tuple(int(x * den) for x in v) for v in row]
+            for row in rows], den
 
 
-def conjugate(m: int, vec) -> tuple:
-    """Complex conjugate of a coefficient vector over Q(zeta_m)."""
-    return tuple(sum(map(mul, vec, col)) for col in _conjugation_columns(m))
+def column_norms(rows) -> list[int]:
+    """Per column c, the largest l1 norm of a row's vector at c."""
+    return [max(sum(map(abs, v)) for v in column) for column in zip(*rows)]
 
 
-def planes(vectors, weights=None) -> list[tuple[int, ...]]:
-    """Plane k of a list of coefficient vectors: their zeta^k coefficients,
-    each times its weight when weights are given."""
-    out = list(zip(*vectors))
-    if weights is not None:
-        out = [tuple(map(mul, p, weights)) for p in out]
-    return out
+class PackedProducts:
+    """Packed row products over Z[zeta_m] by Kronecker substitution: for
+    integer vectors y_j (one coefficient vector per class c), and any x of
+    the same classes, coefficient a of the reduced sum
+    S_j = sum_c w_c x(c) conj(y_j(c)) for every j at once, as one integer
+    sum_j S_j[a] 2^(W j) with a signed slot of W bits per j.
 
+    Column a holds, at the flat position (c, b) of x, the packed
+    w_c sum_k y_j(c)[k] coef_a(zeta^b conj(zeta^k)), and
+    coef_a(zeta^(b-k)) is entry a of reduction row (b - k) mod m, so
+    conjugation and reduction are folded into the columns once and one
+    sum(map(mul, flat x, column a)) gives coefficient a of every S_j.  The
+    slots never carry into each other: |S_j[a]| is at most
+    sum_c w_c |x(c)|_1 |y_j(c)|_1 r, r the largest entry of a reduction
+    row, for |x(c)|_1 at most xnorms[c]; W is one bit more than the
+    larger of this bound and `largest` (an expected value the caller
+    compares with) needs, so equal packed integers mean equal slots.  x has `width` coefficients
+    per class, phi(m) by default, 2 phi(m) - 1 for an unreduced product;
+    xnorms default to the norms of the y_j, for x among the y_j."""
 
-def dot(m: int, xs, ys) -> list[int]:
-    """sum_c x_c * y_c over Z[zeta_m] for two lists of vectors given by
-    their planes: the products accumulate unreduced in Z[x] and are reduced
-    mod Phi_m once."""
-    acc = [0] * (len(xs) + len(ys) - 1)
-    for k, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            acc[k + j] += sum(map(mul, x, y))
-    return reduce_poly(m, acc)
+    def __init__(self, m: int, ys, xnorms=None, weights=None,
+                 width=None, largest=0):
+        rows = _reduction_rows(m)
+        phi = len(rows[0])
+        width = phi if width is None else width
+        ynorms = column_norms(ys)
+        xnorms = ynorms if xnorms is None else xnorms
+        weights = [1] * len(ynorms) if weights is None else weights
+        r = max(abs(x) for row in rows for x in row)
+        bound = r * sum(abs(w) * x * y
+                        for w, x, y in zip(weights, xnorms, ynorms))
+        self.bits = bits = max(bound, largest).bit_length() + 1
+        self.count = len(ys)
+        half = 1 << (bits - 1)
+        # sum_j half 2^(bits j): every slot offset to 0 <= slot < 2^bits
+        self._offset = ((1 << bits * self.count) - 1) // (2 * half - 1) * half
+        self.columns = [[] for _ in range(phi)]
+        for c, w in enumerate(weights):
+            packed = [0] * phi   # packed[k] = sum_j y_j(c)[k] 2^(bits j)
+            for y in reversed(ys):
+                packed = [(p << bits) + x for p, x in zip(packed, y[c])]
+            for b in range(width):
+                for a, col in enumerate(self.columns):
+                    col.append(w * sum(rows[(b - k) % m][a] * p
+                                       for k, p in enumerate(packed) if p))
+
+    def __call__(self, x) -> list[int]:
+        """The phi(m) packed integers of x, a list of integer vectors of
+        the given width, one per class."""
+        flat = list(chain.from_iterable(x))
+        if len(flat) != len(self.columns[0]):
+            raise ValueError(f"{len(flat)} coefficients, not the "
+                             f"{len(self.columns[0])} of the columns")
+        return [sum(map(mul, flat, col)) for col in self.columns]
+
+    def slots(self, packed: int) -> list[int]:
+        """The signed slots j = 0..count-1 of one packed integer."""
+        bits = self.bits
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        v = packed + self._offset
+        out = []
+        for _ in range(self.count):
+            out.append((v & mask) - half)
+            v >>= bits
+        return out
 
 
 def poly_string(coeffs) -> str:

@@ -356,8 +356,9 @@ def young_subgroup(G, blocks):
     """prod_i sym(block_i) inside sym:n for a composition of n."""
     name = "young:" + "+".join(map(str, blocks))
     n = _degree(G, name)
-    if sum(blocks) != n:
-        raise UsageError(f"young blocks {blocks} do not sum to {n}")
+    if any(b < 0 for b in blocks) or sum(blocks) != n:
+        raise UsageError(f"young blocks {blocks} are not a composition of "
+                         f"{n}")
     bounds = []
     start = 0
     for b in blocks:
@@ -418,9 +419,22 @@ def named_group(spec: str) -> FiniteGroup:
     raise UsageError(f"unknown group spec {spec!r}")
 
 
+def _spec_integers(spec: str, parts) -> list[int]:
+    """The integers of a subgroup spec's argument; a UsageError naming the
+    spec when one is not an integer."""
+    out = []
+    for x in parts:
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise UsageError(f"bad subgroup spec {spec!r}: {x!r} is not an "
+                             f"integer") from None
+    return out
+
+
 def named_subgroup(G: FiniteGroup, spec: str) -> FiniteGroup:
     """Subgroup of G by spec: 'sym:k', 'alt:k', 'young:a+b', 'trivial',
-    'all', or a comma list of element indices."""
+    'all', or 'indices:' and a comma list of element indices 0 <= i < |G|."""
     spec = spec.strip()
     # every spec but indices: names a subgroup by construction
     if spec == "all":
@@ -428,7 +442,8 @@ def named_subgroup(G: FiniteGroup, spec: str) -> FiniteGroup:
     if spec == "trivial":
         return G.subgroup([G.identity], name="trivial", check=False)
     if spec.startswith("sym:"):
-        return symmetric_subgroup(G, int(spec[4:]))
+        k, = _spec_integers(spec, [spec[len("sym:"):]])
+        return symmetric_subgroup(G, k)
     if spec.startswith("alt:"):
         H = alternating_subgroup(G)
         if spec != H.name:
@@ -436,10 +451,15 @@ def named_subgroup(G: FiniteGroup, spec: str) -> FiniteGroup:
                              "is supported")
         return H
     if spec.startswith("young:"):
-        blocks = [int(b) for b in spec[len("young:"):].split("+")]
-        return young_subgroup(G, blocks)
+        blocks = spec[len("young:"):].split("+")
+        return young_subgroup(G, _spec_integers(spec, blocks))
     if spec.startswith("indices:"):
-        idxs = [int(i) for i in spec[len("indices:"):].split(",") if i]
+        idxs = _spec_integers(spec, [i for i in spec[len("indices:"):]
+                                     .split(",") if i])
+        bad = [i for i in idxs if not 0 <= i < G.order]
+        if bad:
+            raise UsageError(f"bad subgroup spec {spec!r}: index {bad[0]} is "
+                             f"not in 0..{G.order - 1}")
         return G.subgroup([G.elements[i] for i in idxs], name=spec)
     raise UsageError(f"unknown subgroup spec {spec!r}")
 

@@ -21,17 +21,22 @@ Every value lies in Z[zeta_e], e the exponent of G, and is kept as its
 integer coefficient vector in the power basis 1, zeta_e, ...,
 zeta_e^(phi(e)-1) from the closed formula to the printed JSON
 (`poly_string`).  The certificate and the induction multiplicities are
-sums of weighted Hermitian products of these vectors on the integer kernel
-of exactmath.cyclotomic, each reduced mod Phi_e once, and read `values`
-afresh on every call, so a certificate is always of the printed values.
-Tables are certified by class sizes adding up to |W|, row orthogonality
-and the squared dimensions; the column relation follows from the rows
-(`check_orthogonality`).  Induction multiplicities come from Frobenius
-reciprocity over class labels, in one batch per size pair (n, m)
-(`induction_products`).  The tests' oracles (`tests/oracles`) are the walk
-per (lam, rho) and the sums over the elements of the group and of the
-Young subgroup for the values, per-term cyclotomic arithmetic for the
-certificates, and the class label of each element.  On K_0, ch sends the
+sums of weighted Hermitian products of these vectors, computed as packed
+row products (`PackedProducts` of exactmath.cyclotomic): the rows of a
+table are packed once into big integers, one signed slot per row, wide
+enough for an a-priori bound on every sum, so that phi(e) big-integer sums
+give one row of the gram, or every multiplicity of one label pair.  Both
+read `values` afresh on every call, so a certificate is always of the
+printed values; Fraction values are scaled to integers by their common
+denominator first.  Tables are certified by class sizes adding up to |W|,
+row orthogonality and the squared dimensions; the column relation follows
+from the rows (`check_orthogonality`).  Induction multiplicities come from
+Frobenius reciprocity over class labels, in one batch per size pair
+(n, m) (`induction_products`).  The tests' oracles (`tests/oracles`) are
+the walk per (lam, rho) and the sums over the elements of the group and of
+the Young subgroup for the values, one `dot` per pair of rows or per
+(lam, mu, nu) and per-term cyclotomic arithmetic for the certificates and
+multiplicities, and the class label of each element.  On K_0, ch sends the
 induction product to the componentwise Littlewood-Richardson product,
 which is what the acceptance suite verifies.  Tables are memoised on their
 group (`character_table`), so they are dropped with it.
@@ -43,8 +48,9 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .. import UsageError
-from ..exactmath.cyclotomic import (conjugate, dot, euler_phi, planes,
-                                    poly_string, reduce_poly)
+from ..exactmath.cyclotomic import (PackedProducts, column_norms,
+                                    euler_phi, integral_rows, poly_string,
+                                    reduce_poly)
 from ..exactmath.partitions import PartitionMap, partition_maps
 from ..exactmath.symfunc import MultiSymElem
 from ..exactmath.tableaux import standard_tableaux_count
@@ -74,17 +80,6 @@ def centralizer_order(k: int, rho: PartitionMap) -> int:
             out *= r ** mult * factorial(mult)
         out *= k ** len(part)
     return out
-
-
-def hermitian_gram(e: int, vectors, weights=None):
-    """Yields ((i, j), sum_c w_c x_i(c) conj(x_j(c))) for i <= j over
-    Z[zeta_e], each x_i a list of integer coefficient vectors, one per
-    class; the weights w_c default to 1."""
-    xs = [planes(x, weights) for x in vectors]
-    bars = [planes(conjugate(e, v) for v in x) for x in vectors]
-    for i, x in enumerate(xs):
-        for j in range(i, len(bars)):
-            yield (i, j), dot(e, x, bars[j])
 
 
 def class_terms(chars, e: int, rho: PartitionMap) -> dict:
@@ -168,29 +163,38 @@ class WreathCharacterTable:
                                   f"a whole number")
         return int(v[0])
 
-    def _rational(self, tot, den, what) -> Fraction:
-        """The kernel's reduced sum tot over the denominator den, which
-        must be rational."""
-        if any(tot[1:]):
-            value = poly_string([Fraction(x, den) for x in tot])
-            raise ArithmeticError(f"{what} is not rational: {value}")
-        return Fraction(tot[0], den)
-
     def check_orthogonality(self):
         """(True, None), or (False, witness) for the first failing check:
         the class sizes add up to |W|; the rows are orthonormal,
         X D X* = |W| I with D = diag(class sizes); the squared dimensions
         add up to |W|.  The column relation X* X = |W| D^-1 is not checked
         apart, as the rows imply it: the table is square, so X D X* = |W| I
-        makes X invertible with inverse D X* / |W|, and X* X = |W| D^-1."""
+        makes X invertible with inverse D X* / |W|, and X* X = |W| D^-1.
+
+        Row i of the gram is packed (`PackedProducts`) and compared whole
+        with |W| d^2 2^(W i) and zeros, d the common denominator of the
+        values; its slots are read only when it differs.  The gram is
+        Hermitian and every row before it matched, so the first entry that
+        differs has j >= i and is the first failing pair (i, j), i <= j,
+        in order: an entry that is not rational raises ArithmeticError,
+        one that is rational but wrong gives ("row", i, j)."""
         if sum(self.class_sizes) != self.order:
             return False, ("class sizes", sum(self.class_sizes), self.order)
-        for (i, j), tot in hermitian_gram(self.e, self.values,
-                                          self.class_sizes):
-            q = self._rational(tot, self.order,
-                               f"inner product of rows {i} and {j}")
-            if q != (1 if i == j else 0):
-                return False, ("row", i, j)
+        rows, den = integral_rows(self.values)
+        unit = self.order * den * den
+        gram = PackedProducts(self.e, rows, weights=self.class_sizes,
+                              largest=unit)
+        for i, row in enumerate(rows):
+            packed = gram(row)
+            if packed[0] == unit << gram.bits * i and not any(packed[1:]):
+                continue
+            for j, tot in enumerate(zip(*map(gram.slots, packed))):
+                if any(tot[1:]):
+                    value = poly_string([Fraction(x, unit) for x in tot])
+                    raise ArithmeticError(f"inner product of rows {i} and "
+                                          f"{j} is not rational: {value}")
+                if tot[0] != (unit if i == j else 0):
+                    return False, ("row", i, j)
         dims2 = sum(self.dimension(l) ** 2 for l in self.irr_labels)
         if dims2 != self.order:
             return False, ("sum of squares", dims2, self.order)
@@ -244,34 +248,47 @@ def induction_products(G: FiniteGroup, n: int, m: int,
     (partitions joined class by class) of the big group.  What depends only
     on (n, m) is done once: the rows of each table are read once, the
     joined class and weight of each class pair are found once, and the big
-    table's rows are conjugated once."""
+    table's rows are packed once (`PackedProducts`), so that the
+    multiplicities of every nu in one pair are the slots of phi(e) packed
+    integers.  Fraction values are scaled by the common denominator of
+    each table, which the denominator of the multiplicities takes up; the
+    first nu, in label order, whose multiplicity is not in N raises
+    ArithmeticError."""
     big = character_table(G, n + m, budget)
     small_n = character_table(G, n, budget)
     small_m = character_table(G, m, budget)
     if pairs is None:
         pairs = [(lam, mu) for lam in small_n.irr_labels
                  for mu in small_m.irr_labels]
-    e = big.e
+    rows_n, den_n = integral_rows(small_n.values)
+    rows_m, den_m = integral_rows(small_m.values)
+    rows_big, den_big = integral_rows(big.values)
+    norms_n, norms_m = column_norms(rows_n), column_norms(rows_m)
+    # the three tables share one label set, so a class is its parts
+    pos = {rho.parts: c for c, rho in enumerate(big.class_labels)}
     joins = []   # (a, b, the class a + b of the big group, |a| |b|)
+    xnorms = {}  # per joined class, a bound on |lam x mu summed there|_1
     for a, rho1 in enumerate(small_n.class_labels):
         for b, rho2 in enumerate(small_m.class_labels):
-            joined = big.pos[PartitionMap(rho1.labels, [
-                tuple(sorted(p + q, reverse=True))
-                for p, q in zip(rho1.parts, rho2.parts)])]
-            joins.append((a, b, joined,
-                          small_n.class_sizes[a] * small_m.class_sizes[b]))
-    classes = list(dict.fromkeys(joined for _, _, joined, _ in joins))
-    bars = [planes(conjugate(e, row[c]) for c in classes)
-            for row in big.values]
-    den = small_n.order * small_m.order
-    width = 2 * euler_phi(e) - 1
+            joined = pos[tuple(tuple(sorted(p + q, reverse=True))
+                               for p, q in zip(rho1.parts, rho2.parts))]
+            w = small_n.class_sizes[a] * small_m.class_sizes[b]
+            joins.append((a, b, joined, w))
+            xnorms[joined] = (xnorms.get(joined, 0)
+                              + w * norms_n[a] * norms_m[b])
+    classes = list(xnorms)
+    width = 2 * euler_phi(big.e) - 1
+    products = PackedProducts(big.e, [[row[c] for c in classes]
+                                      for row in rows_big],
+                              xnorms=list(xnorms.values()), width=width)
+    den = small_n.order * small_m.order * den_n * den_m * den_big
 
     out = {}
     for lam, mu in pairs:
         # the class function lam x mu summed over each class of the big
         # group, as integer polynomials in zeta_e, unreduced
-        row_lam = small_n.values[small_n.pos[lam]]
-        row_mu = small_m.values[small_m.pos[mu]]
+        row_lam = rows_n[small_n.pos[lam]]
+        row_mu = rows_m[small_m.pos[mu]]
         restricted = {c: [0] * width for c in classes}
         for a, b, joined, w in joins:
             acc = restricted[joined]
@@ -279,17 +296,19 @@ def induction_products(G: FiniteGroup, n: int, m: int,
                 if xi:
                     for j, yj in enumerate(row_mu[b]):
                         acc[i + j] += w * xi * yj
-        xs = planes(restricted.values())
-        decomposition = out[lam, mu] = {}
-        for nu, bar in zip(big.irr_labels, bars):
-            tot = dot(e, xs, bar)
-            if any(tot[1:]) or tot[0] % den or tot[0] < 0:
-                value = poly_string([Fraction(x, den) for x in tot])
-                raise ArithmeticError(f"multiplicity of {nu} in the "
-                                      f"induction product is not in N: "
-                                      f"{value}")
-            if tot[0]:
-                decomposition[nu] = tot[0] // den
+        packed = products(restricted.values())
+        rational = products.slots(packed[0])
+        if any(packed[1:]) or min(rational) < 0 or any(
+                x % den for x in rational):
+            for nu, tot in zip(big.irr_labels,
+                               zip(*map(products.slots, packed))):
+                if any(tot[1:]) or tot[0] % den or tot[0] < 0:
+                    value = poly_string([Fraction(x, den) for x in tot])
+                    raise ArithmeticError(f"multiplicity of {nu} in the "
+                                          f"induction product is not in "
+                                          f"N: {value}")
+        out[lam, mu] = {nu: x // den
+                        for nu, x in zip(big.irr_labels, rational) if x}
     return out
 
 

@@ -4,12 +4,65 @@ both operands to the lcm conductor via zeta_m = zeta_M^(M/m).  Conductor 1
 embeds the rationals.  The production code keeps every value as a
 coefficient vector over Z[zeta_e] and sums on the integer kernel of
 `hallalg.exactmath.cyclotomic`; the tests read those vectors as Cyc values
-and compare each sum with one Cyc product per term."""
+and compare each sum with one Cyc product per term.
+
+The per-pair integer route is the oracle of the packed kernel
+(`PackedProducts`): `conjugate` applies the integer matrix of complex
+conjugation, `dot` sums the products of two lists of vectors given by
+their planes, unreduced in Z[x] and reduced mod Phi_m once, and
+`hermitian_gram` makes one `dot` per pair of rows."""
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from operator import mul
 
-from hallalg.exactmath.cyclotomic import euler_phi, poly_string, reduce_poly
+from hallalg.exactmath.cyclotomic import (_reduction_rows, euler_phi,
+                                          poly_string, reduce_poly)
+
+
+@cache
+def _conjugation_columns(m: int) -> tuple[tuple[int, ...], ...]:
+    """Column j of the integer matrix of complex conjugation: conj(zeta^k) =
+    zeta^(m-k), so entry k is coordinate j of row (-k) mod m."""
+    rows = _reduction_rows(m)
+    return tuple(zip(*(rows[-k % m] for k in range(len(rows[0])))))
+
+
+def conjugate(m: int, vec) -> tuple:
+    """Complex conjugate of a coefficient vector over Q(zeta_m)."""
+    return tuple(sum(map(mul, vec, col)) for col in _conjugation_columns(m))
+
+
+def planes(vectors, weights=None) -> list[tuple[int, ...]]:
+    """Plane k of a list of coefficient vectors: their zeta^k coefficients,
+    each times its weight when weights are given."""
+    out = list(zip(*vectors))
+    if weights is not None:
+        out = [tuple(map(mul, p, weights)) for p in out]
+    return out
+
+
+def dot(m: int, xs, ys) -> list[int]:
+    """sum_c x_c * y_c over Z[zeta_m] for two lists of vectors given by
+    their planes: the products accumulate unreduced in Z[x] and are reduced
+    mod Phi_m once."""
+    acc = [0] * (len(xs) + len(ys) - 1)
+    for k, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            acc[k + j] += sum(map(mul, x, y))
+    return reduce_poly(m, acc)
+
+
+def hermitian_gram(e: int, vectors, weights=None):
+    """Yields ((i, j), sum_c w_c x_i(c) conj(x_j(c))) for i <= j over
+    Z[zeta_e], each x_i a list of coefficient vectors, one per class; the
+    weights w_c default to 1."""
+    xs = [planes(x, weights) for x in vectors]
+    bars = [planes(conjugate(e, v) for v in x) for x in vectors]
+    for i, x in enumerate(xs):
+        for j in range(i, len(bars)):
+            yield (i, j), dot(e, x, bars[j])
 
 
 class Cyc:

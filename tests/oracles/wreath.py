@@ -6,17 +6,23 @@ table.  The production character tables never build a group element.
 oracle of the table's single walk per class.  Class functions are lists of
 coefficient vectors over Z[zeta_e], one per class, as in the tables;
 `cyc_table` reads a table's vectors as Cyc values for the per-term
-oracles."""
+oracles.  `pairwise_check_orthogonality` and `pairwise_induction_products`
+are the certificate and the multiplicities by one `dot` per pair, the
+oracles of the packed row products, down to the witness and the text of
+each ArithmeticError."""
 
+from fractions import Fraction
 from math import prod
 
 from hallalg import UsageError
-from hallalg.exactmath.cyclotomic import conjugate, dot, planes, reduce_poly
+from hallalg.exactmath.cyclotomic import euler_phi, poly_string, reduce_poly
 from hallalg.exactmath.partitions import PartitionMap
 from hallalg.groups import FiniteGroup
+from hallalg.wreath import chmap
 from hallalg.wreath.characters import murnaghan_nakayama
+from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, conjugate, dot, hermitian_gram, planes
 
 
 def perm_cycles(p):
@@ -94,11 +100,14 @@ def _inner(tab, f, g):
     return tot, tab.order
 
 
-def inner(tab, row_i: int, row_j: int):
+def inner(tab, row_i: int, row_j: int) -> Fraction:
     """<chi_i, chi_j>; raises ArithmeticError when it is not rational."""
     tot, den = _inner(tab, tab.values[row_i], tab.values[row_j])
-    return tab._rational(tot, den, f"inner product of rows {row_i} and "
-                                   f"{row_j}")
+    if any(tot[1:]):
+        value = poly_string([Fraction(x, den) for x in tot])
+        raise ArithmeticError(f"inner product of rows {row_i} and {row_j} "
+                              f"is not rational: {value}")
+    return Fraction(tot[0], den)
 
 
 def decompose(tab, values_by_class) -> dict:
@@ -142,3 +151,69 @@ def character_value(chars, e: int, lam: PartitionMap,
 
     assign(0, 0)
     return tuple(reduce_poly(e, acc))
+
+
+def pairwise_check_orthogonality(tab):
+    """check_orthogonality by the per-pair route: one `dot` per pair of
+    rows i <= j, in order, each sum divided by |W| as a Fraction."""
+    if sum(tab.class_sizes) != tab.order:
+        return False, ("class sizes", sum(tab.class_sizes), tab.order)
+    for (i, j), tot in hermitian_gram(tab.e, tab.values, tab.class_sizes):
+        if any(tot[1:]):
+            value = poly_string([Fraction(x, tab.order) for x in tot])
+            raise ArithmeticError(f"inner product of rows {i} and {j} is "
+                                  f"not rational: {value}")
+        if Fraction(tot[0], tab.order) != (1 if i == j else 0):
+            return False, ("row", i, j)
+    dims2 = sum(tab.dimension(l) ** 2 for l in tab.irr_labels)
+    if dims2 != tab.order:
+        return False, ("sum of squares", dims2, tab.order)
+    return True, None
+
+
+def pairwise_induction_products(G, n: int, m: int, pairs=None) -> dict:
+    """induction_products by the per-pair route: the restricted class
+    function of each pair against each conjugated row of the big table,
+    one `dot` per (lam, mu, nu)."""
+    big = chmap.character_table(G, n + m, DEFAULT_WREATH_BUDGET)
+    small_n = chmap.character_table(G, n, DEFAULT_WREATH_BUDGET)
+    small_m = chmap.character_table(G, m, DEFAULT_WREATH_BUDGET)
+    if pairs is None:
+        pairs = [(lam, mu) for lam in small_n.irr_labels
+                 for mu in small_m.irr_labels]
+    e = big.e
+    joins = []
+    for a, rho1 in enumerate(small_n.class_labels):
+        for b, rho2 in enumerate(small_m.class_labels):
+            joined = big.pos[PartitionMap(rho1.labels, [
+                tuple(sorted(p + q, reverse=True))
+                for p, q in zip(rho1.parts, rho2.parts)])]
+            joins.append((a, b, joined,
+                          small_n.class_sizes[a] * small_m.class_sizes[b]))
+    classes = list(dict.fromkeys(joined for _, _, joined, _ in joins))
+    bars = [planes(conjugate(e, row[c]) for c in classes)
+            for row in big.values]
+    den = small_n.order * small_m.order
+    width = 2 * euler_phi(e) - 1
+    out = {}
+    for lam, mu in pairs:
+        row_lam = small_n.values[small_n.pos[lam]]
+        row_mu = small_m.values[small_m.pos[mu]]
+        restricted = {c: [0] * width for c in classes}
+        for a, b, joined, w in joins:
+            acc = restricted[joined]
+            for i, xi in enumerate(row_lam[a]):
+                for j, yj in enumerate(row_mu[b]):
+                    acc[i + j] += w * xi * yj
+        xs = planes(restricted.values())
+        decomposition = out[lam, mu] = {}
+        for nu, bar in zip(big.irr_labels, bars):
+            tot = dot(e, xs, bar)
+            if any(tot[1:]) or tot[0] % den or tot[0] < 0:
+                value = poly_string([Fraction(x, den) for x in tot])
+                raise ArithmeticError(f"multiplicity of {nu} in the "
+                                      f"induction product is not in N: "
+                                      f"{value}")
+            if tot[0]:
+                decomposition[nu] = tot[0] // den
+    return out

@@ -499,6 +499,36 @@ def test_the_subgroup_is_checked_once(capsys, monkeypatch, argv):
     assert checked.count(H) == ("indices:" in argv[-1])
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("hecke-table --G sym:3 --H indices:99",
+     "bad subgroup spec 'indices:99': index 99 is not in 0..5"),
+    ("hecke-table --G sym:3 --H indices:-1",
+     "bad subgroup spec 'indices:-1': index -1 is not in 0..5"),
+    ("hecke-table --G sym:3 --H indices:0,-5",
+     "bad subgroup spec 'indices:0,-5': index -5 is not in 0..5"),
+    ("hecke-table --G sym:3 --H indices:a",
+     "bad subgroup spec 'indices:a': 'a' is not an integer"),
+    ("hecke-table --G sym:3 --H sym:x",
+     "bad subgroup spec 'sym:x': 'x' is not an integer"),
+    ("hecke-table --G sym:3 --H young:1+x",
+     "bad subgroup spec 'young:1+x': 'x' is not an integer"),
+    ("hecke-table --G sym:3 --H young:4+-1",
+     "young blocks [4, -1] are not a composition of 3"),
+    ("schurweyl --G cyclic:2 --n 0 --d 0",
+     "--d must be at least 1, the number of variables"),
+    ("schurweyl --G cyclic:2 --n 2 --d 0",
+     "--d must be at least 1, the number of variables"),
+])
+def test_malformed_specs_and_no_variables_exit_2(capsys, argv, message):
+    # a subgroup spec that names no subgroup of G and --d 0 are usage
+    # errors, not internal ones
+    code = run(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     # a table value that makes an induction multiplicity non-integral
     import hallalg.wreath.chmap as chmap

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.exactmath.cyclotomic import (_polydivmod_int, conjugate,
-                                          cyclotomic_polynomial, dot,
-                                          euler_phi, planes, poly_string)
-from oracles.cyclotomic import Cyc
+from hallalg.exactmath.cyclotomic import (PackedProducts, _polydivmod_int,
+                                          _reduction_rows, column_norms,
+                                          cyclotomic_polynomial,
+                                          euler_phi, integral_rows,
+                                          poly_string)
+from oracles.cyclotomic import Cyc, conjugate, dot, planes
 
 
 def test_cyclotomic_polynomials():
@@ -100,6 +102,94 @@ def test_integer_kernel_matches_cyc(m, data):
     assert tuple(dot(m, planes(xs), planes(ys))) == want.coeffs
 
 
+COEFFICIENT = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(1 << 70), 1 << 70),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_packed_products_match_the_pairwise_dot(m, data):
+    # every slot of every packed integer is the oracle's coefficient, for
+    # Fraction, negative and large coefficients, reduced (phi) and
+    # unreduced (2 phi - 1) x, with and without weights
+    phi = euler_phi(m)
+    classes = data.draw(st.integers(1, 4), label="classes")
+    width = data.draw(st.sampled_from([phi, 2 * phi - 1]), label="width")
+
+    def vectors(length):
+        return st.lists(st.lists(COEFFICIENT, min_size=length,
+                                 max_size=length).map(tuple),
+                        min_size=classes, max_size=classes)
+
+    ys = data.draw(st.lists(vectors(phi), min_size=1, max_size=4),
+                   label="ys")
+    xs = data.draw(st.lists(vectors(width), min_size=1, max_size=3),
+                   label="xs")
+    weights = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, 1 << 40), min_size=classes,
+                            max_size=classes)), label="weights")
+    int_ys, den_y = integral_rows(ys)
+    int_xs, den_x = integral_rows(xs)
+    kernel = PackedProducts(m, int_ys, xnorms=column_norms(int_xs),
+                            weights=weights, width=width)
+    for x, int_x in zip(xs, int_xs):
+        got = list(zip(*map(kernel.slots, kernel(int_x))))
+        assert len(got) == len(ys)
+        for y, tot in zip(ys, got):
+            want = dot(m, planes(x, weights),
+                       planes(conjugate(m, v) for v in y))
+            assert list(tot) == [w * den_x * den_y for w in want]
+
+
+def _pack(slots, bits):
+    return sum(s << bits * j for j, s in enumerate(slots))
+
+
+@pytest.mark.parametrize("k", [0, 3, 40])
+def test_a_slot_holds_an_entry_at_its_bound(k):
+    # |S_0| = |S_1| = 4^k is the a-priori bound itself: the slots are one
+    # bit wider than it needs, and in a slot one bit narrower the slots
+    # (4^k, -4^k) pack to the same integer as (-4^k, 1 - 4^k)
+    top = 1 << 2 * k
+    kernel = PackedProducts(1, [[(1 << k,)], [(-(1 << k),)]])
+    assert kernel.bits == 2 * k + 2
+    packed = kernel([(1 << k,)])
+    assert packed == [_pack([top, -top], kernel.bits)]
+    assert kernel.slots(packed[0]) == [top, -top]
+    narrow = kernel.bits - 1
+    assert top == 1 << (narrow - 1)
+    assert _pack([top, -top], narrow) == _pack([-top, 1 - top], narrow)
+
+
+def test_the_bound_counts_the_largest_reduction_row_entry():
+    # Phi_105 is the first cyclotomic polynomial with a coefficient 2, and
+    # 1 * conj(zeta) = zeta^104 has the coefficient 2 at zeta^6: the entry
+    # sits at the bound |1|_1 |zeta|_1 2, which a slot of 2 bits would
+    # read as -2
+    rows = _reduction_rows(105)
+    one, zeta = (1,) + (0,) * 47, (0, 1) + (0,) * 46
+    kernel = PackedProducts(105, [[zeta]])
+    assert kernel.bits == 3
+    got = [kernel.slots(p) for p in kernel([one])]
+    assert got == [[x] for x in rows[104]]
+    assert got[6] == [2]
+
+
+def test_a_slot_is_wide_enough_for_the_largest_expected_value():
+    kernel = PackedProducts(4, [[(1, 0)]], largest=1000)
+    assert kernel.bits == (1000).bit_length() + 1
+    assert kernel.slots(kernel([(1, 0)])[0]) == [1]
+
+
+def test_integral_rows_scale_by_the_common_denominator():
+    rows = [[(1, Fraction(1, 2))], [(Fraction(2, 3), 0)]]
+    assert integral_rows(rows) == ([[(6, 3)], [(4, 0)]], 6)
+    ints = [[(1, 2)]]
+    assert integral_rows(ints)[0] is ints
+
+
 @settings(max_examples=120)
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_poly_string_is_the_cyc_string(m, data):
@@ -121,8 +211,10 @@ def test_poly_string_is_the_cyc_string(m, data):
     (lambda: _polydivmod_int([1, 0, 1], [1, 1]), ArithmeticError),
     (lambda: euler_phi(0), ValueError),
     (lambda: cyclotomic_polynomial(0), ValueError),
+    (lambda: PackedProducts(3, [[(1, 0)]])([(1,)]), ValueError),
 ], ids=["length", "promote", "divide-by-cyc", "divide-by-zero",
-        "rational-value", "inexact-division", "phi-of-0", "phi-poly-of-0"])
+        "rational-value", "inexact-division", "phi-of-0", "phi-poly-of-0",
+        "packed-width"])
 def test_malformed_input_raises(call, error):
     with pytest.raises(error):
         call()

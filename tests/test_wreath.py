@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError, UsageError
 from hallalg.cli import run
-from hallalg.exactmath.cyclotomic import reduce_poly
+from hallalg.exactmath.cyclotomic import (PackedProducts, integral_rows,
+                                          reduce_poly)
 from hallalg.exactmath.partitions import PartitionMap, partition_maps
 from hallalg.groups import (cyclic_group, klein_group, named_group,
                             perm_sign, symmetric_group, trivial_group)
@@ -23,11 +24,13 @@ from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
 from hallalg.wreath import chmap
 from hallalg.wreath.chmap import WreathCharacterTable, centralizer_order
 from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
-from oracles.cyclotomic import Cyc
+from oracles.cyclotomic import Cyc, hermitian_gram
 from oracles.exactmath import partition_maps_count
 from oracles.wreath import (character_value, class_label_representative,
                             cyc_table, cycle_type, decompose, inner,
-                            perm_cycles, wreath_class_label)
+                            pairwise_check_orthogonality,
+                            pairwise_induction_products, perm_cycles,
+                            wreath_class_label)
 
 
 def test_wreath_orders():
@@ -623,11 +626,12 @@ def test_kernel_grams_match_cyc_oracle(G_name, n):
     # the scrambled values make every product a different element of
     # Q(zeta_e); conductors 5 and 6 reduce with rows beyond phi, and at n = 3
     # their per-term oracle takes 15 s and 22 s, so it stops at n = 2 there
-    # the kernel takes the Fraction coefficients of the scrambled vectors
+    # the per-pair gram takes the Fraction coefficients of the scrambled
+    # vectors, and the packed gram their integer multiples by den
     tab = scrambled(WreathCharacterTable(named_group(G_name), n))
     values = cyc_table(tab)
-    rows = dict(chmap.hermitian_gram(tab.e, tab.values, tab.class_sizes))
-    cols = dict(chmap.hermitian_gram(tab.e, list(zip(*tab.values))))
+    rows = dict(hermitian_gram(tab.e, tab.values, tab.class_sizes))
+    cols = dict(hermitian_gram(tab.e, list(zip(*tab.values))))
     assert len(rows) == len(cols) == len(tab.values) * (
         len(tab.values) + 1) // 2
     for (i, j), tot in rows.items():
@@ -635,6 +639,12 @@ def test_kernel_grams_match_cyc_oracle(G_name, n):
         assert got == cyc_inner(tab, values[i], values[j]), (i, j)
     for (c, c2), tot in cols.items():
         assert Cyc(tab.e, tot) == cyc_column(values, c, c2), (c, c2)
+    ints, den = integral_rows(tab.values)
+    gram = PackedProducts(tab.e, ints, weights=tab.class_sizes)
+    for i, row in enumerate(ints):
+        for j, tot in enumerate(zip(*map(gram.slots, gram(row)))):
+            if j >= i:
+                assert list(tot) == [x * den * den for x in rows[i, j]]
 
 
 @pytest.mark.parametrize("G_name", ["cyclic:2", "cyclic:3"])
@@ -753,18 +763,126 @@ def test_check_reads_the_values_afresh():
     assert tab.check_orthogonality() == (False, ("row", 0, 1))
 
 
+def exact_verdict(check):
+    """The result of check(), or the text of its ArithmeticError."""
+    try:
+        return check()
+    except ArithmeticError as exc:
+        return "ArithmeticError", str(exc)
+
+
+@pytest.mark.parametrize("G_name,n", [
+    ("trivial", 3), ("cyclic:3", 2), ("cyclic:4", 3), ("klein", 2)])
+def test_a_wrong_last_diagonal_entry_is_the_witness(G_name, n):
+    # the last row doubled keeps every off-diagonal entry of the gram 0 and
+    # makes the last diagonal entry 4 |W|: only the last pair fails
+    tab = WreathCharacterTable(named_group(G_name), n)
+    last = len(tab.values) - 1
+    tab.values[last] = [tuple(2 * x for x in v) for v in tab.values[last]]
+    assert tab.check_orthogonality() == (False, ("row", last, last))
+    assert pairwise_check_orthogonality(tab) == (False, ("row", last, last))
+
+
+ENTRY_SKEWS = {
+    "third": lambda v: v[:-1] + (v[-1] + Fraction(1, 3),),
+    "half": lambda v: tuple(Fraction(x, 2) for x in v),
+    "whole": lambda v: tuple(Fraction(-x) for x in v),
+}
+
+
+def test_a_fraction_entry_raises_the_pairwise_error():
+    tab = WreathCharacterTable(cyclic_group(3), 2)
+    tab.values[2][3] = ENTRY_SKEWS["third"](tab.values[2][3])
+    with pytest.raises(ArithmeticError) as exc:
+        tab.check_orthogonality()
+    assert (("ArithmeticError", str(exc.value))
+            == exact_verdict(lambda: pairwise_check_orthogonality(tab)))
+    assert str(exc.value).startswith("inner product of rows 0 and 2 is not "
+                                     "rational: ")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from([("trivial", 3), ("cyclic:2", 2), ("cyclic:3", 2),
+                        ("cyclic:4", 2), ("cyclic:5", 1), ("cyclic:6", 1),
+                        ("klein", 2)]),
+       st.sampled_from(sorted(ENTRY_SKEWS)), st.data())
+def test_one_fraction_entry_gets_the_pairwise_verdict(case, how, data):
+    # the witness, or the exact text of the error, of the per-pair route
+    G_name, n = case
+    tab = WreathCharacterTable(named_group(G_name), n)
+    i = data.draw(st.integers(0, len(tab.values) - 1), label="row")
+    c = data.draw(st.integers(0, len(tab.values) - 1), label="column")
+    tab.values[i][c] = ENTRY_SKEWS[how](tab.values[i][c])
+    assert (exact_verdict(tab.check_orthogonality)
+            == exact_verdict(lambda: pairwise_check_orthogonality(tab)))
+
+
+def test_a_fraction_entry_raises_the_first_multiplicity_error(monkeypatch):
+    # the big table of C3 wr S_2 with one entry off by zeta^(phi-1) / 3:
+    # the error names the first nu, in label order, as the per-pair route
+    G = cyclic_group(3)
+    tables = {n: WreathCharacterTable(G, n) for n in range(3)}
+    tables[2].values[4][2] = ENTRY_SKEWS["third"](tables[2].values[4][2])
+    monkeypatch.setattr(chmap, "character_table",
+                        lambda G, n, budget: tables[n])
+    with pytest.raises(ArithmeticError) as exc:
+        chmap.induction_products(G, 1, 1)
+    assert (("ArithmeticError", str(exc.value))
+            == exact_verdict(lambda: pairwise_induction_products(G, 1, 1)))
+    assert str(exc.value).startswith(
+        f"multiplicity of {tables[2].irr_labels[4]} in the induction product "
+        f"is not in N: ")
+
+
+def test_a_multiplicity_sum_at_the_slot_bound(monkeypatch):
+    # every entry of the S_3 table set to K: each multiplicity is the sum
+    # sum_c |c| K K = 6 K^2 over den = 6, the a-priori bound itself, which
+    # counts the class sizes; a bound without them is one bit short
+    K = 1 << 20
+    tables = {n: WreathCharacterTable(trivial_group(), n) for n in (0, 3)}
+    tables[3].values = [[(K,)] * 3 for _ in range(3)]
+    monkeypatch.setattr(chmap, "character_table",
+                        lambda G, n, budget: tables[n])
+    got = chmap.induction_products(trivial_group(), 3, 0)
+    assert got == pairwise_induction_products(trivial_group(), 3, 0)
+    assert list(got.values()) == [
+        {nu: K * K for nu in tables[3].irr_labels}] * 3
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from([("trivial", 2, 1), ("cyclic:2", 1, 2),
+                        ("cyclic:3", 1, 1), ("cyclic:4", 2, 0),
+                        ("cyclic:5", 1, 1), ("klein", 1, 1)]),
+       st.sampled_from(sorted(ENTRY_SKEWS)), st.data())
+def test_one_fraction_entry_gets_the_pairwise_multiplicities(case, how,
+                                                            data):
+    G_name, n, m = case
+    G = named_group(G_name)
+    tables = {k: WreathCharacterTable(G, k) for k in range(n + m + 1)}
+    tab = tables[data.draw(st.sampled_from([n, m, n + m]), label="size")]
+    i = data.draw(st.integers(0, len(tab.values) - 1), label="row")
+    c = data.draw(st.integers(0, len(tab.values) - 1), label="column")
+    tab.values[i][c] = ENTRY_SKEWS[how](tab.values[i][c])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chmap, "character_table",
+                   lambda G, n, budget: tables[n])
+        assert (exact_verdict(lambda: chmap.induction_products(G, n, m))
+                == exact_verdict(
+                    lambda: pairwise_induction_products(G, n, m)))
+
+
 @pytest.mark.parametrize("G_name,n", [
     ("trivial", 3), ("cyclic:3", 2), ("cyclic:4", 2), ("klein", 2)])
 def test_orthogonality_computes_one_gram(monkeypatch, G_name, n):
     # one label list for rows and columns makes the table square, and then
-    # the row gram implies the column relation: only the rows are summed
+    # the row gram implies the column relation: only the rows are packed
     calls = []
 
-    def counting(e, vectors, weights=None, real=chmap.hermitian_gram):
-        calls.append((len(vectors), weights))
-        return real(e, vectors, weights)
+    def counting(e, ys, *args, real=chmap.PackedProducts, **kwargs):
+        calls.append((len(ys), kwargs.get("weights")))
+        return real(e, ys, *args, **kwargs)
 
-    monkeypatch.setattr(chmap, "hermitian_gram", counting)
+    monkeypatch.setattr(chmap, "PackedProducts", counting)
     tab = WreathCharacterTable(named_group(G_name), n)
     assert tab.class_labels is tab.irr_labels
     assert tab.check_orthogonality() == (True, None)
