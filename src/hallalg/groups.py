@@ -2,8 +2,10 @@
 
 Multiplication is a callable on tokens; no Cayley table is stored.  The
 identity is found and verified on construction, and each inverse is the
-power e^(ord e - 1), verified on both sides; products of groups take both
-from their factors instead.  With ``check=True`` (groups
+power e^(ord e - 1), verified on both sides.  Products of groups
+(`TupleGroup`) take their order, identity, product, inverses and
+generators from their factors instead, and list their elements only when
+read.  With ``check=True`` (groups
 from outside input, Cayley JSON included) inverses are also proved unique by
 an exhaustive scan and associativity is checked exhaustively up to a budget
 and on a seeded sample beyond it.  The groups the program builds itself
@@ -14,8 +16,9 @@ Axiom failures raise ``UsageError``.
 
 import json
 import random
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iproduct
+from math import prod
 
 from . import BudgetExceededError, UsageError
 
@@ -23,8 +26,18 @@ ASSOC_FULL_CHECK_MAX_ORDER = 128
 
 
 class FiniteGroup:
+    _classes = _gens = None     # conjugacy classes and generators, when found
+    subgroup_of = None   # the group whose subgroup() made this one
+
     def __init__(self, elements, op, name="G", check=True):
-        self._set_elements(elements, op, name)
+        self.elements = list(elements)
+        self.name = name
+        self._op = op
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        if len(self.index) != len(self.elements):
+            raise UsageError(f"{name}: duplicate elements")
+        self.order = len(self.elements)
+        self.memo = {}     # data derived from the group, dropped with it
         # identity: the unique e with e*x == x for a probe x, verified on all
         probe = self.elements[0]
         ids = [e for e in self.elements if op(e, probe) == probe]
@@ -36,29 +49,6 @@ class FiniteGroup:
         if check:
             self._check_unique_inverses()
             self._check_associativity()
-
-    @classmethod
-    def _with_inverses(cls, elements, op, name, identity, inv):
-        """A group whose identity and inverse map are known by construction
-        (products of groups), taken unchecked."""
-        self = cls.__new__(cls)
-        self._set_elements(elements, op, name)
-        self.identity = identity
-        self._inv = inv
-        return self
-
-    def _set_elements(self, elements, op, name):
-        self.elements = list(elements)
-        self.name = name
-        self._op = op
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise UsageError(f"{name}: duplicate elements")
-        self.order = len(self.elements)
-        self._classes = None
-        self._gens = None
-        self.memo = {}     # data derived from the group, dropped with it
-        self.subgroup_of = None   # the group whose subgroup() made this one
 
     def _is_identity(self, e):
         op = self._op
@@ -159,7 +149,7 @@ class FiniteGroup:
         elems = set(elems)
         if self.identity not in elems or not elems <= set(self.elements):
             return False
-        return all(self._op(a, self._inv[b]) in elems
+        return all(self._op(a, self.inv(b)) in elems
                    for a in elems for b in elems)
 
     def subgroup(self, elems, name="H", check=True):
@@ -181,7 +171,7 @@ class FiniteGroup:
             for e in self.elements:
                 if e in seen:
                     continue
-                cls = {self._op(self._op(g, e), self._inv[g])
+                cls = {self._op(self._op(g, e), self.inv(g))
                        for g in self.elements}
                 seen |= cls
                 classes.append(tuple(sorted(cls, key=self.index.__getitem__)))
@@ -288,42 +278,51 @@ def trivial_group():
     return FiniteGroup([0], lambda a, b: 0, name="trivial")
 
 
+class TupleGroup(FiniteGroup):
+    """K_0 x ... x K_n on tuple tokens, taken from the factors K_i (listed
+    in `factors`): the order, the identity, the product, the inverses
+    (memoised when first asked for) and the generators are coordinatewise.
+    The elements, in lexicographic order, and their index are listed only
+    when read."""
+
+    def __init__(self, factors, name):
+        self.factors = tuple(factors)
+        self.name = name
+        self.order = prod(K.order for K in self.factors)
+        self.identity = one = tuple(K.identity for K in self.factors)
+        self._inv = {}
+        self._gens = tuple(one[:pos] + (g,) + one[pos + 1:]
+                           for pos, K in enumerate(self.factors)
+                           for g in K.generators())
+        self.memo = {}
+
+    @cached_property
+    def elements(self):
+        return list(iproduct(*(K.elements for K in self.factors)))
+
+    @cached_property
+    def index(self):
+        return {e: i for i, e in enumerate(self.elements)}
+
+    def op(self, a, b):
+        return tuple([K.op(x, y) for K, x, y in zip(self.factors, a, b)])
+
+    _op = op
+
+    def inv(self, a):
+        out = self._inv.get(a)
+        if out is None:
+            out = self._inv[a] = tuple([K.inv(x)
+                                        for K, x in zip(self.factors, a)])
+        return out
+
+
 def direct_product(G, H):
-    elems = [(g, h) for g in G.elements for h in H.elements]
-
-    def op(a, b):
-        return (G.op(a[0], b[0]), H.op(a[1], b[1]))
-
-    return FiniteGroup(elems, op, name=f"product:({G.name},{H.name})",
-                       check=False)
-
-
-def tuple_group(factors, name) -> FiniteGroup:
-    """K_0 x ... x K_n with tuple tokens; the identity, the inverses and the
-    generators are coordinatewise, and `factors` lists the K_i."""
-    def op(a, b):
-        return tuple(K.op(x, y) for K, x, y in zip(factors, a, b))
-
-    elems = list(iproduct(*(K.elements for K in factors)))
-    invs = iproduct(*([K.inv(x) for x in K.elements] for K in factors))
-    P = FiniteGroup._with_inverses(
-        elems, op, name, tuple(K.identity for K in factors),
-        dict(zip(elems, invs)))
-    gens = []
-    for pos, K in enumerate(factors):
-        for g in K.generators():
-            t = list(P.identity)
-            t[pos] = g
-            gens.append(tuple(t))
-    P._gens = tuple(gens)
-    P.factors = tuple(factors)
-    return P
+    return TupleGroup((G, H), f"product:({G.name},{H.name})")
 
 
 def klein_group():
-    g = direct_product(cyclic_group(2), cyclic_group(2))
-    g.name = "klein"
-    return g
+    return TupleGroup((cyclic_group(2), cyclic_group(2)), "klein")
 
 
 def _degree(G, what):
@@ -385,10 +384,7 @@ def named_group(spec: str) -> FiniteGroup:
         parts = _split_toplevel(inner)
         if not parts:
             raise UsageError(f"empty product in {spec!r}")
-        groups = [named_group(p) for p in parts]
-        out = groups[0]
-        for g in groups[1:]:
-            out = direct_product(out, g)
+        out = reduce(direct_product, map(named_group, parts))
         out.name = spec
         return out
     if spec.startswith("file:"):

@@ -21,9 +21,10 @@ row r = (A_01 >-> ... >-> A_0n) up to a unique isomorphism that fixes row
 the triangles over r are one free orbit of
 K+(r) = prod_{1 <= i < j <= n} Aut(A_ij), and level n has the closed count
 sum_r prod_{i < j} |Aut(A_0j / A_0i)| of objects.  A level lists its first
-rows, checks that count against the budget before it builds any
-completion, completes each row once by a search that checks every square
-as it closes, and transports that completion by every element of K+(r).
+rows, checks that count against the budget (its one budget rule) before it
+builds any completion, completes each row once by a search that checks
+every square as it closes, and transports that completion by every element
+of K+(r).  Each group prod Aut(A_ij) is taken from its factors, unlisted.
 
 Faces and degeneracies by position plans.  A face or degeneracy sends
 entry (a, b) of a triangle to an entry of its image, or to a zero entry,
@@ -47,7 +48,7 @@ from math import prod
 
 from .. import BudgetExceededError, UsageError
 from ..groupoid import ActionGroupoid, GMap
-from ..groups import tuple_group
+from ..groups import TupleGroup
 from ..protoab.base import ProtoAbelianInstance
 from .simplicial import TruncatedSimplicialGroupoid
 
@@ -216,10 +217,10 @@ def _close(inst, ent, rmono, cepi, i, j, e, m):
 class TriangleGroupoid(ActionGroupoid):
     """Level n of the S-construction: triangles and componentwise isos, as
     the action of prod Aut(A_ij) (factors in `_layout(n)[0]` order) by
-    `transport`, one group per tuple of entries.  The closed count of the
-    triangles, then every group's order, is checked against the budget
-    before any completion or group is built; `closed_count` keeps the
-    count."""
+    `transport`, one group per tuple of entries, built from its factors
+    without listing its elements.  The closed count of the triangles is
+    checked against the budget before any completion is built;
+    `closed_count` keeps the count."""
 
     def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
@@ -242,23 +243,22 @@ class TriangleGroupoid(ActionGroupoid):
                 f"level {name}: {self.closed_count} triangles over "
                 f"{len(rows)} first rows (the closed count), over the "
                 f"budget of {budget}")
-        buckets = dict.fromkeys(entries)
-        for e in buckets:
-            order = prod(aut_order[c] for c in e)
-            if order > budget:
-                raise BudgetExceededError(
-                    f"level {name}: the automorphism group of the entries "
-                    f"{e} has order {order}, over the budget of {budget}")
-        groups = {e: tuple_group([inst.aut_group(c) for c in e], f"Aut{e}")
-                  for e in buckets}
+        groups = {e: TupleGroup([inst.aut_group(c) for c in e], f"Aut{e}")
+                  for e in dict.fromkeys(entries)}
         objects, self._group_of, index = [], [], {}
         for (_, monos), e in zip(rows, entries):
             rmono, cepi = _complete(inst, n, e, monos, name)
             group = groups[e]
-            orbit = iproduct(*([K.identity] if i == 0 else K.elements
-                               for (i, _), K in zip(pairs, group.factors)))
-            for phis in orbit:
-                tri = Triangle(n, e, *self._moved(group, phis, rmono, cepi))
+            # K+(r) and, in step, its inverses, read off the factors: no
+            # inverse is memoised per triangle
+            free = [(K.elements, [K.inv(x) for x in K.elements]) if i
+                    else ([K.identity],) * 2
+                    for (i, _), K in zip(pairs, group.factors)]
+            orbit = zip(iproduct(*(es for es, _ in free)),
+                        iproduct(*(invs for _, invs in free)))
+            for phis, inv in orbit:
+                tri = Triangle(n, e, *self._moved(group.identity, phis, inv,
+                                                  rmono, cepi))
                 if tri in index:
                     raise TriangleCompletionError(
                         f"level {name}: {tri!r} is built twice, so the "
@@ -272,11 +272,11 @@ class TriangleGroupoid(ActionGroupoid):
     def group_at(self, i):
         return self._group_of[i]
 
-    def _moved(self, group, phis, rmono, cepi):
-        """The maps of phis . x: m: A_p -> A_q becomes phi_q m phi_p^-1,
-        and stays m where both phi_q and phi_p are the identity tokens
-        (the identities of generators and of K+(r) are)."""
-        c, one, inv = self.inst.compose, group.identity, group.inv(phis)
+    def _moved(self, one, phis, inv, rmono, cepi):
+        """The maps of phis . x, for inv = phis^-1: m: A_p -> A_q becomes
+        phi_q m phi_p^-1, and stays m where phi_q and phi_p are the identity
+        tokens in `one` (the identities of generators and of K+(r) are)."""
+        c = self.inst.compose
         return (tuple([m if phis[t] is one[t] and inv[s] is one[s]
                        else c(c(phis[t], m), inv[s])
                        for m, (t, s) in zip(rmono, self._rpos)]),
@@ -287,7 +287,8 @@ class TriangleGroupoid(ActionGroupoid):
     def transport(self, phis, i):
         """The index of the triangle phis . x_i."""
         n, entries, rmono, cepi = self.objects[i]
-        moved = self._moved(self._group_of[i], phis, rmono, cepi)
+        g = self._group_of[i]
+        moved = self._moved(g.identity, phis, g.inv(phis), rmono, cepi)
         return self.obj_index((n, entries, *moved))
 
 

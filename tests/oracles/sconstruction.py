@@ -11,7 +11,7 @@
 
 from hallalg import BudgetExceededError
 from hallalg.groupoid import ActionGroupoid, FnFunctor, b_group
-from hallalg.groups import tuple_group
+from hallalg.groups import TupleGroup
 from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
                                               Triangle, _classes,
                                               _epi_to_zero, _layout,
@@ -187,8 +187,8 @@ class FlagGroupoid(ActionGroupoid):
         super().__init__(None, flags, self.transport,
                          name=f"Flags_{n}({inst.family})")
         auts = {c: inst.aut_group(c) for c in classes}
-        groups = {entries: tuple_group([auts[c] for c in entries],
-                                       f"Aut{entries}")
+        groups = {entries: TupleGroup([auts[c] for c in entries],
+                                      f"Aut{entries}")
                   for entries, _ in flags}
         self._group_of = [groups[entries] for entries, _ in flags]
 

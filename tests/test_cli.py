@@ -258,6 +258,18 @@ def test_s_construction_budget_refused_before_checks(capsys, monkeypatch):
     assert "level S_3(vect-fq): 331 triangles" in err
 
 
+def test_s_construction_budget_is_the_closed_count(capsys):
+    """Level 3 of S(Vect F2, 2) holds 331 triangles: a budget of 1000 prints
+    the bytes of the default budget, although the entries (0,2,2,2,2,0) have
+    an automorphism group of order 1296, and 300 refuses the closed count."""
+    job = JOBS["s-vect-f2-2"]
+    code, out = run_capture(capsys, job.argv + ["--budget", "1000"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == job.digest
+    assert run(job.argv + ["--budget", "300"]) == 2
+    assert "level S_3(vect-fq): 331 triangles" in capsys.readouterr().err
+
+
 def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
     import hallalg.waldhausen.simplicial as simplicial
 

@@ -4,12 +4,12 @@ import pytest
 
 from hallalg import UsageError
 from hallalg.cli import run
-from hallalg.groups import (FiniteGroup, all_perms, alternating_subgroup,
-                            cyclic_group, dihedral_group, direct_product,
-                            klein_group, named_group, named_subgroup,
-                            perm_inv, perm_mul, perm_sign, symmetric_group,
-                            symmetric_subgroup, trivial_group, tuple_group,
-                            young_subgroup)
+from hallalg.groups import (FiniteGroup, TupleGroup, all_perms,
+                            alternating_subgroup, cyclic_group,
+                            dihedral_group, direct_product, klein_group,
+                            named_group, named_subgroup, perm_inv, perm_mul,
+                            perm_sign, symmetric_group, symmetric_subgroup,
+                            trivial_group, young_subgroup)
 from oracles.schurweyl import abelianization_order
 from oracles.wreath import cycle_type
 
@@ -170,13 +170,30 @@ def test_named_specs():
         named_subgroup(S3, "sym:9")
 
 
-@pytest.mark.parametrize("factors", [
-    ("sym:3", "cyclic:2", "sym:3"), ("dihedral:4",), ()],
-    ids=["s3xc2xs3", "one-factor", "empty"])
-def test_tuple_group_identity_and_inverses_match_the_search(factors):
-    P = tuple_group([named_group(f) for f in factors], "P")
+@pytest.mark.parametrize("spec", [
+    ("sym:3", "cyclic:2", "sym:3"), ("dihedral:4",), (), "klein",
+    "product:(product:(cyclic:2,sym:3),cyclic:3)",
+    ("cyclic:3", "trivial", "klein")],
+    ids=["s3xc2xs3", "one-factor", "empty", "klein", "nested",
+         "trivial-factor"])
+def test_tuple_group_identity_and_inverses_match_the_search(spec):
+    """A product group takes its identity, inverses, product and
+    generators from its factors; the search of FiniteGroup(check=True)
+    over the listed elements is the oracle."""
+    P = (named_group(spec) if isinstance(spec, str)
+         else TupleGroup([named_group(f) for f in spec], "P"))
+    assert "elements" not in vars(P)
     Q = FiniteGroup(P.elements, P.op, name="Q", check=True)
     assert P.identity == Q.identity
     assert all(P.inv(e) == Q.inv(e) for e in P.elements)
+    assert all(P.op(a, b) in Q.index
+               and P.op(a, b) == tuple(K.op(x, y) for K, x, y
+                                       in zip(P.factors, a, b))
+               for a in P.elements for b in P.elements)
     assert P.order == Q.order
+    assert len(Q.subgroup_closure(P.generators())) == Q.order
+    if isinstance(spec, str):
+        # a named product is a direct product of two, in the pair order
+        G, H = P.factors
+        assert P.elements == [(g, h) for g in G.elements for h in H.elements]
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from hallalg import BudgetExceededError
 from hallalg.groups import cyclic_group, trivial_group
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
-from hallalg.waldhausen import sconstruction
+from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
+                                check_simplicial_identities, sconstruction)
 from hallalg.waldhausen.sconstruction import (TriangleCompletionError,
                                               TriangleGroupoid, _layout,
                                               s_construction)
@@ -112,6 +113,20 @@ def test_one_aut_group_per_class_is_shared_by_the_levels():
         for i, tri in enumerate(level.objects):
             assert all(K is inst.aut_group(c) for K, c in
                        zip(level.group_at(i).factors, tri[1]))
+
+
+@pytest.mark.parametrize("name", ["vect-f2-2", "f1-c2-2"])
+def test_the_checks_list_no_level_group(name):
+    """The level groups are products taken from their factors: the build
+    and every check of segal-check read their order, identity, inverses
+    and generators, and never list their elements."""
+    x = s_construction(INSTANCES[name](), depth=3)
+    assert check_2segal_degree3(x).ok and check_pointed(x).ok
+    assert check_simplicial_identities(x).ok
+    groups = {id(g): g for level in x.levels
+              for g in map(level.group_at, range(level.n_objects))}
+    assert groups and all("elements" not in vars(g)
+                          for g in groups.values())
 
 
 def test_the_closed_count_is_refused_before_any_completion(monkeypatch):

@@ -12,10 +12,10 @@ from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
                               functors_equal, is_equivalence,
                               two_fiber_product)
 from hallalg.groupoid.fiber import _Square, strict_pullback_equivalence
-from hallalg.groups import (FiniteGroup, cyclic_group, dihedral_group,
-                            named_group, named_subgroup, symmetric_group,
-                            symmetric_subgroup, trivial_group, tuple_group,
-                            young_subgroup)
+from hallalg.groups import (FiniteGroup, TupleGroup, cyclic_group,
+                            dihedral_group, named_group, named_subgroup,
+                            symmetric_group, symmetric_subgroup,
+                            trivial_group, young_subgroup)
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
 from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
                                 check_simplicial_identities,
@@ -413,11 +413,10 @@ def test_level_budgets_name_the_level():
                              r"rows \(the closed count\), over the budget "
                              r"of 300"):
         TriangleGroupoid(inst, 3, budget=300)
-    # 331 triangles fit, but prod Aut over the entries (0,2,2,2,2,0) is 6^4
-    with pytest.raises(BudgetExceededError,
-                       match=r"S_3\(vect-fq\).*\(0, 2, 2, 2, 2, 0\) has "
-                             r"order 1296"):
-        TriangleGroupoid(inst, 3, budget=1000)
+    # the closed count is the one rule: 331 triangles fit in 1000, although
+    # prod Aut over the entries (0,2,2,2,2,0) has order 6^4, never listed
+    level = TriangleGroupoid(inst, 3, budget=1000)
+    assert level.n_objects == level.closed_count == 331
 
 
 def test_checks_refuse_a_short_truncation():
@@ -479,7 +478,7 @@ class FlatHecke:
             return index[tuple(G.op(G.op(b, phi), G.inv(a))
                                for a, phi, b in zip(hs, objs[i], hs[1:]))]
 
-        return ActionGroupoid(tuple_group([self.H] * (n + 1), f"H^{n + 1}"),
+        return ActionGroupoid(TupleGroup([self.H] * (n + 1), f"H^{n + 1}"),
                               objs, act, name=f"flat{n}")
 
     def _face(self, n, k):
@@ -1130,11 +1129,11 @@ def _c2_square(n_objects, act, sb=(0, 2), a_objects=1, first=2):
     C2-groupoid, and every table is constant 0.  With sb = (0, 2),
     coordinate 3 is the kernel N of the comparison's group map."""
     C2, C = cyclic_group(2), cyclic_group(first)
-    K4, K2 = (tuple_group([C] + [C2] * k, f"C{first}xC2^{k}") for k in (3, 1))
+    K4, K2 = (TupleGroup([C] + [C2] * k, f"C{first}xC2^{k}") for k in (3, 1))
     apex = ActionGroupoid(K4, range(n_objects), act, name="X")
     a = ActionGroupoid(K2, range(a_objects), lambda g, i: i, name="A")
     b = ActionGroupoid(K2, [0], lambda g, i: 0, name="B")
-    d = ActionGroupoid(tuple_group([C2], "C2"), [0], lambda g, i: 0,
+    d = ActionGroupoid(TupleGroup([C2], "C2"), [0], lambda g, i: 0,
                        name="D")
     return (GMap(apex, a, [0] * n_objects, sel=(0, 1)),
             GMap(apex, b, [0] * n_objects, sel=sb),
