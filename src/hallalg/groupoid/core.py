@@ -163,13 +163,19 @@ class ActionGroupoid(Groupoid):
     looked up by `group_at`: `group` everywhere, unless a subclass splits
     the objects into blocks, each with its own group mapping it to itself.
     `act` is taken to be an action: every caller builds one by
-    construction, and the tests check the axioms.
+    construction, and the tests check the axioms.  `transversal` is a
+    sequence of object indices that meets every orbit, all of them unless
+    the caller knows fewer (a triangle level: one completion per first
+    row).
     """
 
-    def __init__(self, group: FiniteGroup, objects, act, name="X//G"):
+    def __init__(self, group: FiniteGroup, objects, act, name="X//G",
+                 transversal=None):
         super().__init__(objects, name=name)
         self.group = group
         self.act = act
+        self.transversal = (range(len(objects)) if transversal is None
+                            else transversal)
 
     def group_at(self, i) -> FiniteGroup:
         """The group whose elements are the morphisms out of object i."""

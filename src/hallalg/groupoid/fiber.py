@@ -14,13 +14,21 @@ apex factors that neither fa nor fb selects; it is an equivalence exactly
 when N acts freely and G_P x_G X -> P is a bijection.  Where rho is onto
 G_P (the degree-3 squares, the Hecke-Waldhausen unital squares), that is
 X/N -> P: every object of P is hit and each fibre is one free N-orbit, with
-no pi0 of any level.  Otherwise (rho injective: the S-construction's
+no pi0 of any level.  That is a count, not a walk: each fibre must hold
+|N| objects, and N must act freely at each object of the apex's
+`transversal`, which meets every orbit of the apex's groups (a triangle
+level: one triangle per first row).  N is a kernel, hence normal, so its
+stabilisers along an orbit are conjugate and freeness at one object is
+freeness on the orbit; and a fibre of |N| objects on which N acts freely
+is one N-orbit.  Otherwise (rho injective: the S-construction's
 unital squares, where s_0 maps Aut(A) diagonally, or an apex acted on by a
 subgroup), and to name the witness of a failure, the rule runs
 is_equivalence's decision on P, whose components are the G_P-orbits of
 the images of the apex's representatives.  Both passes walk P and nothing
 larger, so P's size, sum over the objects d of D of n_f(d) n_g(d), is what
-the budget counts, before either pass runs.
+the budget counts, before either pass runs.  The walk of every N-orbit
+of the apex that the count replaces is a test oracle
+(`tests/oracles/groupoid.py`).
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
@@ -28,10 +36,6 @@ small examples (`two_fiber_product`, as in demos/01) and the oracle for the
 table rule in the tests; no check builds one.  D's morphisms are interned
 as integers, so D must be small enough to list them.
 """
-
-from collections import deque
-from itertools import repeat
-from operator import add
 
 from .. import BudgetExceededError
 from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Groupoid
@@ -165,9 +169,10 @@ class _Square:
 
     def fibres(self) -> bool:
         """Whether rho is onto G_P at every object, every object of P is
-        hit and each fibre is one free N-orbit; False also where rho is not
-        onto."""
-        apex, a, b, fa, fb = self.apex, self.a, self.b, self.fa, self.fb
+        hit, each fibre holds |N| objects and N acts freely at each object
+        of the apex's transversal: then each fibre is one free N-orbit (see
+        the module docstring).  False also where rho is not onto."""
+        apex, fa, fb = self.apex, self.fa, self.fb
         if self.size > apex.n_objects:
             return False
         kernels = {}
@@ -177,27 +182,31 @@ class _Square:
             p_order = gb.order * _kernel(ga, self.f_used)[0]
             if gx.order != kernels[gx][0] * p_order:
                 return False            # rho is not onto G_P
-        points = map(add, map(self.base.__getitem__, fa.table),
-                     map(self.rg.__getitem__, fb.table))
-        hit = bytearray(self.size)
+        base, rg = self.base, self.rg
+        pairs = zip(fa.table, fb.table)
         if all(n == 1 for n, _ in kernels.values()):  # a bijection onto P
             if self.size != apex.n_objects:
                 return False
-            # mark every point hit, in C; then each is hit once
-            deque(map(hit.__setitem__, points, repeat(1)), maxlen=0)
+            hit = bytearray(self.size)
+            for u, v in pairs:
+                hit[base[u] + rg[v]] = 1
             return 0 not in hit
-        seen, missing = bytearray(apex.n_objects), self.size
-        for x, p in enumerate(points):
-            if seen[x]:
-                continue
-            if hit[p]:                  # a second N-orbit over p
-                return False
-            hit[p] = 1
-            missing -= 1
+        count = [0] * self.size
+        for u, v in pairs:
+            count[base[u] + rg[v]] += 1
+        if 0 in count:
+            return False
+        for gx, u, v in zip(map(apex.group_at, range(apex.n_objects)),
+                            fa.table, fb.table):
+            if count[base[u] + rg[v]] != kernels[gx][0]:
+                return False            # a fibre is not |N| objects
+        seen = bytearray(apex.n_objects)
+        for x in apex.transversal:
             n_order, gens = kernels[apex.group_at(x)]
-            if n_order > 1 and _orbit(apex, x, gens, seen) != n_order:
+            if (n_order > 1 and not seen[x]
+                    and _orbit(apex, x, gens, seen) != n_order):
                 return False            # the N-orbit of x is not free
-        return missing == 0
+        return True
 
     def decide(self) -> EquivalenceVerdict:
         """is_equivalence's decision on X -> P, in its order, with its

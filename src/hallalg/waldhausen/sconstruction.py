@@ -220,7 +220,8 @@ class TriangleGroupoid(ActionGroupoid):
     `transport`, one group per tuple of entries, built from its factors
     without listing its elements.  The closed count of the triangles is
     checked against the budget before any completion is built;
-    `closed_count` keeps the count."""
+    `closed_count` keeps the count.  The transversal is the first triangle
+    built over each first row, which meets every orbit."""
 
     def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
@@ -245,9 +246,10 @@ class TriangleGroupoid(ActionGroupoid):
                 f"budget of {budget}")
         groups = {e: TupleGroup([inst.aut_group(c) for c in e], f"Aut{e}")
                   for e in dict.fromkeys(entries)}
-        objects, self._group_of, index = [], [], {}
+        objects, self._group_of, index, firsts = [], [], {}, []
         for (_, monos), e in zip(rows, entries):
             rmono, cepi = _complete(inst, n, e, monos, name)
+            firsts.append(len(objects))
             group = groups[e]
             # K+(r) and, in step, its inverses, read off the factors: no
             # inverse is memoised per triangle
@@ -266,7 +268,8 @@ class TriangleGroupoid(ActionGroupoid):
                 index[tri] = len(objects)
                 objects.append(tri)
                 self._group_of.append(group)
-        super().__init__(None, objects, self.transport, name=name)
+        super().__init__(None, objects, self.transport, name=name,
+                         transversal=firsts)
         self._obj_index = index
 
     def group_at(self, i):

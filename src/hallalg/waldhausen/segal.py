@@ -31,6 +31,7 @@ from ..groupoid import (ActionGroupoid, Functor, GMap, compose_functors,
                         functors_equal)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groupoid.fiber import strict_pullback_equivalence
+from ..groups import FiniteGroup
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -148,9 +149,11 @@ class _MutatedLevel(ActionGroupoid):
                          name=name)
 
     def _cut(self, group):
+        # built on the identity alone: a tuple group's elements stay unlisted
         if group not in self._trivial:
-            self._trivial[group] = group.subgroup(
-                [group.identity], name=f"1<{group.name}", check=False)
+            self._trivial[group] = FiniteGroup(
+                [group.identity], group.op, name=f"1<{group.name}",
+                check=False)
         return self._trivial[group]
 
     def group_at(self, j):

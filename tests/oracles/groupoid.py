@@ -7,6 +7,8 @@
 - `materialised_comparison` decides a 2-Segal square by is_equivalence on
   the materialised fiber product, the oracle for the table rule, and
   `witness_key` is what it reproduces of the rule's witnesses;
+- `walked_fibres` is the table rule's fibre test by a walk of every
+  N-orbit of the apex, the oracle for the count in `_Square.fibres`;
 - `discrete_groupoid`, `constant_functor`, `DisjointUnion` and
   `FullSubgroupoid`: small generic groupoids and functors for the tests
   of the groupoid layer and for the skeletal core model of
@@ -24,6 +26,7 @@ from hallalg.groupoid import (ActionGroupoid, FiberProductGroupoid,
                               FnFunctor, Functor, Groupoid, SpanFn,
                               is_equivalence, pullback_fn, pushforward_fn,
                               two_fiber_product)
+from hallalg.groupoid.fiber import _group_tuples, _kernel, _orbit
 from hallalg.groupoid.transfer import _same_carrier
 from hallalg.groups import trivial_group
 
@@ -149,6 +152,31 @@ def materialised_comparison(apex, fa, fb, leg_f, leg_g, budget, name):
                                obj_map[apex.mor_src(m)]), name=name)
     verdict = is_equivalence(cmp)
     return verdict.ok, (None if verdict.ok else verdict.witness)
+
+
+def walked_fibres(square) -> bool:
+    """_Square.fibres by walking the N-orbit of every object of the apex:
+    whether rho is onto G_P at every object and each object of P is hit by
+    exactly one N-orbit, which is free."""
+    apex, fa, fb = square.apex, square.fa, square.fb
+    kernels = {}
+    for gx, ga, gb in _group_tuples(apex, fa, fb):
+        kernels[gx] = _kernel(gx, square.used)
+        if gx.order != (kernels[gx][0] * gb.order
+                        * _kernel(ga, square.f_used)[0]):
+            return False
+    hit, seen = bytearray(square.size), bytearray(apex.n_objects)
+    for x in range(apex.n_objects):
+        if seen[x]:
+            continue
+        p = square.point(fa.table[x], fb.table[x])
+        if hit[p]:
+            return False
+        hit[p] = 1
+        n_order, gens = kernels[apex.group_at(x)]
+        if _orbit(apex, x, gens, seen) != n_order:
+            return False
+    return 0 not in hit
 
 
 def witness_key(w):

@@ -410,6 +410,27 @@ def test_segal_check_passes_at_the_default_budget(capsys, G, H):
     assert digest == HECKE_SEGAL_DIGESTS[G, H]
 
 
+# exit code and sha256 of `segal-check --construction s --family f1-free
+# --bound 2` on larger groups, recorded while every N-orbit of the degree-3
+# squares was walked; the run label names only the family, so both print
+# the bytes of S(F1[trivial], 2)
+S_SEGAL_DIGESTS = {
+    "cyclic:3": (0, "d329341df1b5a5ff117aadf657df486a"
+                    "1b3dfe2fc78ede25d8103eb15704ac47"),
+    "klein": (0, "d329341df1b5a5ff117aadf657df486a"
+                 "1b3dfe2fc78ede25d8103eb15704ac47"),
+}
+
+
+@pytest.mark.parametrize("G", list(S_SEGAL_DIGESTS))
+def test_s_construction_segal_check_bytes(capsys, G):
+    code, out = run_capture(capsys, [
+        "segal-check", "--construction", "s", "--family", "f1-free", "--G",
+        G, "--bound", "2"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        S_SEGAL_DIGESTS[G])
+
+
 def test_hecke_oracle_disagreement_fails(capsys, monkeypatch):
     from hallalg.waldhausen.hecke import HeckeAlgebra
     original = HeckeAlgebra.convolution_constants

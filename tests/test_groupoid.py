@@ -1,6 +1,7 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap,
                               point_inclusion, pullback_fn, pushforward_fn,
                               two_fiber_product)
 from hallalg.groupoid.fiber import _Square
-from hallalg.groups import (alternating_subgroup, cyclic_group,
+from hallalg.groups import (TupleGroup, alternating_subgroup, cyclic_group,
                             dihedral_group, perm_sign, symmetric_group,
                             symmetric_subgroup, trivial_group)
 from hallalg.waldhausen import segal
@@ -22,7 +23,7 @@ from oracles.groupoid import (DisjointUnion, FullSubgroupoid, ProductGroupoid,
                               external_product, fiber_projections,
                               materialised_comparison, pull_push_span,
                               validate_action, validate_functor,
-                              validate_groupoid, witness_key)
+                              validate_groupoid, walked_fibres, witness_key)
 
 
 @pytest.fixture(scope="module")
@@ -515,6 +516,91 @@ def test_table_rule_matches_fiber_product_oracle(square):
     assert _Square(fa, fb, f, g).size == sum(
         f.table[u] == g.table[v] for u in range(f.src.n_objects)
         for v in range(g.src.n_objects))
+    args = (fa.src, fa, fb, f, g, 10 ** 6, "square")
+    ok, witness = segal._comparison(*args)
+    want_ok, want = materialised_comparison(*args)
+    assert (ok, witness_key(witness)) == (want_ok, witness_key(want))
+    if all(f.table[u] == g.table[v] for u, v in zip(fa.table, fb.table)):
+        square = _Square(fa, fb, f, g)
+        assert square.fibres() == walked_fibres(square)
+
+
+def _translations(factors, objects, name):
+    """The action of C_n0 x ... x C_nk, for `factors` (n0, ..., nk), on
+    tuples: coordinate j <= k of a tuple is moved by coordinate j of the
+    group, modulo n_j, and the rest are kept."""
+    group = TupleGroup([cyclic_group(n) for n in factors], name)
+    index = {o: i for i, o in enumerate(objects)}
+
+    def act(h, i):
+        o = objects[i]
+        return index[tuple((y + k) % n for y, k, n in zip(o, h, factors))
+                     + o[len(factors):]]
+
+    return ActionGroupoid(group, objects, act, name=name), index
+
+
+@st.composite
+def tuple_squares(draw):
+    """(fa, fb, f, g): C_n0 x ... x C_n4 acting on the blocks
+    (x0, ..., x4, b), x_k in Z/n_k for k < 3 and in Z/m_k, m_k | n_k,
+    for k = 3, 4, by translation; over A = Z/n0 x Z/n1 x labels and
+    B = Z/n0 x Z/n2 x labels, projected to D = Z/n0.  Each block b is one
+    orbit, with its own (m3, m4) and labels; N = C_n3 x C_n4 acts freely
+    on it exactly when (m3, m4) = (n3, n4).  The apex's transversal is a
+    drawn object of each block, and maybe more, in a drawn order."""
+    ns = [draw(st.sampled_from(c)) for c in ((1, 2, 3), (1, 2), (1, 2),
+                                             (1, 2, 4), (1, 2))]
+    la, lb = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    blocks = draw(st.lists(st.tuples(
+        st.sampled_from([m for m in (1, 2, 4) if ns[3] % m == 0]),
+        st.sampled_from([m for m in (1, 2) if ns[4] % m == 0]),
+        st.integers(0, la - 1), st.integers(0, lb - 1)),
+        min_size=1, max_size=3))
+    objects, transversal = [], []
+    for b, (m3, m4, _, _) in enumerate(blocks):
+        orbit = list(product(*map(range, ns[:3]), range(m3), range(m4),
+                             [b]))
+        transversal.append(len(objects) + draw(
+            st.integers(0, len(orbit) - 1)))
+        objects += orbit
+    transversal += draw(st.lists(st.integers(0, len(objects) - 1),
+                                 max_size=3))
+    index = {o: i for i, o in enumerate(objects)}
+
+    def act(h, i):
+        *x, b = objects[i]
+        mods = (*ns[:3], *blocks[b][:2])
+        return index[(*((y + k) % m for y, k, m in zip(x, h, mods)), b)]
+
+    apex = ActionGroupoid(TupleGroup([cyclic_group(n) for n in ns], "G"),
+                          objects, act, name="X",
+                          transversal=draw(st.permutations(transversal)))
+    a, ia = _translations(ns[:2], list(product(range(ns[0]), range(ns[1]),
+                                               range(la))), "A")
+    b, ib = _translations(ns[:1] + ns[2:3], list(product(
+        range(ns[0]), range(ns[2]), range(lb))), "B")
+    d, id_ = _translations(ns[:1], [(x,) for x in range(ns[0])], "D")
+    fa = GMap(apex, a, [ia[o[0], o[1], blocks[o[5]][2]] for o in objects],
+              sel=(0, 1))
+    fb = GMap(apex, b, [ib[o[0], o[2], blocks[o[5]][3]] for o in objects],
+              sel=(0, 2))
+    f = GMap(a, d, [id_[o[:1]] for o in a.objects], sel=(0,))
+    g = GMap(b, d, [id_[o[:1]] for o in b.objects], sel=(0,))
+    return fa, fb, f, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuple_squares())
+def test_the_fibre_count_matches_the_walk_on_tuple_groups(square):
+    fa, fb, f, g = square
+    validate_action(fa.src)
+    for m in square:
+        validate_functor(m)
+    assert {fa.src.component_of(x) for x in fa.src.transversal} == set(
+        range(len(fa.src.components())))
+    p = _Square(fa, fb, f, g)
+    assert p.fibres() == walked_fibres(p)
     args = (fa.src, fa, fb, f, g, 10 ** 6, "square")
     ok, witness = segal._comparison(*args)
     want_ok, want = materialised_comparison(*args)

@@ -30,7 +30,7 @@ from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
 from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
                               fiber_projections, materialised_comparison,
                               pull_push_span, validate_action,
-                              validate_functor, witness_key)
+                              validate_functor, walked_fibres, witness_key)
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
                                    flag_comparison_functor)
 
@@ -287,6 +287,18 @@ def test_mutation_corpus_fails_with_witness(hecke_s3, s_f1, s_vect):
             assert {w["kind"] for w in verdict.witnesses} <= {
                 "missed_component", "hom_not_bijective",
                 "comparison_undefined"}, (x.name, name)
+
+
+def test_the_mutation_corpus_lists_no_level_group():
+    # the discretised level's trivial subgroups are built on the identity
+    # alone, so the tuple groups of X_3 stay unlisted through its check
+    x = s_construction(F1FreeG(cyclic_group(3), 2), depth=3)
+    corpus = {name: m for name, m, _ in mutation_corpus(x)}
+    assert not check_2segal_degree3(corpus["discretize"]).ok
+    x3 = x.levels[3]
+    groups = {id(g): g for g in map(x3.group_at, range(x3.n_objects))}
+    assert len(groups) == 10
+    assert not any("elements" in vars(g) for g in groups.values())
 
 
 # -- the materialised fiber product, as the oracle for the table rule -------
@@ -1046,10 +1058,11 @@ def comparisons(squares, budget=10 ** 7):
             for name, apex, fa, fb, f, g in squares]
 
 
-def fibre_rule(squares):
+def fibre_rule(squares, rule=_Square.fibres):
     """Whether the fibre check (rho onto G_P, one free N-orbit over every
-    object of P) alone decides each square."""
-    return [_Square(fa, fb, f, g).fibres() for _, _, fa, fb, f, g in squares]
+    object of P) alone decides each square: by the count of
+    `_Square.fibres`, or by `rule`, say the walk of every N-orbit."""
+    return [rule(_Square(fa, fb, f, g)) for _, _, fa, fb, f, g in squares]
 
 
 RULE_CASES = {
@@ -1071,9 +1084,60 @@ def test_strict_pullback_rule_agrees_with_the_skeleton(case, monkeypatch):
     # is not onto and the decision pass decides them
     assert fibre_rule(squares) == ([True] * 4 if case.startswith("hw") else
                                    [True, True, False, False])
+    assert fibre_rule(squares) == fibre_rule(squares, walked_fibres)
     if case not in ("hw-s4-s2", "s-ab-p-2-4"):   # too large to list
         monkeypatch.setattr(segal, "_comparison", materialised_comparison)
         assert comparisons(squares) == decided
+
+
+def commuting(squares):
+    """The squares whose legs agree on the faces of every object of the
+    apex; the fibres of the others are not defined."""
+    return [sq for sq in squares
+            if all(sq[4].table[u] == sq[5].table[v]
+                   for u, v in zip(sq[2].table, sq[3].table))]
+
+
+def test_the_fibre_count_matches_the_walk_on_the_mutation_corpora(
+        hecke_s3, s_f1, s_vect, s_f1c2):
+    found = []
+    for x in (hecke_s3, _hw(4, 3), s_vect, s_f1, s_f1c2):
+        for m in [x] + [m for _, m, _ in mutation_corpus(x)]:
+            squares = commuting(decided_squares(m))
+            found += fibre_rule(squares)
+            assert fibre_rule(squares) == fibre_rule(
+                squares, walked_fibres), m.name
+    assert True in found and False in found
+
+
+def test_each_s_level_orbit_meets_the_transversal():
+    for case in TABLE_CASES:
+        if case.startswith("s-"):
+            for level in TABLE_CASES[case]().levels:
+                assert {level.component_of(x) for x in level.transversal
+                        } == set(range(len(level.components()))), (
+                    case, level.name)
+
+
+@pytest.mark.parametrize("inst, most", [
+    (lambda: F1FreeG(cyclic_group(3), 2), 4_000),     # 30,852 walking
+    (lambda: VectFq(2, 2), 400),                      # 1,080 walking
+], ids=["s-f1-c3-2", "s-vect-f2-2"])
+def test_the_degree3_squares_act_once_per_first_row(inst, most,
+                                                     monkeypatch):
+    # freeness is checked on one triangle per first row, not on every
+    # N-orbit of X_3
+    x = s_construction(inst(), depth=3)
+    x3, calls = x.levels[3], [0]
+    act = x3.act
+
+    def counted(g, i):
+        calls[0] += 1
+        return act(g, i)
+
+    monkeypatch.setattr(x3, "act", counted)
+    assert check_2segal_degree3(x).ok
+    assert 0 < calls[0] <= most
 
 
 @pytest.mark.parametrize("case", ["hw-s3-s2", "hw-d8-1"])
@@ -1087,6 +1151,7 @@ def test_a_gmap_square_that_is_no_equivalence_gets_the_skeleton_witness(
                 f, g) for name, apex, fa, fb, f, g in decided_squares(x)[:2]]
     assert all(isinstance(sq[2], GMap) for sq in squares)
     assert fibre_rule(squares) == [False, False]
+    assert fibre_rule(squares, walked_fibres) == [False, False]
     decided = comparisons(squares)
     assert all(not ok and w["kind"] == "hom_not_bijective"
                for ok, w in decided)
@@ -1121,15 +1186,17 @@ def test_s_construction_maps_are_functors(case):
         validate_functor(f)
 
 
-def _c2_square(n_objects, act, sb=(0, 2), a_objects=1, first=2):
+def _c2_square(n_objects, act, sb=(0, 2), a_objects=1, first=2, kernel=1):
     """A square of tuple-group action groupoids: the apex acted on by
-    C_first x C2^3 through `act`; fa and fb select coordinates (0, 1) and
-    `sb` into C_first x C2-groupoids, A with `a_objects` fixed objects, B
-    with one; both legs select coordinate 0 into a one-object
-    C2-groupoid, and every table is constant 0.  With sb = (0, 2),
-    coordinate 3 is the kernel N of the comparison's group map."""
+    C_first x C2^(2 + kernel) through `act`; fa and fb select coordinates
+    (0, 1) and `sb` into C_first x C2-groupoids, A with `a_objects` fixed
+    objects, B with one; both legs select coordinate 0 into a one-object
+    C2-groupoid, and every table is constant 0.  With sb = (0, 2), the
+    coordinates from 3 on are the kernel N of the comparison's group
+    map."""
     C2, C = cyclic_group(2), cyclic_group(first)
-    K4, K2 = (TupleGroup([C] + [C2] * k, f"C{first}xC2^{k}") for k in (3, 1))
+    K4, K2 = (TupleGroup([C] + [C2] * k, f"C{first}xC2^{k}")
+              for k in (2 + kernel, 1))
     apex = ActionGroupoid(K4, range(n_objects), act, name="X")
     a = ActionGroupoid(K2, range(a_objects), lambda g, i: i, name="A")
     b = ActionGroupoid(K2, [0], lambda g, i: 0, name="B")
@@ -1155,6 +1222,18 @@ def _swap(g, i):
     return i ^ g[3]
 
 
+def _free_then_not_free():
+    """N = C2 x C2 over the two points of P, with 4 objects over each: one
+    free orbit over the first, two orbits of size 2 over the second; the
+    apex's transversal reaches the second after the first."""
+    def act(g, i):
+        return i ^ (g[3] | g[4] << 1) if i < 4 else i ^ g[3]
+
+    fa, fb, f, g = _c2_square(8, act, a_objects=2, kernel=2)
+    fa.src.transversal = [0, 4, 6]
+    return GMap(fa.src, fa.tgt, [0] * 4 + [1] * 4, sel=fa.sel), fb, f, g
+
+
 @pytest.mark.parametrize("square, expected", [
     (lambda: _c2_square(2, _swap), True),    # the fibre is one free N-orbit
     (lambda: _c2_square(1, lambda g, i: i), False),   # N fixes the object
@@ -1163,11 +1242,18 @@ def _swap(g, i):
     (lambda: _c2_square(4, _swap, a_objects=2), False),
     (lambda: _shared_square(1), True),
     (lambda: _shared_square(2), False),      # two objects over one point
+    # N = C2 x C2 over one point: its 4 objects are |N|, but they are two
+    # orbits of size 2, where coordinate 4 acts trivially
+    (lambda: _c2_square(4, _swap, kernel=2), False),
+    (_free_then_not_free, False),
 ], ids=["free-orbit", "fixed", "two-orbits", "two-orbits-one-missed",
-        "shared-bijection", "shared-two-to-one"])
+        "shared-bijection", "shared-two-to-one", "counted-not-free",
+        "free-then-not-free"])
 def test_the_rule_counts_the_fibres(square, expected):
     fa, fb, f, g = square()
     assert strict_pullback_equivalence(fa, fb, f, g).ok is expected
+    p = _Square(fa, fb, f, g)
+    assert p.fibres() is walked_fibres(p) is expected
     ok, _ = materialised_comparison(fa.src, fa, fb, f, g, 10 ** 4, "c2")
     assert ok is expected
     assert comparisons([("c2", fa.src, fa, fb, f, g)])[0][0] is expected
