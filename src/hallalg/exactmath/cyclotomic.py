@@ -21,7 +21,7 @@ next and equal packed integers mean equal slots.
 from functools import cache
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 
 @cache
@@ -143,15 +143,18 @@ class PackedProducts:
         half = 1 << (bits - 1)
         # sum_j half 2^(bits j): every slot offset to 0 <= slot < 2^bits
         self._offset = ((1 << bits * self.count) - 1) // (2 * half - 1) * half
+        shifts = [bits * j for j in range(self.count)]
+        # coefs[b][a][k] = coef_a(zeta^b conj(zeta^k))
+        coefs = [[[rows[(b - k) % m][a] for k in range(phi)]
+                  for a in range(phi)] for b in range(width)]
         self.columns = [[] for _ in range(phi)]
         for c, w in enumerate(weights):
-            packed = [0] * phi   # packed[k] = sum_j y_j(c)[k] 2^(bits j)
-            for y in reversed(ys):
-                packed = [(p << bits) + x for p, x in zip(packed, y[c])]
-            for b in range(width):
-                for a, col in enumerate(self.columns):
-                    col.append(w * sum(rows[(b - k) % m][a] * p
-                                       for k, p in enumerate(packed) if p))
+            # packed[k] = sum_j y_j(c)[k] 2^(bits j)
+            packed = [sum(map(lshift, xs, shifts))
+                      for xs in zip(*[y[c] for y in ys])]
+            for per_a in coefs:
+                for col, coef in zip(self.columns, per_a):
+                    col.append(w * sum(map(mul, coef, packed)))
 
     def __call__(self, x) -> list[int]:
         """The phi(m) packed integers of x, a list of integer vectors of

@@ -76,8 +76,11 @@ def littlewood_richardson(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def schur_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Expansion of s_lam * s_mu in the Schur basis via the LR rule."""
+    """Expansion of s_lam * s_mu in the Schur basis via the LR rule; s_()
+    is the unit."""
     lam, mu = check_partition(lam), check_partition(mu)
+    if not lam or not mu:
+        return {lam or mu: 1}
     out = {}
     for nu in partitions_of(sum(lam) + sum(mu)):
         c = littlewood_richardson(lam, mu, nu)

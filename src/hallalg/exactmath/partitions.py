@@ -143,13 +143,28 @@ def partition_maps(n: int, labels) -> list[PartitionMap]:
     return out
 
 
+def partition_numbers(n: int, budget=None) -> list[int]:
+    """[p(0), ..., p(n)] by Euler's pentagonal recurrence
+    p(j) = sum_{i >= 1} (-1)^(i+1) (p(j - i(3i-1)/2) + p(j - i(3i+1)/2));
+    given a budget, the list ends at the first p(j) over it."""
+    p = [1]
+    for j in range(1, n + 1):
+        total, i, g = 0, 1, 1   # g = i(3i-1)/2, and i(3i+1)/2 = g + i
+        while g <= j:
+            term = p[j - g] + (p[j - g - i] if g + i <= j else 0)
+            total += term if i % 2 else -term
+            i += 1
+            g += 3 * i - 2
+        p.append(total)
+        if budget is not None and total > budget:
+            break
+    return p
+
+
 def count_partition_maps(n: int, k: int) -> int:
     """len(partition_maps(n, labels)) for k labels, without listing them:
     the coefficient of x^n in (sum_j p(j) x^j)^k."""
-    p = [1] + [0] * n                   # p[j]: the partitions of j
-    for part in range(1, n + 1):
-        for j in range(part, n + 1):
-            p[j] += p[j - part]
+    p = partition_numbers(n)
     out = [1] + [0] * n
     for _ in range(k):
         out = [sum(out[i] * p[j - i] for i in range(j + 1))

@@ -7,6 +7,7 @@ Littlewood-Richardson coefficients.
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 from .littlewood import schur_product
 from .partitions import PartitionMap
@@ -65,19 +66,20 @@ class MultiSymElem:
         return [[k.to_json(), str(v)] for k, v in items]
 
 
-def _basis_product(a: PartitionMap, b: PartitionMap) -> dict[PartitionMap, int]:
-    """S_a * S_b = sum_nu (prod_x c^{nu(x)}_{a(x) b(x)}) S_nu."""
-    labels = a.labels
-    per_label = [schur_product(lam, mu).items()
-                 for lam, mu in zip(a.parts, b.parts)]
-    out = {}
-    for combo in iproduct(*per_label):
-        coeff = 1
-        for _, c in combo:
-            coeff *= c
-        key = PartitionMap(labels, tuple(nu for nu, _ in combo))
-        out[key] = out.get(key, 0) + coeff
-    return out
+def lr_product(a, b, expansions: dict) -> dict[tuple, int]:
+    """S_a * S_b = sum_nu (prod_x c^{nu(x)}_{a(x) b(x)}) S_nu in integers,
+    for the parts a and b of two partition maps on one label set, keyed by
+    the parts of nu.  Each nu is one choice of a term of s_a(x) s_b(x) per
+    label, so no two choices meet.  `expansions`, a dict that the caller
+    shares between calls, keeps each factor's expansion once per partition
+    pair."""
+    factors = []
+    for pair in zip(a, b):
+        if pair not in expansions:
+            expansions[pair] = schur_product(*pair).items()
+        factors.append(expansions[pair])
+    return {tuple(nu for nu, _ in combo): prod(c for _, c in combo)
+            for combo in iproduct(*factors)}
 
 
 def multisym_mul(a: MultiSymElem, b: MultiSymElem) -> MultiSymElem:
@@ -85,8 +87,10 @@ def multisym_mul(a: MultiSymElem, b: MultiSymElem) -> MultiSymElem:
     if a.labels != b.labels:
         raise ValueError("mismatched index sets: %r vs %r" % (a.labels, b.labels))
     out = {}
+    expansions = {}
     for ka, va in a.coords.items():
         for kb, vb in b.coords.items():
-            for knu, c in _basis_product(ka, kb).items():
+            for parts, c in lr_product(ka.parts, kb.parts, expansions).items():
+                knu = PartitionMap(a.labels, parts)
                 out[knu] = out.get(knu, Fraction(0)) + va * vb * c
     return MultiSymElem(a.labels, out)

@@ -16,7 +16,8 @@ over the budget before any label is built.
 from . import BudgetExceededError, Record, UsageError
 
 from .exactmath.partitions import (PartitionMap, count_partition_maps,
-                                   multiset_number, partition_maps)
+                                   multiset_number, partition_maps,
+                                   partition_numbers)
 from .exactmath.tableaux import schur_eval_ones
 from .groups import FiniteGroup
 from .wreath.chmap import irreducible_dimension
@@ -96,6 +97,13 @@ class SchurWeylReport(Record):
 def schur_weyl_report(G: FiniteGroup, n: int, d: int,
                       budget: int = DEFAULT_SCHURWEYL_BUDGET) -> SchurWeylReport:
     _require_abelian(G)
+    # a map sending all n to one class is a label, so there are at least
+    # p(j) labels for every j <= n: a partition number over the budget
+    # refuses n before the full count
+    p = partition_numbers(n, budget)
+    if p[-1] > budget:
+        raise BudgetExceededError(f"{G.name} wr S_{n} has at least {p[-1]} "
+                                  f"labels, over budget {budget}")
     count = count_partition_maps(n, G.order)
     if count > budget:
         raise BudgetExceededError(f"{G.name} wr S_{n} has {count} labels, "

@@ -32,27 +32,35 @@ denominator first.  Tables are certified by class sizes adding up to |W|,
 row orthogonality and the squared dimensions; the column relation follows
 from the rows (`check_orthogonality`).  Induction multiplicities come from
 Frobenius reciprocity over class labels, in one batch per size pair
-(n, m) (`induction_products`).  The tests' oracles (`tests/oracles`) are
-the walk per (lam, rho) and the sums over the elements of the group and of
-the Young subgroup for the values, one `dot` per pair of rows or per
-(lam, mu, nu) and per-term cyclotomic arithmetic for the certificates and
-multiplicities, and the class label of each element.  On K_0, ch sends the
-induction product to the componentwise Littlewood-Richardson product,
-which is what the acceptance suite verifies.  Tables are memoised on their
-group (`character_table`), so they are dropped with it.
+(n, m) (`induction_products`), each lam folded once into the packed columns
+of the big table, so that a label pair costs phi(e) sums.  On K_0, ch
+sends the induction product to the componentwise Littlewood-Richardson
+product, which is what the acceptance suite verifies
+(`ch_ring_hom_check`): both sides are integers keyed by the parts of nu,
+the multiplicities and the products of LR coefficients (`lr_product` of
+exactmath.symfunc), and the Fractions of ch and multisym_mul are built only
+for the witness of a failing pair.  The tests' oracles (`tests/oracles`)
+are the walk per (lam, rho) and the sums over the elements of the group
+and of the Young subgroup for the values, one `dot` per pair of rows or
+per (lam, mu, nu), the restricted class function of each label pair, and
+per-term cyclotomic arithmetic for the certificates and multiplicities,
+and the class label of each element.  Tables are memoised on their group
+(`character_table`), so they are dropped with it.
 """
 
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import factorial, prod
+from operator import mul
 
 from .. import UsageError
 from ..exactmath.cyclotomic import (PackedProducts, column_norms,
                                     euler_phi, integral_rows, poly_string,
                                     reduce_poly)
 from ..exactmath.partitions import PartitionMap, partition_maps
-from ..exactmath.symfunc import MultiSymElem
+from ..exactmath.symfunc import MultiSymElem, lr_product, multisym_mul
 from ..exactmath.tableaux import standard_tableaux_count
 from ..groups import FiniteGroup
 from .characters import abelian_dual, murnaghan_nakayama
@@ -244,16 +252,21 @@ def induction_products(G: FiniteGroup, n: int, m: int,
     (X_lam boxtimes X_mu)} for the given label pairs of sizes n and m, by
     default all of them in label order.  By Frobenius reciprocity,
     <Ind chi, chi_nu> = <chi, Res chi_nu>, a sum over pairs of classes
-    (rho1, rho2) of the Young subgroup, which lies in the class rho1 + rho2
-    (partitions joined class by class) of the big group.  What depends only
-    on (n, m) is done once: the rows of each table are read once, the
-    joined class and weight of each class pair are found once, and the big
-    table's rows are packed once (`PackedProducts`), so that the
-    multiplicities of every nu in one pair are the slots of phi(e) packed
-    integers.  Fraction values are scaled by the common denominator of
-    each table, which the denominator of the multiplicities takes up; the
-    first nu, in label order, whose multiplicity is not in N raises
-    ArithmeticError."""
+    (a, b) of the Young subgroup, of weight |a| |b|, which lies in the
+    class a + b (partitions joined class by class) of the big group.  What
+    depends only on (n, m) is done once: the rows of each table are read
+    once, the joined class of each class pair is found once, and the big
+    table's rows are packed once (`PackedProducts`) into phi(e) columns,
+    one entry per flat position (joined class, coefficient k) of an
+    unreduced product.  Each lam is folded into every column once: the
+    folded column holds at (b, j) the sum of |a| |b| lam(a)[i]
+    column[(a + b, i + j)] over the (a, i), so that the multiplicities of
+    every nu in one pair are the slots of the phi(e) integers
+    sum(map(mul, flat mu row, folded column)), the packed sums of the
+    restricted class function lam x mu only reassociated.  Fraction values
+    are scaled by the common denominator of each table, which the
+    denominator of the multiplicities takes up; the first nu, in label
+    order, whose multiplicity is not in N raises ArithmeticError."""
     big = character_table(G, n + m, budget)
     small_n = character_table(G, n, budget)
     small_m = character_table(G, m, budget)
@@ -266,37 +279,45 @@ def induction_products(G: FiniteGroup, n: int, m: int,
     norms_n, norms_m = column_norms(rows_n), column_norms(rows_m)
     # the three tables share one label set, so a class is its parts
     pos = {rho.parts: c for c, rho in enumerate(big.class_labels)}
-    joins = []   # (a, b, the class a + b of the big group, |a| |b|)
+    joined = [[pos[tuple(tuple(sorted(p + q, reverse=True))
+                         for p, q in zip(rho1.parts, rho2.parts))]
+               for rho2 in small_m.class_labels]
+              for rho1 in small_n.class_labels]
     xnorms = {}  # per joined class, a bound on |lam x mu summed there|_1
-    for a, rho1 in enumerate(small_n.class_labels):
-        for b, rho2 in enumerate(small_m.class_labels):
-            joined = pos[tuple(tuple(sorted(p + q, reverse=True))
-                               for p, q in zip(rho1.parts, rho2.parts))]
-            w = small_n.class_sizes[a] * small_m.class_sizes[b]
-            joins.append((a, b, joined, w))
-            xnorms[joined] = (xnorms.get(joined, 0)
-                              + w * norms_n[a] * norms_m[b])
+    for a, size_a in enumerate(small_n.class_sizes):
+        for b, size_b in enumerate(small_m.class_sizes):
+            c = joined[a][b]
+            xnorms[c] = (xnorms.get(c, 0)
+                         + size_a * size_b * norms_n[a] * norms_m[b])
     classes = list(xnorms)
-    width = 2 * euler_phi(big.e) - 1
+    phi = euler_phi(big.e)
+    width = 2 * phi - 1
     products = PackedProducts(big.e, [[row[c] for c in classes]
                                       for row in rows_big],
                               xnorms=list(xnorms.values()), width=width)
     den = small_n.order * small_m.order * den_n * den_m * den_big
+    # per column and per (b, j), its entries at (a + b, i + j) over the
+    # flat (a, i): the positions that lam(a)[i] mu(b)[j] adds to
+    start = {c: t * width for t, c in enumerate(classes)}
+    gathered = [[[col[start[joined[a][b]] + i + j]
+                  for a in range(len(joined)) for i in range(phi)]
+                 for b in range(len(small_m.class_sizes)) for j in range(phi)]
+                for col in products.columns]
+    sizes_b = [size for size in small_m.class_sizes for _ in range(phi)]
 
     out = {}
+    folded_lam = None   # the pairs come lam by lam: one fold is kept
     for lam, mu in pairs:
-        # the class function lam x mu summed over each class of the big
-        # group, as integer polynomials in zeta_e, unreduced
-        row_lam = rows_n[small_n.pos[lam]]
-        row_mu = rows_m[small_m.pos[mu]]
-        restricted = {c: [0] * width for c in classes}
-        for a, b, joined, w in joins:
-            acc = restricted[joined]
-            for i, xi in enumerate(row_lam[a]):
-                if xi:
-                    for j, yj in enumerate(row_mu[b]):
-                        acc[i + j] += w * xi * yj
-        packed = products(restricted.values())
+        if lam != folded_lam:
+            row = [size * x for size, v in zip(small_n.class_sizes,
+                                               rows_n[small_n.pos[lam]])
+                   for x in v]
+            folded = [[size * sum(map(mul, row, g))
+                       for size, g in zip(sizes_b, per_bj)]
+                      for per_bj in gathered]
+            folded_lam = lam
+        row_mu = list(chain.from_iterable(rows_m[small_m.pos[mu]]))
+        packed = [sum(map(mul, row_mu, col)) for col in folded]
         rational = products.slots(packed[0])
         if any(packed[1:]) or min(rational) < 0 or any(
                 x % den for x in rational):
@@ -338,19 +359,23 @@ def ch(G: FiniteGroup, x_basis: dict) -> MultiSymElem:
 def ch_ring_hom_check(G: FiniteGroup, max_total: int,
                       budget: int = DEFAULT_WREATH_BUDGET):
     """ch(Ind(X_lam boxtimes X_mu)) = S_lam . S_mu for all label pairs with
-    total size <= max_total; returns (ok, failures)."""
-    from ..exactmath.symfunc import multisym_mul
+    total size <= max_total; returns (ok, failures).  Both sides are
+    compared in integers, keyed by the parts of nu: the multiplicities of
+    `induction_products`, and the componentwise Littlewood-Richardson
+    product prod_x c^{nu(x)}_{lam(x) mu(x)} (`lr_product`), each factor
+    expanded once per partition pair.  ch and multisym_mul, with their
+    Fractions, build only the witness of a failing pair."""
     failures = []
+    expansions = {}   # shared by every pair's lr_product
     for n in range(0, max_total + 1):
         for m in range(0, max_total + 1 - n):
             products = induction_products(G, n, m, budget)
             for (lam, mu), ind in products.items():
-                lhs = ch(G, ind)
-                rhs = multisym_mul(MultiSymElem.basis(lam),
-                                   MultiSymElem.basis(mu))
-                if lhs != rhs:
-                    failures.append({"lam": lam.to_json(),
-                                     "mu": mu.to_json(),
-                                     "lhs": lhs.to_json(),
-                                     "rhs": rhs.to_json()})
+                rhs = lr_product(lam.parts, mu.parts, expansions)
+                if {nu.parts: c for nu, c in ind.items()} != rhs:
+                    failures.append({
+                        "lam": lam.to_json(), "mu": mu.to_json(),
+                        "lhs": ch(G, ind).to_json(),
+                        "rhs": multisym_mul(MultiSymElem.basis(lam),
+                                            MultiSymElem.basis(mu)).to_json()})
     return (not failures), failures

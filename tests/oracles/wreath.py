@@ -9,13 +9,17 @@ coefficient vectors over Z[zeta_e], one per class, as in the tables;
 oracles.  `pairwise_check_orthogonality` and `pairwise_induction_products`
 are the certificate and the multiplicities by one `dot` per pair, the
 oracles of the packed row products, down to the witness and the text of
-each ArithmeticError."""
+each ArithmeticError.  `restricted_induction_products` packs the restricted
+class function of each label pair against the same packed columns, the
+oracle of the per-lam fold down to the text of each ArithmeticError."""
 
 from fractions import Fraction
 from math import prod
 
 from hallalg import UsageError
-from hallalg.exactmath.cyclotomic import euler_phi, poly_string, reduce_poly
+from hallalg.exactmath.cyclotomic import (PackedProducts, column_norms,
+                                         euler_phi, integral_rows,
+                                         poly_string, reduce_poly)
 from hallalg.exactmath.partitions import PartitionMap
 from hallalg.groups import FiniteGroup
 from hallalg.wreath import chmap
@@ -216,4 +220,59 @@ def pairwise_induction_products(G, n: int, m: int, pairs=None) -> dict:
                                       f"{value}")
             if tot[0]:
                 decomposition[nu] = tot[0] // den
+    return out
+
+
+def restricted_induction_products(G, n: int, m: int, pairs=None) -> dict:
+    """induction_products with no fold: for each pair, the class function
+    lam x mu summed over each class of the big group, as unreduced integer
+    polynomials in zeta_e, one term per class pair and coefficient pair,
+    packed against the columns of the big table's rows."""
+    big = chmap.character_table(G, n + m, DEFAULT_WREATH_BUDGET)
+    small_n = chmap.character_table(G, n, DEFAULT_WREATH_BUDGET)
+    small_m = chmap.character_table(G, m, DEFAULT_WREATH_BUDGET)
+    if pairs is None:
+        pairs = [(lam, mu) for lam in small_n.irr_labels
+                 for mu in small_m.irr_labels]
+    rows_n, den_n = integral_rows(small_n.values)
+    rows_m, den_m = integral_rows(small_m.values)
+    rows_big, den_big = integral_rows(big.values)
+    norms_n, norms_m = column_norms(rows_n), column_norms(rows_m)
+    joins = []   # (a, b, the class a + b of the big group, |a| |b|)
+    xnorms = {}  # per joined class, a bound on |lam x mu summed there|_1
+    for a, rho1 in enumerate(small_n.class_labels):
+        for b, rho2 in enumerate(small_m.class_labels):
+            joined = big.pos[PartitionMap(rho1.labels, [
+                tuple(sorted(p + q, reverse=True))
+                for p, q in zip(rho1.parts, rho2.parts)])]
+            w = small_n.class_sizes[a] * small_m.class_sizes[b]
+            joins.append((a, b, joined, w))
+            xnorms[joined] = (xnorms.get(joined, 0)
+                              + w * norms_n[a] * norms_m[b])
+    classes = list(xnorms)
+    width = 2 * euler_phi(big.e) - 1
+    products = PackedProducts(big.e, [[row[c] for c in classes]
+                                      for row in rows_big],
+                              xnorms=list(xnorms.values()), width=width)
+    den = small_n.order * small_m.order * den_n * den_m * den_big
+    out = {}
+    for lam, mu in pairs:
+        row_lam = rows_n[small_n.pos[lam]]
+        row_mu = rows_m[small_m.pos[mu]]
+        restricted = {c: [0] * width for c in classes}
+        for a, b, joined, w in joins:
+            acc = restricted[joined]
+            for i, xi in enumerate(row_lam[a]):
+                for j, yj in enumerate(row_mu[b]):
+                    acc[i + j] += w * xi * yj
+        packed = products(restricted.values())
+        for nu, tot in zip(big.irr_labels,
+                           zip(*map(products.slots, packed))):
+            if any(tot[1:]) or tot[0] % den or tot[0] < 0:
+                value = poly_string([Fraction(x, den) for x in tot])
+                raise ArithmeticError(f"multiplicity of {nu} in the "
+                                      f"induction product is not in N: "
+                                      f"{value}")
+        out[lam, mu] = {nu: x // den for nu, x in
+                        zip(big.irr_labels, products.slots(packed[0])) if x}
     return out

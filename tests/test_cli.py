@@ -95,6 +95,10 @@ BAD_INPUTS = [
     ["ch-verify", "--G", "cyclic:2", "--max-size", "-1"],
     ["schurweyl", "--G", "cyclic:2", "--n", "-1", "--d", "1"],
     ["schurweyl", "--G", "cyclic:2", "--n", "1", "--d", "-1"],
+    # orders and label counts far over their budgets
+    ["wreath-char-table", "--G", "cyclic:2", "--n", "1500"],
+    ["wreath-char-table", "--G", "cyclic:2", "--n", "100000"],
+    ["schurweyl", "--G", "cyclic:2", "--n", "100000", "--d", "3"],
 ]
 
 
@@ -775,6 +779,30 @@ def test_schurweyl_labels_are_counted_before_any_is_built(capsys,
     assert run(["schurweyl", "--G", "cyclic:2", "--n", "3", "--d", "2",
                 "--budget", "10"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("wreath-char-table --G cyclic:2 --n 6",
+     "|cyclic:2 wr S_6| = 46080 exceeds budget 5000"),
+    # |W| = 2^1500 1500! has 4,567 digits, more than str() prints
+    ("wreath-char-table --G cyclic:2 --n 1500",
+     "|cyclic:2 wr S_1500| = 2^1500 * 1500! exceeds budget 5000"),
+    ("wreath-char-table --G cyclic:2 --n 100000",
+     "|cyclic:2 wr S_100000| = 2^100000 * 100000! exceeds budget 5000"),
+    # p(50) = 204,226 is the first partition number over 200,000, and the
+    # labels of size n are at least p(j) for every j <= n
+    ("schurweyl --G cyclic:2 --n 100000 --d 3",
+     "cyclic:2 wr S_100000 has at least 204226 labels, over budget 200000"),
+    ("schurweyl --G cyclic:2 --n 50 --d 3",
+     "cyclic:2 wr S_50 has at least 204226 labels, over budget 200000"),
+    ("schurweyl --G klein --n 49 --d 3",
+     "klein wr S_49 has 273772115260 labels, over budget 200000")])
+def test_budgets_refuse_huge_sizes_at_once(capsys, argv, message):
+    t0 = perf_counter()
+    assert run(argv.split()) == 2
+    assert perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 PARSER_CORPUS = [

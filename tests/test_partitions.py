@@ -5,7 +5,8 @@ from hallalg.exactmath.partitions import (PartitionMap, check_partition,
                                           compositions, conjugate,
                                           count_partition_maps,
                                           multiset_number,
-                                          partition_maps, partitions_of)
+                                          partition_maps, partition_numbers,
+                                          partitions_of)
 from oracles.exactmath import partition_map_from_json, partition_maps_count
 
 
@@ -92,6 +93,25 @@ def test_label_count_matches_the_composition_formula():
             if n <= 4 and k <= 4:
                 assert count_partition_maps(n, k) == len(
                     partition_maps(n, tuple(range(k))))
+
+
+def test_partition_numbers_match_the_listing_and_stop_over_the_budget():
+    assert partition_numbers(20) == [len(partitions_of(j))
+                                     for j in range(21)]
+    assert partition_numbers(100)[-1] == 190569292
+    # the list ends at the first p(j) over the budget, p(50) = 204,226
+    stopped = partition_numbers(10 ** 6, 200000)
+    assert stopped == partition_numbers(50)
+    assert stopped[-2] <= 200000 < stopped[-1]
+    assert partition_numbers(5, 7) == partition_numbers(5)
+
+
+@given(st.integers(0, 30), st.integers(1, 4), st.integers(0, 10 ** 4))
+def test_a_partition_number_over_the_budget_bounds_the_count(n, k, budget):
+    p = partition_numbers(n, budget)
+    assert p == partition_numbers(n)[:len(p)]
+    if p[-1] > budget:
+        assert count_partition_maps(n, k) >= p[-1]
 
 
 def test_partition_map_json_roundtrip():

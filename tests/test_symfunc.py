@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hallalg.exactmath.partitions import PartitionMap, partition_maps
-from hallalg.exactmath.symfunc import MultiSymElem, multisym_mul
+from hallalg.exactmath.symfunc import MultiSymElem, lr_product, multisym_mul
 from oracles.exactmath import SymElem, multisym_unit
 
 
@@ -51,20 +52,71 @@ def test_basis_product_is_the_labelwise_lr_product():
     # each label's factor is the LR expansion of s_lam * s_mu, here checked
     # against the coefficients littlewood_richardson gives one by one
     from hallalg.exactmath.littlewood import littlewood_richardson
-    from hallalg.exactmath.symfunc import _basis_product
     labels = ("a", "b")
     pool = [k for n in range(4) for k in partition_maps(n, labels)]
     for x in pool:
         for y in pool:
-            got = _basis_product(x, y)
+            got = lr_product(x.parts, y.parts, {})
             want = {}
             for nu in partition_maps(x.total + y.total, labels):
                 c = 1
                 for lam, mu, rho in zip(x.parts, y.parts, nu.parts):
                     c *= littlewood_richardson(lam, mu, rho)
                 if c:
-                    want[nu] = c
+                    want[nu.parts] = c
             assert got == want and list(got) == list(want), (x, y)
+
+
+def multisym_parts(lam, mu):
+    """multisym_mul of two basis elements, keyed by the parts of nu."""
+    out = multisym_mul(MultiSymElem.basis(lam), MultiSymElem.basis(mu))
+    return {nu.parts: c for nu, c in out.coords.items()}
+
+
+@pytest.mark.parametrize("k,total", [(1, 5), (2, 4), (3, 3), (4, 2)],
+                         ids=["trivial-5", "cyclic:2-4", "cyclic:3-3",
+                              "klein-2"])
+def test_integer_lr_product_is_multisym_mul_on_every_pair(k, total):
+    # the label sets of ch-verify for the trivial group, C2, C3 and the
+    # Klein group; one expansion memo serves every pair
+    labels = tuple(range(k))
+    expansions = {}
+    for n in range(total + 1):
+        for m in range(total + 1 - n):
+            for lam in partition_maps(n, labels):
+                for mu in partition_maps(m, labels):
+                    got = lr_product(lam.parts, mu.parts, expansions)
+                    assert got == multisym_parts(lam, mu), (lam, mu)
+                    assert all(type(c) is int for c in got.values())
+
+
+def test_integer_lr_product_multiplies_the_labels_coefficients():
+    # c^{321}_{21,21} = 2 is the first LR coefficient over 1, so a product
+    # of two such needs two labels and total size 12
+    lam = PartitionMap((0, 1), ((2, 1), (2, 1)))
+    got = lr_product(lam.parts, lam.parts, {})
+    assert got[(3, 2, 1), (3, 2, 1)] == 4
+    assert got == multisym_parts(lam, lam)
+
+
+@st.composite
+def label_pairs(draw):
+    labels = tuple(range(draw(st.integers(1, 4), label="labels")))
+    n = draw(st.integers(0, 6), label="n")
+    m = draw(st.integers(0, 6 - n), label="m")
+    return (draw(st.sampled_from(partition_maps(n, labels))),
+            draw(st.sampled_from(partition_maps(m, labels))))
+
+
+@given(label_pairs())
+def test_integer_lr_product_is_multisym_mul(pair):
+    lam, mu = pair
+    expansions = {}
+    got = lr_product(lam.parts, mu.parts, expansions)
+    assert got == multisym_parts(lam, mu)
+    # one expansion per distinct partition pair, reused by a second call
+    assert lr_product(lam.parts, mu.parts, expansions) == got
+    assert len(expansions) == len(set(zip(lam.parts, mu.parts)))
 
 
 def test_multisym_associative_commutative_sampled():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 import weakref
@@ -23,13 +24,14 @@ from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
                             wreath_product)
 from hallalg.wreath import chmap
 from hallalg.wreath.chmap import WreathCharacterTable, centralizer_order
-from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
+from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET, wreath_order
 from oracles.cyclotomic import Cyc, hermitian_gram
 from oracles.exactmath import partition_maps_count
 from oracles.wreath import (character_value, class_label_representative,
                             cyc_table, cycle_type, decompose, inner,
                             pairwise_check_orthogonality,
                             pairwise_induction_products, perm_cycles,
+                            restricted_induction_products,
                             wreath_class_label)
 
 
@@ -40,6 +42,23 @@ def test_wreath_orders():
     assert wreath_product(cyclic_group(3), 1).order == 3
     with pytest.raises(BudgetExceededError):
         wreath_product(cyclic_group(5), 5)
+
+
+def test_a_refused_order_is_printed_only_when_str_can():
+    # under str()'s default limit of 4,300 digits, |C2 wr S_n| first passes
+    # 3.32 bits per digit at n = 1423
+    Z2 = cyclic_group(2)
+    with pytest.raises(BudgetExceededError) as exc:
+        wreath_order(Z2, 1422)
+    assert str(exc.value) == (f"|cyclic:2 wr S_1422| = "
+                              f"{2 ** 1422 * factorial(1422)} exceeds "
+                              f"budget 5000")
+    with pytest.raises(BudgetExceededError) as exc:
+        wreath_order(Z2, 1423)
+    assert str(exc.value) == ("|cyclic:2 wr S_1423| = 2^1423 * 1423! "
+                              "exceeds budget 5000")
+    big = 2 ** 1500 * factorial(1500)
+    assert wreath_order(Z2, 1500, big) == big
 
 
 @pytest.mark.parametrize("G_name,n,samples", [
@@ -686,7 +705,7 @@ def oracle_ring_hom_check(G, max_total):
     return (not failures), failures
 
 
-def test_swapped_rows_give_the_oracle_failures(monkeypatch):
+def test_swapped_rows_give_the_oracle_failures(capsys, monkeypatch):
     # rows 0 and 1 of C2 wr S_2 traded: every multiplicity stays natural,
     # so the pairs that reach them fail with lhs != rhs, not an error
     tables = {}
@@ -703,6 +722,10 @@ def test_swapped_rows_give_the_oracle_failures(monkeypatch):
     got = ch_ring_hom_check(G, 3)
     assert got[1]
     assert got == oracle_ring_hom_check(G, 3)
+    # the witnesses of the failing pairs, pinned byte for byte
+    assert run(["ch-verify", "--G", "cyclic:2", "--max-size", "3"]) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "ad4d175138b2515a0448005ec266ab1827a7945ae3312c9aa103d9e4c9132c57")
 
 
 @settings(max_examples=40, deadline=None)
@@ -847,6 +870,43 @@ def test_a_multiplicity_sum_at_the_slot_bound(monkeypatch):
     assert got == pairwise_induction_products(trivial_group(), 3, 0)
     assert list(got.values()) == [
         {nu: K * K for nu in tables[3].irr_labels}] * 3
+
+
+@pytest.mark.parametrize("G_name,total", [
+    ("cyclic:5", 3), ("cyclic:6", 3), ("cyclic:4", 4)])
+def test_the_fold_matches_the_per_pair_routes(monkeypatch, G_name, total):
+    # phi(e) = 4, 2 and 2: each folded column gathers the coefficient pairs
+    # (i, j) of every class pair into the slot i + j of their joined class;
+    # |C4 wr S_4| = 6144 is over the default budget
+    G = named_group(G_name)
+    tables = {k: WreathCharacterTable(G, k, 10 ** 4) for k in range(total + 1)}
+    monkeypatch.setattr(chmap, "character_table",
+                        lambda G, k, budget: tables[k])
+    for n in range(total + 1):
+        for m in range(total + 1 - n):
+            got = chmap.induction_products(G, n, m)
+            assert got == restricted_induction_products(G, n, m), (n, m)
+            assert got == pairwise_induction_products(G, n, m), (n, m)
+
+
+@pytest.mark.parametrize("G_name,n,m", [
+    ("cyclic:5", 1, 2), ("cyclic:6", 2, 1), ("cyclic:4", 2, 2)])
+@pytest.mark.parametrize("skew", SKEWS)
+def test_a_skewed_big_table_raises_the_first_nu_error(monkeypatch, G_name,
+                                                      n, m, skew):
+    # the middle row of the big table skewed: the fold and the per-pair
+    # routes stop at the same pair and name the same nu with the same value
+    G = named_group(G_name)
+    tables = {k: WreathCharacterTable(G, k, 10 ** 4) for k in {n, m, n + m}}
+    big = tables[n + m]
+    i = len(big.values) // 2
+    big.values[i] = [skew(v) for v in big.values[i]]
+    monkeypatch.setattr(chmap, "character_table",
+                        lambda G, k, budget: tables[k])
+    got = exact_verdict(lambda: chmap.induction_products(G, n, m))
+    assert got[0] == "ArithmeticError"
+    assert got == exact_verdict(lambda: restricted_induction_products(G, n, m))
+    assert got == exact_verdict(lambda: pairwise_induction_products(G, n, m))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
