@@ -1,4 +1,7 @@
-"""Concrete finitary proto-abelian categories."""
+"""Concrete finitary proto-abelian categories: free F_1[G]-modules
+(`F1FreeG`), finite abelian p-groups (`AbelianPGroups`) and vector spaces
+over F_q (`VectFq`), which are the elementary abelian q-groups and so the
+`AbelianPGroups` implementation keyed by dimension."""
 
 from .. import UsageError
 from ..groups import named_group

@@ -6,24 +6,34 @@ of order dividing p^lam_i).  Hall constants are Hall polynomials
 (`exactmath.halllittlewood`); subgroups are enumerated by closure and
 classified, together with their quotients, by counting p^k-torsion, which is
 the oracle for them.
+
+Every method reads the type of an object through `_type(key)` and names a
+type through `_key(lam)`.  Both are the identity here; `VectFq` keys the
+elementary abelian types (1^d) by d.
 """
 
 from collections import Counter
 from itertools import accumulate, product as iproduct
 from math import log
+from operator import mul
 
 from .. import UsageError
 from ..exactmath.partitions import check_partition, conjugate, partitions_of
 from .base import ProtoAbelianInstance
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, n))
+
+
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
-    _cached = ("elements", "_homs", "compose", "subobjects", "image_sub",
-               "preimage_sub", "_mods", "_torsion")
+    _cached = ("elements", "_homs", "_homs_with_image", "isos", "monos",
+               "epis", "compose", "subobjects", "image_sub", "preimage_sub",
+               "_mods", "_torsion")
 
     def __init__(self, p: int, order_bound: int):
-        if not (p >= 2 and all(p % k for k in range(2, p))):
+        if not is_prime(p):
             raise UsageError(f"ab-p-groups: p = {p} must be prime")
         if not 1 <= order_bound <= 64:
             raise UsageError(f"ab-p-groups: order bound {order_bound} is "
@@ -31,9 +41,16 @@ class AbelianPGroups(ProtoAbelianInstance):
         self.p = p
         self.order_bound = order_bound
         self.max_size = int(log(order_bound, p) + 1e-9)
-        self._image_sizes = {}      # hom -> |image|, for isos/monos/epis
         self._hall = None           # HallPolynomials(p), made on first use
         super().__init__()
+
+    def _type(self, key):
+        """The partition type of the object `key`."""
+        return key
+
+    def _key(self, lam):
+        """The key of the object of type lam."""
+        return lam
 
     def iso_classes(self):
         out = []
@@ -47,62 +64,47 @@ class AbelianPGroups(ProtoAbelianInstance):
     def zero_key(self):
         return ()
 
-    def elements(self, lam):
-        lam = check_partition(lam)
+    def elements(self, key):
+        lam = check_partition(self._type(key))
         mods = [self.p ** part for part in lam]
         return [tuple(e) for e in iproduct(*(range(m) for m in mods))]
 
-    def _mods(self, lam):
-        return tuple(self.p ** part for part in lam)
-
-    def add(self, lam, a, b):
-        mods = self._mods(lam)
-        return tuple((x + y) % m for x, y, m in zip(a, b, mods))
-
-    def smul(self, lam, k, a):
-        mods = self._mods(lam)
-        return tuple((k * x) % m for x, m in zip(a, mods))
+    def _mods(self, key):
+        return tuple(self.p ** part for part in self._type(key))
 
     def apply(self, f, a):
         src, dst, imgs = f
-        out = tuple([0] * len(dst))
-        for coeff, img in zip(a, imgs):
-            out = self.add(dst, out, self.smul(dst, coeff, img))
-        return out
+        mods = self._mods(dst)
+        # the rows of the matrix of f, whose columns are the images
+        rows = zip(*imgs) if imgs else [()] * len(mods)
+        return tuple([sum(map(mul, a, row)) % m
+                      for row, m in zip(rows, mods)])
 
     def _homs(self, x, y):
         """All homomorphisms x -> y as generator-image tuples."""
-        pools = []
-        for part in x:
-            ordbound = self.p ** part
-            pool = [e for e in self.elements(y)
-                    if self.smul(y, ordbound, e) == tuple([0] * len(y))]
-            pools.append(pool)
-        out = [()]
-        for pool in pools:
-            out = [s + (img,) for s in out for img in pool]
-        return [(x, y, imgs) for imgs in out]
+        mods = self._mods(y)
+        pools = [[e for e in self.elements(y)
+                  if not any(self.p ** part * v % m for v, m in zip(e, mods))]
+                 for part in self._type(x)]
+        return [(x, y, imgs) for imgs in iproduct(*pools)]
 
-    def _image_size(self, f):
-        size = self._image_sizes.get(f)
-        if size is None:
-            size = self._image_sizes[f] = len(
-                {self.apply(f, a) for a in self.elements(f[0])})
-        return size
+    def _homs_with_image(self, x, y, size):
+        """The homomorphisms x -> y whose image has p^size elements: the
+        isos, monos and epis of x -> x share one list."""
+        if size > min(self.size_of(x), self.size_of(y)):
+            return []
+        full, elems = self.p ** size, self.elements(x)
+        return [f for f in self._homs(x, y)
+                if len({self.apply(f, a) for a in elems}) == full]
 
     def isos(self, x, y):
-        if x != y:
-            return []
-        full = self.p ** sum(x)
-        return [f for f in self._homs(x, y) if self._image_size(f) == full]
+        return self._homs_with_image(x, y, self.size_of(x)) if x == y else []
 
     def monos(self, x, y):
-        full = self.p ** sum(x)
-        return [f for f in self._homs(x, y) if self._image_size(f) == full]
+        return self._homs_with_image(x, y, self.size_of(x))
 
     def epis(self, x, y):
-        full = self.p ** sum(y)
-        return [f for f in self._homs(x, y) if self._image_size(f) == full]
+        return self._homs_with_image(x, y, self.size_of(y))
 
     def hall_constant(self, n, l, m):
         """The Hall polynomial g^M_{N,L}(p), from Hall-Littlewood
@@ -123,7 +125,7 @@ class AbelianPGroups(ProtoAbelianInstance):
         return (f[0], g[1], imgs)
 
     def identity(self, x):
-        n = len(x)
+        n = len(self._type(x))
         imgs = tuple(tuple(1 if i == j else 0 for j in range(n))
                      for i in range(n))
         return (x, x, imgs)
@@ -131,11 +133,12 @@ class AbelianPGroups(ProtoAbelianInstance):
     def subobjects(self, m):
         """All subgroups, by closure over added elements."""
         mods = self._mods(m)
+        origin = tuple([0] * len(mods))
 
         def add(a, b):
             return tuple((x + y) % k for x, y, k in zip(a, b, mods))
 
-        zero = frozenset([tuple([0] * len(m))])
+        zero = frozenset([origin])
         found = {zero}
         frontier = [zero]
         elems = self.elements(m)
@@ -149,11 +152,11 @@ class AbelianPGroups(ProtoAbelianInstance):
                 seen.update(add(u, v) for u in s)
                 # s is a subgroup, so <s, v> = union of cosets s + k*v
                 span = set()
-                w = tuple([0] * len(m))
+                w = origin
                 while True:
                     span.update(add(u, w) for u in s)
                     w = add(w, v)
-                    if w == tuple([0] * len(m)):
+                    if w == origin:
                         break
                 fs = frozenset(span)
                 if fs not in found:
@@ -167,14 +170,16 @@ class AbelianPGroups(ProtoAbelianInstance):
         conj = []
         prev = 1
         for c in counts[1:]:
-            step = 0
-            while prev < c:
-                prev_mult = prev * self.p
-                step += 1
-                prev = prev_mult
+            step, size = 0, prev
+            while size < c:
+                size, step = size * self.p, step + 1
+            if size != c:
+                raise ValueError(f"torsion counts {counts}: {c} is not "
+                                 f"{prev} times a power of {self.p}")
             if step == 0:
                 break
             conj.append(step)
+            prev = c
         if any(conj[i] < conj[i + 1] for i in range(len(conj) - 1)):
             raise ValueError(f"torsion counts {counts} are not those of an "
                              f"abelian {self.p}-group")
@@ -185,14 +190,16 @@ class AbelianPGroups(ProtoAbelianInstance):
         with p^k x = 0, height[x] the largest k <= max(m) with x in p^k M,
         and kernel[k] = |M[p^k]| for k <= max(m).  The multiples p^k x of
         each element are computed once, for all k."""
-        maxk = max(m) if m else 0
-        zero = tuple([0] * len(m))
+        lam, mods = self._type(m), self._mods(m)
+        maxk = max(lam) if lam else 0
+        zero = tuple([0] * len(lam))
         elems = self.elements(m)
         order, height = {}, dict.fromkeys(elems, 0)
         for x in elems:
             y, k = x, 0
             while y != zero:
-                y, k = self.smul(m, self.p, y), k + 1
+                y = tuple(self.p * v % n for v, n in zip(y, mods))
+                k += 1
                 height[y] = max(height[y], k)
             order[x] = k
         height[zero] = maxk
@@ -204,7 +211,7 @@ class AbelianPGroups(ProtoAbelianInstance):
         order, _, kernel = self._torsion(m)
         per = Counter(order[x] for x in u)
         counts = list(accumulate(per[k] for k in range(len(kernel))))
-        return self._type_from_torsion_counts(counts)
+        return self._key(self._type_from_torsion_counts(counts))
 
     def classify_quot(self, m, u):
         # #{x : p^k x in u} = |M[p^k]| * |u meet p^k M|, since x -> p^k x
@@ -219,7 +226,7 @@ class AbelianPGroups(ProtoAbelianInstance):
                 raise ValueError(f"classify_quot: {sorted(u)} is not a "
                                  f"subgroup of type {m}")
             counts.append(hits // len(u))
-        return self._type_from_torsion_counts(counts)
+        return self._key(self._type_from_torsion_counts(counts))
 
     def image_sub(self, f):
         return frozenset(self.apply(f, a) for a in self.elements(f[0]))

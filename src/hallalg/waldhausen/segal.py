@@ -30,7 +30,7 @@ from .. import BudgetExceededError, Record
 from ..groupoid import (ActionGroupoid, Functor, GMap, compose_functors,
                         functors_equal)
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
-from ..groupoid.fiber import strict_pullback_equivalence
+from ..groupoid.fiber import _orbit, strict_pullback_equivalence
 from ..groups import FiniteGroup
 from .simplicial import TruncatedSimplicialGroupoid
 
@@ -193,7 +193,8 @@ def _with_constant(x: TruncatedSimplicialGroupoid, kind, key, name):
 def mutation_corpus(x: TruncatedSimplicialGroupoid):
     """Named mutations, each with the check that must fail with a witness:
     - drop-component (when X_3 has two components): X_3 restricted to its
-      first component, a stable subset; essential surjectivity fails;
+      first component, the orbit of object 0, a stable subset; essential
+      surjectivity fails;
     - double: two copies of X_3, the action on objects x {0, 1}; pi0
       injectivity of the comparison fails;
     - discretize: each group of X_3 cut down to its trivial subgroup; the
@@ -203,10 +204,10 @@ def mutation_corpus(x: TruncatedSimplicialGroupoid):
     x3 = x.levels[3]
     n = x3.n_objects
     out = []
-    if len(x3.components()) > 1:
+    first = bytearray(n)
+    if _orbit(x3, 0, x3.group_at(0).generators(), first) < n:
         out.append(("drop-component", _with_top_level(
-            x, "dropped", [(i, 0) for i in range(n)
-                           if x3.component_of(i) == 0]), "segal"))
+            x, "dropped", [(i, 0) for i in range(n) if first[i]]), "segal"))
     out.append(("double", _with_top_level(
         x, "doubled", [(i, k) for k in (0, 1) for i in range(n)]), "segal"))
     out.append(("discretize", _with_top_level(

@@ -725,6 +725,27 @@ def test_hall_table_ab_p_groups_output_is_byte_identical(capsys, p, bound):
     assert digest == HALL_AB_OUTPUT_DIGESTS[p, bound]
 
 
+# sha256 of commands on vect-fq and ab-p-groups, recorded while vect-fq
+# kept its own matrices and subspaces; served by the ab-p-groups
+# implementation on the types (1^d), it must print the same bytes
+PROTOAB_OUTPUT_DIGESTS = {
+    "hall-table --family vect-fq --q 3 --bound 4":
+        "def8ba2203dc796857e144a42a9a6d7a62ab526755cf102e26ce339409bbc603",
+    "hall-table --family vect-fq --q 5 --bound 4":
+        "e49c8fd2a2e9d7c4bc77c82192ed2fa4762f3efe4f724d63c7cb1759b236d1d4",
+    "segal-check --construction s --family ab-p-groups --p 2 --bound 4":
+        "642ca6c42e4b641c7841bbb57ce3dc59e6477666e7734e71c1ef7296d3ed365d",
+}
+
+
+@pytest.mark.parametrize("command", list(PROTOAB_OUTPUT_DIGESTS))
+def test_protoab_outputs_are_byte_identical(capsys, command):
+    code, out = run_capture(capsys, command.split())
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PROTOAB_OUTPUT_DIGESTS[command]
+
+
 def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
     from hallalg.wreath import chmap
     calls = []

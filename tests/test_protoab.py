@@ -224,9 +224,27 @@ def test_quotient_by_a_non_subgroup_raises(ab2):
         ab2.classify_quot((2,), frozenset({(0,), (1,), (2,)}))
 
 
-def test_subspace_size_not_a_power_of_q_raises(vf2):
-    with pytest.raises(ValueError, match="not a power"):
+def test_subspace_size_not_a_power_of_q_raises(vf2, ab2):
+    with pytest.raises(ValueError, match="3 is not 1 times a power of 2"):
         vf2.classify_sub(2, frozenset({(0, 0), (1, 0), (0, 1)}))
+    # 2-torsion of order 2, 4-torsion of order 3: not a subgroup of Z/4
+    with pytest.raises(ValueError, match="3 is not 2 times a power of 2"):
+        ab2.classify_sub((2,), frozenset({(0,), (1,), (2,)}))
+
+
+def test_vect_maps_and_classes_are_keyed_by_dimension():
+    # the S-construction's test subclasses read map endpoints as integers
+    inst = VectFq(3, 2)
+    for x in inst.iso_classes():
+        for y in inst.iso_classes():
+            for f in inst.monos(x, y) + inst.epis(x, y) + inst.isos(x, y):
+                assert (f[0], f[1]) == (x, y)
+                assert type(f[0]) is int and type(f[1]) is int
+    for m in inst.iso_classes():
+        for u in inst.subobjects(m):
+            d = inst.classify_sub(m, u)
+            assert type(d) is int and len(u) == 3 ** d
+            assert inst.classify_quot(m, u) == m - d
 
 
 def test_a_dropped_instance_is_collected():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 import tracemalloc
 from collections import defaultdict
@@ -299,6 +301,43 @@ def test_the_mutation_corpus_lists_no_level_group():
     groups = {id(g): g for g in map(x3.group_at, range(x3.n_objects))}
     assert len(groups) == 10
     assert not any("elements" in vars(g) for g in groups.values())
+
+
+# sha256 of each corpus entry's name, kind, the objects of its X_3 and its
+# check's verdict and witnesses, recorded while drop-component read the
+# first component from pi0 of X_3
+CORPUS_DIGESTS = {
+    "hw-s3-s2": "7741c4a23df93e12a487e098ca61fd95d0f001f689ca3d374d27338b577d7711",
+    "s-f1-c3-2":
+        "c09498f17d38b14e1b33094ece8c1b9ed23acdb191d9d6cff9d5d630c3bf05ca",
+}
+
+
+@pytest.mark.parametrize("name", list(CORPUS_DIGESTS))
+def test_the_mutation_corpus_reads_no_components_of_x3(name, monkeypatch):
+    S3 = symmetric_group(3)
+    x = (hecke_waldhausen(S3, symmetric_subgroup(S3, 2), depth=3)
+         if name == "hw-s3-s2"
+         else s_construction(F1FreeG(cyclic_group(3), 2), depth=3))
+    x3 = x.levels[3]
+
+    def refused():
+        raise AssertionError("mutation_corpus listed the components of X_3")
+
+    monkeypatch.setattr(x3, "components", refused)
+    corpus = mutation_corpus(x)
+    monkeypatch.undo()
+    assert corpus[0][0] == "drop-component"
+    assert corpus[0][1].levels[3].objects == [
+        (obj, 0) for i, obj in enumerate(x3.objects)
+        if x3.component_of(i) == 0]
+    rows = []
+    for entry, m, kind in corpus:
+        v = (check_2segal_degree3 if kind == "segal" else check_pointed)(m)
+        rows.append([entry, kind, [str(o) for o in m.levels[3].objects],
+                     v.ok, repr(v.witnesses)])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CORPUS_DIGESTS[name]
 
 
 # -- the materialised fiber product, as the oracle for the table rule -------
