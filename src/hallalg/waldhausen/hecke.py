@@ -38,7 +38,9 @@ degeneracy.
 pi0 of level 1 is the double coset set H\\G/H.  The module on H\\G/P
 comes from pull-push along X_1 x Y_0 <- Y_1 -> Y_0, where Y_n is level n+1
 with G/P in place of the first G/H, checked against the direct convolution
-(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x).  The Hecke algebra is the regular
+(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x): one pass over G for each basis
+element x of H\\G/P files every y under the double cosets of y and y^-1 x,
+read off each element's basis position.  The Hecke algebra is the regular
 module, P = H, whose span is X_1 x X_1 <- X_2 -> X_1.  The apex needs no
 strict simplicial identities, so it is pinned: the full subgroupoid on the
 tuples whose first coset is P, acted on by P, with [G:H]^2 objects where
@@ -347,35 +349,24 @@ class DoubleCosets:
     pinned or not, in which K_1 g K_0 is the object (K_0, g^-1 K_1).
     `basis` lists the least element of each double coset in G.elements
     order; `slot` maps a component of the level to its position in the
-    basis."""
+    basis, and `position` each element's index in G to the position of its
+    double coset, filled in the one pass over G that finds the basis."""
 
     def __init__(self, G: FiniteGroup, level: CosetLevel):
         self.level, self.G = level, G
         first, second = level.spaces
-        self._home = first.home
-        self._second = [second.coset_of[G.index[G.inv(g)]]
-                        for g in G.elements]
-        self.slot, self.basis = {}, []
-        for k, g in enumerate(G.elements):
-            c = self._component(k)
+        self.slot, self.basis, self.position = {}, [], []
+        for g in G.elements:
+            c = level.component_of(level.obj_index(
+                (first.home, second.coset_of[G.index[G.inv(g)]])))
             if c not in self.slot:
                 self.slot[c] = len(self.basis)
                 self.basis.append(g)
-
-    def _component(self, k):
-        lv = self.level
-        return lv.component_of(lv.obj_index((self._home, self._second[k])))
+            self.position.append(self.slot[c])
 
     def index(self, g) -> int:
         """Position in the basis of the double coset of g."""
-        return self.slot[self._component(self.G.index[g])]
-
-    def cosets(self):
-        """The double cosets as sets of G tokens, in basis order."""
-        out = [set() for _ in self.basis]
-        for g in self.G.elements:
-            out[self.index(g)].add(g)
-        return out
+        return self.position[self.G.index[g]]
 
 
 def _exact(v: Fraction):
@@ -406,19 +397,18 @@ def _pull_push_table(left: Functor, right: Functor, middle: Functor,
     return table, integral
 
 
-def _convolution_table(G, H, left_cosets, right_cosets, reps):
-    """(f*v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on indicators of the given
-    coset sets, evaluated at the representatives `reps`."""
-    out = {}
-    for a, da in enumerate(left_cosets):
-        for b, db in enumerate(right_cosets):
-            vals = {}
-            for c, rep in enumerate(reps):
-                tot = sum(1 for y in da if G.op(G.inv(y), rep) in db)
-                if tot:
-                    vals[c] = _exact(Fraction(tot, H.order))
-            out[(a, b)] = vals
-    return out
+def _convolution_table(G, H, left: DoubleCosets, right: DoubleCosets):
+    """(f*v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on double coset indicators,
+    evaluated at each representative x of the right basis: one pass over G
+    per x files y under the pair (double coset of y, of y^-1 x)."""
+    out = {(a, b): {} for a in range(len(left.basis))
+           for b in range(len(right.basis))}
+    for c, x in enumerate(right.basis):
+        for y in G.elements:
+            row = out[(left.index(y), right.index(G.op(G.inv(y), x)))]
+            row[c] = row.get(c, 0) + 1
+    return {ab: {c: _exact(Fraction(tot, H.order)) for c, tot in row.items()}
+            for ab, row in out.items()}
 
 
 # -- the Hecke algebra and its modules -------------------------------------
@@ -454,10 +444,6 @@ class HeckeAlgebra:
     def coset_index(self, g) -> int:
         """Index of the double coset HgH in the basis."""
         return self.double_cosets.index(g)
-
-    def cosets(self):
-        """The double cosets as sets of G tokens, in basis order."""
-        return self.double_cosets.cosets()
 
     def convolution_constants(self):
         """(f*g)(x) = (1/|H|) sum_y f(y) g(y^-1 x) on biinvariant
@@ -513,10 +499,8 @@ class HeckeModule(StructureTable):
 
     def convolution_action(self):
         """(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on H\\G/P indicators."""
-        left = self.alg.cosets()
-        # the regular module's double cosets are the algebra's
-        right = left if self.P is self.H else self.double_cosets.cosets()
-        return _convolution_table(self.G, self.H, left, right, self.basis)
+        return _convolution_table(self.G, self.H, self.alg.double_cosets,
+                                  self.double_cosets)
 
     def check_module_axioms(self):
         return check_action(self.alg.regular, self, self.alg.unit_index)

@@ -1,0 +1,38 @@
+"""The Hecke convolution by membership tests, the oracle of
+`hecke._convolution_table`: each double coset is built as the set
+{h g p} by brute force, with no coset level and no basis index, and
+(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) is counted over the y in D_a with
+y^-1 x in D_b."""
+
+from fractions import Fraction
+
+
+def double_cosets(G, H, P):
+    """H\\G/P as (least element, set {h g p}) pairs, in G.elements order of
+    the least element: the order of the production bases."""
+    seen, out = set(), []
+    for g in G.elements:
+        if g not in seen:
+            coset = {G.op(G.op(h, g), p) for h in H.elements
+                     for p in P.elements}
+            seen |= coset
+            out.append((g, coset))
+    return out
+
+
+def membership_convolution(G, H, P):
+    """{(a, b): {c: m}} for the action of H\\G/H on H\\G/P indicators,
+    m = |{y in D_a : y^-1 x_c in D_b}| / |H| at the least element x_c of
+    each D_c, an integral m as an int; and the two bases."""
+    left, right = double_cosets(G, H, H), double_cosets(G, H, P)
+    out = {}
+    for a, (_, da) in enumerate(left):
+        for b, (_, db) in enumerate(right):
+            vals = {}
+            for c, (x, _) in enumerate(right):
+                tot = sum(1 for y in da if G.op(G.inv(y), x) in db)
+                if tot:
+                    m = Fraction(tot, H.order)
+                    vals[c] = int(m) if m.denominator == 1 else m
+            out[(a, b)] = vals
+    return out, [g for g, _ in left], [g for g, _ in right]

@@ -125,14 +125,45 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def non_associative_z600(tmp_path):
+    """Z/600 with t[200][300] and t[200][150] swapped, as a Cayley JSON
+    file: its identity and inverses survive, and a sample of triples misses
+    the few where associativity fails."""
+    table = [[(a + b) % 600 for b in range(600)] for a in range(600)]
+    table[200][300], table[200][150] = table[200][150], table[200][300]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"order": 600, "table": table}))
+    return path
+
+
+# commands on a Cayley table that a sampled associativity check accepted:
+# hall-table printed a table and wreath-char-table raised an IndexError
+NON_ASSOCIATIVE_RUNS = ["hall-table --family f1-free --G {} --bound 1",
+                        "wreath-char-table --G {} --n 1 --budget 1000",
+                        "hecke-table --G {} --H trivial"]
+
+
+@pytest.mark.parametrize("argv", NON_ASSOCIATIVE_RUNS)
+def test_a_non_associative_table_of_order_600_exits_2(capsys, tmp_path,
+                                                      argv):
+    path = non_associative_z600(tmp_path)
+    assert run(argv.format(f"file:{path}").split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "associativity fails at" in captured.err
+
+
 def test_usage_errors_exit_2_without_asserts(tmp_path):
     # the checks must not be bare asserts, which `python -O` strips
     path = tmp_path / "x.json"
     path.write_text(json.dumps(BAD_CAYLEY))
+    bad600 = non_associative_z600(tmp_path)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for argv in (BAD_INPUTS[0], ["hecke-table", "--G", f"file:{path}",
-                                 "--H", "trivial"]):
+                                 "--H", "trivial"],
+                 *(cmd.format(f"file:{bad600}").split()
+                   for cmd in NON_ASSOCIATIVE_RUNS)):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "hallalg.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg import UsageError
 from hallalg.cli import run
@@ -10,6 +11,8 @@ from hallalg.groups import (FiniteGroup, TupleGroup, all_perms,
                             named_group, named_subgroup, perm_inv, perm_mul,
                             perm_sign, symmetric_group, symmetric_subgroup,
                             trivial_group, young_subgroup)
+from oracles.groups import (associativity_failure, cayley_table, row_swaps,
+                            swapped_table)
 from oracles.schurweyl import abelianization_order
 from oracles.wreath import cycle_type
 
@@ -151,9 +154,37 @@ def test_inverses_by_powering():
 
 
 def test_symmetric_groups_are_groups():
-    # sym:n skips the axiom scan; permutation composition is checked here
+    # sym:n, cyclic:n and dihedral:n skip the axiom check; their products
+    # are checked here
     for n in range(6):
         FiniteGroup(all_perms(n), perm_mul, check=True)
+    for G in ([cyclic_group(n) for n in range(1, 131)]
+              + [dihedral_group(n) for n in range(1, 9)]):
+        FiniteGroup(G.elements, G.op, name=G.name, check=True)
+
+
+# group tables of order <= 6, as they are (swap None) and with every
+# one-row swap that keeps the identity; no such swap is associative
+BASES = {f"cyclic:{n}": cyclic_group(n) for n in range(3, 7)} | {
+    "klein": klein_group(), "sym:3": symmetric_group(3)}
+TABLES = {name: cayley_table(G) for name, G in BASES.items()}
+SWAPPED = [(name, swap) for name, G in BASES.items()
+           for swap in [None] + row_swaps(G)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(SWAPPED))
+def test_light_test_refuses_exactly_the_non_associative_tables(case):
+    name, swap = case
+    table = swapped_table(TABLES[name], *swap) if swap else TABLES[name]
+    n = len(table)
+    failure = associativity_failure(range(n), lambda a, b: table[a][b])
+    try:
+        FiniteGroup.from_cayley({"order": n, "table": table})
+    except UsageError:
+        assert failure is not None, (name, swap)
+    else:
+        assert failure is None, (name, swap, failure)
 
 
 def test_named_specs():

@@ -1,8 +1,10 @@
 import pytest
 
-from hallalg.groups import (alternating_subgroup, symmetric_group,
+from hallalg.groups import (alternating_subgroup, named_group, named_subgroup,
+                            symmetric_group,
                             symmetric_subgroup, young_subgroup)
 from hallalg.waldhausen.hecke import HeckeAlgebra, HeckeModule
+from oracles.hecke import membership_convolution
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +157,27 @@ def test_json_shapes(alg_s3):
     mod = HeckeModule(alg_s3, S3)
     mjs = mod.to_json()
     assert len(mjs["module_cosets"]) == 1
+
+
+# every (G, H, P) that the tests build a Hecke algebra or module of, and
+# two larger ones; P None is the regular module alone
+ORACLE_INPUTS = [
+    ("sym:3", "sym:2", None), ("sym:3", "sym:2", "all"),
+    ("sym:3", "sym:2", "alt:3"), ("sym:3", "trivial", None),
+    ("sym:4", "sym:3", None), ("sym:4", "sym:3", "young:2+2"),
+    ("sym:4", "sym:3", "sym:2"), ("sym:4", "sym:2", "sym:3"),
+    ("sym:4", "young:2+2", "sym:3"), ("sym:4", "indices:0,2,6,8,12,14", None),
+    ("sym:5", "sym:3", "sym:4"), ("sym:6", "sym:3", None)]
+
+
+@pytest.mark.parametrize("g, h, p", ORACLE_INPUTS,
+                         ids=["/".join(filter(None, x)) for x in ORACLE_INPUTS])
+def test_one_pass_convolution_matches_membership_tests(g, h, p):
+    G = named_group(g)
+    H = named_subgroup(G, h)
+    alg = HeckeAlgebra(G, H)
+    for mod in [alg.regular] + ([HeckeModule(alg, named_subgroup(G, p))]
+                                if p else []):
+        want, left, right = membership_convolution(G, H, mod.P)
+        assert (left, right) == (alg.basis, mod.basis)
+        assert mod.convolution_action() == want == mod.constants

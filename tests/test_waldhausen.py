@@ -982,16 +982,18 @@ def test_regular_module_reuses_the_algebra_cosets(monkeypatch):
     alg = HeckeAlgebra(S4, symmetric_subgroup(S4, 2))
     assert all(s is alg.cosets_h
                for s in alg.regular.double_cosets.level.spaces)
-    walks = []
-    real = DoubleCosets.cosets
+    # the regular module's oracle reads the algebra's own double cosets
+    reads = []
+    real = hecke._convolution_table
 
-    def counting(self):
-        walks.append(self)
-        return real(self)
+    def recording(G, H, left, right):
+        reads.append((left, right))
+        return real(G, H, left, right)
 
-    monkeypatch.setattr(DoubleCosets, "cosets", counting)
+    monkeypatch.setattr(hecke, "_convolution_table", recording)
     assert alg.convolution_constants() == alg.constants
-    assert walks == [alg.double_cosets]
+    (left, right), = reads
+    assert left is alg.double_cosets and right is alg.regular.double_cosets
 
 
 def _inclusion(pinned, full):
