@@ -3,9 +3,8 @@
 from .core import (ActionGroupoid, Component, Groupoid, b_group, pi0,
                    point_groupoid)
 from .fiber import FiberProductGroupoid, two_fiber_product
-from .functors import (ComposedFunctor, EquivalenceVerdict, FnFunctor,
-                       Functor, GMap, GroupHomFunctor, IdentityFunctor,
-                       compose_functors, functors_equal, is_equivalence,
+from .functors import (EquivalenceVerdict, FnFunctor, Functor, GMap,
+                       GroupHomFunctor, composite_difference, is_equivalence,
                        point_inclusion)
 from .transfer import (SpanFn, cardinality, is_faithful, pull_push_table,
                        pullback_fn, pushforward_fn)
@@ -14,9 +13,8 @@ __all__ = [
     "ActionGroupoid", "Component", "Groupoid", "b_group", "pi0",
     "point_groupoid",
     "FiberProductGroupoid", "two_fiber_product",
-    "ComposedFunctor", "EquivalenceVerdict", "FnFunctor", "Functor", "GMap",
-    "GroupHomFunctor", "IdentityFunctor", "compose_functors",
-    "functors_equal", "is_equivalence", "point_inclusion",
+    "EquivalenceVerdict", "FnFunctor", "Functor", "GMap", "GroupHomFunctor",
+    "composite_difference", "is_equivalence", "point_inclusion",
     "SpanFn", "cardinality", "is_faithful", "pull_push_table", "pullback_fn",
     "pushforward_fn",
 ]

@@ -8,9 +8,11 @@ representative per source component.  It is the oracle of the 2-Segal
 table rule (groupoid/fiber.py), which reports its failures with the same
 witnesses, built here.  A functor induced by a G-map of objects and a map
 of groups (GMap) is an index table plus a coordinate selection of tuple
-groups, or the trivial group map; GMaps compose and compare by table and
-selection, and other functors (ComposedFunctor, FnFunctor) on a generating
-family of morphisms, which the tests use as the oracle for the tables.
+groups, or the trivial group map.  composite_difference decides whether
+two composites of G-maps are equal, and where they differ, reading the
+tables in runs and building no composite; functors_equal compares any two
+functors on a generating family of morphisms.  The composed-functor route
+(`tests/oracles/functors.py`) is the oracle for the comparison.
 """
 
 from .. import Record
@@ -45,17 +47,6 @@ class FnFunctor(Functor):
 
     def on_mor(self, m):
         return self._mor(m)
-
-
-class IdentityFunctor(Functor):
-    def __init__(self, g):
-        super().__init__(g, g, name=f"id_{g.name}")
-
-    def on_obj(self, i):
-        return i
-
-    def on_mor(self, m):
-        return m
 
 
 class GMap(Functor):
@@ -99,51 +90,77 @@ class GMap(Functor):
         return (self.hom(m[0]), self.table[m[1]])
 
 
-def _check_composable(outer, inner):
-    if inner.tgt is not outer.src:
-        raise ValueError(f"{outer.name} after {inner.name} is not "
-                         f"composable: {inner.tgt.name} is not "
-                         f"{outer.src.name}")
+RUN = 1 << 16       # table entries of a composite compared at a time
 
 
-class ComposedFunctor(Functor):
-    def __init__(self, outer: Functor, inner: Functor):
-        _check_composable(outer, inner)
-        super().__init__(inner.src, outer.tgt,
-                         name=f"{outer.name}∘{inner.name}")
-        self.outer, self.inner = outer, inner
-
-    def on_obj(self, i):
-        return self.outer.on_obj(self.inner.on_obj(i))
-
-    def on_mor(self, m):
-        return self.outer.on_mor(self.inner.on_mor(m))
+def _run(maps, lo, n):
+    """Entries lo.. of the composite table of the G-maps `maps`, outermost
+    first (none: the identity), on n objects: a run of at most RUN."""
+    if not maps:
+        return list(range(lo, min(lo + RUN, n)))
+    run = maps[-1].table[lo:lo + RUN]
+    for m in maps[-2::-1]:
+        table = m.table
+        run = [table[j] for j in run]
+    return run
 
 
-def compose_functors(outer, inner):
-    """outer after inner; two G-maps compose by indexing their tables and
-    their selections, unless both fills are needed and differ; a trivial
-    group map on either side makes the composite trivial."""
-    if isinstance(outer, GMap) and isinstance(inner, GMap):
-        _check_composable(outer, inner)
-        name = f"{outer.name}∘{inner.name}"
-        table = outer.table
-        table = [table[j] for j in inner.table]
-        trivial = [m for m in (inner, outer)
-                   if m.sel is None and m.fill is not None]
-        if trivial:                     # every g goes to one element
-            return GMap(inner.src, outer.tgt, table, name=name,
-                        fill=outer.hom(trivial[-1].fill))
-        fills = [f for f in (outer.fill, inner.fill) if f is not None]
-        if len(fills) < 2 or fills[0] == fills[1]:
-            sel = outer.sel
-            if sel is None:
-                sel = inner.sel
-            elif inner.sel is not None:
-                sel = [None if k is None else inner.sel[k] for k in sel]
-            return GMap(inner.src, outer.tgt, table, name=name, sel=sel,
-                        fill=fills[0] if fills else None)
-    return ComposedFunctor(outer, inner)
+def _image(maps, g):
+    """g under the group maps of `maps`, outermost first."""
+    for m in reversed(maps):
+        g = m.hom(g)
+    return g
+
+
+def _ends(maps):
+    """(source, target) of the composite of `maps`, outermost first."""
+    for outer, inner in zip(maps, maps[1:]):
+        if inner.tgt is not outer.src:
+            raise ValueError(f"{outer.name} after {inner.name} is not "
+                             f"composable: {inner.tgt.name} is not "
+                             f"{outer.src.name}")
+    return maps[-1].src, maps[0].tgt
+
+
+def composite_difference(a, b):
+    """Where the composites of the G-maps `a` and `b`, each a sequence
+    outermost first (empty: the identity), differ, with neither composite
+    built: None when they are equal, else (i, g).  Then either i is the
+    first object of the apex that they send to different objects, and g is
+    None, or they agree on objects, i is the first object acted on by a
+    group with a generator g whose images differ.  The tables are read in
+    runs of RUN entries.  The group maps, which only read coordinates of g
+    and put in fills, are compared on an element whose coordinates are
+    distinct unknowns; only where those images differ are they compared on
+    the generators of each distinct group of the apex, which is exact for
+    group homomorphisms.  Maps that do not compose, or composites with
+    different ends, are a ValueError."""
+    (src, tgt), (src_b, tgt_b) = _ends(a or b), _ends(b or a)
+    if src_b is not src or tgt_b is not tgt or not (a and b) and (
+            src is not tgt):
+        raise ValueError(f"{'∘'.join(m.name for m in a) or 'id'} and "
+                         f"{'∘'.join(m.name for m in b) or 'id'} do not "
+                         f"share their source and target")
+    n = src.n_objects
+    for lo in range(0, n, RUN):
+        ra, rb = _run(a, lo, n), _run(b, lo, n)
+        if ra != rb:
+            return lo + next(k for k, (u, v) in enumerate(zip(ra, rb))
+                             if u != v), None
+    if n == 0:
+        return None
+    e = src.identity(0)[0]
+    unknown = tuple(object() for _ in e) if type(e) is tuple else object()
+    if _image(a, unknown) == _image(b, unknown):
+        return None
+    first = {}
+    for i in range(n):
+        first.setdefault(src.group_at(i), i)
+    for group, i in first.items():
+        for g in group.generators():
+            if _image(a, g) != _image(b, g):
+                return i, g
+    return None
 
 
 class GroupHomFunctor(Functor):
@@ -189,37 +206,15 @@ class EquivalenceVerdict(Record):
         return self.ok
 
 
-def _gmap_key(f: Functor):
-    """(table, sel, fill) of a G-map (the identity of an action groupoid is
-    one), or None."""
-    if isinstance(f, GMap):
-        return f.table, f.sel, f.fill
-    if isinstance(f, IdentityFunctor) and isinstance(f.src, ActionGroupoid):
-        return list(range(f.src.n_objects)), None, None
-    return None
-
-
 def functors_equal(f: Functor, g: Functor) -> bool:
-    """Strict equality.  Two G-maps with different tables differ, and with
-    equal tables and selections are equal; any other pair is compared on
-    all objects and a generating family of morphisms (which determines a
-    functor), so that, say, a fill and a coordinate whose group is trivial
-    still compare equal."""
-    if f.src is not g.src or f.tgt is not g.tgt:
-        return False
-    kf, kg = _gmap_key(f), _gmap_key(g)
-    if kf is not None and kg is not None:
-        if kf[0] != kg[0]:
-            return False
-        if kf[1:] == kg[1:]:
-            return True
-    for i in range(f.src.n_objects):
-        if f.on_obj(i) != g.on_obj(i):
-            return False
-    for m in f.src.generating_morphisms():
-        if f.on_mor(m) != g.on_mor(m):
-            return False
-    return True
+    """Strict equality, on all objects and a generating family of
+    morphisms, which determines a functor.  No check calls it: G-maps
+    compare by composite_difference."""
+    return (f.src is g.src and f.tgt is g.tgt
+            and all(f.on_obj(i) == g.on_obj(i)
+                    for i in range(f.src.n_objects))
+            and all(f.on_mor(m) == g.on_mor(m)
+                    for m in f.src.generating_morphisms()))
 
 
 def pi0_collision(first, second, target_aut) -> EquivalenceVerdict:

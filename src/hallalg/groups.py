@@ -1,11 +1,11 @@
 """Explicit finite groups on hashable element tokens.
 
 Multiplication is a callable on tokens; no Cayley table is stored.  The
-identity is found and verified on construction, and each inverse is the
-power e^(ord e - 1), verified on both sides.  Products of groups
-(`TupleGroup`) take their order, identity, product, inverses and
-generators from their factors instead, and list their elements only when
-read.  With ``check=True`` (groups from outside input, Cayley JSON
+identity is found and verified on construction, each inverse and order
+is read off one walk of the powers of a cyclic subgroup, and each inverse
+is verified on both sides.  Products of groups (`TupleGroup`) take their
+order, identity, product, inverses and generators from their factors
+instead, and list their elements only when read.  With ``check=True`` (groups from outside input, Cayley JSON
 included) associativity is decided exactly by Light's test: (x g) y =
 x (g y) for every generator g and all x, y.  The elements a with
 (x a) y = x (a y) for all x, y are closed under the product, and every
@@ -19,7 +19,7 @@ Axiom failures raise ``UsageError``.
 import json
 from functools import cached_property, reduce
 from itertools import product as iproduct
-from math import prod
+from math import gcd, lcm, prod
 
 from . import BudgetExceededError, UsageError
 
@@ -44,7 +44,7 @@ class FiniteGroup:
         if len(ids) != 1:
             raise UsageError(f"{name}: no unique identity")
         self.identity = ids[0]
-        self._inv = {e: self._power_inverse(e) for e in self.elements}
+        self._walk_powers()
         if check:
             self._check_associativity()
 
@@ -52,18 +52,29 @@ class FiniteGroup:
         op = self._op
         return all(op(e, x) == x and op(x, e) == x for x in self.elements)
 
-    def _power_inverse(self, e):
-        """e^(ord e - 1), found within `order` steps, checked on both
-        sides."""
+    def _walk_powers(self):
+        """Each element's inverse and order, from one walk of the powers
+        e, e^2, .., e^k = 1 of each element e that no earlier walk reached:
+        e^j has the inverse e^(k-j) and the order k / gcd(j, k).  Every
+        inverse is then checked on both sides."""
         ident, op = self.identity, self._op
-        prev, x = ident, e
-        for _ in range(self.order):
-            if x == ident:
-                break
-            prev, x = x, op(x, e)
-        if x != ident or op(e, prev) != ident or op(prev, e) != ident:
-            raise UsageError(f"{self.name}: no inverse for {e!r}")
-        return prev
+        inv, order = {ident: ident}, {ident: 1}
+        for e in self.elements:
+            if e in order:
+                continue
+            powers = [e]
+            while powers[-1] != ident:
+                if len(powers) > self.order:
+                    raise UsageError(f"{self.name}: no inverse for {e!r}")
+                powers.append(op(powers[-1], e))
+            k = len(powers)
+            for j, x in enumerate(powers, 1):
+                inv[x] = powers[k - j - 1]
+                order[x] = k // gcd(j, k)
+        for x, y in inv.items():
+            if op(x, y) != ident or op(y, x) != ident:
+                raise UsageError(f"{self.name}: no inverse for {x!r}")
+        self._inv, self._order = inv, order
 
     def _check_associativity(self):
         """Light's test over the generators: for each g and x, the row of
@@ -108,14 +119,10 @@ class FiniteGroup:
         return self._gens
 
     def element_order(self, e):
-        k, x = 1, e
-        while x != self.identity:
-            x = self._op(x, e)
-            k += 1
-        return k
+        return self._order[e]
 
     def exponent(self):
-        return reduce(_lcm, (self.element_order(e) for e in self.elements), 1)
+        return lcm(*map(self.element_order, self.elements))
 
     def is_abelian(self):
         gens = self.generators()
@@ -190,11 +197,6 @@ class FiniteGroup:
         if any(x not in range(n) for r in table for x in r):
             raise UsageError("Cayley table entries out of range")
         return cls(list(range(n)), lambda a, b: table[a][b], name=name)
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 # permutation helpers (one-line tuples on range(n))
@@ -300,6 +302,9 @@ class TupleGroup(FiniteGroup):
 
     _op = op
 
+    def element_order(self, e):
+        return lcm(*[K.element_order(x) for K, x in zip(self.factors, e)])
+
     def inv(self, a):
         out = self._inv.get(a)
         if out is None:
@@ -400,6 +405,8 @@ def named_group(spec: str) -> FiniteGroup:
                 raise BudgetExceededError(f"sym:{n} is too large")
             return symmetric_group(n)
         if fam == "alt":
+            if n > 8:
+                raise BudgetExceededError(f"alt:{n} is too large")
             return alternating_subgroup(symmetric_group(n))
         if fam == "dihedral":
             return dihedral_group(n)

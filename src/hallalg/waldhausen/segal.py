@@ -16,9 +16,11 @@ degree <= 2:
 Each check returns a verdict carrying a witness on failure: a comparison
 that is not even well defined (corrupted faces), a missed component, or a
 hom-set where the map fails to be bijective.  The fiber products are never
-built.  Every square takes one path: it checks on the composed index
-tables that the comparison is defined on every object of the apex, and is
-then decided on the index tables by the table rule,
+built.  Every square takes one path: composite_difference
+(groupoid/functors.py) checks on the index tables, read in runs with no
+composite table built, that the comparison is defined on every object of
+the apex, and names the first object where it is not; the square is then
+decided on the index tables by the table rule,
 strict_pullback_equivalence (groupoid/fiber.py), which refuses a strict
 pullback of more objects than the budget before it walks it, and names
 the witness of a square that fails.  The faces and degeneracies of both
@@ -27,8 +29,7 @@ action groupoids (GMap); a square of other functors is a ValueError.
 """
 
 from .. import BudgetExceededError, Record
-from ..groupoid import (ActionGroupoid, Functor, GMap, compose_functors,
-                        functors_equal)
+from ..groupoid import ActionGroupoid, Functor, GMap, composite_difference
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET
 from ..groupoid.fiber import _orbit, strict_pullback_equivalence
 from ..groups import FiniteGroup
@@ -63,23 +64,21 @@ def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
                 leg_g: Functor, budget, name):
     """Whether the canonical functor x -> (fa x, fb x, id) from the apex to
     leg_f.src x_D leg_g.src is an equivalence; returns (ok, witness).  It
-    checks well-definedness on every apex object by composing the G-maps'
-    index tables, then decides on the tables by the table rule, within
-    the budget."""
+    checks well-definedness on every apex object by composite_difference,
+    which names the first object where leg_f fa and leg_g fb disagree,
+    then decides on the tables by the table rule, within the budget."""
     if not all(isinstance(m, GMap) for m in (fa, fb, leg_f, leg_g)):
         raise ValueError(f"{name}: the faces and degeneracies must be "
                          f"G-maps")
-    left, right = compose_functors(leg_f, fa), compose_functors(leg_g, fb)
-    if not functors_equal(left, right):
-        # name the first object on which the composites disagree
-        for i in range(apex.n_objects):
-            if left.on_obj(i) != right.on_obj(i):
-                return (False,
-                        {"kind": "comparison_undefined",
-                         "object": repr(apex.objects[i]),
-                         "detail": "face composites disagree on objects"})
-        raise ValueError(f"{name}: the square does not commute on "
-                         f"morphisms")
+    diff = composite_difference((leg_f, fa), (leg_g, fb))
+    if diff is not None:
+        i, g = diff
+        if g is not None:
+            raise ValueError(f"{name}: the square does not commute on "
+                             f"morphisms")
+        return (False, {"kind": "comparison_undefined",
+                        "object": repr(apex.objects[i]),
+                        "detail": "face composites disagree on objects"})
     try:
         verdict = strict_pullback_equivalence(fa, fb, leg_f, leg_g, budget)
     except ValueError as exc:

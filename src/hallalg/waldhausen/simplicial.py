@@ -3,14 +3,14 @@
 Levels X_0..X_N with faces d_i: X_n -> X_{n-1} and degeneracies
 s_i: X_n -> X_{n+1}.  All identities that type-check inside the truncation
 are verified as strict equality of functors.  Both constructions give their
-faces and degeneracies as GMaps, which compose and compare by index table
-and coordinate selection; any other functor is compared on every object
-and on a generating family of morphisms, which determines a functor.
+faces and degeneracies as GMaps, and each identity is decided by
+composite_difference, which reads the index tables of both sides in runs
+and builds no composite; a face or degeneracy that is not a G-map is a
+ValueError.
 """
 
 from .. import Record
-from ..groupoid import (Functor, IdentityFunctor, compose_functors,
-                        functors_equal)
+from ..groupoid import Functor, GMap, composite_difference
 
 
 class TruncatedSimplicialGroupoid(Record):
@@ -47,46 +47,40 @@ class SimplicialVerdict(Record):
         return {"pass": self.ok, "violations": self.violations}
 
 
-def check_simplicial_identities(x: TruncatedSimplicialGroupoid) -> SimplicialVerdict:
-    bad = []
-    n_top = x.depth
-
-    def eq(f, g, label):
-        if not functors_equal(f, g):
-            bad.append(label)
-
-    for n in range(2, n_top + 1):
+def _identities(x: TruncatedSimplicialGroupoid):
+    """(label, lhs, rhs) of every simplicial identity inside the
+    truncation, in the order of the check; each side is the G-maps of a
+    composite, outermost first, and () is the identity."""
+    d, s, top = x.face, x.degeneracy, x.depth
+    for n in range(2, top + 1):
         for j in range(n + 1):
             for i in range(j):
-                # d_i d_j = d_{j-1} d_i on X_n
-                eq(compose_functors(x.face(n - 1, i), x.face(n, j)),
-                   compose_functors(x.face(n - 1, j - 1), x.face(n, i)),
-                   f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}")
-    for n in range(0, n_top):
+                yield (f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}",
+                       (d(n - 1, i), d(n, j)), (d(n - 1, j - 1), d(n, i)))
+    for n in range(top):
         for j in range(n + 1):
             for i in range(n + 2):
-                # d_i s_j on X_n
-                lhs = compose_functors(x.face(n + 1, i), x.degeneracy(n, j))
+                lhs = (d(n + 1, i), s(n, j))
                 if i < j:
-                    rhs = compose_functors(x.degeneracy(n - 1, j - 1),
-                                           x.face(n, i)) if n >= 1 else None
-                    label = f"d_{i} s_{j} != s_{j-1} d_{i} at level {n}"
-                elif i in (j, j + 1):
-                    if not functors_equal(lhs, IdentityFunctor(x.levels[n])):
-                        bad.append(f"d_{i} s_{j} != id at level {n}")
-                    continue
+                    yield (f"d_{i} s_{j} != s_{j-1} d_{i} at level {n}",
+                           lhs, (s(n - 1, j - 1), d(n, i)))
+                elif i > j + 1:
+                    yield (f"d_{i} s_{j} != s_{j} d_{i-1} at level {n}",
+                           lhs, (s(n - 1, j), d(n, i - 1)))
                 else:
-                    rhs = compose_functors(x.degeneracy(n - 1, j),
-                                           x.face(n, i - 1)) if n >= 1 else None
-                    label = f"d_{i} s_{j} != s_{j} d_{i-1} at level {n}"
-                if rhs is not None:
-                    eq(lhs, rhs, label)
-    for n in range(0, n_top - 1):
+                    yield f"d_{i} s_{j} != id at level {n}", lhs, ()
+    for n in range(top - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                # s_i s_j = s_{j+1} s_i on X_n
-                eq(compose_functors(x.degeneracy(n + 1, i), x.degeneracy(n, j)),
-                   compose_functors(x.degeneracy(n + 1, j + 1),
-                                    x.degeneracy(n, i)),
-                   f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}")
+                yield (f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}",
+                       (s(n + 1, i), s(n, j)), (s(n + 1, j + 1), s(n, i)))
+
+
+def check_simplicial_identities(x: TruncatedSimplicialGroupoid) -> SimplicialVerdict:
+    if not all(isinstance(m, GMap)
+               for m in (*x.faces.values(), *x.degeneracies.values())):
+        raise ValueError(f"{x.name}: the faces and degeneracies must be "
+                         f"G-maps")
+    bad = [label for label, lhs, rhs in _identities(x)
+           if composite_difference(lhs, rhs) is not None]
     return SimplicialVerdict(not bad, bad)

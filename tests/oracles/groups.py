@@ -1,7 +1,11 @@
 """The group axioms by exhaustive enumeration, the oracle of Light's test
-in `FiniteGroup`, and Cayley tables near a group's: one row of a group
-table with two of its entries swapped, away from the identity, so that the
-identity stays two-sided."""
+in `FiniteGroup`; the inverse, order, exponent and greedy generators of a
+group by walking the powers of each element on its own, the oracle of the
+one walk per cyclic subgroup in `FiniteGroup`; and Cayley tables near a
+group's: one row of a group table with two of its entries swapped, away
+from the identity, so that the identity stays two-sided."""
+
+from math import lcm
 
 
 def associativity_failure(elements, op):
@@ -34,3 +38,45 @@ def swapped_table(table, r, c, d):
     out = [list(row) for row in table]
     out[r][c], out[r][d] = out[r][d], out[r][c]
     return out
+
+
+def power_inverse(G, e):
+    """e^(ord e - 1), found within |G| steps and checked on both sides, or
+    None."""
+    ident, op = G.identity, G.op
+    prev, x = ident, e
+    for _ in range(G.order):
+        if x == ident:
+            break
+        prev, x = x, op(x, e)
+    if x != ident or op(e, prev) != ident or op(prev, e) != ident:
+        return None
+    return prev
+
+
+def walked_order(G, e):
+    """The least k >= 1 with e^k = 1, by repeated products."""
+    k, x = 1, e
+    while x != G.identity:
+        x = G.op(x, e)
+        k += 1
+    return k
+
+
+def walked_exponent(G):
+    return lcm(*[walked_order(G, e) for e in G.elements])
+
+
+def walked_generators(G):
+    """FiniteGroup.generators with each element's order walked: the
+    elements by decreasing order, then index, each kept when it is not in
+    the closure of those kept before, until they generate G."""
+    order_of = {e: walked_order(G, e) for e in G.elements}
+    gens, gen_set = [], {G.identity}
+    for e in sorted(G.elements, key=lambda e: (-order_of[e], G.index[e])):
+        if e not in gen_set:
+            gens.append(e)
+            gen_set = G.subgroup_closure(gens)
+            if len(gen_set) == G.order:
+                break
+    return tuple(gens) if gens else (G.identity,)

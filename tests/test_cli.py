@@ -102,6 +102,27 @@ BAD_INPUTS = [
 ]
 
 
+@pytest.mark.parametrize("argv", [
+    "wreath-char-table --G alt:9 --n 1",
+    "hecke-table --G alt:9 --H alt:9",
+    "segal-check --construction hecke --G alt:12 --H alt:12"])
+def test_alt_n_over_8_is_refused_before_any_permutation(capsys, monkeypatch,
+                                                       argv):
+    # the cap of sym:n: alt:12 would list 479,001,600 permutations first
+    import hallalg.groups as groups
+
+    def not_reached(n):
+        raise AssertionError("alt:n must be refused first")
+
+    monkeypatch.setattr(groups, "all_perms", not_reached)
+    t0 = perf_counter()
+    assert run(argv.split()) == 2
+    assert perf_counter() - t0 < 0.5
+    captured = capsys.readouterr()
+    n = argv.split()[argv.split().index("--G") + 1]
+    assert captured.out == "" and captured.err == f"error: {n} is too large\n"
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     code = run(["segal-check", "--construction", "hecke"])
     assert code == 2
@@ -308,10 +329,10 @@ def test_s_construction_budget_is_the_closed_count(capsys):
 def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
     import hallalg.waldhausen.simplicial as simplicial
 
-    def not_reached(f, g):
+    def not_reached(a, b):
         raise AssertionError("the budget must stop the run first")
 
-    monkeypatch.setattr(simplicial, "functors_equal", not_reached)
+    monkeypatch.setattr(simplicial, "composite_difference", not_reached)
     code = run(["segal-check", "--construction", "hecke", "--G", "sym:4",
                 "--H", "sym:2", "--budget", "1000"])
     assert code == 2
@@ -320,6 +341,26 @@ def test_segal_budget_refused_before_identity_checks(capsys, monkeypatch):
     # level refusal covers every square
     assert ("Hecke-Waldhausen level X_3(sym:4,sym:2) has 20736 objects, "
             "over the budget of 1000") in err
+
+
+@pytest.mark.parametrize("name", [name for name, job in JOBS.items()
+                                  if getattr(job, "argv", [""])[0]
+                                  == "segal-check"])
+def test_segal_jobs_never_reach_the_generic_functor_walk(name, monkeypatch):
+    # G-maps are compared on their tables, keys and group generators
+    from hallalg.groupoid import Groupoid, functors
+
+    def not_reached(*args):
+        raise AssertionError("the generic functor walk is reached")
+
+    monkeypatch.setattr(Groupoid, "generating_morphisms", not_reached)
+    original = functors.functors_equal
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "hallalg" and getattr(
+                module, "functors_equal", None) is original:
+            monkeypatch.setattr(module, "functors_equal", not_reached)
+    job = JOBS[name]
+    assert job.check(job.execute()) is None
 
 
 def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):

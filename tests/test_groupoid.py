@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap,
-                              GroupHomFunctor, IdentityFunctor, SpanFn,
-                              b_group, cardinality, compose_functors,
-                              is_equivalence, is_faithful, point_groupoid,
-                              point_inclusion, pullback_fn, pushforward_fn,
-                              two_fiber_product)
+                              GroupHomFunctor, SpanFn, b_group, cardinality,
+                              composite_difference, is_equivalence,
+                              is_faithful, point_groupoid, point_inclusion,
+                              pullback_fn, pushforward_fn, two_fiber_product)
 from hallalg.groupoid.fiber import _Square
 from hallalg.groups import (TupleGroup, alternating_subgroup, cyclic_group,
                             dihedral_group, perm_sign, symmetric_group,
                             symmetric_subgroup, trivial_group)
 from hallalg.waldhausen import segal
 from hallalg.waldhausen.hecke import CosetLevel, Cosets
+from oracles.functors import (ComposedFunctor, IdentityFunctor,
+                              compose_functors)
 from oracles.groupoid import (DisjointUnion, FullSubgroupoid, ProductGroupoid,
                               constant_functor, discrete_groupoid,
                               external_product, fiber_projections,
@@ -284,12 +285,19 @@ def test_product_pi0_matches_bfs():
 
 def test_composing_unrelated_functors_is_a_value_error():
     # raised, not asserted: `python -O` must not skip it
-    from hallalg.groupoid import ComposedFunctor, GMap
     BZ2, BZ3 = b_group(cyclic_group(2)), b_group(cyclic_group(3))
     with pytest.raises(ValueError, match="not composable"):
         ComposedFunctor(IdentityFunctor(BZ2), IdentityFunctor(BZ3))
     with pytest.raises(ValueError, match="not composable"):
         compose_functors(GMap(BZ2, BZ2, [0]), GMap(BZ3, BZ3, [0]))
+    with pytest.raises(ValueError, match="not composable"):
+        composite_difference((GMap(BZ2, BZ2, [0]), GMap(BZ3, BZ3, [0])),
+                             ())
+    with pytest.raises(ValueError, match="do not share their source"):
+        composite_difference((GMap(BZ2, BZ2, [0]),), (GMap(BZ3, BZ3, [0]),))
+    # an identity side needs an endomorphism on the other
+    with pytest.raises(ValueError, match="do not share their source"):
+        composite_difference((GMap(BZ2, BZ3, [0], fill=0),), ())
 
 
 def test_budget_guard():

@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,9 @@ from hallalg.groups import (FiniteGroup, TupleGroup, all_perms,
                             named_group, named_subgroup, perm_inv, perm_mul,
                             perm_sign, symmetric_group, symmetric_subgroup,
                             trivial_group, young_subgroup)
-from oracles.groups import (associativity_failure, cayley_table, row_swaps,
-                            swapped_table)
+from oracles.groups import (associativity_failure, cayley_table,
+                            power_inverse, row_swaps, swapped_table,
+                            walked_exponent, walked_generators, walked_order)
 from oracles.schurweyl import abelianization_order
 from oracles.wreath import cycle_type
 
@@ -151,6 +153,40 @@ def test_inverses_by_powering():
               direct_product(cyclic_group(2), symmetric_group(3))):
         for g in G.elements:
             assert G.op(g, G.inv(g)) == G.identity == G.op(G.inv(g), g)
+
+
+def _groups_the_tests_build():
+    groups = [named_group(spec) for spec in (
+        *[f"cyclic:{n}" for n in range(1, 17)], "cyclic:60", "cyclic:120",
+        *[f"dihedral:{n}" for n in range(1, 9)],
+        *[f"sym:{n}" for n in range(6)], *[f"alt:{n}" for n in range(3, 7)],
+        "klein", "trivial", "product:(cyclic:2,cyclic:3)",
+        "product:(product:(cyclic:2,sym:3),cyclic:3)")]
+    S4 = symmetric_group(4)
+    groups += [symmetric_subgroup(S4, 2), alternating_subgroup(S4),
+               named_subgroup(S4, "young:2+2"), named_subgroup(S4, "trivial")]
+    D4 = dihedral_group(4)
+    groups.append(FiniteGroup.from_cayley({"order": 8, "table": [
+        [D4.index[D4.op(a, b)] for b in D4.elements] for a in D4.elements]}))
+    return groups
+
+
+def test_one_walk_per_cyclic_subgroup_matches_the_walk_per_element():
+    for G in _groups_the_tests_build():
+        assert all(G.inv(e) == power_inverse(G, e) for e in G.elements), G
+        assert all(G.element_order(e) == walked_order(G, e)
+                   for e in G.elements), G
+        assert G.exponent() == walked_exponent(G), G
+        if not isinstance(G, TupleGroup):     # generated by its factors
+            assert G.generators() == walked_generators(G), G
+
+
+def test_cyclic_10000_builds_with_its_generators_at_once():
+    start = perf_counter()
+    G = cyclic_group(10_000)
+    assert (G.generators(), G.exponent()) == ((1,), 10_000)
+    assert G.inv(1) == 9_999 and G.element_order(2) == 5_000
+    assert perf_counter() - start < 0.5
 
 
 def test_symmetric_groups_are_groups():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 from collections import defaultdict
 from itertools import product
@@ -8,10 +9,9 @@ from itertools import product
 import pytest
 
 from hallalg import BudgetExceededError, UsageError
-from hallalg.groupoid import (ActionGroupoid, ComposedFunctor, FnFunctor,
-                              GMap, Groupoid, GroupHomFunctor, SpanFn,
-                              b_group, cardinality, compose_functors,
-                              functors_equal, is_equivalence,
+from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
+                              GroupHomFunctor, SpanFn, b_group, cardinality,
+                              composite_difference, is_equivalence,
                               two_fiber_product)
 from hallalg.groupoid.fiber import _Square, strict_pullback_equivalence
 from hallalg.groups import (FiniteGroup, TupleGroup, cyclic_group,
@@ -28,7 +28,11 @@ from hallalg.waldhausen.hecke import (Cosets, CosetLevel, DoubleCosets,
                                       HeckeAlgebra, HeckeModule,
                                       HeckeWaldhausen, degeneracy, face)
 from hallalg.waldhausen.sconstruction import TriangleGroupoid, _layout
-from hallalg.waldhausen.simplicial import TruncatedSimplicialGroupoid
+from hallalg.waldhausen.simplicial import (TruncatedSimplicialGroupoid,
+                                           _identities)
+from oracles.functors import (ComposedFunctor, compose_functors,
+                              composed_difference,
+                              composed_identity_violations, functors_equal)
 from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
                               fiber_projections, materialised_comparison,
                               pull_push_span, validate_action,
@@ -90,19 +94,30 @@ def test_simplicial_identities_hold(s_vect, s_f1, hecke_s3):
 
 
 def test_simplicial_identities_catch_mutation(hecke_s3):
+    # the corpus's constant d_1 of X_3, a G-map along the trivial group map
+    bad = segal._with_constant(hecke_s3, "faces", (3, 1), "const")
+    v = check_simplicial_identities(bad)
+    assert not v.ok and v.violations
+    assert v.violations == composed_identity_violations(bad).violations
+
+
+def test_simplicial_identities_refuse_a_map_that_is_no_gmap(hecke_s3):
     from oracles.groupoid import constant_functor
     faces = dict(hecke_s3.faces)
     faces[(3, 1)] = constant_functor(hecke_s3.levels[3],
                                      hecke_s3.levels[2], 0)
     bad = TruncatedSimplicialGroupoid(list(hecke_s3.levels), faces,
-                                      dict(hecke_s3.degeneracies))
-    v = check_simplicial_identities(bad)
-    assert not v.ok and v.violations
+                                      dict(hecke_s3.degeneracies), name="bad")
+    with pytest.raises(ValueError, match="bad: the faces and degeneracies "
+                                         "must be G-maps"):
+        check_simplicial_identities(bad)
+    assert not composed_identity_violations(bad).ok
 
 
 def opaque(x):
     """x with every face and degeneracy hidden behind an FnFunctor, so that
-    the identities are decided on generating morphisms, not on tables."""
+    the oracle decides the identities on generating morphisms, not on
+    tables."""
     def hide(f):
         return FnFunctor(f.src, f.tgt, [f.on_obj(i)
                                         for i in range(f.src.n_objects)],
@@ -159,29 +174,46 @@ TABLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(TABLE_CASES))
-def test_table_identities_match_generating_morphisms(case, monkeypatch):
+def not_reached(*args):
+    raise AssertionError("G-maps are compared on their tables, keys and "
+                         "group generators")
+
+
+def guard_generic_walk(monkeypatch):
+    """Make Groupoid.generating_morphisms and every binding of
+    functors_equal in hallalg raise."""
+    from hallalg.groupoid import functors
+    monkeypatch.setattr(Groupoid, "generating_morphisms", not_reached)
+    original = functors.functors_equal
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hallalg" and getattr(
+                module, "functors_equal", None) is original:
+            monkeypatch.setattr(module, "functors_equal", not_reached)
+
+
+def table_cases(case):
+    """TABLE_CASES[case] and its mutations: every table of HW(S3,S2) with
+    two entries swapped, or one face table of an S level swapped and one
+    selection swapped (equal tables, different group maps)."""
     x = TABLE_CASES[case]()
     cases = [x]
     if case == "3-2":
-        # every table of HW(S3,S2) with two entries swapped
         cases += [m for kind, maps in (("face", x.faces),
                                        ("degeneracy", x.degeneracies))
                   for key in maps if (m := with_swapped(x, kind, key))]
     elif case.startswith("s-"):
         cases.append(with_swapped(x, "face", (3, 1)))
-        # equal tables with different selections go to the generic walk
-        bad_sel = with_map(x, "face", (3, 1), sel=swapped(x.face(3, 1).sel))
-        walked = check_simplicial_identities(bad_sel).violations
-        assert walked and walked == check_simplicial_identities(
-            opaque(bad_sel)).violations
-    generic = [check_simplicial_identities(opaque(c)).violations
+        cases.append(with_map(x, "face", (3, 1),
+                              sel=swapped(x.face(3, 1).sel)))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_table_identities_match_generating_morphisms(case, monkeypatch):
+    cases = table_cases(case)
+    generic = [composed_identity_violations(opaque(c)).violations
                for c in cases]
-
-    def not_reached(self):
-        raise AssertionError("G-maps are compared by their tables")
-
-    monkeypatch.setattr(Groupoid, "generating_morphisms", not_reached)
+    guard_generic_walk(monkeypatch)
     tables = [check_simplicial_identities(c).violations for c in cases]
     assert tables == generic
     assert tables[0] == [] and all(tables[1:])
@@ -195,8 +227,84 @@ def test_a_fill_against_a_trivial_coordinate_compares_equal():
     y = with_map(x, "degeneracy", (1, 0), sel=(0, 0, 0))
     assert y.degeneracy(1, 0).sel == (0, 0, 0)
     assert functors_equal(y.degeneracy(1, 0), s0)
+    assert composite_difference((y.degeneracy(1, 0),), (s0,)) is None
     assert check_simplicial_identities(y).violations == [] == \
-        check_simplicial_identities(opaque(y)).violations
+        composed_identity_violations(opaque(y)).violations
+
+
+def outcome(f, *args):
+    """f(*args), or the ValueError it raises as ("ValueError", message)."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def comparison_cases():
+    """(name, x) of every case on which the comparison in runs is held
+    against the composed functors."""
+    out = [(f"{case}#{k}", c) for case in TABLE_CASES
+           for k, c in enumerate(table_cases(case))]
+    x = s_construction(F1FreeG(trivial_group(), 0), depth=3)
+    out.append(("fill-0", with_map(x, "degeneracy", (1, 0), sel=(0, 0, 0))))
+    for x in (_hw(3, 2), s_construction(VectFq(2, 2), depth=3),
+              s_construction(F1FreeG(cyclic_group(2), 2), depth=3)):
+        out += [(f"{x.name}-{name}", m) for name, m, _ in mutation_corpus(x)]
+    return out
+
+
+def test_composite_difference_matches_the_composed_functors():
+    found = set()
+    for name, x in comparison_cases():
+        # the verdict and labels of every identity, or the same ValueError
+        assert outcome(lambda: check_simplicial_identities(x).violations) \
+            == outcome(lambda: composed_identity_violations(x).violations), \
+            name
+        pairs = list(_identities(x)) + [
+            (sq[0], (sq[4], sq[2]), (sq[5], sq[3]))
+            for sq in decided_squares(x)]
+        for label, lhs, rhs in pairs:
+            got = outcome(composite_difference, lhs, rhs)
+            assert got == outcome(composed_difference, lhs, rhs), (name,
+                                                                   label)
+            found.add("equal" if got is None else "ValueError"
+                      if got[0] == "ValueError" else
+                      "objects" if got[1] is None else "morphisms")
+    assert found == {"equal", "objects", "morphisms", "ValueError"}
+
+
+def test_the_mutation_corpora_never_reach_the_generic_functor_walk(
+        monkeypatch):
+    xs = [_hw(3, 2), s_construction(VectFq(2, 2), depth=3),
+          s_construction(F1FreeG(cyclic_group(2), 2), depth=3)]
+
+    def verdicts():
+        return [(x.name, name, (check_2segal_degree3 if kind == "segal"
+                                else check_pointed)(m).to_json())
+                for x in xs for name, m, kind in mutation_corpus(x)]
+
+    monkeypatch.setattr(segal, "composite_difference", composed_difference)
+    composed = verdicts()
+    monkeypatch.undo()
+    guard_generic_walk(monkeypatch)
+    assert verdicts() == composed
+    assert all(not v["pass"] and v["witnesses"] for _, _, v in composed)
+
+
+@pytest.mark.parametrize("check", [check_2segal_degree3,
+                                   check_simplicial_identities])
+def test_the_checks_build_no_composite_table(check):
+    # HW(S4,1): X_3 has 331,776 objects; a composite table is one X_3 table
+    S4 = symmetric_group(4)
+    x = hecke_waldhausen(S4, named_subgroup(S4, "trivial"), depth=3)
+    table = sys.getsizeof(x.face(3, 0).table)
+    tracemalloc.start()
+    try:
+        assert check(x).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table, peak / table
 
 
 def test_composed_gmaps_match_the_composed_functor(s_vect):
@@ -957,8 +1065,7 @@ def test_a_square_is_refused_on_its_strict_pullback_before_the_rule(
 
 def test_comparison_names_the_first_object_where_gmap_tables_disagree(
         hecke_s3):
-    # the composed tables find the disagreement and the per-object loop
-    # names the object
+    # the comparison in runs finds the disagreement and names the object
     mutated, i = moved_object(hecke_s3)
     v = check_2segal_degree3(mutated)
     assert v.squares[0][1:] == (False, {
