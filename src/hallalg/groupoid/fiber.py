@@ -26,7 +26,9 @@ subgroup), and to name the witness of a failure, the rule runs
 is_equivalence's decision on P, whose components are the G_P-orbits of
 the images of the apex's representatives.  Both passes walk P and nothing
 larger, so P's size, sum over the objects d of D of n_f(d) n_g(d), is what
-the budget counts, before either pass runs.  The walk of every N-orbit
+the budget counts, before either pass runs.  P is numbered by the legs'
+fibre sizes and the rank of each object in its fibre, which a leg with a
+plan (GMap) gives with no pass over its table.  The walk of every N-orbit
 of the apex that the count replaces is a test oracle
 (`tests/oracles/groupoid.py`).
 
@@ -126,7 +128,14 @@ class _Square:
         n_d = f.tgt.n_objects
 
         def ranks(leg):
-            count, rank = [0] * n_d, []
+            count = [0] * n_d
+            if leg.plan is not None:    # the q-th copy of a run is rank q
+                S, starts, repeat = leg.plan
+                for s in starts:
+                    count[s:s + S] = [repeat] * S
+                return count, [q for q in range(repeat)
+                               for _ in range(S)] * len(starts)
+            rank = []
             for d in leg.table:
                 rank.append(count[d])
                 count[d] += 1

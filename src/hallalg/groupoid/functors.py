@@ -8,12 +8,15 @@ representative per source component.  It is the oracle of the 2-Segal
 table rule (groupoid/fiber.py), which reports its failures with the same
 witnesses, built here.  A functor induced by a G-map of objects and a map
 of groups (GMap) is an index table plus a coordinate selection of tuple
-groups, or the trivial group map.  composite_difference decides whether
-two composites of G-maps are equal, and where they differ, reading the
-tables in runs and building no composite; functors_equal compares any two
-functors on a generating family of morphisms.  The composed-functor route
-(`tests/oracles/functors.py`) is the oracle for the comparison.
+groups, or the trivial group map, read by list slicing along its plan
+where it has one (GMap.pull).  composite_difference decides whether two
+composites of G-maps are equal, and where they differ, pulling each from
+its outermost map inward with no composite built; functors_equal compares
+any two functors on a generating family of morphisms.  The composed
+functors and the per-entry composition (`tests/oracles`) are its oracles.
 """
+
+from functools import cached_property
 
 from .. import Record
 from .core import ActionGroupoid, Groupoid, point_groupoid
@@ -59,13 +62,17 @@ class GMap(Functor):
     sel(g) takes coordinate sel[k] of g, or `fill` where sel[k] is None.  A
     selection that is the identity on the source's coordinates is stored as
     None, and a fill no slot uses is dropped, so equal functors have equal
-    (table, sel, fill)."""
+    (table, sel, fill).  A map may keep the plan (S, starts, repeat) its
+    table is written from: for each s of `starts`, distinct multiples of
+    S, the run s..s+S-1 of target indices, `repeat` times over."""
 
     def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
-                 name="F", sel=None, fill=None):
+                 name="F", sel=None, fill=None, plan=None):
         super().__init__(src, tgt, name=name)
         # a list is kept, not copied: no table is changed once made
-        self.table = table if type(table) is list else list(table)
+        if table is not None:
+            self.table = table if type(table) is list else list(table)
+        self.plan = plan
         if sel is not None:
             sel = tuple(sel)
             if None not in sel:
@@ -75,6 +82,13 @@ class GMap(Functor):
                 sel = None
         self.sel = sel
         self.fill = fill
+
+    @cached_property
+    def table(self):
+        """A table not given is written from the plan when first read."""
+        S, starts, repeat = self.plan
+        return [t for s in starts for _ in range(repeat)
+                for t in range(s, s + S)]
 
     def hom(self, g):
         """The image of the group element g."""
@@ -89,20 +103,36 @@ class GMap(Functor):
     def on_mor(self, m):
         return (self.hom(m[0]), self.table[m[1]])
 
+    def pull(self, values, lo, hi):
+        """[values[t] for t in table[lo:hi]]: along the plan by slices of
+        `values`, where that costs less than the gather."""
+        S, starts, repeat = self.plan or (0, None, 1)
+        if S == 1 < repeat:
+            # table[t] = starts[t // repeat]: each pick written, strided
+            a0 = lo // repeat
+            picks = [values[t] for t in starts[a0:-(-hi // repeat)]]
+            out = [None] * (len(picks) * repeat)
+            for j in range(repeat):
+                out[j::repeat] = picks
+            del out[hi - a0 * repeat:], out[:lo - a0 * repeat]
+            return out
+        if S * repeat < 32:     # no plan, or too short a run for a slice
+            return [values[t] for t in self.table[lo:hi]]
+        out = []
+        while lo < hi:
+            c, r = divmod(lo, S)            # copy c of a run, from offset r
+            s = starts[c // repeat]
+            if r or hi - lo < S:            # a copy cut by the window
+                piece = values[s + r:s + min(S, r + hi - lo)]
+            else:                           # the whole copies left of it
+                piece = values[s:s + S] * min(repeat - c % repeat,
+                                              (hi - lo) // S)
+            out += piece
+            lo += len(piece)
+        return out
+
 
 RUN = 1 << 16       # table entries of a composite compared at a time
-
-
-def _run(maps, lo, n):
-    """Entries lo.. of the composite table of the G-maps `maps`, outermost
-    first (none: the identity), on n objects: a run of at most RUN."""
-    if not maps:
-        return list(range(lo, min(lo + RUN, n)))
-    run = maps[-1].table[lo:lo + RUN]
-    for m in maps[-2::-1]:
-        table = m.table
-        run = [table[j] for j in run]
-    return run
 
 
 def _image(maps, g):
@@ -112,14 +142,22 @@ def _image(maps, g):
     return g
 
 
-def _ends(maps):
-    """(source, target) of the composite of `maps`, outermost first."""
+def _composite(maps, other):
+    """(source, target, values, inner): inner is the innermost of `maps`,
+    values the others' composite (one map: its table; none: None)."""
+    if not maps:
+        src = other[-1].src
+        return src, src, None, None
     for outer, inner in zip(maps, maps[1:]):
         if inner.tgt is not outer.src:
             raise ValueError(f"{outer.name} after {inner.name} is not "
                              f"composable: {inner.tgt.name} is not "
                              f"{outer.src.name}")
-    return maps[-1].src, maps[0].tgt
+    values = maps[0].table
+    for m in maps[1:-1]:
+        values = m.pull(values, 0, m.src.n_objects)
+    return (maps[-1].src, maps[0].tgt, values,
+            maps[-1] if len(maps) > 1 else None)
 
 
 def composite_difference(a, b):
@@ -135,22 +173,26 @@ def composite_difference(a, b):
     the generators of each distinct group of the apex, which is exact for
     group homomorphisms.  Maps that do not compose, or composites with
     different ends, are a ValueError."""
-    (src, tgt), (src_b, tgt_b) = _ends(a or b), _ends(b or a)
-    if src_b is not src or tgt_b is not tgt or not (a and b) and (
-            src is not tgt):
+    src, tgt, va, ia = _composite(a, b)
+    src_b, tgt_b, vb, ib = _composite(b, a)
+    if src_b is not src or tgt_b is not tgt:
         raise ValueError(f"{'∘'.join(m.name for m in a) or 'id'} and "
                          f"{'∘'.join(m.name for m in b) or 'id'} do not "
                          f"share their source and target")
     n = src.n_objects
     for lo in range(0, n, RUN):
-        ra, rb = _run(a, lo, n), _run(b, lo, n)
+        hi = min(lo + RUN, n)
+        ra = (ia.pull(va, lo, hi) if ia else va[lo:hi] if va is not None
+              else list(range(lo, hi)))
+        rb = (ib.pull(vb, lo, hi) if ib else vb[lo:hi] if vb is not None
+              else list(range(lo, hi)))
         if ra != rb:
             return lo + next(k for k, (u, v) in enumerate(zip(ra, rb))
                              if u != v), None
     if n == 0:
         return None
     e = src.identity(0)[0]
-    unknown = tuple(object() for _ in e) if type(e) is tuple else object()
+    unknown = tuple([object() for _ in e]) if type(e) is tuple else object()
     if _image(a, unknown) == _image(b, unknown):
         return None
     first = {}

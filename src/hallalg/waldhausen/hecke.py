@@ -12,11 +12,11 @@ least element in G.elements order, and G acts through one
 left-multiplication table per subgroup.  A level holds no tuple: it is its
 axis sizes, strides and those tables, it decodes a tuple from its index on
 demand, and g acts on an index by the same stride arithmetic.  Face d_k
-deletes coordinate k and degeneracy s_k repeats it.  Both are G-maps, so
-each is an object index table (a GMap), filled by index arithmetic from
-strided runs of the target's indices (a face slices the target's shared
-list of them, a degeneracy takes ranges, so the top level lists none), and
-the simplicial identities are equalities of tables.
+deletes coordinate k and degeneracy s_k repeats it.  Both are G-maps
+(GMap): an object index table and the plan it is written from, runs of
+consecutive target indices at starts found by index arithmetic, which the
+checks slice along.  The top level lists no indices, and the simplicial
+identities are equalities of tables.
 
 pi0 of a level comes from the block of tuples whose first coset is coset
 0: G is transitive on the first coordinate, so every orbit meets the block
@@ -265,37 +265,34 @@ def _runs(src: CosetLevel, tgt: CosetLevel, sizes, k):
     return prod(src.sizes[k + 1:]), prod(src.sizes[:k])
 
 
-def _table(src: CosetLevel, tgt: CosetLevel, sizes, k, runs):
-    """An index table src -> tgt from strided runs of tgt's indices: for
-    each prefix a of coordinates 0..k-1 and each value x of coordinate k,
-    the run of the S suffixes starting at runs(a, x) * S, taken from a
-    range, so that the larger target of a degeneracy builds no list of its
-    indices."""
-    S, prefixes = _runs(src, tgt, sizes, k)
-    table = []
-    for a in range(prefixes):
-        for x in range(src.sizes[k]):
-            start = runs(a, x) * S
-            table += range(start, start + S)
-    return table
+def _planned(src: CosetLevel, tgt: CosetLevel, S, starts, repeat, name):
+    """The GMap src -> tgt with the plan (S, starts, repeat).  A face slices
+    its repeated runs from tgt's shared `indices`, and runs of one object
+    are the list of starts; any other table is written when first read."""
+    table = starts if S == repeat == 1 else None
+    if repeat > 1:
+        ids, table = tgt.indices, []
+        for s in starts:
+            table += ids[s:s + S] * repeat
+    return GMap(src, tgt, table, name=f"{name}^{len(src.spaces) - 1}",
+                plan=(S, starts, repeat))
 
 
 def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
     """d_k: deletes coordinate k, so (a, x, b) goes to (a, b): for each
-    prefix a, the run of tgt's shared indices over a, once per value x."""
+    prefix a, the run of the S suffixes over a, once per value x."""
     S, prefixes = _runs(src, tgt, src.sizes[:k] + src.sizes[k + 1:], k)
-    ids, n, table = tgt.indices, src.sizes[k], []
-    for a in range(prefixes):
-        table += ids[a * S:(a + 1) * S] * n
-    return GMap(src, tgt, table, name=f"d_{k}^{len(src.spaces) - 1}")
+    return _planned(src, tgt, S, range(0, prefixes * S, S), src.sizes[k],
+                    f"d_{k}")
 
 
 def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
     """s_k: repeats coordinate k, so (a, x, b) goes to (a, x, x, b)."""
     n = src.sizes[k]
-    sizes = src.sizes[:k + 1] + src.sizes[k:]
-    table = _table(src, tgt, sizes, k, lambda a, x: (a * n + x) * n + x)
-    return GMap(src, tgt, table, name=f"s_{k}^{len(src.spaces) - 1}")
+    S, prefixes = _runs(src, tgt, src.sizes[:k + 1] + src.sizes[k:], k)
+    starts = [((a * n + x) * n + x) * S for a in range(prefixes)
+              for x in range(n)]
+    return _planned(src, tgt, S, starts, 1, f"s_{k}")
 
 
 class HeckeWaldhausen:

@@ -17,9 +17,10 @@ Each check returns a verdict carrying a witness on failure: a comparison
 that is not even well defined (corrupted faces), a missed component, or a
 hom-set where the map fails to be bijective.  The fiber products are never
 built.  Every square takes one path: composite_difference
-(groupoid/functors.py) checks on the index tables, read in runs with no
+(groupoid/functors.py) checks on the index tables, pulled with no
 composite table built, that the comparison is defined on every object of
-the apex, and names the first object where it is not; the square is then
+the apex, and names the first object where it is not (a verdict that
+the identity check reuses); the square is then
 decided on the index tables by the table rule,
 strict_pullback_equivalence (groupoid/fiber.py), which refuses a strict
 pullback of more objects than the budget before it walks it, and names
@@ -88,10 +89,14 @@ def _comparison(apex, fa: Functor, fb: Functor, leg_f: Functor,
     return verdict.ok, verdict.witness or None
 
 
-def _verdict(apex, squares, budget) -> SegalVerdict:
-    """Decide each (name, fa, fb, leg_f, leg_g) comparison in order."""
+def _verdict(x, apex, squares, budget) -> SegalVerdict:
+    """Decide each (name, fa, fb, leg_f, leg_g) comparison in order, and
+    record in x.compared whether leg_f fa = leg_g fb, an identity of x."""
     out = [(name, *_comparison(apex, fa, fb, leg_f, leg_g, budget, name))
            for name, fa, fb, leg_f, leg_g in squares]
+    for (_, fa, fb, leg_f, leg_g), (_, _, witness) in zip(squares, out):
+        x.compared[(leg_f, fa), (leg_g, fb)] = (
+            (witness or {}).get("kind") != "comparison_undefined")
     return SegalVerdict(all(ok for _, ok, _ in out), out)
 
 
@@ -104,7 +109,7 @@ def _need_depth(x: TruncatedSimplicialGroupoid, n):
 def check_2segal_degree3(x: TruncatedSimplicialGroupoid,
                          budget=DEFAULT_OBJECT_BUDGET) -> SegalVerdict:
     _need_depth(x, 3)
-    return _verdict(x.levels[3], [
+    return _verdict(x, x.levels[3], [
         ("triangulation {012},{023}", x.face(3, 3), x.face(3, 1),
          x.face(2, 1), x.face(2, 2)),
         ("triangulation {013},{123}", x.face(3, 2), x.face(3, 0),
@@ -114,7 +119,7 @@ def check_2segal_degree3(x: TruncatedSimplicialGroupoid,
 def check_pointed(x: TruncatedSimplicialGroupoid,
                   budget=DEFAULT_OBJECT_BUDGET) -> SegalVerdict:
     _need_depth(x, 2)
-    return _verdict(x.levels[1], [
+    return _verdict(x, x.levels[1], [
         ("unital square s_0", x.degeneracy(1, 0), x.face(1, 1),
          x.face(2, 2), x.degeneracy(0, 0)),
         ("unital square s_1", x.degeneracy(1, 1), x.face(1, 0),

@@ -11,7 +11,9 @@ generating family of morphisms.
   object and on `generating_morphisms`;
 - `composed_difference` has the contract of `composite_difference`, on
   the composed functors, and `composed_identity_violations` is the
-  simplicial-identity check on them, for any functors."""
+  simplicial-identity check on them, for any functors;
+- `composite_run` composes the tables entry by entry, the oracle of the
+  windows that `composite_difference` pulls along the maps' plans."""
 
 from hallalg.groupoid import ActionGroupoid, Functor, GMap
 from hallalg.waldhausen.simplicial import SimplicialVerdict
@@ -106,6 +108,18 @@ def functors_equal(f: Functor, g: Functor) -> bool:
         if f.on_mor(m) != g.on_mor(m):
             return False
     return True
+
+
+def composite_run(maps, lo, hi):
+    """Entries lo..hi-1 of the composite table of the G-maps `maps`,
+    outermost first (none: the identity), one entry at a time."""
+    if not maps:
+        return list(range(lo, hi))
+    run = maps[-1].table[lo:hi]
+    for m in maps[-2::-1]:
+        table = m.table
+        run = [table[j] for j in run]
+    return run
 
 
 def _composite(maps, apex):

@@ -2,9 +2,14 @@
 `hecke._convolution_table`: each double coset is built as the set
 {h g p} by brute force, with no coset level and no basis index, and
 (f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) is counted over the y in D_a with
-y^-1 x in D_b."""
+y^-1 x in D_b.
+
+`run_table` is the generic table of a coset-level map, one run per
+(prefix, value) pair, the oracle of the faces and degeneracies
+(`hecke.face`, `hecke.degeneracy`) and of their plans."""
 
 from fractions import Fraction
+from math import prod
 
 
 def double_cosets(G, H, P):
@@ -36,3 +41,20 @@ def membership_convolution(G, H, P):
                     vals[c] = int(m) if m.denominator == 1 else m
             out[(a, b)] = vals
     return out, [g for g, _ in left], [g for g, _ in right]
+
+
+def run_table(src, tgt, sizes, k, runs):
+    """An index table src -> tgt from strided runs of tgt's indices: for
+    each prefix a of coordinates 0..k-1 and each value x of coordinate k,
+    the run of the S suffixes starting at runs(a, x) * S, once tgt's axis
+    sizes are checked to be `sizes`."""
+    if tgt.sizes != sizes:
+        raise ValueError(f"{tgt.name} has axis sizes {tgt.sizes}, not "
+                         f"{sizes}")
+    S = prod(src.sizes[k + 1:])
+    table = []
+    for a in range(prod(src.sizes[:k])):
+        for x in range(src.sizes[k]):
+            start = runs(a, x) * S
+            table += range(start, start + S)
+    return table

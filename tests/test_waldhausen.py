@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import re
@@ -7,12 +8,15 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError, UsageError
+from hallalg.cli import run as cli_run
 from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
                               GroupHomFunctor, SpanFn, b_group, cardinality,
                               composite_difference, is_equivalence,
                               two_fiber_product)
+from hallalg.groupoid import functors
 from hallalg.groupoid.fiber import _Square, strict_pullback_equivalence
 from hallalg.groups import (FiniteGroup, TupleGroup, cyclic_group,
                             dihedral_group, named_group, named_subgroup,
@@ -31,12 +35,13 @@ from hallalg.waldhausen.sconstruction import TriangleGroupoid, _layout
 from hallalg.waldhausen.simplicial import (TruncatedSimplicialGroupoid,
                                            _identities)
 from oracles.functors import (ComposedFunctor, compose_functors,
-                              composed_difference,
+                              composed_difference, composite_run,
                               composed_identity_violations, functors_equal)
 from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
                               fiber_projections, materialised_comparison,
                               pull_push_span, validate_action,
                               validate_functor, walked_fibres, witness_key)
+from oracles.hecke import run_table
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
                                    flag_comparison_functor)
 
@@ -271,6 +276,148 @@ def test_composite_difference_matches_the_composed_functors():
                       if got[0] == "ValueError" else
                       "objects" if got[1] is None else "morphisms")
     assert found == {"equal", "objects", "morphisms", "ValueError"}
+
+
+def comparison_pairs():
+    """(case, label, lhs, rhs) of every identity and square composite pair
+    of comparison_cases()."""
+    return [(name, label, lhs, rhs) for name, x in comparison_cases()
+            for label, lhs, rhs in [*_identities(x), *(
+                (sq[0], (sq[4], sq[2]), (sq[5], sq[3]))
+                for sq in decided_squares(x))]]
+
+
+@pytest.mark.parametrize("window", [7, 1000])
+def test_composite_difference_does_not_depend_on_the_window(window,
+                                                            monkeypatch):
+    # windows of 7 and 1000 source objects cut the plans' runs and blocks
+    # at other places than the default's
+    pairs = comparison_pairs()
+    want = [outcome(composite_difference, lhs, rhs)
+            for _, _, lhs, rhs in pairs]
+    monkeypatch.setattr(functors, "RUN", window)
+    for (name, label, lhs, rhs), expected in zip(pairs, want):
+        assert outcome(composite_difference, lhs, rhs) == expected, (
+            name, label)
+    assert {"equal" if w is None else "ValueError" if w[0] == "ValueError"
+            else "objects" if w[1] is None else "morphisms"
+            for w in want} == {"equal", "objects", "morphisms", "ValueError"}
+
+
+def test_pulled_composites_match_the_per_entry_composition():
+    for x in (_hw(3, 2), _hw(4, 2)):
+        for label, *sides in _identities(x):
+            for maps in sides:
+                if len(maps) < 2:
+                    continue
+                _, _, values, inner = functors._composite(maps, ())
+                n = inner.src.n_objects
+                for lo, hi in ((0, n), (1, n - 1), (n // 3, 2 * n // 3 + 5)):
+                    assert inner.pull(values, lo, hi) == composite_run(
+                        maps, lo, hi), (x.name, label)
+
+
+def test_segal_check_compares_each_composite_pair_once(monkeypatch):
+    # the squares' well-definedness composites are the identities
+    # d_1 d_3 = d_2 d_1 and d_0 d_2 = d_1 d_0 at level 3, d_2 s_0 = s_0 d_1
+    # and d_0 s_1 = s_0 d_0 at level 1: 33 identities, 4 of them shared
+    import hallalg.waldhausen.simplicial as simplicial
+    pairs = []
+
+    def counted(module):
+        compare = module.composite_difference
+
+        def count(a, b):
+            pairs.append((a, b))
+            return compare(a, b)
+        monkeypatch.setattr(module, "composite_difference", count)
+
+    counted(segal)
+    counted(simplicial)
+    assert cli_run(["segal-check", "--construction", "hecke", "--G",
+                    "sym:4", "--H", "sym:2"]) == 0
+    assert len(pairs) == len(set(pairs)) == 33
+    # run alone, as the corpus runs it, the degree-3 check still compares
+    # both squares and names the undefined comparison
+    for name, m, _ in mutation_corpus(_hw(4, 2)):
+        if name in ("constant-d1", "constant-d3"):
+            del pairs[:]
+            verdict = check_2segal_degree3(m)
+            assert len(pairs) == 2
+            assert "comparison_undefined" in [w["kind"]
+                                              for w in verdict.witnesses]
+
+
+def test_shared_square_verdicts_give_the_identity_check_its_verdict():
+    # the squares run first and share their verdicts, as in segal-check
+    for name, x in comparison_cases():
+        for check in (check_2segal_degree3, check_pointed):
+            try:
+                check(x)
+            except (ValueError, BudgetExceededError):
+                pass
+        assert outcome(lambda: check_simplicial_identities(x).violations) \
+            == outcome(lambda: composed_identity_violations(x).violations), \
+            name
+
+
+@functools.cache
+def plan_maps():
+    """Every face and degeneracy of HW(S3,S2), HW(S4,S2) and HW(S4,1), and
+    the faces of the pinned Hecke-module levels of S4 over S2."""
+    maps = []
+    for G, H in (("sym:3", "sym:2"), ("sym:4", "sym:2"), ("sym:4", "trivial")):
+        G = named_group(G)
+        x = hecke_waldhausen(G, named_subgroup(G, H), depth=3)
+        maps += [*x.faces.values(), *x.degeneracies.values()]
+    S4 = symmetric_group(4)
+    gh = Cosets(S4, symmetric_subgroup(S4, 2))
+    x1 = CosetLevel(S4, [gh, gh], "X1")
+    for P in ("sym:2", "young:2+2", "trivial"):
+        gp = Cosets(S4, named_subgroup(S4, P))
+        y0 = CosetLevel(S4, [gp, gh], "Y0", pinned=True)
+        y1 = CosetLevel(S4, [gp, gh, gh], "Y1", pinned=True)
+        maps += [face(y1, x1, 0), face(y1, y0, 2), face(y1, y0, 1)]
+    return maps
+
+
+@st.composite
+def pulls(draw):
+    """A map with a plan, an injective value list on its target, and a
+    window of its source, often starting or ending at the edge of a run."""
+    m = draw(st.sampled_from(plan_maps()))
+    n, (S, _, _) = m.src.n_objects, m.plan
+    near_edge = st.builds(lambda k, d: min(max(k * S + d, 0), n),
+                          st.integers(0, n // S), st.integers(-2, 2))
+    ends = sorted(draw(st.one_of(st.integers(0, n), near_edge))
+                  for _ in range(2))
+    a = draw(st.integers(1, 10 ** 6))
+    b = draw(st.integers(0, 10 ** 6))
+    # a prime above every level's size: t -> (a t + b) mod p is injective
+    values = [(a * t + b) % 1_000_003 for t in range(m.tgt.n_objects)]
+    return m, values, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(pulls())
+def test_pull_is_the_gather_along_every_plan(case):
+    m, values, (lo, hi) = case
+    assert m.plan is not None
+    assert m.pull(values, lo, hi) == [values[t] for t in m.table[lo:hi]]
+
+
+def test_plan_ranks_match_the_generic_count():
+    S4 = symmetric_group(4)
+    for x in (_hw(3, 2), _hw(4, 2), _hw(4, 3),
+              hecke_waldhausen(S4, named_subgroup(S4, "trivial"), depth=3)):
+        for name, _, fa, fb, f, g in decided_squares(x):
+            # the same legs without their plans take the counting pass
+            assert f.plan is not None and g.plan is not None
+            bare = [GMap(leg.src, leg.tgt, leg.table, sel=leg.sel,
+                         fill=leg.fill) for leg in (f, g)]
+            planned, generic = [(p.size, p.base, p.ng, p.rg) for p in (
+                _Square(fa, fb, f, g), _Square(fa, fb, *bare))]
+            assert planned == generic, (x.name, name)
 
 
 def test_the_mutation_corpora_never_reach_the_generic_functor_walk(
@@ -1026,8 +1173,23 @@ def test_faces_match_the_table_of_one_run_per_prefix_and_value():
                     sizes = src.sizes[:k] + src.sizes[k + 1:]
                     low = CosetLevel(S4, spaces[:k] + spaces[k + 1:], "low",
                                      pinned and k > 0)
-                    assert face(src, low, k).table == hecke._table(
+                    assert face(src, low, k).table == run_table(
                         src, low, sizes, k, lambda a, x: a), (pinned, n, k)
+
+
+def test_degeneracies_match_the_table_of_one_run_per_prefix_and_value():
+    S4 = symmetric_group(4)
+    gh = Cosets(S4, symmetric_subgroup(S4, 2))
+    for n in range(3):
+        src = CosetLevel(S4, [gh] * (n + 1), "L")
+        up = CosetLevel(S4, [gh] * (n + 2), "up")
+        for k in range(n + 1):
+            m = degeneracy(src, up, k)
+            sizes = src.sizes[:k + 1] + src.sizes[k:]
+            assert m.table == run_table(
+                src, up, sizes, k, lambda a, x: (a * 12 + x) * 12 + x), (n, k)
+            S, starts, repeat = m.plan
+            assert repeat == 1 and (S > 1 or starts is m.table)
 
 
 @pytest.mark.parametrize("G, H", [
