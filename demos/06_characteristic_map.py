@@ -4,6 +4,7 @@ componentwise Littlewood-Richardson products of Schur functions.
 Run:  python3 demos/06_characteristic_map.py
 """
 
+from hallalg.exactmath.littlewood import littlewood_richardson
 from hallalg.exactmath.partitions import PartitionMap
 from hallalg.exactmath.symfunc import MultiSymElem, multisym_mul
 from hallalg.groups import cyclic_group, trivial_group
@@ -20,6 +21,11 @@ print("Ind(X_(1) x X_(1)) =",
 print("ch of it:", ch(t, ind).to_json())
 print("s_1 * s_1:", multisym_mul(MultiSymElem.basis(one),
                                  MultiSymElem.basis(one)).to_json())
+
+# One alphabet's coefficients: c^(3,2,1)_(2,1),(2,1) = 2 is the first
+# Littlewood-Richardson coefficient above 1.
+print("c^(3,2,1)_(2,1),(2,1) =",
+      littlewood_richardson((2, 1), (2, 1), (3, 2, 1)))
 
 # Over Z/2 the two linear characters each carry their own alphabet.
 Z2 = cyclic_group(2)

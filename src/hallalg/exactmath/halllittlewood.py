@@ -12,7 +12,8 @@ where P_mu P_nu = sum_lam f^lam_{mu nu}(t) P_lam.
 Values.  Every value lies in Z[1/p] and is carried as an integer numerator
 over a power of p; nothing is reduced by a gcd.  P_lam is expanded in
 monomials by the tableau formula (5.11'): a tableau is a chain of
-horizontal strips theta = nu/mu, each weighted by psi_{nu/mu}(1/p), the
+horizontal strips theta = nu/mu (`partitions.horizontal_strips`, which the
+Littlewood-Richardson walk shares), each weighted by psi_{nu/mu}(1/p), the
 product of (p^m - 1)/p^m with m = m_j(mu) over the j >= 1 with
 theta'_j = 0 and theta'_{j+1} = 1.  Those j pick disjoint rows of mu, and
 each strip adds at most one row, so the k-th strip of a tableau has
@@ -44,30 +45,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
 
-from .partitions import conjugate, partitions_of
+from .partitions import conjugate, horizontal_strips, partitions_of
 
 
 def n_statistic(lam) -> int:
     """n(lam) = sum_i (i - 1) lam_i."""
     return sum(i * part for i, part in enumerate(lam))
-
-
-def horizontal_strips(mu, k: int):
-    """The partitions nu with nu/mu a horizontal strip of k boxes
-    (mu_i <= nu_i <= mu_(i-1))."""
-    rows = len(mu) + 1
-    mu = mu + (0,)
-
-    def extend(i, left, prefix):
-        if i == rows:
-            if left == 0:
-                yield tuple(x for x in prefix if x)
-            return
-        top = mu[i] + left if i == 0 else min(mu[i - 1], mu[i] + left)
-        for part in range(mu[i], top + 1):
-            yield from extend(i + 1, left - (part - mu[i]), prefix + (part,))
-
-    return extend(0, k, ())
 
 
 def _sorted_parts(exps):

@@ -68,6 +68,24 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def horizontal_strips(mu, k: int):
+    """The partitions nu with nu/mu a horizontal strip of k boxes
+    (mu_i <= nu_i <= mu_(i-1))."""
+    rows = len(mu) + 1
+    mu = mu + (0,)
+
+    def extend(i, left, prefix):
+        if i == rows:
+            if left == 0:
+                yield tuple(x for x in prefix if x)
+            return
+        top = mu[i] + left if i == 0 else min(mu[i - 1], mu[i] + left)
+        for part in range(mu[i], top + 1):
+            yield from extend(i + 1, left - (part - mu[i]), prefix + (part,))
+
+    return extend(0, k, ())
+
+
 class PartitionMap:
     """A partition-valued map on a finite ordered label set.
 

@@ -66,18 +66,13 @@ class MultiSymElem:
         return [[k.to_json(), str(v)] for k, v in items]
 
 
-def lr_product(a, b, expansions: dict) -> dict[tuple, int]:
+def lr_product(a, b) -> dict[tuple, int]:
     """S_a * S_b = sum_nu (prod_x c^{nu(x)}_{a(x) b(x)}) S_nu in integers,
     for the parts a and b of two partition maps on one label set, keyed by
     the parts of nu.  Each nu is one choice of a term of s_a(x) s_b(x) per
-    label, so no two choices meet.  `expansions`, a dict that the caller
-    shares between calls, keeps each factor's expansion once per partition
-    pair."""
-    factors = []
-    for pair in zip(a, b):
-        if pair not in expansions:
-            expansions[pair] = schur_product(*pair).items()
-        factors.append(expansions[pair])
+    label, so no two choices meet.  Each factor is `schur_product`, which
+    keeps each partition pair's expansion once."""
+    factors = [schur_product(*pair).items() for pair in zip(a, b)]
     return {tuple(nu for nu, _ in combo): prod(c for _, c in combo)
             for combo in iproduct(*factors)}
 
@@ -87,10 +82,9 @@ def multisym_mul(a: MultiSymElem, b: MultiSymElem) -> MultiSymElem:
     if a.labels != b.labels:
         raise ValueError("mismatched index sets: %r vs %r" % (a.labels, b.labels))
     out = {}
-    expansions = {}
     for ka, va in a.coords.items():
         for kb, vb in b.coords.items():
-            for parts, c in lr_product(ka.parts, kb.parts, expansions).items():
+            for parts, c in lr_product(ka.parts, kb.parts).items():
                 knu = PartitionMap(a.labels, parts)
                 out[knu] = out.get(knu, Fraction(0)) + va * vb * c
     return MultiSymElem(a.labels, out)

@@ -105,7 +105,9 @@ class GMap(Functor):
 
     def pull(self, values, lo, hi):
         """[values[t] for t in table[lo:hi]]: along the plan by slices of
-        `values`, where that costs less than the gather."""
+        `values`, where that costs less than the gather or where the table
+        is not written.  A table is left unwritten only by a plan that
+        writes each run once; pulled along it, `values` may be a range."""
         S, starts, repeat = self.plan or (0, None, 1)
         if S == 1 < repeat:
             # table[t] = starts[t // repeat]: each pick written, strided
@@ -116,8 +118,22 @@ class GMap(Functor):
                 out[j::repeat] = picks
             del out[hi - a0 * repeat:], out[:lo - a0 * repeat]
             return out
-        if S * repeat < 32:     # no plan, or too short a run for a slice
+        if S * repeat < 32 and "table" in vars(self):
+            # no plan, or too short a run for a slice
             return [values[t] for t in self.table[lo:hi]]
+        if repeat == 1:
+            # run a from offset r, the whole runs after it, run b up to e
+            a, r = divmod(lo, S)
+            b, e = divmod(hi, S)
+            out = []
+            if a < b:
+                out += values[starts[a] + r:starts[a] + S]
+                for s in starts[a + 1:b]:
+                    out += values[s:s + S]
+                r = 0
+            if r < e:
+                out += values[starts[b] + r:starts[b] + e]
+            return out
         out = []
         while lo < hi:
             c, r = divmod(lo, S)            # copy c of a run, from offset r
@@ -144,7 +160,9 @@ def _image(maps, g):
 
 def _composite(maps, other):
     """(source, target, values, inner): inner is the innermost of `maps`,
-    values the others' composite (one map: its table; none: None)."""
+    values the others' composite (one map: its table; none: None).  The
+    outermost map's table is read where it is written; one that is not is
+    pulled along its plan, as each map after it is, and stays unwritten."""
     if not maps:
         src = other[-1].src
         return src, src, None, None
@@ -153,7 +171,9 @@ def _composite(maps, other):
             raise ValueError(f"{outer.name} after {inner.name} is not "
                              f"composable: {inner.tgt.name} is not "
                              f"{outer.src.name}")
-    values = maps[0].table
+    outer = maps[0]
+    values = (outer.table if "table" in vars(outer) else
+              outer.pull(range(outer.tgt.n_objects), 0, outer.src.n_objects))
     for m in maps[1:-1]:
         values = m.pull(values, 0, m.src.n_objects)
     return (maps[-1].src, maps[0].tgt, values,

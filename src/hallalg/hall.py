@@ -5,10 +5,12 @@ g^M_{N,L} counts subobjects U <= M with U ~ L and M/U ~ N, so that
 by #Aut(L) #Aut(N).  The table takes each constant from its family's closed
 form (`hall_constant`): binom(m, l) over F_1[G], the Gaussian binomial
 [m choose l]_q over F_q, and the Hall polynomial for abelian p-groups.
-Counting subobjects (`subobjects_with_type`) is the oracle for these in the
-tests.  A second, independent route computes the same product by pull-push
-through the degree-2 flag groupoids, reading the span's table in one pass
-over X_2 (`pull_push_table`); both routes are compared in the tests and the
+Counting subobjects is the oracle for these in the tests (for F_1[G]
+`subobjects_with_type`, which `divided_powers_iso_check` also reads; for
+abelian p-groups a subgroup listing in `tests/oracles`).  A second,
+independent route computes the same product by pull-push through the
+degree-2 flag groupoids, reading the span's table in one pass over X_2
+(`pull_push_table`); both routes are compared in the tests and the
 acceptance suite.
 
 The table is a `StructureTable` (`hallalg.structure`), as the Hecke tables

@@ -3,9 +3,9 @@
 The object of type lam is prod_i Z/p^lam_i with elements stored as tuples;
 a homomorphism is the tuple of images of the standard generators e_i (each
 of order dividing p^lam_i).  Hall constants are Hall polynomials
-(`exactmath.halllittlewood`); subgroups are enumerated by closure and
-classified, together with their quotients, by counting p^k-torsion, which is
-the oracle for them.
+(`exactmath.halllittlewood`).  A quotient is classified by counting
+p^k-torsion, which the S-construction's triangles use; listing the
+subgroups, the oracle for the Hall constants, is left to the tests.
 
 Every method reads the type of an object through `_type(key)` and names a
 type through `_key(lam)`.  Both are the identity here; `VectFq` keys the
@@ -29,8 +29,8 @@ def is_prime(n: int) -> bool:
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
     _cached = ("elements", "_homs", "_homs_with_image", "isos", "monos",
-               "epis", "compose", "subobjects", "image_sub", "preimage_sub",
-               "_mods", "_torsion")
+               "epis", "compose", "image_sub", "preimage_sub", "_mods",
+               "_torsion")
 
     def __init__(self, p: int, order_bound: int):
         if not is_prime(p):
@@ -130,40 +130,6 @@ class AbelianPGroups(ProtoAbelianInstance):
                      for i in range(n))
         return (x, x, imgs)
 
-    def subobjects(self, m):
-        """All subgroups, by closure over added elements."""
-        mods = self._mods(m)
-        origin = tuple([0] * len(mods))
-
-        def add(a, b):
-            return tuple((x + y) % k for x, y, k in zip(a, b, mods))
-
-        zero = frozenset([origin])
-        found = {zero}
-        frontier = [zero]
-        elems = self.elements(m)
-        while frontier:
-            s = frontier.pop()
-            seen = set(s)
-            for v in elems:
-                if v in seen:
-                    continue
-                # <s, v> depends only on the coset v + s
-                seen.update(add(u, v) for u in s)
-                # s is a subgroup, so <s, v> = union of cosets s + k*v
-                span = set()
-                w = origin
-                while True:
-                    span.update(add(u, w) for u in s)
-                    w = add(w, v)
-                    if w == origin:
-                        break
-                fs = frozenset(span)
-                if fs not in found:
-                    found.add(fs)
-                    frontier.append(fs)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
-
     def _type_from_torsion_counts(self, counts):
         """counts[k] = #(p^k-torsion); the increments log_p(c_k/c_{k-1}) are
         the conjugate partition."""
@@ -206,12 +172,6 @@ class AbelianPGroups(ProtoAbelianInstance):
         per = Counter(order.values())
         return order, height, list(accumulate(per[k]
                                               for k in range(maxk + 1)))
-
-    def classify_sub(self, m, u):
-        order, _, kernel = self._torsion(m)
-        per = Counter(order[x] for x in u)
-        counts = list(accumulate(per[k] for k in range(len(kernel))))
-        return self._key(self._type_from_torsion_counts(counts))
 
     def classify_quot(self, m, u):
         # #{x : p^k x in u} = |M[p^k]| * |u meet p^k M|, since x -> p^k x

@@ -3,12 +3,15 @@
 Concrete objects are the canonical keys themselves (one skeletal object per
 iso class); maps are hashable triples (src_key, tgt_key, data).  Each
 instance supplies object/map enumeration, images and preimages of
-subobjects, and classification of subobjects and quotients; short exact
-structure and bicartesian squares are derived here uniformly:
+subobjects, and classification of quotients; short exact structure and
+bicartesian squares are derived here uniformly:
 
 A commuting square  A >-i-> B, epis A -p->> C, B -q->> D, mono C >-j-> D
 is bicartesian iff im(i) = q^-1(im(j)); the boundary squares with C = 0
 specialize to exactness im(i) = ker(q).
+
+Listing and classifying subobjects is left to an instance that counts them
+(`subobjects_with_type`), as F_1[G] does.
 """
 
 from collections import Counter

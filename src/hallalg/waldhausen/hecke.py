@@ -268,7 +268,8 @@ def _runs(src: CosetLevel, tgt: CosetLevel, sizes, k):
 def _planned(src: CosetLevel, tgt: CosetLevel, S, starts, repeat, name):
     """The GMap src -> tgt with the plan (S, starts, repeat).  A face slices
     its repeated runs from tgt's shared `indices`, and runs of one object
-    are the list of starts; any other table is written when first read."""
+    are the list of starts; any other table is written when first read
+    (`composite_difference` pulls along the plan and does not read it)."""
     table = starts if S == repeat == 1 else None
     if repeat > 1:
         ids, table = tgt.indices, []

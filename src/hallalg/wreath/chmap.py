@@ -362,16 +362,15 @@ def ch_ring_hom_check(G: FiniteGroup, max_total: int,
     total size <= max_total; returns (ok, failures).  Both sides are
     compared in integers, keyed by the parts of nu: the multiplicities of
     `induction_products`, and the componentwise Littlewood-Richardson
-    product prod_x c^{nu(x)}_{lam(x) mu(x)} (`lr_product`), each factor
-    expanded once per partition pair.  ch and multisym_mul, with their
-    Fractions, build only the witness of a failing pair."""
+    product prod_x c^{nu(x)}_{lam(x) mu(x)} (`lr_product`).  ch and
+    multisym_mul, with their Fractions, build only the witness of a
+    failing pair."""
     failures = []
-    expansions = {}   # shared by every pair's lr_product
     for n in range(0, max_total + 1):
         for m in range(0, max_total + 1 - n):
             products = induction_products(G, n, m, budget)
             for (lam, mu), ind in products.items():
-                rhs = lr_product(lam.parts, mu.parts, expansions)
+                rhs = lr_product(lam.parts, mu.parts)
                 if {nu.parts: c for nu, c in ind.items()} != rhs:
                     failures.append({
                         "lam": lam.to_json(), "mu": mu.to_json(),

@@ -1,6 +1,7 @@
 """Enumeration oracles for the closed forms of `hallalg.exactmath`:
 semistandard tableaux for the hook-content product, Schur polynomials
-multiplied out for the Littlewood-Richardson rule, products of weak
+multiplied out and LR fillings found cell by cell for each shape for the
+Littlewood-Richardson rule, products of weak
 compositions for the number of partition-valued maps, and Schur-basis
 arithmetic in one alphabet on top of the LR rule, and Hall polynomials from
 the tableau formula in `Fraction` arithmetic, each monomial coefficient
@@ -105,6 +106,82 @@ def schur_product_by_polynomials(lam, mu) -> dict:
                 poly[expo] = newc
             else:
                 poly.pop(expo, None)
+    return out
+
+
+def _contains(outer, inner) -> bool:
+    if len(inner) > len(outer):
+        return False
+    return all(inner[i] <= outer[i] for i in range(len(inner)))
+
+
+def lr_by_fillings(lam, mu, nu) -> int:
+    """c^nu_{lam,mu} by a backtracking search over the LR fillings of
+    nu/lam with content mu, cell by cell in reverse reading order."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    if sum(nu) != sum(lam) + sum(mu):
+        return 0
+    if not _contains(nu, lam) or not _contains(nu, mu):
+        return 0
+    if not mu:
+        return 1 if nu == lam else 0
+
+    # cells of nu/lam in reverse reading order: top row to bottom, right to left
+    cells = []
+    lam_padded = lam + (0,) * (len(nu) - len(lam))
+    for r, width in enumerate(nu):
+        for c in range(width - 1, lam_padded[r] - 1, -1):
+            cells.append((r, c))
+
+    nvals = len(mu)
+    counts = [0] * (nvals + 1)
+    fill = {}
+    total = 0
+
+    def ok(r, c, v):
+        if counts[v] >= mu[v - 1]:
+            return False
+        # lattice condition on the reverse reading word
+        if v > 1 and counts[v] >= counts[v - 1]:
+            return False
+        # row weakly increasing: cell to the right was already filled
+        right = fill.get((r, c + 1))
+        if right is not None and v > right:
+            return False
+        # column strictly increasing against the cell above (if in the skew part);
+        # reverse reading order fills row r before row r+1, so no check downward
+        up = fill.get((r - 1, c))
+        if up is not None and v <= up:
+            return False
+        return True
+
+    def rec(i):
+        nonlocal total
+        if i == len(cells):
+            total += 1
+            return
+        r, c = cells[i]
+        for v in range(1, nvals + 1):
+            if ok(r, c, v):
+                counts[v] += 1
+                fill[(r, c)] = v
+                rec(i + 1)
+                counts[v] -= 1
+                del fill[(r, c)]
+
+    rec(0)
+    return total
+
+
+def schur_product_by_fillings(lam, mu) -> dict:
+    """s_lam * s_mu by `lr_by_fillings`, one search for each partition nu
+    of |lam| + |mu|, in decreasing lexicographic order."""
+    lam, mu = check_partition(lam), check_partition(mu)
+    out = {}
+    for nu in partitions_of(sum(lam) + sum(mu)):
+        c = lr_by_fillings(lam, mu, nu)
+        if c:
+            out[nu] = c
     return out
 
 

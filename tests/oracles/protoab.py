@@ -1,6 +1,13 @@
 """Counting oracles for the proto-abelian instances: short exact
 sequences by pairing every mono with every epi, and subobjects by listing
-them."""
+them.  The subgroups of an abelian p-group (ab-p-groups and vect-fq) are
+listed here, one order at a time, and each is classified by counting its
+p^k-torsion; f1-free lists and classifies its own."""
+
+from collections import Counter
+from itertools import accumulate
+
+from hallalg.protoab import AbelianPGroups
 
 
 def count_ses(inst, l, m, n) -> int:
@@ -11,5 +18,64 @@ def count_ses(inst, l, m, n) -> int:
     return sum(1 for im in images for ker in kernels if im == ker)
 
 
+def subgroups(inst: AbelianPGroups, m) -> list:
+    """Every subgroup of the object m, as a frozenset of elements, smallest
+    first.  A subgroup K of order p^(k+1) holds a subgroup K' of index p,
+    and then K is the union of the cosets K' + jv, j < p, for any v in K
+    outside K' (so pv is in K'): each order's subgroups are found from the
+    last's, on element indices."""
+    elems = inst.elements(m)
+    mods = inst._mods(m)
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[tuple((x + y) % k for x, y, k in zip(a, b, mods))]
+            for b in elems] for a in elems]
+    times_p = [index[tuple(inst.p * x % k for x, k in zip(a, mods))]
+               for a in elems]
+    layer, found = {frozenset([0])}, []     # elems[0] is the zero
+    while layer:
+        found += layer
+        bigger = set()
+        for small in layer:
+            seen = set(small)
+            for v in range(len(elems)):
+                if v in seen or times_p[v] not in small:
+                    continue
+                span, w = set(small), v
+                for _ in range(inst.p - 1):
+                    span.update(add[w][u] for u in small)
+                    w = add[w][v]
+                seen |= span
+                bigger.add(frozenset(span))
+        layer = bigger
+    return sorted((frozenset(elems[i] for i in s) for s in found),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def classify_sub(inst, m, u):
+    """The key of the type of the subobject u of m: for an abelian p-group,
+    from the numbers of its elements of each order p^k."""
+    if not isinstance(inst, AbelianPGroups):
+        return inst.classify_sub(m, u)
+    order, _, kernel = inst._torsion(m)
+    per = Counter(order[x] for x in u)
+    counts = list(accumulate(per[k] for k in range(len(kernel))))
+    return inst._key(inst._type_from_torsion_counts(counts))
+
+
+def subobjects(inst, m) -> list:
+    """Every subobject of m: an abelian p-group's `subgroups`, or the
+    instance's own list."""
+    if isinstance(inst, AbelianPGroups):
+        return subgroups(inst, m)
+    return inst.subobjects(m)
+
+
+def subobject_types(inst, m) -> Counter:
+    """(type of U, type of M/U) -> number of subobjects U of M = m, the
+    counts `subobjects_with_type` gives, for every type at once."""
+    return Counter((classify_sub(inst, m, u), inst.classify_quot(m, u))
+                   for u in subobjects(inst, m))
+
+
 def total_subobjects(inst, m) -> int:
-    return len(inst.subobjects(m))
+    return len(subobjects(inst, m))

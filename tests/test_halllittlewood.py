@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallalg.exactmath.halllittlewood import (HallPolynomials,
-                                              horizontal_strips, n_statistic)
-from hallalg.exactmath.partitions import (conjugate, partitions_of,
-                                          q_binomial)
+from hallalg.exactmath.halllittlewood import HallPolynomials, n_statistic
+from hallalg.exactmath.partitions import (conjugate, horizontal_strips,
+                                          partitions_of, q_binomial)
 from oracles.exactmath import (FractionHallPolynomials,
                                horizontal_strips_inside)
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hallalg.exactmath.partitions import PartitionMap, partition_maps
 from hallalg.exactmath.symfunc import MultiSymElem, lr_product, multisym_mul
-from oracles.exactmath import SymElem, multisym_unit
+from oracles.exactmath import SymElem, lr_by_fillings, multisym_unit
 
 
 def test_symelem_ring_ops():
@@ -50,18 +50,17 @@ def test_multisym_rejects_keys_on_other_labels():
 
 def test_basis_product_is_the_labelwise_lr_product():
     # each label's factor is the LR expansion of s_lam * s_mu, here checked
-    # against the coefficients littlewood_richardson gives one by one
-    from hallalg.exactmath.littlewood import littlewood_richardson
+    # against the coefficients the search over LR fillings gives one by one
     labels = ("a", "b")
     pool = [k for n in range(4) for k in partition_maps(n, labels)]
     for x in pool:
         for y in pool:
-            got = lr_product(x.parts, y.parts, {})
+            got = lr_product(x.parts, y.parts)
             want = {}
             for nu in partition_maps(x.total + y.total, labels):
                 c = 1
                 for lam, mu, rho in zip(x.parts, y.parts, nu.parts):
-                    c *= littlewood_richardson(lam, mu, rho)
+                    c *= lr_by_fillings(lam, mu, rho)
                 if c:
                     want[nu.parts] = c
             assert got == want and list(got) == list(want), (x, y)
@@ -78,14 +77,13 @@ def multisym_parts(lam, mu):
                               "klein-2"])
 def test_integer_lr_product_is_multisym_mul_on_every_pair(k, total):
     # the label sets of ch-verify for the trivial group, C2, C3 and the
-    # Klein group; one expansion memo serves every pair
+    # Klein group
     labels = tuple(range(k))
-    expansions = {}
     for n in range(total + 1):
         for m in range(total + 1 - n):
             for lam in partition_maps(n, labels):
                 for mu in partition_maps(m, labels):
-                    got = lr_product(lam.parts, mu.parts, expansions)
+                    got = lr_product(lam.parts, mu.parts)
                     assert got == multisym_parts(lam, mu), (lam, mu)
                     assert all(type(c) is int for c in got.values())
 
@@ -94,7 +92,7 @@ def test_integer_lr_product_multiplies_the_labels_coefficients():
     # c^{321}_{21,21} = 2 is the first LR coefficient over 1, so a product
     # of two such needs two labels and total size 12
     lam = PartitionMap((0, 1), ((2, 1), (2, 1)))
-    got = lr_product(lam.parts, lam.parts, {})
+    got = lr_product(lam.parts, lam.parts)
     assert got[(3, 2, 1), (3, 2, 1)] == 4
     assert got == multisym_parts(lam, lam)
 
@@ -111,12 +109,9 @@ def label_pairs(draw):
 @given(label_pairs())
 def test_integer_lr_product_is_multisym_mul(pair):
     lam, mu = pair
-    expansions = {}
-    got = lr_product(lam.parts, mu.parts, expansions)
+    got = lr_product(lam.parts, mu.parts)
     assert got == multisym_parts(lam, mu)
-    # one expansion per distinct partition pair, reused by a second call
-    assert lr_product(lam.parts, mu.parts, expansions) == got
-    assert len(expansions) == len(set(zip(lam.parts, mu.parts)))
+    assert lr_product(lam.parts, mu.parts) == got
 
 
 def test_multisym_associative_commutative_sampled():

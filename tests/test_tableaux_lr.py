@@ -1,10 +1,15 @@
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallalg.exactmath.littlewood import littlewood_richardson, schur_product
 from hallalg.exactmath.partitions import partitions_of
 from hallalg.exactmath.tableaux import (schur_eval_ones,
                                         standard_tableaux_count)
-from oracles.exactmath import (schur_product_by_polynomials, ssyt_count,
+from oracles.exactmath import (lr_by_fillings, schur_product_by_fillings,
+                               schur_product_by_polynomials, ssyt_count,
                                ssyt_iter)
 
 
@@ -68,6 +73,76 @@ def test_lr_against_polynomial_oracle_up_to_5():
                 for mu in partitions_of(total - a):
                     assert schur_product(lam, mu) == \
                         schur_product_by_polynomials(lam, mu), (lam, mu)
+
+
+def test_lr_against_the_fillings_oracle_up_to_10():
+    # every coefficient of every product, and every triple with |nu| <= 10,
+    # zeros included, against the cell-by-cell search over LR fillings
+    shapes = [nu for n in range(11) for nu in partitions_of(n)]
+    factors = [(lam, mu) for n in range(11) for a in range(n + 1)
+               for lam in partitions_of(a) for mu in partitions_of(n - a)]
+    for lam, mu in factors:
+        got = schur_product(lam, mu)
+        want = schur_product_by_fillings(lam, mu)
+        assert got == want and list(got) == list(want), (lam, mu)
+        for nu in shapes:
+            want = lr_by_fillings(lam, mu, nu)
+            assert littlewood_richardson(lam, mu, nu) == want, (lam, mu, nu)
+
+
+@st.composite
+def pairs(draw, most=14):
+    n = draw(st.integers(0, most), label="|lam| + |mu|")
+    a = draw(st.integers(0, n), label="|lam|")
+    return (draw(st.sampled_from(partitions_of(a)), label="lam"),
+            draw(st.sampled_from(partitions_of(n - a)), label="mu"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_lr_product_is_commutative(pair):
+    lam, mu = pair
+    assert schur_product(lam, mu) == schur_product(mu, lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_lr_product_counts_standard_tableaux(pair):
+    # the degree of Ind(S^lam boxtimes S^mu) from S_a x S_b to S_(a+b)
+    lam, mu = pair
+    a, b = sum(lam), sum(mu)
+    got = sum(c * standard_tableaux_count(nu)
+              for nu, c in schur_product(lam, mu).items())
+    assert got == comb(a + b, a) * standard_tableaux_count(lam) * \
+        standard_tableaux_count(mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_lr_product_evaluates_at_ones(pair):
+    # s_lam s_mu at x = (1^d), term by term, for d = 1..4
+    lam, mu = pair
+    product = schur_product(lam, mu)
+    for d in range(1, 5):
+        assert sum(c * schur_eval_ones(nu, d)
+                   for nu, c in product.items()) == \
+            schur_eval_ones(lam, d) * schur_eval_ones(mu, d), d
+
+
+def test_a_changed_product_leaves_the_next_call_alone():
+    got = schur_product((2, 1), (2, 1))
+    want = dict(got)
+    got[(6,)] = 5
+    del got[(3, 2, 1)]
+    assert schur_product((2, 1), (2, 1)) == want
+    assert schur_product((2, 1), (2, 1))[(3, 2, 1)] == 2
+
+
+def test_lr_rejects_a_non_partition():
+    with pytest.raises(ValueError, match="not a partition"):
+        schur_product((1, 2), (1,))
+    with pytest.raises(ValueError, match="not a partition"):
+        littlewood_richardson((2,), (1,), (1, 2))
 
 
 def test_pieri_row():

@@ -1192,6 +1192,39 @@ def test_degeneracies_match_the_table_of_one_run_per_prefix_and_value():
             assert repeat == 1 and (S > 1 or starts is m.table)
 
 
+def test_an_unwritten_degeneracy_table_is_pulled_along_its_plan():
+    # a degeneracy with runs of more than one object (k < n) writes no
+    # table: pulled, on the target's range of indices or on a list of
+    # values, it gives the table's entries and its table stays unwritten
+    S4 = symmetric_group(4)
+    gh = Cosets(S4, symmetric_subgroup(S4, 2))
+    for n in range(1, 3):
+        src = CosetLevel(S4, [gh] * (n + 1), "L")
+        up = CosetLevel(S4, [gh] * (n + 2), "up")
+        values = [3 * t + 1 for t in range(up.n_objects)]
+        N = src.n_objects
+        for k in range(n):
+            m = degeneracy(src, up, k)
+            want = run_table(src, up, src.sizes[:k + 1] + src.sizes[k:], k,
+                             lambda a, x: (a * 12 + x) * 12 + x)
+            for lo, hi in ((0, N), (5, N - 7), (13, 14), (24, 36), (N, N)):
+                assert m.pull(range(up.n_objects), lo, hi) == want[lo:hi]
+                assert m.pull(values, lo, hi) == [values[t]
+                                                  for t in want[lo:hi]]
+            assert "table" not in vars(m), (n, k)
+
+
+def test_segal_check_writes_no_degeneracy_table_into_x3():
+    # s_0 and s_1 at level 2 are read only by the squares and the
+    # identities, which pull them along their plans, the outermost map of
+    # a composite included
+    x = _hw(4, 2)
+    assert check_2segal_degree3(x).ok and check_pointed(x).ok
+    assert check_simplicial_identities(x).ok
+    for k in (0, 1):
+        assert "table" not in vars(x.degeneracy(2, k)), k
+
+
 @pytest.mark.parametrize("G, H", [
     ("sym:3", "sym:2"), ("sym:3", "trivial"), ("sym:4", "sym:2"),
     ("sym:4", "young:2+2"), ("dihedral:4", "trivial"),
