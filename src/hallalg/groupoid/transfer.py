@@ -6,7 +6,8 @@ homotopy fiber of f, weighting each fiber component by 1/#Aut; by
 orbit-stabiliser that integral is the closed formula
 (f_! psi)([b]) = sum over [a] with f a ≅ b of psi([a]) |Aut b| / |Aut a|,
 so no fiber product is built.  pull_push_table gives the pull-push of
-every pair of delta functions along a span in one pass over its apex.
+every pair of delta functions along a span in one pass over its apex, keyed
+in the caller's labels, so that the span's table is a structure table.
 Pushforward along a faithful functor preserves integrality.  A function on
 the wrong groupoid is a ValueError.
 """
@@ -97,24 +98,27 @@ def pushforward_fn(f: Functor, psi: SpanFn) -> SpanFn:
     return SpanFn(tgt, dict(sorted(vals.items())))
 
 
-def pull_push_table(left: Functor, right: Functor, middle: Functor) -> dict:
+def pull_push_table(left: Functor, right: Functor, middle: Functor,
+                    labels) -> dict:
     """Pull-push of delta_a x delta_b along the span
     left.tgt x right.tgt <- S -> middle.tgt, for every pair of components
     (a, b) that S reaches, in one pass over the components of the apex S:
     the component [x] adds |Aut(middle x)| / |Aut x| (pushforward_fn's
-    weight) at [middle x] to the pair ([left x], [right x]).  Returns
-    {(a, b): {c: value}} keyed by component index; a pair S misses has no
-    row."""
+    weight) at [middle x] to the pair ([left x], [right x]).  `labels` maps
+    the component indices of left.tgt, right.tgt and middle.tgt to the
+    caller's keys, a list or a dict each; returns {(a, b): {c: value}} in
+    those keys.  A pair S misses has no row."""
     if left.src is not middle.src or right.src is not middle.src:
         raise ValueError(f"span legs {left.name}, {right.name} and "
                          f"{middle.name} must share their apex")
     A, B, C = left.tgt, right.tgt, middle.tgt
-    auts = [c.aut_order for c in C.components()]
+    la, lb, lc = labels
+    auts = {lc[c.index]: c.aut_order for c in C.components()}
     table = {}
     for x in middle.src.components():
-        row = table.setdefault((A.component_of(left.on_obj(x.rep)),
-                                B.component_of(right.on_obj(x.rep))), {})
-        c = C.component_of(middle.on_obj(x.rep))
+        row = table.setdefault((la[A.component_of(left.on_obj(x.rep))],
+                                lb[B.component_of(right.on_obj(x.rep))]), {})
+        c = lc[C.component_of(middle.on_obj(x.rep))]
         row[c] = row.get(c, 0) + Fraction(auts[c], x.aut_order)
     return table
 

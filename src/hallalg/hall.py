@@ -10,17 +10,17 @@ Counting subobjects is the oracle for these in the tests (for F_1[G]
 abelian p-groups a subgroup listing in `tests/oracles`).  A second,
 independent route computes the same product by pull-push through the
 degree-2 flag groupoids, reading the span's table in one pass over X_2
-(`pull_push_table`); both routes are compared in the tests and the
-acceptance suite.
+(`pull_push_table`), keyed by the classes of X_1; both routes are compared
+in the tests and the acceptance suite.
 
-The table is a `StructureTable` (`hallalg.structure`), as the Hecke tables
-are, so its product and its associativity and unit check are theirs.  It
-has a row (N, L) exactly when size N + size L is within the bound: a
-product past the bound has no row, and the check skips a triple that needs
-one.
+Both tables are `StructureTable`s (`hallalg.structure`), as the Hecke
+tables are, so their products, key checks and truncation errors, and the
+associativity and unit check, are theirs.  Each has a row (N, L) exactly
+when size N + size L is within the bound: a product past the bound has no
+row, and the check skips a triple that needs one.
 """
 
-from . import BudgetExceededError, UsageError
+from . import BudgetExceededError
 from .groupoid import pull_push_table
 from .groupoid.core import DEFAULT_OBJECT_BUDGET
 from .protoab import F1FreeG, ProtoAbelianInstance
@@ -79,42 +79,26 @@ def hall_product(table: HallTable, f: dict, g: dict) -> dict:
 def hall_product_via_span(inst: ProtoAbelianInstance, bound, f: dict,
                           g: dict, simplicial=None) -> dict:
     """The same product computed by pull-push along
-    X_1 x X_1 <- X_2 -> X_1 in the degree-2 flag groupoid."""
+    X_1 x X_1 <- X_2 -> X_1 in the degree-2 flag groupoid: the span's table,
+    keyed by the class A_01 of each component of X_1 and truncated to the
+    rows with size N + size L within `bound` as the HallTable is, is a
+    StructureTable, and the product is its product."""
     from .waldhausen.sconstruction import s_construction
     x = simplicial if simplicial is not None else \
-        s_construction(inst, depth=2, bound=bound)
+        s_construction(inst, depth=2)
     x1 = x.levels[1]
-    d0, d1, d2 = x.face(2, 0), x.face(2, 1), x.face(2, 2)
-    # the class A_01 of each component of X_1, and its component
     keys = [x1.objects[c.rep].entries[(0, 1)] for c in x1.components()]
-    comp = {key: i for i, key in enumerate(keys)}
-    for key in list(f) + list(g):
-        if key not in comp:
-            raise UsageError(f"class {key!r} outside the flag groupoid X_1")
-    top = max(map(inst.size_of, keys))
-    for n in f:
-        for l in g:
-            size = inst.size_of(n) + inst.size_of(l)
-            if size > top:
-                raise BudgetExceededError(
-                    f"product of sizes {size} exceeds the bound {top} of X_1")
-    fa = {comp[k]: c for k, c in f.items()}
-    gb = {comp[k]: c for k, c in g.items()}
-    out = {}
-    for (a, b), row in pull_push_table(d0, d2, d1).items():
-        w = fa.get(a, 0) * gb.get(b, 0)
-        for c, v in row.items():
-            out[c] = out.get(c, 0) + w * v
-    result = {}
-    for comp_idx, v in sorted(out.items()):
-        if not v:
-            continue
-        key = keys[comp_idx]
+    size = inst.size_of
+    table = StructureTable({
+        (n, l): row for (n, l), row in pull_push_table(
+            x.face(2, 0), x.face(2, 2), x.face(2, 1), (keys,) * 3).items()
+        if size(n) + size(l) <= bound})
+    result = table.product(f, g)
+    for key, v in result.items():
         if v.denominator != 1:
             raise ArithmeticError(f"non-integral Hall constant {v} at "
                                   f"class {key!r}")
-        result[key] = int(v)
-    return result
+    return {key: int(v) for key, v in result.items()}
 
 
 def check_associativity(table: HallTable):

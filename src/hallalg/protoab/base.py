@@ -52,6 +52,11 @@ class ProtoAbelianInstance:
     def monos(self, x, y) -> list:
         raise NotImplementedError
 
+    def mono_count(self, x, y) -> int:
+        """The number of monos x >-> y; a family with a closed form
+        overrides this listing."""
+        return len(self.monos(x, y))
+
     def epis(self, x, y) -> list:
         raise NotImplementedError
 

@@ -9,7 +9,7 @@ decompositions into G-stable subsets.
 """
 
 from itertools import permutations
-from math import comb
+from math import comb, perm
 
 from .. import UsageError
 from ..groups import FiniteGroup
@@ -61,6 +61,11 @@ class F1FreeG(ProtoAbelianInstance):
         if x > y:
             return []
         return self._injections(x, y)
+
+    def mono_count(self, x, y):
+        """An injection of the x basis orbits into the y, with a twist in G
+        for each: y!/(y-x)! |G|^x."""
+        return perm(y, x) * self.G.order ** x
 
     def epis(self, x, y):
         if x < y:

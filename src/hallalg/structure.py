@@ -7,13 +7,14 @@ from . import BudgetExceededError, UsageError
 
 
 def _product(constants, u: dict, v: dict):
-    """u.v for vectors {key: coefficient}, or None past the truncation."""
+    """u.v for vectors {key: coefficient}, or past the truncation the first
+    pair (a, b) that has no row."""
     out = {}
     for a, x in u.items():
         for b, y in v.items():
             row = constants.get((a, b))
             if row is None:
-                return None
+                return a, b
             for c, m in row.items():
                 out[c] = out.get(c, 0) + x * y * m
     return {c: m for c, m in out.items() if m}
@@ -36,8 +37,9 @@ class StructureTable:
                 if key not in basis:
                     raise UsageError(f"class {key!r} outside the table basis")
         out = _product(self.constants, u, v)
-        if out is None:
-            raise BudgetExceededError("product past the table's truncation")
+        if isinstance(out, tuple):
+            raise BudgetExceededError(f"product of {out[0]!r} and {out[1]!r} "
+                                      f"is past the table's truncation")
         return out
 
 
@@ -62,7 +64,7 @@ def check_action(alg: StructureTable, mod: StructureTable, unit):
             if bv is None:
                 continue
             lhs, rhs = _product(act, ab, {v: 1}), _product(act, {a: 1}, bv)
-            if None not in (lhs, rhs) and lhs != rhs:
+            if isinstance(lhs, dict) and isinstance(rhs, dict) and lhs != rhs:
                 return False, {"triple": (str(a), str(b), str(v)),
                                "lhs": {str(c): m for c, m in lhs.items()},
                                "rhs": {str(c): m for c, m in rhs.items()}}

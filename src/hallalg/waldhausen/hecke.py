@@ -59,8 +59,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import (ActionGroupoid, Functor, GMap, is_faithful,
-                        pull_push_table)
+from ..groupoid import ActionGroupoid, GMap, is_faithful, pull_push_table
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
 from ..structure import StructureTable, check_action, check_algebra
@@ -379,22 +378,6 @@ def _json_rows(constants, b_name, row_name):
             for (a, b), row in sorted(constants.items())]
 
 
-def _pull_push_table(left: Functor, right: Functor, middle: Functor,
-                     basis_a: DoubleCosets, basis_b: DoubleCosets):
-    """pull_push_table of the span, for all component pairs (a, b), in
-    basis positions (a pair the apex misses has an empty row), and whether
-    it is integral."""
-    sa, sb = basis_a.slot, basis_b.slot
-    sums = pull_push_table(left, right, middle)
-    table = {(pa, pb): {} for pa in sa.values() for pb in sb.values()}
-    for (a, b), row in sums.items():
-        table[(sa[a], sb[b])] = {c: _exact(v) for c, v in sorted(
-            (sb[c], v) for c, v in row.items())}
-    integral = all(v.denominator == 1 for row in sums.values()
-                   for v in row.values())
-    return table, integral
-
-
 def _convolution_table(G, H, left: DoubleCosets, right: DoubleCosets):
     """(f*v)(x) = (1/|H|) sum_y f(y) v(y^-1 x) on double coset indicators,
     evaluated at each representative x of the right basis: one pass over G
@@ -486,10 +469,13 @@ class HeckeModule(StructureTable):
 
         middle = face(y1, y0, 1)
         self.extremal_faithful = is_faithful(middle)
-        constants, self.integral = _pull_push_table(
-            face(y1, algebra.x1, 0), face(y1, y0, 2), middle,
-            algebra.double_cosets, self.double_cosets)
-        super().__init__(constants)
+        slots = (algebra.double_cosets.slot,) + (self.double_cosets.slot,) * 2
+        sums = pull_push_table(face(y1, algebra.x1, 0), face(y1, y0, 2),
+                               middle, slots)
+        self.integral = all(v.denominator == 1 for row in sums.values()
+                            for v in row.values())
+        super().__init__({ab: {c: _exact(v) for c, v in sorted(row.items())}
+                          for ab, row in sorted(sums.items())})
 
     @cached_property
     def oracle_agrees(self):

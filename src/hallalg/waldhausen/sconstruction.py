@@ -20,11 +20,13 @@ row r = (A_01 >-> ... >-> A_0n) up to a unique isomorphism that fixes row
 0: A_ij is the cokernel of A_0i >-> A_0j, each square being a pushout.  So
 the triangles over r are one free orbit of
 K+(r) = prod_{1 <= i < j <= n} Aut(A_ij), and level n has the closed count
-sum_r prod_{i < j} |Aut(A_0j / A_0i)| of objects.  A level lists its first
-rows, checks that count against the budget (its one budget rule) before it
-builds any completion, completes each row once by a search that checks
-every square as it closes, and transports that completion by every element
-of K+(r).  Each group prod Aut(A_ij) is taken from its factors, unlisted.
+sum_r prod_{i < j} |Aut(A_0j / A_0i)| of objects.  A level counts its
+first rows from the instance's `mono_count` and refuses them over the
+budget before it lists any mono, lists them, checks the closed count
+against the budget before it builds any completion, completes each row
+once by a search that checks every square as it closes, and transports
+that completion by every element of K+(r).  Each group prod Aut(A_ij) is
+taken from its factors, unlisted.
 
 Faces and degeneracies by position plans.  A face or degeneracy sends
 entry (a, b) of a triangle to an entry of its image, or to a zero entry,
@@ -102,13 +104,6 @@ class Triangle(tuple):
         return f"Triangle(n={self.n}, {self.entries})"
 
 
-def _classes(inst, bound):
-    classes = inst.iso_classes()
-    if bound is None:
-        return classes
-    return [c for c in classes if inst.size_of(c) <= bound]
-
-
 def _unique(maps, what):
     if len(maps) != 1:
         raise ValueError(f"expected exactly one {what}, found {len(maps)}")
@@ -137,19 +132,24 @@ def _square_ok(inst, entries, rmono, cepi, i, j):
     return inst.square_bicartesian(m, p, q, jm)
 
 
-def _first_rows(inst, n, classes, budget, name):
-    """The chains A_01 >-> ... >-> A_0n of monos between `classes`, as
-    (entries, monos).  Each row has at least one triangle, so partial rows
-    more than the budget are refused, counted before they are listed."""
-    rows = [((), ())] if n == 0 else [((c,), ()) for c in classes]
+def _first_rows(inst, n, budget, name):
+    """The chains A_01 >-> ... >-> A_0n of monos between the instance's
+    classes, as (entries, monos).  Each row has at least one triangle, so
+    partial rows more than the budget are refused.  The rows up to each
+    A_0j are counted by class from `mono_count`, for every j, before any
+    mono is listed."""
+    classes = inst.iso_classes()
+    ending = dict.fromkeys(classes, 1)
     for j in range(2, n + 1):
-        out = {a: sum(len(inst.monos(a, c)) for c in classes)
-               for a in classes}
-        count = sum(out[ent[-1]] for ent, _ in rows)
+        ending = {c: sum(k * inst.mono_count(a, c) for a, k in ending.items())
+                  for c in classes}
+        count = sum(ending.values())
         if count > budget:
             raise BudgetExceededError(
                 f"level {name}: {count} first rows up to A_0{j} already "
                 f"exceed the budget of {budget} triangles")
+    rows = [((), ())] if n == 0 else [((c,), ()) for c in classes]
+    for _ in range(2, n + 1):
         rows = [(ent + (c,), monos + (m,)) for ent, monos in rows
                 for c in classes for m in inst.monos(ent[-1], c)]
     return rows
@@ -223,7 +223,7 @@ class TriangleGroupoid(ActionGroupoid):
     `closed_count` keeps the count.  The transversal is the first triangle
     built over each first row, which meets every orbit."""
 
-    def __init__(self, inst, n, bound=None, budget=DEFAULT_TRIANGLE_BUDGET):
+    def __init__(self, inst, n, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
         self.level = n
         pairs, rkeys, ckeys = _layout(n)
@@ -232,7 +232,7 @@ class TriangleGroupoid(ActionGroupoid):
         self._rpos = [(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
         self._cpos = [(pos[a + 1, b], pos[a, b]) for a, b in ckeys]
         name = f"S_{n}({inst.family})"
-        rows = _first_rows(inst, n, _classes(inst, bound), budget, name)
+        rows = _first_rows(inst, n, budget, name)
         quotient = {}
         entries = [_entries(inst, row, quotient) for row in rows]
         aut_order = {c: inst.aut_order(c) for e in set(entries) for c in e}
@@ -379,14 +379,15 @@ def _simplicial_map(inst, src, tgt, k, is_face):
                 fill=inst.identity(zero))
 
 
-def s_construction(inst: ProtoAbelianInstance, depth: int = 3, bound=None,
+def s_construction(inst: ProtoAbelianInstance, depth: int = 3,
                    budget=DEFAULT_TRIANGLE_BUDGET) -> TruncatedSimplicialGroupoid:
-    """Levels 0..depth of the flag simplicial groupoid of the instance.  The
+    """Levels 0..depth of the flag simplicial groupoid of the instance, over
+    all of its classes: the instance's own bound is the truncation.  The
     top level, the largest, is built first, so that its budget checks come
     before any completion."""
     if not 0 <= depth <= 3:
         raise UsageError(f"S-construction depth {depth} is outside 0..3")
-    levels = [TriangleGroupoid(inst, n, bound=bound, budget=budget)
+    levels = [TriangleGroupoid(inst, n, budget=budget)
               for n in range(depth, -1, -1)][::-1]
     faces = {(n, k): _simplicial_map(inst, levels[n], levels[n - 1], k, True)
              for n in range(1, depth + 1) for k in range(n + 1)}

@@ -13,9 +13,9 @@ from hallalg import BudgetExceededError
 from hallalg.groupoid import ActionGroupoid, FnFunctor, b_group
 from hallalg.groups import TupleGroup
 from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
-                                              Triangle, _classes,
-                                              _epi_to_zero, _layout,
-                                              _mono_from_zero, _square_ok)
+                                              Triangle, _epi_to_zero,
+                                              _layout, _mono_from_zero,
+                                              _square_ok)
 from oracles.groupoid import DisjointUnion
 
 
@@ -27,12 +27,11 @@ def _triangle(n, entries, rmono, cepi):
                     tuple(cepi[p] for p in ckeys))
 
 
-def enumerate_triangles(inst, n: int, bound=None,
-                        budget=DEFAULT_TRIANGLE_BUDGET):
-    """All valid degree-n triangles with size(A_0n) <= bound, by a search
-    over every class, epi and mono at each entry, with every square checked
-    once the triangle closes."""
-    classes = _classes(inst, bound)
+def enumerate_triangles(inst, n: int, budget=DEFAULT_TRIANGLE_BUDGET):
+    """All valid degree-n triangles, by a search over every class, epi and
+    mono at each entry, with every square checked once the triangle
+    closes."""
+    classes = inst.iso_classes()
     if n == 0:
         return [_triangle(0, {}, {}, {})]
 

@@ -7,6 +7,7 @@ from hallalg.groups import cyclic_group, symmetric_group, trivial_group
 from hallalg.hall import (check_associativity, divided_powers_iso_check,
                           hall_constants, hall_product, hall_product_via_span)
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
+from hallalg.waldhausen import s_construction
 from oracles.protoab import subobject_types
 
 
@@ -99,20 +100,72 @@ def test_route_equivalence_small():
     assert hall_product_via_span(f1, 2, {0: 1}, {0: 1}) == {0: 1}
 
 
+def _raised(error, call):
+    with pytest.raises(error) as exc:
+        call()
+    return str(exc.value)
+
+
 def test_span_route_refuses_what_the_table_refuses():
-    # F1[C2] at bound 2: a class outside X_1, and a product past the bound
+    # F1[C2] at bound 2: a class outside X_1, and a product past the bound;
+    # both routes are StructureTable products and raise the same text
     inst = F1FreeG(cyclic_group(2), 2)
     table = hall_constants(inst)
-    for f, g in (({3: 1}, {0: 1}), ({0: 1}, {3: 1})):
-        with pytest.raises(UsageError):
-            hall_product(table, f, g)
-        with pytest.raises(UsageError, match="class 3 outside"):
-            hall_product_via_span(inst, 2, f, g)
-    for f, g in (({2: 1}, {1: 1}), ({1: 1}, {2: 0})):
-        with pytest.raises(BudgetExceededError):
-            hall_product(table, f, g)
-        with pytest.raises(BudgetExceededError, match="sizes 3 exceeds"):
-            hall_product_via_span(inst, 2, f, g)
+    for f, g, error, text in (
+            ({3: 1}, {0: 1}, UsageError, "class 3 outside the table basis"),
+            ({0: 1}, {3: 1}, UsageError, "class 3 outside the table basis"),
+            ({2: 1}, {1: 1}, BudgetExceededError,
+             "product of 2 and 1 is past the table's truncation"),
+            ({1: 1}, {2: 0}, BudgetExceededError,
+             "product of 1 and 2 is past the table's truncation")):
+        assert _raised(error, lambda: hall_product(table, f, g)) == text
+        assert _raised(error, lambda: hall_product_via_span(
+            inst, 2, f, g)) == text
+
+
+SPAN_INSTANCES = {
+    "f1-c2-2": lambda: F1FreeG(cyclic_group(2), 2),
+    "f1-s3-2": lambda: F1FreeG(symmetric_group(3), 2),
+    "ab-p-3-9": lambda: AbelianPGroups(3, 9),
+    "vect-f3-2": lambda: VectFq(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", SPAN_INSTANCES)
+def test_span_route_matches_the_table_on_every_basis_pair(name):
+    # a pair within the bound has the same product, and a pair past it the
+    # same refusal
+    inst = SPAN_INSTANCES[name]()
+    table = hall_constants(inst)
+    x = s_construction(inst, depth=2)
+    bound = max(map(inst.size_of, table.basis))
+    for a in table.basis:
+        for b in table.basis:
+            f, g = {a: 1}, {b: 1}
+
+            def span():
+                return hall_product_via_span(inst, bound, f, g, simplicial=x)
+
+            if inst.size_of(a) + inst.size_of(b) <= bound:
+                assert span() == hall_product(table, f, g), (a, b)
+            else:
+                assert _raised(BudgetExceededError, span) == _raised(
+                    BudgetExceededError, lambda: hall_product(table, f, g))
+
+
+def test_span_route_below_the_instance_bound():
+    # F1[C2] to rank 2 read at bound 1: rank 2 is outside the table, and
+    # 1 + 1 past its truncation, as in the table of F1[C2] to rank 1
+    inst = F1FreeG(cyclic_group(2), 2)
+    for f, g in (({2: 1}, {0: 1}), ({0: 1}, {2: 1})):
+        with pytest.raises(UsageError, match="class 2 outside"):
+            hall_product_via_span(inst, 1, f, g)
+    with pytest.raises(BudgetExceededError, match="product of 1 and 1 is"):
+        hall_product_via_span(inst, 1, {1: 1}, {1: 1})
+    small = hall_constants(F1FreeG(cyclic_group(2), 1))
+    for a, b in ((0, 0), (0, 1), (1, 0)):
+        assert hall_product_via_span(inst, 1, {a: 1}, {b: 1}) == \
+            hall_product(small, {a: 1}, {b: 1})
 
 
 def test_table_json(table_vf2):

@@ -181,3 +181,8 @@ def test_one_pass_convolution_matches_membership_tests(g, h, p):
         want, left, right = membership_convolution(G, H, mod.P)
         assert (left, right) == (alg.basis, mod.basis)
         assert mod.convolution_action() == want == mod.constants
+        # for a double coset a and a basis element v, pick x_1 with
+        # [P, x_1 H] = v and x_2 = x_1 a: the apex object (P, x_1 H, x_2 H)
+        # reaches (a, v), so the pull-push table has every row
+        assert list(mod.constants) == [(a, v) for a in range(len(left))
+                                       for v in range(len(right))]

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from hallalg.groups import cyclic_group, trivial_group
+from hallalg.groups import cyclic_group, symmetric_group, trivial_group
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq, make_instance
 from hallalg.waldhausen.sconstruction import TriangleGroupoid
 from oracles.protoab import (classify_sub, count_ses, subgroups,
@@ -202,6 +202,22 @@ def test_abelian_isos_monos_epis_match_brute_force(p, bound):
                 assert inst.monos(x, y) == injective
                 assert inst.epis(x, y) == surjective
                 assert inst.isos(x, y) == (injective if x == y else [])
+
+
+MONO_COUNT_INSTANCES = {
+    "vect-f2-4": lambda: VectFq(2, 4),
+    "vect-f3-3": lambda: VectFq(3, 3),
+    "f1-c2-3": lambda: F1FreeG(cyclic_group(2), 3),
+    "f1-s3-3": lambda: F1FreeG(symmetric_group(3), 3),
+}
+
+
+@pytest.mark.parametrize("name", MONO_COUNT_INSTANCES)
+def test_mono_count_closed_forms_match_the_listing(name):
+    inst = MONO_COUNT_INSTANCES[name]()
+    for x in inst.iso_classes():
+        for y in inst.iso_classes():
+            assert inst.mono_count(x, y) == len(inst.monos(x, y)), (x, y)
 
 
 @pytest.mark.parametrize("inst", [

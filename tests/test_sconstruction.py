@@ -147,6 +147,20 @@ def test_the_closed_count_is_refused_before_any_completion(monkeypatch):
         TriangleGroupoid(VectFq(2, 2), 3, budget=10)
 
 
+def test_first_rows_are_refused_before_any_mono_is_listed(monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("no hom may be listed")
+
+    monkeypatch.setattr(AbelianPGroups, "_homs", not_reached)
+    # Vect F2 to dimension 4: 23,137 first rows up to A_02, then
+    # 462,373,581 up to A_03, counted from the closed mono counts
+    with pytest.raises(BudgetExceededError,
+                       match=r"level S_3\(vect-fq\): 462373581 first rows up "
+                             r"to A_03 already exceed the budget of 200000 "
+                             r"triangles"):
+        s_construction(VectFq(2, 4), depth=3)
+
+
 class NoSquareFromDim2(VectFq):
     """Vect F2 with every square whose column epi leaves dimension 2
     declared not bicartesian."""
