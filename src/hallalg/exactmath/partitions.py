@@ -5,8 +5,9 @@ partition is ().  The canonical order on partitions of equal size is
 decreasing lexicographic, so all emitted tables are byte-stable.
 """
 
+from collections import Counter
 from functools import cache
-from math import comb
+from math import comb, prod
 
 Partition = tuple  # weakly decreasing tuple of positive ints
 
@@ -51,6 +52,34 @@ def q_binomial(m: int, k: int, q: int) -> int:
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+def automorphism_count(lam: Partition, q: int) -> int:
+    """|Aut| of the module of type lam over a discrete valuation ring with
+    residue field of size q, prod_i Z/p^lam_i at q = p:
+    q^(sum_j lam'_j^2) prod_i phi_(m_i)(1/q), phi_m(t) = (1-t)...(1-t^m),
+    m_i the multiplicity of the part i (Macdonald, Symmetric Functions and
+    Hall Polynomials, II (1.6)).  Each factor 1 - q^-r is (q^r - 1) / q^r,
+    so the powers of q are gathered into one integer exponent."""
+    mult = Counter(lam).values()
+    power = (sum(c * c for c in conjugate(lam))
+             - sum(m * (m + 1) // 2 for m in mult))
+    return q ** power * prod(q ** r - 1 for m in mult for r in range(1, m + 1))
+
+
+def subgroup_count(lam: Partition, mu: Partition, q: int) -> int:
+    """alpha_lam(mu; q), the number of submodules of type mu in the module of
+    type lam (Birkhoff, Proc. LMS 38, 1935):
+    prod_i q^(mu'_(i+1) (lam'_i - mu'_i))
+    [lam'_i - mu'_(i+1) choose mu'_i - mu'_(i+1)]_q; 0 unless mu is
+    contained in lam, which is tested first, so that no power is negative."""
+    lc, mc = conjugate(lam), conjugate(mu)
+    if len(mc) > len(lc) or any(m > l for l, m in zip(lc, mc)):
+        return 0
+    mc += (0,) * (len(lc) - len(mc) + 1)
+    return prod(q ** (mc[i + 1] * (l - mc[i]))
+                * q_binomial(l - mc[i + 1], mc[i] - mc[i + 1], q)
+                for i, l in enumerate(lc))
 
 
 @cache

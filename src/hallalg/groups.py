@@ -25,7 +25,7 @@ from . import BudgetExceededError, UsageError
 
 
 class FiniteGroup:
-    _classes = _gens = None     # conjugacy classes and generators, when found
+    _gens = None         # the generators, when found
     subgroup_of = None   # the group whose subgroup() made this one
 
     def __init__(self, elements, op, name="G", check=True):
@@ -160,27 +160,6 @@ class FiniteGroup:
         sub = FiniteGroup(elems, self._op, name=name, check=False)
         sub.subgroup_of = self
         return sub
-
-    def conjugacy_classes(self):
-        """Classes as tuples of tokens, ordered by smallest element index."""
-        if self._classes is None:
-            seen = set()
-            classes = []
-            for e in self.elements:
-                if e in seen:
-                    continue
-                cls = {self._op(self._op(g, e), self.inv(g))
-                       for g in self.elements}
-                seen |= cls
-                classes.append(tuple(sorted(cls, key=self.index.__getitem__)))
-            self._classes = classes
-        return self._classes
-
-    def class_index_of(self, e):
-        for i, cls in enumerate(self.conjugacy_classes()):
-            if e in cls:
-                return i
-        raise KeyError(e)
 
     @classmethod
     def from_cayley(cls, data, name="G"):

@@ -3,22 +3,26 @@
 The object of type lam is prod_i Z/p^lam_i with elements stored as tuples;
 a homomorphism is the tuple of images of the standard generators e_i (each
 of order dividing p^lam_i).  Hall constants are Hall polynomials
-(`exactmath.halllittlewood`).  A quotient is classified by counting
-p^k-torsion, which the S-construction's triangles use; listing the
-subgroups, the oracle for the Hall constants, is left to the tests.
+(`exactmath.halllittlewood`); |Aut lam| and the number of monos mu >-> lam,
+|Aut mu| times Birkhoff's count alpha_lam(mu; p) of the subgroups of type
+mu, are closed forms (`exactmath.partitions`), so no count lists maps.  A
+quotient M/U, which the S-construction's triangles use, is classified by
+its p^k-torsion, #{x : p^k x in U} / |U| for each k; listing the
+subgroups, the oracle for the Hall constants and the counts, is left to
+the tests.
 
 Every method reads the type of an object through `_type(key)` and names a
 type through `_key(lam)`.  Both are the identity here; `VectFq` keys the
 elementary abelian types (1^d) by d.
 """
 
-from collections import Counter
-from itertools import accumulate, product as iproduct
+from itertools import product as iproduct
 from math import log
 from operator import mul
 
 from .. import UsageError
-from ..exactmath.partitions import check_partition, conjugate, partitions_of
+from ..exactmath.partitions import (automorphism_count, check_partition,
+                                    conjugate, partitions_of, subgroup_count)
 from .base import ProtoAbelianInstance
 
 
@@ -29,8 +33,7 @@ def is_prime(n: int) -> bool:
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
     _cached = ("elements", "_homs", "_homs_with_image", "isos", "monos",
-               "epis", "compose", "image_sub", "preimage_sub", "_mods",
-               "_torsion")
+               "epis", "compose", "image_sub", "preimage_sub", "_mods")
 
     def __init__(self, p: int, order_bound: int):
         if not is_prime(p):
@@ -97,6 +100,14 @@ class AbelianPGroups(ProtoAbelianInstance):
         return [f for f in self._homs(x, y)
                 if len({self.apply(f, a) for a in elems}) == full]
 
+    def aut_order(self, key):
+        return automorphism_count(self._type(key), self.p)
+
+    def mono_count(self, x, y):
+        """|Aut x| times the number of subgroups of y of x's type."""
+        return (self.aut_order(x)
+                * subgroup_count(self._type(y), self._type(x), self.p))
+
     def isos(self, x, y):
         return self._homs_with_image(x, y, self.size_of(x)) if x == y else []
 
@@ -151,41 +162,18 @@ class AbelianPGroups(ProtoAbelianInstance):
                              f"abelian {self.p}-group")
         return conjugate(tuple(conj))
 
-    def _torsion(self, m):
-        """(order, height, kernel) for M of type m: order[x] is the least k
-        with p^k x = 0, height[x] the largest k <= max(m) with x in p^k M,
-        and kernel[k] = |M[p^k]| for k <= max(m).  The multiples p^k x of
-        each element are computed once, for all k."""
-        lam, mods = self._type(m), self._mods(m)
-        maxk = max(lam) if lam else 0
-        zero = tuple([0] * len(lam))
-        elems = self.elements(m)
-        order, height = {}, dict.fromkeys(elems, 0)
-        for x in elems:
-            y, k = x, 0
-            while y != zero:
-                y = tuple(self.p * v % n for v, n in zip(y, mods))
-                k += 1
-                height[y] = max(height[y], k)
-            order[x] = k
-        height[zero] = maxk
-        per = Counter(order.values())
-        return order, height, list(accumulate(per[k]
-                                              for k in range(maxk + 1)))
-
     def classify_quot(self, m, u):
-        # #{x : p^k x in u} = |M[p^k]| * |u meet p^k M|, since x -> p^k x
-        # is a homomorphism onto p^k M
-        _, height, kernel = self._torsion(m)
-        per = Counter(height[y] for y in u)
-        above = list(accumulate(per[k] for k in reversed(range(len(kernel)))))
-        counts = []
-        for k, size in enumerate(kernel):
-            hits = size * above[-1 - k]
-            if hits % len(u):
-                raise ValueError(f"classify_quot: {sorted(u)} is not a "
-                                 f"subgroup of type {m}")
-            counts.append(hits // len(u))
+        # counts[k] = #{x : p^k x in u} / |u|, the p^k-torsion of M/u
+        lam, mods = self._type(m), self._mods(m)
+        hits = [0] * ((max(lam) if lam else 0) + 1)
+        for x in self.elements(m):
+            for k in range(len(hits)):
+                hits[k] += x in u
+                x = tuple([self.p * v % n for v, n in zip(x, mods)])
+        if any(h % len(u) for h in hits):
+            raise ValueError(f"classify_quot: {sorted(u)} is not a "
+                             f"subgroup of type {m}")
+        counts = [h // len(u) for h in hits]
         return self._key(self._type_from_torsion_counts(counts))
 
     def image_sub(self, f):

@@ -2,9 +2,11 @@
 
 Concrete objects are the canonical keys themselves (one skeletal object per
 iso class); maps are hashable triples (src_key, tgt_key, data).  Each
-instance supplies object/map enumeration, images and preimages of
-subobjects, and classification of quotients; short exact structure and
-bicartesian squares are derived here uniformly:
+instance supplies object/map enumeration, the closed counts of
+automorphisms, monos and Hall constants (no count lists maps), images and
+preimages of subobjects, and classification of quotients; this class only
+declares them.  Short exact structure and bicartesian squares are derived
+here uniformly:
 
 A commuting square  A >-i-> B, epis A -p->> C, B -q->> D, mono C >-j-> D
 is bicartesian iff im(i) = q^-1(im(j)); the boundary squares with C = 0
@@ -44,7 +46,7 @@ class ProtoAbelianInstance:
         raise NotImplementedError
 
     def aut_order(self, key) -> int:
-        return len(self.isos(key, key))
+        raise NotImplementedError
 
     def isos(self, x, y) -> list:
         raise NotImplementedError
@@ -53,9 +55,8 @@ class ProtoAbelianInstance:
         raise NotImplementedError
 
     def mono_count(self, x, y) -> int:
-        """The number of monos x >-> y; a family with a closed form
-        overrides this listing."""
-        return len(self.monos(x, y))
+        """The number of monos x >-> y, from the family's closed form."""
+        raise NotImplementedError
 
     def epis(self, x, y) -> list:
         raise NotImplementedError

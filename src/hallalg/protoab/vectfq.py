@@ -4,11 +4,11 @@ F_q^d is the elementary abelian q-group of type (1^d), so this is the
 `AbelianPGroups` implementation with p = q, its objects keyed by the
 dimension d through the `_type` and `_key` hooks: maps are the tuples of
 images of the standard basis vectors, and subobjects are subspaces stored as
-frozensets of vectors.  Only the classes, the closed count of monos and the
-Hall constants, Gaussian binomials, are its own.
+frozensets of vectors.  The closed counts of automorphisms and monos,
+|Aut (1^a)| and prod_{i<a} (q^b - q^i) at the types (1^a) and (1^b), are
+ab-p-groups' too; only the classes and the Hall constants, Gaussian
+binomials, are its own.
 """
-
-from math import prod
 
 from .. import UsageError
 from ..exactmath.partitions import q_binomial
@@ -44,11 +44,6 @@ class VectFq(AbelianPGroups):
 
     def zero_key(self):
         return 0
-
-    def mono_count(self, x, y):
-        """The injective linear maps F_q^x -> F_q^y,
-        prod_{i<x} (q^y - q^i)."""
-        return prod(self.q ** y - self.q ** i for i in range(x))
 
     def hall_constant(self, n, l, m):
         """The Gaussian binomial [m choose l]_q."""

@@ -26,7 +26,8 @@ budget before it lists any mono, lists them, checks the closed count
 against the budget before it builds any completion, completes each row
 once by a search that checks every square as it closes, and transports
 that completion by every element of K+(r).  Each group prod Aut(A_ij) is
-taken from its factors, unlisted.
+taken from its factors, unlisted; each factor Aut(A) is listed, and its
+order must be the closed `aut_order` that the budget read.
 
 Faces and degeneracies by position plans.  A face or degeneracy sends
 entry (a, b) of a triangle to an entry of its image, or to a zero entry,
@@ -59,8 +60,9 @@ DEFAULT_TRIANGLE_BUDGET = 200_000
 
 class TriangleCompletionError(ValueError):
     """The triangles over a first row are not one free orbit: no map closes
-    some square, or two automorphisms give the same triangle.  Neither
-    happens in a proto-abelian category."""
+    some square, or two automorphisms give the same triangle; or the closed
+    count of a class's automorphisms is not the order of its listed group.
+    None of these happens in a proto-abelian category."""
 
 
 @cache
@@ -244,6 +246,12 @@ class TriangleGroupoid(ActionGroupoid):
                 f"level {name}: {self.closed_count} triangles over "
                 f"{len(rows)} first rows (the closed count), over the "
                 f"budget of {budget}")
+        for c, order in aut_order.items():
+            listed = inst.aut_group(c).order
+            if listed != order:
+                raise TriangleCompletionError(
+                    f"level {name}: Aut({c!r}) lists {listed} elements, but "
+                    f"its closed count is {order}")
         groups = {e: TupleGroup([inst.aut_group(c) for c in e], f"Aut{e}")
                   for e in dict.fromkeys(entries)}
         objects, self._group_of, index, firsts = [], [], {}, []

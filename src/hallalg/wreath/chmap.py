@@ -141,17 +141,16 @@ class WreathCharacterTable:
         self.G, self.n = G, n
         self.e = G.exponent()
         self.order = wreath_order(G, n, budget)
-        self.dual = abelian_dual(G)
+        self.dual = chars = abelian_dual(G)
         k = G.order
-        reps = [G.index[cls[0]] for cls in G.conjugacy_classes()]
-        chars = [[vec[i] for i in reps] for vec in self.dual]
 
-        # classes of G and linear characters are both range(k)
+        # G is abelian, so its classes are its elements, numbered as in
+        # G.elements; classes and linear characters are both range(k)
         self.class_labels = self.irr_labels = partition_maps(n, range(k))
         self.pos = {l: i for i, l in enumerate(self.class_labels)}
         self.class_sizes = [self.order // centralizer_order(k, rho)
                             for rho in self.class_labels]
-        one = G.class_index_of(G.identity)
+        one = G.index[G.identity]
         self.identity_class = self.pos[PartitionMap(
             range(k), [(1,) * n if c == one else () for c in range(k)])]
 

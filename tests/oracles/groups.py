@@ -3,7 +3,10 @@ in `FiniteGroup`; the inverse, order, exponent and greedy generators of a
 group by walking the powers of each element on its own, the oracle of the
 one walk per cyclic subgroup in `FiniteGroup`; and Cayley tables near a
 group's: one row of a group table with two of its entries swapped, away
-from the identity, so that the identity stays two-sided."""
+from the identity, so that the identity stays two-sided.  The conjugacy
+classes of a group by conjugating each element by every element, for the
+oracles of non-abelian groups (an abelian group's classes are its
+elements)."""
 
 from math import lcm
 
@@ -80,3 +83,27 @@ def walked_generators(G):
             if len(gen_set) == G.order:
                 break
     return tuple(gens) if gens else (G.identity,)
+
+
+def conjugacy_classes(G):
+    """G's classes as tuples of tokens, ordered by smallest element index;
+    memoised in G.memo."""
+    classes = G.memo.get("conjugacy classes")
+    if classes is None:
+        seen, classes = set(), []
+        for e in G.elements:
+            if e in seen:
+                continue
+            cls = {G.op(G.op(g, e), G.inv(g)) for g in G.elements}
+            seen |= cls
+            classes.append(tuple(sorted(cls, key=G.index.__getitem__)))
+        G.memo["conjugacy classes"] = classes
+    return classes
+
+
+def class_index_of(G, e):
+    """The position of e's class in `conjugacy_classes(G)`."""
+    for i, cls in enumerate(conjugacy_classes(G)):
+        if e in cls:
+            return i
+    raise KeyError(e)

@@ -1,8 +1,8 @@
 """Counting oracles for the proto-abelian instances: short exact
 sequences by pairing every mono with every epi, and subobjects by listing
 them.  The subgroups of an abelian p-group (ab-p-groups and vect-fq) are
-listed here, one order at a time, and each is classified by counting its
-p^k-torsion; f1-free lists and classifies its own."""
+listed here, one order at a time, and each is classified by counting the
+orders of its elements; f1-free lists and classifies its own."""
 
 from collections import Counter
 from itertools import accumulate
@@ -56,9 +56,15 @@ def classify_sub(inst, m, u):
     from the numbers of its elements of each order p^k."""
     if not isinstance(inst, AbelianPGroups):
         return inst.classify_sub(m, u)
-    order, _, kernel = inst._torsion(m)
-    per = Counter(order[x] for x in u)
-    counts = list(accumulate(per[k] for k in range(len(kernel))))
+    lam, mods = inst._type(m), inst._mods(m)
+    zero = tuple([0] * len(lam))
+    per = Counter()
+    for x in u:                 # the order of x is p^k
+        k = 0
+        while x != zero:
+            x, k = tuple(inst.p * v % n for v, n in zip(x, mods)), k + 1
+        per[k] += 1
+    counts = list(accumulate(per[k] for k in range(max(lam, default=0) + 1)))
     return inst._key(inst._type_from_torsion_counts(counts))
 
 

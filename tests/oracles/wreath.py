@@ -27,6 +27,7 @@ from hallalg.wreath.characters import murnaghan_nakayama
 from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
 
 from .cyclotomic import Cyc, conjugate, dot, hermitian_gram, planes
+from .groups import class_index_of, conjugacy_classes
 
 
 def perm_cycles(p):
@@ -63,11 +64,11 @@ def wreath_class_label(G: FiniteGroup, x) -> PartitionMap:
     of sigma adds its length to the partition of the class of its cycle
     product."""
     base, sigma = x
-    k = len(G.conjugacy_classes())
+    k = len(conjugacy_classes(G))
     buckets = {i: [] for i in range(k)}
     for cycle in perm_cycles(sigma):
         g = cycle_product(G, base, cycle)
-        buckets[G.class_index_of(g)].append(len(cycle))
+        buckets[class_index_of(G, g)].append(len(cycle))
     parts = tuple(tuple(sorted(buckets[i], reverse=True)) for i in range(k))
     return PartitionMap(tuple(range(k)), parts)
 
@@ -81,7 +82,7 @@ def class_label_representative(G: FiniteGroup, n: int, label: PartitionMap):
     sigma = list(range(n))
     pos = 0
     for cls_idx, part in label.items():
-        rep = G.conjugacy_classes()[cls_idx][0]
+        rep = conjugacy_classes(G)[cls_idx][0]
         for length in part:
             for i in range(length - 1):
                 sigma[pos + i] = pos + i + 1

@@ -14,6 +14,7 @@ from hallalg.groups import (cyclic_group, klein_group, symmetric_group,
                             symmetric_subgroup, trivial_group,
                             young_subgroup)
 from oracles.exactmath import partition_maps_count
+from oracles.groups import conjugacy_classes
 
 
 @pytest.fixture(autouse=True)
@@ -267,7 +268,7 @@ def test_criterion_10_oracle_suite():
                 labels = {}
                 for w in W.elements:
                     labels.setdefault(wreath_class_label(G, w), set()).add(w)
-                classes = W.conjugacy_classes()
+                classes = conjugacy_classes(W)
                 assert len(classes) == len(labels) == \
                     partition_maps_count(n, G.order)
                 for cls in classes:

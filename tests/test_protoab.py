@@ -36,7 +36,7 @@ def test_vect_iso_classes(vf2):
 
 
 def test_vect_aut_orders(vf2):
-    assert vf2.aut_order(2) == 6          # |GL_2(F_2)| by enumeration
+    assert vf2.aut_order(2) == 6          # |GL_2(F_2)|, the closed form
     assert vf2.aut_order(0) == 1
     assert VectFq(3, 2).aut_order(2) == 48
 
@@ -209,6 +209,9 @@ MONO_COUNT_INSTANCES = {
     "vect-f3-3": lambda: VectFq(3, 3),
     "f1-c2-3": lambda: F1FreeG(cyclic_group(2), 3),
     "f1-s3-3": lambda: F1FreeG(symmetric_group(3), 3),
+    "ab-p-2-16": lambda: AbelianPGroups(2, 16),
+    "ab-p-3-27": lambda: AbelianPGroups(3, 27),
+    "ab-p-5-25": lambda: AbelianPGroups(5, 25),
 }
 
 
@@ -216,8 +219,12 @@ MONO_COUNT_INSTANCES = {
 def test_mono_count_closed_forms_match_the_listing(name):
     inst = MONO_COUNT_INSTANCES[name]()
     for x in inst.iso_classes():
+        aut = inst.aut_order(x)
+        assert type(aut) is int and aut == len(inst.isos(x, x)), x
         for y in inst.iso_classes():
-            assert inst.mono_count(x, y) == len(inst.monos(x, y)), (x, y)
+            count = inst.mono_count(x, y)
+            assert type(count) is int, (x, y, count)
+            assert count == len(inst.monos(x, y)), (x, y)
 
 
 @pytest.mark.parametrize("inst", [

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError
+from hallalg.cli import run
 from hallalg.groups import cyclic_group, trivial_group
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
 from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
@@ -160,6 +161,23 @@ def test_first_rows_are_refused_before_any_mono_is_listed(monkeypatch):
                              r"triangles"):
         s_construction(VectFq(2, 4), depth=3)
 
+@pytest.mark.parametrize("bound, count, j", [
+    (16, 462517018, 3), (32, 10726789, 2), (64, 20834877709, 2)])
+def test_ab_p_first_rows_are_refused_from_closed_counts(monkeypatch, capsys,
+                                                       bound, count, j):
+    # |Aut mu| alpha_lam(mu; 2) for every pair of classes: no hom is listed
+    def not_reached(*args):
+        raise AssertionError("no hom may be listed")
+
+    monkeypatch.setattr(AbelianPGroups, "_homs", not_reached)
+    code = run(["segal-check", "--construction", "s", "--family",
+                "ab-p-groups", "--p", "2", "--bound", str(bound)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: level S_3(ab-p-groups): {count} first rows up to A_0{j} "
+        f"already exceed the budget of 200000 triangles\n")
+
 
 class NoSquareFromDim2(VectFq):
     """Vect F2 with every square whose column epi leaves dimension 2
@@ -185,6 +203,21 @@ def test_a_broken_square_or_a_repeated_triangle_is_a_named_error():
         TriangleGroupoid(NoSquareFromDim2(2, 2), 2)
     with pytest.raises(TriangleCompletionError, match="built twice"):
         TriangleGroupoid(TwiceMonos1To2(2, 2), 2)
+
+
+class OffByOneAut2(VectFq):
+    """Vect F2 with a closed automorphism count of F2^2 one too many."""
+
+    def aut_order(self, key):
+        return super().aut_order(key) + (key == 2)
+
+
+def test_a_closed_aut_order_that_is_not_the_listed_group_is_named():
+    with pytest.raises(TriangleCompletionError,
+                       match=r"^level S_2\(vect-fq\): Aut\(2\) lists 6 "
+                             r"elements, but its closed count is 7$"):
+        TriangleGroupoid(OffByOneAut2(2, 2), 2)
+    TriangleGroupoid(VectFq(2, 2), 2)   # the unpatched counts agree
 
 
 def test_the_named_errors_hold_under_python_O():
