@@ -17,6 +17,7 @@ from the representative to another object.
 """
 
 from collections import namedtuple
+from functools import cached_property
 from fractions import Fraction
 
 from ..groups import FiniteGroup, trivial_group
@@ -180,6 +181,13 @@ class ActionGroupoid(Groupoid):
     def group_at(self, i) -> FiniteGroup:
         """The group whose elements are the morphisms out of object i."""
         return self.group
+
+    @cached_property
+    def indices(self):
+        """list(range(n_objects)): index lists pulled into this groupoid
+        (GMap.pull) slice it, so that they share its ints, and two of them
+        compare entry by entry on identity."""
+        return list(range(self.n_objects))
 
     def out(self, i):
         return [(g, i) for g in self.group_at(i).elements]

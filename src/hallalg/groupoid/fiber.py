@@ -28,9 +28,11 @@ the images of the apex's representatives.  Both passes walk P and nothing
 larger, so P's size, sum over the objects d of D of n_f(d) n_g(d), is what
 the budget counts, before either pass runs.  P is numbered by the legs'
 fibre sizes and the rank of each object in its fibre, which a leg with a
-plan (GMap) gives with no pass over its table.  The walk of every N-orbit
-of the apex that the count replaces is a test oracle
-(`tests/oracles/groupoid.py`).
+plan (GMap) gives with no pass over its table.  The count reads the apex's
+two maps in windows of `functors.RUN` objects (GMap.pull), so that its
+only list as long as P is its array: one byte per object where rho must
+be a bijection, else one count.  The walk of every N-orbit of the apex
+that the count replaces is a test oracle (`tests/oracles/groupoid.py`).
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
@@ -39,7 +41,11 @@ table rule in the tests; no check builds one.  D's morphisms are interned
 as integers, so D must be small enough to list them.
 """
 
+from itertools import chain
+from operator import add
+
 from .. import BudgetExceededError
+from . import functors
 from .core import ActionGroupoid, DEFAULT_OBJECT_BUDGET, Groupoid
 from .functors import (EquivalenceVerdict, Functor, GMap, aut_map_verdict,
                        missed_component, pi0_collision)
@@ -191,25 +197,34 @@ class _Square:
             p_order = gb.order * _kernel(ga, self.f_used)[0]
             if gx.order != kernels[gx][0] * p_order:
                 return False            # rho is not onto G_P
-        base, rg = self.base, self.rg
-        pairs = zip(fa.table, fb.table)
-        if all(n == 1 for n, _ in kernels.values()):  # a bijection onto P
-            if self.size != apex.n_objects:
+        n, run = apex.n_objects, functors.RUN
+
+        def windows():
+            # the points of P of the apex objects, a window at a time
+            for lo in range(0, n, run):
+                hi = min(lo + run, n)
+                yield map(add, fa.pull(self.base, lo, hi),
+                          fb.pull(self.rg, lo, hi))
+
+        if all(k == 1 for k, _ in kernels.values()):  # a bijection onto P
+            if self.size != n:
                 return False
             hit = bytearray(self.size)
-            for u, v in pairs:
-                hit[base[u] + rg[v]] = 1
+            for window in windows():
+                for p in window:
+                    hit[p] = 1
             return 0 not in hit
         count = [0] * self.size
-        for u, v in pairs:
-            count[base[u] + rg[v]] += 1
+        for window in windows():
+            for p in window:
+                count[p] += 1
         if 0 in count:
             return False
-        for gx, u, v in zip(map(apex.group_at, range(apex.n_objects)),
-                            fa.table, fb.table):
-            if count[base[u] + rg[v]] != kernels[gx][0]:
+        for gx, p in zip(map(apex.group_at, range(n)),
+                         chain.from_iterable(windows())):
+            if count[p] != kernels[gx][0]:
                 return False            # a fibre is not |N| objects
-        seen = bytearray(apex.n_objects)
+        seen = bytearray(n)
         for x in apex.transversal:
             n_order, gens = kernels[apex.group_at(x)]
             if (n_order > 1 and not seen[x]
@@ -225,7 +240,7 @@ class _Square:
         apex, a, b = self.apex, self.a, self.b
         label, auts, first = [-1] * self.size, [], {}
         for c in apex.components():
-            u, v = self.fa.table[c.rep], self.fb.table[c.rep]
+            u, v = self.fa.on_obj(c.rep), self.fb.on_obj(c.rep)
             p = self.point(u, v)
             if label[p] < 0:
                 order, gens = self.p_group(a.group_at(u), b.group_at(v))

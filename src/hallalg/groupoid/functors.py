@@ -9,11 +9,13 @@ table rule (groupoid/fiber.py), which reports its failures with the same
 witnesses, built here.  A functor induced by a G-map of objects and a map
 of groups (GMap) is an index table plus a coordinate selection of tuple
 groups, or the trivial group map, read by list slicing along its plan
-where it has one (GMap.pull).  composite_difference decides whether two
-composites of G-maps are equal, and where they differ, pulling each from
-its outermost map inward with no composite built; functors_equal compares
-any two functors on a generating family of morphisms.  The composed
-functors and the per-entry composition (`tests/oracles`) are its oracles.
+where it has one (GMap.pull), which then needs no written table.
+composite_difference decides whether two composites of G-maps are equal,
+and where they differ, pulling each from its outermost map inward with no
+composite built, and composing two plans into one where the outer map is
+larger than the composite; functors_equal compares any two functors on a
+generating family of morphisms.  The composed functors and the per-entry
+composition (`tests/oracles`) are its oracles.
 """
 
 from functools import cached_property
@@ -64,7 +66,10 @@ class GMap(Functor):
     None, and a fill no slot uses is dropped, so equal functors have equal
     (table, sel, fill).  A map may keep the plan (S, starts, repeat) its
     table is written from: for each s of `starts`, distinct multiples of
-    S, the run s..s+S-1 of target indices, `repeat` times over."""
+    S, the run s..s+S-1 of target indices, `repeat` times over.  A map with
+    a plan need not be given its table: on_obj and on_mor read single
+    entries off the plan, and pull reads windows of it, so that neither
+    writes the table."""
 
     def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
                  name="F", sel=None, fill=None, plan=None):
@@ -85,10 +90,10 @@ class GMap(Functor):
 
     @cached_property
     def table(self):
-        """A table not given is written from the plan when first read."""
-        S, starts, repeat = self.plan
-        return [t for s in starts for _ in range(repeat)
-                for t in range(s, s + S)]
+        """A table not given is written from the plan when first read.  The
+        checks read whole tables only of maps out of the levels below the
+        top one, and reach the others through on_obj and pull."""
+        return self.pull(_indices(self), 0, self.src.n_objects)
 
     def hom(self, g):
         """The image of the group element g."""
@@ -98,16 +103,20 @@ class GMap(Functor):
         return tuple([fill if k is None else g[k] for k in sel])
 
     def on_obj(self, i):
-        return self.table[i]
+        """table[i], off the plan where the table is not written."""
+        table = vars(self).get("table")
+        if table is not None:
+            return table[i]
+        S, starts, repeat = self.plan
+        return starts[i // (S * repeat)] + i % S
 
     def on_mor(self, m):
-        return (self.hom(m[0]), self.table[m[1]])
+        return (self.hom(m[0]), self.on_obj(m[1]))
 
     def pull(self, values, lo, hi):
         """[values[t] for t in table[lo:hi]]: along the plan by slices of
         `values`, where that costs less than the gather or where the table
-        is not written.  A table is left unwritten only by a plan that
-        writes each run once; pulled along it, `values` may be a range."""
+        is not written.  `values` may be a range."""
         S, starts, repeat = self.plan or (0, None, 1)
         if S == 1 < repeat:
             # table[t] = starts[t // repeat]: each pick written, strided
@@ -139,16 +148,19 @@ class GMap(Functor):
             c, r = divmod(lo, S)            # copy c of a run, from offset r
             s = starts[c // repeat]
             if r or hi - lo < S:            # a copy cut by the window
-                piece = values[s + r:s + min(S, r + hi - lo)]
+                piece = list(values[s + r:s + min(S, r + hi - lo)])
             else:                           # the whole copies left of it
-                piece = values[s:s + S] * min(repeat - c % repeat,
-                                              (hi - lo) // S)
-            out += piece
+                piece = list(values[s:s + S]) * min(repeat - c % repeat,
+                                                    (hi - lo) // S)
             lo += len(piece)
+            if out:
+                out += piece
+            else:                           # the first piece, kept whole
+                out = piece
         return out
 
 
-RUN = 1 << 16       # table entries of a composite compared at a time
+RUN = 1 << 16       # table entries compared or counted at a time
 
 
 def _image(maps, g):
@@ -158,11 +170,48 @@ def _image(maps, g):
     return g
 
 
+def _indices(m: GMap):
+    """The target indices that m's entries are pulled from: the target's
+    shared list, so that equal entries are one int, unless it is longer
+    than m's source; then a range."""
+    n = m.tgt.n_objects
+    return m.tgt.indices if n <= m.src.n_objects else range(n)
+
+
+def _after(outer, inner):
+    """outer∘inner as a GMap with a plan, read off the two plans, or None
+    where they do not nest.  inner must write each of its runs once.  Each
+    run of inner then lies in one copy of a run of outer, which gives the
+    composite one start per run of inner, or covers whole blocks of copies
+    of outer's runs, whose starts the composite takes as a slice.  Its
+    starts may repeat; only pull and on_obj read it."""
+    if (outer.plan is None or inner.plan is None or inner.plan[2] != 1
+            or "table" in vars(outer)):
+        return None
+    (So, so, ro), (Si, si, _) = outer.plan, inner.plan
+    block = So * ro
+    if So % Si == 0:
+        so = list(so)               # a list reads faster than a range
+        S, starts, repeat = Si, [so[t // block] + t % So for t in si], 1
+    elif Si % block == 0:
+        S, starts, repeat, k = So, [], ro, Si // block
+        for t in si:
+            starts += so[t // block:t // block + k]
+    else:
+        return None
+    return GMap(inner.src, outer.tgt, starts if S == repeat == 1 else None,
+                name=f"{outer.name}∘{inner.name}", plan=(S, starts, repeat))
+
+
 def _composite(maps, other):
     """(source, target, values, inner): inner is the innermost of `maps`,
     values the others' composite (one map: its table; none: None).  The
-    outermost map's table is read where it is written; one that is not is
-    pulled along its plan, as each map after it is, and stays unwritten."""
+    outermost map's table is read where it is written.  One that is not is
+    pulled along its plan, as each map after it is, and stays unwritten;
+    where its source is larger than the composite's, it is first composed
+    with the next map by their plans (_after), so that no list as long as
+    its source is built.  A lone map with no table is the inner map, on
+    its target's indices."""
     if not maps:
         src = other[-1].src
         return src, src, None, None
@@ -171,9 +220,17 @@ def _composite(maps, other):
             raise ValueError(f"{outer.name} after {inner.name} is not "
                              f"composable: {inner.tgt.name} is not "
                              f"{outer.src.name}")
+    if len(maps) > 1 and maps[0].src.n_objects > maps[-1].src.n_objects:
+        merged = _after(maps[0], maps[1])
+        if merged is not None:
+            maps = (merged, *maps[2:])
     outer = maps[0]
-    values = (outer.table if "table" in vars(outer) else
-              outer.pull(range(outer.tgt.n_objects), 0, outer.src.n_objects))
+    if "table" in vars(outer):
+        values = outer.table
+    elif len(maps) == 1:
+        return outer.src, outer.tgt, _indices(outer), outer
+    else:
+        values = outer.pull(_indices(outer), 0, outer.src.n_objects)
     for m in maps[1:-1]:
         values = m.pull(values, 0, m.src.n_objects)
     return (maps[-1].src, maps[0].tgt, values,

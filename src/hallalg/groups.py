@@ -182,7 +182,7 @@ class FiniteGroup:
 
 def perm_mul(p, q):
     """(p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def perm_inv(p):

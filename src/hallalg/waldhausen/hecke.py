@@ -13,10 +13,11 @@ left-multiplication table per subgroup.  A level holds no tuple: it is its
 axis sizes, strides and those tables, it decodes a tuple from its index on
 demand, and g acts on an index by the same stride arithmetic.  Face d_k
 deletes coordinate k and degeneracy s_k repeats it.  Both are G-maps
-(GMap): an object index table and the plan it is written from, runs of
-consecutive target indices at starts found by index arithmetic, which the
-checks slice along.  The top level lists no indices, and the simplicial
-identities are equalities of tables.
+(GMap): the plan of an object index table, runs of consecutive target
+indices at starts found by index arithmetic, which the checks read single
+entries off and slice along in windows.  No table out of the top level is
+written, and the simplicial identities are equalities of tables, compared
+window by window.
 
 pi0 of a level comes from the block of tuples whose first coset is coset
 0: G is transitive on the first coordinate, so every orbit meets the block
@@ -25,10 +26,14 @@ orbit lies there.  A search over the block through one index permutation
 per generator of the stabiliser gives the components in the order, with
 the representatives, of a search over the whole level; any other object is
 moved into the block by a fixed element per first coset.  A level over the
-budget, or whose face tables would take more than MAX_TABLE_BYTES, is
-refused before any level is built.  The strict pullbacks that the 2-Segal
-squares walk have [G:H]^4 objects (degree 3), as many as X_3, and [G:H]^2
-(unital), so that refusal covers them too.
+budget is refused before any level is built.  The strict pullbacks that the
+2-Segal squares walk have [G:H]^4 objects (degree 3), as many as X_3, and
+[G:H]^2 (unital), so that refusal covers them too.  The one list as long
+as the top level is the fibre count's array, one byte per object of the
+strict pullback; a level whose array would take more than MAX_FIBRE_BYTES
+is refused before any level is built as well.  That ceiling bounds the
+array, not a run's peak: HW(S5,1) peaks at about 404 MB for a 207 MB
+array, and the peak nearer the ceiling is not measured.
 
 Two models stay in the tests as oracles: the iterated fiber product and the
 flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
@@ -66,10 +71,16 @@ from ..structure import StructureTable, check_action, check_algebra
 from .simplicial import TruncatedSimplicialGroupoid
 
 
-# the most bytes of face tables out of the top Hecke-Waldhausen level that a
-# run builds, whatever the budget: HW(S5,S2) has 415 MB of them and peaks at
-# about 0.7 GB in all; HW(S5,1) would need 6.6 GB
-MAX_TABLE_BYTES = 2 ** 30
+# the most bytes of the fibre count's array over the top Hecke-Waldhausen
+# level, whatever the budget: the count of a square over it marks each
+# object of the strict pullback, as many as the level has, in one byte (the
+# faces pass g through, so the comparison must be a bijection onto it, and
+# the count of |N| objects per fibre, one list slot each, is never taken).
+# HW(S5,1) needs 207 MB and HW(S6,1) 269 GB.  This bounds the array only,
+# not the run's peak, which also holds the level-2 tables and the windows:
+# HW(S5,1) peaks at about 404 MB; inputs nearer the ceiling, such as
+# HW(S6, young:2+2) at --budget 10^10 (1.05e9 objects), are not measured.
+MAX_FIBRE_BYTES = 2 ** 30
 
 
 def _check_subgroup(G, K):
@@ -200,12 +211,6 @@ class CosetLevel(ActionGroupoid):
             raise KeyError(obj)
         return sum([x * s for x, s in zip(obj, self._strides)])
 
-    @cached_property
-    def indices(self):
-        """list(range(n_objects)): face tables into this level slice it,
-        so that they share its ints."""
-        return list(range(self.n_objects))
-
     def components(self):
         """The block searched in index order through one index permutation
         per generator of the base coset's stabiliser (mixed radix over
@@ -265,17 +270,13 @@ def _runs(src: CosetLevel, tgt: CosetLevel, sizes, k):
 
 
 def _planned(src: CosetLevel, tgt: CosetLevel, S, starts, repeat, name):
-    """The GMap src -> tgt with the plan (S, starts, repeat).  A face slices
-    its repeated runs from tgt's shared `indices`, and runs of one object
-    are the list of starts; any other table is written when first read
-    (`composite_difference` pulls along the plan and does not read it)."""
-    table = starts if S == repeat == 1 else None
-    if repeat > 1:
-        ids, table = tgt.indices, []
-        for s in starts:
-            table += ids[s:s + S] * repeat
-    return GMap(src, tgt, table, name=f"{name}^{len(src.spaces) - 1}",
-                plan=(S, starts, repeat))
+    """The GMap src -> tgt with the plan (S, starts, repeat) and no table,
+    but for runs of one object written once, whose table is the list of
+    starts.  The checks read a map out of the top level only through its
+    plan: single entries (on_obj), windows (pull) and the plans of its
+    composites (`composite_difference`)."""
+    return GMap(src, tgt, starts if S == repeat == 1 else None,
+                name=f"{name}^{len(src.spaces) - 1}", plan=(S, starts, repeat))
 
 
 def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
@@ -298,8 +299,8 @@ def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
 class HeckeWaldhausen:
     """Levels X_n = (G/H)^(n+1) // G, n = 0..depth, with faces and
     degeneracies.  The top level, the largest, is refused over the budget,
-    or when its face tables would take more than MAX_TABLE_BYTES, before
-    any level is built."""
+    or when counting the fibres over it would take more than
+    MAX_FIBRE_BYTES, before any level is built."""
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
                  budget: int = DEFAULT_OBJECT_BUDGET):
@@ -310,13 +311,10 @@ class HeckeWaldhausen:
         top = f"Hecke-Waldhausen level X_{depth}({G.name},{H.name})"
         count = (G.order // H.order) ** (depth + 1)
         _refuse_over_budget(top, count, budget)
-        # a level is its index tables: the top one has a face table of
-        # `count` entries, one 8-byte list slot each, per face
-        size = count * (depth + 1) * 8
-        if size > MAX_TABLE_BYTES:
+        if count > MAX_FIBRE_BYTES:
             raise BudgetExceededError(
-                f"{top} needs {size} bytes for its {depth + 1} face tables "
-                f"of {count} entries, over the ceiling of {MAX_TABLE_BYTES}")
+                f"{top} needs {count} bytes to count the fibres over its "
+                f"{count} objects, over the ceiling of {MAX_FIBRE_BYTES}")
         self.G, self.H = G, H
         self.depth = depth
         self.cosets = Cosets(G, H)

@@ -168,14 +168,15 @@ class _MutatedLevel(ActionGroupoid):
 def _with_top_level(x: TruncatedSimplicialGroupoid, name, points,
                     discrete=False):
     """x with X_3 replaced by its action on `points` (see _MutatedLevel),
-    each face of X_3 restricted to them."""
+    each face of X_3 restricted to them, read an entry at a time, so that
+    X_3's own face tables stay unwritten."""
     top = _MutatedLevel(x.levels[3], points, name, discrete)
     levels = list(x.levels)
     levels[3] = top
     faces = dict(x.faces)
     for k in range(4):
         d = x.face(3, k)
-        faces[(3, k)] = GMap(top, levels[2], [d.table[i] for i, _ in points],
+        faces[(3, k)] = GMap(top, levels[2], [d.on_obj(i) for i, _ in points],
                              name=f"d_{k}'", sel=d.sel, fill=d.fill)
     return TruncatedSimplicialGroupoid(levels, faces, dict(x.degeneracies),
                                        name=f"{x.name}-{name}")

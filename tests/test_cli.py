@@ -397,10 +397,10 @@ def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):
             "1000000") in capsys.readouterr().err
 
 
-def test_hecke_levels_over_the_table_ceiling_exit_2(capsys, monkeypatch):
-    # HW(S5,1) at --budget 10^11: X_3 has 120^4 objects, under the budget,
-    # but its four face tables would take 6.6 GB; refused before any level
-    # is built
+def test_hecke_levels_over_the_fibre_ceiling_exit_2(capsys, monkeypatch):
+    # HW(S6,1) at --budget 10^12: X_3 has 720^4 objects, under the budget,
+    # but the fibre count would mark them in 269 GB; refused before any
+    # level is built
     import hallalg.waldhausen.hecke as hecke
 
     def not_reached(*args):
@@ -408,20 +408,22 @@ def test_hecke_levels_over_the_table_ceiling_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr(hecke, "Cosets", not_reached)
     t0 = perf_counter()
-    assert run(["segal-check", "--construction", "hecke", "--G", "sym:5",
-                "--H", "trivial", "--budget", str(10 ** 11)]) == 2
+    assert run(["segal-check", "--construction", "hecke", "--G", "sym:6",
+                "--H", "trivial", "--budget", str(10 ** 12)]) == 2
     assert perf_counter() - t0 < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: Hecke-Waldhausen level X_3(sym:5,trivial) needs 6635520000 "
-        "bytes for its 4 face tables of 207360000 entries, over the ceiling "
-        "of 1073741824\n")
+        "error: Hecke-Waldhausen level X_3(sym:6,trivial) needs "
+        "268738560000 bytes to count the fibres over its 268738560000 "
+        "objects, over the ceiling of 1073741824\n")
 
 
-def test_the_table_ceiling_admits_hw_s5_s2(monkeypatch):
-    # HW(S5,S2) at --budget 10^10: 60^4 objects, 415 MB of face tables,
-    # goes on to build its levels
+def test_the_fibre_ceiling_admits_hw_s5(monkeypatch):
+    # HW(S5,S2) at --budget 10^10 (60^4 objects, 13 MB to count) and
+    # HW(S5,1) at --budget 10^11 (120^4 objects, 207 MB) go on to build
+    # their levels; HW(S5,1) was refused while its face tables (6.6 GB)
+    # were written
     import hallalg.waldhausen.hecke as hecke
     from hallalg.groups import symmetric_group, symmetric_subgroup
 
@@ -433,21 +435,22 @@ def test_the_table_ceiling_admits_hw_s5_s2(monkeypatch):
 
     monkeypatch.setattr(hecke, "Cosets", building)
     S5 = symmetric_group(5)
-    with pytest.raises(Built):
-        hecke.HeckeWaldhausen(S5, symmetric_subgroup(S5, 2), 3, 10 ** 10)
+    for k, budget in ((2, 10 ** 10), (1, 10 ** 11)):
+        with pytest.raises(Built):
+            hecke.HeckeWaldhausen(S5, symmetric_subgroup(S5, k), 3, budget)
 
 
-def test_the_table_ceiling_is_inclusive(capsys, monkeypatch):
-    # HW(S3,S2): X_3 has 81 objects and 4 faces, 2592 bytes of tables
+def test_the_fibre_ceiling_is_inclusive(capsys, monkeypatch):
+    # HW(S3,S2): X_3 has 81 objects, one byte each in the fibre count
     import hallalg.waldhausen.hecke as hecke
     argv = ["segal-check", "--construction", "hecke", "--G", "sym:3",
             "--H", "sym:2"]
-    monkeypatch.setattr(hecke, "MAX_TABLE_BYTES", 2592)
+    monkeypatch.setattr(hecke, "MAX_FIBRE_BYTES", 81)
     assert run(argv) == 0
-    monkeypatch.setattr(hecke, "MAX_TABLE_BYTES", 2591)
+    monkeypatch.setattr(hecke, "MAX_FIBRE_BYTES", 80)
     capsys.readouterr()
     assert run(argv) == 2
-    assert "needs 2592 bytes" in capsys.readouterr().err
+    assert "needs 81 bytes" in capsys.readouterr().err
 
 
 def test_the_cli_imports_no_dataclasses():

@@ -1144,17 +1144,24 @@ def test_coset_level_action_matches_the_tuple_formula():
 
 
 def test_hecke_waldhausen_levels_hold_only_their_tables():
-    # HW(S4,S2) held 3.5 MB when every level listed its tuples, a copy of
-    # them, and X_3 its 20,736 indices; degeneracies into X_3 are ranges
+    # HW(S4,S2) held 3.5 MB when every level listed its tuples, and 0.94 MB
+    # while the four faces of X_3 wrote their 20,736-entry tables; they
+    # are plans now, which the checks read in windows, and the checks
+    # peaked at 1.46 MB while they read those tables
     S4 = symmetric_group(4)
     H = symmetric_subgroup(S4, 2)
     tracemalloc.start()
     try:
         x = hecke_waldhausen(S4, H, 3)
         held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert check_2segal_degree3(x).ok and check_pointed(x).ok
+        assert check_simplicial_identities(x).ok
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held <= 1.5e6
+    assert held <= 0.3e6, held
+    assert peak <= 0.75e6, peak
     assert "indices" not in vars(x.levels[3])
 
 
@@ -1217,12 +1224,125 @@ def test_an_unwritten_degeneracy_table_is_pulled_along_its_plan():
 def test_segal_check_writes_no_degeneracy_table_into_x3():
     # s_0 and s_1 at level 2 are read only by the squares and the
     # identities, which pull them along their plans, the outermost map of
-    # a composite included
+    # a composite included; the faces of X_3 are read in windows by the
+    # squares and the identities, and through the plans of their
+    # composites with the degeneracies into X_3 (s_2 at level 2 writes
+    # each run of one object once, and its table is its list of starts)
+    for x in (_hw(3, 2), _hw(4, 2)):
+        assert check_2segal_degree3(x).ok and check_pointed(x).ok
+        assert check_simplicial_identities(x).ok
+        for k in range(4):
+            assert "table" not in vars(x.face(3, k)), (x.name, k)
+        for k in (0, 1):
+            assert "table" not in vars(x.degeneracy(2, k)), (x.name, k)
+
+
+def test_no_command_writes_a_table_out_of_the_top_level(capsys,
+                                                         monkeypatch):
+    # every map that segal-check and hecke-table build out of their
+    # largest level (X_3, and the span's apex Y_1), and every face of X_3
+    # that the mutation corpus restricts, is read off its plan
+    built = []
+
+    def recording(*args):
+        built.append(planned(*args))
+        return built[-1]
+
+    planned = hecke._planned
+    monkeypatch.setattr(hecke, "_planned", recording)
+    for argv in ("segal-check --construction hecke --G sym:4 --H sym:2",
+                 "hecke-table --G sym:4 --H sym:2"):
+        built.clear()
+        assert cli_run(argv.split()) == 0
+        top = max(m.src.n_objects for m in built)
+        out = [m for m in built if m.src.n_objects == top]
+        assert out and all("table" not in vars(m) for m in out), argv
+    capsys.readouterr()
     x = _hw(4, 2)
-    assert check_2segal_degree3(x).ok and check_pointed(x).ok
-    assert check_simplicial_identities(x).ok
-    for k in (0, 1):
-        assert "table" not in vars(x.degeneracy(2, k)), k
+    for name, m, kind in mutation_corpus(x):
+        assert not (check_2segal_degree3 if kind == "segal"
+                    else check_pointed)(m).ok, name
+    for k in range(4):
+        assert "table" not in vars(x.face(3, k)), k
+
+
+def plan_oracle(m, kind, k):
+    """The table of the face or degeneracy m, kind "face" or
+    "degeneracy", at coordinate k, by the oracle's strided runs."""
+    src, tgt = m.src, m.tgt
+    if kind == "face":
+        return run_table(src, tgt, src.sizes[:k] + src.sizes[k + 1:], k,
+                         lambda a, x: a)
+    n = src.sizes[k]
+    return run_table(src, tgt, src.sizes[:k + 1] + src.sizes[k:], k,
+                     lambda a, x: (a * n + x) * n + x)
+
+
+def test_on_obj_reads_every_face_and_degeneracy_off_its_plan():
+    # entry by entry, as the oracle writes the table, and leaving a table
+    # not written unwritten
+    S4 = symmetric_group(4)
+    gp = Cosets(S4, young_subgroup(S4, [2, 2]))
+    maps = [(kind, k, m) for x in (_hw(3, 2), _hw(4, 2))
+            for kind, table in (("face", x.faces),
+                                ("degeneracy", x.degeneracies))
+            for (_, k), m in table.items()]
+    # the pinned levels of HW(S4, young:2+2), {P} x (G/P)^n // P
+    pinned = [CosetLevel(S4, [gp] * (n + 1), f"P{n}", pinned=True)
+              for n in range(4)]
+    for n in range(1, 4):
+        for k in range(n + 1):
+            low = (pinned[n - 1] if k else
+                   CosetLevel(S4, [gp] * n, f"L{n - 1}"))
+            maps.append(("face", k, face(pinned[n], low, k)))
+            if n < 3 and k:
+                maps.append(("degeneracy", k,
+                             degeneracy(pinned[n], pinned[n + 1], k)))
+    for kind, k, m in maps:
+        written = "table" in vars(m)
+        assert [m.on_obj(i) for i in range(m.src.n_objects)] == plan_oracle(
+            m, kind, k), (m.name, m.src.name)
+        assert ("table" in vars(m)) == written, m.name
+        assert written == (m.plan[0] == m.plan[2] == 1), m.name
+
+
+def fibre_verdicts(xs):
+    """For every square that the checks of each x and of each entry of
+    its mutation corpus decide: its name, whether the fibre count passes
+    where the square commutes, and the check's JSON."""
+    out = []
+    for x in xs:
+        entries = [(x.name, x, kind) for kind in ("segal", "pointed")]
+        entries += [(f"{x.name}-{name}", m, kind)
+                    for name, m, kind in mutation_corpus(x)]
+        for name, m, kind in entries:
+            for square, _, fa, fb, f, g in decided_squares(m):
+                if composite_difference((f, fa), (g, fb)) is None:
+                    out.append((name, square,
+                                _Square(fa, fb, f, g).fibres()))
+            out.append((name, (check_2segal_degree3 if kind == "segal"
+                               else check_pointed)(m).to_json()))
+    return out
+
+
+def test_fibre_verdicts_do_not_depend_on_the_window(monkeypatch):
+    # fiber.py reads RUN when it counts, so that the patch reaches it
+    xs = [_hw(3, 2), _hw(4, 2), s_construction(VectFq(2, 2), depth=3),
+          s_construction(F1FreeG(cyclic_group(2), 2), depth=3)]
+    verdicts = fibre_verdicts(xs)
+    assert any(v is False for *_, v in verdicts)
+    for run in (7, 1000):
+        monkeypatch.setattr(functors, "RUN", run)
+        assert fibre_verdicts(xs) == verdicts, run
+    # the count pulls each leg in windows of at most RUN apex objects
+    windows, pull = [], GMap.pull
+    monkeypatch.setattr(GMap, "pull", lambda m, values, lo, hi: (
+        windows.append(hi - lo) or pull(m, values, lo, hi)))
+    x = xs[1]
+    square = _Square(x.face(3, 3), x.face(3, 1), x.face(2, 1), x.face(2, 2))
+    windows.clear()
+    assert square.fibres()
+    assert max(windows) == 1000 and sum(windows) == 2 * x.levels[3].n_objects
 
 
 @pytest.mark.parametrize("G, H", [
