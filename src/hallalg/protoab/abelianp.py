@@ -9,7 +9,11 @@ mu, are closed forms (`exactmath.partitions`), so no count lists maps.  A
 quotient M/U, which the S-construction's triangles use, is classified by
 its p^k-torsion, #{x : p^k x in U} / |U| for each k; listing the
 subgroups, the oracle for the Hall constants and the counts, is left to
-the tests.
+the tests.  Monos and epis are found without applying any hom to an
+element: f is injective iff the images of the socle's basis
+p^(lam_i - 1) e_i are independent over F_p, and onto iff the images of
+the e_i span y / p y (Frattini); the tests apply every hom to every
+element as their oracle.
 
 Every method reads the type of an object through `_type(key)` and names a
 type through `_key(lam)`.  Both are the identity here; `VectFq` keys the
@@ -32,8 +36,8 @@ def is_prime(n: int) -> bool:
 
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
-    _cached = ("elements", "_homs", "_homs_with_image", "isos", "monos",
-               "epis", "compose", "image_sub", "preimage_sub", "_mods")
+    _cached = ("elements", "_homs", "isos", "monos", "epis", "compose",
+               "image_sub", "preimage_sub", "classify_quot", "_mods")
 
     def __init__(self, p: int, order_bound: int):
         if not is_prime(p):
@@ -83,22 +87,50 @@ class AbelianPGroups(ProtoAbelianInstance):
         return tuple([sum(map(mul, a, row)) % m
                       for row, m in zip(rows, mods)])
 
-    def _homs(self, x, y):
-        """All homomorphisms x -> y as generator-image tuples."""
-        mods = self._mods(y)
+    def _homs(self, x, y, kind="all"):
+        """The homomorphisms x -> y as generator-image tuples, in the
+        lexicographic order of the images: all of them, or only the monos
+        (kind "mono") or the epis ("epi").  These are found by a
+        depth-first walk over the images of x's generators e_i that keeps
+        the F_p span of their vectors so far, the socle images
+        p^(lam_i - 1) f(e_i) for a mono, f(e_i) mod p for an epi, and
+        leaves a prefix as soon as it cannot end independent (a mono) or
+        spanning (an epi)."""
+        p, lam, mods = self.p, self._type(x), self._mods(y)
         pools = [[e for e in self.elements(y)
-                  if not any(self.p ** part * v % m for v, m in zip(e, mods))]
-                 for part in self._type(x)]
-        return [(x, y, imgs) for imgs in iproduct(*pools)]
+                  if not any(p ** part * v % m for v, m in zip(e, mods))]
+                 for part in lam]
+        if kind == "all":
+            return [(x, y, imgs) for imgs in iproduct(*pools)]
+        mono = kind == "mono"
+        if mono:
+            # p^(part - 1) v is p^(mu_j - 1) c_j in coordinate j
+            vecs = [[tuple([p ** (part - 1) * v % m // (m // p)
+                            for v, m in zip(e, mods)]) for e in pool]
+                    for part, pool in zip(lam, pools)]
+        else:
+            vecs = [[tuple([v % p for v in e]) for e in pool]
+                    for pool in pools]
+        need, last, out = len(lam) if mono else len(mods), len(lam) - 1, []
 
-    def _homs_with_image(self, x, y, size):
-        """The homomorphisms x -> y whose image has p^size elements: the
-        isos, monos and epis of x -> x share one list."""
-        if size > min(self.size_of(x), self.size_of(y)):
-            return []
-        full, elems = self.p ** size, self.elements(x)
-        return [f for f in self._homs(x, y)
-                if len({self.apply(f, a) for a in elems}) == full]
+        def walk(i, imgs, span, rank):
+            for e, v in zip(pools[i], vecs[i]):
+                grows = v not in span
+                if rank + grows + last - i < need:
+                    continue            # too few images left to reach need
+                if i == last:
+                    out.append((x, y, imgs + (e,)))
+                elif grows:
+                    walk(i + 1, imgs + (e,),
+                         {tuple([(a + c * b) % p for a, b in zip(u, v)])
+                          for u in span for c in range(p)}, rank + 1)
+                else:
+                    walk(i + 1, imgs + (e,), span, rank)
+
+        if not lam:
+            return [(x, y, ())] if need == 0 else []
+        walk(0, (), {(0,) * len(mods)}, 0)
+        return out
 
     def aut_order(self, key):
         return automorphism_count(self._type(key), self.p)
@@ -109,13 +141,18 @@ class AbelianPGroups(ProtoAbelianInstance):
                 * subgroup_count(self._type(y), self._type(x), self.p))
 
     def isos(self, x, y):
-        return self._homs_with_image(x, y, self.size_of(x)) if x == y else []
+        return self._homs(x, x, "mono") if x == y else []
 
     def monos(self, x, y):
-        return self._homs_with_image(x, y, self.size_of(x))
+        if self.size_of(x) > self.size_of(y):
+            return []
+        return self._homs(x, y, "mono")
 
     def epis(self, x, y):
-        return self._homs_with_image(x, y, self.size_of(y))
+        """The epis x -> y; those of x -> x are its monos, one list."""
+        if self.size_of(y) > self.size_of(x):
+            return []
+        return self._homs(x, y, "mono" if x == y else "epi")
 
     def hall_constant(self, n, l, m):
         """The Hall polynomial g^M_{N,L}(p), from Hall-Littlewood

@@ -9,7 +9,7 @@ decompositions into G-stable subsets.
 """
 
 from itertools import permutations
-from math import comb, perm
+from math import comb, factorial, perm
 
 from .. import UsageError
 from ..groups import FiniteGroup
@@ -37,7 +37,6 @@ class F1FreeG(ProtoAbelianInstance):
         return 0
 
     def aut_order(self, key):
-        from math import factorial
         return (self.G.order ** key) * factorial(key)
 
     def _injections(self, x, y):

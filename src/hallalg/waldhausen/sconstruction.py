@@ -15,6 +15,16 @@ epi likewise.  So level n is an action groupoid: one group prod Aut(A_ij)
 per tuple of entries, acting on the triangles with those entries by
 `transport`, and a morphism is a token (phis, source index).
 
+Triangles of integers.  The levels read the instance through its
+numbering (`protoab/base.py`): a triangle holds its maps as map ids, each
+Aut(A) is the instance's group on 0..|Aut A|-1, and every composite and
+square test is a lookup in the instance's tables, which its token methods
+fill.  A level keeps each triangle as the flat tuple of its map ids, which
+is also its index key, and decodes `objects[i]` from it when read; the
+oracles decode the maps to tokens.  Transport moves each map
+m: A_p -> A_q to phi_q m phi_p^-1 by two lookups, in the rows of m's
+composites with the automorphisms of its ends.
+
 First rows, then one free orbit.  A triangle is determined by its first
 row r = (A_01 >-> ... >-> A_0n) up to a unique isomorphism that fixes row
 0: A_ij is the cokernel of A_0i >-> A_0j, each square being a pushout.  So
@@ -35,22 +45,29 @@ so on morphisms it selects coordinates of phis, filling a zero entry's
 slot with the identity of 0.  Each is a GMap: the index table of the
 triangles' images plus that selection, so the simplicial identities and
 the Segal comparisons are decided on tables.  The image of a triangle is
-read off a plan cached per (n, k) over the flat encoding: where each
-entry comes from, which map each map copies or which two it composes, and
-which map fills each zero slot.
+read off a plan cached per (n, k) over the flat map ids: where each entry
+comes from, which map each map copies or which two it composes, and which
+map fills each zero slot.
+
+pi0 by first rows.  Row 0's automorphisms commute with K+(r), so they
+carry the block of triangles over a first row onto the block over the
+moved row, and the components are found over the first rows alone.
 
 The search over all diagrams and the triangle-by-triangle faces and
 degeneracies that these replace are test oracles
-(`tests/oracles/sconstruction.py`), with two equivalent models: the flags
-of monos alone, and for level 1 the skeletal core of the instance.
+(`tests/oracles/sconstruction.py`), on map tokens, with two equivalent
+models: the flags of monos alone, and for level 1 the skeletal core of the
+instance.
 """
 
+from collections.abc import Sequence
 from functools import cache
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import prod
+from operator import itemgetter
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import ActionGroupoid, GMap
+from ..groupoid import ActionGroupoid, Component, GMap
 from ..groups import TupleGroup
 from ..protoab.base import ProtoAbelianInstance
 from .simplicial import TruncatedSimplicialGroupoid
@@ -77,9 +94,10 @@ def _layout(n):
 class Triangle(tuple):
     """Immutable triangle diagram, stored as its encoding
     (n, entries, row monos, column epis), each part a tuple in `_layout(n)`
-    order; `entries`, `rmono` and `cepi` are dict views keyed by (i, j):
-    A_ij, the mono A_ij -> A_i,j+1 (j < n), the epi A_ij -> A_i+1,j
-    (i+1 < j)."""
+    order: the entries are class keys, the maps the instance's map ids (or
+    map tokens, in the tests' oracles).  `entries`, `rmono` and `cepi` are
+    dict views keyed by (i, j): A_ij, the mono A_ij -> A_i,j+1 (j < n), the
+    epi A_ij -> A_i+1,j (i+1 < j)."""
 
     __slots__ = ()
 
@@ -113,11 +131,11 @@ def _unique(maps, what):
 
 
 def _epi_to_zero(inst, x):
-    return _unique(inst.epis(x, inst.zero_key()), f"epi {x} ->> 0")
+    return _unique(inst.epi_ids(x, inst.zero_key()), f"epi {x} ->> 0")
 
 
 def _mono_from_zero(inst, x):
-    return _unique(inst.monos(inst.zero_key(), x), f"mono 0 >-> {x}")
+    return _unique(inst.mono_ids(inst.zero_key(), x), f"mono 0 >-> {x}")
 
 
 def _square_ok(inst, entries, rmono, cepi, i, j):
@@ -131,16 +149,21 @@ def _square_ok(inst, entries, rmono, cepi, i, j):
     else:
         p = cepi[(i, j - 1)]
         jm = rmono[(i + 1, j - 1)]
-    return inst.square_bicartesian(m, p, q, jm)
+    return inst.squares[m, p, q, jm]
 
 
 def _first_rows(inst, n, budget, name):
     """The chains A_01 >-> ... >-> A_0n of monos between the instance's
-    classes, as (entries, monos).  Each row has at least one triangle, so
-    partial rows more than the budget are refused.  The rows up to each
+    classes, as (entries, mono ids).  Each row has at least one triangle,
+    so partial rows more than the budget are refused.  The rows up to each
     A_0j are counted by class from `mono_count`, for every j, before any
-    mono is listed."""
+    mono is listed; those up to A_01, one per class, first, so that no
+    count runs over too many pairs of classes."""
     classes = inst.iso_classes()
+    if n >= 2 and len(classes) > budget:
+        raise BudgetExceededError(
+            f"level {name}: {len(classes)} first rows up to A_01 already "
+            f"exceed the budget of {budget} triangles")
     ending = dict.fromkeys(classes, 1)
     for j in range(2, n + 1):
         ending = {c: sum(k * inst.mono_count(a, c) for a, k in ending.items())
@@ -153,42 +176,35 @@ def _first_rows(inst, n, budget, name):
     rows = [((), ())] if n == 0 else [((c,), ()) for c in classes]
     for _ in range(2, n + 1):
         rows = [(ent + (c,), monos + (m,)) for ent, monos in rows
-                for c in classes for m in inst.monos(ent[-1], c)]
+                for c in classes for m in inst.mono_ids(ent[-1], c)]
     return rows
 
 
-def _entries(inst, row, quotient):
+def _entries(inst, row):
     """The entries of the triangles over a first row, in `_layout` order:
     row 0, then for 1 <= i < j the class of A_0j / A_0i, the cokernel of
-    the composite mono A_0i >-> A_0j.  The image of A_0i is carried along
-    the row one mono at a time; `quotient` memoises, by that mono m and the
-    image U in its source (None for A_0i itself), the image m(U), the class
-    of its cokernel and a mono onto it, so that rows sharing a prefix build
-    no composite twice."""
+    the composite mono A_0i >-> A_0j, composed in the instance's table and
+    classified by its memoised token methods."""
     classes, monos = row
     out = list(classes)
     for i in range(1, len(classes)):
-        sub = rep = None
+        rep = None
         for m in monos[i - 1:]:
-            hit = quotient.get((m, sub))
-            if hit is None:
-                rep = m if rep is None else inst.compose(m, rep)
-                image = inst.image_sub(rep)
-                hit = quotient[m, sub] = (
-                    image, inst.classify_quot(m[1], image), rep)
-            sub, q, rep = hit
-            out.append(q)
+            rep = m if rep is None else inst.composites[m, rep]
+            f = inst.tokens[rep]
+            out.append(inst.classify_quot(f[1], inst.image_sub(f)))
     return tuple(out)
 
 
 def _complete(inst, n, entries, monos, name):
-    """One triangle with the given entries and first-row monos.  Rows
-    1..n-1 are filled left to right; at entry (i, j) the first epi from
-    A_i-1,j (and, off the diagonal, the first mono from A_i,j-1) that
-    makes the square at rows i-1, i and columns j-1, j bicartesian is
-    taken.  Every filled square is a pushout, so the partial diagram is
-    unique up to a unique isomorphism fixing row 0, and a first choice
-    never leads to a dead end."""
+    """The map ids, row monos then column epis in `_layout` order, of one
+    triangle with the given entries and first-row monos.  Rows 1..n-1 are
+    filled left to right; at entry (i, j) the first epi from A_i-1,j (and,
+    off the diagonal, the first mono from A_i,j-1) that makes the square
+    at rows i-1, i and columns j-1, j bicartesian is taken.  Every filled
+    square is a pushout, so the partial diagram is unique up to a unique
+    isomorphism fixing row 0, and a first choice never leads to a dead
+    end."""
     pairs, rkeys, ckeys = _layout(n)
     ent = dict(zip(pairs, entries))
     rmono = {(0, j): m for j, m in enumerate(monos, start=1)}
@@ -196,15 +212,16 @@ def _complete(inst, n, entries, monos, name):
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             sides = ([None] if j == i + 1
-                     else inst.monos(ent[i, j - 1], ent[i, j]))
+                     else inst.mono_ids(ent[i, j - 1], ent[i, j]))
             if not any(_close(inst, ent, rmono, cepi, i, j, e, m)
-                       for e in inst.epis(ent[i - 1, j], ent[i, j])
+                       for e in inst.epi_ids(ent[i - 1, j], ent[i, j])
                        for m in sides):
                 raise TriangleCompletionError(
                     f"level {name}: no map closes the square at rows "
                     f"{i - 1}, {i} and columns {j - 1}, {j} over the first "
                     f"row {entries[:n]}")
-    return (tuple(rmono[p] for p in rkeys), tuple(cepi[p] for p in ckeys))
+    return (tuple([rmono[p] for p in rkeys])
+            + tuple([cepi[p] for p in ckeys]))
 
 
 def _close(inst, ent, rmono, cepi, i, j, e, m):
@@ -216,28 +233,57 @@ def _close(inst, ent, rmono, cepi, i, j, e, m):
     return _square_ok(inst, ent, rmono, cepi, i - 1, j)
 
 
+class _Triangles(Sequence):
+    """The objects of a level, decoded from its index keys when read.  A
+    key is the flat tuple of a triangle's map ids, row monos then column
+    epis, which name its entries too; at levels 0 and 1, which have no
+    maps, it is the entries."""
+
+    def __init__(self, n, keys, groups, entries):
+        self._n, self._keys, self._groups, self._entries = (n, keys, groups,
+                                                            entries)
+        self._nr = len(_layout(n)[1])
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        key, n = self._keys[i], self._n
+        if n < 2:
+            return Triangle(n, key, (), ())
+        return Triangle(n, self._entries[self._groups[i]], key[:self._nr],
+                        key[self._nr:])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._keys)))
+
+
 class TriangleGroupoid(ActionGroupoid):
     """Level n of the S-construction: triangles and componentwise isos, as
-    the action of prod Aut(A_ij) (factors in `_layout(n)[0]` order) by
-    `transport`, one group per tuple of entries, built from its factors
-    without listing its elements.  The closed count of the triangles is
-    checked against the budget before any completion is built;
-    `closed_count` keeps the count.  The transversal is the first triangle
-    built over each first row, which meets every orbit."""
+    the action of prod Aut(A_ij) (factors in `_layout(n)[0]` order, each
+    the instance's int `aut_group`) by `transport`, one group per tuple of
+    entries, built from its factors without listing its elements.  The
+    closed count of the triangles is checked against the budget before
+    any completion is built; `closed_count` keeps the count.  The
+    transversal is the first triangle built over each first row, which
+    meets every orbit.  Each object is kept as its index key (see
+    `_Triangles`) and its group, shared by the triangles with its entries
+    (`_entries` maps each group to them); `group_at` reads the list of
+    groups by index."""
 
     def __init__(self, inst, n, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
         self.level = n
         pairs, rkeys, ckeys = _layout(n)
         pos = {p: k for k, p in enumerate(pairs)}
-        # each map's (target entry, source entry) positions, in layout order
-        self._rpos = [(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
-        self._cpos = [(pos[a + 1, b], pos[a, b]) for a, b in ckeys]
+        # each map's (target entry, source entry) positions, in key order
+        self._pos = ([(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
+                     + [(pos[a + 1, b], pos[a, b]) for a, b in ckeys])
         name = f"S_{n}({inst.family})"
         rows = _first_rows(inst, n, budget, name)
-        quotient = {}
-        entries = [_entries(inst, row, quotient) for row in rows]
-        aut_order = {c: inst.aut_order(c) for e in set(entries) for c in e}
+        entries = [_entries(inst, row) for row in rows]
+        aut_order = {c: inst.aut_order(c)
+                     for c in {c for e in set(entries) for c in e}}
         # row 0 is fixed: its n entries are not in K+(r)
         self.closed_count = sum(prod(aut_order[c] for c in e[n:])
                                 for e in entries)
@@ -254,63 +300,112 @@ class TriangleGroupoid(ActionGroupoid):
                     f"its closed count is {order}")
         groups = {e: TupleGroup([inst.aut_group(c) for c in e], f"Aut{e}")
                   for e in dict.fromkeys(entries)}
-        objects, self._group_of, index, firsts = [], [], {}, []
+        # K+(r) and, in step, its inverses, read off the factors, per tuple
+        # of entries: no inverse is memoised per triangle
+        frees = {e: [(K.elements, [K.inv(x) for x in K.elements]) if i
+                     else ([K.identity],) * 2
+                     for (i, _), K in zip(pairs, group.factors)]
+                 for e, group in groups.items()}
+        keys, self._group_of, index, firsts = [], [], {}, []
+        self._entries = {group: e for e, group in groups.items()}
+        triangles = _Triangles(n, keys, self._group_of, self._entries)
+        lefts, rights = inst.left_rows, inst.right_rows
         for (_, monos), e in zip(rows, entries):
-            rmono, cepi = _complete(inst, n, e, monos, name)
-            firsts.append(len(objects))
-            group = groups[e]
-            # K+(r) and, in step, its inverses, read off the factors: no
-            # inverse is memoised per triangle
-            free = [(K.elements, [K.inv(x) for x in K.elements]) if i
-                    else ([K.identity],) * 2
-                    for (i, _), K in zip(pairs, group.factors)]
+            maps = _complete(inst, n, e, monos, name)
+            free = frees[e]
+            # each map m: A_p -> A_q as phi_q m psi, by phi_q and then psi,
+            # for the phi_q that the orbit puts at A_q
+            moves = [{a: rights[row[a]] for a in free[t][0]}
+                     for row, (t, _) in zip(map(lefts.__getitem__, maps),
+                                            self._pos)]
             orbit = zip(iproduct(*(es for es, _ in free)),
                         iproduct(*(invs for _, invs in free)))
-            for phis, inv in orbit:
-                tri = Triangle(n, e, *self._moved(group.identity, phis, inv,
-                                                  rmono, cepi))
-                if tri in index:
-                    raise TriangleCompletionError(
-                        f"level {name}: {tri!r} is built twice, so the "
-                        f"first rows repeat or an orbit is not free")
-                index[tri] = len(objects)
-                objects.append(tri)
-                self._group_of.append(group)
-        super().__init__(None, objects, self.transport, name=name,
+            start = len(keys)
+            firsts.append(start)
+            keys += [tuple([move[phis[t]][inv[s]] for move, (t, s)
+                            in zip(moves, self._pos)]) or e
+                     for phis, inv in orbit]
+            self._group_of += [groups[e]] * (len(keys) - start)
+            index.update(zip(keys[start:], count(start)))
+            if len(index) != len(keys):
+                i = next(i for i, key in enumerate(keys) if index[key] != i)
+                raise TriangleCompletionError(
+                    f"level {name}: {triangles[i]!r} is built twice, "
+                    f"so the first rows repeat or an orbit is not free")
+        super().__init__(None, triangles, self.transport, name=name,
                          transversal=firsts)
-        self._obj_index = index
+        self._keys, self._index, self._rows = keys, index, rows
+        # the group at each object, read with no Python call
+        self.group_at = self._group_of.__getitem__
 
-    def group_at(self, i):
-        return self._group_of[i]
+    def components(self):
+        """pi0 by first rows: the automorphisms of row 0 commute with
+        K+(r), so they carry the block of triangles over one first row
+        onto the block over the moved first row, and a component is the
+        union of the blocks whose first rows the generators of row 0's
+        factors connect.  A generator h of Aut(A_0j) moves only the monos
+        into and out of A_0j: m -> h m and m -> m h^-1.  Blocks are runs of
+        indices, so the components come in the order of their smallest
+        index, as a search over every object finds them."""
+        if self._components is None:
+            inst, firsts = self.inst, self.transversal
+            ends = [*firsts[1:], self.n_objects]
+            block = {row: b for b, row in enumerate(self._rows)}
+            comp_of, comps = [-1] * len(firsts), []
+            for start in range(len(firsts)):
+                if comp_of[start] >= 0:
+                    continue
+                idx = len(comps)
+                comp_of[start] = idx
+                stack, size = [start], 0
+                while stack:
+                    b = stack.pop()
+                    size += ends[b] - firsts[b]
+                    entries, monos = self._rows[b]
+                    for j, c in enumerate(entries):
+                        K = inst.aut_group(c)
+                        for h in K.generators():
+                            moved = list(monos)
+                            if j:
+                                moved[j - 1] = inst.left_rows[monos[j - 1]][h]
+                            if j < len(monos):
+                                moved[j] = inst.right_rows[monos[j]][K.inv(h)]
+                            to = block[entries, tuple(moved)]
+                            if comp_of[to] < 0:
+                                comp_of[to] = idx
+                                stack.append(to)
+                x = firsts[start]
+                comps.append(Component(idx, x, size,
+                                       self._aut_order(x, size)))
+            self._comp_of = [c for c, x, end in zip(comp_of, firsts, ends)
+                             for _ in range(end - x)]
+            self._components = comps
+        return self._components
 
-    def _moved(self, one, phis, inv, rmono, cepi):
-        """The maps of phis . x, for inv = phis^-1: m: A_p -> A_q becomes
-        phi_q m phi_p^-1, and stays m where phi_q and phi_p are the identity
-        tokens in `one` (the identities of generators and of K+(r) are)."""
-        c = self.inst.compose
-        return (tuple([m if phis[t] is one[t] and inv[s] is one[s]
-                       else c(c(phis[t], m), inv[s])
-                       for m, (t, s) in zip(rmono, self._rpos)]),
-                tuple([e if phis[t] is one[t] and inv[s] is one[s]
-                       else c(c(phis[t], e), inv[s])
-                       for e, (t, s) in zip(cepi, self._cpos)]))
+    def obj_index(self, tri):
+        """The index of the triangle tri, whose maps are map ids."""
+        return self._index[tri[2] + tri[3] or tri[1]]
 
     def transport(self, phis, i):
-        """The index of the triangle phis . x_i."""
-        n, entries, rmono, cepi = self.objects[i]
-        g = self._group_of[i]
-        moved = self._moved(g.identity, phis, g.inv(phis), rmono, cepi)
-        return self.obj_index((n, entries, *moved))
+        """The index of the triangle phis . x_i: each map m: A_p -> A_q
+        becomes phi_q m phi_p^-1."""
+        inv = self._group_of[i].inv(phis)
+        lefts, rights = self.inst.left_rows, self.inst.right_rows
+        key = self._keys[i]
+        return self._index[tuple([rights[lefts[m][phis[t]]][inv[s]]
+                                  for m, (t, s) in zip(key, self._pos)])
+                           or key]
 
 
 @cache
 def _plan(n, k, is_face):
     """How d_k (is_face) or s_k builds the image of a degree-n triangle from
-    its flat encoding (n, entries, rmono, cepi), as (entries, maps, fills):
+    its flat map ids (row monos, then column epis), as (entries, maps,
+    fills):
     - entries: the source position of each entry of the image, or None for
       a zero entry; this is also the GMap's selection;
     - maps: for each map of the image, row monos then column epis, (a, None)
-      to copy map a of rmono + cepi + fills, or (a, b) to compose map a
+      to copy map a of the flat ids + fills, or (a, b) to compose map a
       after map b;
     - fills: (kind, source entry position) of each map that a zero entry
       or a repeated index puts in: the mono from 0, the epi to 0 or the
@@ -354,37 +449,42 @@ def _plan(n, k, is_face):
 
 
 _FILLS = {"from_zero": _mono_from_zero, "to_zero": _epi_to_zero,
-          "identity": lambda inst, x: inst.identity(x)}
+          "identity": lambda inst, x: inst.ids[inst.identity(x)]}
 
 
 def _simplicial_map(inst, src, tgt, k, is_face):
     """Face d_k or degeneracy s_k as a G-map of levels: the index table of
-    the triangles' images, each built by `_plan`, and entry (a, b) of an
-    image's automorphism taken from the source entry the plan names, or
-    the zero entry's identity."""
+    the triangles' images, built by `_plan` a map at a time over all the
+    source's triangles (a column of map ids each: a copy, the composites of
+    two columns, or a fill read off each triangle's entries), and entry
+    (a, b) of an image's automorphism taken from the source entry the plan
+    names, or the zero entry's identity."""
     entries, maps, fills = _plan(src.level, k, is_face)
-    nr = len(_layout(tgt.level)[1])
-    rmaps, cmaps = maps[:nr], maps[nr:]
-    compose, zero = inst.compose, inst.zero_key()
-    heads, table = {}, []
-    for _, ent, rmono, cepi in src.objects:
-        # the image's entries and the fills depend only on the source's
-        head = heads.get(ent)
-        if head is None:
-            head = heads[ent] = (
-                tuple([zero if p is None else ent[p] for p in entries]),
-                tuple([_FILLS[kind](inst, ent[p]) for kind, p in fills]))
-        image_entries, extra = head
-        flat = rmono + cepi + extra
-        table.append(tgt.obj_index((
-            tgt.level, image_entries,
-            tuple([flat[a] if b is None else compose(flat[a], flat[b])
-                   for a, b in rmaps]),
-            tuple([flat[a] if b is None else compose(flat[a], flat[b])
-                   for a, b in cmaps]))))
+    zero, n_maps = inst.zero_key(), len(src._pos)
+    # the image's entries and the fills depend only on the source's entries
+    made = {group: (tuple([zero if p is None else ent[p] for p in entries]),
+                    tuple([_FILLS[kind](inst, ent[p]) for kind, p in fills]))
+            for group, ent in src._entries.items()}
+    per_object = (list(map(made.__getitem__, src._group_of))
+                  if fills or tgt.level < 2 else None)
+    columns = {}
+
+    def column(a):
+        if a not in columns:
+            columns[a] = (list(map(itemgetter(a), src._keys)) if a < n_maps
+                          else [extra[a - n_maps] for _, extra in per_object])
+        return columns[a]
+
+    if tgt.level < 2:
+        keys = [image_entries for image_entries, _ in per_object]
+    else:
+        keys = zip(*[column(a) if b is None else list(map(
+            inst.composites.__getitem__, zip(column(a), column(b))))
+                     for a, b in maps])
+    table = list(map(tgt._index.__getitem__, keys))
     name = "d" if is_face else "s"
     return GMap(src, tgt, table, name=f"{name}_{k}^{src.level}", sel=entries,
-                fill=inst.identity(zero))
+                fill=inst.aut_group(zero).identity)
 
 
 def s_construction(inst: ProtoAbelianInstance, depth: int = 3,

@@ -85,3 +85,15 @@ def subobject_types(inst, m) -> Counter:
 
 def total_subobjects(inst, m) -> int:
     return len(subobjects(inst, m))
+
+
+def homs_with_image(inst: AbelianPGroups, x, y, size) -> list:
+    """The homomorphisms x -> y whose image has p^size elements, in
+    `_homs` order, found by applying each hom to every element of x: the
+    oracle for the isos (size of x, x = y), monos (size of x) and epis
+    (size of y)."""
+    if size > min(inst.size_of(x), inst.size_of(y)):
+        return []
+    full, elems = inst.p ** size, inst.elements(x)
+    return [f for f in inst._homs(x, y)
+            if len({inst.apply(f, a) for a in elems}) == full]

@@ -1,22 +1,71 @@
-"""Oracles for the S-construction levels.
+"""Oracles for the S-construction levels, on map tokens.
 
 - `enumerate_triangles`: every degree-n triangle, by a search over all
-  classes, epis and monos at each entry, with every square checked;
+  classes, epis and monos at each entry, with every square checked by
+  the token `square_bicartesian`;
 - `face_triangle` and `degeneracy_triangle`: the image of one triangle,
   built entry by entry;
 - two models equivalent to the levels: the flags 0 >-> A_1 >-> ... >-> A_n
-  with no quotient data, and, for level 1, the skeletal core of the
+  with no quotient data, acted on by the automorphism groups of map
+  tokens (`token_aut_group`), and, for level 1, the skeletal core of the
   instance.  A comparison functor from the triangle levels to each must be
-  an equivalence."""
+  an equivalence.
+
+The levels hold map ids; `token_triangle` decodes them to the token
+triangles these oracles build, and an automorphism of class c numbered a
+is `inst.isos(c, c)[a]`."""
 
 from hallalg import BudgetExceededError
 from hallalg.groupoid import ActionGroupoid, FnFunctor, b_group
-from hallalg.groups import TupleGroup
+from hallalg.groups import FiniteGroup, TupleGroup
 from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
-                                              Triangle, _epi_to_zero,
-                                              _layout, _mono_from_zero,
-                                              _square_ok)
+                                              Triangle, _layout)
 from oracles.groupoid import DisjointUnion
+
+
+def _unique(maps, what):
+    if len(maps) != 1:
+        raise ValueError(f"expected exactly one {what}, found {len(maps)}")
+    return maps[0]
+
+
+def epi_to_zero(inst, x):
+    return _unique(inst.epis(x, inst.zero_key()), f"epi {x} ->> 0")
+
+
+def mono_from_zero(inst, x):
+    return _unique(inst.monos(inst.zero_key(), x), f"mono 0 >-> {x}")
+
+
+def square_ok(inst, entries, rmono, cepi, i, j):
+    """Bicartesian check, on tokens, for the square between rows i,i+1 and
+    cols j-1,j (j >= i+2); the j-1 == i+1 boundary uses the zero
+    corner."""
+    m = rmono[(i, j - 1)]
+    q = cepi[(i, j)]
+    if j - 1 == i + 1:
+        p = epi_to_zero(inst, entries[(i, j - 1)])
+        jm = mono_from_zero(inst, entries[(i + 1, j)])
+    else:
+        p = cepi[(i, j - 1)]
+        jm = rmono[(i + 1, j - 1)]
+    return inst.square_bicartesian(m, p, q, jm)
+
+
+def token_triangle(level, i):
+    """Triangle i of the level with its map ids decoded to the instance's
+    tokens."""
+    n, entries, rmono, cepi = level.objects[i]
+    token = level.inst.tokens.__getitem__
+    return Triangle(n, entries, tuple(map(token, rmono)),
+                    tuple(map(token, cepi)))
+
+
+def token_aut_group(inst, c):
+    """Aut(c) on the map tokens `inst.isos(c, c)`, composed by the token
+    `compose`: the group the instance's int `aut_group(c)` numbers."""
+    return FiniteGroup(inst.isos(c, c), inst.compose,
+                       name=f"Aut({inst.family}:{c})", check=False)
 
 
 def _triangle(n, entries, rmono, cepi):
@@ -103,7 +152,7 @@ def enumerate_triangles(inst, n: int, budget=DEFAULT_TRIANGLE_BUDGET):
             if len(stack) > budget:
                 raise over_budget(len(stack), f"partial triangles at row {i}")
         for entries, rmono, cepi in stack:
-            if all(_square_ok(inst, entries, rmono, cepi, i, j)
+            if all(square_ok(inst, entries, rmono, cepi, i, j)
                    for i in range(n - 1) for j in range(i + 2, n + 1)):
                 out.append(_triangle(n, entries, rmono, cepi))
         if len(out) > budget:
@@ -153,7 +202,7 @@ def degeneracy_triangle(inst, tri, k: int):
         for j in range(i + 1, n + 1):
             a, b = entries[(i, j)], entries[(i, j + 1)]
             if t(i) == t(j):                  # zero entry source
-                rmono[(i, j)] = _mono_from_zero(inst, b)
+                rmono[(i, j)] = mono_from_zero(inst, b)
             elif t(j + 1) == t(j):            # duplicated column
                 rmono[(i, j)] = inst.identity(a)
             else:
@@ -164,15 +213,16 @@ def degeneracy_triangle(inst, tri, k: int):
             if t(i + 1) == t(i):              # duplicated row
                 cepi[(i, j)] = inst.identity(a)
             elif t(i + 1) == t(j):            # target is a zero entry
-                cepi[(i, j)] = _epi_to_zero(inst, a)
+                cepi[(i, j)] = epi_to_zero(inst, a)
             else:
                 cepi[(i, j)] = ce[(t(i), t(j))]
     return _triangle(n + 1, entries, rmono, cepi)
 
 
 class FlagGroupoid(ActionGroupoid):
-    """Flags 0 >-> A_1 >-> ... >-> A_n, with prod Aut(A_k) acting by
-    m_k -> phi_k+1 m_k phi_k^-1, one group per tuple of entries."""
+    """Flags 0 >-> A_1 >-> ... >-> A_n of map tokens, with
+    prod Aut(A_k) of token isos acting by m_k -> phi_k+1 m_k phi_k^-1, one
+    group per tuple of entries."""
 
     def __init__(self, inst, n):
         self.inst = inst
@@ -185,7 +235,7 @@ class FlagGroupoid(ActionGroupoid):
                      for m in inst.monos(entries[-1], c)]
         super().__init__(None, flags, self.transport,
                          name=f"Flags_{n}({inst.family})")
-        auts = {c: inst.aut_group(c) for c in classes}
+        auts = {c: token_aut_group(inst, c) for c in classes}
         groups = {entries: TupleGroup([auts[c] for c in entries],
                                       f"Aut{entries}")
                   for entries, _ in flags}
@@ -203,11 +253,12 @@ class FlagGroupoid(ActionGroupoid):
 
 
 def flag_comparison_functor(tri_level, flags: FlagGroupoid):
-    """Project a triangle to its first row."""
-    n = tri_level.level
+    """Project a triangle to its first row, decoded to tokens, and its
+    automorphisms to the token isos of the first row's entries."""
+    n, inst = tri_level.level, tri_level.inst
 
     def obj_map(i):
-        tri = tri_level.objects[i]
+        tri = token_triangle(tri_level, i)
         ent, rm = tri.entries, tri.rmono
         entries = tuple(ent[(0, j)] for j in range(1, n + 1))
         monos = tuple(rm[(0, j)] for j in range(1, n))
@@ -218,7 +269,9 @@ def flag_comparison_functor(tri_level, flags: FlagGroupoid):
 
     def mor_map(m):
         phis, i = m
-        return (tuple(phis[k] for k in first_row), obj_map(i))
+        entries = tri_level.objects[i][1]
+        return (tuple(inst.isos(entries[k], entries[k])[phis[k]]
+                      for k in first_row), obj_map(i))
 
     return FnFunctor(tri_level, flags, obj_map, mor_map, name="first-row")
 

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pkgutil
@@ -10,6 +12,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallalg import cli
 from hallalg.cli import run
@@ -946,3 +949,61 @@ def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
     assert [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS] == light
     codes = [code for code, _, _ in light]
     assert codes[:8] == [0] * 8 and 2 in codes and 0 in codes[8:]
+
+
+# -- the segal-check --construction s contract, as a property ----------------
+
+S_INTS = [-1, 0, 1, 2, 3, 4, 10 ** 6]
+
+
+@st.composite
+def s_construction_argv(draw):
+    """segal-check --construction s over the three families, with each
+    parameter absent or drawn from boundary values, a malformed group
+    spec among them."""
+    argv = ["segal-check", "--construction", "s", "--family",
+            draw(st.sampled_from(["vect-fq", "f1-free", "ab-p-groups"]))]
+    for flag, values in (
+            ("--q", S_INTS), ("--p", S_INTS),
+            ("--G", ["trivial", "cyclic:2", "cyclic:3", "cyclic:x"]),
+            ("--bound", [-1, 0, 1, 2, 3, 10 ** 6]),
+            ("--budget", [0, 1, 300, 10 ** 4])):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv",
+                                                      "text"]))]
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None)
+@given(s_construction_argv())
+def test_the_s_construction_keeps_the_cli_contract(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, \
+            (argv, err)
+    else:
+        assert _run_captured(argv) == (code, out, err), argv
+
+
+def test_s_construction_with_more_classes_than_the_budget_exits_at_once(
+        capsys):
+    # each class is a first row up to A_01: F1 to rank 10^6 has 10^6 + 1
+    # of them, refused before the rows up to A_02 are counted over every
+    # pair of classes (which did not finish)
+    t0 = perf_counter()
+    assert run(["segal-check", "--construction", "s", "--family", "f1-free",
+                "--G", "trivial", "--bound", str(10 ** 6)]) == 2
+    assert perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: level S_3(f1-free): 1000001 first rows up to A_01 already "
+        "exceed the budget of 200000 triangles\n"))

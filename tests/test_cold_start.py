@@ -99,3 +99,87 @@ def test_a_fresh_worker_finds_and_clears_every_cache():
     assert got["wrong"] is None
     assert got["before"] >= 1
     assert (got["after"], got["memo"]) == (0, [])
+
+
+S_SCRIPT = """
+import importlib.util, json, sys
+
+import hallalg
+import hallalg.cli
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, sys.argv[1] + "/" + name + ".py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+worker = load("worker")
+caches = worker.find_caches()
+
+from hallalg.groups import cyclic_group
+from hallalg.protoab import F1FreeG, VectFq
+from hallalg.waldhausen.sconstruction import s_construction
+
+
+def held():
+    # the size of every dict, list and set held by a module of protoab or
+    # by sconstruction, or by a class defined there
+    out = {}
+    for name, mod in sorted(sys.modules.items()):
+        if not (name.startswith("hallalg.protoab")
+                or name == "hallalg.waldhausen.sconstruction"):
+            continue
+        for attr, value in vars(mod).items():
+            scopes = [(attr, value)]
+            if isinstance(value, type) and value.__module__ == name:
+                scopes = [(attr + "." + k, v) for k, v in vars(value).items()]
+            for key, v in scopes:
+                if isinstance(v, (dict, list, set)):
+                    out[name + "." + key] = len(v)
+    return out
+
+
+def tables(inst):
+    # the numbering and every table on it, which a fresh instance holds
+    # empty
+    return [len(inst.tokens), len(inst.ids), len(inst.composites),
+            len(inst.squares), len(inst.left_rows), len(inst.right_rows)]
+
+
+def build(make):
+    inst = make()
+    fresh = tables(inst)
+    x = s_construction(inst, depth=3)
+    return fresh, tables(inst), {str(k): f.table for k, f in x.faces.items()}
+
+
+out = {"held": held()}
+for label, make in (("vect", lambda: VectFq(2, 2)),
+                    ("f1", lambda: F1FreeG(cyclic_group(2), 2))):
+    out[label] = [build(make)]
+    worker.settle(caches)
+    out[label].append(build(make))
+out["held_after"] = held()
+print(json.dumps(out))
+"""
+
+
+def test_the_s_numbering_lives_on_the_instance_and_refills_cold():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", S_SCRIPT, str(PERFBENCH)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    # no dict, list or set of those modules grew: every table is the
+    # instance's, and the worker's settle need not know of them
+    assert got["held"] == got["held_after"]
+    for label in ("vect", "f1"):
+        (fresh, filled, faces), (fresh2, filled2, faces2) = got[label]
+        # a fresh instance holds no number and no table entry, before and
+        # after the worker settles; the build fills each table alike
+        assert fresh == fresh2 == [0] * len(fresh)
+        assert all(filled) and filled2 == filled
+        assert faces2 == faces

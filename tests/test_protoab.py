@@ -2,14 +2,16 @@ import gc
 import weakref
 from collections import Counter
 from math import comb, factorial
+from time import perf_counter
 
 import pytest
 
 from hallalg.groups import cyclic_group, symmetric_group, trivial_group
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq, make_instance
-from hallalg.waldhausen.sconstruction import TriangleGroupoid
-from oracles.protoab import (classify_sub, count_ses, subgroups,
-                             subobject_types, total_subobjects)
+from hallalg.waldhausen.sconstruction import (TriangleGroupoid, _complete,
+                                              _entries, _first_rows)
+from oracles.protoab import (classify_sub, count_ses, homs_with_image,
+                             subgroups, subobject_types, total_subobjects)
 
 
 @pytest.fixture(scope="module")
@@ -186,22 +188,28 @@ def test_subobject_type_counts_match_per_subobject_count(inst):
                     types.count((l, n)), (m, l, n)
 
 
-@pytest.mark.parametrize("p,bound", [(2, 8), (3, 9)])
+@pytest.mark.parametrize("p,bound", [(2, 8), (3, 9), (5, 25)])
 def test_abelian_isos_monos_epis_match_brute_force(p, bound):
+    # the walk over generator images against every hom applied to every
+    # element
     inst = AbelianPGroups(p, bound)
     for x in inst.iso_classes():
         for y in inst.iso_classes():
-            homs = inst._homs(x, y)
-            ys = set(inst.elements(y))
-            images = [[inst.apply(f, a) for a in inst.elements(x)]
-                      for f in homs]
-            injective = [f for f, im in zip(homs, images)
-                         if len(set(im)) == len(im)]
-            surjective = [f for f, im in zip(homs, images) if set(im) == ys]
+            injective = homs_with_image(inst, x, y, inst.size_of(x))
+            surjective = homs_with_image(inst, x, y, inst.size_of(y))
             for _ in range(2):          # the second call reads the cache
                 assert inst.monos(x, y) == injective
                 assert inst.epis(x, y) == surjective
                 assert inst.isos(x, y) == (injective if x == y else [])
+
+
+def test_the_monos_of_f2_to_the_4_are_found_without_every_hom():
+    # 20,160 of the 65,536 homs; applying each to all 16 elements took
+    # seconds
+    inst = AbelianPGroups(2, 16)
+    t0 = perf_counter()
+    assert len(inst.monos((1, 1, 1, 1), (1, 1, 1, 1))) == 20160
+    assert perf_counter() - t0 < 0.5
 
 
 MONO_COUNT_INSTANCES = {
@@ -289,3 +297,90 @@ def test_a_dropped_instance_is_collected():
             build_level(AbelianPGroups(2, 4))]
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+# -- the S-construction's numbering, against the token methods ---------------
+
+INT_TABLE_INSTANCES = {
+    "vect-f2-2": lambda: VectFq(2, 2),
+    "vect-f3-2": lambda: VectFq(3, 2),
+    "ab-p-2-8": lambda: AbelianPGroups(2, 8),
+    "f1-c2-2": lambda: F1FreeG(cyclic_group(2), 2),
+    "f1-c3-2": lambda: F1FreeG(cyclic_group(3), 2),
+}
+
+
+@pytest.mark.parametrize("name", INT_TABLE_INSTANCES)
+def test_the_int_tables_decode_to_the_token_methods(name):
+    inst = INT_TABLE_INSTANCES[name]()
+    token, classes = inst.tokens.__getitem__, inst.iso_classes()
+    # the lists keep the token lists' order; maps by (source, target)
+    listed = {}
+    for x in classes:
+        for y in classes:
+            for ids, maps in ((inst.mono_ids(x, y), inst.monos(x, y)),
+                              (inst.epi_ids(x, y), inst.epis(x, y))):
+                assert list(map(token, ids)) == maps
+                listed.setdefault((x, y), set()).update(ids)
+        assert list(map(token, inst.iso_ids(x))) == inst.isos(x, x)
+    assert [inst.ids[f] for f in inst.tokens] == list(
+        range(len(inst.tokens)))
+    # compose on every composable pair of listed maps
+    for (x, y), fs in listed.items():
+        for z in classes:
+            for g in listed.get((y, z), ()):
+                for f in fs:
+                    assert token(inst.composites[g, f]) == inst.compose(
+                        token(g), token(f))
+    # each map's rows of composites with the automorphisms of its ends
+    for m in set().union(*listed.values()):
+        src, tgt = token(m)[:2]
+        for a, phi in enumerate(inst.isos(tgt, tgt)):
+            assert token(inst.left_rows[m][a]) == inst.compose(phi,
+                                                               token(m))
+        for a, psi in enumerate(inst.isos(src, src)):
+            assert token(inst.right_rows[m][a]) == inst.compose(token(m),
+                                                                psi)
+    # Aut(c) on numbers: the product, identity and inverses decode
+    for c in classes:
+        K, isos = inst.aut_group(c), inst.isos(c, c)
+        assert K.elements == list(range(len(isos)))
+        assert isos[K.identity] == inst.identity(c)
+        for a in K.elements:
+            assert isos[K.inv(a)] == next(
+                psi for psi in isos if inst.compose(psi, isos[a])
+                == inst.identity(c))
+            for b in K.elements:
+                assert isos[K.op(a, b)] == inst.compose(isos[a], isos[b])
+
+
+class Recorded(dict):
+    """A read-only view of a table that records every key read."""
+
+    def __init__(self, table, keys):
+        super().__init__()
+        self.table, self.keys_read = table, keys
+
+    def __missing__(self, key):
+        self.keys_read.append(key)
+        return self.table[key]
+
+
+@pytest.mark.parametrize("name", INT_TABLE_INSTANCES)
+def test_every_square_the_completion_tries_agrees_with_the_tokens(name):
+    inst = INT_TABLE_INSTANCES[name]()
+    tried, squares = [], inst.squares
+    # the squares read, in the order the completion reads them
+    inst.squares = Recorded(squares, tried)
+    # every first row of degree 3 completed once, no orbit transported
+    for row in _first_rows(inst, 3, 10 ** 6, name):
+        _complete(inst, 3, _entries(inst, row), row[1], name)
+    assert tried
+    token = inst.tokens.__getitem__
+    for square in set(tried):
+        i, p, q, j = map(token, square)
+        # the definition: it commutes, and im(i) = q^-1(im(j))
+        want = (inst.compose(q, i) == inst.compose(j, p)
+                and inst.image_sub(i) == inst.preimage_sub(
+                    q, inst.image_sub(j)))
+        assert squares[square] == inst.square_bicartesian(i, p, q, j) == want

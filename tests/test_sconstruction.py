@@ -23,7 +23,8 @@ from hallalg.waldhausen.sconstruction import (TriangleCompletionError,
                                               TriangleGroupoid, _layout,
                                               s_construction)
 from oracles.sconstruction import (degeneracy_triangle, enumerate_triangles,
-                                   face_triangle)
+                                   face_triangle, token_aut_group,
+                                   token_triangle)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,14 +50,23 @@ def built(name):
     return _BUILT[name]
 
 
+def decoded(level):
+    """The level's triangles with their maps decoded to tokens."""
+    return [token_triangle(level, i) for i in range(level.n_objects)]
+
+
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_levels_are_the_oracle_triangles(name):
     _, x, oracle = built(name)
     for level, triangles in zip(x.levels, oracle):
+        objects = decoded(level)
         assert len(set(triangles)) == len(triangles)
-        assert len(set(level.objects)) == level.n_objects
-        assert set(level.objects) == set(triangles), (name, level.level)
+        assert len(set(objects)) == level.n_objects
+        assert set(objects) == set(triangles), (name, level.level)
         assert level.closed_count == len(triangles) == level.n_objects
+        # the int triangles are the decoded ones, with map ids
+        assert [level.obj_index(t) for t in level.objects] == list(
+            range(level.n_objects))
 
 
 @pytest.mark.parametrize("name", list(INSTANCES))
@@ -65,17 +75,19 @@ def test_faces_and_degeneracies_are_the_oracle_images(name):
     for maps, image, step in ((x.faces, face_triangle, -1),
                               (x.degeneracies, degeneracy_triangle, 1)):
         for (n, k), f in maps.items():
-            tgt = x.levels[n + step]
-            assert f.table == [tgt.obj_index(image(inst, tri, k))
-                               for tri in x.levels[n].objects], (name, n, k)
+            index = {t: j for j, t in enumerate(decoded(x.levels[n + step]))}
+            assert f.table == [index[image(inst, tri, k)]
+                               for tri in decoded(x.levels[n])], (name, n, k)
 
 
 def _oracle_transport(inst, level, phis, tri):
-    """phis . tri by the dict views: m: A_p -> A_q becomes
-    phi_q m phi_p^-1."""
+    """phis . tri by the dict views of the token triangle tri, for phis
+    numbered as the level's groups number them: m: A_p -> A_q becomes
+    phi_q m phi_p^-1, composed on tokens."""
     pos = {p: k for k, p in enumerate(_layout(level.level)[0])}
-    factors = level.group_at(level.obj_index(tri)).factors
-    inv = [K.inv(phi) for K, phi in zip(factors, phis)]
+    groups = [token_aut_group(inst, c) for c in tri[1]]
+    phis = [K.elements[a] for K, a in zip(groups, phis)]
+    inv = [K.inv(phi) for K, phi in zip(groups, phis)]
     c = inst.compose
 
     def moved(maps, step):
@@ -96,15 +108,16 @@ def test_transport_and_the_simplicial_maps_are_equivariant(data):
     phis = tuple(data.draw(st.sampled_from(K.elements))
                  for K in level.group_at(i).factors)
     j = level.transport(phis, i)
-    assert level.objects[j] == _oracle_transport(inst, level, phis,
-                                                 level.objects[i])
+    assert token_triangle(level, j) == _oracle_transport(
+        inst, level, phis, token_triangle(level, i))
     maps = [(f, face_triangle, k) for (m, k), f in x.faces.items() if m == n]
     maps += [(f, degeneracy_triangle, k)
              for (m, k), f in x.degeneracies.items() if m == n]
     for f, image, k in maps:
         g, target = f.on_mor((phis, i))
         assert target == f.table[i]
-        assert f.tgt.objects[f.table[j]] == image(inst, level.objects[j], k)
+        assert token_triangle(f.tgt, f.table[j]) == image(
+            inst, token_triangle(level, j), k)
         assert f.table[j] == f.tgt.transport(g, target)
 
 

@@ -43,7 +43,7 @@ from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
                               validate_functor, walked_fibres, witness_key)
 from oracles.hecke import run_table
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
-                                   flag_comparison_functor)
+                                   flag_comparison_functor, token_triangle)
 
 
 @pytest.fixture(scope="module")
@@ -688,20 +688,24 @@ def check_against_iso_families(level):
     for i, tri in enumerate(level.objects):
         buckets[tuple(tri.entries.values())].append(i)
     for entries, members in buckets.items():
+        # each family as the level numbers it, and as token isos
+        numbered = list(product(*(range(len(inst.isos(c, c)))
+                                  for c in entries)))
         families = list(product(*(inst.isos(c, c) for c in entries)))
         for i in members:
             out = [m[0] for m in level.out(i)]
-            assert len(out) == len(families) and set(out) == set(families)
-        maps = {i: [(pos[p], pos[q], m) for p, q, m in _maps(level.objects[i])]
+            assert len(out) == len(numbered) and set(out) == set(numbered)
+        maps = {i: [(pos[p], pos[q], m)
+                    for p, q, m in _maps(token_triangle(level, i))]
                 for i in members}
-        for phis in families:
+        for a, phis in zip(numbered, families):
             sources = defaultdict(list)     # x_j's side: m' phi_p
             for j in members:
                 sources[tuple([compose(m, phis[p])
                                for p, q, m in maps[j]])].append(j)
             for i in members:               # x_i's side: phi_q m
                 key = tuple([compose(phis[q], m) for p, q, m in maps[i]])
-                assert sources.get(key) == [level.mor_tgt((phis, i))], \
+                assert sources.get(key) == [level.mor_tgt((a, i))], \
                     (level.name, level.objects[i], phis)
 
 
