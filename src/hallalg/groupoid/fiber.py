@@ -31,8 +31,15 @@ fibre sizes and the rank of each object in its fibre, which a leg with a
 plan (GMap) gives with no pass over its table.  The count reads the apex's
 two maps in windows of `functors.RUN` objects (GMap.pull), so that its
 only list as long as P is its array: one byte per object where rho must
-be a bijection, else one count.  The walk of every N-orbit of the apex
-that the count replaces is a test oracle (`tests/oracles/groupoid.py`).
+be a bijection, else one count.  Where every map of the square has a
+block (GMap) and fa sends the apex's block into A's, as on every
+Hecke-Waldhausen square, the bijection is decided on the apex's block
+alone, onto the points of P over A's block: X -> P is then a G-map over
+the transitive G-set whose fibres the blocks are, and a bijection exactly
+when it is one on the fibres over the base point.  The array then covers
+those points only, [G:H] times fewer.  The walk of every N-orbit of the
+apex that the count replaces, and the count over every object, are test
+oracles (`tests/oracles/groupoid.py`).
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
@@ -41,6 +48,7 @@ table rule in the tests; no check builds one.  D's morphisms are interned
 as integers, so D must be small enough to list them.
 """
 
+from functools import cached_property
 from itertools import chain
 from operator import add
 
@@ -147,12 +155,18 @@ class _Square:
                 count[d] += 1
             return count, rank
 
-        (nf, rf), (self.ng, self.rg) = ranks(f), ranks(g)
-        offset, self.size = [], 0
+        (nf, self._rf), (self.ng, self.rg) = ranks(f), ranks(g)
+        self._offset, self.size = [], 0
         for a, b in zip(nf, self.ng):
-            offset.append(self.size)
+            self._offset.append(self.size)
             self.size += a * b
-        self.base = [offset[d] + r * self.ng[d] for d, r in zip(f.table, rf)]
+
+    @cached_property
+    def base(self):
+        """The number of the point (u, v) of P, less the rank of v, for
+        each u of A; read by the passes over every object of the apex."""
+        offset, ng = self._offset, self.ng
+        return [offset[d] + r * ng[d] for d, r in zip(self.f.table, self._rf)]
 
     def point(self, u, v):
         return self.base[u] + self.rg[v]
@@ -182,6 +196,32 @@ class _Square:
             gens.append((e, b))
         return gb.order * k_order, gens + [(k, gb.identity) for k in kernel]
 
+    def _fibre(self):
+        """(block, base, size) where every map of the square has a block
+        (GMap), fa passes g through and sends the apex's block into A's:
+        then the points (u, v) of P with u in A's block are numbered base[u]
+        + rank of v, and there are `size` of them.  The apex's block is the
+        fibre over the base point t of a G-map onto a transitive G-set T,
+        A's block the fibre over t of A -> T, and fa commutes with the two
+        (they agree on the block, which meets every orbit).  So X -> P is a
+        G-map over T, and a bijection exactly when it is one from the
+        apex's block onto these points, its fibre over t.  (A pass needs
+        less: A's block meets every orbit, so points that cover it cover P,
+        which has as many objects as the apex.)  Else None."""
+        fa, f, run = self.fa, self.f, functors.RUN
+        if (None in (fa.block, self.fb.block, f.block, self.g.block)
+                or fa.sel is not None or fa.fill is not None):
+            return None
+        block, on_a = fa.block, range(self.a.n_objects)
+        for lo in range(0, block, run):
+            if max(fa.pull(on_a, lo, min(lo + run, block))) >= f.block:
+                return None
+        base, size = [], 0
+        for d in f.pull(range(f.tgt.n_objects), 0, f.block):
+            base.append(size)
+            size += self.ng[d]
+        return block, base, size
+
     def fibres(self) -> bool:
         """Whether rho is onto G_P at every object, every object of P is
         hit, each fibre holds |N| objects and N acts freely at each object
@@ -199,29 +239,35 @@ class _Square:
                 return False            # rho is not onto G_P
         n, run = apex.n_objects, functors.RUN
 
-        def windows():
-            # the points of P of the apex objects, a window at a time
+        def windows(base, n):
+            # the points of P, numbered from `base`, of the apex objects
+            # 0..n-1, a window at a time
             for lo in range(0, n, run):
                 hi = min(lo + run, n)
-                yield map(add, fa.pull(self.base, lo, hi),
+                yield map(add, fa.pull(base, lo, hi),
                           fb.pull(self.rg, lo, hi))
 
         if all(k == 1 for k, _ in kernels.values()):  # a bijection onto P
             if self.size != n:
                 return False
-            hit = bytearray(self.size)
-            for window in windows():
+            # onto the points of P over the fibre of A that the apex's
+            # block meets, where that is all it meets; else onto all of P
+            block, base, size = self._fibre() or (n, self.base, self.size)
+            if size != block:
+                return False
+            hit = bytearray(size)
+            for window in windows(base, block):
                 for p in window:
                     hit[p] = 1
             return 0 not in hit
         count = [0] * self.size
-        for window in windows():
+        for window in windows(self.base, n):
             for p in window:
                 count[p] += 1
         if 0 in count:
             return False
         for gx, p in zip(map(apex.group_at, range(n)),
-                         chain.from_iterable(windows())):
+                         chain.from_iterable(windows(self.base, n))):
             if count[p] != kernels[gx][0]:
                 return False            # a fibre is not |N| objects
         seen = bytearray(n)

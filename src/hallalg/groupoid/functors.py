@@ -13,12 +13,17 @@ where it has one (GMap.pull), which then needs no written table.
 composite_difference decides whether two composites of G-maps are equal,
 and where they differ, pulling each from its outermost map inward with no
 composite built, and composing two plans into one where the outer map is
-larger than the composite; functors_equal compares any two functors on a
-generating family of morphisms.  The composed functors and the per-entry
-composition (`tests/oracles`) are its oracles.
+larger than the composite.  Where every map is a G-map by construction
+(one with a `block`), the composites are compared on the apex's block
+alone: two G-maps with the same group map that agree on a set meeting
+every orbit agree everywhere.  functors_equal compares any two functors on
+a generating family of morphisms.  The composed functors, the per-entry
+composition and the comparison on every object (`tests/oracles`) are its
+oracles.
 """
 
 from functools import cached_property
+from itertools import chain
 
 from .. import Record
 from .core import ActionGroupoid, Groupoid, point_groupoid
@@ -69,11 +74,19 @@ class GMap(Functor):
     S, the run s..s+S-1 of target indices, `repeat` times over.  A map with
     a plan need not be given its table: on_obj and on_mor read single
     entries off the plan, and pull reads windows of it, so that neither
-    writes the table."""
+    writes the table.
+
+    A map built as a G-map between levels fibred over one transitive G-set
+    T by G-maps (the first coset of a Hecke-Waldhausen level) may give its
+    source's `block`: the objects 0..block-1, the fibre over the base point
+    of T.  The block meets every orbit, so the checks read such a map on
+    it alone.  A map given by its table alone keeps block None: it is not
+    known to be equivariant, and is read on every object."""
 
     def __init__(self, src: ActionGroupoid, tgt: ActionGroupoid, table,
-                 name="F", sel=None, fill=None, plan=None):
+                 name="F", sel=None, fill=None, plan=None, block=None):
         super().__init__(src, tgt, name=name)
+        self.block = block
         # a list is kept, not copied: no table is changed once made
         if table is not None:
             self.table = table if type(table) is list else list(table)
@@ -178,20 +191,20 @@ def _indices(m: GMap):
     return m.tgt.indices if n <= m.src.n_objects else range(n)
 
 
-def _after(outer, inner):
-    """outer∘inner as a GMap with a plan, read off the two plans, or None
-    where they do not nest.  inner must write each of its runs once.  Each
-    run of inner then lies in one copy of a run of outer, which gives the
-    composite one start per run of inner, or covers whole blocks of copies
-    of outer's runs, whose starts the composite takes as a slice.  Its
-    starts may repeat; only pull and on_obj read it."""
+def _after(outer, inner, n):
+    """outer∘inner on the objects 0..n-1 of inner's source, as a GMap with
+    a plan read off the two plans, or None where they do not nest.  inner
+    must write each of its runs once.  Each run of inner then lies in one
+    copy of a run of outer, which gives the composite one start per run of
+    inner, or covers whole blocks of copies of outer's runs, whose starts
+    the composite takes as a slice.  Its starts may repeat, and cover the
+    runs of inner up to n only; only pull and on_obj read it, below n."""
     if (outer.plan is None or inner.plan is None or inner.plan[2] != 1
             or "table" in vars(outer)):
         return None
     (So, so, ro), (Si, si, _) = outer.plan, inner.plan
-    block = So * ro
+    block, si = So * ro, si[:-(-n // Si)]
     if So % Si == 0:
-        so = list(so)               # a list reads faster than a range
         S, starts, repeat = Si, [so[t // block] + t % So for t in si], 1
     elif Si % block == 0:
         S, starts, repeat, k = So, [], ro, Si // block
@@ -203,9 +216,10 @@ def _after(outer, inner):
                 name=f"{outer.name}∘{inner.name}", plan=(S, starts, repeat))
 
 
-def _composite(maps, other):
-    """(source, target, values, inner): inner is the innermost of `maps`,
-    values the others' composite (one map: its table; none: None).  The
+def _composite(maps, n=None):
+    """(values, inner): inner is the innermost of `maps`, values the
+    others' composite (one map: its table; none: None), to be read on the
+    objects 0..n-1 of the source (None: all of them).  The
     outermost map's table is read where it is written.  One that is not is
     pulled along its plan, as each map after it is, and stays unwritten;
     where its source is larger than the composite's, it is first composed
@@ -213,28 +227,22 @@ def _composite(maps, other):
     its source is built.  A lone map with no table is the inner map, on
     its target's indices."""
     if not maps:
-        src = other[-1].src
-        return src, src, None, None
-    for outer, inner in zip(maps, maps[1:]):
-        if inner.tgt is not outer.src:
-            raise ValueError(f"{outer.name} after {inner.name} is not "
-                             f"composable: {inner.tgt.name} is not "
-                             f"{outer.src.name}")
+        return None, None
     if len(maps) > 1 and maps[0].src.n_objects > maps[-1].src.n_objects:
-        merged = _after(maps[0], maps[1])
+        merged = _after(maps[0], maps[1], maps[1].src.n_objects
+                        if n is None or len(maps) > 2 else n)
         if merged is not None:
             maps = (merged, *maps[2:])
     outer = maps[0]
     if "table" in vars(outer):
         values = outer.table
     elif len(maps) == 1:
-        return outer.src, outer.tgt, _indices(outer), outer
+        return _indices(outer), outer
     else:
         values = outer.pull(_indices(outer), 0, outer.src.n_objects)
     for m in maps[1:-1]:
         values = m.pull(values, 0, m.src.n_objects)
-    return (maps[-1].src, maps[0].tgt, values,
-            maps[-1] if len(maps) > 1 else None)
+    return values, maps[-1] if len(maps) > 1 else None
 
 
 def composite_difference(a, b):
@@ -243,20 +251,39 @@ def composite_difference(a, b):
     built: None when they are equal, else (i, g).  Then either i is the
     first object of the apex that they send to different objects, and g is
     None, or they agree on objects, i is the first object acted on by a
-    group with a generator g whose images differ.  The tables are read in
-    runs of RUN entries.  The group maps, which only read coordinates of g
-    and put in fills, are compared on an element whose coordinates are
-    distinct unknowns; only where those images differ are they compared on
-    the generators of each distinct group of the apex, which is exact for
-    group homomorphisms.  Maps that do not compose, or composites with
+    group with a generator g whose images differ.  The group maps, which
+    only read coordinates of g and put in fills, are compared first on an
+    element whose coordinates are distinct unknowns; only where those
+    images differ are they compared on the generators of each distinct
+    group of the apex, which is exact for group homomorphisms.  Where they
+    agree and every map has a block (GMap), the tables are read on the
+    apex's block alone: two G-maps with the same group map that agree on
+    a set meeting every orbit agree everywhere, and the block, a prefix,
+    holds the first object where they differ.  The tables are read in runs
+    of RUN entries.  Maps that do not compose, or composites with
     different ends, are a ValueError."""
-    src, tgt, va, ia = _composite(a, b)
-    src_b, tgt_b, vb, ib = _composite(b, a)
-    if src_b is not src or tgt_b is not tgt:
+    for outer, inner in chain(zip(a, a[1:]), zip(b, b[1:])):
+        if inner.tgt is not outer.src:
+            raise ValueError(f"{outer.name} after {inner.name} is not "
+                             f"composable: {inner.tgt.name} is not "
+                             f"{outer.src.name}")
+    src = (a or b)[-1].src
+    (sa, ta), (sb, tb) = [(m[-1].src, m[0].tgt) if m else (src, src)
+                          for m in (a, b)]
+    if sa is not sb or ta is not tb:
         raise ValueError(f"{'∘'.join(m.name for m in a) or 'id'} and "
                          f"{'∘'.join(m.name for m in b) or 'id'} do not "
                          f"share their source and target")
     n = src.n_objects
+    if n == 0:
+        return None
+    e = src.identity(0)[0]
+    unknown = tuple([object() for _ in e]) if type(e) is tuple else object()
+    same = _image(a, unknown) == _image(b, unknown)
+    if same and all(m.block is not None for m in (*a, *b)):
+        n = (a or b)[-1].block
+    va, ia = _composite(a, n)
+    vb, ib = _composite(b, n)
     for lo in range(0, n, RUN):
         hi = min(lo + RUN, n)
         ra = (ia.pull(va, lo, hi) if ia else va[lo:hi] if va is not None
@@ -266,11 +293,7 @@ def composite_difference(a, b):
         if ra != rb:
             return lo + next(k for k, (u, v) in enumerate(zip(ra, rb))
                              if u != v), None
-    if n == 0:
-        return None
-    e = src.identity(0)[0]
-    unknown = tuple([object() for _ in e]) if type(e) is tuple else object()
-    if _image(a, unknown) == _image(b, unknown):
+    if same:
         return None
     first = {}
     for i in range(n):

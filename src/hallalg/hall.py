@@ -20,6 +20,9 @@ when size N + size L is within the bound: a product past the bound has no
 row, and the check skips a triple that needs one.
 """
 
+from bisect import bisect_right
+from collections import Counter
+
 from . import BudgetExceededError
 from .groupoid import pull_push_table
 from .groupoid.core import DEFAULT_OBJECT_BUDGET
@@ -31,23 +34,37 @@ class HallTable(StructureTable):
     """The instance's iso classes sorted by size, and a row
     [N].[L] = sum_M g^M_{N,L} [M] for each pair with size N + size L within
     the bound.  The triples (N, L, M) with size N + size L = size M, one
-    `hall_constant` each, are counted first and refused over the budget."""
+    `hall_constant` each, are counted by size first and refused over the
+    budget.  Each pair of sizes whose sum is a size adds at least one
+    triple, so a count that meets more such pairs than both the budget and
+    the classes stops there, over the budget, before the basis is sorted."""
 
     def __init__(self, inst: ProtoAbelianInstance,
                  budget: int = DEFAULT_OBJECT_BUDGET):
         self.inst = inst
         size = inst.size_of
-        self.basis = sorted(inst.iso_classes(), key=lambda c: (size(c), c))
-        by_size = {}
-        for c in self.basis:
-            by_size.setdefault(size(c), []).append(c)
-        bound = max(by_size, default=0)
-        count = sum(len(ns) * len(ls) * len(by_size.get(i + j, ()))
-                    for i, ns in by_size.items() for j, ls in by_size.items())
+        classes = inst.iso_classes()
+        per_size = Counter(map(size, classes))
+        sizes, bound = sorted(per_size), max(per_size, default=0)
+        rows, pairs, limit = [], 0, max(budget, len(classes))
+        for i in sizes:
+            rows.append((i, [j for j in sizes[:bisect_right(sizes, bound - i)]
+                             if i + j in per_size]))
+            pairs += len(rows[-1][1])
+            if pairs > limit:
+                raise BudgetExceededError(
+                    f"the Hall table of {inst.family} has more than {budget} "
+                    f"basis triples, over the budget of {budget}")
+        count = sum(per_size[i] * per_size[j] * per_size[i + j]
+                    for i, row in rows for j in row)
         if count > budget:
             raise BudgetExceededError(
                 f"the Hall table of {inst.family} has {count} basis triples, "
                 f"over the budget of {budget}")
+        self.basis = sorted(classes, key=lambda c: (size(c), c))
+        by_size = {}
+        for c in self.basis:
+            by_size.setdefault(size(c), []).append(c)
         super().__init__({
             (n, l): {m: g for m in by_size.get(size(n) + size(l), ())
                      if (g := inst.hall_constant(n, l, m))}

@@ -17,7 +17,12 @@ deletes coordinate k and degeneracy s_k repeats it.  Both are G-maps
 indices at starts found by index arithmetic, which the checks read single
 entries off and slice along in windows.  No table out of the top level is
 written, and the simplicial identities are equalities of tables, compared
-window by window.
+window by window.  Every face and degeneracy carries its source's block
+(GMap.block): the tuples whose first coset is coset 0, the prefix
+range(stride_0) of the indices, [G:H] times fewer than the level.  G is
+transitive on the first coordinate, so the block meets every orbit, and
+the identities and the squares read each map on it alone
+(groupoid/functors.py, groupoid/fiber.py).
 
 pi0 of a level comes from the block of tuples whose first coset is coset
 0: G is transitive on the first coordinate, so every orbit meets the block
@@ -28,12 +33,10 @@ the representatives, of a search over the whole level; any other object is
 moved into the block by a fixed element per first coset.  A level over the
 budget is refused before any level is built.  The strict pullbacks that the
 2-Segal squares walk have [G:H]^4 objects (degree 3), as many as X_3, and
-[G:H]^2 (unital), so that refusal covers them too.  The one list as long
-as the top level is the fibre count's array, one byte per object of the
-strict pullback; a level whose array would take more than MAX_FIBRE_BYTES
-is refused before any level is built as well.  That ceiling bounds the
-array, not a run's peak: HW(S5,1) peaks at about 404 MB for a 207 MB
-array, and the peak nearer the ceiling is not measured.
+[G:H]^2 (unital), so that refusal covers them too.  No list is as long as
+the top level: the fibre count's array has one byte per object of the
+block.  A top level of more than MAX_FIBRE_BYTES objects is refused before
+any level is built as well.
 
 Two models stay in the tests as oracles: the iterated fiber product and the
 flat model G^n // H^(n+1) (tuples of connecting elements), with comparison
@@ -71,15 +74,14 @@ from ..structure import StructureTable, check_action, check_algebra
 from .simplicial import TruncatedSimplicialGroupoid
 
 
-# the most bytes of the fibre count's array over the top Hecke-Waldhausen
-# level, whatever the budget: the count of a square over it marks each
-# object of the strict pullback, as many as the level has, in one byte (the
-# faces pass g through, so the comparison must be a bijection onto it, and
-# the count of |N| objects per fibre, one list slot each, is never taken).
-# HW(S5,1) needs 207 MB and HW(S6,1) 269 GB.  This bounds the array only,
-# not the run's peak, which also holds the level-2 tables and the windows:
-# HW(S5,1) peaks at about 404 MB; inputs nearer the ceiling, such as
-# HW(S6, young:2+2) at --budget 10^10 (1.05e9 objects), are not measured.
+# the most objects of the top Hecke-Waldhausen level, whatever the budget,
+# so [G:H] <= 181; the refusal names them as the bytes that a fibre count
+# over every object would mark.  The count marks one byte per object of
+# the coset-0 block, [G:H]^3 of them, and the checks hold the tables of
+# level 2, as many again, so the ceiling bounds those, at most 5.9 million
+# objects each, and the time of the passes over the block.  HW(S5,1) at
+# --budget 10^11 peaks at 167 MB, HW(S6, young:2+2+1+1) at --budget 10^10
+# (180^4 objects) at 479 MB; HW(S6,1) is refused.
 MAX_FIBRE_BYTES = 2 ** 30
 
 
@@ -172,7 +174,7 @@ class CosetLevel(ActionGroupoid):
     (CosetTuples), `obj_index` encodes one, and g acts on index i through
     the same stride arithmetic, with no tuple built.
 
-    pi0 is searched on the block of tuples whose first coset is the base
+    pi0 is searched on the `block` of tuples whose first coset is the base
     coset: coset 0, or K_0 itself when pinned (the block is then the whole
     level).  An orbit of the base coset's stabiliser there gives a
     component's representative and Aut order, and [G:K_0] times its size
@@ -202,6 +204,7 @@ class CosetLevel(ActionGroupoid):
                                      [(s, n) for _, s, n in moved]),
                          act, name=name)
         self._G = G
+        self.block = self.n_objects // self.sizes[0]
 
     def obj_index(self, obj):
         """The mixed-radix index of the tuple obj, or a KeyError if obj is
@@ -229,7 +232,7 @@ class CosetLevel(ActionGroupoid):
                     perm = [p * n + row[x] for p in perm for x in range(n)]
                 perms.append(perm)
             spread = self.sizes[0]
-            comp_of, comps = [-1] * (self.n_objects // spread), []
+            comp_of, comps = [-1] * self.block, []
             for start in range(len(comp_of)):
                 if comp_of[start] >= 0:
                     continue
@@ -276,7 +279,8 @@ def _planned(src: CosetLevel, tgt: CosetLevel, S, starts, repeat, name):
     plan: single entries (on_obj), windows (pull) and the plans of its
     composites (`composite_difference`)."""
     return GMap(src, tgt, starts if S == repeat == 1 else None,
-                name=f"{name}^{len(src.spaces) - 1}", plan=(S, starts, repeat))
+                name=f"{name}^{len(src.spaces) - 1}", plan=(S, starts, repeat),
+                block=src.block)
 
 
 def face(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
@@ -299,8 +303,7 @@ def degeneracy(src: CosetLevel, tgt: CosetLevel, k) -> GMap:
 class HeckeWaldhausen:
     """Levels X_n = (G/H)^(n+1) // G, n = 0..depth, with faces and
     degeneracies.  The top level, the largest, is refused over the budget,
-    or when counting the fibres over it would take more than
-    MAX_FIBRE_BYTES, before any level is built."""
+    or over MAX_FIBRE_BYTES objects, before any level is built."""
 
     def __init__(self, G: FiniteGroup, H: FiniteGroup, depth: int = 3,
                  budget: int = DEFAULT_OBJECT_BUDGET):

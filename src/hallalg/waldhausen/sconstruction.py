@@ -157,17 +157,30 @@ def _first_rows(inst, n, budget, name):
     classes, as (entries, mono ids).  Each row has at least one triangle,
     so partial rows more than the budget are refused.  The rows up to each
     A_0j are counted by class from `mono_count`, for every j, before any
-    mono is listed; those up to A_01, one per class, first, so that no
-    count runs over too many pairs of classes."""
+    mono is listed; those up to A_01, one per class, first.  Each pair of
+    classes joined by a mono adds at least one row, so a count that meets
+    more such pairs than both the budget and the classes stops there,
+    over the budget, and no count runs over too many pairs of classes."""
     classes = inst.iso_classes()
     if n >= 2 and len(classes) > budget:
         raise BudgetExceededError(
             f"level {name}: {len(classes)} first rows up to A_01 already "
             f"exceed the budget of {budget} triangles")
-    ending = dict.fromkeys(classes, 1)
+    ending, limit = dict.fromkeys(classes, 1), max(budget, len(classes))
     for j in range(2, n + 1):
-        ending = {c: sum(k * inst.mono_count(a, c) for a, k in ending.items())
-                  for c in classes}
+        rows, pairs = dict.fromkeys(classes, 0), 0
+        for a, k in ending.items():
+            for c in classes:
+                m = inst.mono_count(a, c)
+                if m:
+                    rows[c] += k * m
+                    pairs += 1
+                    if pairs > limit:
+                        raise BudgetExceededError(
+                            f"level {name}: more than {budget} first rows "
+                            f"up to A_0{j}, over the budget of {budget} "
+                            f"triangles")
+        ending = rows
         count = sum(ending.values())
         if count > budget:
             raise BudgetExceededError(

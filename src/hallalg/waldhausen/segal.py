@@ -19,8 +19,9 @@ hom-set where the map fails to be bijective.  The fiber products are never
 built.  Every square takes one path: composite_difference
 (groupoid/functors.py) checks on the index tables, pulled with no
 composite table built, that the comparison is defined on every object of
-the apex, and names the first object where it is not (a verdict that
-the identity check reuses); the square is then
+the apex (read on the apex's block where every map carries one, which
+meets every orbit), and names the first object where it is not (a verdict
+that the identity check reuses); the square is then
 decided on the index tables by the table rule,
 strict_pullback_equivalence (groupoid/fiber.py), which refuses a strict
 pullback of more objects than the budget before it walks it, and names

@@ -13,10 +13,15 @@ generating family of morphisms.
   the composed functors, and `composed_identity_violations` is the
   simplicial-identity check on them, for any functors;
 - `composite_run` composes the tables entry by entry, the oracle of the
-  windows that `composite_difference` pulls along the maps' plans."""
+  windows that `composite_difference` pulls along the maps' plans;
+- `unblocked`, `full_level` and `full_composite_difference` give the
+  checks the maps without their blocks, so that they read every object of
+  each level, the full-level passes that the block route replaces."""
 
-from hallalg.groupoid import ActionGroupoid, Functor, GMap
-from hallalg.waldhausen.simplicial import SimplicialVerdict
+from hallalg.groupoid import (ActionGroupoid, Functor, GMap,
+                              composite_difference)
+from hallalg.waldhausen.simplicial import (SimplicialVerdict,
+                                           TruncatedSimplicialGroupoid)
 
 
 class IdentityFunctor(Functor):
@@ -197,3 +202,24 @@ def composed_identity_violations(x) -> SimplicialVerdict:
                                     x.degeneracy(n, i)),
                    f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}")
     return SimplicialVerdict(not bad, bad)
+
+
+def unblocked(m: GMap) -> GMap:
+    """m with its table or plan, group map and name, but no block: a map
+    that every check reads on each object of its source, as each check
+    read every map before the block route."""
+    return GMap(m.src, m.tgt, vars(m).get("table"), name=m.name, sel=m.sel,
+                fill=m.fill, plan=m.plan)
+
+
+def full_level(x) -> TruncatedSimplicialGroupoid:
+    """x with every face and degeneracy unblocked."""
+    return TruncatedSimplicialGroupoid(
+        list(x.levels), {k: unblocked(m) for k, m in x.faces.items()},
+        {k: unblocked(m) for k, m in x.degeneracies.items()}, name=x.name)
+
+
+def full_composite_difference(a, b):
+    """composite_difference compared on every object of the apex."""
+    return composite_difference([unblocked(m) for m in a],
+                                [unblocked(m) for m in b])

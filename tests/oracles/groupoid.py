@@ -8,7 +8,8 @@
   the materialised fiber product, the oracle for the table rule, and
   `witness_key` is what it reproduces of the rule's witnesses;
 - `walked_fibres` is the table rule's fibre test by a walk of every
-  N-orbit of the apex, the oracle for the count in `_Square.fibres`;
+  N-orbit of the apex, and `counted_fibres` the count over every object
+  of the apex, the oracles for the count in `_Square.fibres`;
 - `discrete_groupoid`, `constant_functor`, `DisjointUnion` and
   `FullSubgroupoid`: small generic groupoids and functors for the tests
   of the groupoid layer and for the skeletal core model of
@@ -26,9 +27,11 @@ from hallalg.groupoid import (ActionGroupoid, FiberProductGroupoid,
                               FnFunctor, Functor, Groupoid, SpanFn,
                               is_equivalence, pullback_fn, pushforward_fn,
                               two_fiber_product)
-from hallalg.groupoid.fiber import _group_tuples, _kernel, _orbit
+from hallalg.groupoid.fiber import _group_tuples, _kernel, _orbit, _Square
 from hallalg.groupoid.transfer import _same_carrier
 from hallalg.groups import trivial_group
+
+from .functors import unblocked
 
 
 def validate_groupoid(g: Groupoid, budget: int = 200_000):
@@ -177,6 +180,13 @@ def walked_fibres(square) -> bool:
         if _orbit(apex, x, gens, seen) != n_order:
             return False
     return 0 not in hit
+
+
+def counted_fibres(square) -> bool:
+    """_Square.fibres on the square's maps without their blocks: the count
+    over every object of the apex, and onto all of P."""
+    return _Square(*map(unblocked, (square.fa, square.fb, square.f,
+                                    square.g))).fibres()
 
 
 def witness_key(w):

@@ -423,10 +423,10 @@ def test_hecke_levels_over_the_fibre_ceiling_exit_2(capsys, monkeypatch):
 
 
 def test_the_fibre_ceiling_admits_hw_s5(monkeypatch):
-    # HW(S5,S2) at --budget 10^10 (60^4 objects, 13 MB to count) and
-    # HW(S5,1) at --budget 10^11 (120^4 objects, 207 MB) go on to build
-    # their levels; HW(S5,1) was refused while its face tables (6.6 GB)
-    # were written
+    # HW(S5,S2) at --budget 10^10 (60^4 objects, counted on a block of
+    # 60^3) and HW(S5,1) at --budget 10^11 (120^4 objects, a block of
+    # 120^3) go on to build their levels; HW(S5,1) was refused while its
+    # face tables (6.6 GB) were written
     import hallalg.waldhausen.hecke as hecke
     from hallalg.groups import symmetric_group, symmetric_subgroup
 
@@ -441,6 +441,22 @@ def test_the_fibre_ceiling_admits_hw_s5(monkeypatch):
     for k, budget in ((2, 10 ** 10), (1, 10 ** 11)):
         with pytest.raises(Built):
             hecke.HeckeWaldhausen(S5, symmetric_subgroup(S5, k), 3, budget)
+
+
+def test_hw_s5_s2_at_a_budget_of_1e10_runs_in_under_1_5_s():
+    # X_3 has 60^4 = 12,960,000 objects; every square and identity reads
+    # the 216,000 of its coset-0 block, in a fresh process
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", "segal-check", "--construction",
+         "hecke", "--G", "sym:5", "--H", "sym:2", "--budget", str(10 ** 10)],
+        capture_output=True, env=env, timeout=120)
+    elapsed = perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "555bf07d404293746208f45774e58329873a0738b530dbde806e89f3c7cd4257")
+    assert elapsed < 1.5
 
 
 def test_the_fibre_ceiling_is_inclusive(capsys, monkeypatch):
@@ -992,6 +1008,37 @@ def test_the_s_construction_keeps_the_cli_contract(argv):
             (argv, err)
     else:
         assert _run_captured(argv) == (code, out, err), argv
+
+
+@pytest.mark.parametrize("bound", [20000, 10 ** 6])
+def test_hall_table_over_many_sizes_exits_at_once(capsys, bound):
+    # F1 to rank 20000 or 10^6: every pair of ranks within the bound adds
+    # a triple, so the count stops after the first 10^6 + 1 pairs (the
+    # full count over every pair of sizes did not finish in 20 s)
+    t0 = perf_counter()
+    assert run(["hall-table", "--family", "f1-free", "--G", "trivial",
+                "--bound", str(bound)]) == 2
+    assert perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: the Hall table of f1-free has more than 1000000 basis "
+        "triples, over the budget of 1000000\n"))
+
+
+def test_s_construction_first_rows_over_many_pairs_exit_at_once(capsys):
+    # F1 to rank 3000: its 3,001 classes fit the budget of 10^4, and the
+    # count of the first rows up to A_02 stops after 10^4 + 1 pairs of
+    # classes joined by a mono (the count over every pair of classes ran
+    # past 10 s)
+    t0 = perf_counter()
+    assert run(["segal-check", "--construction", "s", "--family", "f1-free",
+                "--G", "trivial", "--bound", "3000", "--budget",
+                "10000"]) == 2
+    assert perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error: level S_3(f1-free): more than 10000 first rows up to A_02, "
+        "over the budget of 10000 triangles\n"))
 
 
 def test_s_construction_with_more_classes_than_the_budget_exits_at_once(

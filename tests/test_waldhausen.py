@@ -36,11 +36,14 @@ from hallalg.waldhausen.simplicial import (TruncatedSimplicialGroupoid,
                                            _identities)
 from oracles.functors import (ComposedFunctor, compose_functors,
                               composed_difference, composite_run,
-                              composed_identity_violations, functors_equal)
-from oracles.groupoid import (PairFunctor, ProductGroupoid, external_product,
-                              fiber_projections, materialised_comparison,
-                              pull_push_span, validate_action,
-                              validate_functor, walked_fibres, witness_key)
+                              composed_identity_violations,
+                              full_composite_difference, full_level,
+                              functors_equal)
+from oracles.groupoid import (PairFunctor, ProductGroupoid, counted_fibres,
+                              external_product, fiber_projections,
+                              materialised_comparison, pull_push_span,
+                              validate_action, validate_functor,
+                              walked_fibres, witness_key)
 from oracles.hecke import run_table
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
                                    flag_comparison_functor, token_triangle)
@@ -310,7 +313,7 @@ def test_pulled_composites_match_the_per_entry_composition():
             for maps in sides:
                 if len(maps) < 2:
                     continue
-                _, _, values, inner = functors._composite(maps, ())
+                values, inner = functors._composite(maps)
                 n = inner.src.n_objects
                 for lo, hi in ((0, n), (1, n - 1), (n // 3, 2 * n // 3 + 5)):
                     assert inner.pull(values, lo, hi) == composite_run(
@@ -1338,7 +1341,10 @@ def test_fibre_verdicts_do_not_depend_on_the_window(monkeypatch):
     for run in (7, 1000):
         monkeypatch.setattr(functors, "RUN", run)
         assert fibre_verdicts(xs) == verdicts, run
-    # the count pulls each leg in windows of at most RUN apex objects
+    # the count pulls each leg in windows of at most RUN apex objects, on
+    # the coset-0 block of X_3 alone: fa once to see that it keeps the
+    # block, then fa and fb for the points they hit, and f once on the
+    # block of X_2 to number the points over it
     windows, pull = [], GMap.pull
     monkeypatch.setattr(GMap, "pull", lambda m, values, lo, hi: (
         windows.append(hi - lo) or pull(m, values, lo, hi)))
@@ -1346,7 +1352,102 @@ def test_fibre_verdicts_do_not_depend_on_the_window(monkeypatch):
     square = _Square(x.face(3, 3), x.face(3, 1), x.face(2, 1), x.face(2, 2))
     windows.clear()
     assert square.fibres()
-    assert max(windows) == 1000 and sum(windows) == 2 * x.levels[3].n_objects
+    x3, x2 = x.levels[3], x.levels[2]
+    assert x3.block * 12 == x3.n_objects and x2.block * 12 == x2.n_objects
+    assert max(windows) == 1000
+    assert sum(windows) == 3 * x3.block + x2.block
+
+
+# the pairs (G, H) of the block-route property: symmetric groups with
+# young, trivial and whole subgroups, cyclic, dihedral and Klein groups
+# with trivial and whole ones, and Z/6 over its subgroup of order 3
+BLOCK_PAIRS = [(G, H) for G, subgroups in (
+    ("sym:3", ("young:2+1", "trivial", "all")),
+    ("sym:4", ("young:3+1", "young:2+2", "young:2+1+1", "trivial", "all")),
+    ("cyclic:4", ("trivial", "all")),
+    ("cyclic:6", ("trivial", "indices:0,2,4", "all")),
+    ("dihedral:3", ("trivial", "all")), ("dihedral:4", ("trivial", "all")),
+    ("klein", ("trivial", "all"))) for H in subgroups]
+
+
+def segal_check_json(x):
+    """The JSON of segal-check's three checks on x, in its order."""
+    seg, poi = check_2segal_degree3(x), check_pointed(x)
+    return (seg.to_json(), poi.to_json(),
+            check_simplicial_identities(x).to_json())
+
+
+@st.composite
+def block_cases(draw):
+    """HW(G,H) at depth 3, or with one face or degeneracy replaced by
+    another of the same level, say d_1 of X_3 by d_2: still a G-map with
+    a block, for which the checks fail."""
+    G, H = draw(st.sampled_from(BLOCK_PAIRS))
+    G = named_group(G)
+    x = hecke_waldhausen(G, named_subgroup(G, H), depth=3)
+    maps = {"faces": dict(x.faces), "degeneracies": dict(x.degeneracies)}
+    swaps = [(kind, key, other) for kind, table in maps.items()
+             for key in table for other in table
+             if other[0] == key[0] and other != key]
+    swap = draw(st.one_of(st.none(), st.sampled_from(swaps)))
+    if swap is None:
+        return x
+    kind, key, other = swap
+    maps[kind][key] = maps[kind][other]
+    return TruncatedSimplicialGroupoid(list(x.levels), maps["faces"],
+                                       maps["degeneracies"], name=x.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_cases())
+def test_the_block_route_gives_the_full_level_verdicts(x):
+    # segal-check's verdicts and witnesses, each square's fibre count and
+    # each composite pair, on the coset-0 block and on every object
+    assert all(m.block is not None
+               for m in (*x.faces.values(), *x.degeneracies.values()))
+    assert segal_check_json(x) == segal_check_json(full_level(x))
+    for label, lhs, rhs in _identities(x):
+        assert composite_difference(lhs, rhs) == full_composite_difference(
+            lhs, rhs), label
+    for name, _, fa, fb, f, g in decided_squares(x):
+        if composite_difference((f, fa), (g, fb)) is None:
+            square = _Square(fa, fb, f, g)
+            assert square.fibres() == counted_fibres(square), name
+    # the squares (d_k, d_k, d_1, d_1) commute, and their P has as many
+    # objects as X_3, but two objects with one image under d_k meet one
+    # point: d_1..d_3 keep the first coset and fail on the block, d_0
+    # takes the full path
+    for k in range(4):
+        square = _Square(x.face(3, k), x.face(3, k), x.face(2, 1),
+                         x.face(2, 1))
+        assert square.fibres() == counted_fibres(square), k
+
+
+def test_a_map_given_by_its_table_is_read_off_the_block():
+    # d_1 of X_3 given by its table, one entry moved at an object off the
+    # coset-0 block: no longer equivariant, it has no block, and every
+    # check reads it on each object and names the object.  The same table
+    # given a block would be trusted on the block, and its defect missed.
+    x = _hw(3, 2)
+    x3, x2, d1, d2 = x.levels[3], x.levels[2], x.face(3, 1), x.face(2, 2)
+    i = x3.n_objects - 1
+    assert i >= x3.block == x3.n_objects // 3
+    j = next(j for j in range(x2.n_objects)
+             if d2.on_obj(j) != d2.on_obj(d1.on_obj(i)))
+    table = [d1.on_obj(t) for t in range(x3.n_objects)]
+    table[i] = j
+    moved = GMap(x3, x2, table, name="d_1'")
+    assert moved.block is None
+    lhs = (x.face(2, 1), x.face(3, 3))
+    assert composite_difference(lhs, (d2, moved)) == (i, None)
+    trusted = GMap(x3, x2, table, name="d_1'", block=x3.block)
+    assert composite_difference(lhs, (d2, trusted)) is None
+    mutated = _with_face(x, 1, moved)
+    assert check_2segal_degree3(mutated).squares[0][1:] == (False, {
+        "kind": "comparison_undefined", "object": repr(x3.objects[i]),
+        "detail": "face composites disagree on objects"})
+    assert "d_1 d_3 != d_2 d_1 at level 3" in check_simplicial_identities(
+        mutated).violations
 
 
 @pytest.mark.parametrize("G, H", [
