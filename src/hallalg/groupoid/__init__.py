@@ -6,8 +6,8 @@ from .fiber import FiberProductGroupoid, two_fiber_product
 from .functors import (EquivalenceVerdict, FnFunctor, Functor, GMap,
                        GroupHomFunctor, composite_difference, is_equivalence,
                        point_inclusion)
-from .transfer import (SpanFn, cardinality, is_faithful, pull_push_table,
-                       pullback_fn, pushforward_fn)
+from .transfer import (SpanFn, cardinality, pull_push_table, pullback_fn,
+                       pushforward_fn)
 
 __all__ = [
     "ActionGroupoid", "Component", "Groupoid", "b_group", "pi0",
@@ -15,6 +15,6 @@ __all__ = [
     "FiberProductGroupoid", "two_fiber_product",
     "EquivalenceVerdict", "FnFunctor", "Functor", "GMap", "GroupHomFunctor",
     "composite_difference", "is_equivalence", "point_inclusion",
-    "SpanFn", "cardinality", "is_faithful", "pull_push_table", "pullback_fn",
+    "SpanFn", "cardinality", "pull_push_table", "pullback_fn",
     "pushforward_fn",
 ]

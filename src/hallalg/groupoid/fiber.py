@@ -20,26 +20,25 @@ no pi0 of any level.  That is a count, not a walk: each fibre must hold
 level: one triangle per first row).  N is a kernel, hence normal, so its
 stabilisers along an orbit are conjugate and freeness at one object is
 freeness on the orbit; and a fibre of |N| objects on which N acts freely
-is one N-orbit.  Otherwise (rho injective: the S-construction's
-unital squares, where s_0 maps Aut(A) diagonally, or an apex acted on by a
-subgroup), and to name the witness of a failure, the rule runs
-is_equivalence's decision on P, whose components are the G_P-orbits of
-the images of the apex's representatives.  Both passes walk P and nothing
-larger, so P's size, sum over the objects d of D of n_f(d) n_g(d), is what
-the budget counts, before either pass runs.  P is numbered by the legs'
-fibre sizes and the rank of each object in its fibre, which a leg with a
-plan (GMap) gives with no pass over its table.  The count reads the apex's
-two maps in windows of `functors.RUN` objects (GMap.pull), so that its
-only list as long as P is its array: one byte per object where rho must
-be a bijection, else one count.  Where every map of the square has a
+is one N-orbit.  Otherwise (rho injective: the S-construction's unital
+squares, where s_0 maps Aut(A) diagonally), and to name the witness of a
+failure, the rule runs is_equivalence's decision on P, whose components
+are the G_P-orbits of the images of the apex's representatives.  Both
+passes walk P and nothing larger, so P's size, sum over the objects d of
+D of n_f(d) n_g(d), is what the budget counts, before either pass runs.
+P is numbered by the legs' fibre sizes and the rank of each object in its
+fibre, which a leg with a plan (GMap) gives with no pass over its table.
+The count reads the apex's two maps in windows of `functors.RUN` objects
+(GMap.pull), so that its only list as long as P is its array, one count
+per object.  Where rho must be a bijection, every map of the square has a
 block (GMap) and fa sends the apex's block into A's, as on every
 Hecke-Waldhausen square, the bijection is decided on the apex's block
 alone, onto the points of P over A's block: X -> P is then a G-map over
 the transitive G-set whose fibres the blocks are, and a bijection exactly
-when it is one on the fibres over the base point.  The array then covers
-those points only, [G:H] times fewer.  The walk of every N-orbit of the
-apex that the count replaces, and the count over every object, are test
-oracles (`tests/oracles/groupoid.py`).
+when it is one on the fibres over the base point.  The array then holds
+one byte per point over A's block, [G:H] times fewer than P.  The walk of
+every N-orbit of the apex that the count replaces, and the count over
+every object, are test oracles (`tests/oracles/groupoid.py`).
 
 FiberProductGroupoid materialises the object set (guarded by a budget),
 with morphisms enumerable on demand.  It is the explicit construction for
@@ -210,7 +209,7 @@ class _Square:
         which has as many objects as the apex.)  Else None."""
         fa, f, run = self.fa, self.f, functors.RUN
         if (None in (fa.block, self.fb.block, f.block, self.g.block)
-                or fa.sel is not None or fa.fill is not None):
+                or not fa.passes_through):
             return None
         block, on_a = fa.block, range(self.a.n_objects)
         for lo in range(0, block, run):
@@ -247,13 +246,14 @@ class _Square:
                 yield map(add, fa.pull(base, lo, hi),
                           fb.pull(self.rg, lo, hi))
 
-        if all(k == 1 for k, _ in kernels.values()):  # a bijection onto P
-            if self.size != n:
-                return False
-            # onto the points of P over the fibre of A that the apex's
-            # block meets, where that is all it meets; else onto all of P
-            block, base, size = self._fibre() or (n, self.base, self.size)
-            if size != block:
+        # a bijection onto P, decided on the points of P over the fibre of
+        # A that the apex's block meets where that is all it meets (_fibre),
+        # else counted as any other rho is, with |N| = 1
+        fibre = (self._fibre() if all(k == 1 for k, _ in kernels.values())
+                 else None)
+        if fibre is not None:
+            block, base, size = fibre
+            if self.size != n or size != block:
                 return False
             hit = bytearray(size)
             for window in windows(base, block):

@@ -108,6 +108,12 @@ class GMap(Functor):
         top one, and reach the others through on_obj and pull."""
         return self.pull(_indices(self), 0, self.src.n_objects)
 
+    @property
+    def passes_through(self):
+        """Whether g passes through (sel and fill None): then the group map
+        is injective, and so is the functor on every hom-set."""
+        return self.sel is None and self.fill is None
+
     def hom(self, g):
         """The image of the group element g."""
         sel, fill = self.sel, self.fill

@@ -123,18 +123,5 @@ def pull_push_table(left: Functor, right: Functor, middle: Functor,
     return table
 
 
-def is_faithful(f: Functor) -> bool:
-    """Injective on every hom-set.  A nonempty hom-set Hom(x, y) is a torsor
-    under Aut(x), and conjugate objects have conjugate Aut groups, so it is
-    enough that Aut(rep) -> Aut(f rep) is injective at one representative
-    per source component."""
-    src = f.src
-    for c in src.components():
-        auts = src.hom(c.rep, c.rep)
-        if len({f.on_mor(m) for m in auts}) < len(auts):
-            return False
-    return True
-
-
 def cardinality(gpd: Groupoid) -> Fraction:
     return gpd.cardinality()

@@ -44,16 +44,18 @@ functors that must be equivalences commuting with every face and
 degeneracy.
 
 pi0 of level 1 is the double coset set H\\G/H.  The module on H\\G/P
-comes from pull-push along X_1 x Y_0 <- Y_1 -> Y_0, where Y_n is level n+1
-with G/P in place of the first G/H, checked against the direct convolution
-(f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x): one pass over G for each basis
-element x of H\\G/P files every y under the double cosets of y and y^-1 x,
-read off each element's basis position.  The Hecke algebra is the regular
-module, P = H, whose span is X_1 x X_1 <- X_2 -> X_1.  The apex needs no
-strict simplicial identities, so it is pinned: the full subgroupoid on the
-tuples whose first coset is P, acted on by P, with [G:H]^2 objects where
-level 2 has [G:P][G:H]^2.  A double coset is labelled by its least element
-in G.elements order, and the bases are sorted by label.
+comes from pull-push along X_1 x Y_0 <- Y_1 -> Y_0, where
+Y_n = (G/P x (G/H)^n) // G is level n+1 with G/P in place of the first
+G/H, a CosetLevel with faces built by `face` as X's are, checked against
+the direct convolution (f.v)(x) = (1/|H|) sum_y f(y) v(y^-1 x): one pass
+over G for each basis element x of H\\G/P files every y under the double
+cosets of y and y^-1 x, read off each element's basis position.  The Hecke
+algebra is the regular module, P = H, whose span is X's own
+X_1 x X_1 <- X_2 -> X_1.  The pass reads the components of the apex, found
+on its coset-0 block of [G:H]^2 objects, and each face at their
+representatives, so no list is as long as the apex.  A double coset is
+labelled by its least element in G.elements order, and the bases are
+sorted by label.
 
 A module is a `StructureTable` (`hallalg.structure`) keyed by basis
 positions, as the Hall tables are, and the algebra reads its constants off
@@ -67,7 +69,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .. import BudgetExceededError, UsageError
-from ..groupoid import ActionGroupoid, GMap, is_faithful, pull_push_table
+from ..groupoid import ActionGroupoid, GMap, pull_push_table
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
 from ..structure import StructureTable, check_action, check_algebra
@@ -75,13 +77,13 @@ from .simplicial import TruncatedSimplicialGroupoid
 
 
 # the most objects of the top Hecke-Waldhausen level, whatever the budget,
-# so [G:H] <= 181; the refusal names them as the bytes that a fibre count
-# over every object would mark.  The count marks one byte per object of
-# the coset-0 block, [G:H]^3 of them, and the checks hold the tables of
-# level 2, as many again, so the ceiling bounds those, at most 5.9 million
-# objects each, and the time of the passes over the block.  HW(S5,1) at
-# --budget 10^11 peaks at 167 MB, HW(S6, young:2+2+1+1) at --budget 10^10
-# (180^4 objects) at 479 MB; HW(S6,1) is refused.
+# so [G:H] <= 181.  No list is as long as the top level: the fibre count
+# marks one byte per object of its coset-0 block, [G:H]^3 of them, and the
+# checks hold the tables of level 2, as many again, so the ceiling bounds
+# those, at most 5.9 million objects each, and the time of the passes over
+# the block.  HW(S5,1) at --budget 10^11 peaks at 167 MB,
+# HW(S6, young:2+2+1+1) at --budget 10^10 (180^4 objects) at 479 MB;
+# HW(S6,1) is refused.
 MAX_FIBRE_BYTES = 2 ** 30
 
 
@@ -138,11 +140,10 @@ class Cosets:
 class CosetTuples:
     """The objects of a CosetLevel as a read-only sequence, each decoded
     from its index: coordinate j of object i is i // stride % size over
-    the axes (stride, size) that G moves, after the `head`, (home,) for a
-    pinned level and () otherwise."""
+    the axes (stride, size)."""
 
-    def __init__(self, head, axes):
-        self._head, self._axes = head, axes
+    def __init__(self, axes):
+        self._axes = axes
         self._count = prod(n for _, n in axes)
 
     def __len__(self):
@@ -153,57 +154,42 @@ class CosetTuples:
             i += self._count
         if not 0 <= i < self._count:
             raise IndexError("coset tuple index out of range")
-        return self._head + tuple([i // s % n for s, n in self._axes])
+        return tuple([i // s % n for s, n in self._axes])
 
     def __iter__(self):
-        return iproduct(*([x] for x in self._head),
-                        *(range(n) for _, n in self._axes))
+        return iproduct(*(range(n) for _, n in self._axes))
 
 
 class CosetLevel(ActionGroupoid):
     """(G/K_0 x ... x G/K_n) // G on tuples of coset indices, numbered in
-    lexicographic (mixed-radix) order.  Pinned, it is the full subgroupoid
-    ({K_0} x G/K_1 x ... x G/K_n) // K_0 on the tuples whose first coset
-    is K_0 itself: G moves every first coset to K_0, so the inclusion is
-    an equivalence, with [G:K_0] times fewer objects.  `sizes` are the
-    axis sizes (a pinned first axis has size 1); the object (x_0..x_n) has
-    the mixed-radix index over them (a pinned x_0 counts as 0).
+    lexicographic (mixed-radix) order: the object (x_0..x_n) has the
+    mixed-radix index over the axis sizes `sizes`.
 
     A level holds only its axis sizes, its strides and the tables of its
     cosets: `objects` decodes a tuple from its index on demand
     (CosetTuples), `obj_index` encodes one, and g acts on index i through
     the same stride arithmetic, with no tuple built.
 
-    pi0 is searched on the `block` of tuples whose first coset is the base
-    coset: coset 0, or K_0 itself when pinned (the block is then the whole
-    level).  An orbit of the base coset's stabiliser there gives a
-    component's representative and Aut order, and [G:K_0] times its size
-    (once when pinned)."""
+    pi0 is searched on the `block` of tuples whose first coset is coset 0,
+    the prefix range(block) of the indices.  An orbit of the stabiliser of
+    coset 0 there gives a component's representative and Aut order, and
+    [G:K_0] times its size."""
 
-    def __init__(self, G: FiniteGroup, spaces, name, pinned=False):
+    def __init__(self, G: FiniteGroup, spaces, name):
         self.spaces = list(spaces)
-        first = self.spaces[0]
         self.sizes = [s.count for s in self.spaces]
         strides = [prod(self.sizes[j + 1:]) for j in range(len(self.sizes))]
-        # (row table, stride, size) of each coordinate that g moves
-        moved = list(zip([s.mult for s in self.spaces], strides, self.sizes))
-        self._ranges = [range(n) for n in self.sizes]
-        if pinned:
-            # the first coordinate is always K_0's own coset, counted as 0
-            self.sizes[0], self._ranges[0], strides[0] = 1, [first.home], 0
-            del moved[0]
-        self.pinned, self._strides = pinned, strides
+        self._ranges, self._strides = [range(n) for n in self.sizes], strides
+        # (row table, stride, size) of each coordinate
+        axes = list(zip([s.mult for s in self.spaces], strides, self.sizes))
         gidx = G.index
 
         def act(g, i):
             k = gidx[g]
-            return sum([m[k][i // s % n] * s for m, s, n in moved])
+            return sum([m[k][i // s % n] * s for m, s, n in axes])
 
-        super().__init__(first.subgroup if pinned else G,
-                         CosetTuples((first.home,) if pinned else (),
-                                     [(s, n) for _, s, n in moved]),
-                         act, name=name)
-        self._G = G
+        super().__init__(G, CosetTuples([(s, n) for _, s, n in axes]), act,
+                         name=name)
         self.block = self.n_objects // self.sizes[0]
 
     def obj_index(self, obj):
@@ -216,14 +202,11 @@ class CosetLevel(ActionGroupoid):
 
     def components(self):
         """The block searched in index order through one index permutation
-        per generator of the base coset's stabiliser (mixed radix over
+        per generator of the stabiliser of coset 0 (mixed radix over
         coordinates 1..n)."""
         if self._components is None:
-            G = self._G
-            if self.pinned:
-                stab, self._to_base = self.group, None
-            else:
-                stab, self._to_base = self.spaces[0].coset_zero
+            G = self.group
+            stab, self._to_zero = self.spaces[0].coset_zero
             perms = []
             for g in stab.generators():
                 k, perm = G.index[g], [0]
@@ -231,9 +214,8 @@ class CosetLevel(ActionGroupoid):
                     row = s.mult[k]
                     perm = [p * n + row[x] for p in perm for x in range(n)]
                 perms.append(perm)
-            spread = self.sizes[0]
             comp_of, comps = [-1] * self.block, []
-            for start in range(len(comp_of)):
+            for start in range(self.block):
                 if comp_of[start] >= 0:
                     continue
                 idx = len(comps)
@@ -247,18 +229,18 @@ class CosetLevel(ActionGroupoid):
                             comp_of[t] = idx
                             stack.append(t)
                             size += 1
-                comps.append(Component(idx, start, size * spread,
+                comps.append(Component(idx, start, size * self.sizes[0],
                                        stab.order // size))
             self._comp_of, self._components = comp_of, comps
         return self._components
 
     def component_of(self, i):
         """Outside the block, i is first moved into it by the first element
-        taking its first coset to the base coset."""
+        taking its first coset to coset 0."""
         self.components()
-        if i >= len(self._comp_of):
-            k = self._to_base[i // self._strides[0]]
-            i = self.act(self._G.elements[k], i)
+        if i >= self.block:
+            k = self._to_zero[i // self.block]
+            i = self.act(self.group.elements[k], i)
         return self._comp_of[i]
 
 
@@ -316,8 +298,8 @@ class HeckeWaldhausen:
         _refuse_over_budget(top, count, budget)
         if count > MAX_FIBRE_BYTES:
             raise BudgetExceededError(
-                f"{top} needs {count} bytes to count the fibres over its "
-                f"{count} objects, over the ceiling of {MAX_FIBRE_BYTES}")
+                f"{top} has {count} objects, over the ceiling of "
+                f"{MAX_FIBRE_BYTES} that no budget lifts")
         self.G, self.H = G, H
         self.depth = depth
         self.cosets = Cosets(G, H)
@@ -343,8 +325,8 @@ def hecke_waldhausen(G, H, depth: int = 3,
 
 
 class DoubleCosets:
-    """K_1\\G/K_0 as the components of the level (G/K_0 x G/K_1) // G,
-    pinned or not, in which K_1 g K_0 is the object (K_0, g^-1 K_1).
+    """K_1\\G/K_0 as the components of the level (G/K_0 x G/K_1) // G, in
+    which K_1 g K_0 is the object (K_0, g^-1 K_1).
     `basis` lists the least element of each double coset in G.elements
     order; `slot` maps a component of the level to its position in the
     basis, and `position` each element's index in G to the position of its
@@ -400,13 +382,14 @@ class HeckeAlgebra:
     """Structure constants of H-biinvariant functions on G under the
     pull-push product, with the convolution oracle alongside.  The algebra
     is its own regular module, HeckeModule(alg, H), and takes its
-    constants, integrality and faithfulness from that module's table.  Its
-    apex, the pinned level 2 {H} x (G/H)^2 // H, has [G:H]^2 objects and is
-    refused over the budget before any level is built."""
+    constants, integrality and faithfulness from that module's table.  The
+    coset-0 block of its apex X_2, which the pass reads, has [G:H]^2
+    objects and is refused over the budget before any level is built."""
 
     def __init__(self, G, H, budget: int = DEFAULT_OBJECT_BUDGET):
         _check_subgroup(G, H)
-        _refuse_over_budget(f"Hecke algebra level X_2({G.name},{H.name})",
+        _refuse_over_budget(f"the coset-0 block of the Hecke algebra level "
+                            f"X_2({G.name},{H.name})",
                             (G.order // H.order) ** 2, budget)
         self.G, self.H = G, H
         self.cosets_h = Cosets(G, H)
@@ -419,7 +402,7 @@ class HeckeAlgebra:
         self.regular = HeckeModule(self, H)
         self.constants = self.regular.constants
         self.integral = self.regular.integral
-        # the extremal face must be faithful for integrality -- verified
+        # faithful, as integrality needs: read off the face's group map
         self.extremal_faithful = self.regular.extremal_faithful
         self.oracle_agrees = self.convolution_constants() == self.constants
 
@@ -447,12 +430,14 @@ class HeckeAlgebra:
 
 class HeckeModule(StructureTable):
     """The convolution action of H(G,H) on functions on H\\G/P, via the
-    span X_1 x Y_0 <- Y_1 -> Y_0 with the pinned levels
-    Y_0 = {P} x G/H // P and Y_1 = {P} x (G/H)^2 // P, faces as in the
-    Hecke-Waldhausen levels.  Y_1 has [G:H]^2 objects, as many as the
-    algebra's apex, which has passed the budget.  The constants
-    {(a, v): {c: m}} are keyed by basis positions.  The oracle runs on
-    demand, once."""
+    span X_1 x Y_0 <- Y_1 -> Y_0 of the levels Y_0 = (G/P x G/H) // G and
+    Y_1 = (G/P x (G/H)^2) // G and their faces d_0, d_2 and d_1, built as
+    the Hecke-Waldhausen levels and faces are (X_1, X_2 and X's faces
+    when P = H).  The pass reads Y_1 on its coset-0 block, [G:H]^2 objects,
+    as many as the algebra's apex block, which has passed the budget.  The
+    middle face d_1 passes g through, so it is faithful and pushforward
+    along it keeps integrality.  The constants {(a, v): {c: m}} are keyed
+    by basis positions.  The oracle runs on demand, once."""
 
     def __init__(self, algebra: HeckeAlgebra, P: FiniteGroup):
         G, H = algebra.G, algebra.H
@@ -461,15 +446,15 @@ class HeckeModule(StructureTable):
         self.G, self.H, self.P = G, H, P
         gh = algebra.cosets_h
         gp = gh if P is H else Cosets(G, P)
-        y0 = CosetLevel(G, [gp, gh], "Y0", pinned=True)
-        y1 = CosetLevel(G, [gp, gh, gh], "Y1", pinned=True)
+        y0 = CosetLevel(G, [gp, gh], "Y0")
+        y1 = CosetLevel(G, [gp, gh, gh], "Y1")
         # components of Y_0 are the double cosets H g P
         self.double_cosets = DoubleCosets(G, y0)
         self.basis = self.double_cosets.basis
         self.labels = [str(g) for g in self.basis]
 
         middle = face(y1, y0, 1)
-        self.extremal_faithful = is_faithful(middle)
+        self.extremal_faithful = middle.passes_through
         slots = (algebra.double_cosets.slot,) + (self.double_cosets.slot,) * 2
         sums = pull_push_table(face(y1, algebra.x1, 0), face(y1, y0, 2),
                                middle, slots)

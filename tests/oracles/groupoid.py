@@ -10,6 +10,9 @@
 - `walked_fibres` is the table rule's fibre test by a walk of every
   N-orbit of the apex, and `counted_fibres` the count over every object
   of the apex, the oracles for the count in `_Square.fibres`;
+- `is_faithful` decides whether a functor is injective on every hom-set
+  by enumerating each component's automorphisms, the oracle of the
+  faithfulness that `HeckeModule` reads off its face's group map;
 - `discrete_groupoid`, `constant_functor`, `DisjointUnion` and
   `FullSubgroupoid`: small generic groupoids and functors for the tests
   of the groupoid layer and for the skeletal core model of
@@ -187,6 +190,19 @@ def counted_fibres(square) -> bool:
     over every object of the apex, and onto all of P."""
     return _Square(*map(unblocked, (square.fa, square.fb, square.f,
                                     square.g))).fibres()
+
+
+def is_faithful(f: Functor) -> bool:
+    """Injective on every hom-set.  A nonempty hom-set Hom(x, y) is a torsor
+    under Aut(x), and conjugate objects have conjugate Aut groups, so it is
+    enough that Aut(rep) -> Aut(f rep) is injective at one representative
+    per source component."""
+    src = f.src
+    for c in src.components():
+        auts = src.hom(c.rep, c.rep)
+        if len({f.on_mor(m) for m in auts}) < len(auts):
+            return False
+    return True
 
 
 def witness_key(w):

@@ -3,12 +3,16 @@ in `FiniteGroup`; the inverse, order, exponent and greedy generators of a
 group by walking the powers of each element on its own, the oracle of the
 one walk per cyclic subgroup in `FiniteGroup`; and Cayley tables near a
 group's: one row of a group table with two of its entries swapped, away
-from the identity, so that the identity stays two-sided.  The conjugacy
+from the identity, so that the identity stays two-sided, or the group
+itself with its elements listed from a later one, so that its identity is
+not elements[0].  The conjugacy
 classes of a group by conjugating each element by every element, for the
 oracles of non-abelian groups (an abelian group's classes are its
 elements)."""
 
 from math import lcm
+
+from hallalg.groups import FiniteGroup
 
 
 def associativity_failure(elements, op):
@@ -26,6 +30,18 @@ def associativity_failure(elements, op):
 def cayley_table(G):
     """G's multiplication table on the element indices of G.elements."""
     return [[G.index[G.op(a, b)] for b in G.elements] for a in G.elements]
+
+
+def shuffled_cayley(G, shift):
+    """(C, idx): G as a Cayley-table group C on 0..|G|-1 whose elements
+    start at G.elements[shift], so that its identity is not elements[0],
+    and idx, the element of C of each element of G."""
+    order = G.elements[shift:] + G.elements[:shift]
+    idx = {g: i for i, g in enumerate(order)}
+    return FiniteGroup.from_cayley(
+        {"order": G.order,
+         "table": [[idx[G.op(a, b)] for b in order] for a in order]},
+        name=f"cayley({G.name})"), idx
 
 
 def row_swaps(G):

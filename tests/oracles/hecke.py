@@ -6,10 +6,17 @@ y^-1 x in D_b.
 
 `run_table` is the generic table of a coset-level map, one run per
 (prefix, value) pair, the oracle of the faces and degeneracies
-(`hecke.face`, `hecke.degeneracy`) and of their plans."""
+(`hecke.face`, `hecke.degeneracy`) and of their plans.
+
+`pinned_level` is a coset level's full subgroupoid on its coset-0 block
+under the stabiliser of coset 0: an apex acted on by a proper subgroup of
+the level's group, equivalent to the level, which the table rule of
+`groupoid/fiber.py` still decides."""
 
 from fractions import Fraction
 from math import prod
+
+from hallalg.groupoid import ActionGroupoid
 
 
 def double_cosets(G, H, P):
@@ -58,3 +65,14 @@ def run_table(src, tgt, sizes, k, runs):
             start = runs(a, x) * S
             table += range(start, start + S)
     return table
+
+
+def pinned_level(level):
+    """The full subgroupoid of the coset level on its block, the tuples
+    whose first coset is coset 0, acted on by the stabiliser of coset 0,
+    with the level's indices and action.  G moves every first coset to
+    coset 0, so the inclusion is an equivalence, with [G:K_0] times fewer
+    objects."""
+    stab, _ = level.spaces[0].coset_zero
+    return ActionGroupoid(stab, [level.objects[i] for i in range(level.block)],
+                          level.act, name=f"pinned {level.name}")

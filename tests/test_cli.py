@@ -274,14 +274,14 @@ def test_hecke_coset_levels_scale(capsys, n):
 
 @pytest.mark.parametrize("command", ["hecke-table", "hecke-module"])
 def test_hecke_commands_refuse_over_budget(capsys, monkeypatch, command):
-    # the pinned X_2 of (S4,S3) has [S4:S3]^2 = 16 objects
+    # the coset-0 block of X_2 of (S4,S3) has [S4:S3]^2 = 16 objects
     import hallalg.waldhausen.hecke as hecke
     built = []
     real = hecke.CosetLevel
 
-    def recording(G, spaces, name, pinned=False):
+    def recording(G, spaces, name):
         built.append(name)
-        return real(G, spaces, name, pinned)
+        return real(G, spaces, name)
 
     monkeypatch.setattr(hecke, "CosetLevel", recording)
     argv = [command, "--G", "sym:4", "--H", "sym:3", "--budget", "15"]
@@ -290,8 +290,8 @@ def test_hecke_commands_refuse_over_budget(capsys, monkeypatch, command):
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert ("Hecke algebra level X_2(sym:4,sym:3) has 16 objects, over the "
-            "budget of 15") in captured.err
+    assert ("the coset-0 block of the Hecke algebra level X_2(sym:4,sym:3) "
+            "has 16 objects, over the budget of 15") in captured.err
     assert built == []
     # at the count itself every level is built and the command passes
     argv[argv.index("15")] = "16"
@@ -401,9 +401,10 @@ def test_segal_budget_raises_the_level_bound(capsys, monkeypatch):
 
 
 def test_hecke_levels_over_the_fibre_ceiling_exit_2(capsys, monkeypatch):
-    # HW(S6,1) at --budget 10^12: X_3 has 720^4 objects, under the budget,
-    # but the fibre count would mark them in 269 GB; refused before any
-    # level is built
+    # HW(S6,1) at --budget 10^12: X_3 has 720^4 objects, under the budget
+    # but over the ceiling of 2^30 top-level objects, which bounds the
+    # blocks the checks read whatever the budget; refused before any level
+    # is built
     import hallalg.waldhausen.hecke as hecke
 
     def not_reached(*args):
@@ -417,9 +418,8 @@ def test_hecke_levels_over_the_fibre_ceiling_exit_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: Hecke-Waldhausen level X_3(sym:6,trivial) needs "
-        "268738560000 bytes to count the fibres over its 268738560000 "
-        "objects, over the ceiling of 1073741824\n")
+        "error: Hecke-Waldhausen level X_3(sym:6,trivial) has 268738560000 "
+        "objects, over the ceiling of 1073741824 that no budget lifts\n")
 
 
 def test_the_fibre_ceiling_admits_hw_s5(monkeypatch):
@@ -469,7 +469,8 @@ def test_the_fibre_ceiling_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(hecke, "MAX_FIBRE_BYTES", 80)
     capsys.readouterr()
     assert run(argv) == 2
-    assert "needs 81 bytes" in capsys.readouterr().err
+    assert "has 81 objects, over the ceiling of 80" in (
+        capsys.readouterr().err)
 
 
 def test_the_cli_imports_no_dataclasses():

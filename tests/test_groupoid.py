@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap,
                               GroupHomFunctor, SpanFn, b_group, cardinality,
                               composite_difference, is_equivalence,
-                              is_faithful, point_groupoid, point_inclusion,
-                              pullback_fn, pushforward_fn, two_fiber_product)
+                              point_groupoid, point_inclusion, pullback_fn,
+                              pushforward_fn, two_fiber_product)
 from hallalg.groupoid.fiber import _Square
 from hallalg.groups import (TupleGroup, alternating_subgroup, cyclic_group,
                             dihedral_group, perm_sign, symmetric_group,
@@ -22,9 +22,11 @@ from oracles.functors import (ComposedFunctor, IdentityFunctor,
 from oracles.groupoid import (DisjointUnion, FullSubgroupoid, ProductGroupoid,
                               constant_functor, discrete_groupoid,
                               external_product, fiber_projections,
-                              materialised_comparison, pull_push_span,
-                              validate_action, validate_functor,
-                              validate_groupoid, walked_fibres, witness_key)
+                              is_faithful, materialised_comparison,
+                              pull_push_span, validate_action,
+                              validate_functor, validate_groupoid,
+                              walked_fibres, witness_key)
+from oracles.hecke import pinned_level
 
 
 @pytest.fixture(scope="module")
@@ -468,9 +470,10 @@ def _coordinate_map(src, tgt, parts):
 def coset_squares(draw):
     """(fa, fb, f, g): the 2-Segal square of (G/K1 x G/K2 x G/K3) // G over
     G/M, with the middle coordinate coarsened to G/L in A = G/K1 x G/L and
-    to G/L' in B = G/L' x G/K3 (K2 <= L, L' <= M); the apex is pinned at
-    its first coordinate or not, and maybe mutated: a stable subset, two
-    copies, trivial groups, or one entry of fa's table moved."""
+    to G/L' in B = G/L' x G/K3 (K2 <= L, L' <= M); the apex is the level
+    or its pinned block, acted on by the stabiliser of coset 0
+    (`pinned_level`), and maybe mutated: a stable subset, two copies,
+    trivial groups, or one entry of fa's table moved."""
     G, subs = SQUARE_GROUPS[draw(st.sampled_from(sorted(SQUARE_GROUPS)))]
     pick = st.sampled_from(subs)
     k1, k2, k3 = draw(pick), draw(pick), draw(pick)
@@ -483,7 +486,9 @@ def coset_squares(draw):
         k1 = k3 = G.elements            # keep the fiber product small
     c1, c2, c3, ca, cb, cm = (Cosets(G, G.subgroup(h, check=False))
                               for h in (k1, k2, k3, l_a, l_b, m))
-    apex = CosetLevel(G, [c1, c2, c3], "X", pinned=draw(st.booleans()))
+    apex = CosetLevel(G, [c1, c2, c3], "X")
+    if draw(st.booleans()):
+        apex = pinned_level(apex)
     a = CosetLevel(G, [c1, ca], "A")
     b = CosetLevel(G, [cb, c3], "B")
     d = CosetLevel(G, [cm], "D")

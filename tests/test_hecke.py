@@ -1,9 +1,14 @@
 import pytest
 
+from hallalg.groupoid import GMap, pull_push_table
 from hallalg.groups import (alternating_subgroup, named_group, named_subgroup,
                             symmetric_group,
                             symmetric_subgroup, young_subgroup)
-from hallalg.waldhausen.hecke import HeckeAlgebra, HeckeModule
+from hallalg.waldhausen.hecke import (CosetLevel, Cosets, DoubleCosets,
+                                      HeckeAlgebra, HeckeModule, face,
+                                      hecke_waldhausen)
+from oracles.groupoid import is_faithful
+from oracles.groups import shuffled_cayley
 from oracles.hecke import membership_convolution
 
 
@@ -186,3 +191,86 @@ def test_one_pass_convolution_matches_membership_tests(g, h, p):
         # reaches (a, v), so the pull-push table has every row
         assert list(mod.constants) == [(a, v) for a in range(len(left))
                                        for v in range(len(right))]
+
+
+def _shuffled_s4():
+    S4 = symmetric_group(4)
+    C, idx = shuffled_cayley(S4, 5)
+    assert C.identity != C.elements[0]
+    return C, C.subgroup([idx[g] for g in symmetric_subgroup(S4, 2).elements],
+                         name="sym:2")
+
+
+SPAN_CASES = {
+    "S3/S2": lambda: (symmetric_group(3),
+                      symmetric_subgroup(symmetric_group(3), 2)),
+    "S4/S2": lambda: (symmetric_group(4),
+                      symmetric_subgroup(symmetric_group(4), 2)),
+    "S4/young:2+2": lambda: (symmetric_group(4),
+                             young_subgroup(symmetric_group(4), [2, 2])),
+    "S4/trivial": lambda: (symmetric_group(4),
+                           named_subgroup(symmetric_group(4), "trivial")),
+    "C6/trivial": lambda: (named_group("cyclic:6"),
+                           named_subgroup(named_group("cyclic:6"), "trivial")),
+    "cayley(S4)/S2": _shuffled_s4,
+}
+
+
+def _span_table(G, H, left=0, right=2):
+    """pull_push_table along X_1 x X_1 <- X_2 -> X_1 of HW(G, H) itself,
+    the legs d_left and d_right and the middle d_1, labelled by the basis
+    positions of the double cosets."""
+    x = hecke_waldhausen(G, H, depth=2)
+    slot = DoubleCosets(G, x.levels[1]).slot
+    return pull_push_table(x.face(2, left), x.face(2, right), x.face(2, 1),
+                           (slot,) * 3)
+
+
+@pytest.mark.parametrize("case", SPAN_CASES)
+def test_the_algebra_is_read_off_the_hecke_waldhausen_span(case):
+    # the levels and faces that segal-check certifies give hecke-table's
+    # constants
+    G, H = SPAN_CASES[case]()
+    assert _span_table(G, H) == HeckeAlgebra(G, H).constants
+
+
+def test_swapped_legs_give_the_opposite_algebra():
+    # H(S4,S2) is not commutative, so the orientation d_0, d_2 is pinned
+    S4 = symmetric_group(4)
+    H = symmetric_subgroup(S4, 2)
+    constants = HeckeAlgebra(S4, H).constants
+    swapped = _span_table(S4, H, left=2, right=0)
+    assert swapped == {(b, a): row for (a, b), row in constants.items()}
+    assert swapped != constants
+
+
+def _middle_face(G, H, P):
+    """d_1: Y_1 -> Y_0 of the module on H\\G/P, as HeckeModule builds it."""
+    gp, gh = Cosets(G, P), Cosets(G, H)
+    return face(CosetLevel(G, [gp, gh, gh], "Y1"),
+                CosetLevel(G, [gp, gh], "Y0"), 1)
+
+
+@pytest.mark.parametrize(
+    "g, h, p", ORACLE_INPUTS,
+    ids=["/".join(filter(None, x)) for x in ORACLE_INPUTS])
+def test_extremal_faithful_matches_the_faithfulness_oracle(g, h, p):
+    G = named_group(g)
+    H = named_subgroup(G, h)
+    alg = HeckeAlgebra(G, H)
+    for mod in [alg.regular] + ([HeckeModule(alg, named_subgroup(G, p))]
+                                if p else []):
+        assert mod.extremal_faithful == is_faithful(
+            _middle_face(G, H, mod.P)), mod.P.name
+
+
+def test_a_face_with_a_fill_is_unfaithful():
+    # the trivial group map on d_1 of the module of H(S4,S2) on
+    # H\S4/S3, whose objects have nontrivial stabilisers
+    S4 = symmetric_group(4)
+    middle = _middle_face(S4, symmetric_subgroup(S4, 2),
+                          symmetric_subgroup(S4, 3))
+    filled = GMap(middle.src, middle.tgt, None, name="d_1 filled",
+                  fill=S4.identity, plan=middle.plan, block=middle.block)
+    assert middle.passes_through and is_faithful(middle)
+    assert not filled.passes_through and not is_faithful(filled)

@@ -18,10 +18,10 @@ from hallalg.groupoid import (ActionGroupoid, FnFunctor, GMap, Groupoid,
                               two_fiber_product)
 from hallalg.groupoid import functors
 from hallalg.groupoid.fiber import _Square, strict_pullback_equivalence
-from hallalg.groups import (FiniteGroup, TupleGroup, cyclic_group,
-                            dihedral_group, named_group, named_subgroup,
-                            symmetric_group, symmetric_subgroup,
-                            trivial_group, young_subgroup)
+from hallalg.groups import (TupleGroup, cyclic_group, dihedral_group,
+                            named_group, named_subgroup, symmetric_group,
+                            symmetric_subgroup, trivial_group,
+                            young_subgroup)
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
 from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
                                 check_simplicial_identities,
@@ -44,7 +44,8 @@ from oracles.groupoid import (PairFunctor, ProductGroupoid, counted_fibres,
                               materialised_comparison, pull_push_span,
                               validate_action, validate_functor,
                               walked_fibres, witness_key)
-from oracles.hecke import run_table
+from oracles.groups import shuffled_cayley
+from oracles.hecke import pinned_level, run_table
 from oracles.sconstruction import (FlagGroupoid, core_comparison_functor,
                                    flag_comparison_functor, token_triangle)
 
@@ -367,7 +368,7 @@ def test_shared_square_verdicts_give_the_identity_check_its_verdict():
 @functools.cache
 def plan_maps():
     """Every face and degeneracy of HW(S3,S2), HW(S4,S2) and HW(S4,1), and
-    the faces of the pinned Hecke-module levels of S4 over S2."""
+    the span faces of the Hecke-module levels of S4 over S2."""
     maps = []
     for G, H in (("sym:3", "sym:2"), ("sym:4", "sym:2"), ("sym:4", "trivial")):
         G = named_group(G)
@@ -378,8 +379,8 @@ def plan_maps():
     x1 = CosetLevel(S4, [gh, gh], "X1")
     for P in ("sym:2", "young:2+2", "trivial"):
         gp = Cosets(S4, named_subgroup(S4, P))
-        y0 = CosetLevel(S4, [gp, gh], "Y0", pinned=True)
-        y1 = CosetLevel(S4, [gp, gh, gh], "Y1", pinned=True)
+        y0 = CosetLevel(S4, [gp, gh], "Y0")
+        y1 = CosetLevel(S4, [gp, gh, gh], "Y1")
         maps += [face(y1, x1, 0), face(y1, y0, 2), face(y1, y0, 1)]
     return maps
 
@@ -988,21 +989,10 @@ def test_coset_levels_match_flat_model():
                 (G.name, H.name, "degeneracy", n, k)
 
 
-def _shuffled_cayley(G, shift):
-    """G as a Cayley-table group on 0..|G|-1 whose elements start at
-    G.elements[shift], so that its identity is not elements[0]."""
-    order = G.elements[shift:] + G.elements[:shift]
-    idx = {g: i for i, g in enumerate(order)}
-    return FiniteGroup.from_cayley(
-        {"order": G.order,
-         "table": [[idx[G.op(a, b)] for b in order] for a in order]},
-        name=f"cayley({G.name})"), idx
-
-
 def _block_pi0_cases():
     S3, S4 = symmetric_group(3), symmetric_group(4)
     D8 = dihedral_group(4)
-    C, idx = _shuffled_cayley(S4, 5)
+    C, idx = shuffled_cayley(S4, 5)
     CH = C.subgroup([idx[g] for g in young_subgroup(S4, [2, 2]).elements],
                     name="young:2+2")
     return [(S3, symmetric_subgroup(S3, 2)), (S4, symmetric_subgroup(S4, 2)),
@@ -1028,73 +1018,67 @@ def test_block_pi0_matches_the_bfs_over_the_level():
 
 def test_pinned_block_pi0_matches_the_bfs():
     S4 = symmetric_group(4)
-    C, idx = _shuffled_cayley(S4, 7)
+    C, idx = shuffled_cayley(S4, 7)
     H = C.subgroup([idx[g] for g in symmetric_subgroup(S4, 2).elements],
                    name="sym:2")
     P = C.subgroup([idx[g] for g in symmetric_subgroup(S4, 3).elements],
                    name="sym:3")
     gh, gp = Cosets(C, H), Cosets(C, P)
     for spaces in ([gh, gh], [gp, gh], [gp, gh, gh], [gh, gh, gh]):
-        for pinned in (False, True):
-            level = CosetLevel(C, spaces, "L", pinned)
-            oracle = CosetLevel(C, spaces, "oracle", pinned)
-            bfs = Groupoid.components(oracle)
-            assert level.components() == bfs, (len(spaces), pinned)
-            for i in range(level.n_objects):
-                assert level.component_of(i) == oracle._comp_of[i]
+        level = CosetLevel(C, spaces, "L")
+        oracle = CosetLevel(C, spaces, "oracle")
+        bfs = Groupoid.components(oracle)
+        assert level.components() == bfs, len(spaces)
+        for i in range(level.n_objects):
+            assert level.component_of(i) == oracle._comp_of[i]
+        # the pinned block has the level's components, each [G:K_0] times
+        # smaller, in the same order
+        assert [(c.rep, c.size * level.sizes[0], c.aut_order)
+                for c in Groupoid.components(pinned_level(level))] == [
+            (c.rep, c.size, c.aut_order) for c in bfs], len(spaces)
 
 
 def test_index_tables_match_the_tuple_formulas():
     # faces delete a coordinate, degeneracies repeat one, and the action
-    # moves every coordinate, on full and pinned levels
+    # moves every coordinate
     S4 = symmetric_group(4)
-    C, idx = _shuffled_cayley(S4, 3)
+    C, idx = shuffled_cayley(S4, 3)
     H = C.subgroup([idx[g] for g in young_subgroup(S4, [2, 2]).elements],
                    name="young:2+2")
     P = C.subgroup([idx[g] for g in symmetric_subgroup(S4, 3).elements],
                    name="sym:3")
     gh, gp = Cosets(C, H), Cosets(C, P)
     for first in (gh, gp):
-        for pinned in (False, True):
-            for n in range(1, 4):
-                spaces = [first] + [gh] * n
-                src = CosetLevel(C, spaces, "L", pinned)
-                for k in range(n + 1):
-                    # d_0 of a pinned level lands in the full level
-                    low = CosetLevel(C, spaces[:k] + spaces[k + 1:], "low",
-                                     pinned and k > 0)
-                    assert face(src, low, k).table == [
-                        low.obj_index(o[:k] + o[k + 1:])
-                        for o in src.objects], (pinned, n, k)
-                    if pinned and k == 0:
-                        continue
-                    up = CosetLevel(C, spaces[:k + 1] + spaces[k:], "up",
-                                    pinned)
-                    assert degeneracy(src, up, k).table == [
-                        up.obj_index(o[:k + 1] + o[k:])
-                        for o in src.objects], (pinned, n, k)
-                for g in src.group.elements:
-                    k = C.index[g]
-                    assert [src.act(g, i) for i in range(src.n_objects)] == [
-                        src.obj_index(tuple(s.mult[k][x] for s, x in
-                                            zip(src.spaces, o)))
-                        for o in src.objects]
-    # axis sizes that do not fit are refused
-    pinned = CosetLevel(C, [gh, gh], "pinned", True)
+        for n in range(1, 4):
+            spaces = [first] + [gh] * n
+            src = CosetLevel(C, spaces, "L")
+            for k in range(n + 1):
+                low = CosetLevel(C, spaces[:k] + spaces[k + 1:], "low")
+                assert face(src, low, k).table == [
+                    low.obj_index(o[:k] + o[k + 1:])
+                    for o in src.objects], (n, k)
+                up = CosetLevel(C, spaces[:k + 1] + spaces[k:], "up")
+                assert degeneracy(src, up, k).table == [
+                    up.obj_index(o[:k + 1] + o[k:])
+                    for o in src.objects], (n, k)
+            for g in src.group.elements:
+                k = C.index[g]
+                assert [src.act(g, i) for i in range(src.n_objects)] == [
+                    src.obj_index(tuple(s.mult[k][x] for s, x in
+                                        zip(src.spaces, o)))
+                    for o in src.objects]
+    # axis sizes that do not fit are refused: [C:P] = 4, [C:H] = 6
+    mixed = CosetLevel(C, [gp, gh], "mixed")
     with pytest.raises(ValueError):
-        face(CosetLevel(C, [gh, gh, gh], "X2"), pinned, 1)
+        face(CosetLevel(C, [gh, gh, gh], "X2"), mixed, 1)
     with pytest.raises(ValueError):
-        degeneracy(pinned, CosetLevel(C, [gh, gh, gh], "Y", True), 0)
+        degeneracy(mixed, CosetLevel(C, [gh, gh, gh], "Y"), 0)
 
 
 def _tuples(level):
     """The objects of a coset level, materialised as before the view: every
-    tuple of coset indices in lexicographic order, a pinned first
-    coordinate fixed at K_0's own coset."""
-    axes = [range(s.count) for s in level.spaces]
-    if level.pinned:
-        axes[0] = [level.spaces[0].home]
-    return list(product(*axes))
+    tuple of coset indices in lexicographic order."""
+    return list(product(*(range(s.count) for s in level.spaces)))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1104,42 +1088,37 @@ def test_coset_level_objects_are_the_materialised_tuples(n):
     gp = Cosets(S, young_subgroup(S, [n - 2, 2]) if n == 4
                 else symmetric_subgroup(S, 1))
     for spaces in ([gh], [gh, gh], [gp, gh], [gp, gh, gh], [gh] * 4):
-        for pinned in (False, True):
-            level = CosetLevel(S, spaces, "L", pinned)
-            tuples = _tuples(level)
-            objects = level.objects
-            assert list(objects) == tuples, (len(spaces), pinned)
-            assert len(objects) == level.n_objects == len(tuples)
-            assert [objects[i] for i in range(len(tuples))] == tuples
-            assert objects[-1] == tuples[-1]
-            with pytest.raises(IndexError):
-                objects[len(tuples)]
-            assert [level.obj_index(objects[i])
-                    for i in range(len(tuples))] == list(range(len(tuples)))
-            # no tuple outside the level has an index
-            first = tuples[0]
-            foreign = [first[:-1], first + (0,), list(first),
-                       first[:-1] + (spaces[-1].count,), first[:-1] + (-1,)]
-            if pinned:
-                home = spaces[0].home
-                foreign.append(((home + 1) % spaces[0].count,) + first[1:])
-            for obj in foreign:
-                with pytest.raises(KeyError):
-                    level.obj_index(obj)
+        level = CosetLevel(S, spaces, "L")
+        tuples = _tuples(level)
+        objects = level.objects
+        assert list(objects) == tuples, len(spaces)
+        assert len(objects) == level.n_objects == len(tuples)
+        assert [objects[i] for i in range(len(tuples))] == tuples
+        assert objects[-1] == tuples[-1]
+        with pytest.raises(IndexError):
+            objects[len(tuples)]
+        assert [level.obj_index(objects[i])
+                for i in range(len(tuples))] == list(range(len(tuples)))
+        # no tuple outside the level has an index
+        first = tuples[0]
+        foreign = [first[:-1], first + (0,), list(first),
+                   first[:-1] + (spaces[-1].count,), first[:-1] + (-1,)]
+        for obj in foreign:
+            with pytest.raises(KeyError):
+                level.obj_index(obj)
 
 
 def test_coset_level_action_matches_the_tuple_formula():
-    # g moves every coordinate of the tuple; on HW(S3,S2) and on the
-    # pinned Y levels of every module of H(S3,S2)
+    # g moves every coordinate of the tuple; on HW(S3,S2) and on the Y
+    # levels of every module of H(S3,S2)
     S3 = symmetric_group(3)
     H = symmetric_subgroup(S3, 2)
     hw = HeckeWaldhausen(S3, H, 3)
     levels = list(hw.levels)
     for spec in ("trivial", "sym:2", "alt:3", "all"):
         gp = Cosets(S3, named_subgroup(S3, spec))
-        levels += [CosetLevel(S3, [gp, hw.cosets], "Y0", pinned=True),
-                   CosetLevel(S3, [gp, hw.cosets, hw.cosets], "Y1",
-                              pinned=True)]
+        levels += [CosetLevel(S3, [gp, hw.cosets], "Y0"),
+                   CosetLevel(S3, [gp, hw.cosets, hw.cosets], "Y1")]
     for level in levels:
         tuples = _tuples(level)
         index = {t: i for i, t in enumerate(tuples)}
@@ -1179,16 +1158,14 @@ def test_faces_match_the_table_of_one_run_per_prefix_and_value():
     gh = Cosets(S4, symmetric_subgroup(S4, 2))
     gp = Cosets(S4, young_subgroup(S4, [2, 2]))
     for first in (gh, gp):
-        for pinned in (False, True):
-            for n in range(1, 4):
-                spaces = [first] + [gh] * n
-                src = CosetLevel(S4, spaces, "L", pinned)
-                for k in range(n + 1):
-                    sizes = src.sizes[:k] + src.sizes[k + 1:]
-                    low = CosetLevel(S4, spaces[:k] + spaces[k + 1:], "low",
-                                     pinned and k > 0)
-                    assert face(src, low, k).table == run_table(
-                        src, low, sizes, k, lambda a, x: a), (pinned, n, k)
+        for n in range(1, 4):
+            spaces = [first] + [gh] * n
+            src = CosetLevel(S4, spaces, "L")
+            for k in range(n + 1):
+                sizes = src.sizes[:k] + src.sizes[k + 1:]
+                low = CosetLevel(S4, spaces[:k] + spaces[k + 1:], "low")
+                assert face(src, low, k).table == run_table(
+                    src, low, sizes, k, lambda a, x: a), (n, k)
 
 
 def test_degeneracies_match_the_table_of_one_run_per_prefix_and_value():
@@ -1294,17 +1271,14 @@ def test_on_obj_reads_every_face_and_degeneracy_off_its_plan():
             for kind, table in (("face", x.faces),
                                 ("degeneracy", x.degeneracies))
             for (_, k), m in table.items()]
-    # the pinned levels of HW(S4, young:2+2), {P} x (G/P)^n // P
-    pinned = [CosetLevel(S4, [gp] * (n + 1), f"P{n}", pinned=True)
-              for n in range(4)]
+    # the levels (G/P)^(n+1) // G of HW(S4, young:2+2)
+    levels = [CosetLevel(S4, [gp] * (n + 1), f"P{n}") for n in range(4)]
     for n in range(1, 4):
         for k in range(n + 1):
-            low = (pinned[n - 1] if k else
-                   CosetLevel(S4, [gp] * n, f"L{n - 1}"))
-            maps.append(("face", k, face(pinned[n], low, k)))
-            if n < 3 and k:
+            maps.append(("face", k, face(levels[n], levels[n - 1], k)))
+            if n < 3:
                 maps.append(("degeneracy", k,
-                             degeneracy(pinned[n], pinned[n + 1], k)))
+                             degeneracy(levels[n], levels[n + 1], k)))
     for kind, k, m in maps:
         written = "table" in vars(m)
         assert [m.on_obj(i) for i in range(m.src.n_objects)] == plan_oracle(
@@ -1531,14 +1505,21 @@ def _inclusion(pinned, full):
 
 
 def test_pinned_levels_are_equivalent_full_subgroupoids():
+    # the coset-0 block under the stabiliser of coset 0, on which the
+    # levels find their components, is equivalent to the level
     S4 = symmetric_group(4)
-    for H in (symmetric_subgroup(S4, 3), young_subgroup(S4, [2, 2]),
-              S4.subgroup([S4.identity], name="trivial")):
-        cosets = Cosets(S4, H)
+    C, idx = shuffled_cayley(S4, 5)
+    for G, H in ((S4, symmetric_subgroup(S4, 3)),
+                 (S4, young_subgroup(S4, [2, 2])),
+                 (S4, S4.subgroup([S4.identity], name="trivial")),
+                 (C, C.subgroup([idx[g] for g in
+                                 symmetric_subgroup(S4, 2).elements]))):
+        cosets = Cosets(G, H)
         for n in (1, 2):
-            full = CosetLevel(S4, [cosets] * (n + 1), "full")
-            pinned = CosetLevel(S4, [cosets] * (n + 1), "pinned", True)
+            full = CosetLevel(G, [cosets] * (n + 1), "full")
+            pinned = pinned_level(full)
             assert pinned.n_objects * cosets.count == full.n_objects
+            assert pinned.group.order == H.order < G.order
             f = _inclusion(pinned, full)
             validate_functor(f)
             assert is_equivalence(f).ok, (H.name, n)
@@ -1563,8 +1544,9 @@ def generic_pull_push_table(left, right, middle, basis_a, basis_b):
 
 
 def test_pinned_apex_gives_the_tables_of_the_full_levels():
-    # the Hecke algebra and module tables (one pass over a pinned apex)
-    # against one pull_push_span per pair over the full levels
+    # the Hecke algebra and module tables (one pass over the components of
+    # the apex, found on its block) against one pull_push_span per pair
+    # over the full levels
     # (G/H)^3 // G and (G/P x (G/H)^2) // G
     S4 = symmetric_group(4)
     S3, S2 = symmetric_subgroup(S4, 3), symmetric_subgroup(S4, 2)
@@ -1728,13 +1710,14 @@ def test_a_gmap_square_that_is_no_equivalence_gets_the_skeleton_witness(
 
 
 def test_the_rule_does_not_apply_on_a_pinned_apex(monkeypatch):
-    # on the pinned apex {H} x (G/H)^3 // H, rho is the inclusion of H in
-    # G: the fibre check does not apply, and the decision pass finds that
-    # the G-orbits of the images cover P
+    # on the pinned apex, X_3's block acted on by the stabiliser K of
+    # coset 0, rho is the inclusion of K in G: the fibre check does not
+    # apply, and the decision pass finds that the G-orbits of the images
+    # cover P
     S3 = symmetric_group(3)
     hw = HeckeWaldhausen(S3, symmetric_subgroup(S3, 2), 3)
     x3 = hw.levels[3]
-    pinned = CosetLevel(S3, [hw.cosets] * 4, "pinned X3", pinned=True)
+    pinned = pinned_level(x3)
     incl = GMap(pinned, x3, [x3.obj_index(o) for o in pinned.objects])
     squares = [(name, pinned, compose_functors(fa, incl),
                 compose_functors(fb, incl), f, g)
