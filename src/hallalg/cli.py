@@ -12,7 +12,9 @@ values as polynomial strings over the printed conductor.
 
 import argparse
 import json
+import shutil
 import sys
+from functools import partial
 
 from . import BudgetExceededError, UsageError
 from .groupoid.core import DEFAULT_OBJECT_BUDGET
@@ -78,23 +80,47 @@ def _schurweyl_parser(p):
     p.add_argument("--d", type=int, required=True)
 
 
-def build_parser(command=None):
-    """The argument parser, with every subcommand or only `command`.  With
-    one subcommand, the metavar still lists them all, so that its usage
-    line reads as the full parser's; the full parser keeps the default
-    metavar, which its errors name as "command"."""
+def _formatter():
+    """The help formatter at the terminal width, read once here: argparse
+    reads it again for every argument a parser adds otherwise."""
+    return partial(argparse.HelpFormatter,
+                   width=shutil.get_terminal_size().columns - 2)
+
+
+def build_parser():
+    """The argument parser with every subcommand, whose errors name a
+    missing one as "command"."""
+    fmt = _formatter()
     ap = argparse.ArgumentParser(
-        prog="hallalg",
+        prog="hallalg", formatter_class=fmt,
         description="exact Hall algebra / 2-Segal / Hecke / wreath-character "
                     "workbench")
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_line)
-            add_arguments(p)
-            _add_common(p)
+        p = sub.add_parser(name, help=help_line, formatter_class=fmt)
+        add_arguments(p)
+        _add_common(p)
     return ap
+
+
+def _parse(argv):
+    """The arguments of a known command, from its own parser: the parser
+    that the full one hands the command's arguments to, with the same usage
+    and errors.  The full parser reads anything else, and reports arguments
+    that the command does not know with its own usage line, as it does when
+    it reads them itself."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    name = argv[0]
+    p = argparse.ArgumentParser(prog=f"hallalg {name}",
+                                formatter_class=_formatter())
+    COMMANDS[name][1](p)
+    _add_common(p)
+    args, extras = p.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = name
+    return args
 
 
 # -- commands -------------------------------------------------------------------
@@ -281,11 +307,7 @@ def _emit(args, data, build_rows):
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a known subcommand first needs only its own parser; --help, an
-    # unknown command or no argument at all get the full one
-    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = ap.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.budget is not None and args.budget <= 0:
             raise UsageError("--budget must be positive")

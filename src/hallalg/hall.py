@@ -17,7 +17,10 @@ Both tables are `StructureTable`s (`hallalg.structure`), as the Hecke
 tables are, so their products, key checks and truncation errors, and the
 associativity and unit check, are theirs.  Each has a row (N, L) exactly
 when size N + size L is within the bound: a product past the bound has no
-row, and the check skips a triple that needs one.
+row, and the check skips a triple that needs one.  The check is Light's
+test over the greedy spanning set, which is {u_(1^r)} for abelian p-groups
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. II-III), {[1]}
+for vect-fq and {delta_1} for f1-free: n^2 |S| triples, not n^3.
 """
 
 from bisect import bisect_right
@@ -119,8 +122,9 @@ def hall_product_via_span(inst: ProtoAbelianInstance, bound, f: dict,
 
 
 def check_associativity(table: HallTable):
-    """Associative and unital on all basis triples inside the bound; returns
-    (ok, counterexample)."""
+    """Associative and unital on all basis triples inside the bound, by
+    Light's test; returns (ok, counterexample), the first failing triple
+    in row order."""
     return check_algebra(table, table.inst.zero_key())
 
 

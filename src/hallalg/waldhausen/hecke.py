@@ -60,7 +60,14 @@ sorted by label.
 A module is a `StructureTable` (`hallalg.structure`) keyed by basis
 positions, as the Hall tables are, and the algebra reads its constants off
 its regular module.  So one check decides the module axioms and, after the
-right unit, associativity and the unit.
+right unit, associativity and the unit.  Associativity is Light's test over
+the greedy spanning set S of the algebra, double cosets whose left-normed
+monomials span it over F_p: n^2 |S| triples, not n^3 (|S| = 4 for (S5, 1),
+3 for (S6, S3)).  A module on m double cosets reads the rows (s, b) for s
+in S, |S| n m triples, after the algebra's check has certified it, when the
+two read fewer than the n^2 m of every row; over an algebra that fails its
+check, or when they do not, every triple.  Each check counts its triples
+against the budget before it reads any.
 """
 
 from fractions import Fraction
@@ -72,7 +79,8 @@ from .. import BudgetExceededError, UsageError
 from ..groupoid import ActionGroupoid, GMap, pull_push_table
 from ..groupoid.core import DEFAULT_OBJECT_BUDGET, Component
 from ..groups import FiniteGroup
-from ..structure import StructureTable, check_action, check_algebra
+from ..structure import (StructureTable, check_action, check_algebra,
+                         spanning_set)
 from .simplicial import TruncatedSimplicialGroupoid
 
 
@@ -391,7 +399,7 @@ class HeckeAlgebra:
         _refuse_over_budget(f"the coset-0 block of the Hecke algebra level "
                             f"X_2({G.name},{H.name})",
                             (G.order // H.order) ** 2, budget)
-        self.G, self.H = G, H
+        self.G, self.H, self.budget = G, H, budget
         self.cosets_h = Cosets(G, H)
         self.x1 = CosetLevel(G, [self.cosets_h] * 2, f"X1({G.name},{H.name})")
         self.double_cosets = DoubleCosets(G, self.x1)
@@ -416,8 +424,12 @@ class HeckeAlgebra:
         return self.regular.convolution_action()
 
     def check_associativity_and_unit(self):
-        """The right unit, then the regular module's axioms."""
-        return check_algebra(self.regular, self.unit_index)
+        """The unit axioms, then Light's test over the spanning set
+        (`hallalg.structure`), its n^2 |S| triples refused over the
+        budget before any is read."""
+        return check_algebra(self.regular, self.unit_index, self.budget,
+                             f"the associativity check of the Hecke algebra "
+                             f"of ({self.G.name},{self.H.name})")
 
     def to_json(self):
         return {
@@ -473,7 +485,21 @@ class HeckeModule(StructureTable):
                                   self.double_cosets)
 
     def check_module_axioms(self):
-        return check_action(self.alg.regular, self, self.alg.unit_index)
+        """The unit acts trivially, and the action is associative: on the
+        rows (s, b) for s in the algebra's spanning set once the algebra is
+        certified, when its n^2 |S| triples and their |S| n m read fewer
+        than the n^2 m of every row, else on every triple; each check
+        refused over the algebra's budget before any triple is read."""
+        alg = self.alg
+        gens = spanning_set(alg.regular, alg.unit_index)
+        n, m = len(alg.basis), len(self.basis)
+        if not (len(gens) * (n * n + n * m) < n * n * m
+                and alg.check_associativity_and_unit()[0]):
+            gens = None
+        return check_action(
+            alg.regular, self, alg.unit_index, gens, alg.budget,
+            f"the module check of the Hecke algebra of "
+            f"({self.G.name},{self.H.name}) on H\\G/{self.P.name}")
 
     def to_json(self):
         return {

@@ -567,6 +567,12 @@ def test_a_failing_hall_verdict_prints_its_counterexample(capsys,
     data = json.loads(out)
     assert data["pass"] is False
     assert set(data["counterexample"]) == {"triple", "lhs", "rhs"}
+    # the first failing triple in row order: g^(3)_{(1),(2)}, raised from
+    # 1 to 2, breaks ([1][1])[1] = [1]([1][1]) at the coefficient of (3)
+    assert data["counterexample"] == {
+        "triple": ["(1,)", "(1,)", "(1,)"],
+        "lhs": {"(1, 1, 1)": 21, "(2, 1)": 5, "(3,)": 1},
+        "rhs": {"(1, 1, 1)": 21, "(2, 1)": 5, "(3,)": 2}}
 
 
 def test_hall_budget_refused_before_any_constant(capsys, monkeypatch):
@@ -961,8 +967,8 @@ def _run_all(argv, capsys):
 
 def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
     light = [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "_parse",
+                        lambda argv: cli.build_parser().parse_args(argv))
     assert [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS] == light
     codes = [code for code, _, _ in light]
     assert codes[:8] == [0] * 8 and 2 in codes and 0 in codes[8:]
