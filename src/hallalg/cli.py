@@ -15,6 +15,7 @@ import json
 import shutil
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import BudgetExceededError, UsageError
 from .groupoid.core import DEFAULT_OBJECT_BUDGET
@@ -278,11 +279,94 @@ COMMANDS = {
 }
 
 
+# -- JSON output ----------------------------------------------------------------
+# json.dumps(data, indent=2) always runs the json module's pure-Python
+# encoder.  _json_text writes the same text: each container is one join,
+# each scalar goes to a C function (the json module's string quoting,
+# int.__repr__) picked by its exact type, and subclasses fall back to
+# isinstance tests in the json module's order.  Keys are converted, and
+# TypeError and the circular-reference ValueError raised, as json.dumps
+# does.
+
+_INFINITY = float("inf")
+
+
+def _float_text(x, _repr=float.__repr__):
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return _repr(x)
+
+
+_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, float: _float_text,
+                bool: _CONSTANT_TEXT.__getitem__,
+                type(None): _CONSTANT_TEXT.__getitem__}
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        key = _float_text(key)
+    elif key is True or key is False or key is None:
+        key = _CONSTANT_TEXT[key]
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _quote(key)
+
+
+def _json_text(o, indent="\n", markers=None):
+    """json.dumps(o, indent=2), for o at the depth whose newline and
+    indentation is `indent`; markers holds the ids of the containers
+    being written around o."""
+    t = type(o)
+    scalar = _SCALAR_TEXT.get(t)
+    if scalar is not None:
+        return scalar(o)
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(o, str):
+            return _quote(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    markers = set() if markers is None else markers
+    mark = id(o)
+    if mark in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(mark)
+    inner = indent + "  "
+    if isinstance(o, dict):
+        text = "{" + inner + ("," + inner).join([
+            (_quote(k) if type(k) is str else _key_text(k)) + ": "
+            + (_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
+               else _json_text(v, inner, markers))
+            for k, v in o.items()]) + indent + "}"
+    else:
+        text = "[" + inner + ("," + inner).join([
+            _SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
+            else _json_text(v, inner, markers) for v in o]) + indent + "]"
+    markers.discard(mark)
+    return text
+
+
 def _emit(args, data, build_rows):
     """Print data as JSON, or as csv or text the rows that build_rows()
     makes, built only for those two formats."""
     if args.format == "json":
-        text = json.dumps(data, indent=2) + "\n"
+        text = _json_text(data) + "\n"
     elif args.format == "csv":
         text = "\n".join(",".join(str(c).replace(",", ";") for c in row)
                          for row in build_rows()) + "\n"

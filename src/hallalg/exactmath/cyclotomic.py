@@ -123,16 +123,17 @@ class PackedProducts:
     sum_c w_c |x(c)|_1 |y_j(c)|_1 r, r the largest entry of a reduction
     row, for |x(c)|_1 at most xnorms[c]; W is one bit more than the
     larger of this bound and `largest` (an expected value the caller
-    compares with) needs, so equal packed integers mean equal slots.  x has `width` coefficients
-    per class, phi(m) by default, 2 phi(m) - 1 for an unreduced product;
-    xnorms default to the norms of the y_j, for x among the y_j."""
+    compares with) needs, so equal packed integers mean equal slots.  x
+    has `width` coefficients per class, phi(m) by default, 2 phi(m) - 1
+    for an unreduced product; ynorms default to the column norms of the
+    y_j, and xnorms to ynorms, for x among the y_j."""
 
     def __init__(self, m: int, ys, xnorms=None, weights=None,
-                 width=None, largest=0):
+                 width=None, largest=0, ynorms=None):
         rows = _reduction_rows(m)
         phi = len(rows[0])
         width = phi if width is None else width
-        ynorms = column_norms(ys)
+        ynorms = column_norms(ys) if ynorms is None else ynorms
         xnorms = ynorms if xnorms is None else xnorms
         weights = [1] * len(ynorms) if weights is None else weights
         r = max(abs(x) for row in rows for x in row)
@@ -174,6 +175,27 @@ class PackedProducts:
         for _ in range(self.count):
             out.append((v & mask) - half)
             v >>= bits
+        return out
+
+    def nonzero_slots(self, packed: int) -> list[tuple[int, int]]:
+        """(j, slot j) for the nonzero slots of one packed integer, j
+        ascending.  Offset, slot j holds half + S_j, which differs from
+        the offset's half in some bit exactly when S_j is not 0, so the
+        lowest set bit of the two's xor finds the next nonzero slot and
+        zero slots are never read."""
+        bits = self.bits
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        v = packed + self._offset
+        diff = v ^ self._offset
+        out = []
+        base = 0
+        while diff:
+            j = ((diff & -diff).bit_length() - 1) // bits
+            v >>= j * bits
+            diff >>= (j + 1) * bits
+            out.append((base + j, (v & mask) - half))
+            v >>= bits
+            base += j + 1
         return out
 
 

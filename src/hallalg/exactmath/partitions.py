@@ -6,7 +6,8 @@ decreasing lexicographic, so all emitted tables are byte-stable.
 """
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
+from itertools import product
 from math import comb, prod
 
 Partition = tuple  # weakly decreasing tuple of positive ints
@@ -134,6 +135,15 @@ class PartitionMap:
             raise ValueError(f"duplicate labels in {self.labels}")
         self._hash = hash((self.labels, self.parts))
 
+    @classmethod
+    def _trusted(cls, labels: tuple, parts: tuple):
+        """The map of a label tuple of distinct labels and a tuple of as
+        many partitions, both already checked: nothing is checked again."""
+        self = object.__new__(cls)
+        self.labels, self.parts = labels, parts
+        self._hash = hash((labels, parts))
+        return self
+
     @property
     def total(self) -> int:
         return sum(sum(p) for p in self.parts)
@@ -174,19 +184,20 @@ def compositions(n: int, k: int):
 
 
 def partition_maps(n: int, labels) -> list[PartitionMap]:
-    """All partition-valued maps on `labels` of total size n, canonical order."""
+    """All partition-valued maps on `labels` of total size n, canonical
+    order.  The labels are checked once; the parts come from
+    `partitions_of`, so no map checks them again."""
     labels = tuple(labels)
     if n < 0:
         raise ValueError(f"no partition maps of total size {n}")
     if n > 0 and not labels:
         return []
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate labels in {labels}")
+    trusted = partial(PartitionMap._trusted, labels)
     out = []
     for comp in compositions(n, len(labels)):
-        pools = [partitions_of(c) for c in comp]
-        stack = [()]
-        for pool in pools:
-            stack = [s + (p,) for s in stack for p in pool]
-        out.extend(PartitionMap(labels, s) for s in stack)
+        out.extend(map(trusted, product(*map(partitions_of, comp))))
     return out
 
 

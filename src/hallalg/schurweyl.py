@@ -10,15 +10,21 @@ has more than d rows.  Three exact identities are verified:
   n <= d  =>  no R_lam vanishes
 
 The report lists every label; their number is counted first and refused
-over the budget before any label is built.
+over the budget before any label is built.  Each label's dimensions,
+kernel flag and row are products of lookups in one table per report of
+the partitions of size <= n; `irreducible_dimension` and `dim_R` compute
+one label at a time, for the identity checks and as the tests' oracle of
+those products.
 """
+
+from math import factorial, prod
 
 from . import BudgetExceededError, Record, UsageError
 
 from .exactmath.partitions import (PartitionMap, count_partition_maps,
                                    multiset_number, partition_maps,
-                                   partition_numbers)
-from .exactmath.tableaux import schur_eval_ones
+                                   partition_numbers, partitions_of)
+from .exactmath.tableaux import schur_eval_ones, standard_tableaux_count
 from .groups import FiniteGroup
 from .wreath.chmap import irreducible_dimension
 
@@ -109,19 +115,32 @@ def schur_weyl_report(G: FiniteGroup, n: int, d: int,
         raise BudgetExceededError(f"{G.name} wr S_{n} has {count} labels, "
                                   f"over budget {budget}")
     rep = SchurWeylReport(G.name, n, d, nonzero_count_matches=True)
+    # a label's numbers are products over its partitions, each looked up
+    # in a table of the partitions of size <= n: dim X_lam is
+    # n! prod f^{lam(gamma)} / prod |lam(gamma)|! (`irreducible_dimension`)
+    # and dim R_lam is prod s_{lam(gamma)}(1^d) (`dim_R`)
+    shapes = [p for size in range(n + 1) for p in partitions_of(size)]
+    tableaux = {p: standard_tableaux_count(p) for p in shapes}
+    factorials = {p: factorial(sum(p)) for p in shapes}
+    schur = {p: schur_eval_ones(p, d) for p in shapes}
+    as_json = {p: list(p) for p in shapes}
+    names = [str(c) for c in range(G.order)]
+    top = factorial(n)
     kernel_count = squares = total = 0
     for lam in partition_maps(n, tuple(range(G.order))):
-        dr = dim_R(lam, d)
-        dx = irreducible_dimension(G, lam)
+        parts = lam.parts
+        dr = prod(map(schur.__getitem__, parts))
+        dx = (top * prod(map(tableaux.__getitem__, parts))
+              // prod(map(factorials.__getitem__, parts)))
         squares += dr * dr
         total += dx * dr
         kernel = dr == 0
         kernel_count += kernel
         # dim R_lam vanishes exactly when some lam(gamma) has > d rows
-        max_rows = max((len(p) for _, p in lam.items()), default=0)
-        if kernel != (max_rows > d):
+        if kernel != (max(map(len, parts)) > d):
             rep.nonzero_count_matches = False
-        rep.rows.append({"label": lam.to_json(), "dim_X": dx, "dim_R": dr,
+        label = {name: as_json[p] for name, p in zip(names, parts) if p}
+        rep.rows.append({"label": label, "dim_X": dx, "dim_R": dr,
                          "kernel": kernel})
     rep.sum_of_squares = squares == multiset_number(d * d * G.order, n)
     rep.total_dimension = total == (d * G.order) ** n

@@ -4,9 +4,11 @@ abelian groups.
 Characters of an abelian group are stored as exponent vectors: gamma(g) =
 zeta_e^(table[g]) with e the group exponent, so all arithmetic stays in
 Z[zeta_e].  A wreath character table (chmap.class_terms) counts the maps
-from each class's cycles to the dual by exponent of zeta_e, and each value
-is reduced mod Phi_e once into the integer coefficient vector that the
-table stores, prints and certifies.
+from each class's cycles to the dual by exponent of zeta_e, reduces the
+counts mod Phi_e once per way of sending cycle lengths to characters, and
+multiplies them with the Kronecker products of the Murnaghan-Nakayama
+tables into the integer coefficient vectors that the table stores, prints
+and certifies.
 """
 
 from functools import cache

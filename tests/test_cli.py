@@ -35,6 +35,23 @@ def _load_workloads():
 JOBS = _load_workloads()
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _json_output_is_json_dumps():
+    """Every JSON document that a test here prints is also compared with
+    json.dumps(data, indent=2), the text that `_json_text` writes."""
+    write = cli._json_text
+
+    def checked(o, *inner):
+        text = write(o, *inner)
+        if not inner:
+            assert text == json.dumps(o, indent=2)
+        return text
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_json_text", checked)
+        yield
+
+
 def run_capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -1061,3 +1078,67 @@ def test_s_construction_with_more_classes_than_the_budget_exits_at_once(
     assert (captured.out, captured.err) == ("", (
         "error: level S_3(f1-free): 1000001 first rows up to A_01 already "
         "exceed the budget of 200000 triangles\n"))
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2, 2),
+    st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-300, float("nan"),
+                                  float("inf"), float("-inf")]),
+    st.text(), st.sampled_from(["\u00e9t\u00e9", "\u4e2d\U0001f600",
+                                "\"\\/\b\f\n\r\t", "\x00\x1f\x7f"]))
+JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+                      st.none(), st.floats(), st.just("\u00e9\n"))
+JSON_DATA = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_DATA)
+def test_the_json_writer_is_json_dumps(data):
+    assert cli._json_text(data) == json.dumps(data, indent=2)
+
+
+def _outcome(write, data):
+    try:
+        return "text", write(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_the_json_writer_follows_json_on_subclasses_and_errors():
+    import enum
+    from collections import OrderedDict
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Text(str):
+        pass
+
+    class Real(float):
+        pass
+
+    class Row(list):
+        pass
+
+    circular = [1]
+    circular.append(circular)
+    cases = [
+        Level.HIGH, Text("x\u00e9"), Real(2.5), Real("nan"), Row([1, Row()]),
+        OrderedDict([(Level.HIGH, [True]), (Text("k"), {})]),
+        {Real(1.5): None, 2.0: 1, float("nan"): 2, None: 3, False: 4},
+        [1, {2, 3}], {"a": b"bytes"}, {(1, 2): 0}, {"a": 1, object(): 2},
+        [{"ok": 1}, {frozenset(): 1}], circular, {"self": circular},
+        Fraction(1, 2)]
+    dumps = lambda data: json.dumps(data, indent=2)
+    outcomes = [(_outcome(cli._json_text, data), _outcome(dumps, data))
+                for data in cases]
+    assert [got for got, want in outcomes] == [want for got, want in outcomes]
+    assert [kind for (kind, _), _ in outcomes[6:]] == (
+        ["text"] + ["TypeError"] * 5 + ["ValueError"] * 2 + ["TypeError"])

@@ -163,6 +163,26 @@ def test_a_slot_holds_an_entry_at_its_bound(k):
     assert _pack([top, -top], narrow) == _pack([-top, 1 - top], narrow)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_the_nonzero_slots_are_those_of_every_slot(count, data):
+    # mostly zero slots, as the multiplicities of one label pair are; the
+    # extremes -2^(bits-1) and 2^(bits-1) - 1 included
+    k = data.draw(st.integers(0, 30), label="k")
+    kernel = PackedProducts(1, [[(1 << k,)]] * count)
+    half = 1 << (kernel.bits - 1)
+    slot = st.one_of(st.just(0), st.just(0),
+                     st.integers(max(-3, -half), min(3, half - 1)),
+                     st.sampled_from([-half, half - 1, 1 - half]),
+                     st.integers(-half, half - 1))
+    slots = data.draw(st.lists(slot, min_size=count, max_size=count),
+                      label="slots")
+    packed = _pack(slots, kernel.bits)
+    assert kernel.slots(packed) == slots
+    assert kernel.nonzero_slots(packed) == [
+        (j, x) for j, x in enumerate(slots) if x]
+
+
 def test_the_bound_counts_the_largest_reduction_row_entry():
     # Phi_105 is the first cyclotomic polynomial with a coefficient 2, and
     # 1 * conj(zeta) = zeta^104 has the coefficient 2 at zeta^6: the entry

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hallalg.exactmath.partitions import (PartitionMap, check_partition,
                                           compositions, conjugate,
@@ -150,3 +150,36 @@ def test_negative_sizes_are_value_errors():
         partitions_of(-1)
     with pytest.raises(ValueError, match="total size -2"):
         partition_maps(-2, ("a",))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.data())
+def test_listed_maps_equal_the_checked_maps(k, n, data):
+    # partition_maps checks the labels once and its parts not at all; each
+    # map it lists is the map that the checking constructor builds
+    labels = data.draw(st.lists(st.one_of(st.integers(-9, 9),
+                                          st.text(max_size=2)),
+                                min_size=k, max_size=k, unique=True),
+                       label="labels")
+    listed = partition_maps(n, labels)
+    assert len(listed) == partition_maps_count(n, k)
+    for lam in listed:
+        checked = PartitionMap(labels, lam.parts)
+        assert lam == checked and checked == lam
+        assert hash(lam) == hash(checked)
+        assert repr(lam) == repr(checked)
+        assert lam.to_json() == checked.to_json()
+        assert lam.sort_key() == checked.sort_key()
+        assert lam.labels == checked.labels
+        assert type(lam.labels) is type(lam.parts) is tuple
+    assert len(set(listed)) == len(listed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("labels", [(0, 0), ("a", "b", "a"), [1, 2, 1]])
+def test_listing_with_duplicate_labels_raises_the_checked_error(n, labels):
+    with pytest.raises(ValueError) as want:
+        PartitionMap(labels, [()] * len(labels))
+    with pytest.raises(ValueError) as got:
+        partition_maps(n, labels)
+    assert str(got.value) == str(want.value)

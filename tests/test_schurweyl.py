@@ -5,6 +5,7 @@ from hallalg.groups import (cyclic_group, klein_group, symmetric_group,
                             trivial_group)
 from hallalg.schurweyl import (check_sum_of_squares, check_total_dimension,
                                dim_R, schur_weyl_report)
+from hallalg.wreath import irreducible_dimension
 from oracles.exactmath import partition_map_from_json
 from oracles.schurweyl import dim_poly_fns
 
@@ -96,14 +97,29 @@ def test_kernel_criterion_checked_row_by_row(monkeypatch):
     # dim R_(1,1) over d = 1 is 0 and dim R_(2) is 1; swapping them keeps
     # the number of kernel rows but breaks the criterion on both rows
     import hallalg.schurweyl as sw
-    honest = sw.dim_R
+    honest = sw.schur_eval_ones
 
-    def swapped(lam, d):
-        other = {((2,),): ((1, 1),), ((1, 1),): ((2,),)}[lam.parts]
-        return honest(PartitionMap(lam.labels, other), d)
+    def swapped(part, d):
+        return honest({(2,): (1, 1), (1, 1): (2,)}.get(part, part), d)
 
-    monkeypatch.setattr(sw, "dim_R", swapped)
+    monkeypatch.setattr(sw, "schur_eval_ones", swapped)
     r = schur_weyl_report(trivial_group(), 2, 1)
     assert sum(row["kernel"] for row in r.rows) == 1
     assert r.nonzero_count_matches is False
     assert r.ok is False
+
+
+@pytest.mark.parametrize("G", [trivial_group(), cyclic_group(2),
+                               cyclic_group(3), klein_group()])
+def test_report_rows_match_the_per_label_formulas(G):
+    # the report's lookups per partition against dim X and dim R computed
+    # label by label, and the label JSON of each map
+    for n in range(5):
+        for d in range(1, 4):
+            labels = partition_maps(n, tuple(range(G.order)))
+            rows = schur_weyl_report(G, n, d).rows
+            assert rows == [{"label": lam.to_json(),
+                             "dim_X": irreducible_dimension(G, lam),
+                             "dim_R": dim_R(lam, d),
+                             "kernel": dim_R(lam, d) == 0}
+                            for lam in labels], (G.name, n, d)

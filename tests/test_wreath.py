@@ -23,7 +23,7 @@ from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
                             irreducible_dimension, murnaghan_nakayama,
                             wreath_product)
 from hallalg.wreath import chmap
-from hallalg.wreath.chmap import WreathCharacterTable, centralizer_order
+from hallalg.wreath.chmap import WreathCharacterTable, cycle_centralizer
 from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET, wreath_order
 from oracles.cyclotomic import Cyc, hermitian_gram
 from oracles.exactmath import partition_maps_count
@@ -373,6 +373,17 @@ def test_table_matches_the_per_pair_walk(G_name, n):
     assert tab.values == want
 
 
+def test_a_table_beyond_the_default_budget_matches_the_per_pair_walk():
+    # |C4 wr S_4| = 6144 is over the default budget: blocks of up to five
+    # sents, phi(e) = 2 (C6 n = 3 is in the walk above)
+    G = cyclic_group(4)
+    tab = WreathCharacterTable(G, 4, budget=10 ** 4)
+    chars = dual_exponents(G)
+    want = [[character_value(chars, tab.e, lam, rho)
+             for rho in tab.class_labels] for lam in tab.irr_labels]
+    assert tab.values == want
+
+
 @cache
 def table_and_dual(G_name, n):
     G = named_group(G_name)
@@ -433,6 +444,42 @@ def test_integer_forms_per_size_pair_do_not_grow_with_the_labels(
     assert len(calls) == 3 * size_pairs
 
 
+@pytest.mark.parametrize("G_name,max_total", [
+    ("trivial", 4), ("cyclic:2", 3), ("cyclic:3", 2), ("klein", 2)])
+def test_a_check_reads_each_table_once(monkeypatch, G_name, max_total):
+    # one ch_ring_hom_check reads the integer rows and the column norms of
+    # each of its max_total + 1 tables once, however many size pairs each
+    # takes part in; the big table's packed columns reuse its norms
+    from hallalg.exactmath import cyclotomic
+    calls = Counter()
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for module in (chmap, cyclotomic):
+        for name in ("integral_rows", "column_norms"):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+    ok, failures = ch_ring_hom_check(named_group(G_name), max_total)
+    assert ok, failures
+    assert calls == {"integral_rows": max_total + 1,
+                     "column_norms": max_total + 1}
+
+
+def test_each_check_reads_the_values_it_is_given():
+    # the integer forms live for one check: a table changed between two
+    # checks is read afresh by the second
+    G = cyclic_group(2)
+    assert ch_ring_hom_check(G, 2) == (True, [])
+    tab = character_table(G, 2)
+    tab.values[0] = [tuple(-x for x in v) for v in tab.values[0]]
+    with pytest.raises(ArithmeticError, match="is not in N: -1"):
+        ch_ring_hom_check(G, 2)
+
+
 # -- beyond the oracle's range ------------------------------------------------
 
 
@@ -449,7 +496,7 @@ def test_column_orthogonality_beyond_the_oracle(G_name, n, data):
     centralizer = prod(r ** mult * factorial(mult) * k ** mult
                        for part in rho.parts
                        for r, mult in Counter(part).items())
-    assert centralizer_order(k, rho) == centralizer
+    assert prod(cycle_centralizer(k, part) for part in rho.parts) == centralizer
     values = [Cyc(e, character_value(chars, e, lam, rho)) for lam in labels]
     assert sum(v * v.conj() for v in values) == centralizer
     identity = PartitionMap(range(k), [(1,) * n] + [()] * (k - 1))
