@@ -166,8 +166,8 @@ class ActionGroupoid(Groupoid):
     `act` is taken to be an action: every caller builds one by
     construction, and the tests check the axioms.  `transversal` is a
     sequence of object indices that meets every orbit, all of them unless
-    the caller knows fewer (a triangle level: one completion per first
-    row).
+    the caller knows fewer (a triangle level: one triangle per
+    component).
     """
 
     def __init__(self, group: FiniteGroup, objects, act, name="X//G",

@@ -17,7 +17,7 @@ X/N -> P: every object of P is hit and each fibre is one free N-orbit, with
 no pi0 of any level.  That is a count, not a walk: each fibre must hold
 |N| objects, and N must act freely at each object of the apex's
 `transversal`, which meets every orbit of the apex's groups (a triangle
-level: one triangle per first row).  N is a kernel, hence normal, so its
+level: one triangle per component).  N is a kernel, hence normal, so its
 stabilisers along an orbit are conjugate and freeness at one object is
 freeness on the orbit; and a fibre of |N| objects on which N acts freely
 is one N-orbit.  Otherwise (rho injective: the S-construction's unital

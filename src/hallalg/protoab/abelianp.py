@@ -36,8 +36,12 @@ def is_prime(n: int) -> bool:
 
 class AbelianPGroups(ProtoAbelianInstance):
     family = "ab-p-groups"
+    # aut_order, one entry per class, is read by every level's first rows
+    # and closed count; mono_count is not memoised, since on a refused
+    # input its memo would hold an entry per pair of classes counted
     _cached = ("elements", "_homs", "isos", "monos", "epis", "compose",
-               "image_sub", "preimage_sub", "classify_quot", "_mods")
+               "image_sub", "preimage_sub", "classify_quot", "_mods",
+               "aut_order")
 
     def __init__(self, p: int, order_bound: int):
         if not is_prime(p):

@@ -25,19 +25,26 @@ oracles decode the maps to tokens.  Transport moves each map
 m: A_p -> A_q to phi_q m phi_p^-1 by two lookups, in the rows of m's
 composites with the automorphisms of its ends.
 
-First rows, then one free orbit.  A triangle is determined by its first
-row r = (A_01 >-> ... >-> A_0n) up to a unique isomorphism that fixes row
-0: A_ij is the cokernel of A_0i >-> A_0j, each square being a pushout.  So
-the triangles over r are one free orbit of
+First rows, then one free orbit per component.  A triangle is determined
+by its first row r = (A_01 >-> ... >-> A_0n) up to a unique isomorphism
+that fixes row 0: A_ij is the cokernel of A_0i >-> A_0j, each square being
+a pushout.  So the triangles over r are one free orbit of
 K+(r) = prod_{1 <= i < j <= n} Aut(A_ij), and level n has the closed count
-sum_r prod_{i < j} |Aut(A_0j / A_0i)| of objects.  A level counts its
-first rows from the instance's `mono_count` and refuses them over the
-budget before it lists any mono, lists them, checks the closed count
-against the budget before it builds any completion, completes each row
-once by a search that checks every square as it closes, and transports
-that completion by every element of K+(r).  Each group prod Aut(A_ij) is
-taken from its factors, unlisted; each factor Aut(A) is listed, and its
-order must be the closed `aut_order` that the budget read.
+sum_r prod_{i < j} |Aut(A_0j / A_0i)| of objects.  Row 0's automorphisms
+commute with K+(r), so they carry the block of triangles over a first row
+onto the block over the moved row, and a component of the level is the
+union of the blocks of one orbit of first rows.  A level counts its first
+rows from the instance's `mono_count` and refuses them over the budget
+before it lists any mono, lists them, walks them once under the
+generators of row 0's factors, reads the entries once per component,
+checks the closed count against the budget before it builds any
+completion, completes one first row per component by a search that checks
+every square as it closes, and transports that completion by every
+element of K+(r).  Every other row's block is its parent's in the walk,
+moved by one generator of row 0, and the walk gives pi0.  Each group
+prod Aut(A_ij) is taken from its factors, unlisted; each factor Aut(A) is
+listed, and its order must be the closed `aut_order` that the budget
+read.
 
 Faces and degeneracies by position plans.  A face or degeneracy sends
 entry (a, b) of a triangle to an entry of its image, or to a zero entry,
@@ -49,17 +56,15 @@ read off a plan cached per (n, k) over the flat map ids: where each entry
 comes from, which map each map copies or which two it composes, and which
 map fills each zero slot.
 
-pi0 by first rows.  Row 0's automorphisms commute with K+(r), so they
-carry the block of triangles over a first row onto the block over the
-moved row, and the components are found over the first rows alone.
-
-The search over all diagrams and the triangle-by-triangle faces and
-degeneracies that these replace are test oracles
-(`tests/oracles/sconstruction.py`), on map tokens, with two equivalent
-models: the flags of monos alone, and for level 1 the skeletal core of the
+The search over all diagrams, the build that completes every first row
+and searches the blocks of first rows for pi0, and the
+triangle-by-triangle faces and degeneracies that these replace are test
+oracles (`tests/oracles/sconstruction.py`), with two equivalent models:
+the flags of monos alone, and for level 1 the skeletal core of the
 instance.
 """
 
+from collections import Counter
 from collections.abc import Sequence
 from functools import cache
 from itertools import count, product as iproduct
@@ -271,18 +276,56 @@ class _Triangles(Sequence):
         return map(self.__getitem__, range(len(self._keys)))
 
 
+def _walk(inst, rows):
+    """The first rows' orbits under row 0's automorphisms, walked depth
+    first under the generators of each Aut(A_0j).  A generator h of
+    Aut(A_0j) moves only the monos into and out of A_0j: m -> h m and
+    m -> m h^-1.  Returns, per row, its component; the first row of each
+    component, in row order; per row, the step (parent row, j, h, h^-1)
+    that carries the parent onto it, None at a first row; and the rows in
+    the order reached, each after its parent.  A component of the level is
+    the union of the blocks of one orbit."""
+    lefts, rights = inst.left_rows, inst.right_rows
+    where = {row: b for b, row in enumerate(rows)}
+    comp, firsts, steps, order = [-1] * len(rows), [], [None] * len(rows), []
+    for start in range(len(rows)):
+        if comp[start] >= 0:
+            continue
+        comp[start], stack = len(firsts), [start]
+        firsts.append(start)
+        while stack:
+            b = stack.pop()
+            order.append(b)
+            entries, monos = rows[b]
+            for j, c in enumerate(entries):
+                K = inst.aut_group(c)
+                for h in K.generators():
+                    h_inv, moved = K.inv(h), list(monos)
+                    if j:
+                        moved[j - 1] = lefts[monos[j - 1]][h]
+                    if j < len(monos):
+                        moved[j] = rights[monos[j]][h_inv]
+                    to = where[entries, tuple(moved)]
+                    if comp[to] < 0:
+                        comp[to], steps[to] = comp[b], (b, j, h, h_inv)
+                        stack.append(to)
+    return comp, firsts, steps, order
+
+
 class TriangleGroupoid(ActionGroupoid):
     """Level n of the S-construction: triangles and componentwise isos, as
     the action of prod Aut(A_ij) (factors in `_layout(n)[0]` order, each
     the instance's int `aut_group`) by `transport`, one group per tuple of
     entries, built from its factors without listing its elements.  The
     closed count of the triangles is checked against the budget before
-    any completion is built; `closed_count` keeps the count.  The
-    transversal is the first triangle built over each first row, which
-    meets every orbit.  Each object is kept as its index key (see
-    `_Triangles`) and its group, shared by the triangles with its entries
-    (`_entries` maps each group to them); `group_at` reads the list of
-    groups by index."""
+    any completion is built; `closed_count` keeps the count.  The blocks
+    of triangles over the first rows are runs of indices in row order,
+    each written at its offset: at a component's first row `_orbit`, else
+    its parent's in `_walk` moved by `_moved`.  The transversal is the
+    first triangle of each component, which meets every orbit.  Each
+    object is kept as its index key (see `_Triangles`) and its group,
+    shared by the triangles with its entries (`_entries` maps each group
+    to them); `group_at` reads the list of groups by index."""
 
     def __init__(self, inst, n, budget=DEFAULT_TRIANGLE_BUDGET):
         self.inst = inst
@@ -294,12 +337,16 @@ class TriangleGroupoid(ActionGroupoid):
                      + [(pos[a + 1, b], pos[a, b]) for a, b in ckeys])
         name = f"S_{n}({inst.family})"
         rows = _first_rows(inst, n, budget, name)
-        entries = [_entries(inst, row) for row in rows]
+        comp, firsts, steps, reached = _walk(inst, rows)
+        entries = [_entries(inst, rows[b]) for b in firsts]
         aut_order = {c: inst.aut_order(c)
                      for c in {c for e in set(entries) for c in e}}
         # row 0 is fixed: its n entries are not in K+(r)
-        self.closed_count = sum(prod(aut_order[c] for c in e[n:])
-                                for e in entries)
+        size = [prod(aut_order[c] for c in e[n:]) for e in entries]
+        self._offsets = offsets = [0]
+        for c in comp:
+            offsets.append(offsets[-1] + size[c])
+        self.closed_count = offsets[-1]
         if self.closed_count > budget:
             raise BudgetExceededError(
                 f"level {name}: {self.closed_count} triangles over "
@@ -313,86 +360,84 @@ class TriangleGroupoid(ActionGroupoid):
                     f"its closed count is {order}")
         groups = {e: TupleGroup([inst.aut_group(c) for c in e], f"Aut{e}")
                   for e in dict.fromkeys(entries)}
-        # K+(r) and, in step, its inverses, read off the factors, per tuple
-        # of entries: no inverse is memoised per triangle
-        frees = {e: [(K.elements, [K.inv(x) for x in K.elements]) if i
-                     else ([K.identity],) * 2
-                     for (i, _), K in zip(pairs, group.factors)]
-                 for e, group in groups.items()}
-        keys, self._group_of, index, firsts = [], [], {}, []
         self._entries = {group: e for e, group in groups.items()}
+        self._group_of = []
+        for c in comp:
+            self._group_of += [groups[entries[c]]] * size[c]
+        keys = [None] * self.closed_count
         triangles = _Triangles(n, keys, self._group_of, self._entries)
-        lefts, rights = inst.left_rows, inst.right_rows
-        for (_, monos), e in zip(rows, entries):
-            maps = _complete(inst, n, e, monos, name)
-            free = frees[e]
-            # each map m: A_p -> A_q as phi_q m psi, by phi_q and then psi,
-            # for the phi_q that the orbit puts at A_q
-            moves = [{a: rights[row[a]] for a in free[t][0]}
-                     for row, (t, _) in zip(map(lefts.__getitem__, maps),
-                                            self._pos)]
-            orbit = zip(iproduct(*(es for es, _ in free)),
-                        iproduct(*(invs for _, invs in free)))
-            start = len(keys)
-            firsts.append(start)
-            keys += [tuple([move[phis[t]][inv[s]] for move, (t, s)
-                            in zip(moves, self._pos)]) or e
-                     for phis, inv in orbit]
-            self._group_of += [groups[e]] * (len(keys) - start)
-            index.update(zip(keys[start:], count(start)))
-            if len(index) != len(keys):
-                i = next(i for i, key in enumerate(keys) if index[key] != i)
-                raise TriangleCompletionError(
-                    f"level {name}: {triangles[i]!r} is built twice, "
-                    f"so the first rows repeat or an orbit is not free")
+        self._keys, self._comp_rows = keys, comp
+        for b in reached:
+            if steps[b] is None:
+                e = entries[comp[b]]
+                block = self._orbit(
+                    groups[e], _complete(inst, n, e, rows[b][1], name), e)
+            else:
+                a, *step = steps[b]
+                block = self._moved(keys[offsets[a]:offsets[a + 1]], *step)
+            keys[offsets[b]:offsets[b + 1]] = block
+        self._index = index = dict(zip(keys, count()))
+        if len(index) != len(keys):
+            i = next(i for i, key in enumerate(keys) if index[key] != i)
+            raise TriangleCompletionError(
+                f"level {name}: {triangles[i]!r} is built twice, "
+                f"so the first rows repeat or an orbit is not free")
         super().__init__(None, triangles, self.transport, name=name,
-                         transversal=firsts)
-        self._keys, self._index, self._rows = keys, index, rows
+                         transversal=[offsets[b] for b in firsts])
         # the group at each object, read with no Python call
         self.group_at = self._group_of.__getitem__
 
+    def _orbit(self, group, maps, e):
+        """The keys of the triangles phis . t over the completion t (its
+        map ids `maps`, entries e), for phis in K+(r) in product order:
+        row 0's factors are fixed at the identity."""
+        lefts, rights = self.inst.left_rows, self.inst.right_rows
+        free = [(K.elements, [K.inv(x) for x in K.elements]) if i
+                else ([K.identity],) * 2
+                for (i, _), K in zip(_layout(self.level)[0], group.factors)]
+        # each map m: A_p -> A_q as phi_q m psi, by phi_q and then psi,
+        # for the phi_q that the orbit puts at A_q
+        moves = [{a: rights[row[a]] for a in free[t][0]}
+                 for row, (t, _) in zip(map(lefts.__getitem__, maps),
+                                        self._pos)]
+        orbit = zip(iproduct(*(es for es, _ in free)),
+                    iproduct(*(invs for _, invs in free)))
+        return [tuple([move[phis[t]][inv[s]] for move, (t, s)
+                       in zip(moves, self._pos)]) or e
+                for phis, inv in orbit]
+
+    def _moved(self, block, j, h, h_inv):
+        """The keys of phi . x for the keys x of a block, where phi is h at
+        A_0j, the entry at position j, and the identity elsewhere: the maps
+        into A_0j become h m and those out of it m h^-1, a column at a
+        time.  The columns are read lazily off the block: a temporary per
+        key would survive into the collector's oldest generation and make
+        it run far more often on a large level."""
+        lefts, rights, columns = self.inst.left_rows, self.inst.right_rows, []
+        for k, (t, s) in enumerate(self._pos):
+            column = map(itemgetter(k), block)
+            if t == j:
+                column = [lefts[m][h] for m in column]
+            elif s == j:
+                column = [rights[m][h_inv] for m in column]
+            columns.append(column)
+        return zip(*columns)
+
     def components(self):
-        """pi0 by first rows: the automorphisms of row 0 commute with
-        K+(r), so they carry the block of triangles over one first row
-        onto the block over the moved first row, and a component is the
-        union of the blocks whose first rows the generators of row 0's
-        factors connect.  A generator h of Aut(A_0j) moves only the monos
-        into and out of A_0j: m -> h m and m -> m h^-1.  Blocks are runs of
-        indices, so the components come in the order of their smallest
-        index, as a search over every object finds them."""
+        """pi0 from the walk of the first rows: a component is the union of
+        the blocks of one orbit of first rows, and one orbit of the group
+        at its objects.  Blocks are runs of indices, so the components come
+        in the order of their smallest index, as a search over every object
+        finds them."""
         if self._components is None:
-            inst, firsts = self.inst, self.transversal
-            ends = [*firsts[1:], self.n_objects]
-            block = {row: b for b, row in enumerate(self._rows)}
-            comp_of, comps = [-1] * len(firsts), []
-            for start in range(len(firsts)):
-                if comp_of[start] >= 0:
-                    continue
-                idx = len(comps)
-                comp_of[start] = idx
-                stack, size = [start], 0
-                while stack:
-                    b = stack.pop()
-                    size += ends[b] - firsts[b]
-                    entries, monos = self._rows[b]
-                    for j, c in enumerate(entries):
-                        K = inst.aut_group(c)
-                        for h in K.generators():
-                            moved = list(monos)
-                            if j:
-                                moved[j - 1] = inst.left_rows[monos[j - 1]][h]
-                            if j < len(monos):
-                                moved[j] = inst.right_rows[monos[j]][K.inv(h)]
-                            to = block[entries, tuple(moved)]
-                            if comp_of[to] < 0:
-                                comp_of[to] = idx
-                                stack.append(to)
-                x = firsts[start]
-                comps.append(Component(idx, x, size,
-                                       self._aut_order(x, size)))
-            self._comp_of = [c for c, x, end in zip(comp_of, firsts, ends)
-                             for _ in range(end - x)]
-            self._components = comps
+            offsets = self._offsets
+            self._comp_of = [c for c, lo, hi in zip(self._comp_rows, offsets,
+                                                    offsets[1:])
+                             for _ in range(lo, hi)]
+            size = Counter(self._comp_of)
+            self._components = [
+                Component(c, x, size[c], self._aut_order(x, size[c]))
+                for c, x in enumerate(self.transversal)]
         return self._components
 
     def obj_index(self, tri):

@@ -232,6 +232,10 @@ class WreathCharacterTable:
         return True, None
 
     def to_json(self):
+        # a table has few distinct values (C3 n=3: 21 among 484): each is
+        # formatted once
+        text = {v: poly_string(v)
+                for v in {v for row in self.values for v in row}}
         return {
             "group": f"{self.G.name} wr S_{self.n}",
             "order": self.order,
@@ -239,7 +243,8 @@ class WreathCharacterTable:
             "class_sizes": self.class_sizes,
             "irreducible_labels": [l.to_json() for l in self.irr_labels],
             "conductor": self.e,
-            "values": [[poly_string(v) for v in row] for row in self.values],
+            "values": [list(map(text.__getitem__, row))
+                       for row in self.values],
         }
 
 

@@ -5,6 +5,9 @@
   the token `square_bicartesian`;
 - `face_triangle` and `degeneracy_triangle`: the image of one triangle,
   built entry by entry;
+- `per_row_level`: a level built one first row at a time, on map ids,
+  each row's entries read and its completion found and transported by
+  K+(r), with pi0 by a block search over the first rows;
 - two models equivalent to the levels: the flags 0 >-> A_1 >-> ... >-> A_n
   with no quotient data, acted on by the automorphism groups of map
   tokens (`token_aut_group`), and, for level 1, the skeletal core of the
@@ -15,11 +18,15 @@ The levels hold map ids; `token_triangle` decodes them to the token
 triangles these oracles build, and an automorphism of class c numbered a
 is `inst.isos(c, c)[a]`."""
 
+from itertools import product
+from math import prod
+
 from hallalg import BudgetExceededError
 from hallalg.groupoid import ActionGroupoid, FnFunctor, b_group
 from hallalg.groups import FiniteGroup, TupleGroup
 from hallalg.waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
-                                              Triangle, _layout)
+                                              Triangle, _complete, _entries,
+                                              _first_rows, _layout)
 from oracles.groupoid import DisjointUnion
 
 
@@ -298,3 +305,60 @@ def core_comparison_functor(x1):
         return (cls_pos[x1.objects[i].entries[(0, 1)]], (phis[0], 0))
 
     return FnFunctor(x1, core, obj_map, mor_map, name="to-core")
+
+
+def per_row_level(inst, n: int, budget=DEFAULT_TRIANGLE_BUDGET):
+    """Level n built one first row at a time: each row's entries
+    (`_entries`) and completion (`_complete`), transported by every
+    element of K+(r); and pi0 by a block search over the first rows, under
+    the generators of row 0's factors.  Returns (rows, blocks,
+    components): the first rows in `_first_rows` order, the set of
+    triangle keys over each, and (rep, size, aut_order) per component,
+    with the blocks numbered as runs of indices in row order."""
+    name = f"S_{n}({inst.family})"
+    pairs, rkeys, ckeys = _layout(n)
+    pos = {p: k for k, p in enumerate(pairs)}
+    maps_at = ([(pos[a, b + 1], pos[a, b]) for a, b in rkeys]
+               + [(pos[a + 1, b], pos[a, b]) for a, b in ckeys])
+    lefts, rights = inst.left_rows, inst.right_rows
+    rows = _first_rows(inst, n, budget, name)
+    blocks, offsets, orders = [], [0], []
+    for entries, monos in rows:
+        e = _entries(inst, (entries, monos))
+        maps = _complete(inst, n, e, monos, name)
+        groups = [inst.aut_group(c) for c in e]
+        free = [K.elements if i else [K.identity]
+                for (i, _), K in zip(pairs, groups)]
+        block = set()
+        for phis in product(*free):
+            inv = [K.inv(x) for K, x in zip(groups, phis)]
+            block.add(tuple(rights[lefts[m][phis[t]]][inv[s]]
+                            for m, (t, s) in zip(maps, maps_at)) or e)
+        blocks.append(block)
+        offsets.append(offsets[-1] + len(block))
+        orders.append(prod(K.order for K in groups))
+    where = {row: b for b, row in enumerate(rows)}
+    seen, components = set(), []
+    for start in range(len(rows)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            b = stack.pop()
+            size += len(blocks[b])
+            entries, monos = rows[b]
+            for j, c in enumerate(entries):
+                K = inst.aut_group(c)
+                for h in K.generators():
+                    moved = list(monos)
+                    if j:
+                        moved[j - 1] = lefts[monos[j - 1]][h]
+                    if j < len(monos):
+                        moved[j] = rights[monos[j]][K.inv(h)]
+                    to = where[entries, tuple(moved)]
+                    if to not in seen:
+                        seen.add(to)
+                        stack.append(to)
+        components.append((offsets[start], size, orders[start] // size))
+    return rows, blocks, components

@@ -879,7 +879,8 @@ def test_wreath_char_table_stringifies_each_value_once(capsys, monkeypatch):
                                      "--n", "3", "--format", "csv"])
     assert code == 0
     assert len(out.splitlines()) == 1 + 22    # C3 wr S3 has 22 classes
-    assert len(calls) == 22 * 22
+    # each distinct value once: 21 among the 22 * 22 entries
+    assert len(calls) == len(set(calls)) == 21
 
 
 def test_no_package_module_holds_cyc():

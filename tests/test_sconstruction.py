@@ -1,10 +1,12 @@
 """S-construction levels from first rows, against the search oracle.
 
-Each level lists its first rows, checks the closed count, completes each
-row once and transports that completion; faces and degeneracies are read
-off position plans.  Here both are compared with the oracles of
-`tests/oracles/sconstruction.py`: the search over every class, epi and
-mono at each entry, and the triangle-by-triangle images."""
+Each level lists its first rows, walks them once under row 0's
+automorphisms, checks the closed count, completes one first row per
+component and transports that completion, and moves it onto every other
+row of the component; faces and degeneracies are read off position plans.
+Here both are compared with the oracles of `tests/oracles/sconstruction.py`:
+the search over every class, epi and mono at each entry, the level built
+one first row at a time, and the triangle-by-triangle images."""
 
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from hallalg import BudgetExceededError
 from hallalg.cli import run
-from hallalg.groups import cyclic_group, trivial_group
+from hallalg.groupoid import Groupoid, fiber
+from hallalg.groups import cyclic_group, symmetric_group, trivial_group
 from hallalg.protoab import AbelianPGroups, F1FreeG, VectFq
 from hallalg.waldhausen import (check_2segal_degree3, check_pointed,
                                 check_simplicial_identities, sconstruction)
@@ -23,8 +26,8 @@ from hallalg.waldhausen.sconstruction import (TriangleCompletionError,
                                               TriangleGroupoid, _layout,
                                               s_construction)
 from oracles.sconstruction import (degeneracy_triangle, enumerate_triangles,
-                                   face_triangle, token_aut_group,
-                                   token_triangle)
+                                   face_triangle, per_row_level,
+                                   token_aut_group, token_triangle)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,6 +81,99 @@ def test_faces_and_degeneracies_are_the_oracle_images(name):
             index = {t: j for j, t in enumerate(decoded(x.levels[n + step]))}
             assert f.table == [index[image(inst, tri, k)]
                                for tri in decoded(x.levels[n])], (name, n, k)
+
+
+# every instance whose S-construction a test builds, each to the depth
+# it is built to, and three larger ones
+PER_ROW_INSTANCES = {
+    **{name: (make, 3) for name, make in INSTANCES.items()},
+    "f1-trivial-0": (lambda: F1FreeG(trivial_group(), 0), 3),
+    "f1-trivial-1": (lambda: F1FreeG(trivial_group(), 1), 3),
+    "f1-s3-2": (lambda: F1FreeG(symmetric_group(3), 2), 2),
+    "ab-p-3-9": (lambda: AbelianPGroups(3, 9), 3),
+    "vect-f3-2": (lambda: VectFq(3, 2), 3),
+    "f1-c2-3": (lambda: F1FreeG(cyclic_group(2), 3), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_ROW_INSTANCES))
+def test_levels_match_the_per_row_build(name):
+    """The same first rows, the same triangles over each and the same
+    components as the level built one first row at a time, and as the
+    search over every object."""
+    make, depth = PER_ROW_INSTANCES[name]
+    inst = make()
+    for n in range(depth + 1):
+        rows, blocks, components = per_row_level(inst, n)
+        level = TriangleGroupoid(inst, n)
+        bounds = list(zip(level._offsets, level._offsets[1:]))
+        firsts = [level.objects[lo] for lo, _ in bounds]
+        assert [(tri[1][:n], tri[2][:n - 1]) for tri in firsts] == rows
+        assert [set(level._keys[lo:hi]) for lo, hi in bounds] == blocks
+        # the search, run first, leaves its components on the level
+        bfs = Groupoid.components(level)
+        comp_of, level._components = level._comp_of, None
+        assert level.components() == bfs, (name, n)
+        assert [c[1:] for c in bfs] == components, (name, n)
+        assert level._comp_of == comp_of
+
+
+class Counted:
+    """A function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_each_component_is_completed_once(monkeypatch):
+    complete = Counted(sconstruction._complete)
+    entries = Counted(sconstruction._entries)
+    monkeypatch.setattr(sconstruction, "_complete", complete)
+    monkeypatch.setattr(sconstruction, "_entries", entries)
+    inst = VectFq(2, 2)
+    for n, components in enumerate((1, 3, 6, 10)):
+        complete.calls = entries.calls = 0
+        level = TriangleGroupoid(inst, n)
+        assert (complete.calls, entries.calls) == (components,) * 2
+        assert len(level.components()) == components
+        assert sorted(map(level.component_of, level.transversal)) == list(
+            range(components))
+
+
+def test_aut_order_is_memoised_once_per_class():
+    # mono_count is not: on a refused input its memo would hold an entry
+    # per pair of classes counted
+    for inst in (VectFq(2, 2), AbelianPGroups(2, 4)):
+        s_construction(inst, depth=3)
+        info = inst.aut_order.cache_info()
+        assert info.currsize == len(inst.iso_classes()) and info.hits
+        assert not hasattr(inst.mono_count, "cache_info")
+
+
+def test_the_fibres_walk_at_most_one_orbit_per_component(monkeypatch):
+    orbit, fibres, starts, walks = fiber._orbit, fiber._Square.fibres, [], []
+
+    def counted_orbit(space, x, gens, seen):
+        starts.append(x)
+        return orbit(space, x, gens, seen)
+
+    def counted_fibres(square):
+        starts.clear()
+        out = fibres(square)
+        walks.append((len(starts), len(square.apex.components())))
+        return out
+
+    monkeypatch.setattr(fiber, "_orbit", counted_orbit)
+    monkeypatch.setattr(fiber._Square, "fibres", counted_fibres)
+    for name in ("vect-f2-2", "f1-c3-2"):
+        x = s_construction(INSTANCES[name](), depth=3)
+        assert check_2segal_degree3(x).ok and check_pointed(x).ok
+    assert any(n for n, _ in walks)
+    assert all(n <= components for n, components in walks)
 
 
 def _oracle_transport(inst, level, phis, tri):

@@ -1675,7 +1675,7 @@ def test_each_s_level_orbit_meets_the_transversal():
 ], ids=["s-f1-c3-2", "s-vect-f2-2"])
 def test_the_degree3_squares_act_once_per_first_row(inst, most,
                                                      monkeypatch):
-    # freeness is checked on one triangle per first row, not on every
+    # freeness is checked on one triangle per component, not on every
     # N-orbit of X_3
     x = s_construction(inst(), depth=3)
     x3, calls = x.levels[3], [0]

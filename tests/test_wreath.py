@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import random
 import time
 import weakref
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hallalg import BudgetExceededError, UsageError
 from hallalg.cli import run
 from hallalg.exactmath.cyclotomic import (PackedProducts, integral_rows,
-                                          reduce_poly)
+                                          poly_string, reduce_poly)
 from hallalg.exactmath.partitions import PartitionMap, partition_maps
 from hallalg.groups import (cyclic_group, klein_group, named_group,
                             perm_sign, symmetric_group, trivial_group)
@@ -420,6 +421,23 @@ def test_a_table_walks_each_class_once(monkeypatch, G_name, n):
     monkeypatch.setattr(chmap, "class_terms", counting)
     tab = WreathCharacterTable(named_group(G_name), n)
     assert walked == tab.class_labels
+
+
+@pytest.mark.parametrize("G_name,n", [
+    ("cyclic:2", 4), ("cyclic:3", 3), ("klein", 2), ("cyclic:6", 3)])
+def test_the_json_formats_each_distinct_value_once(monkeypatch, G_name, n):
+    tab = WreathCharacterTable(named_group(G_name), n)
+    per_value = json.dumps({**tab.to_json(), "values": [
+        [poly_string(v) for v in row] for row in tab.values]})
+    formatted = []
+
+    def counting(v, fmt=chmap.poly_string):
+        formatted.append(v)
+        return fmt(v)
+
+    monkeypatch.setattr(chmap, "poly_string", counting)
+    assert json.dumps(tab.to_json()) == per_value
+    assert len(formatted) == len({v for row in tab.values for v in row})
 
 
 @pytest.mark.parametrize("G_name,max_total", [
