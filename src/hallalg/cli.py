@@ -18,9 +18,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import BudgetExceededError, UsageError
-from .groupoid.core import DEFAULT_OBJECT_BUDGET
 from .groups import named_group, named_subgroup
-from .protoab import make_instance
 
 
 def _add_common(p):
@@ -126,13 +124,16 @@ def _parse(argv):
 
 # -- commands -------------------------------------------------------------------
 # Each returns its JSON data and a function that builds the csv/text rows
-# from it, which _emit calls only for those formats.
+# from it, which _emit calls only for those formats.  Each imports the
+# layers it runs, so a process loads only its own command's layers.
 
 
 def cmd_hall_table(args):
+    from .groupoid.core import DEFAULT_OBJECT_BUDGET
+    from .hall import check_associativity, hall_constants
+    from .protoab import make_instance
     inst = make_instance(args.family, q=args.q, p=args.p, group=args.group,
                          bound=args.bound)
-    from .hall import check_associativity, hall_constants
     table = hall_constants(inst, args.budget or DEFAULT_OBJECT_BUDGET)
     ok, wit = check_associativity(table)
     data = table.to_json()
@@ -145,6 +146,7 @@ def cmd_hall_table(args):
 
 
 def cmd_hecke_table(args):
+    from .groupoid.core import DEFAULT_OBJECT_BUDGET
     from .waldhausen.hecke import HeckeAlgebra
     G = named_group(args.group)
     H = named_subgroup(G, args.subgroup)
@@ -161,6 +163,7 @@ def cmd_hecke_table(args):
 
 
 def cmd_hecke_module(args):
+    from .groupoid.core import DEFAULT_OBJECT_BUDGET
     from .waldhausen.hecke import HeckeAlgebra, HeckeModule
     G = named_group(args.group)
     H = named_subgroup(G, args.subgroup)
@@ -185,6 +188,7 @@ def cmd_segal_check(args):
         if not args.group or not args.subgroup:
             raise UsageError("segal-check --construction hecke needs "
                              "--G and --H")
+        from .groupoid.core import DEFAULT_OBJECT_BUDGET
         from .waldhausen.hecke import hecke_waldhausen
         G = named_group(args.group)
         H = named_subgroup(G, args.subgroup)
@@ -195,6 +199,7 @@ def cmd_segal_check(args):
         if not args.family or args.bound is None:
             raise UsageError("segal-check --construction s needs "
                              "--family and --bound")
+        from .protoab import make_instance
         from .waldhausen.sconstruction import (DEFAULT_TRIANGLE_BUDGET,
                                                s_construction)
         inst = make_instance(args.family, q=args.q, p=args.p,

@@ -173,14 +173,27 @@ class PartitionMap:
 
 
 def compositions(n: int, k: int):
-    """Weak compositions of n into k parts, first part largest first."""
+    """Weak compositions of n into k parts, first part largest first
+    (descending lexicographic order).  Each is made from the one before
+    without recursion, so k may exceed the interpreter's recursion limit:
+    the rightmost nonzero part c_i before the last loses one, and c_i+1
+    becomes one more than the last part, which becomes 0."""
     if k == 0:
         if n == 0:
             yield ()
         return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
+    c = [n] + [0] * (k - 1)
+    while True:
+        yield tuple(c)
+        last = c[-1]
+        i = k - 2
+        while i >= 0 and c[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        c[-1] = 0
+        c[i] -= 1
+        c[i + 1] = last + 1
 
 
 def partition_maps(n: int, labels) -> list[PartitionMap]:

@@ -164,7 +164,9 @@ class AbelianPGroups(ProtoAbelianInstance):
         if sum(l) + sum(n) != sum(m):
             return 0
         if self._hall is None:
-            # imported here so that `import hallalg` does not load it
+            # imported on the first Hall polynomial, so that loading this
+            # layer, for the S-construction of this family or for another
+            # family, does not compile the Hall-Littlewood module
             from ..exactmath.halllittlewood import HallPolynomials
             self._hall = HallPolynomials(self.p)
         return self._hall(m, n, l)

@@ -52,9 +52,10 @@ so on morphisms it selects coordinates of phis, filling a zero entry's
 slot with the identity of 0.  Each is a GMap: the index table of the
 triangles' images plus that selection, so the simplicial identities and
 the Segal comparisons are decided on tables.  The image of a triangle is
-read off a plan cached per (n, k) over the flat map ids: where each entry
-comes from, which map each map copies or which two it composes, and which
-map fills each zero slot.
+read off a plan over the flat map ids, computed once per face or
+degeneracy: where each entry comes from, which map each map copies or
+which two it composes, and which map fills each zero slot.  The module
+holds no cache, so that it may load on first use (see `hallalg`).
 
 The search over all diagrams, the build that completes every first row
 and searches the blocks of first rows for pi0, and the
@@ -66,7 +67,6 @@ instance.
 
 from collections import Counter
 from collections.abc import Sequence
-from functools import cache
 from itertools import count, product as iproduct
 from math import prod
 from operator import itemgetter
@@ -87,7 +87,6 @@ class TriangleCompletionError(ValueError):
     None of these happens in a proto-abelian category."""
 
 
-@cache
 def _layout(n):
     """Positions (i, j) of the entries, row monos and column epis of a
     degree-n triangle, in lexicographic order."""
@@ -455,7 +454,6 @@ class TriangleGroupoid(ActionGroupoid):
                            or key]
 
 
-@cache
 def _plan(n, k, is_face):
     """How d_k (is_face) or s_k builds the image of a degree-n triangle from
     its flat map ids (row monos, then column epis), as (entries, maps,

@@ -1035,6 +1035,69 @@ def test_the_s_construction_keeps_the_cli_contract(argv):
         assert _run_captured(argv) == (code, out, err), argv
 
 
+# -- the wreath commands' contract, as a property ---------------------------------
+
+W_INTS = [-1, 0, 1, 2, 3, 4, 10 ** 6]
+W_GROUPS = [
+    # valid, one of them not abelian and one refused for its size
+    "trivial", "cyclic:1", "cyclic:2", "cyclic:3", "klein",
+    "product:(cyclic:2,cyclic:2)", "sym:3", "sym:7",
+    # malformed
+    "", " ", "cyclic:", "cyclic:x", "cyclic:0", "cyclic:-2", "bogus:2",
+    "klein:2", "product:()", "product:(cyclic:2", "file:",
+    "file:" + str(ROOT / "tests" / "no-such-table.json"),
+]
+
+
+@st.composite
+def wreath_argv(draw):
+    """wreath-char-table, ch-verify or schurweyl, with a valid or malformed
+    group spec, each size drawn from boundary values (--max-size also
+    absent, for its default), any budget from none to large enough for
+    the largest table, and each format."""
+    command = draw(st.sampled_from(["wreath-char-table", "ch-verify",
+                                    "schurweyl"]))
+    argv = [command, "--G", draw(st.sampled_from(W_GROUPS))]
+    if command == "ch-verify":
+        size = draw(st.none() | st.sampled_from(W_INTS))
+        if size is not None:
+            argv += ["--max-size", str(size)]
+    else:
+        argv += ["--n", str(draw(st.sampled_from(W_INTS)))]
+    if command == "schurweyl":
+        argv += ["--d", str(draw(st.sampled_from([-1, 0, 1, 2, 3,
+                                                   10 ** 6])))]
+    budget = draw(st.none() | st.sampled_from([-1, 0, 1, 2, 50, 2000]))
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv",
+                                                      "text"]))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(wreath_argv())
+def test_the_wreath_commands_keep_the_cli_contract(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, \
+            (argv, err)
+    elif argv[-1] == "json":
+        json.loads(out)
+    assert _run_captured(argv) == (code, out, err), argv
+
+
+def test_a_group_with_more_classes_than_the_recursion_limit_has_labels(
+        capsys):
+    # the weak compositions of n into |G| parts were built one recursion
+    # level per part, so a group of order 1000 or more exited 3 with a
+    # RecursionError, even for n = 0 and its one label
+    assert run(["schurweyl", "--G", "cyclic:1500", "--n", "0", "--d", "1",
+                "--budget", "100"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [row["label"] for row in data["rows"]] == [{}]
+
+
 @pytest.mark.parametrize("bound", [20000, 10 ** 6])
 def test_hall_table_over_many_sizes_exits_at_once(capsys, bound):
     # F1 to rank 20000 or 10^6: every pair of ranks within the bound adds

@@ -6,7 +6,15 @@ would be missed, and later samples would run warm; a `cache_clear` that
 raises would stop the worker.  So a fresh interpreter, as the worker
 starts, must find every cache that the source declares, and settling must
 drop the character tables that a job leaves.  worker.py and workloads.py
-are only read here, never changed."""
+are only read here, never changed.
+
+`import hallalg, hallalg.cli` loads the exact-math, group and wreath layers
+alone; the others load on first use, when a command or caller needs them.
+Hence the rule: a layer that loads on first use may hold no module-level
+cache, since the worker, which looks for caches once after those imports,
+would never clear it.  The tests below pin which modules those imports
+and each wreath command load, and that the deferred names of `hallalg`
+are read from their modules."""
 
 import ast
 import json
@@ -14,6 +22,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hallalg"
@@ -183,3 +193,126 @@ def test_the_s_numbering_lives_on_the_instance_and_refills_cold():
         assert fresh == fresh2 == [0] * len(fresh)
         assert all(filled) and filled2 == filled
         assert faces2 == faces
+
+
+# -- what `import hallalg` loads --------------------------------------------------
+
+def _fresh(script, *args):
+    """The last stdout line of `script` run in a fresh interpreter, as
+    JSON."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _package_modules(package, skip=()):
+    """The package and every module file of it, but those named in skip."""
+    return {f"hallalg.{package}"} | {
+        f"hallalg.{package}.{path.stem}"
+        for path in (SRC / package).glob("*.py")
+        if path.stem != "__init__" and path.stem not in skip}
+
+
+# every name that `hallalg` re-exported when it loaded all its layers, each
+# with the module it was imported from
+EXPORTS = {
+    "exactmath": ["MultiSymElem", "PartitionMap", "littlewood_richardson",
+                  "multiset_number", "multisym_mul", "partition_maps",
+                  "partitions_of", "schur_eval_ones"],
+    "groupoid": ["SpanFn", "b_group", "cardinality", "is_equivalence", "pi0",
+                 "pullback_fn", "pushforward_fn", "two_fiber_product"],
+    "groups": ["FiniteGroup", "named_group", "named_subgroup"],
+    "hall": ["check_associativity", "divided_powers_iso_check",
+             "hall_constants", "hall_product", "hall_product_via_span"],
+    "protoab": ["AbelianPGroups", "F1FreeG", "VectFq", "make_instance"],
+    "schurweyl": ["check_sum_of_squares", "check_total_dimension", "dim_R",
+                  "schur_weyl_report"],
+    "waldhausen": ["HeckeAlgebra", "HeckeModule", "check_2segal_degree3",
+                   "check_pointed", "check_simplicial_identities",
+                   "hecke_waldhausen", "s_construction"],
+    "wreath": ["ch", "ch_ring_hom_check", "character_table",
+               "induction_product", "wreath_product"],
+}
+EAGER = ("exactmath", "groups", "wreath")
+
+SURFACE_SCRIPT = """
+import importlib, json, sys
+
+import hallalg
+import hallalg.cli
+
+loaded = sorted(m for m in sys.modules
+                if m == "hallalg" or m.startswith("hallalg."))
+exports, eager = json.loads(sys.argv[1])
+resolved, patched = [], []
+for layer, names in exports.items():
+    module = importlib.import_module("hallalg." + layer)
+    for name in names:
+        scope = {}
+        exec(f"from hallalg import {name} as got", scope)
+        resolved.append([name, scope["got"] is getattr(module, name)])
+        if layer in eager:
+            continue
+        original, marker = getattr(module, name), object()
+        setattr(module, name, marker)
+        try:
+            exec(f"from hallalg import {name} as got", scope)
+            patched.append([name, scope["got"] is marker
+                            and getattr(hallalg, name) is marker])
+        finally:
+            setattr(module, name, original)
+try:
+    hallalg.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"loaded": loaded, "resolved": resolved,
+                  "patched": patched, "unknown": unknown}))
+"""
+
+
+def test_import_loads_the_eager_layers_and_defers_the_rest():
+    got = _fresh(SURFACE_SCRIPT, json.dumps([EXPORTS, EAGER]))
+    expected = ({"hallalg", "hallalg.cli", "hallalg.groups"}
+                | _package_modules("exactmath", skip=("halllittlewood",))
+                | _package_modules("wreath"))
+    assert set(got["loaded"]) == expected
+    names = [name for names in EXPORTS.values() for name in names]
+    assert got["resolved"] == [[name, True] for name in names]
+    deferred = [name for layer, names in EXPORTS.items()
+                if layer not in EAGER for name in names]
+    assert got["patched"] == [[name, True] for name in deferred]
+    assert "no_such_name" in got["unknown"]
+
+
+COMMAND_SCRIPT = """
+import contextlib, io, json, sys
+
+import hallalg.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hallalg.cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in sys.modules if m.startswith("hallalg."))}))
+"""
+
+HEAVY = ("hallalg.groupoid", "hallalg.waldhausen", "hallalg.protoab",
+         "hallalg.hall", "hallalg.structure")
+
+
+@pytest.mark.parametrize("argv, barred", [
+    ("wreath-char-table --G cyclic:2 --n 3", HEAVY),
+    ("ch-verify --G cyclic:2 --max-size 2", HEAVY),
+    ("schurweyl --G cyclic:2 --n 2 --d 2", HEAVY),
+    ("hall-table --family ab-p-groups --p 2 --bound 8",
+     ("hallalg.waldhausen",)),
+])
+def test_a_command_loads_only_its_own_layers(argv, barred):
+    got = _fresh(COMMAND_SCRIPT, *argv.split())
+    assert got["code"] == 0
+    # a module of a barred layer, or the layer itself
+    assert [m for m in got["loaded"]
+            if m.startswith(tuple(b + "." for b in barred))
+            or m in barred] == []
