@@ -8,6 +8,12 @@ error), 3 internal error: any other exception from a command, reported as
 one line on stderr, "internal error: <Type>: <msg>", with no traceback and
 nothing on stdout.  Rationals are emitted as strings "p/q"; cyclotomic
 values as polynomial strings over the printed conductor.
+
+One argparse parser, `build_parser()`, reads every command line of a
+process: `run()` builds it on its first call and keeps it.  The JSON text
+is that of json.dumps(data, indent=2), written by `_json_text` for the
+types the commands build (see the JSON output section), which raises
+TypeError on any other.
 """
 
 import argparse
@@ -102,24 +108,11 @@ def build_parser():
     return ap
 
 
-def _parse(argv):
-    """The arguments of a known command, from its own parser: the parser
-    that the full one hands the command's arguments to, with the same usage
-    and errors.  The full parser reads anything else, and reports arguments
-    that the command does not know with its own usage line, as it does when
-    it reads them itself."""
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    name = argv[0]
-    p = argparse.ArgumentParser(prog=f"hallalg {name}",
-                                formatter_class=_formatter())
-    COMMANDS[name][1](p)
-    _add_common(p)
-    args, extras = p.parse_known_args(argv[1:])
-    if extras:
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = name
-    return args
+# the parser of every run() in the process, built on the first.  It is
+# configuration made from COMMANDS alone (parse_args keeps nothing of an
+# argv in it), so it is a plain global, not a functools cache, which a
+# clearing of the package's caches would drop.
+_parser = None
 
 
 # -- commands -------------------------------------------------------------------
@@ -286,85 +279,45 @@ COMMANDS = {
 
 # -- JSON output ----------------------------------------------------------------
 # json.dumps(data, indent=2) always runs the json module's pure-Python
-# encoder.  _json_text writes the same text: each container is one join,
-# each scalar goes to a C function (the json module's string quoting,
-# int.__repr__) picked by its exact type, and subclasses fall back to
-# isinstance tests in the json module's order.  Keys are converted, and
-# TypeError and the circular-reference ValueError raised, as json.dumps
-# does.
-
-_INFINITY = float("inf")
-
-
-def _float_text(x, _repr=float.__repr__):
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return _repr(x)
-
+# encoder.  _json_text writes the same text for exactly the types that the
+# commands build: dicts with str keys, lists, tuples, str, int, bool and
+# None.  Each container is one join, and each scalar goes to a C function
+# (the json module's string quoting, int.__repr__) picked by its exact
+# type.  Any other type, a float or a subclass among them, and any other
+# key raise TypeError naming it.
 
 _CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
-_SCALAR_TEXT = {str: _quote, int: int.__repr__, float: _float_text,
+_SCALAR_TEXT = {str: _quote, int: int.__repr__,
                 bool: _CONSTANT_TEXT.__getitem__,
                 type(None): _CONSTANT_TEXT.__getitem__}
 
 
-def _key_text(key):
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        key = _float_text(key)
-    elif key is True or key is False or key is None:
-        key = _CONSTANT_TEXT[key]
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _quote(key)
+def _key_error(key):
+    raise TypeError(f"the JSON writer takes str keys, not "
+                    f"{type(key).__name__}")
 
 
-def _json_text(o, indent="\n", markers=None):
+def _json_text(o, indent="\n"):
     """json.dumps(o, indent=2), for o at the depth whose newline and
-    indentation is `indent`; markers holds the ids of the containers
-    being written around o."""
+    indentation is `indent`."""
     t = type(o)
     scalar = _SCALAR_TEXT.get(t)
     if scalar is not None:
         return scalar(o)
     if t is not dict and t is not list and t is not tuple:
-        if isinstance(o, str):
-            return _quote(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if not isinstance(o, (list, tuple, dict)):
-            raise TypeError(f"Object of type {o.__class__.__name__} "
-                            f"is not JSON serializable")
+        raise TypeError(f"the JSON writer takes no {t.__name__}")
     if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    markers = set() if markers is None else markers
-    mark = id(o)
-    if mark in markers:
-        raise ValueError("Circular reference detected")
-    markers.add(mark)
+        return "{}" if t is dict else "[]"
     inner = indent + "  "
-    if isinstance(o, dict):
-        text = "{" + inner + ("," + inner).join([
-            (_quote(k) if type(k) is str else _key_text(k)) + ": "
+    if t is dict:
+        return "{" + inner + ("," + inner).join([
+            (_quote(k) if type(k) is str else _key_error(k)) + ": "
             + (_SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
-               else _json_text(v, inner, markers))
+               else _json_text(v, inner))
             for k, v in o.items()]) + indent + "}"
-    else:
-        text = "[" + inner + ("," + inner).join([
-            _SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
-            else _json_text(v, inner, markers) for v in o]) + indent + "]"
-    markers.discard(mark)
-    return text
+    return "[" + inner + ("," + inner).join([
+        _SCALAR_TEXT[type(v)](v) if type(v) in _SCALAR_TEXT
+        else _json_text(v, inner) for v in o]) + indent + "]"
 
 
 def _emit(args, data, build_rows):
@@ -396,7 +349,14 @@ def _emit(args, data, build_rows):
 
 
 def run(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    """Run one command line, sys.argv[1:] by default, and return its exit
+    code: 0 pass, 1 verdict failure, 2 usage or budget error, 3 internal
+    error.  Argparse's usage errors leave through SystemExit(2), and -h
+    through SystemExit(0)."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.budget is not None and args.budget <= 0:
             raise UsageError("--budget must be positive")

@@ -168,11 +168,16 @@ class FiniteGroup:
                              '"table": [[...], ...]}')
         n = data["order"]
         table = data["table"]
-        if (not isinstance(n, int) or n < 1 or not isinstance(table, list)
-                or len(table) != n
+        # exact ints: a bool is an int, and 0.0 in range(n) holds
+        if type(n) is not int:
+            raise UsageError(f"Cayley table order must be an integer, not "
+                             f"{type(n).__name__}")
+        if (n < 1 or not isinstance(table, list) or len(table) != n
                 or any(not isinstance(r, list) or len(r) != n
                        for r in table)):
             raise UsageError("Cayley table shape does not match order")
+        if any(type(x) is not int for r in table for x in r):
+            raise UsageError("Cayley table entries must be integers")
         if any(x not in range(n) for r in table for x in r):
             raise UsageError("Cayley table entries out of range")
         return cls(list(range(n)), lambda a, b: table[a][b], name=name)
@@ -367,7 +372,8 @@ def named_group(spec: str) -> FiniteGroup:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
+        # json.load raises RecursionError on arrays nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read a Cayley table from {path}: "
                              f"{exc}") from None
         return FiniteGroup.from_cayley(data, name=spec)

@@ -194,6 +194,51 @@ def test_a_non_associative_table_of_order_600_exits_2(capsys, tmp_path,
     assert "associativity fails at" in captured.err
 
 
+# every command that takes --G, each with a Cayley table as its group
+G_COMMANDS = ["hall-table --family f1-free --G {} --bound 1",
+              "hecke-table --G {} --H trivial",
+              "hecke-module --G {} --H trivial --P trivial",
+              "segal-check --construction hecke --G {} --H trivial",
+              "segal-check --construction s --family f1-free --G {} "
+              "--bound 1",
+              "wreath-char-table --G {} --n 1",
+              "ch-verify --G {} --max-size 1",
+              "schurweyl --G {} --n 1 --d 1"]
+
+
+@pytest.mark.parametrize("argv", G_COMMANDS)
+@pytest.mark.parametrize("data, message", [
+    ({"order": 2, "table": [[0, 1], [1, 0.0]]},
+     "Cayley table entries must be integers"),
+    ({"order": 2, "table": [[False, True], [True, False]]},
+     "Cayley table entries must be integers"),
+    ({"order": 2.0, "table": [[0, 1], [1, 0]]},
+     "Cayley table order must be an integer, not float"),
+    ({"order": True, "table": [[0]]},
+     "Cayley table order must be an integer, not bool")])
+def test_a_cayley_table_of_floats_or_bools_exits_2(capsys, tmp_path, argv,
+                                                   data, message):
+    # 0.0 in range(2) holds and a bool is an int: a float entry exited 3
+    # with a TypeError from indexing the table, and bools read as 0 and 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert run(argv.format(f"file:{path}").split()) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", G_COMMANDS)
+def test_a_cayley_file_nested_too_deep_exits_2(capsys, tmp_path, argv):
+    # json.load raises RecursionError, not ValueError: it exited 3
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    assert run(argv.format(f"file:{path}").split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: cannot read a Cayley table from "
+                                   f"{path}: maximum recursion depth")
+
+
 def test_usage_errors_exit_2_without_asserts(tmp_path):
     # the checks must not be bare asserts, which `python -O` strips
     path = tmp_path / "x.json"
@@ -983,13 +1028,22 @@ def _run_all(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
-    light = [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS]
-    monkeypatch.setattr(cli, "_parse",
-                        lambda argv: cli.build_parser().parse_args(argv))
-    assert [_run_all(argv.split(), capsys) for argv in PARSER_CORPUS] == light
-    codes = [code for code, _, _ in light]
-    assert codes[:8] == [0] * 8 and 2 in codes and 0 in codes[8:]
+# the exit codes of PARSER_CORPUS: eight runs, ten refusals, nine help
+# texts and three arguments that name no command
+PARSER_CORPUS_CODES = [0] * 8 + [2] * 10 + [0] * 9 + [2] * 3
+
+
+def test_the_kept_parser_holds_no_state_between_runs(capsys, monkeypatch):
+    # run() keeps one parser for the process: the corpus read twice by it,
+    # each argv after every other, prints what a new parser prints
+    kept = [[_run_all(argv.split(), capsys) for argv in PARSER_CORPUS]
+            for _ in range(2)]
+    fresh = []
+    for argv in PARSER_CORPUS:
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        fresh.append(_run_all(argv.split(), capsys))
+    assert kept[0] == kept[1] == fresh
+    assert [code for code, _, _ in fresh] == PARSER_CORPUS_CODES
 
 
 # -- the segal-check --construction s contract, as a property ----------------
@@ -1087,6 +1141,128 @@ def test_the_wreath_commands_keep_the_cli_contract(argv):
     assert _run_captured(argv) == (code, out, err), argv
 
 
+# -- the Hall and Hecke commands' contract, as a property ---------------------
+
+# the texts of the Cayley files that exist, each named in a spec as
+# file:{name}
+CAYLEY_FILES = {
+    name: json.dumps(data) for name, data in {
+        "z4": {"order": 4, "table": [[(a + b) % 4 for b in range(4)]
+                                     for a in range(4)]},
+        "loop": {"order": 5, "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                       [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                                       [4, 3, 1, 2, 0]]},
+        "no-identity": {"order": 3, "table": [[1, 2, 0], [2, 0, 1],
+                                              [0, 2, 1]]},
+        "float": {"order": 2, "table": [[0, 1], [1, 0.0]]}}.items()}
+CAYLEY_FILES["not-json"] = '{"order": 2,'
+CAYLEY_FILES["deep"] = "[" * 10 ** 5 + "]" * 10 ** 5
+# each list of specs and sizes as (valid, refused or malformed); a valid
+# value is drawn three times as often, so that some runs pass every check
+H_GROUPS = (
+    ["trivial", "cyclic:2", "cyclic:3", "klein", "sym:3", "dihedral:4",
+     "product:(cyclic:2,cyclic:3)", "file:{z4}"],
+    # too large, malformed, and Cayley files: not associative, not a
+    # group, with a float entry, not JSON, nested too deep and missing
+    ["sym:7", "alt:9", "", "cyclic:0", "cyclic:x", "bogus:2",
+     "product:(cyclic:2", "file:{loop}", "file:{no-identity}",
+     "file:{float}", "file:{not-json}", "file:{deep}", "file:{missing}"])
+H_SUBGROUPS = (
+    # each a subgroup of some of the groups above
+    ["trivial", "all", "indices:0", "sym:1", "sym:2", "sym:3", "alt:3",
+     "young:2+1", "indices:0,1", "indices:0,3"],
+    ["sym:9", "young:1+1", "indices:7", "indices:x", "sym:x", "", "bogus"])
+H_INTS = ([1, 2, 3, 4], [-1, 0, 10 ** 6])
+H_BUDGETS = ([50, 2000], [-1, 0, 1, 2])
+H_OUTS = (["{out}"], ["{dir}", "{missing}/out"])
+
+
+@st.composite
+def _either(draw, valid, refused):
+    return draw(st.sampled_from(valid if draw(st.integers(0, 3)) else
+                                refused))
+
+
+@st.composite
+def hall_hecke_argv(draw):
+    """hall-table, hecke-table, hecke-module or segal-check --construction
+    hecke, with boundary sizes, valid, refused and malformed group and
+    subgroup specs, any budget from none to 2000, each format, and --out
+    to a file, to a directory or into a missing directory.  An option that
+    argparse requires is always there; one that the command needs is
+    absent as one of its refused values; any other is absent half the
+    time."""
+    command = draw(st.sampled_from(["hall-table", "hecke-table",
+                                    "hecke-module", "segal-check"]))
+    argv = [command]
+    required, needed = [], []
+    optional = [("--budget", H_BUDGETS), ("--out", H_OUTS)]
+    if command == "hall-table":
+        family = draw(st.sampled_from(["vect-fq", "f1-free",
+                                       "ab-p-groups"]))
+        argv += ["--family", family]
+        required = [("--bound", H_INTS)]
+        params = {"--q": H_INTS, "--p": H_INTS, "--G": H_GROUPS}
+        own = {"vect-fq": "--q", "ab-p-groups": "--p", "f1-free": "--G"}
+        needed = [(own[family], params.pop(own[family]))]
+        optional += params.items()
+    elif command == "segal-check":
+        argv += ["--construction", "hecke"]
+        needed = [("--G", H_GROUPS), ("--H", H_SUBGROUPS)]
+    else:
+        required = [("--G", H_GROUPS), ("--H", H_SUBGROUPS)]
+        if command == "hecke-module":
+            required.append(("--P", H_SUBGROUPS))
+    values = ([(flag, _either(*v)) for flag, v in required]
+              + [(flag, _either(v[0], v[1] + [None])) for flag, v in needed]
+              + [(flag, st.none() | _either(*v)) for flag, v in optional])
+    for flag, strategy in values:
+        value = draw(strategy)
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv",
+                                                      "text"]))]
+
+
+@pytest.fixture(scope="module")
+def spec_paths(tmp_path_factory):
+    """The paths that the drawn specs and --out name."""
+    root = tmp_path_factory.mktemp("specs")
+    paths = {"dir": root, "missing": root / "missing", "out": root / "out"}
+    for name, text in CAYLEY_FILES.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _run_with_out(argv):
+    """The exit code, stdout, stderr and the text written to --out."""
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    if out is not None and os.path.isfile(out):
+        os.remove(out)
+    code, stdout, stderr = _run_captured(argv)
+    written = None
+    if out is not None and os.path.isfile(out):
+        with open(out) as fh:
+            written = fh.read()
+    return code, stdout, stderr, written
+
+
+@settings(max_examples=1000, deadline=None)
+@given(hall_hecke_argv())
+def test_the_hall_and_hecke_commands_keep_the_cli_contract(spec_paths, argv):
+    argv = [arg.format(**spec_paths) for arg in argv]
+    result = _run_with_out(argv)
+    code, out, err, written = result
+    assert code in (0, 1, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, \
+            (argv, err)
+    elif argv[-1] == "json":
+        json.loads(out if written is None else written)
+    assert _run_with_out(argv) == result, argv
+
+
 def test_a_group_with_more_classes_than_the_recursion_limit_has_labels(
         capsys):
     # the weak compositions of n into |G| parts were built one recursion
@@ -1145,15 +1321,14 @@ def test_s_construction_with_more_classes_than_the_budget_exits_at_once(
 
 
 # -- the JSON writer ----------------------------------------------------------
+# the writer takes exactly the types the commands build: dicts with str
+# keys, lists, tuples, str, int, bool and None
 
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2, 2),
-    st.floats(), st.sampled_from([-0.0, 0.0, 1e300, -1e-300, float("nan"),
-                                  float("inf"), float("-inf")]),
     st.text(), st.sampled_from(["\u00e9t\u00e9", "\u4e2d\U0001f600",
                                 "\"\\/\b\f\n\r\t", "\x00\x1f\x7f"]))
-JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
-                      st.none(), st.floats(), st.just("\u00e9\n"))
+JSON_KEYS = st.one_of(st.text(max_size=4), st.just("\u00e9\n"))
 JSON_DATA = st.recursive(
     JSON_SCALARS,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
@@ -1168,14 +1343,9 @@ def test_the_json_writer_is_json_dumps(data):
     assert cli._json_text(data) == json.dumps(data, indent=2)
 
 
-def _outcome(write, data):
-    try:
-        return "text", write(data)
-    except (TypeError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def test_the_json_writer_follows_json_on_subclasses_and_errors():
+def test_the_json_writer_refuses_every_other_type():
+    # each value and each key that no command builds raises TypeError
+    # naming its type, at the top, in a list and in a dict
     import enum
     from collections import OrderedDict
 
@@ -1185,24 +1355,17 @@ def test_the_json_writer_follows_json_on_subclasses_and_errors():
     class Text(str):
         pass
 
-    class Real(float):
-        pass
-
     class Row(list):
         pass
 
-    circular = [1]
-    circular.append(circular)
-    cases = [
-        Level.HIGH, Text("x\u00e9"), Real(2.5), Real("nan"), Row([1, Row()]),
-        OrderedDict([(Level.HIGH, [True]), (Text("k"), {})]),
-        {Real(1.5): None, 2.0: 1, float("nan"): 2, None: 3, False: 4},
-        [1, {2, 3}], {"a": b"bytes"}, {(1, 2): 0}, {"a": 1, object(): 2},
-        [{"ok": 1}, {frozenset(): 1}], circular, {"self": circular},
-        Fraction(1, 2)]
-    dumps = lambda data: json.dumps(data, indent=2)
-    outcomes = [(_outcome(cli._json_text, data), _outcome(dumps, data))
-                for data in cases]
-    assert [got for got, want in outcomes] == [want for got, want in outcomes]
-    assert [kind for (kind, _), _ in outcomes[6:]] == (
-        ["text"] + ["TypeError"] * 5 + ["ValueError"] * 2 + ["TypeError"])
+    values = [2.5, float("nan"), {2, 3}, b"bytes", Fraction(1, 2),
+              Level.HIGH, Text("x"), Row([1]), OrderedDict(a=1)]
+    keys = [1, None, True, 1.5, Level.HIGH, Text("k"), (1, 2)]
+    cases = [(data, type(value).__name__) for value in values
+             for data in (value, [1, value], {"a": [value]})]
+    cases += [(data, type(key).__name__) for key in keys
+              for data in ({key: 0}, [{"a": 1, key: 0}], {"a": {key: 0}})]
+    for data, name in cases:
+        with pytest.raises(TypeError) as exc:
+            cli._json_text(data)
+        assert name in str(exc.value), (data, str(exc.value))
