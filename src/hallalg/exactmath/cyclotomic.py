@@ -3,19 +3,18 @@ basis 1, zeta, ..., zeta^(phi-1), phi = euler_phi(m) = deg Phi_m.
 
 Phi_m is monic with integer coefficients, so zeta_m^k has an integer vector
 in the power basis for every k; one table of these reduction rows serves
-the whole kernel.  A value is a plain tuple of coefficients (ints, or
-Fractions where a caller divides): `reduce_poly` reduces any polynomial in
-zeta_m, `integral_rows` scales rows of vectors to integers by their common
-denominator, and `poly_string` prints a vector as a polynomial in z.
+the whole kernel (`reduction_rows`).  A value is a plain tuple of
+coefficients (ints, or Fractions where a caller divides): `integral_rows`
+scales rows of vectors to integers by their common denominator, and
+`poly_string` prints a vector as a polynomial in z.
 
 `PackedProducts` sums weighted Hermitian products of integer vectors by
 Kronecker substitution: the vectors y_j are packed once, one signed slot of
 W bits per j, into phi(m) integer columns that fold in conjugation and the
 reduction mod Phi_m, so that for any x, phi(m) calls of
-sum(map(mul, ...)) in CPython's big-integer arithmetic give every
-coefficient of sum_c w_c x(c) conj(y_j(c)) for all j at once.  W is one
-bit more than an a-priori bound on every slot, so no slot carries into the
-next and equal packed integers mean equal slots.
+sum(map(mul, ...)) give every coefficient of sum_c w_c x(c) conj(y_j(c))
+for all j at once.  W is one bit more than an a-priori bound on every
+slot, so equal packed integers mean equal slots; `Slots` reads them back.
 """
 
 from functools import cache
@@ -60,7 +59,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @cache
-def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
+def reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Row k, for k < m: the integer vector of zeta_m^k in the basis
     1..zeta^(phi-1)."""
     phi = cyclotomic_polynomial(m)
@@ -72,21 +71,6 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
         rows.append(tuple((prev[j - 1] if j else 0) - prev[-1] * phi[j]
                           for j in range(deg)))
     return tuple(rows)
-
-
-def reduce_poly(m: int, poly) -> list:
-    """sum_k poly[k] zeta_m^k (k of any size) in the power basis: the
-    exponents below phi(m) are kept and each higher one adds its reduction
-    row once."""
-    rows = _reduction_rows(m)
-    deg = len(rows[0])
-    out = list(poly[:deg]) + [0] * (deg - len(poly))
-    for k in range(deg, len(poly)):
-        c = poly[k]
-        if c:
-            for j, r in enumerate(rows[k % m]):
-                out[j] += c * r
-    return out
 
 
 def integral_rows(rows):
@@ -107,64 +91,15 @@ def column_norms(rows) -> list[int]:
     return [max(sum(map(abs, v)) for v in column) for column in zip(*rows)]
 
 
-class PackedProducts:
-    """Packed row products over Z[zeta_m] by Kronecker substitution: for
-    integer vectors y_j (one coefficient vector per class c), and any x of
-    the same classes, coefficient a of the reduced sum
-    S_j = sum_c w_c x(c) conj(y_j(c)) for every j at once, as one integer
-    sum_j S_j[a] 2^(W j) with a signed slot of W bits per j.
+class Slots:
+    """The signed slots of sum_j s_j 2^(bits j), j < count,
+    |s_j| < 2^(bits - 1), for any width: plus the offset
+    sum_j 2^(bits - 1) 2^(bits j), no slot borrows from the next."""
 
-    Column a holds, at the flat position (c, b) of x, the packed
-    w_c sum_k y_j(c)[k] coef_a(zeta^b conj(zeta^k)), and
-    coef_a(zeta^(b-k)) is entry a of reduction row (b - k) mod m, so
-    conjugation and reduction are folded into the columns once and one
-    sum(map(mul, flat x, column a)) gives coefficient a of every S_j.  The
-    slots never carry into each other: |S_j[a]| is at most
-    sum_c w_c |x(c)|_1 |y_j(c)|_1 r, r the largest entry of a reduction
-    row, for |x(c)|_1 at most xnorms[c]; W is one bit more than the
-    larger of this bound and `largest` (an expected value the caller
-    compares with) needs, so equal packed integers mean equal slots.  x
-    has `width` coefficients per class, phi(m) by default, 2 phi(m) - 1
-    for an unreduced product; ynorms default to the column norms of the
-    y_j, and xnorms to ynorms, for x among the y_j."""
-
-    def __init__(self, m: int, ys, xnorms=None, weights=None,
-                 width=None, largest=0, ynorms=None):
-        rows = _reduction_rows(m)
-        phi = len(rows[0])
-        width = phi if width is None else width
-        ynorms = column_norms(ys) if ynorms is None else ynorms
-        xnorms = ynorms if xnorms is None else xnorms
-        weights = [1] * len(ynorms) if weights is None else weights
-        r = max(abs(x) for row in rows for x in row)
-        bound = r * sum(abs(w) * x * y
-                        for w, x, y in zip(weights, xnorms, ynorms))
-        self.bits = bits = max(bound, largest).bit_length() + 1
-        self.count = len(ys)
+    def __init__(self, count: int, bits: int):
+        self.count, self.bits = count, bits
         half = 1 << (bits - 1)
-        # sum_j half 2^(bits j): every slot offset to 0 <= slot < 2^bits
-        self._offset = ((1 << bits * self.count) - 1) // (2 * half - 1) * half
-        shifts = [bits * j for j in range(self.count)]
-        # coefs[b][a][k] = coef_a(zeta^b conj(zeta^k))
-        coefs = [[[rows[(b - k) % m][a] for k in range(phi)]
-                  for a in range(phi)] for b in range(width)]
-        self.columns = [[] for _ in range(phi)]
-        for c, w in enumerate(weights):
-            # packed[k] = sum_j y_j(c)[k] 2^(bits j)
-            packed = [sum(map(lshift, xs, shifts))
-                      for xs in zip(*[y[c] for y in ys])]
-            for per_a in coefs:
-                for col, coef in zip(self.columns, per_a):
-                    col.append(w * sum(map(mul, coef, packed)))
-
-    def __call__(self, x) -> list[int]:
-        """The phi(m) packed integers of x, a list of integer vectors of
-        the given width, one per class."""
-        flat = list(chain.from_iterable(x))
-        if len(flat) != len(self.columns[0]):
-            raise ValueError(f"{len(flat)} coefficients, not the "
-                             f"{len(self.columns[0])} of the columns")
-        return [sum(map(mul, flat, col)) for col in self.columns]
+        self._offset = ((1 << bits * count) - 1) // (2 * half - 1) * half
 
     def slots(self, packed: int) -> list[int]:
         """The signed slots j = 0..count-1 of one packed integer."""
@@ -197,6 +132,62 @@ class PackedProducts:
             v >>= bits
             base += j + 1
         return out
+
+
+class PackedProducts(Slots):
+    """Packed row products over Z[zeta_m] by Kronecker substitution: for
+    integer vectors y_j (one coefficient vector per class c), and any x of
+    the same classes, coefficient a of the reduced sum
+    S_j = sum_c w_c x(c) conj(y_j(c)) for every j at once, as one integer
+    sum_j S_j[a] 2^(W j) with a signed slot of W bits per j.
+
+    Column a holds, at the flat position (c, b) of x, the packed
+    w_c sum_k y_j(c)[k] coef_a(zeta^b conj(zeta^k)), and
+    coef_a(zeta^(b-k)) is entry a of reduction row (b - k) mod m, so
+    conjugation and reduction are folded into the columns once and one
+    sum(map(mul, flat x, column a)) gives coefficient a of every S_j.  The
+    slots never carry into each other: |S_j[a]| is at most
+    sum_c w_c |x(c)|_1 |y_j(c)|_1 r, r the largest entry of a reduction
+    row, for |x(c)|_1 at most xnorms[c]; W is one bit more than the
+    larger of this bound and `largest` (an expected value the caller
+    compares with) needs, so equal packed integers mean equal slots.  x
+    has `width` coefficients per class, phi(m) by default, 2 phi(m) - 1
+    for an unreduced product; ynorms default to the column norms of the
+    y_j, and xnorms to ynorms, for x among the y_j."""
+
+    def __init__(self, m: int, ys, xnorms=None, weights=None,
+                 width=None, largest=0, ynorms=None):
+        rows = reduction_rows(m)
+        phi = len(rows[0])
+        width = phi if width is None else width
+        ynorms = column_norms(ys) if ynorms is None else ynorms
+        xnorms = ynorms if xnorms is None else xnorms
+        weights = [1] * len(ynorms) if weights is None else weights
+        r = max(abs(x) for row in rows for x in row)
+        bound = r * sum(abs(w) * x * y
+                        for w, x, y in zip(weights, xnorms, ynorms))
+        super().__init__(len(ys), max(bound, largest).bit_length() + 1)
+        shifts = range(0, self.bits * self.count, self.bits)
+        # coefs[b][a][k] = coef_a(zeta^b conj(zeta^k))
+        coefs = [[[rows[(b - k) % m][a] for k in range(phi)]
+                  for a in range(phi)] for b in range(width)]
+        self.columns = [[] for _ in range(phi)]
+        for c, w in enumerate(weights):
+            # packed[k] = sum_j y_j(c)[k] 2^(bits j)
+            packed = [sum(map(lshift, xs, shifts))
+                      for xs in zip(*[y[c] for y in ys])]
+            for per_a in coefs:
+                for col, coef in zip(self.columns, per_a):
+                    col.append(w * sum(map(mul, coef, packed)))
+
+    def __call__(self, x) -> list[int]:
+        """The phi(m) packed integers of x, a list of integer vectors of
+        the given width, one per class."""
+        flat = list(chain.from_iterable(x))
+        if len(flat) != len(self.columns[0]):
+            raise ValueError(f"{len(flat)} coefficients, not the "
+                             f"{len(self.columns[0])} of the columns")
+        return [sum(map(mul, flat, col)) for col in self.columns]
 
 
 def poly_string(coeffs) -> str:

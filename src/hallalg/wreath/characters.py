@@ -1,56 +1,57 @@
-"""Symmetric-group characters (Murnaghan-Nakayama) and duals of finite
-abelian groups.
+"""Symmetric-group character tables and duals of finite abelian groups.
 
 Characters of an abelian group are stored as exponent vectors: gamma(g) =
 zeta_e^(table[g]) with e the group exponent, so all arithmetic stays in
-Z[zeta_e].  A wreath character table (chmap.class_terms) counts the maps
-from each class's cycles to the dual by exponent of zeta_e, reduces the
-counts mod Phi_e once per way of sending cycle lengths to characters, and
-multiplies them with the Kronecker products of the Murnaghan-Nakayama
-tables into the integer coefficient vectors that the table stores, prints
-and certifies.
+Z[zeta_e].  The S_m tables for all m <= n come from one pass over the
+partitions; Murnaghan-Nakayama per (shape, cycle type) is the tests'
+oracle.
 """
 
-from functools import cache
-
 from .. import UsageError
-from ..exactmath.partitions import check_partition
+from ..exactmath.partitions import partitions_of
 from ..groups import FiniteGroup
 
 
-def _border_strips(shape, t):
-    """Removals of a border strip of size t, via beta-numbers: yields
-    (remaining shape, height) where the sign contribution is (-1)^height."""
-    rows = len(shape)
-    betas = [shape[i] + (rows - 1 - i) for i in range(rows)]
-    bset = set(betas)
-    out = []
-    for b in betas:
-        nb = b - t
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        news = sorted((c for c in betas if c != b), reverse=True)
-        news.append(nb)
-        news.sort(reverse=True)
-        lam = tuple(v - (rows - 1 - j) for j, v in enumerate(news))
-        out.append((tuple(x for x in lam if x > 0), height))
-    return out
-
-
-@cache
-def murnaghan_nakayama(shape, cycles) -> int:
-    """chi^shape on the class of cycle type `cycles` (a partition)."""
-    shape = check_partition(shape)
-    cycles = check_partition(cycles)
-    if sum(shape) != sum(cycles):
-        raise ValueError(f"shape {shape} and cycle type {cycles} have "
-                         f"different sizes")
-    if not cycles:
-        return 1
-    t, rest = cycles[0], cycles[1:]
-    return sum((-1) ** height * murnaghan_nakayama(smaller, rest)
-               for smaller, height in _border_strips(shape, t))
+def symmetric_tables(n: int) -> dict:
+    """pi -> (chi^shape(pi) for shape in partitions_of(|pi|)) for every
+    partition pi of size <= n.  In the Schur basis p_pi = p_rest p_r, r the
+    last part of pi, and p_r s_mu is the signed sum of the s_lam with
+    lam / mu a border strip of size r (Murnaghan-Nakayama).  The strips of
+    each (mu, r) are found once, on |mu| + r beta-numbers: a bead b moves
+    to a free b + r, with sign -1 to the number of beads it jumps."""
+    rows = {(): (1,)}
+    strips = {}
+    for size in range(1, n + 1):
+        shapes = partitions_of(size)
+        index = {shape: i for i, shape in enumerate(shapes)}
+        for pi in shapes:
+            r = pi[-1]
+            row = [0] * len(shapes)
+            for mu, v in zip(partitions_of(size - r), rows[pi[:-1]]):
+                if not v:
+                    continue
+                if (mu, r) not in strips:
+                    beads = len(mu) + r
+                    betas = [x + beads - 1 - i for i, x in
+                             enumerate(mu + (0,) * r)]
+                    strips[mu, r] = out = []
+                    for i, b in enumerate(betas):
+                        if b + r in betas:
+                            continue
+                        p = i   # b + r goes in at p: it jumps i - p beads
+                        while p and betas[p - 1] < b + r:
+                            p -= 1
+                        moved = (betas[:p] + [b + r] + betas[p:i]
+                                 + betas[i + 1:])
+                        lam = [x - beads + 1 + j
+                               for j, x in enumerate(moved)]
+                        while not lam[-1]:
+                            lam.pop()
+                        out.append((index[tuple(lam)], (-1) ** (i - p)))
+                for i, sign in strips[mu, r]:
+                    row[i] += sign * v
+            rows[pi] = tuple(row)
+    return rows
 
 
 def abelian_dual(G: FiniteGroup):

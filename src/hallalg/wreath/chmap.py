@@ -1,78 +1,59 @@
 """Irreducible characters of G wr S_n for abelian G, the induction product,
 and the characteristic map into products of Schur functions.
 
-Classes and irreducibles are both labeled by partition-valued maps: a class
-rho has a cycle (c, r) for each part r of rho(c), c the class in G of the
-cycle product; X_lam has a partition lam(gamma) on each linear character
-gamma.  ch sends X_lam to S_lam = prod_gamma s_{lam(gamma)} and the class
-rho to prod_{(c, r)} sum_gamma gamma(c) p_r(gamma) (Macdonald, Symmetric
+Classes and irreducibles are both labeled by partition-valued maps, so one
+label list indexes rows and columns: a class rho has a cycle (c, r) for
+each part r of rho(c), c the class in G of the cycle product; X_lam has a
+partition lam(gamma) on each linear character gamma.  ch sends X_lam to
+S_lam = prod_gamma s_{lam(gamma)} and the class rho to
+prod_{(c, r)} sum_gamma gamma(c) p_r(gamma) (Macdonald, Symmetric
 Functions and Hall Polynomials, Ch. I App. B).  So chi^lam(rho) is a sum
-over the maps f from the cycles to the dual that send cycle lengths adding
-up to |lam(gamma)| to each gamma, of prod f(c, r)(c) times
-prod_gamma chi^{lam(gamma)}(lengths sent to gamma) by Murnaghan-Nakayama,
-and the class rho has |W| / prod_c z_{rho(c)} |G|^{l(rho(c))} elements,
-|W| = |G|^n n!, z_p read once per partition p.  No group element is
-built.  The maps from the cycles of rho are walked once for all labels
-(`class_terms`): every map has one size vector (|lam(gamma)|)_gamma, so
-the walk records the zeta exponents summed for each way of sending
-lengths to characters ("sent"), grouped by size vector.  The sents of
-sizes s are the labels of sizes s, so the values of the labels of sizes s
-are a block product: the counts of rho, reduced mod Phi_e once per sent
-(the reduction is linear), against the block M_s[sent][lam] =
-prod_gamma chi^{lam(gamma)}(sent(gamma)), the Kronecker product of the
-S_{s_gamma} tables, built once per table; a value is phi(e) dot products
-over the block.  Classes and irreducibles have the same labels, so one
-label list indexes both rows and columns.  Every value lies in Z[zeta_e],
-e the exponent of G, and is kept as its integer coefficient vector in the
-power basis 1, zeta_e, ..., zeta_e^(phi(e)-1) from the closed formula to
-the printed JSON (`poly_string`).  The certificate and the induction
-multiplicities are sums of weighted Hermitian products of these vectors,
-computed as packed row products (`PackedProducts` of
-exactmath.cyclotomic): the rows of a table are packed once into big
-integers, one signed slot per row, wide enough for an a-priori bound on
-every sum, so that phi(e) big-integer sums give one row of the gram, or
-every multiplicity of one label pair.  Both read `values` afresh on every
-call (one `ch_ring_hom_check` reads each table once for all its size
-pairs), so a certificate is always of the printed values; Fraction values
-are scaled to integers by their common denominator first.  Tables are
-certified by class sizes adding up to |W|, row orthogonality and the
-squared dimensions; the column relation follows from the rows
-(`check_orthogonality`).  Induction multiplicities come from Frobenius
-reciprocity over class labels, in one batch per size pair (n, m)
-(`induction_products`), each lam folded once into the packed columns of
-the big table, so that a label pair costs phi(e) sums and the decoding of
-its nonzero slots.  On K_0, ch sends the induction product to the
-componentwise Littlewood-Richardson product, which is what the acceptance
-suite verifies (`ch_ring_hom_check`): both sides are integers keyed by the
-parts of nu, the multiplicities and the products of LR coefficients
-(`lr_product` of exactmath.symfunc), and the Fractions of ch and
-multisym_mul are built only for the witness of a failing pair.  The
-tests' oracles (`tests/oracles`) are the walk per (lam, rho) and the sums
-over the elements of the group and of the Young subgroup for the values,
-one `dot` per pair of rows or per (lam, mu, nu), the restricted class
-function of each label pair, and per-term cyclotomic arithmetic for the
-certificates and multiplicities, and the class label of each element.
+over the maps f from the cycles to the dual that send cycle lengths
+adding up to |lam(gamma)| to each gamma, of prod f(c, r)(c) times
+prod_gamma chi^{lam(gamma)}(lengths sent to gamma), and the class rho has
+|W| / prod_c z_{rho(c)} |G|^{l(rho(c))} elements, |W| = |G|^n n!.  No
+group element is built: the maps are walked by prefixes of the sorted
+cycles, merged by the lengths they send to each gamma ("sent") and their
+zeta exponent, and summed against packed rows of the Kronecker products
+of the S_m tables (`WreathCharacterTable`).  Every value lies in
+Z[zeta_e], e the exponent of G, and is kept as its integer coefficient
+vector in the power basis from the closed formula to the printed JSON
+(`poly_string`).
+
+Tables are certified by class sizes adding up to |W|, row orthogonality
+and the squared dimensions (`check_orthogonality`); induction
+multiplicities come from Frobenius reciprocity over class labels, in one
+batch per size pair (`induction_products`).  Both are packed row products
+(`PackedProducts` of exactmath.cyclotomic) of the printed `values`, read
+afresh on every call and never the build's packed rows.  On K_0, ch sends
+the induction product to the componentwise Littlewood-Richardson product,
+which `ch_ring_hom_check` compares in integers keyed by the parts of nu;
+the Fractions of ch and multisym_mul are built only for the witness of a
+failing pair.  The tests' oracles (`tests/oracles`) are the walk per
+(lam, rho), the unpacked block product with Murnaghan-Nakayama per
+(shape, cycle type), sums over the elements of the group and of the Young
+subgroup, one `dot` per pair of rows or per (lam, mu, nu), the restricted
+class function of each label pair, and per-term cyclotomic arithmetic.
 Tables are memoised on their group (`character_table`), so they are
 dropped with it.
 """
 
 import weakref
-from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
-from operator import mul
+from operator import lshift, mul
 
 from .. import UsageError
-from ..exactmath.cyclotomic import (PackedProducts, column_norms,
+from ..exactmath.cyclotomic import (PackedProducts, Slots, column_norms,
                                     euler_phi, integral_rows, poly_string,
-                                    reduce_poly)
+                                    reduction_rows)
 from ..exactmath.partitions import (PartitionMap, partition_maps,
                                     partitions_of)
 from ..exactmath.symfunc import MultiSymElem, lr_product, multisym_mul
 from ..exactmath.tableaux import standard_tableaux_count
 from ..groups import FiniteGroup
-from .characters import abelian_dual, murnaghan_nakayama
+from .characters import abelian_dual, symmetric_tables
 from .wreathgroup import DEFAULT_WREATH_BUDGET, wreath_order
 
 
@@ -93,35 +74,24 @@ def cycle_centralizer(k: int, part) -> int:
     |W| / |class rho| = prod_c z_{rho(c)} k^{l(rho(c))} that the cycles of
     lengths part over one class c of G give."""
     out = k ** len(part)
-    for r, mult in Counter(part).items():
-        out *= r ** mult * factorial(mult)
+    for r in set(part):
+        out *= r ** part.count(r) * factorial(part.count(r))
     return out
 
 
-def class_terms(chars, e: int, rho: PartitionMap) -> dict:
-    """The maps f from the cycles of rho to the dual, walked once for all
-    labels: sizes -> [(lengths, counts)], lengths[gamma] the cycle lengths
-    that f sends to gamma (longest first), sizes[gamma] their sum and
-    counts[x] the number of such f with prod f(c, r)(c) = zeta_e^x;
-    chars[gamma][c] is the exponent of gamma on the class c of G.  Maps
-    that agree on the lengths sent to each gamma are merged as they are
-    walked."""
-    cycles = sorted(((r, c) for c, part in rho.items() for r in part),
-                    reverse=True)
-    terms = {((),) * len(chars): (1,) + (0,) * (e - 1)}
-    for r, c in cycles:
-        walked = {}
-        for sent, counts in terms.items():
-            for gamma, row in enumerate(chars):
-                key = sent[:gamma] + (sent[gamma] + (r,),) + sent[gamma + 1:]
-                out = walked.setdefault(key, [0] * e)
-                for x, count in enumerate(counts):
-                    out[(x + row[c]) % e] += count
-        terms = walked
-    by_size = {}
-    for sent, counts in terms.items():
-        by_size.setdefault(tuple(map(sum, sent)), []).append((sent, counts))
-    return by_size
+def _extend(terms, cycle, chars, e: int) -> dict:
+    """The walk `terms` of the maps f from a prefix of a class's cycles to
+    the dual, extended by one more cycle (r, c): (sent, x) -> the number of
+    f with sent[gamma] the lengths sent to gamma (longest first) and
+    prod f(c, r)(c) = zeta_e^x, chars[gamma][c] the exponent of gamma."""
+    r, c = cycle
+    out = {}
+    for (sent, x), count in terms.items():
+        for gamma, row in enumerate(chars):
+            key = (sent[:gamma] + (sent[gamma] + (r,),) + sent[gamma + 1:],
+                   (x + row[c]) % e)
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 class WreathCharacterTable:
@@ -134,7 +104,7 @@ class WreathCharacterTable:
             raise UsageError("wreath character tables need abelian G "
                              "(linear characters)")
         self.G, self.n = G, n
-        self.e = G.exponent()
+        self.e = e = G.exponent()
         self.order = wreath_order(G, n, budget)
         self.dual = chars = abelian_dual(G)
         k = G.order
@@ -152,39 +122,60 @@ class WreathCharacterTable:
         self.identity_class = self.pos[PartitionMap(
             range(k), [(1,) * n if c == one else () for c in range(k)])]
 
-        # the labels of one size vector s, in label order, are the product
-        # of the partitions of each s_gamma, and so are the lengths that
-        # class_terms sends with sizes s: one block of both.  Column lam of
-        # the block is prod_gamma chi^{lam(gamma)}(sent(gamma)) over the
-        # sents, a column of the Kronecker product of the S_{s_gamma}
-        # tables.
-        sn = {shape: [murnaghan_nakayama(shape, cycles) for cycles in pool]
-              for pool in map(partitions_of, range(n + 1)) for shape in pool}
-        blocks = {}   # s -> [(row of lam, block column of lam)]
-        where = {}    # the parts of a label -> its index in its block
+        # the labels of one size vector s are consecutive, in the order of
+        # the product of the partitions of each s_gamma, and so are the
+        # sents of sizes s: K[sent] has, in the slot of each label lam of
+        # its block, prod_gamma chi^{lam(gamma)}(sent(gamma)).  A slot sums
+        # at most k^n maps times the largest |K| and reduction row entries.
+        tables = symmetric_tables(n)
+        rows, first = [], {}   # (first label of its block, K row) per label
         for i, lam in enumerate(labels):
-            block = blocks.setdefault(tuple(map(sum, lam.parts)), [])
-            where[lam.parts] = len(block)
-            column = [1]
-            for shape in lam.parts:
-                column = [x * y for x in column for y in sn[shape]]
-            block.append((i, column))
+            row = [1]
+            for part in lam.parts:
+                row = [x * y for x in row for y in tables[part]]
+            rows.append((first.setdefault(tuple(map(sum, lam.parts)), i),
+                         row))
+        reduction = reduction_rows(e)
+        bound = (max(map(abs, chain.from_iterable(reduction))) * k ** n
+                 * max(abs(x) for _, row in rows for x in row))
+        slots = Slots(len(labels), bound.bit_length() + 1)
+        bits = slots.bits
+        packed = {lam.parts: sum(map(lshift, row, range(
+                      bits * start, bits * (start + len(row)), bits)))
+                  for lam, (start, row) in zip(labels, rows)}
 
-        e, phi = self.e, euler_phi(self.e)
-        zero = (0,) * phi
-        self.values = values = [[zero] * len(labels) for _ in labels]
+        # per class, acc[x] sums count K[sent] over the maps with zeta
+        # exponent x, and the slots of sum_x coef_a(zeta^x) acc[x] are
+        # coefficient a of the class's column.  Each distinct proper prefix
+        # of the sorted cycles is walked once, in a trie; a class's last
+        # cycle (no whole list of size n is a prefix) goes into acc.
+        coefs = list(zip(*reduction))   # coefs[a][x]: coef_a(zeta_e^x)
+        root = ({(((),) * k, 0): 1}, {})   # (walk, child per next cycle)
+        self.values = values = [[None] * len(labels) for _ in labels]
         for c, rho in enumerate(labels):
-            for size, terms in class_terms(chars, e, rho).items():
-                block = blocks[size]
-                # coefficient a of each sent's reduced count, by sent
-                reduced = [[0] * len(block) for _ in range(phi)]
-                for sent, counts in terms:
-                    j = where[sent]
-                    for per_a, x in zip(reduced, reduce_poly(e, counts)):
-                        per_a[j] = x
-                for i, column in block:
-                    values[i][c] = tuple([sum(map(mul, per_a, column))
-                                          for per_a in reduced])
+            cycles = sorted(((r, g) for g, part in enumerate(rho.parts)
+                             for r in part), reverse=True)
+            node = root
+            for cycle in cycles[:-1]:
+                child = node[1].get(cycle)
+                if child is None:
+                    child = node[1][cycle] = (_extend(node[0], cycle, chars,
+                                                      e), {})
+                node = child
+            acc = [0] * e
+            if cycles:
+                r, g = cycles[-1]
+                for (sent, x), count in node[0].items():
+                    for gamma, row in enumerate(chars):
+                        acc[(x + row[g]) % e] += count * packed[
+                            sent[:gamma] + (sent[gamma] + (r,),)
+                            + sent[gamma + 1:]]
+            else:
+                acc[0] = packed[((),) * k]
+            column = zip(*[slots.slots(sum(map(mul, per_a, acc)))
+                           for per_a in coefs])
+            for row, v in zip(values, column):
+                row[c] = v
 
     def dimension(self, lam: PartitionMap) -> int:
         v = self.values[self.pos[lam]][self.identity_class]
@@ -282,6 +273,43 @@ def _integral_form(forms: dict, tab):
     return forms[tab]
 
 
+def _packed_big(G: FiniteGroup, total: int, sizes, budget: int,
+                forms: dict):
+    """The big table of size `total` packed once for the splits
+    (n, total - n), n in `sizes`, kept in forms with, per n, the two small
+    tables and the joined class of each class pair.  At a joined class c,
+    |lam x mu|_1 is at most the sum of |a| |b| norm(a) norm(b) over a
+    split's class pairs (a, b) joining into c; the largest over the splits
+    bounds every split's slots."""
+    big = character_table(G, total, budget)
+    rows_big, _, norms_big = _integral_form(forms, big)
+    # the tables share one label set, so a class is its parts
+    pos = {rho.parts: c for c, rho in enumerate(big.class_labels)}
+    xnorms = [0] * len(pos)
+    splits = {}
+    for n in sizes:
+        small_n = character_table(G, n, budget)
+        small_m = character_table(G, total - n, budget)
+        norms_n = _integral_form(forms, small_n)[2]
+        norms_m = _integral_form(forms, small_m)[2]
+        joined = [[pos[tuple(tuple(sorted(p + q, reverse=True))
+                             for p, q in zip(rho1.parts, rho2.parts))]
+                   for rho2 in small_m.class_labels]
+                  for rho1 in small_n.class_labels]
+        per_class = [0] * len(pos)
+        for a, size_a in enumerate(small_n.class_sizes):
+            for b, size_b in enumerate(small_m.class_sizes):
+                per_class[joined[a][b]] += (size_a * size_b * norms_n[a]
+                                            * norms_m[b])
+        xnorms = list(map(max, xnorms, per_class))
+        splits[n] = small_n, small_m, joined
+    products = PackedProducts(big.e, rows_big, xnorms=xnorms,
+                              width=2 * euler_phi(big.e) - 1,
+                              ynorms=norms_big)
+    forms["packed", total] = packing = big, products, splits
+    return packing
+
+
 def induction_products(G: FiniteGroup, n: int, m: int,
                        budget: int = DEFAULT_WREATH_BUDGET,
                        pairs=None, forms=None) -> dict:
@@ -290,58 +318,36 @@ def induction_products(G: FiniteGroup, n: int, m: int,
     default all of them in label order.  By Frobenius reciprocity,
     <Ind chi, chi_nu> = <chi, Res chi_nu>, a sum over pairs of classes
     (a, b) of the Young subgroup, of weight |a| |b|, which lies in the
-    class a + b (partitions joined class by class) of the big group.  What
-    depends only on (n, m) is done once: the joined class of each class
-    pair is found once, and the big table's rows are packed once
-    (`PackedProducts`) into phi(e) columns, one entry per flat position
-    (joined class, coefficient k) of an unreduced product.  Each table's
-    integer rows and column norms are read off its values once per
-    `forms`, a dict that one check (`ch_ring_hom_check`) passes to all its
-    size pairs and that is fresh by default, so they are always those of
-    the values at that call.  Each lam is folded into every column once:
-    the folded column holds at (b, j) the sum of |a| |b| lam(a)[i]
-    column[(a + b, i + j)] over the (a, i), so that the multiplicities of
-    every nu in one pair are the slots of the phi(e) integers
-    sum(map(mul, flat mu row, folded column)), the packed sums of the
-    restricted class function lam x mu only reassociated; only the nonzero
-    slots are decoded.  Fraction values are scaled by the common
-    denominator of each table, which the denominator of the multiplicities
-    takes up; the first nu, in label order, whose multiplicity is not in N
-    raises ArithmeticError."""
-    big = character_table(G, n + m, budget)
-    small_n = character_table(G, n, budget)
-    small_m = character_table(G, m, budget)
+    class a + b (partitions joined class by class) of the big group.  The
+    big table's rows are packed into phi(e) columns (`_packed_big`) once
+    per `forms` and total size for every split (`ch_ring_hom_check`), or
+    here for the one split (n, m).  Each table's integer rows and column
+    norms are read off its values once per `forms`, fresh by default, so
+    they are those of the values at that call.  Each lam is folded into
+    every column once: the folded column holds at (b, j) the sum of
+    |a| |b| lam(a)[i] column[(a + b, i + j)] over the (a, i), so that the
+    multiplicities of every nu in one pair are the nonzero slots of the
+    phi(e) integers sum(map(mul, flat mu row, folded column)).  Fraction
+    values are scaled by the common denominator of each table, which the
+    denominator of the multiplicities takes up; the first nu, in label
+    order, whose multiplicity is not in N raises ArithmeticError."""
+    forms = {} if forms is None else forms
+    packing = forms.get(("packed", n + m))
+    if packing is None or n not in packing[2]:
+        packing = _packed_big(G, n + m, [n], budget, forms)
+    big, products, splits = packing
+    small_n, small_m, joined = splits[n]
     if pairs is None:
         pairs = [(lam, mu) for lam in small_n.irr_labels
                  for mu in small_m.irr_labels]
-    forms = {} if forms is None else forms
-    rows_n, den_n, norms_n = _integral_form(forms, small_n)
-    rows_m, den_m, norms_m = _integral_form(forms, small_m)
-    rows_big, den_big, norms_big = _integral_form(forms, big)
-    # the three tables share one label set, so a class is its parts
-    pos = {rho.parts: c for c, rho in enumerate(big.class_labels)}
-    joined = [[pos[tuple(tuple(sorted(p + q, reverse=True))
-                         for p, q in zip(rho1.parts, rho2.parts))]
-               for rho2 in small_m.class_labels]
-              for rho1 in small_n.class_labels]
-    xnorms = {}  # per joined class, a bound on |lam x mu summed there|_1
-    for a, size_a in enumerate(small_n.class_sizes):
-        for b, size_b in enumerate(small_m.class_sizes):
-            c = joined[a][b]
-            xnorms[c] = (xnorms.get(c, 0)
-                         + size_a * size_b * norms_n[a] * norms_m[b])
-    classes = list(xnorms)
-    phi = euler_phi(big.e)
-    width = 2 * phi - 1
-    products = PackedProducts(big.e, [[row[c] for c in classes]
-                                      for row in rows_big],
-                              xnorms=list(xnorms.values()), width=width,
-                              ynorms=[norms_big[c] for c in classes])
-    den = small_n.order * small_m.order * den_n * den_m * den_big
+    rows_n, den_n, _ = forms[small_n]
+    rows_m, den_m, _ = forms[small_m]
+    den = small_n.order * small_m.order * den_n * den_m * forms[big][1]
     # per column and per (b, j), its entries at (a + b, i + j) over the
     # flat (a, i): the positions that lam(a)[i] mu(b)[j] adds to
-    start = {c: t * width for t, c in enumerate(classes)}
-    gathered = [[[col[start[joined[a][b]] + i + j]
+    phi = euler_phi(big.e)
+    width = 2 * phi - 1
+    gathered = [[[col[width * joined[a][b] + i + j]
                   for a in range(len(joined)) for i in range(phi)]
                  for b in range(len(small_m.class_sizes)) for j in range(phi)]
                 for col in products.columns]
@@ -409,6 +415,8 @@ def ch_ring_hom_check(G: FiniteGroup, max_total: int,
     Fractions, build only the witness of a failing pair."""
     failures = []
     forms = {}   # each table's integer form, read once in this check
+    for total in range(max_total + 1):
+        _packed_big(G, total, range(total + 1), budget, forms)
     for n in range(0, max_total + 1):
         for m in range(0, max_total + 1 - n):
             products = induction_products(G, n, m, budget, forms=forms)

@@ -6,8 +6,9 @@ coefficient vector over Z[zeta_e] and sums on the integer kernel of
 `hallalg.exactmath.cyclotomic`; the tests read those vectors as Cyc values
 and compare each sum with one Cyc product per term.
 
-The per-pair integer route is the oracle of the packed kernel
-(`PackedProducts`): `conjugate` applies the integer matrix of complex
+`reduce_poly` reduces any integer polynomial in zeta_m by the production
+reduction rows.  The per-pair integer route is the oracle of the packed
+kernel (`PackedProducts`): `conjugate` applies the integer matrix of complex
 conjugation, `dot` sums the products of two lists of vectors given by
 their planes, unreduced in Z[x] and reduced mod Phi_m once, and
 `hermitian_gram` makes one `dot` per pair of rows."""
@@ -17,15 +18,30 @@ from functools import cache
 from math import gcd
 from operator import mul
 
-from hallalg.exactmath.cyclotomic import (_reduction_rows, euler_phi,
-                                          poly_string, reduce_poly)
+from hallalg.exactmath.cyclotomic import (euler_phi, poly_string,
+                                          reduction_rows)
+
+
+def reduce_poly(m: int, poly) -> list:
+    """sum_k poly[k] zeta_m^k (k of any size) in the power basis: the
+    exponents below phi(m) are kept and each higher one adds its reduction
+    row once."""
+    rows = reduction_rows(m)
+    deg = len(rows[0])
+    out = list(poly[:deg]) + [0] * (deg - len(poly))
+    for k in range(deg, len(poly)):
+        c = poly[k]
+        if c:
+            for j, r in enumerate(rows[k % m]):
+                out[j] += c * r
+    return out
 
 
 @cache
 def _conjugation_columns(m: int) -> tuple[tuple[int, ...], ...]:
     """Column j of the integer matrix of complex conjugation: conj(zeta^k) =
     zeta^(m-k), so entry k is coordinate j of row (-k) mod m."""
-    rows = _reduction_rows(m)
+    rows = reduction_rows(m)
     return tuple(zip(*(rows[-k % m] for k in range(len(rows[0])))))
 
 

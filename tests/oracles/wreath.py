@@ -2,8 +2,11 @@
 a wreath element from its cycles, an element with a given label, and
 inner products and decompositions of class functions against a character
 table.  The production character tables never build a group element.
-`character_value` is the closed formula one (lam, rho) at a time, the
-oracle of the table's single walk per class.  Class functions are lists of
+`character_value` is the closed formula one (lam, rho) at a time, by
+`murnaghan_nakayama` per pair, and `block_product_values` the route the
+tables took before their rows were packed: one `class_terms` walk per
+class and one dot product per (label, class, coefficient) against the
+Kronecker columns of the S_m tables.  Class functions are lists of
 coefficient vectors over Z[zeta_e], one per class, as in the tables;
 `cyc_table` reads a table's vectors as Cyc values for the per-term
 oracles.  `pairwise_check_orthogonality` and `pairwise_induction_products`
@@ -14,19 +17,123 @@ class function of each label pair against the same packed columns, the
 oracle of the per-lam fold down to the text of each ArithmeticError."""
 
 from fractions import Fraction
+from functools import cache
 from math import prod
+from operator import mul
 
 from hallalg import UsageError
 from hallalg.exactmath.cyclotomic import (PackedProducts, column_norms,
                                          euler_phi, integral_rows,
-                                         poly_string, reduce_poly)
-from hallalg.exactmath.partitions import PartitionMap
+                                         poly_string)
+from hallalg.exactmath.partitions import (PartitionMap, check_partition,
+                                         partition_maps, partitions_of)
 from hallalg.groups import FiniteGroup
 from hallalg.wreath import chmap
-from hallalg.wreath.characters import murnaghan_nakayama
+from hallalg.wreath.characters import abelian_dual
 from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET
 
-from .cyclotomic import Cyc, conjugate, dot, hermitian_gram, planes
+from .cyclotomic import (Cyc, conjugate, dot, hermitian_gram, planes,
+                         reduce_poly)
+
+
+def _border_strips(shape, t):
+    """Removals of a border strip of size t, via beta-numbers: yields
+    (remaining shape, height) where the sign contribution is (-1)^height."""
+    rows = len(shape)
+    betas = [shape[i] + (rows - 1 - i) for i in range(rows)]
+    bset = set(betas)
+    out = []
+    for b in betas:
+        nb = b - t
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        news = sorted((c for c in betas if c != b), reverse=True)
+        news.append(nb)
+        news.sort(reverse=True)
+        lam = tuple(v - (rows - 1 - j) for j, v in enumerate(news))
+        out.append((tuple(x for x in lam if x > 0), height))
+    return out
+
+
+@cache
+def murnaghan_nakayama(shape, cycles) -> int:
+    """chi^shape on the class of cycle type `cycles` (a partition), by
+    removing border strips of the longest cycle first."""
+    shape = check_partition(shape)
+    cycles = check_partition(cycles)
+    if sum(shape) != sum(cycles):
+        raise ValueError(f"shape {shape} and cycle type {cycles} have "
+                         f"different sizes")
+    if not cycles:
+        return 1
+    t, rest = cycles[0], cycles[1:]
+    return sum((-1) ** height * murnaghan_nakayama(smaller, rest)
+               for smaller, height in _border_strips(shape, t))
+
+
+def class_terms(chars, e: int, rho: PartitionMap) -> dict:
+    """The maps f from the cycles of rho to the dual, walked once for all
+    labels: sizes -> [(lengths, counts)], lengths[gamma] the cycle lengths
+    that f sends to gamma (longest first), sizes[gamma] their sum and
+    counts[x] the number of such f with prod f(c, r)(c) = zeta_e^x;
+    chars[gamma][c] is the exponent of gamma on the class c of G."""
+    cycles = sorted(((r, c) for c, part in rho.items() for r in part),
+                    reverse=True)
+    terms = {((),) * len(chars): (1,) + (0,) * (e - 1)}
+    for r, c in cycles:
+        walked = {}
+        for sent, counts in terms.items():
+            for gamma, row in enumerate(chars):
+                key = sent[:gamma] + (sent[gamma] + (r,),) + sent[gamma + 1:]
+                out = walked.setdefault(key, [0] * e)
+                for x, count in enumerate(counts):
+                    out[(x + row[c]) % e] += count
+        terms = walked
+    by_size = {}
+    for sent, counts in terms.items():
+        by_size.setdefault(tuple(map(sum, sent)), []).append((sent, counts))
+    return by_size
+
+
+def block_product_values(G: FiniteGroup, n: int, tables=None):
+    """The values of the table of G wr S_n by the unpacked block product:
+    `class_terms` once per class, the counts reduced mod Phi_e once per
+    (class, sent), and one dot product per (label, class, coefficient)
+    with the label's Kronecker column over the sents of its block.
+    tables[pi] is the row of the S_m table on the cycle type pi, over the
+    shapes of partitions_of(|pi|); by default from `murnaghan_nakayama`."""
+    e, k = G.exponent(), G.order
+    chars = abelian_dual(G)
+    labels = partition_maps(n, range(k))
+    if tables is None:
+        tables = {pi: [murnaghan_nakayama(shape, pi)
+                       for shape in partitions_of(size)]
+                  for size in range(n + 1) for pi in partitions_of(size)}
+    blocks = {}   # size vector -> [(row of lam, column of lam)]
+    where = {}    # the parts of a label -> its index in its block
+    for i, lam in enumerate(labels):
+        block = blocks.setdefault(tuple(map(sum, lam.parts)), [])
+        where[lam.parts] = len(block)
+        column = [1]   # over the sents of the block, in label order
+        for shape in lam.parts:
+            pool = partitions_of(sum(shape))
+            at = pool.index(shape)
+            column = [x * tables[pi][at] for x in column for pi in pool]
+        block.append((i, column))
+    phi = euler_phi(e)
+    values = [[(0,) * phi] * len(labels) for _ in labels]
+    for c, rho in enumerate(labels):
+        for size, terms in class_terms(chars, e, rho).items():
+            block = blocks[size]
+            reduced = [[0] * len(block) for _ in range(phi)]
+            for sent, counts in terms:
+                for per_a, x in zip(reduced, reduce_poly(e, counts)):
+                    per_a[where[sent]] = x
+            for i, column in block:
+                values[i][c] = tuple(sum(map(mul, per_a, column))
+                                     for per_a in reduced)
+    return values
 from .groups import class_index_of, conjugacy_classes
 
 

@@ -869,6 +869,38 @@ def test_wreath_outputs_are_byte_identical(capsys, command, fmt):
     assert digest == WREATH_OUTPUT_DIGESTS[command, fmt]
 
 
+# sha256 of the JSON of more tables and checks, recorded before the table
+# values were built from packed block rows and each check's big tables
+# packed once per total size: conductors with phi(e) = 2, 4 and 8, a
+# table over the default budget, and checks up to sizes 5 and 3
+WREATH_PACKED_DIGESTS = {
+    "wreath-char-table --G cyclic:4 --n 3":
+        "0c7cadd0dc0002042ed49bb47e746bf5b7d657cab746d7edf22a763429c2cebd",
+    "wreath-char-table --G cyclic:5 --n 3":
+        "8e7ee54132ec1012c7ca9c675fef6b93332ce4d2c09db341478b4a5222161187",
+    "wreath-char-table --G cyclic:6 --n 2":
+        "fbfb86f1939d47fff0667c24df3ea29b97937002c930b3c6117ce111eb4a3e48",
+    "wreath-char-table --G cyclic:2 --n 6 --budget 46080":
+        "2ce3796b97b9f16c180339d4bcbb9c02031d20ba41470fa5deffae54afd5ba3f",
+    "wreath-char-table --G klein --n 3":
+        "bc005bd8bed17bb3af9c68e589f623c76baf4fc9afcd17e551611fb20cdea836",
+    "wreath-char-table --G cyclic:30 --n 1":
+        "cba2bd059550a1a98ae0260f07d6bbe495935fb48ed93a34e24ee4f902ba6880",
+    "ch-verify --G cyclic:2 --max-size 5":
+        "95ea851aab6db6a0034c100ea819b3443ab48fcdec962c8bd35fd5d86d152549",
+    "ch-verify --G cyclic:4 --max-size 3":
+        "db96b122bc4aaa10e5ccb1e50f06eb2bea63840cbaf698373d18cc32d566647f",
+}
+
+
+@pytest.mark.parametrize("command", list(WREATH_PACKED_DIGESTS))
+def test_packed_wreath_outputs_are_byte_identical(capsys, command):
+    code, out = run_capture(capsys, command.split() + ["--format", "json"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == WREATH_PACKED_DIGESTS[command]
+
+
 # sha256 of `hall-table --family ab-p-groups` for each (p, bound), recorded
 # before the Hall polynomials were computed in integers over Z[1/p]; the
 # table must print the same bytes
@@ -1093,9 +1125,11 @@ def test_the_s_construction_keeps_the_cli_contract(argv):
 
 W_INTS = [-1, 0, 1, 2, 3, 4, 10 ** 6]
 W_GROUPS = [
-    # valid, one of them not abelian and one refused for its size
-    "trivial", "cyclic:1", "cyclic:2", "cyclic:3", "klein",
-    "product:(cyclic:2,cyclic:2)", "sym:3", "sym:7",
+    # valid, one of them not abelian and one refused for its size; the
+    # conductors 4, 5 and 6 have phi(e) = 2, 4 and 2
+    "trivial", "cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5",
+    "cyclic:6", "klein", "product:(cyclic:2,cyclic:2)",
+    "product:(cyclic:2,cyclic:3)", "sym:3", "sym:7",
     # malformed
     "", " ", "cyclic:", "cyclic:x", "cyclic:0", "cyclic:-2", "bogus:2",
     "klein:2", "product:()", "product:(cyclic:2", "file:",

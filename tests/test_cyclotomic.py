@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.exactmath.cyclotomic import (PackedProducts, _polydivmod_int,
-                                          _reduction_rows, column_norms,
+from hallalg.exactmath.cyclotomic import (PackedProducts, Slots,
+                                          _polydivmod_int, column_norms,
                                           cyclotomic_polynomial,
                                           euler_phi, integral_rows,
-                                          poly_string)
+                                          poly_string, reduction_rows)
 from oracles.cyclotomic import Cyc, conjugate, dot, planes
 
 
@@ -183,12 +183,40 @@ def test_the_nonzero_slots_are_those_of_every_slot(count, data):
         (j, x) for j, x in enumerate(slots) if x]
 
 
+@pytest.mark.parametrize("bits", [2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65,
+                                  100, 128, 129, 300])
+def test_one_decode_serves_every_slot_width(bits):
+    # slots at +-(2^(bits-1) - 1), the widest a slot of this width holds
+    # by its bound, next to zeros, ones and -2^(bits-1)
+    top = (1 << (bits - 1)) - 1
+    slots = [top, -top, 0, top, top, -top, -top, 0, 0, 1, -1, -top - 1, top]
+    decode = Slots(len(slots), bits)
+    packed = _pack(slots, bits)
+    assert decode.slots(packed) == slots
+    assert decode.nonzero_slots(packed) == [
+        (j, x) for j, x in enumerate(slots) if x]
+    assert Slots(1, bits).slots(top) == [top]
+    assert Slots(1, bits).slots(-top) == [-top]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300), st.data())
+def test_slots_of_any_width_read_back(bits, data):
+    top = (1 << (bits - 1)) - 1
+    slot = st.one_of(st.just(0), st.sampled_from([top, -top]),
+                     st.integers(-top, top))
+    slots = data.draw(st.lists(slot, min_size=1, max_size=30),
+                      label="slots")
+    decode = Slots(len(slots), bits)
+    assert decode.slots(_pack(slots, bits)) == slots
+
+
 def test_the_bound_counts_the_largest_reduction_row_entry():
     # Phi_105 is the first cyclotomic polynomial with a coefficient 2, and
     # 1 * conj(zeta) = zeta^104 has the coefficient 2 at zeta^6: the entry
     # sits at the bound |1|_1 |zeta|_1 2, which a slot of 2 bits would
     # read as -2
-    rows = _reduction_rows(105)
+    rows = reduction_rows(105)
     one, zeta = (1,) + (0,) * 47, (0, 1) + (0,) * 46
     kernel = PackedProducts(105, [[zeta]])
     assert kernel.bits == 3

@@ -15,22 +15,25 @@ from hypothesis import given, settings, strategies as st
 from hallalg import BudgetExceededError, UsageError
 from hallalg.cli import run
 from hallalg.exactmath.cyclotomic import (PackedProducts, integral_rows,
-                                          poly_string, reduce_poly)
-from hallalg.exactmath.partitions import PartitionMap, partition_maps
+                                          poly_string)
+from hallalg.exactmath.partitions import (PartitionMap, partition_maps,
+                                          partitions_of)
 from hallalg.groups import (cyclic_group, klein_group, named_group,
                             perm_sign, symmetric_group, trivial_group)
 from hallalg.wreath import (abelian_dual, ch, ch_ring_hom_check,
                             character_table, induction_product,
-                            irreducible_dimension, murnaghan_nakayama,
-                            wreath_product)
+                            irreducible_dimension, wreath_product)
 from hallalg.wreath import chmap
+from hallalg.wreath.characters import symmetric_tables
 from hallalg.wreath.chmap import WreathCharacterTable, cycle_centralizer
 from hallalg.wreath.wreathgroup import DEFAULT_WREATH_BUDGET, wreath_order
-from oracles.cyclotomic import Cyc, hermitian_gram
+from oracles.cyclotomic import Cyc, hermitian_gram, reduce_poly
 from oracles.exactmath import partition_maps_count
 from oracles.groups import conjugacy_classes
-from oracles.wreath import (character_value, class_label_representative,
-                            cyc_table, cycle_type, decompose, inner,
+from oracles.wreath import (block_product_values, character_value,
+                            class_label_representative, cyc_table,
+                            cycle_type, decompose, inner,
+                            murnaghan_nakayama,
                             pairwise_check_orthogonality,
                             pairwise_induction_products, perm_cycles,
                             restricted_induction_products,
@@ -79,7 +82,6 @@ def test_symmetric_character_examples():
     assert [murnaghan_nakayama((2, 1), c)
             for c in ((1, 1, 1), (2, 1), (3,))] == [2, 0, -1]
     for n in range(1, 5):
-        from hallalg.exactmath.partitions import partitions_of
         for c in partitions_of(n):
             assert murnaghan_nakayama((n,), c) == 1
             assert murnaghan_nakayama(tuple([1] * n), c) == \
@@ -405,22 +407,82 @@ def test_table_entry_matches_the_per_pair_walk(case, data):
             == character_value(chars, tab.e, lam, rho))
 
 
+# -- the packed build against the unpacked block product ----------------------
+
+# every (G, n) whose table the tests build, and a few beyond
+BLOCK_CASES = (
+    [("trivial", n) for n in range(9)]
+    + [("cyclic:1", n) for n in range(5)]
+    + [("cyclic:2", n) for n in range(8)]
+    + [("cyclic:3", n) for n in range(6)]
+    + [(G_name, n) for G_name in ("cyclic:4", "cyclic:5", "cyclic:6", "klein")
+       for n in range(5)]
+    + [("product:(cyclic:2,cyclic:2)", n) for n in range(4)]
+    + [("product:(cyclic:2,cyclic:3)", n) for n in range(4)]
+    + [("cyclic:30", 1), ("cyclic:30", 0)])
+
+
+@pytest.mark.parametrize("G_name,n", BLOCK_CASES)
+def test_table_matches_the_block_product(G_name, n):
+    G = named_group(G_name)
+    tab = WreathCharacterTable(G, n, budget=10 ** 6)
+    assert tab.values == block_product_values(G, n)
+
+
+def test_symmetric_tables_match_murnaghan_nakayama():
+    tables = symmetric_tables(8)
+    assert set(tables) == {pi for size in range(9)
+                           for pi in partitions_of(size)}
+    for pi, row in tables.items():
+        assert row == tuple(murnaghan_nakayama(shape, pi)
+                            for shape in partitions_of(sum(pi)))
+
+
+@pytest.mark.parametrize("G_name,n", [
+    ("klein", 3), ("cyclic:3", 3), ("cyclic:5", 2), ("cyclic:2", 4)])
+def test_slots_past_64_bits_match_the_unpacked_product(monkeypatch, G_name,
+                                                       n):
+    # S_m entries near 2^40, of both signs: a Kronecker product over two
+    # or three characters is near 2^80 or 2^120, so the slots are over 64
+    # bits wide
+    rng = random.Random(f"{G_name} {n}")
+    tables = {pi: tuple(rng.choice((-1, 1)) * ((1 << 40) - rng.randrange(99))
+                        for _ in row)
+              for pi, row in symmetric_tables(n).items()}
+    monkeypatch.setattr(chmap, "symmetric_tables", lambda size: tables)
+    G = named_group(G_name)
+    got = WreathCharacterTable(G, n).values
+    assert got == block_product_values(G, n, tables)
+    assert max(abs(x) for row in got for v in row for x in v) > 1 << 64
+
+
 # -- work counts --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("G_name,n", [
     ("trivial", 0), ("trivial", 4), ("cyclic:2", 3), ("cyclic:3", 3),
-    ("klein", 2)])
-def test_a_table_walks_each_class_once(monkeypatch, G_name, n):
-    walked = []
+    ("klein", 2), ("cyclic:2", 5), ("cyclic:6", 3)])
+def test_a_table_walks_each_cycle_prefix_once(monkeypatch, G_name, n):
+    # the walk of each distinct proper prefix of the classes' sorted cycle
+    # lists is extended from the prefix one shorter exactly once; a whole
+    # list, of size n, is no other class's prefix, and its last cycle goes
+    # straight into the class's accumulators
+    prefix_of, walked = {}, []
 
-    def counting(chars, e, rho, walk=chmap.class_terms):
-        walked.append(rho)
-        return walk(chars, e, rho)
+    def counting(terms, cycle, chars, e, real=chmap._extend):
+        out = real(terms, cycle, chars, e)
+        prefix_of[id(out)] = prefix_of.get(id(terms), ()) + (cycle,)
+        walked.append(prefix_of[id(out)])
+        return out
 
-    monkeypatch.setattr(chmap, "class_terms", counting)
+    monkeypatch.setattr(chmap, "_extend", counting)
     tab = WreathCharacterTable(named_group(G_name), n)
-    assert walked == tab.class_labels
+    prefixes = set()
+    for rho in tab.class_labels:
+        cycles = sorted(((r, c) for c, part in enumerate(rho.parts)
+                         for r in part), reverse=True)
+        prefixes.update(tuple(cycles[:i]) for i in range(1, len(cycles)))
+    assert sorted(walked) == sorted(prefixes)
 
 
 @pytest.mark.parametrize("G_name,n", [
@@ -445,9 +507,10 @@ def test_the_json_formats_each_distinct_value_once(monkeypatch, G_name, n):
     ("klein", 2)])
 def test_integer_forms_per_size_pair_do_not_grow_with_the_labels(
         monkeypatch, G_name, max_total):
-    # the tables hold their integer form, so each size pair reads the two
-    # small tables and the big one once, however many label pairs and
-    # labels nu there are, and converts nothing
+    # each total size reads its big table once and the two small tables of
+    # each of its splits once, when it packs the big table for all of
+    # them, however many label pairs and labels nu there are; the size
+    # pairs then read nothing, and nothing is converted
     assert not hasattr(chmap, "integer_form")
     calls = []
 
@@ -458,8 +521,8 @@ def test_integer_forms_per_size_pair_do_not_grow_with_the_labels(
     monkeypatch.setattr(chmap, "character_table", counting)
     ok, failures = ch_ring_hom_check(named_group(G_name), max_total)
     assert ok, failures
-    size_pairs = (max_total + 1) * (max_total + 2) // 2
-    assert len(calls) == 3 * size_pairs
+    assert len(calls) == sum(1 + 2 * (total + 1)
+                             for total in range(max_total + 1))
 
 
 @pytest.mark.parametrize("G_name,max_total", [
